@@ -10,9 +10,11 @@ Router → worker (control)
     ``peers`` (the exchange-port map), ``route`` (a batch of events at a
     session sequence number — the same ``seq == high+1`` /
     cumulative-ack discipline as net batches, so delivery to a worker is
-    effectively once), ``flush`` (a barrier: drain up to ticket ``high``
-    and reply), ``reset`` (rebuild the engine with a new config;
-    test/bench hook), ``ping`` (supervisor liveness probe),
+    effectively once — plus ``elided``, the count of this shard's
+    operations the router ticketed but did not ship), ``flush`` (a
+    barrier: drain up to ticket ``high`` and reply), ``reset`` (rebuild
+    the engine with a new config; test/bench hook), ``ping``
+    (supervisor liveness probe),
     ``snap-request`` (drain and ship a shard snapshot), ``restore``
     (first message to a respawned worker: config + port map + the last
     verified snapshot), ``detach`` (stop gating the merge on a
@@ -40,6 +42,14 @@ the router stamped:
 
 - operation: ``["r"|"w", buu, key, seq, ticket]``
 - lifecycle: ``["b"|"c", buu, time, ticket]``
+
+Sampling is decided at the router: an operation on an item outside the
+DCS sample takes its ticket like any other but never becomes a record —
+it is counted against its owning shard, and the count travels as the
+next ``route`` frame's ``elided`` integer (absent when zero, so no
+``sr = 1`` frame carries the field).  The count lives in the journaled
+frame, so replay and the session's duplicate suppression apply to it
+exactly as they do to the records beside it.
 
 Tickets totally order the cluster-wide event stream; each worker merges
 its local events with its peers' edge groups back into that order (see
@@ -133,11 +143,17 @@ def resume_nack(index: int, resume: int, trimmed: int) -> dict:
 # -- routing -------------------------------------------------------------------
 
 
-def route(seq: int, high: int, events: list) -> dict:
+def route(seq: int, high: int, events: list, elided: int = 0) -> dict:
     """One routed batch at session sequence ``seq``; ``high`` is the
     router's ticket watermark as of this batch (every cluster-wide
-    ticket ``<= high`` has been routed somewhere)."""
-    return {"type": "route", "seq": seq, "high": high, "events": events}
+    ticket ``<= high`` has been routed somewhere).  ``elided`` counts
+    the operations of this shard ticketed since its previous frame that
+    are *not* in ``events`` — their items are outside the DCS sample, so
+    the worker adds the count to its operation totals and nothing else."""
+    message = {"type": "route", "seq": seq, "high": high, "events": events}
+    if elided:
+        message["elided"] = elided
+    return message
 
 
 def cluster_ack(seq: int) -> dict:

@@ -12,7 +12,16 @@ one :class:`~repro.core.config.RushMonConfig` (``num_workers``,
   (:func:`~repro.core.frontier.key_partition` — the same placement
   digest the in-process sharded collector uses); BUU begin/commit
   events are broadcast to every worker, because lifecycle state is
-  graph-global.  Events buffer per worker and ship as ``route`` frames
+  graph-global.  Sampling is decided here, at the one place every key
+  is already looked up: the router holds the same
+  :class:`~repro.core.collector.ItemSampler` the workers' collectors
+  hold (pure in ``(key, sampling_rate, seed)``), and an operation on an
+  item outside the sample takes its ticket but is never buffered — it
+  is counted against its owning shard and the count rides in that
+  shard's next frame as one integer (``elided``).  Tickets stay event
+  ordinals, so watermarks, journals and snapshots are unaffected; at
+  ``sampling_rate=1`` nothing is elided and no frame carries the
+  field.  Events buffer per worker and ship as ``route`` frames
   over the :mod:`repro.net.protocol` framing, with the net layer's
   sequence/cumulative-ack session per link (so worker delivery is
   effectively once and a bounded ack window provides backpressure).
@@ -41,7 +50,9 @@ and brings the shard back bit-exactly:
 
 - **Journal-then-send.**  Every ``route`` and ``flush`` frame is
   appended to a per-link replay journal *before* it touches the wire,
-  so a frame lost to a dying socket is never lost to the protocol.
+  so a frame lost to a dying socket is never lost to the protocol —
+  and neither are the elided-operation counts, which exist nowhere but
+  inside those frames.
   While a link is down, ingestion keeps journaling (and the cluster
   keeps accepting events); the supervisor replays the journal onto the
   respawned worker.  Route replay is idempotent (workers dedup on the
@@ -61,10 +72,11 @@ and brings the shard back bit-exactly:
 - **The circuit breaker.**  ``max_worker_restarts`` respawn attempts
   per shard; past it the shard is *failed*: survivors get ``detach``
   (its frozen watermark stops gating their merges), its routed frames
-  are dropped (counted), and reports carry ``health="degraded"`` plus
-  the missing shard indices in ``degraded_shards`` — the anomaly
-  signal narrows instead of dying.  :meth:`reset` on a degraded
-  cluster tears everything down and starts a fresh, healthy one.
+  are dropped with the counts they carry (counted), and reports carry
+  ``health="degraded"`` plus the missing shard indices in
+  ``degraded_shards`` — the anomaly signal narrows instead of dying.
+  :meth:`reset` on a degraded cluster tears everything down and starts
+  a fresh, healthy one.
 
 The supervisor never takes the monitor's ingestion lock (a barrier
 blocks holding it, and recovery is what unblocks the barrier); all
@@ -90,7 +102,8 @@ from dataclasses import asdict
 from typing import Iterable
 
 from repro.cluster import messages as msg
-from repro.cluster.worker import recv_message, worker_main
+from repro.cluster.worker import no_delay, recv_message, worker_main
+from repro.core.collector import ItemSampler
 from repro.core.columnar import OpBatch
 from repro.core.config import RushMonConfig
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
@@ -248,9 +261,23 @@ class ClusterMonitor:
         self._now = 0
         self._window_start = 0
         self._buffers: list[list] = [[] for _ in range(n)]
+        #: Length of the longest buffer (a broadcast grows every buffer
+        #: by one, an operation grows one) — the O(1) fullness test.
+        self._fullest = 0
+        #: The workers' own DCS membership test, taken where every key
+        #: is already looked up: key -> ``owner`` for a sampled item,
+        #: ``~owner`` for one whose operations are counted, not shipped.
+        self._sampler = ItemSampler(self.config.sampling_rate,
+                                    self.config.seed)
         self._owners: dict = {}
-        #: columnar routing: interner identity + per-kid owner table.
+        #: columnar routing: interner identity + per-kid (signed) owner
+        #: table.
         self._kid_owners: dict = {}
+        #: Per-shard operations ticketed but never shipped (cumulative),
+        #: and the same as of the last route frame — the difference
+        #: rides in the next frame as ``elided``.
+        self._elided = [0] * n
+        self._elided_sent = [0] * n
         self.ops_routed = 0
         self.lifecycle_broadcasts = 0
         self.router_flushes = 0
@@ -313,7 +340,7 @@ class ClusterMonitor:
                 proc.start()
                 link.proc = proc
             for _ in range(self.num_workers):
-                sock, _ = self._listener.accept()
+                sock = no_delay(self._listener.accept()[0])
                 sock.settimeout(self.handshake_timeout)
                 reader = FrameReader()
                 hello = recv_message(sock, reader)
@@ -583,7 +610,7 @@ class ClusterMonitor:
         link.proc = proc
         sock = None
         try:
-            sock, _ = listener.accept()
+            sock = no_delay(listener.accept()[0])
             sock.settimeout(self.handshake_timeout)
             reader = FrameReader()
             hello = recv_message(sock, reader)
@@ -704,14 +731,22 @@ class ClusterMonitor:
                 pass
 
     @property
+    def ops_elided(self) -> int:
+        """Operations ticketed (they are in ``ops_routed``) but never
+        shipped: their item is outside the DCS sample, so the owning
+        worker only ever needed their count."""
+        return sum(self._elided)
+
+    @property
     def degraded_shards(self) -> tuple:
         """Indices of shards whose circuit breaker has tripped."""
         with self._sup_lock:
             return tuple(sorted(self._degraded))
 
     def shard_health(self) -> list[dict]:
-        """Per-shard supervisor view (for live displays): link state
-        and consumed restart budget."""
+        """Per-shard supervisor view (for live displays): link state,
+        consumed restart budget and the shard's operations the router
+        ticketed without shipping (unsampled items)."""
         with self._sup_lock:
             restarts = list(self._restarts)
         out = []
@@ -721,6 +756,7 @@ class ClusterMonitor:
                     "index": link.index,
                     "state": link.state,
                     "restarts": restarts[link.index],
+                    "ops_elided": self._elided[link.index],
                 })
         return out
 
@@ -740,29 +776,31 @@ class ClusterMonitor:
         with self._lock:
             self._ensure_started_locked()
             when = self._time(start_time)
-            ticket = self._next_ticket()
-            for buffer in self._buffers:
-                buffer.append(msg.wire_begin(buu, when, ticket))
-            self.lifecycle_broadcasts += 1
-            self._route_if_full_locked()
+            self._broadcast_locked(
+                msg.wire_begin(buu, when, self._next_ticket()))
 
     def commit_buu(self, buu: BuuId, commit_time: int | None = None) -> None:
         with self._lock:
             self._ensure_started_locked()
             when = self._time(commit_time)
-            ticket = self._next_ticket()
-            for buffer in self._buffers:
-                buffer.append(msg.wire_commit(buu, when, ticket))
-            self.lifecycle_broadcasts += 1
-            self._route_if_full_locked()
+            self._broadcast_locked(
+                msg.wire_commit(buu, when, self._next_ticket()))
 
-    def _owner_of(self, key) -> int:
-        owner = self._owners.get(key)
-        if owner is None:
-            owner = key_partition(key, self.num_workers, self._mask)
-            if len(self._owners) < _OWNER_CACHE_MAX:
-                self._owners[key] = owner
-        return owner
+    def _broadcast_locked(self, record: list) -> None:
+        """Append one lifecycle record — the same list, it is only ever
+        encoded — to every worker's buffer."""
+        for buffer in self._buffers:
+            buffer.append(record)
+        self._fullest += 1
+        self.lifecycle_broadcasts += 1
+        self._route_if_full_locked()
+
+    def _place(self, key) -> int:
+        """The owning worker of ``key``, signed by the DCS decision:
+        ``owner`` for a sampled item, ``~owner`` for one whose operations
+        are ticketed and counted but never shipped."""
+        owner = key_partition(key, self.num_workers, self._mask)
+        return owner if self._sampler.chosen(key) else ~owner
 
     def on_operation(self, op: Operation) -> None:
         with self._lock:
@@ -770,8 +808,19 @@ class ClusterMonitor:
             if op.seq > self._now:
                 self._now = op.seq
             ticket = self._next_ticket()
-            self._buffers[self._owner_of(op.key)].append(
-                [_OP_WIRE[op.op], op.buu, op.key, op.seq, ticket])
+            key = op.key
+            owner = self._owners.get(key)
+            if owner is None:
+                owner = self._place(key)
+                if len(self._owners) < _OWNER_CACHE_MAX:
+                    self._owners[key] = owner
+            if owner >= 0:
+                buffer = self._buffers[owner]
+                buffer.append([_OP_WIRE[op.op], op.buu, key, op.seq, ticket])
+                if len(buffer) > self._fullest:
+                    self._fullest = len(buffer)
+            else:
+                self._elided[~owner] += 1
             self.ops_routed += 1
             self._route_if_full_locked()
 
@@ -782,11 +831,10 @@ class ClusterMonitor:
             self._ensure_started_locked()
             buffers = self._buffers
             owners = self._owners
-            n, mask = self.num_workers, self._mask
+            elided = self._elided
             op_wire = _OP_WIRE
             now = self._now
             ticket = self._ticket
-            count = 0
             for op in ops:
                 seq = op.seq
                 if seq > now:
@@ -795,15 +843,18 @@ class ClusterMonitor:
                 key = op.key
                 owner = owners.get(key)
                 if owner is None:
-                    owner = key_partition(key, n, mask)
+                    owner = self._place(key)
                     if len(owners) < _OWNER_CACHE_MAX:
                         owners[key] = owner
-                buffers[owner].append(
-                    [op_wire[op.op], op.buu, key, seq, ticket])
-                count += 1
+                if owner >= 0:
+                    buffers[owner].append(
+                        [op_wire[op.op], op.buu, key, seq, ticket])
+                else:
+                    elided[~owner] += 1
+            self.ops_routed += ticket - self._ticket
             self._ticket = ticket
             self._now = now
-            self.ops_routed += count
+            self._fullest = max(map(len, buffers))
             self._route_if_full_locked()
 
     def on_op_batch(self, batch: OpBatch) -> None:
@@ -811,11 +862,12 @@ class ClusterMonitor:
 
         Routes an :class:`~repro.core.columnar.OpBatch` without
         materializing per-op ``Operation`` objects: the owning worker is
+        (signed by the sampling decision, see :meth:`_place`) is
         computed once per interned key id (a dense per-kid table shared
         across batches), rows gather their owner through it, and wire
         records are emitted straight from the batch's columns.  Tickets,
-        buffer contents and route frames are identical to routing the
-        same operations through the per-op path.
+        buffer contents, elided counts and route frames are identical to
+        routing the same operations through the per-op path.
         """
         with self._lock:
             self._ensure_started_locked()
@@ -830,55 +882,65 @@ class ClusterMonitor:
                 cache["interner"] = interner
                 owners = cache["owners"] = []
             if len(owners) < len(interner):
-                key_of = interner.key_of
-                workers, mask = self.num_workers, self._mask
-                owners.extend(
-                    key_partition(key_of(kid), workers, mask)
-                    for kid in range(len(owners), len(interner)))
+                owners.extend(map(self._place, map(
+                    interner.key_of, range(len(owners), len(interner)))))
             kids = _column_list(batch.kid)
             codes = _column_list(batch.op)
             buus = _column_list(batch.buu)
             seqs = _column_list(batch.seq)
             keys = interner._keys
             buffers = self._buffers
+            elided = self._elided
             ticket = self._ticket
             rw = ("r", "w")
             for code, buu, kid, seq, owner in zip(
                     codes, buus, kids, seqs,
                     map(owners.__getitem__, kids)):
                 ticket += 1
-                buffers[owner].append([rw[code], buu, keys[kid], seq, ticket])
+                if owner >= 0:
+                    buffers[owner].append(
+                        [rw[code], buu, keys[kid], seq, ticket])
+                else:
+                    elided[~owner] += 1
             self._ticket = ticket
             high = batch.max_seq()
             if high > self._now:
                 self._now = high
             self.ops_routed += n
+            self._fullest = max(map(len, buffers))
             self._route_if_full_locked()
 
     # -- routing ---------------------------------------------------------------
 
     def _route_if_full_locked(self) -> None:
-        if max(len(b) for b in self._buffers) >= self.config.cluster_batch:
+        if self._fullest >= self.config.cluster_batch:
             self._flush_buffers_locked()
             self._maybe_snapshot_locked()
 
     def _flush_buffers_locked(self) -> None:
-        """Ship every per-worker buffer as one route frame.  All-or-none:
-        even an empty buffer ships (an empty frame carries the ticket
-        high-water mark, which peers need to advance the merge)."""
-        if all(not b for b in self._buffers):
+        """Ship every per-worker buffer, and every count of operations
+        elided since the last flush, as one route frame per worker.
+        All-or-none: even an empty buffer ships (an empty frame carries
+        the ticket high-water mark, which peers need to advance the
+        merge)."""
+        if not self._fullest and self._elided == self._elided_sent:
             return
-        for link, events in zip(self._links, self._buffers):
-            self._send_route(link, events)
+        for link, events, count, sent in zip(
+                self._links, self._buffers, self._elided, self._elided_sent):
+            self._send_route(link, events, count - sent)
         self._buffers = [[] for _ in range(self.num_workers)]
+        self._fullest = 0
+        self._elided_sent = list(self._elided)
         self.router_flushes += 1
 
-    def _send_route(self, link: _WorkerLink, events: list) -> None:
+    def _send_route(self, link: _WorkerLink, events: list,
+                    elided: int) -> None:
         """Journal-then-send one route frame.
 
-        A ``failed`` shard's frames are dropped (counted — the honest
-        accounting of degraded mode).  A ``down``/``respawning`` link
-        journals without sending: the supervisor's replay delivers.
+        A ``failed`` shard's frames are dropped, elided counts and all
+        (counted — the honest accounting of degraded mode).  A
+        ``down``/``respawning`` link journals without sending: the
+        supervisor's replay delivers.
         Backpressure applies only to live links (a down link's acks
         are frozen; its backlog is bounded by the respawn, which never
         waits on this lock)."""
@@ -906,7 +968,7 @@ class ClusterMonitor:
                     return
             link.send_seq += 1
             frame = encode_frame(
-                msg.route(link.send_seq, self._ticket, events))
+                msg.route(link.send_seq, self._ticket, events, elided))
             link.journal.append(("route", link.send_seq, frame, None))
             live = link.state == "up"
             gen = link.gen
@@ -1200,6 +1262,14 @@ class ClusterMonitor:
                     self._started = False
                     self._links = []
                     self._ticket = 0
+            if (config.sampling_rate, config.seed) != (
+                    self.config.sampling_rate, self.config.seed):
+                # The decision is pure in (key, sampling_rate, seed):
+                # re-decide every key, exactly as the workers' rebuilt
+                # collectors will.
+                self._sampler = ItemSampler(config.sampling_rate, config.seed)
+                self._owners = {}
+                self._kid_owners = {}
             self.config = config
             with self._sup_lock:
                 self._config_dict = asdict(config)
@@ -1211,6 +1281,8 @@ class ClusterMonitor:
             self._now = 0
             self._window_start = 0
             self._buffers = [[] for _ in range(self.num_workers)]
+            self._fullest = 0
+            self._elided_sent = list(self._elided)
 
     def _reset_in_place_locked(self, config: RushMonConfig) -> None:
         self._flush_buffers_locked()

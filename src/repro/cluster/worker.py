@@ -17,7 +17,15 @@ What is *partitioned* is attribution.  Collection is data-centric: all
 operations on a key are routed to the key's owner, so the owner derives
 exactly the edges the serial collector would derive for those keys
 (bookkeeping is per item, :class:`ItemSampler` is pure in the key, and
-the per-key operation order equals the serial order).  A new cycle is
+the per-key operation order equals the serial order).  The same purity
+lets the router take the sampling decision itself: operations on items
+outside the sample never travel — the owner learns only how many there
+were (a ``route`` frame's ``elided`` count) and adds that to
+``collector.ops_seen`` and the open window's operation count, which is
+everything the serial collector would have done with them.  The
+worker's collector still runs its own membership test on whatever does
+arrive, so a frame journaled by an older router or a mis-routed
+operation is harmless.  A new cycle is
 counted at the instant its *last* edge (in ticket order) enters the
 graph — and that edge was derived by exactly one worker, which is the
 only worker that inserts it through the counting path.  So the
@@ -72,7 +80,11 @@ respawn-and-replay on (see :mod:`repro.cluster.monitor`):
   applied; groups from beyond the barrier may still sit pending, and
   a restore's ``resume=high`` redial re-delivers them) and ships
   collector + detector + window state in a CRC-guarded
-  :func:`repro.storage.wal.encode_shard_snapshot` document.
+  :func:`repro.storage.wal.encode_shard_snapshot` document.  Elided
+  counts are applied when their frame is handled, so a snapshot holds
+  exactly those of the frames it covers (``route_high``); the replayed
+  suffix brings the rest, and a covered frame delivered again is
+  dropped by the session-sequence check before its count is read.
 - **The broadcast journal.**  Every edge-frontier broadcast is recorded
   (mark + encoded frame) in a bounded deque *before* it touches any
   socket, so a peer dying mid-send loses nothing recoverable.  When a
@@ -118,9 +130,18 @@ from repro.net.protocol import FrameReader, ProtocolError, encode_frame
 from repro.storage import wal
 from repro.testing.faults import Fault, FaultInjector
 
-__all__ = ["ClusterWorker", "recv_message", "worker_main"]
+__all__ = ["ClusterWorker", "no_delay", "recv_message", "worker_main"]
 
 _RECV = 1 << 16
+
+
+def no_delay(sock: socket.socket) -> socket.socket:
+    """Turn Nagle's algorithm off on a cluster link (every one of them,
+    both ends).  ``flush``, ``ack`` and watermark-only ``edges`` frames
+    are tens of bytes written behind bulk data; coalescing them would
+    make each barrier wait out the peer's delayed ACK."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 def recv_message(sock: socket.socket, reader: FrameReader) -> dict:
@@ -362,7 +383,14 @@ class ClusterWorker:
             )
         groups, local_batch = self._collect_route_events(message["events"])
         high = message["high"]
+        elided = message.get("elided", 0)
+        if not isinstance(elided, int) or elided < 0:
+            raise ProtocolError(f"malformed elided count {elided!r}")
         with self._merge:
+            # Operations the router's sampler kept off the wire: the
+            # collector would have counted and dropped them.
+            self.collector.ops_seen += elided
+            self.window.observe_operations(elided)
             self._local.extend(local_batch)
             if high > self._local_mark:
                 self._local_mark = high
@@ -629,6 +657,7 @@ class ClusterWorker:
             except OSError:
                 return  # listener closed at teardown
             try:
+                no_delay(sock)
                 sock.settimeout(self.handshake_timeout)
                 reader = FrameReader()
                 hello = recv_message(sock, reader)
@@ -688,8 +717,8 @@ class ClusterWorker:
         link per pair)."""
         expected = self.num_workers - 1 - self.index
         for j in range(self.index):
-            sock = socket.create_connection(
-                ("127.0.0.1", ports[j]), timeout=self.handshake_timeout)
+            sock = no_delay(socket.create_connection(
+                ("127.0.0.1", ports[j]), timeout=self.handshake_timeout))
             sock.settimeout(None)
             sock.sendall(encode_frame(msg.peer_hello(self.index)))
             self._peer_socks[j] = sock
@@ -771,6 +800,7 @@ class ClusterWorker:
                 f"worker {self.index}: cannot redial peer {j} on port "
                 f"{port}: {last!r}"
             )
+        no_delay(sock)
         sock.settimeout(None)
         sock.sendall(encode_frame(msg.peer_hello(self.index, resume=resume)))
         with self._bcast_lock:
@@ -785,8 +815,8 @@ class ClusterWorker:
         self._listener = socket.create_server(("127.0.0.1", 0))
         threading.Thread(target=self._accept_loop, daemon=True,
                          name=f"accept-{self.index}").start()
-        self._control = socket.create_connection(
-            (host, port), timeout=self.handshake_timeout)
+        self._control = no_delay(socket.create_connection(
+            (host, port), timeout=self.handshake_timeout))
         try:
             self._control.sendall(encode_frame(msg.worker_hello(
                 self.index, self._listener.getsockname()[1])))

@@ -612,6 +612,9 @@ class EventLoopGroup:
                 self._refuse(sock)
                 self._pause_accepts()
                 return
+            # Same reason as on the threaded transport: small acks must
+            # not wait behind Nagle for the client's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.setblocking(False)
             target = self._loops[self._next % len(self._loops)]
             self._next += 1

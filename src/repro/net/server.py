@@ -495,6 +495,10 @@ class RushMonServer:
             if fault is not None:  # disconnect (corrupt is meaningless here)
                 sock.close()
                 continue
+            # Acks are small frames written behind the client's bulk
+            # data; with Nagle on, a pipelined client's acks lock one
+            # send interval behind.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(0.2)
             conn = _Connection(sock)
             with self._conn_lock:

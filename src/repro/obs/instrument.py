@@ -234,7 +234,14 @@ def instrument_cluster_monitor(registry: MetricsRegistry,
     registry.gauge_fn(
         "rushmon_cluster_ops_routed_total",
         lambda: float(cluster.ops_routed),
-        help="operations key-hashed to a worker shard",
+        help="operations ticketed by the router (every operation "
+             "offered, whether or not it was shipped to its worker shard)",
+    )
+    registry.gauge_fn(
+        "rushmon_cluster_ops_elided_total",
+        lambda: float(cluster.ops_elided),
+        help="the subset of ops_routed never shipped: operations on items "
+             "outside the DCS sample, sent to their shard as a count only",
     )
     registry.gauge_fn(
         "rushmon_cluster_lifecycle_broadcasts_total",

@@ -20,6 +20,8 @@ import pytest
 
 from repro.checkers import exact_cycle_counts
 from repro.cluster import ClusterMonitor
+from repro.core.collector import ItemSampler
+from repro.core.columnar import KeyInterner, OpBatch
 from repro.core.concurrent.sharded import ShardedCollector
 from repro.core.config import RushMonConfig
 from repro.core.frontier import (
@@ -29,9 +31,11 @@ from repro.core.frontier import (
     encode_frontier,
     key_partition,
 )
+from repro.core.monitor import RushMon
 from repro.core.types import Edge, EdgeType, Operation, OpType
+from repro.net.protocol import FrameReader
 
-from tests.histgen import feed_with_lifecycle
+from tests.histgen import feed_with_lifecycle, random_history
 from tests.test_checkers_differential import (
     WORKLOADS,
     monitor_counts,
@@ -60,8 +64,6 @@ def test_frontier_roundtrip():
 
 
 def test_frontier_carries_sampler_state():
-    from repro.core.collector import ItemSampler
-
     sampler = ItemSampler(4, seed=3)
     _, state = decode_frontier(encode_frontier([], sampler))
     restored = ItemSampler(1)
@@ -161,6 +163,48 @@ def test_worker_batch_collection_matches_per_op():
     groups_ref, batch_ref = _collect_per_op(build(), dup_records)
     assert groups_fast == groups_ref
     assert _norm_batch(batch_fast) == _norm_batch(batch_ref)
+
+
+def test_worker_counts_elided_ops_once_per_route_sequence():
+    """A route frame's ``elided`` count lands in the collector's and the
+    window's operation totals exactly once: a duplicate delivery of the
+    same session sequence (journal replay overlap) is re-acked, never
+    re-applied; a malformed count is a protocol error."""
+    import socket
+
+    from repro.cluster import messages as msg
+    from repro.cluster.worker import ClusterWorker
+
+    worker = ClusterWorker(0, 1, RushMonConfig(
+        sampling_rate=20, mob=False, seed=1, num_workers=1))
+    worker._control, router_end = socket.socketpair()
+    try:
+        frame = msg.route(1, 9, [msg.wire_begin(3, 0, 1)], elided=8)
+        worker._handle_route(frame)
+        worker._handle_route(frame)
+        worker._handle_route(msg.route(2, 12, [], elided=3))
+        assert worker.collector.ops_seen == worker.window.ops == 11
+        acks = list(FrameReader().feed(router_end.recv(1 << 16)))
+        assert [ack["seq"] for ack in acks] == [1, 1, 2]
+        with pytest.raises(msg.ProtocolError, match="elided"):
+            worker._handle_route(
+                {"type": "route", "seq": 3, "high": 12, "events": [],
+                 "elided": -1})
+    finally:
+        worker._control.close()
+        router_end.close()
+
+
+def test_route_message_omits_a_zero_elided_count():
+    """At ``sr = 1`` nothing is ever elided, and the frame must not
+    carry the field at all (old journals and new frames stay one
+    format)."""
+    from repro.cluster import messages as msg
+
+    assert msg.route(4, 17, [["b", 1, 0, 17]]) == msg.route(
+        4, 17, [["b", 1, 0, 17]], elided=0) == {
+        "type": "route", "seq": 4, "high": 17, "events": [["b", 1, 0, 17]]}
+    assert msg.route(4, 17, [], elided=2)["elided"] == 2
 
 
 def test_key_partition_agrees_with_sharded_collector():
@@ -278,3 +322,189 @@ def test_cluster_sampled_run_matches_serial(seed):
         feed_with_lifecycle([cluster], history)
         assert cluster.counts() == serial.detector.counts
         assert cluster.cumulative_estimates() == serial.cumulative_estimates()
+
+
+# -- sampling at the router ----------------------------------------------------
+
+INGEST_PATHS = ("on_operation", "on_operations", "on_op_batch")
+SAMPLED_WINDOWS = 3
+
+
+def _sampled_history(seed: int) -> list[Operation]:
+    """Wide enough that sr=20 still samples a handful of items, skewed
+    enough that the sampled ones carry conflicts."""
+    return random_history(seed, num_buus=200, num_keys=80, ops_per_buu=8,
+                          write_frac=0.5, skew=3.0)
+
+
+def _feed_windowed(monitor, history, path: str, windows: int) -> list:
+    """Deliver ``history`` with lifecycle events through one ingest path,
+    closing ``windows`` windows at evenly spaced points; returns the
+    reports.  Batched paths hand over the run of operations between two
+    lifecycle events (or a window close) in one call."""
+    last_index = {op.buu: i for i, op in enumerate(history)}
+    closes = {len(history) * (w + 1) // windows - 1 for w in range(windows)}
+    interner = KeyInterner()
+    begun: set = set()
+    run: list = []
+    reports = []
+
+    def deliver():
+        if not run:
+            return
+        if path == "on_operation":
+            for op in run:
+                monitor.on_operation(op)
+        elif path == "on_operations":
+            monitor.on_operations(list(run))
+        else:
+            monitor.on_op_batch(OpBatch.from_ops(run, interner))
+        run.clear()
+
+    for i, op in enumerate(history):
+        if op.buu not in begun:
+            deliver()
+            begun.add(op.buu)
+            monitor.begin_buu(op.buu, op.seq)
+        run.append(op)
+        if last_index[op.buu] == i:
+            deliver()
+            monitor.commit_buu(op.buu, op.seq)
+        if i in closes:
+            deliver()
+            reports.append(monitor.close_window())
+    return reports
+
+
+@pytest.mark.parametrize("path", INGEST_PATHS)
+@pytest.mark.parametrize("sampling_rate", (4, 20), ids=["sr4", "sr20"])
+def test_cluster_sampled_windows_match_serial(cluster, sampling_rate, path):
+    """The router takes the DCS decision for the workers: at sr > 1 /
+    ``mob=False`` every window's merged report — raw counts, edge stats,
+    patterns **and the operation count, which now travels as ``elided``
+    integers** — equals the serial monitor's bit for bit, through each
+    of the three ingest paths."""
+    seed = 4   # samples conflicting items of this history at both rates
+    config = RushMonConfig(sampling_rate=sampling_rate, mob=False, seed=seed,
+                           num_workers=cluster.num_workers)
+    history = _sampled_history(5)
+    serial = _feed_windowed(RushMon(config), history, "on_operation",
+                            SAMPLED_WINDOWS)
+    cluster.reset(config)
+    elided_before = cluster.ops_elided
+    merged = _feed_windowed(cluster, history, path, SAMPLED_WINDOWS)
+    assert len(merged) == len(serial) == SAMPLED_WINDOWS
+    for got, want in zip(merged, serial):
+        assert got.raw == want.raw
+        assert got.edges == want.edges
+        assert got.patterns == want.patterns
+        assert got.operations == want.operations
+        assert got == want
+    assert sum(r.operations for r in merged) == len(history)
+    # Not vacuous: every window found cycles on the sampled items, and
+    # the unsampled ones' operations never left the router.
+    assert all(r.raw.two_cycles + r.raw.three_cycles > 0 for r in serial)
+    sampler = ItemSampler(sampling_rate, seed)
+    assert cluster.ops_elided - elided_before == \
+        sum(not sampler.chosen(op.key) for op in history) > 0
+
+
+def test_fullness_counter_tracks_the_longest_buffer():
+    """The O(1) flush test rests on ``_fullest`` equalling the longest
+    buffer after every kind of ingest call (a broadcast grows every
+    buffer by one, an operation grows one or — unsampled — none), and
+    on a flush shipping when only elided counts are pending."""
+    config = RushMonConfig(sampling_rate=4, mob=False, seed=2,
+                           num_workers=2, cluster_batch=100_000)
+    ops = [Operation(OpType.WRITE, 1, f"k{i % 37}", i + 1)
+           for i in range(300)]
+    sampler = ItemSampler(config.sampling_rate, config.seed)
+    unsampled = [op for op in ops if not sampler.chosen(op.key)]
+    with ClusterMonitor(config) as monitor:
+        def check():
+            assert monitor._fullest == max(map(len, monitor._buffers))
+
+        monitor.begin_buu(1, 0)
+        check()
+        for op in ops[:50]:
+            monitor.on_operation(op)
+            check()
+        monitor.on_operations(ops[50:200])
+        check()
+        monitor.on_op_batch(OpBatch.from_ops(ops[200:], KeyInterner()))
+        check()
+        monitor.commit_buu(1, 301)
+        check()
+        assert monitor.router_flushes == 0 and monitor._fullest > 2
+        assert monitor.close_window().operations == len(ops)
+        assert monitor.router_flushes == 1 and monitor._fullest == 0
+        # Only counts pending, every buffer empty: still one flush.
+        monitor.on_operations(unsampled)
+        assert monitor._fullest == 0
+        assert monitor.close_window().operations == len(unsampled)
+        assert monitor.router_flushes == 2
+        # Nothing pending at all: no frame.
+        assert monitor.close_window().operations == 0
+        assert monitor.router_flushes == 2
+
+
+def _journaled_routes(monitor: ClusterMonitor) -> list[dict]:
+    """Every ``route`` frame journaled since the last reset, decoded
+    from the bytes that went on the wire."""
+    frames = []
+    for link in monitor._links:
+        with link.cond:
+            entries = [e for e in link.journal if e[0] == "route"]
+        for entry in entries:
+            frames.extend(FrameReader().feed(entry[2]))
+    return frames
+
+
+def _shipped(monitor: ClusterMonitor) -> tuple[set, int, int]:
+    """``(keys shipped, operations shipped, operations elided)`` over
+    the journaled route frames."""
+    keys, shipped, elided = set(), 0, 0
+    for frame in _journaled_routes(monitor):
+        elided += frame.get("elided", 0)
+        for record in frame["events"]:
+            if record[0] in ("r", "w"):
+                keys.add(record[2])
+                shipped += 1
+    return keys, shipped, elided
+
+
+def test_route_frames_carry_only_sampled_keys_and_every_op_is_counted():
+    """Frame level, sr=20: no ``route`` frame carries an operation on an
+    unsampled item, and shipped + elided operations account for every
+    operation offered.  A ``reset`` that changes ``sampling_rate`` or
+    ``seed`` re-decides every key; at ``sr=1`` nothing is elided and no
+    frame carries the field at all."""
+    history = _sampled_history(11)
+    all_keys = {op.key for op in history}
+    configs = [RushMonConfig(sampling_rate=20, mob=False, seed=1,
+                             num_workers=2),
+               RushMonConfig(sampling_rate=20, mob=False, seed=2,
+                             num_workers=2),
+               RushMonConfig(sampling_rate=4, mob=False, seed=2,
+                             num_workers=2),
+               RushMonConfig(sampling_rate=1, mob=False, seed=2,
+                             num_workers=2)]
+    chosen_sets = []
+    with ClusterMonitor(configs[0]) as monitor:
+        for path, config in zip(INGEST_PATHS + ("on_operations",), configs):
+            monitor.reset(config)
+            reports = _feed_windowed(monitor, history, path, 2)
+            sampler = ItemSampler(config.sampling_rate, config.seed)
+            chosen = {key for key in all_keys if sampler.chosen(key)}
+            chosen_sets.append(chosen)
+            keys, shipped, elided = _shipped(monitor)
+            assert keys == chosen
+            assert shipped + elided == len(history)
+            assert shipped == sum(op.key in chosen for op in history)
+            assert sum(r.operations for r in reports) == len(history)
+        assert not any("elided" in frame
+                       for frame in _journaled_routes(monitor))
+    # The resets really changed the decision (else "re-decides" is
+    # vacuous), and sr=1 shipped everything.
+    assert len({frozenset(c) for c in chosen_sets}) == len(configs)
+    assert chosen_sets[-1] == all_keys

@@ -17,6 +17,13 @@ point and assert rejected snapshots never become restore points (the
 full-journal fallback keeps the differential exact); and the reset test
 recovers a degraded cluster back to healthy, bit-exact operation.
 
+The sampled cases rerun the kill at ``sr=20``/``mob=False``, where most
+operations never leave the router and reach their shard only as
+``elided`` counts inside the journaled route frames: the respawned
+cluster's windows must still equal the serial monitor's — operation
+counts included — on the snapshot-restore and the full-journal-replay
+path alike.
+
 Tier-1 runs the smoke seeds; the full ``>= 10`` seed x {2, 4} worker
 sweep carries the ``oracle`` mark (CI's cluster-chaos job runs it via
 ``-m cluster``, which overrides the default ``-m 'not oracle'``).
@@ -29,12 +36,14 @@ import pytest
 from repro.checkers import exact_cycle_counts
 from repro.cluster import ClusterMonitor
 from repro.core.config import RushMonConfig
+from repro.core.monitor import RushMon
 from repro.storage.wal import CheckpointError, decode_shard_snapshot, \
     encode_shard_snapshot
 from repro.testing.faults import Fault, FaultInjector
 
 from tests.histgen import feed_with_lifecycle
 from tests.test_checkers_differential import monitor_counts, workload_history
+from tests.test_cluster import _feed_windowed, _sampled_history
 
 pytestmark = pytest.mark.cluster
 
@@ -125,6 +134,48 @@ def test_sigkill_respawn_from_snapshot(workers):
         assert cluster.worker_restarts_total >= 1
         assert cluster.snapshots_shipped >= workers, \
             "snapshot shipping never ran before the kill"
+    finally:
+        cluster.stop()
+
+
+@pytest.mark.parametrize("snapshot_interval", (1, None),
+                         ids=["snapshot-restore", "journal-replay"])
+@pytest.mark.parametrize("workers", WORKER_COUNTS,
+                         ids=["workers2", "workers4"])
+def test_sigkill_respawn_sampled_counts_survive_replay(workers,
+                                                       snapshot_interval):
+    """sr=20: the dead worker's share of the unsampled operations
+    exists only as ``elided`` integers in route frames.  Whether the
+    respawn restores a snapshot (counts inside the window state, the
+    covered frames deduplicated by session sequence) or replays the
+    whole journal (counts re-applied frame by frame), every window
+    equals the serial monitor's and the operation counts add up to
+    exactly what was offered — nothing lost, nothing applied twice."""
+    faults = FaultInjector()
+    faults.inject(Fault("cluster.route", kind="kill_worker",
+                        after=6 * workers, times=1))
+    config = _chaos_config(workers, seed=4, sampling_rate=20,
+                           snapshot_interval=snapshot_interval)
+    history = _sampled_history(5)
+    serial = RushMon(config)
+    want = _feed_windowed(serial, history, "on_operation", 3)
+    cluster = ClusterMonitor(config, faults=faults)
+    try:
+        got = _feed_windowed(cluster, history, "on_operations", 3)
+        assert got == want
+        assert sum(report.operations for report in got) == len(history)
+        assert cluster.counts() == serial.detector.counts
+        assert 0 < cluster.ops_elided < len(history)
+        assert faults.fired_by_point.get("cluster.route", 0) == 1, \
+            "the kill never fired — the workload produced too few flushes"
+        assert cluster.worker_restarts_total >= 1
+        assert all(entry["state"] == "up"
+                   for entry in cluster.shard_health())
+        if snapshot_interval is None:
+            assert cluster.snapshots_shipped == 0
+        else:
+            assert cluster.snapshots_shipped >= workers, \
+                "snapshot shipping never ran before the kill"
     finally:
         cluster.stop()
 

@@ -267,6 +267,36 @@ class TestSerialMonitorMetrics:
         assert "rushmon_collector_ops_total" in reg.names()
 
 
+@pytest.mark.cluster
+class TestClusterMonitorMetrics:
+    def test_ops_routed_counts_every_op_and_ops_elided_the_unshipped(self):
+        from repro.cluster import ClusterMonitor
+        from repro.core.collector import ItemSampler
+
+        config = RushMonConfig(sampling_rate=20, mob=False, seed=3,
+                               num_workers=2)
+        ops = [Operation(OpType.WRITE, 1, f"k{i % 97}", i + 1)
+               for i in range(400)]
+        sampler = ItemSampler(config.sampling_rate, config.seed)
+        unsampled = sum(not sampler.chosen(op.key) for op in ops)
+        assert 0 < unsampled < len(ops)
+        with ClusterMonitor(config) as cluster:
+            cluster.begin_buu(1, 0)
+            cluster.on_operations(ops)
+            cluster.commit_buu(1, len(ops) + 1)
+            assert cluster.close_window().operations == len(ops)
+            snap = cluster.metrics.snapshot()
+            assert snap["rushmon_cluster_ops_routed_total"] == len(ops)
+            assert snap["rushmon_cluster_ops_elided_total"] == unsampled
+            assert sum(shard["ops_elided"]
+                       for shard in cluster.shard_health()) == unsampled
+            text = cluster.metrics.render_prometheus()
+        assert "# HELP rushmon_cluster_ops_routed_total operations " \
+               "ticketed by the router (every operation offered" in text
+        assert "# HELP rushmon_cluster_ops_elided_total the subset of " \
+               "ops_routed never shipped" in text
+
+
 class TestServiceMetricsReconcile:
     def test_snapshot_reconciles_after_drain(self):
         """After a 4-thread run and a clean stop, every metric must agree

@@ -107,6 +107,26 @@ def test_fault_vocabulary_for_serving():
         Fault("net.sel", kind="stall")
 
 
+# -- accepted sockets ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("loop_threads", (2, 0),
+                         ids=["eventloop", "threaded"])
+def test_accepted_connection_has_nodelay_set(loop_threads):
+    """Acks are tens of bytes written behind the client's bulk data;
+    with Nagle on, a pipelined client's acks lock one send interval
+    behind.  Both transports must switch it off where they accept."""
+    with _serve(loop_threads=loop_threads) as server:
+        raw = _Raw(server.port)
+        raw.send(protocol.hello("nodelay", 0))
+        assert raw.recv()["type"] == "welcome"
+        with server._conn_lock:
+            [conn] = server._connections
+        assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        raw.send(protocol.bye())
+        raw.close()
+
+
 # -- admission control ---------------------------------------------------------
 
 
