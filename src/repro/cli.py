@@ -1030,7 +1030,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="hard bound on total graceful-drain seconds "
                           "(default 5)")
     srv.add_argument("--no-trace", action="store_true",
-                     help="skip trace recording (saves memory; disables "
+                     help="skip trace recording (saves memory linear in "
+                          "the events served and lets the server skip ops "
+                          "on unsampled items before the journal; disables "
                           "the offline differential over the checkpoint)")
     srv.set_defaults(func=cmd_serve)
 

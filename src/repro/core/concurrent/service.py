@@ -62,7 +62,8 @@ import warnings
 from dataclasses import asdict, replace
 from typing import Iterable
 
-from repro.core.concurrent.sharded import EV_BEGIN, EV_COMMIT, EV_OP, ShardedCollector
+from repro.core.concurrent.sharded import (EV_BEGIN, EV_COMMIT, EV_ELIDED, EV_OP,
+                                           ShardedCollector)
 from repro.core.config import RushMonConfig
 from repro.core.detector import CycleDetector
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
@@ -135,7 +136,12 @@ class RushMonService:
     record_trace:
         Keep the serialized (ticket-ordered) trace of everything
         processed, for offline replay/auditing.  Costs memory linear in
-        the event count; meant for tests and debugging.
+        the event count; meant for tests and debugging.  It is also what
+        decides the journal's contents: a recorded trace must hold every
+        operation (the replay re-samples it), so the collector journals
+        them all; without one, operations on unsampled items are decided
+        before the journal and reach the detection pass as run-length
+        counts (see :mod:`repro.core.concurrent.sharded`).
     faults:
         Optional :class:`~repro.testing.faults.FaultInjector`; arms the
         ``detect.pass`` / ``detect.process`` points here and the
@@ -221,6 +227,7 @@ class RushMonService:
             seed=self.config.seed,
             num_shards=self.config.num_shards,
             journal=True,
+            journal_sampled_only=not record_trace,
             journal_capacity=self.config.journal_capacity,
             overflow=self.config.overflow,
             block_timeout=self.config.block_timeout,
@@ -285,7 +292,9 @@ class RushMonService:
         registry.gauge_fn(
             "rushmon_service_events_processed_total",
             lambda: float(self.processed_events),
-            help="journal events consumed by the detection path",
+            help="events consumed by the detection path; a run-length "
+                 "record of elided ops counts by its length, so this "
+                 "equals the events ingested once the journal is drained",
         )
         registry.gauge_fn(
             "rushmon_service_passes_total",
@@ -525,18 +534,11 @@ class RushMonService:
 
     def on_operations(self, ops: Iterable[Operation]) -> None:
         """Observe a sequence of operations; ingested through the
-        collector's batched path in :attr:`batch_size` chunks (one
-        shard-lock acquisition per shard per chunk)."""
+        collector's batched path, which bookkeeps them in
+        :attr:`batch_size` chunks (one shard-lock acquisition per shard
+        per chunk)."""
         self._ensure_accepting()
-        if not isinstance(ops, (list, tuple)):
-            ops = list(ops)
-        size = self.batch_size
-        handle_batch = self.collector.handle_batch
-        if len(ops) <= size:
-            handle_batch(ops)
-            return
-        for start in range(0, len(ops), size):
-            handle_batch(ops[start:start + size])
+        self.collector.handle_batch(ops, chunk=self.batch_size)
 
     def begin_buu(self, buu: BuuId, start_time: int = 0) -> None:
         self._ensure_accepting()
@@ -591,6 +593,12 @@ class RushMonService:
         in :attr:`batch_size` chunks (``consumed`` advances only after a
         chunk is fully applied); with faults armed, the exact per-event
         path runs so injection points fire per event.
+
+        An ``EV_ELIDED`` record stands for ``count`` operations on
+        unsampled items that were decided before the journal: it adds
+        ``count`` to the window's operations and to
+        :attr:`processed_events`, so both keep meaning every operation
+        offered.
         """
         with self._pass_lock:
             started = time.perf_counter()
@@ -598,6 +606,9 @@ class RushMonService:
                 self._fire_fault("detect.pass")
             events = self.collector.drain_journal()
             consumed = 0
+            # Operations the consumed EV_ELIDED records stand for,
+            # beyond the one event each record already counts as.
+            elided = 0
             try:
                 if self._faults is None:
                     size = self.batch_size
@@ -635,7 +646,10 @@ class RushMonService:
                                 in_run = False
                                 pend_edges = []
                                 restamp = pend_edges.append
-                            if kind == EV_BEGIN:
+                            if kind == EV_ELIDED:
+                                self._window.observe_operations(payload)
+                                elided += payload - 1
+                            elif kind == EV_BEGIN:
                                 detector.begin_buu(payload, ticket)
                                 if trace is not None:
                                     trace.begins.append((payload, ticket))
@@ -662,6 +676,9 @@ class RushMonService:
                                 self._window.observe_edge(
                                     edge._replace(seq=ticket)
                                 )
+                        elif kind == EV_ELIDED:
+                            self._window.observe_operations(payload)
+                            elided += payload - 1
                         elif kind == EV_BEGIN:
                             self.detector.begin_buu(payload, ticket)
                             if self._trace is not None:
@@ -675,14 +692,14 @@ class RushMonService:
             except BaseException:
                 if consumed < len(events):
                     self.collector.requeue(events[consumed:])
-                self.processed_events += consumed
+                self.processed_events += consumed + elided
                 self.passes += 1
                 raise
             self.passes += 1
             if not events:
                 self._m_pass_seconds.observe(time.perf_counter() - started)
                 return None
-            self.processed_events += len(events)
+            self.processed_events += len(events) + elided
             report = self._window.close(
                 self._clock, self.collector.sampling_probability,
                 health=self.health,

@@ -29,13 +29,37 @@ of the concurrent execution.  The background detection thread of
 journal; replaying it through the offline baseline must (and, per the
 differential tests, does) reproduce the service's counts exactly.
 
+Sampling before the journal
+---------------------------
+
+An operation on an unsampled item derives no edge, so all a detector can
+do with its journal record is count it.  With ``journal_sampled_only``
+the sampling decision — a pure, lock-free function of ``(key,
+sampling_rate, seed)`` — is therefore taken *before* shard grouping,
+locks, tickets and the journal: only operations on chosen items are
+bookkept and journaled, and the rest ride along as one run-length
+record ``(ticket, EV_ELIDED, count, None)`` per batch, appended under a
+shard lock the batch takes anyway and added to that shard's
+``ops_seen`` under the same lock.  The count is an ordinary journal
+event, so it inherits ticket order, :meth:`requeue` and the checkpoint's
+pending-journal section; ``ops_seen`` and the consumer's operation
+totals keep meaning *every operation offered*.  The default (every
+operation journaled) is what a consumer that needs the complete
+serialized execution asks for — the service's ``record_trace`` replay
+re-samples it.  At ``sampling_rate=1`` every item is chosen and the two
+modes write identical journals.
+
 Bounded journal and backpressure
 --------------------------------
 
 An unbounded journal grows without limit whenever the detector falls
 behind the producers, so ``journal_capacity`` bounds it (the budget is
-split evenly across shards).  When a shard's buffer is full, the
-``overflow`` policy decides what an arriving event experiences:
+split evenly across shards and counted in journal *records*).  Only an
+event that will occupy a record consults it: under
+``journal_sampled_only`` an operation on an unsampled item takes no
+room, so it is never blocked, never shed and never a reason to degrade.
+When a shard's buffer is full, the ``overflow`` policy decides what an
+arriving (to-be-journaled) event experiences:
 
 ``"block"``
     The producer waits (on the shard's condition variable, released by
@@ -52,10 +76,13 @@ split evenly across shards).  When a shard's buffer is full, the
     The capacity becomes a soft limit: the event is journaled anyway,
     and the collector adaptively *raises its effective sampling rate*
     (halving the kept-item fraction via a secondary per-item hash
-    filter) so passes get cheaper and the journal drains faster.  Each
-    shift — up under pressure, back down once a drain comes up light —
-    is counted, and :attr:`sampling_probability` always reflects the
-    effective probability so estimates stay calibrated going forward.
+    filter) so passes get cheaper and the journal drains faster — under
+    ``journal_sampled_only`` an operation the filter excludes is elided
+    like any other unsampled one, so a shift relieves the journal
+    itself, not just the detector.  Each shift — up under pressure,
+    back down once a drain comes up light — is counted, and
+    :attr:`sampling_probability` always reflects the effective
+    probability so estimates stay calibrated going forward.
 
 Periodic re-sampling (§5.1) is intentionally unsupported here: a sample
 switch must clear every shard atomically, which would need the same
@@ -71,7 +98,7 @@ import random
 import threading
 import time
 import zlib
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.core.collector import CollectorShard, ItemSampler, _splitmix64
 from repro.core.frontier import key_partition
@@ -82,6 +109,9 @@ from repro.obs.metrics import MetricsRegistry
 EV_OP = "op"
 EV_BEGIN = "begin"
 EV_COMMIT = "commit"
+#: Run-length record of operations left out of a sampled-only journal:
+#: ``(ticket, EV_ELIDED, count, None)``.
+EV_ELIDED = "elided"
 
 #: Valid journal-overflow policies.
 OVERFLOW_POLICIES = ("block", "shed", "degrade")
@@ -219,6 +249,10 @@ class ShardedCollector:
         Record a ticket-ordered event journal for a background detector
         (see module docstring).  Off by default: a standalone sharded
         collector returns edges to the caller and keeps no history.
+    journal_sampled_only:
+        Journal only operations on sampled items; the others are counted
+        by ``EV_ELIDED`` run-length records (module docstring).  Off by
+        default: ``journal=True`` alone records every operation.
     journal_capacity:
         Total buffered-event budget across all shard journals (split
         evenly; each shard gets at least 1).  ``None`` (default) keeps
@@ -251,6 +285,7 @@ class ShardedCollector:
         mob_slots: int = 2,
         num_shards: int = 8,
         journal: bool = False,
+        journal_sampled_only: bool = False,
         journal_capacity: int | None = None,
         overflow: str = "block",
         block_timeout: float = 5.0,
@@ -286,6 +321,7 @@ class ShardedCollector:
         ]
         self._ticket = itertools.count()
         self._journal = journal
+        self._elide = journal and journal_sampled_only
         self.journal_capacity = journal_capacity
         self.overflow = overflow
         self.block_timeout = block_timeout
@@ -327,14 +363,17 @@ class ShardedCollector:
             metrics.gauge_fn(
                 "rushmon_collector_journal_depth",
                 lambda: float(sum(len(s.journal) for s in self._shards)),
-                help="events currently buffered across all shard journals",
+                help="records currently buffered across all shard journals "
+                     "(sampled ops, lifecycle events and run-length counts "
+                     "of elided ops; every op when a trace is recorded)",
             )
             metrics.gauge_fn(
                 "rushmon_collector_journal_depth_highwater",
                 lambda: float(
                     max(s.journal_highwater for s in self._shards)
                 ),
-                help="deepest any shard journal has grown between drains",
+                help="deepest any shard journal has grown between drains, "
+                     "in records (an elided run is one record)",
             )
             metrics.gauge_fn(
                 "rushmon_collector_journal_fill_ratio",
@@ -399,7 +438,7 @@ class ShardedCollector:
 
     @property
     def journal_depth(self) -> int:
-        """Events currently buffered across every shard journal —
+        """Records currently buffered across every shard journal —
         the instantaneous backlog the next detection pass will drain."""
         return sum(len(s.journal) for s in self._shards)
 
@@ -513,8 +552,9 @@ class ShardedCollector:
             shard.lock.acquire()
         try:
             chosen = self._chosen(op.key)
+            journaled = self._journal and (chosen or not self._elide)
             if (
-                self._journal
+                journaled
                 and self._shard_capacity is not None
                 and len(shard.journal) >= self._shard_capacity
                 and not self._resolve_overflow(shard, chosen)
@@ -531,11 +571,13 @@ class ShardedCollector:
                     # re-inclusion warms up cleanly instead of deriving
                     # edges from a stale lastWrite.
                     shard.state.drop_item(op.key)
-            if self._journal:
+            if journaled:
                 shard.journal.append(next(self._ticket), EV_OP, op, edges)
                 depth = len(shard.journal)
                 if depth > shard.journal_highwater:
                     shard.journal_highwater = depth
+            elif self._elide:
+                self._journal_elided(shard, 1)
         finally:
             shard.lock.release()
         # Counter cells are per-thread, so these need no lock and can
@@ -548,16 +590,33 @@ class ShardedCollector:
                 self._m_edges.inc(len(edges))  # type: ignore[union-attr]
         return edges
 
+    def _journal_elided(self, shard: _Shard, count: int) -> None:
+        """Record ``count`` operations left out of the journal (caller
+        holds ``shard.lock`` and has added them to ``ops_seen``): the
+        shard's trailing ``EV_ELIDED`` record grows in place, or a new
+        one is ticketed — so a per-op stream of unsampled operations
+        costs one record per drain, not one per op."""
+        journal = shard.journal
+        if journal.kinds and journal.kinds[-1] == EV_ELIDED:
+            journal.payloads[-1] += count
+            return
+        journal.append(next(self._ticket), EV_ELIDED, count, None)
+        depth = len(journal)
+        if depth > shard.journal_highwater:
+            shard.journal_highwater = depth
+
     def handle_all(self, ops: Iterable[Operation]) -> list[Edge]:
         edges: list[Edge] = []
         for op in ops:
             edges.extend(self.handle(op))
         return edges
 
-    def handle_batch(self, ops: Iterable[Operation]) -> list[Edge]:
+    def handle_batch(self, ops: Iterable[Operation],
+                     chunk: int | None = None) -> list[Edge]:
         """Batched ingest: group the operations by owning shard and
         acquire each shard's lock **once per batch** instead of once per
-        operation.
+        operation (``chunk`` caps how many operations one such round of
+        lock holds may bookkeep; longer input takes several rounds).
 
         Returned edges are grouped by shard (a key lives in exactly one
         shard, so per-key order — the only order bookkeeping depends on
@@ -565,6 +624,11 @@ class ShardedCollector:
         draws are identical to per-op :meth:`handle`.  Journal tickets
         for a shard's group are drawn under that shard's lock, so the
         drain's complete-prefix guarantee holds unchanged.
+
+        Under ``journal_sampled_only`` the whole input is filtered
+        through the sampler first — before grouping, chunking and any
+        lock — and only the chosen operations go further; the rest are
+        counted by one ``EV_ELIDED`` record.
 
         Falls back to the per-op path when fault injection, a bounded
         journal, or degrade mode is active: those features make
@@ -585,6 +649,46 @@ class ShardedCollector:
             for op in ops:
                 out.extend(handle(op))
             return out
+        offered = len(ops)
+        all_chosen = self.sampler.sampling_rate == 1
+        elided = 0
+        if self._elide and not all_chosen and offered:
+            first_key = ops[0].key
+            chosen = self.sampler.chosen
+            ops = [op for op in ops if chosen(op.key)]
+            elided = offered - len(ops)
+            all_chosen = True
+        out = []
+        sampled = 0
+        if not ops:
+            if elided:
+                # No lock to share: take the first operation's.
+                shard = self._shards[self.shard_index(first_key)]
+                with shard.lock:
+                    shard.ops_seen += elided
+                    self._journal_elided(shard, elided)
+        elif chunk is None or len(ops) <= chunk:
+            sampled = self._handle_grouped(ops, out, all_chosen, elided)
+        else:
+            for start in range(0, len(ops), chunk):
+                sampled += self._handle_grouped(ops[start:start + chunk],
+                                                out, all_chosen, elided)
+                elided = 0
+        if self._m_ops is not None:
+            self._m_ops.inc(offered)
+            if sampled:
+                self._m_sampled.inc(sampled)  # type: ignore[union-attr]
+            if out:
+                self._m_edges.inc(len(out))  # type: ignore[union-attr]
+        return out
+
+    def _handle_grouped(self, ops: Sequence[Operation], out: list[Edge],
+                        all_chosen: bool, elided: int) -> int:
+        """One round of :meth:`handle_batch`: ``ops`` grouped by shard,
+        each group bookkept (and journaled) under one hold of its
+        shard's lock; ``elided`` is counted under the first lock taken.
+        Appends the derived edges to ``out`` and returns how many
+        operations hit a sampled item."""
         num = self.num_shards
         if num == 1:
             groups: list = [ops]
@@ -593,9 +697,7 @@ class ShardedCollector:
             groups = [[] for _ in range(num)]
             for op in ops:
                 groups[sidx(op.key)].append(op)
-        out = []
         journaling = self._journal
-        all_chosen = self.sampler.sampling_rate == 1
         chosen = self.sampler.chosen
         ticket = self._ticket
         lock_wait = self._m_lock_wait
@@ -611,7 +713,7 @@ class ShardedCollector:
             else:
                 shard.lock.acquire()
             try:
-                shard.ops_seen += len(group)
+                shard.ops_seen += len(group) + elided
                 state = shard.state
                 if journaling:
                     # The journal needs each op's own edge list, so the
@@ -635,6 +737,8 @@ class ShardedCollector:
                     j.kinds.extend([EV_OP] * len(group))
                     j.payloads.extend(group)
                     j.extras.extend(extras)
+                    if elided:
+                        self._journal_elided(shard, elided)
                     depth = len(j)
                     if depth > shard.journal_highwater:
                         shard.journal_highwater = depth
@@ -646,24 +750,21 @@ class ShardedCollector:
                     sampled += len(picked)
                     if picked:
                         state.handle_batch(picked, out)
+                elided = 0
             finally:
                 shard.lock.release()
-        if self._m_ops is not None:
-            self._m_ops.inc(len(ops))
-            if sampled:
-                self._m_sampled.inc(sampled)  # type: ignore[union-attr]
-            if out:
-                self._m_edges.inc(len(out))  # type: ignore[union-attr]
-        return out
+        return sampled
 
     def record_lifecycle(self, kind: str, buu: int, time: int) -> None:
-        """Journal a BUU ``begin``/``commit`` event (routed by BUU hash so
-        the ticket is assigned under some shard lock).  Subject to the
-        same capacity policy as operations; a shed lifecycle event is
+        """Journal a BUU ``begin``/``commit`` event (routed by BUU id so
+        the ticket is assigned under some shard lock; placement only
+        affects contention, never counts).  Subject to the same capacity
+        policy as journaled operations; a shed lifecycle event is
         dropped whole."""
         if not self._journal:
             return
-        shard = self._shards[_splitmix64(buu) % self.num_shards]
+        shard = self._shards[
+            key_partition(buu, self.num_shards, self._shard_mask)]
         with shard.lock:
             if (
                 self._shard_capacity is not None

@@ -15,18 +15,20 @@ passes are required by the acceptance criteria).
 """
 
 import random
+import sys
 import threading
 
 import pytest
 
 from repro.core.concurrent import RushMonService, ShardedCollector
 from repro.core.config import RushMonConfig
-from repro.core.monitor import OfflineAnomalyMonitor
+from repro.core.monitor import OfflineAnomalyMonitor, RushMon
 from repro.core.types import Operation, OpType
 from repro.sim.buu import read_modify_write
 from repro.sim.scheduler import ThreadedWorkloadDriver
 
 from tests.histgen import skewed_key
+from tests.test_sampled_journal import _events, _feed_batched, _feed_per_op
 
 pytestmark = pytest.mark.stress
 
@@ -137,6 +139,73 @@ def test_stress_sampled_and_mob():
     )
     e2, e3 = service.cumulative_estimates()
     assert e2 >= 0.0 and e3 >= 0.0
+
+
+@pytest.mark.parametrize("record_trace", (True, False),
+                         ids=("full-journal", "sampled-journal"))
+@pytest.mark.parametrize("sr", (4, 20))
+def test_stress_sampled_service_two_producers(sr, record_trace):
+    """The sampled service differential under real interleaving: two
+    producers alternate batched and per-op ingest beside the detection
+    thread.  With a recorded trace (full journal) the counts must equal
+    a serial replay of that trace; without one (sampled journal,
+    run-length records bumped in place and appended concurrently) no
+    interleaving may lose or double-apply an elided count."""
+    config = RushMonConfig(sampling_rate=sr, mob=False, seed=3,
+                           num_shards=4, detect_interval=0.002)
+    service = RushMonService(config, record_trace=record_trace)
+    num_threads = 2
+    streams = [_events(3000, seed=tid + 1, first_buu=tid * 1_000_000)
+               for tid in range(num_threads)]
+    errors = []
+
+    def producer(events):
+        try:
+            for i, start in enumerate(range(0, len(events), 150)):
+                feed = _feed_batched if i % 2 else _feed_per_op
+                feed(service, events[start:start + 150])
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=producer, args=(events,), daemon=True)
+               for events in streams]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with service:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive(), "producer deadlocked"
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert not service.running
+
+    num_events = sum(len(events) for events in streams)
+    num_ops = 3000 * num_threads
+    counts = service.counts()
+    assert service.collector.ops_seen == num_ops
+    assert service.processed_events == num_events
+    assert sum(r.operations for r in service.reports) == num_ops
+    assert sum(r.raw.two_cycles for r in service.reports) == counts.two_cycles
+    assert sum(r.raw.three_cycles for r in service.reports) == \
+        counts.three_cycles
+    assert sum(r.edges.total for r in service.reports) == \
+        service.collector.stats.total
+    snap = service.metrics.snapshot()
+    assert snap["rushmon_service_events_processed_total"] == \
+        service.processed_events
+    assert snap["rushmon_collector_ops_total"] == num_ops
+    assert snap["rushmon_collector_sampled_ops_total"] == \
+        service.collector.touches
+    if record_trace:
+        replayed = RushMon(config)
+        service.serialized_trace().replay([replayed])
+        assert replayed.detector.counts == counts
+        assert replayed.collector.stats == service.collector.stats
+        assert counts.two_cycles > 0  # the run was not vacuous
 
 
 def test_raw_sharded_collector_hammer():

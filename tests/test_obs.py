@@ -327,6 +327,41 @@ class TestServiceMetricsReconcile:
         assert snap["rushmon_service_detection_thread_alive"] == 0.0
         assert snap["rushmon_service_report_age_seconds"] >= 0.0
 
+    def test_elided_operations_are_counted(self):
+        """At sr=20 most operations never enter the journal, yet the
+        progress gauges keep meaning every event offered: an elided run
+        counts by its length, and ops minus sampled ops is exactly what
+        the run-length records hold."""
+        from repro.core.concurrent.sharded import EV_ELIDED
+
+        service = RushMonService(
+            RushMonConfig(sampling_rate=20, mob=False, seed=3, num_shards=4))
+        num_buus, ops_per_buu = 50, 40
+        for buu in range(num_buus):
+            service.begin_buu(buu, buu)
+            service.on_operations([
+                Operation(OpType.WRITE, buu, (7 * buu + i) % 97, i)
+                for i in range(ops_per_buu)
+            ])
+            service.commit_buu(buu, buu)
+        num_ops = num_buus * ops_per_buu
+        pending = [record
+                   for shard in service.collector.snapshot_state()["shards"]
+                   for record in shard["journal"]]
+        elided = sum(r[2] for r in pending if r[1] == EV_ELIDED)
+        snap = service.metrics.snapshot()
+        assert snap["rushmon_collector_ops_total"] == num_ops
+        assert 0 < snap["rushmon_collector_sampled_ops_total"] < num_ops
+        assert snap["rushmon_collector_ops_total"] \
+            - snap["rushmon_collector_sampled_ops_total"] == elided
+        assert snap["rushmon_collector_journal_depth"] == len(pending) \
+            < num_ops
+        service.close_window()
+        snap = service.metrics.snapshot()
+        assert snap["rushmon_service_events_processed_total"] == \
+            num_ops + 2 * num_buus
+        assert service.reports[-1].operations == num_ops
+
     def test_journal_highwater_and_lock_wait_move(self):
         service = RushMonService(
             RushMonConfig(sampling_rate=1, mob=False, num_shards=2,
