@@ -35,7 +35,7 @@ def _brute_force_recount_seconds(detector) -> float:
     """Time the paper's detection model: exact counting over the stored
     (live) graph, as a periodic recount would pay."""
     graph = DependencyGraph()
-    for (src, dst), labels in detector.graph.labels.items():
+    for src, dst, labels in detector.graph.edges():
         for label in labels:
             graph.add(src, dst, label)
     start = time.perf_counter()

@@ -819,8 +819,10 @@ def run_regress(out_path: str | Path = RESULTS_FILE, *, quick: bool = False,
             "columnar_collect_sr1 = the collection kernel alone "
             "(sampling, grouping, edge derivation) without the "
             "pure-python cycle detector, which bounds every combined "
-            "row at its ~2us/edge graph work and is shared by all "
-            "ingest protocols; numpy required (skipped otherwise)"
+            "row at its graph work (~1.2us/edge plus pruning since the "
+            "adjacency carries the labels, ~2us/edge before) and is "
+            "shared by all ingest protocols; numpy required (skipped "
+            "otherwise)"
         )
         payload["protocol"]["net_ingest"] = (
             "server-side decode+ingest: pre-encoded 2048-event frames "

@@ -75,6 +75,11 @@ and brings the shard back bit-exactly:
   are dropped with the counts they carry (counted), and reports carry
   ``health="degraded"`` plus the missing shard indices in
   ``degraded_shards`` — the anomaly signal narrows instead of dying.
+  A barrier does the down detection itself before it sends ``flush``
+  (an exited worker is marked down, a down shard with no budget left is
+  failed on the spot), so a survivor always reads ``detach`` first; its
+  single control loop would otherwise drain for the dead shard's
+  watermark with the ``detach`` unread behind the ``flush``.
   :meth:`reset` on a degraded cluster tears everything down and starts
   a fresh, healthy one.
 
@@ -290,6 +295,10 @@ class ClusterMonitor:
         # -- supervision state (guarded by _sup_lock, not _lock: the
         # supervisor must never contend with a blocked barrier) --------
         self._sup_lock = threading.Lock()
+        #: Serializes breaker trips, so that whoever finds a link
+        #: already ``failed`` knows its ``detach`` frames are sent.
+        #: Reentrant: a barrier's head holds it while it trips links.
+        self._fail_lock = threading.RLock()
         self._degraded: set[int] = set()
         self._restarts = [0] * n
         self._config_dict = asdict(self.config)
@@ -548,24 +557,23 @@ class ClusterMonitor:
         """Bring one dead link back, retrying until it sticks or the
         circuit breaker trips."""
         while not stop.is_set():
+            # Claim and budget check are one step: ``respawning`` always
+            # means an attempt the budget paid for, and a link whose
+            # budget is spent stays ``down`` until ``_fail_link`` — here
+            # or at the head of a barrier — makes it ``failed``.
             with link.cond:
                 if link.state != "down":
                     return
-                link.state = "respawning"
                 reason = link.down_reason or "unknown"
-            with self._sup_lock:
-                if self._restarts[link.index] >= self.config.max_worker_restarts:
-                    tripped = True
-                else:
-                    self._restarts[link.index] += 1
-                    self.worker_restarts_total += 1
-                    tripped = False
+                with self._sup_lock:
+                    tripped = self._budget_spent_locked(link)
+                    if not tripped:
+                        self._restarts[link.index] += 1
+                        self.worker_restarts_total += 1
+                if not tripped:
+                    link.state = "respawning"
             if tripped:
-                self._fail_link(
-                    link,
-                    f"restart budget exhausted "
-                    f"({self.config.max_worker_restarts}); last failure: "
-                    f"{reason}")
+                self._fail_link(link, reason)
                 return
             try:
                 self._spawn_and_restore(link)
@@ -576,6 +584,38 @@ class ClusterMonitor:
                 with link.cond:
                     link.state = "down"
                     link.down_reason = f"respawn attempt failed: {exc!r}"
+
+    def _budget_spent_locked(self, link: _WorkerLink) -> bool:
+        return (self._restarts[link.index]
+                >= self.config.max_worker_restarts)
+
+    def _settle_dead_links_locked(self) -> None:
+        """Down detection at the head of a barrier, on the caller's
+        clock instead of the supervisor's: a worker whose process has
+        exited is marked down now, and a down link whose restart budget
+        is spent is failed now — so every survivor's control link
+        carries its ``detach`` *before* the barrier's ``flush``.  In the
+        other order the survivor's single control loop waits in its
+        drain for the dead shard's watermark and never reads the
+        ``detach`` queued behind the ``flush``."""
+        # Holding the lock also waits out a trip the supervisor is in
+        # the middle of (``failed`` already, ``detach`` not yet sent).
+        with self._fail_lock:
+            for link in self._links:
+                with link.cond:
+                    up = link.state == "up"
+                    proc, gen = link.proc, link.gen
+                if up and proc is not None and not proc.is_alive():
+                    self._link_down(link, gen, "worker process exited",
+                                    self._sup_queue)
+                with link.cond:
+                    down = link.state == "down"
+                    reason = link.down_reason or "unknown"
+                if down:
+                    with self._sup_lock:
+                        spent = self._budget_spent_locked(link)
+                    if spent:
+                        self._fail_link(link, reason)
 
     def _spawn_and_restore(self, link: _WorkerLink) -> None:
         """One respawn attempt: spawn, handshake, restore (snapshot or
@@ -692,34 +732,43 @@ class ClusterMonitor:
                 sent += 1
         self.replay_frames_total += sent
 
-    def _fail_link(self, link: _WorkerLink, reason: str) -> None:
-        """Trip the circuit breaker: the shard is gone for good (until
-        a reset).  Survivors stop gating their merges on it, waiters
-        are released, and reports degrade instead of raising."""
-        with self._sup_lock:
-            self._degraded.add(link.index)
-        with link.cond:
-            link.state = "failed"
-            link.error = reason
-            link.down_reason = reason
-            link.journal.clear()
-            link.snapshot = None
-            link.cond.notify_all()
-        # Release a barrier blocked on this shard's reply.
-        link.replies.put({"type": "failed"})
-        frame = encode_frame(msg.detach(link.index))
-        for other in self._links:
-            if other is link:
-                continue
-            with other.cond:
-                live = other.state == "up"
-                sock = other.sock
-            if live:
-                try:
-                    with other.wlock:
-                        sock.sendall(frame)
-                except OSError:
-                    pass
+    def _fail_link(self, link: _WorkerLink, last_failure: str) -> None:
+        """Trip the circuit breaker of a link whose restart budget is
+        spent: the shard is gone for good (until a reset).  Survivors
+        stop gating their merges on it, waiters are released, and
+        reports degrade instead of raising.  Called by the supervisor
+        and by a barrier's head; the second caller returns once the
+        first has sent every ``detach``."""
+        reason = (f"restart budget exhausted "
+                  f"({self.config.max_worker_restarts}); last failure: "
+                  f"{last_failure}")
+        with self._fail_lock:
+            with self._sup_lock:
+                self._degraded.add(link.index)
+            with link.cond:
+                if link.state == "failed":
+                    return
+                link.state = "failed"
+                link.error = reason
+                link.down_reason = reason
+                link.journal.clear()
+                link.snapshot = None
+                link.cond.notify_all()
+            # Release a barrier blocked on this shard's reply.
+            link.replies.put({"type": "failed"})
+            frame = encode_frame(msg.detach(link.index))
+            for other in self._links:
+                if other is link:
+                    continue
+                with other.cond:
+                    live = other.state == "up"
+                    sock = other.sock
+                if live:
+                    try:
+                        with other.wlock:
+                            sock.sendall(frame)
+                    except OSError:
+                        pass
         if link.proc is not None:
             if link.proc.is_alive():
                 link.proc.terminate()
@@ -1015,6 +1064,7 @@ class ClusterMonitor:
         verified snapshots.  Aborted (retried at the next flush) while
         any shard is mid-respawn; a shard dying mid-round just keeps
         its previous snapshot."""
+        self._settle_dead_links_locked()
         high = self._ticket
         targets = []
         for link in self._links:
@@ -1103,6 +1153,7 @@ class ClusterMonitor:
         worker dying mid-barrier re-executes the flush after its
         respawn and the barrier rides the recovery out instead of
         raising."""
+        self._settle_dead_links_locked()
         frame = encode_frame(msg.flush(self._ticket, window, end))
         start = time.monotonic()
         waiting = []

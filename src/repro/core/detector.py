@@ -14,31 +14,42 @@ times are retained (cheap ints) so pruning decisions stay well defined.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from typing import Iterable, Iterator, KeysView
 
 from repro.core.columnar import EdgeBatch
 from repro.core.patterns import PatternCounts, classify_two_cycle
-from repro.core.types import BuuId, CycleCounts, Edge, EdgeType, Key
-
-# Shared sentinel for "no parallel edges" lookups in the fused batch loop.
-# Never mutated; .keys() of an empty dict is a valid empty set-like view.
-_EMPTY_LABELS: dict = {}
+from repro.core.types import (
+    Adjacency,
+    BuuId,
+    CycleCounts,
+    Edge,
+    EdgeType,
+    Key,
+    LabelDict,
+)
 
 
 class LiveGraph:
     """Adjacency + vertex lifetimes for the streaming detector.
 
-    ``labels[(u, v)]`` maps each item label of a parallel edge
-    ``u -> v`` to that edge's type (wr/ww/rw, used for anomaly-pattern
-    classification).  ``starts`` / ``commits`` record BUU lifetimes for
-    pruning; ``alive`` is the set of started-but-uncommitted BUUs.
+    ``out[u][v]`` and ``inc[v][u]`` are *the same* dict, mapping each
+    item label of a parallel edge ``u -> v`` to that edge's type
+    (wr/ww/rw, used for anomaly-pattern classification), so a
+    neighbourhood walk arrives holding the labels and nothing is keyed
+    by a ``(src, dst)`` tuple.  A vertex is present iff it is a key of
+    ``out``; ``out`` and ``inc`` gain and lose a key together, no label
+    dict is ever empty and no self-loop is ever stored.  A vertex whose
+    every neighbour was pruned stays present with empty rows.
+
+    ``starts`` records the start time of every *alive*
+    (started-but-uncommitted) BUU, ``commits`` the commit time of every
+    BUU ever committed — kept after pruning (cheap ints) so a vertex an
+    edge resurrects is prunable again.
     """
 
     def __init__(self) -> None:
-        self.labels: dict[tuple[BuuId, BuuId], dict[Key, EdgeType]] = {}
-        self.out: dict[BuuId, set[BuuId]] = defaultdict(set)
-        self.inc: dict[BuuId, set[BuuId]] = defaultdict(set)
-        self.present: set[BuuId] = set()
+        self.out: Adjacency = {}
+        self.inc: Adjacency = {}
         self.starts: dict[BuuId, int] = {}
         self.commits: dict[BuuId, int] = {}
         self.alive: set[BuuId] = set()
@@ -58,6 +69,7 @@ class LiveGraph:
     def commit(self, buu: BuuId, commit_time: int) -> None:
         self.commits[buu] = commit_time
         self.alive.discard(buu)
+        self.starts.pop(buu, None)
 
     def active_time(self, default: int = 0) -> float:
         """The paper's ``t_active``: earliest start among alive vertices.
@@ -93,57 +105,67 @@ class LiveGraph:
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def present(self) -> KeysView[BuuId]:
+        """The vertices in the graph (a read-only view of ``out``'s keys)."""
+        return self.out.keys()
+
+    def add_vertex(self, v: BuuId) -> None:
+        """Make ``v`` present (idempotent)."""
+        if v not in self.out:
+            self.out[v] = {}
+            self.inc[v] = {}
+
     def add_edge(self, src: BuuId, dst: BuuId, label: Key,
                  kind: EdgeType = EdgeType.WR) -> bool:
         """Insert an edge; returns False for self-loops and duplicates."""
         if src == dst:
             return False
-        key = (src, dst)
-        labels = self.labels.get(key)
+        self.add_vertex(src)
+        row = self.out[src]
+        labels = row.get(dst)
         if labels is None:
-            labels = {}
-            self.labels[key] = labels
-        if label in labels:
+            self.add_vertex(dst)
+            labels = row[dst] = self.inc[dst][src] = {}
+        elif label in labels:
             return False
         labels[label] = kind
-        self.out[src].add(dst)
-        self.inc[dst].add(src)
-        self.present.add(src)
-        self.present.add(dst)
         self.edge_count += 1
         return True
 
-    def edge_labels(self, src: BuuId, dst: BuuId):
+    def edges(self) -> Iterator[tuple[BuuId, BuuId, LabelDict]]:
+        """Every connected ordered pair as ``(src, dst, labels)``."""
+        for src, row in self.out.items():
+            for dst, labels in row.items():
+                yield src, dst, labels
+
+    def edge_labels(self, src: BuuId, dst: BuuId) -> KeysView[Key]:
         """The labels of parallel edges src -> dst (a set-like view)."""
-        return self.labels.get((src, dst), {}).keys()
+        return self.out.get(src, {}).get(dst, {}).keys()
 
-    def edge_kind(self, src: BuuId, dst: BuuId, label: Key) -> EdgeType | None:
-        return self.labels.get((src, dst), {}).get(label)
-
-    def remove_vertex(self, v: BuuId) -> None:
-        labels = self.labels
+    def remove_vertices(self, doomed: Iterable[BuuId]) -> None:
+        """Unlink every vertex of ``doomed`` (absent ones are skipped)
+        together with its edges."""
         out = self.out
         inc = self.inc
         removed = 0
-        succs = out.pop(v, None)
-        if succs:
-            for succ in succs:
-                removed += len(labels.pop((v, succ), ()))
-                neigh = inc.get(succ)
-                if neigh is not None:
-                    neigh.discard(v)
-        preds = inc.pop(v, None)
-        if preds:
-            for pred in preds:
-                removed += len(labels.pop((pred, v), ()))
-                neigh = out.get(pred)
-                if neigh is not None:
-                    neigh.discard(v)
+        for v in doomed:
+            succs = out.pop(v, None)
+            if succs is None:
+                continue
+            # A neighbour unlinked earlier in this call already deleted
+            # its mirror entry here, so every entry left names a vertex
+            # that is still present.
+            for w, labels in succs.items():
+                removed += len(labels)
+                del inc[w][v]
+            for u, labels in inc.pop(v).items():
+                removed += len(labels)
+                del out[u][v]
         self.edge_count -= removed
-        self.present.discard(v)
 
     def num_vertices(self) -> int:
-        return len(self.present)
+        return len(self.out)
 
     def num_edges(self) -> int:
         return self.edge_count
@@ -187,17 +209,9 @@ class CycleDetector:
 
     def add_edge(self, edge: Edge) -> CycleCounts:
         """Ingest one edge; returns the new cycles it closed (also
-        accumulated into :attr:`counts`)."""
-        new = CycleCounts()
-        if not self.graph.add_edge(edge.src, edge.dst, edge.label, edge.kind):
-            return new
-        self._count_new_cycles(edge.src, edge.dst, edge.label, edge.kind, new,
-                               self.patterns.record)
-        self.counts.add(new)
-        self._edges_since_prune += 1
-        if self.pruner is not None and self._edges_since_prune >= self.prune_interval:
-            self.prune(now=edge.seq)
-        return new
+        accumulated into :attr:`counts`).  The batch of one: the prune
+        clock is checked right after the edge."""
+        return self.add_edge_batch((edge,))
 
     def add_edges(self, edges) -> CycleCounts:
         total = CycleCounts()
@@ -230,22 +244,21 @@ class CycleDetector:
         return True
 
     def add_edge_batch(self, edges) -> CycleCounts:
-        """Batched :meth:`add_edge`: ingest a sequence of edges, returning
-        the new cycles they closed as one aggregate.
+        """Ingest a sequence of edges, returning the new cycles they
+        closed as one aggregate — the detector's one counting loop.
 
-        Identical cycle/pattern/stat results to per-edge ingestion, but
-        the per-edge ``CycleCounts`` allocation is replaced by a single
-        accumulator, pattern recording is deferred to one
-        ``Counter.update`` at the batch boundary, and the prune-interval
-        check runs once per batch instead of once per edge.  Deferring
-        pruning is count-preserving: safe pruning (§5.3) only removes
-        vertices that cannot join future short cycles, so running it at
-        the batch boundary instead of mid-batch never changes counts.
+        Each cycle is counted when its last edge arrives: a new edge
+        ``u -> v`` closes a 2-cycle with every label of ``v -> u`` and a
+        3-cycle with every label pair of ``v -> w``, ``w -> u``.  Both
+        label dicts of a triangle candidate ``w`` arrive with the
+        neighbour (see :class:`LiveGraph`), found by walking the smaller
+        of ``out[v]`` / ``inc[u]`` and probing the other; ``w`` is never
+        ``u`` or ``v`` because no self-loop is stored.
 
-        The graph insertion (:meth:`LiveGraph.add_edge`) and the cycle
-        counting (:meth:`_count_new_cycles`) are fused into one loop
-        over hoisted dict locals — the logic is a line-for-line copy of
-        those two methods, kept in sync by the batch-equivalence tests.
+        Pattern recording is deferred to one ``Counter.update`` and the
+        prune-interval check to the batch boundary.  Deferring pruning
+        is count-preserving: safe pruning (§5.3) only removes vertices
+        that cannot join future short cycles.
 
         A columnar :class:`~repro.core.columnar.EdgeBatch` is accepted
         natively: its rows are already in per-op emission order, and
@@ -256,10 +269,8 @@ class CycleDetector:
             edges = edges.iter_rows()
         total = CycleCounts()
         graph = self.graph
-        labels_map = graph.labels
-        out_map = graph.out
-        inc_map = graph.inc
-        present_add = graph.present.add
+        out = graph.out
+        inc = graph.inc
         count_three = self.count_three
         classify2 = classify_two_cycle
         pending: list = []
@@ -267,61 +278,72 @@ class CycleDetector:
         added = 0
         last_seq = 0
         ss = dd = sss_t = ssd_t = ddd_t = 0
-        empty = _EMPTY_LABELS
-        for edge in edges:
-            src, dst, kind, label, seq = edge
+        for src, dst, kind, label, seq in edges:
             if src == dst:
                 continue
-            key = (src, dst)
-            labels = labels_map.get(key)
+            row = out.get(src)
+            if row is None:
+                row = out[src] = {}
+                inc[src] = {}
+            labels = row.get(dst)
             if labels is None:
-                labels = {}
-                labels_map[key] = labels
+                out_v = out.get(dst)
+                if out_v is None:
+                    out_v = out[dst] = {}
+                    inc[dst] = {}
+                row[dst] = inc[dst][src] = {label: kind}
             elif label in labels:
                 continue
-            labels[label] = kind
-            out_map[src].add(dst)
-            inc_map[dst].add(src)
-            present_add(src)
-            present_add(dst)
+            else:
+                labels[label] = kind
+                out_v = out[dst]
             added += 1
             last_seq = seq
+            if not out_v:
+                continue
             # 2-cycles: the new edge pairs with every existing dst->src label.
-            back = labels_map.get((dst, src))
-            if back:
+            back = out_v.get(src)
+            if back is not None:
                 for back_label, back_kind in back.items():
                     if back_label == label:
                         ss += 1
                     else:
                         dd += 1
                     record(classify2(kind, label, back_kind, back_label))
-            if not count_three:
-                continue
             # 3-cycles: src->dst closes triangles with dst->w, w->src.
-            out_v = out_map.get(dst)
-            in_u = inc_map.get(src)
-            if not out_v or not in_u:
+            # The label arithmetic is symmetric in the two legs, so it
+            # does not matter which one the walk yields.
+            in_u = inc[src]
+            if not in_u or not count_three:
                 continue
-            # Scan the smaller neighbour set and test membership in the
-            # larger one — no intersection set is allocated per edge.
             if len(out_v) > len(in_u):
                 small, large = in_u, out_v
             else:
                 small, large = out_v, in_u
-            for w in small:
-                if w not in large or w == src or w == dst:
+            for w, a in small.items():
+                b = large.get(w)
+                if b is None:
                     continue
-                a_labels = labels_map.get((dst, w), empty).keys()
-                b_labels = labels_map.get((w, src), empty).keys()
-                na, nb = len(a_labels), len(b_labels)
-                l_in_a = 1 if label in a_labels else 0
-                l_in_b = 1 if label in b_labels else 0
+                na = len(a)
+                nb = len(b)
+                if na == 1 and nb == 1:
+                    if label in a:
+                        if label in b:
+                            sss_t += 1
+                        else:
+                            ssd_t += 1
+                    elif label in b or a.keys() == b.keys():
+                        ssd_t += 1
+                    else:
+                        ddd_t += 1
+                    continue
+                l_in_a = 1 if label in a else 0
+                l_in_b = 1 if label in b else 0
                 sss = l_in_a * l_in_b
-                same_ab = len(a_labels & b_labels)
                 ssd = (
                     l_in_a * (nb - l_in_b)
                     + l_in_b * (na - l_in_a)
-                    + (same_ab - sss)
+                    + (len(a.keys() & b.keys()) - sss)
                 )
                 sss_t += sss
                 ssd_t += ssd
@@ -341,48 +363,6 @@ class CycleDetector:
                     and self._edges_since_prune >= self.prune_interval):
                 self.prune(now=last_seq)
         return total
-
-    def _count_new_cycles(self, u: BuuId, v: BuuId, label: Key,
-                          kind: EdgeType, new: CycleCounts, record) -> None:
-        graph = self.graph
-        # 2-cycles: new edge u->v pairs with every existing v->u label.
-        for back_label, back_kind in graph.labels.get((v, u), {}).items():
-            if back_label == label:
-                new.ss += 1
-            else:
-                new.dd += 1
-            record(
-                classify_two_cycle(kind, label, back_kind, back_label)
-            )
-        if not self.count_three:
-            return
-        # 3-cycles: u->v (new) closes triangles with existing v->w, w->u.
-        out_v = graph.out.get(v)
-        in_u = graph.inc.get(u)
-        if not out_v or not in_u:
-            return
-        if len(out_v) > len(in_u):
-            candidates = in_u & out_v
-        else:
-            candidates = out_v & in_u
-        for w in candidates:
-            if w == u or w == v:
-                continue
-            a_labels = graph.edge_labels(v, w)
-            b_labels = graph.edge_labels(w, u)
-            na, nb = len(a_labels), len(b_labels)
-            l_in_a = 1 if label in a_labels else 0
-            l_in_b = 1 if label in b_labels else 0
-            sss = l_in_a * l_in_b
-            same_ab = len(a_labels & b_labels)
-            ssd = (
-                l_in_a * (nb - l_in_b)
-                + l_in_b * (na - l_in_a)
-                + (same_ab - sss)
-            )
-            new.sss += sss
-            new.ssd += ssd
-            new.ddd += na * nb - sss - ssd
 
     # -- maintenance -----------------------------------------------------------
 

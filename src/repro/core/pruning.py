@@ -7,9 +7,9 @@ Two strategies plus their combination:
   with a path to ``v`` (including ``v``).  If ``ect(v) < t_active`` (the
   earliest start among alive vertices), no path from any alive vertex to
   ``v`` can ever exist, so ``v`` can never be on a future cycle and is
-  removed.  ``ect`` is computed exactly via SCC condensation + topological
-  propagation, so pruning is always safe (never removes a vertex that a
-  future cycle could touch).
+  removed.  The test is decided exactly, by one forward reachability pass
+  from the vertices whose own commit time is ``>= t_active``, so pruning
+  is always safe (never removes a vertex that a future cycle could touch).
 - :class:`DistancePruning` — a vertex on a future k-cycle must be within
   k-1 hops *from* some alive vertex (the cycle's closing edge lands on an
   alive vertex).  A multi-source BFS from the alive set to depth k-1
@@ -22,9 +22,6 @@ reported — conservatism over aggressiveness.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import Iterator
 
 from repro.core.types import BuuId
 from repro.core.detector import LiveGraph
@@ -64,7 +61,14 @@ class NoPruning(Pruner):
 
 
 class EctPruning(Pruner):
-    """Effective-commit-time pruning (§5.3, Fig 6)."""
+    """Effective-commit-time pruning (§5.3, Fig 6).
+
+    ``ect(v)`` is the latest commit time over the vertices that can
+    reach ``v``, so ``ect(v) < t_active`` iff ``v`` is unreachable from
+    every vertex whose own commit time is ``>= t_active`` (alive /
+    lifecycle-unknown vertices count as +inf).  One forward reachability
+    pass from those "recent" seeds decides prunability exactly.
+    """
 
     strategy = "ect"
 
@@ -73,82 +77,30 @@ class EctPruning(Pruner):
     # ect_v >= ct_v = now >= t_active, so the commit-time check can never
     # prune; its value in the paper is pre-computing ect for the periodic
     # pass.  This reproduction folds that maintenance into the periodic
-    # pass's exact SCC computation, which is both simpler and provably
-    # safe, so ``on_commit`` is inherited as a no-op.
+    # pass, so ``on_commit`` is inherited as a no-op.
 
     def prune(self, graph: LiveGraph, now: int) -> int:
         alive = graph.alive
         if not alive:
             return 0
         t_active = graph.active_time(default=now)
-        present = graph.present
         commits = graph.commits
         out = graph.out
-        # ect(v) = max commit time over vertices that can reach v, so
-        # ect(v) < t_active  iff  v is unreachable from every vertex whose
-        # own commit time is >= t_active (alive / lifecycle-unknown
-        # vertices count as +inf).  One forward reachability pass from
-        # those "recent" seeds therefore decides prunability exactly —
-        # no SCC condensation or max propagation needed.  ``_exact_ect``
-        # is kept as the reference implementation; the equivalence is
-        # enforced by a differential test.
-        seeds = [v for v in present if v not in commits or commits[v] >= t_active]
-        visited = set(seeds)
-        stack = seeds
+        stack = [v for v in out if v not in commits or commits[v] >= t_active]
+        visited = set(stack)
+        add = visited.add
+        push = stack.append
         while stack:
-            v = stack.pop()
-            succs = out.get(v)
-            if succs:
-                for w in succs:
-                    if w not in visited and w in present:
-                        visited.add(w)
-                        stack.append(w)
-        remove = graph.remove_vertex
-        removed = 0
-        for v in [u for u in present if u not in visited]:
-            if v in alive or v not in commits:
-                continue
-            remove(v)
-            removed += 1
-        self.removed_total += removed
-        return removed
-
-    def _exact_ect(self, graph: LiveGraph) -> dict[BuuId, float]:
-        """ect(v) = max commit time over all vertices that can reach v.
-
-        Computed by condensing the present subgraph into SCCs and
-        propagating maxima in topological order.
-        """
-        comp_of, components, order = _tarjan_scc(graph)
-        commits = graph.commits
-        inc = graph.inc
-        inf = float("inf")
-        comp_value: list[float] = []
-        append_value = comp_value.append
-        for members in components:
-            value = float(max(commits.get(v, inf) for v in members))
-            append_value(value)
-        # ``order`` lists component ids in reverse topological order
-        # (successors before predecessors), so iterate reversed for
-        # predecessors-first propagation.
-        ect: dict[BuuId, float] = {}
-        for comp_id in reversed(order):
-            best = comp_value[comp_id]
-            members = components[comp_id]
-            for v in members:
-                preds = inc.get(v)
-                if not preds:
-                    continue
-                for u in preds:  # predecessors feed into v
-                    pred_comp = comp_of.get(u)
-                    if pred_comp is not None and pred_comp != comp_id:
-                        value = comp_value[pred_comp]
-                        if value > best:
-                            best = value
-            comp_value[comp_id] = best
-            for v in members:
-                ect[v] = best
-        return ect
+            for w in out[stack.pop()]:
+                if w not in visited:
+                    add(w)
+                    push(w)
+        # Unvisited vertices are committed (they were not seeds); one
+        # that began again since stays until it commits again.
+        doomed = [v for v in out if v not in visited and v not in alive]
+        graph.remove_vertices(doomed)
+        self.removed_total += len(doomed)
+        return len(doomed)
 
 
 class DistancePruning(Pruner):
@@ -164,27 +116,26 @@ class DistancePruning(Pruner):
         self.hops = max_cycle_length - 1
 
     def prune(self, graph: LiveGraph, now: int) -> int:
-        if not graph.alive:
+        alive = graph.alive
+        if not alive:
             return 0
-        reached: set[BuuId] = set(v for v in graph.alive if v in graph.present)
-        frontier = deque((v, 0) for v in reached)
-        while frontier:
-            v, depth = frontier.popleft()
-            if depth == self.hops:
-                continue
-            for w in graph.out.get(v, ()):
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append((w, depth + 1))
-        # Alive vertices not yet in the graph (no edges) are trivially kept.
-        removed = 0
-        for v in list(graph.present):
-            if v in reached or v in graph.alive or v not in graph.commits:
-                continue
-            graph.remove_vertex(v)
-            removed += 1
-        self.removed_total += removed
-        return removed
+        out = graph.out
+        commits = graph.commits
+        # Level-synchronous BFS from the alive vertices that have edges
+        # (the others are trivially kept: they are not in the graph).
+        frontier = reached = alive & out.keys()
+        for _ in range(self.hops):
+            level: set[BuuId] = set()
+            for v in frontier:
+                level.update(out[v])
+            frontier = level - reached
+            if not frontier:
+                break
+            reached |= frontier
+        doomed = [v for v in out if v not in reached and v in commits]
+        graph.remove_vertices(doomed)
+        self.removed_total += len(doomed)
+        return len(doomed)
 
 
 class CombinedPruning(Pruner):
@@ -221,69 +172,3 @@ def make_pruner(name: str, max_cycle_length: int = 3) -> Pruner:
     if name not in table:
         raise ValueError(f"unknown pruning strategy {name!r}; options: {sorted(table)}")
     return table[name]()
-
-
-def _tarjan_scc(
-    graph: LiveGraph,
-) -> tuple[dict[BuuId, int], list[list[BuuId]], list[int]]:
-    """Iterative Tarjan SCC over the present subgraph.
-
-    Returns (vertex -> component id, components, component ids in the
-    order Tarjan emits them, which is reverse topological order).
-    """
-    index: dict[BuuId, int] = {}
-    low: dict[BuuId, int] = {}
-    on_stack: set[BuuId] = set()
-    stack: list[BuuId] = []
-    comp_of: dict[BuuId, int] = {}
-    components: list[list[BuuId]] = []
-    order: list[int] = []
-    counter = 0
-
-    present = graph.present
-    out = graph.out
-    no_succ: tuple[BuuId, ...] = ()
-    for root in present:
-        if root in index:
-            continue
-        call_stack: list[tuple[BuuId, Iterator[BuuId]]] = []
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        call_stack.append((root, iter(out.get(root, no_succ))))
-        while call_stack:
-            v, it = call_stack[-1]
-            advanced = False
-            for w in it:
-                if w not in present:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    call_stack.append((w, iter(out.get(w, no_succ))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            call_stack.pop()
-            if call_stack:
-                parent = call_stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                members: list[BuuId] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp_of[w] = len(components)
-                    members.append(w)
-                    if w == v:
-                        break
-                order.append(len(components))
-                components.append(members)
-    return comp_of, components, order

@@ -42,6 +42,15 @@ class EdgeType(enum.Enum):
     RW = "rw"
 
 
+#: The parallel edges between one ordered vertex pair: item label -> the
+#: type of the edge carrying it.
+LabelDict = dict[Key, EdgeType]
+
+#: One direction of :class:`~repro.core.detector.LiveGraph` adjacency:
+#: ``vertex -> neighbour -> LabelDict``.
+Adjacency = dict[BuuId, dict[BuuId, LabelDict]]
+
+
 class Operation(NamedTuple):
     """A single read or write applied to shared storage.
 

@@ -328,15 +328,15 @@ def _decode_patterns(record: list) -> PatternCounts:
 
 def encode_detector_state(detector) -> dict:
     """Snapshot a :class:`~repro.core.detector.CycleDetector`: the live
-    graph (adjacency is rebuilt from the labelled edge table), lifetime
-    cycle/pattern counts and pruning bookkeeping.  Labels and BUU ids
-    must be JSON-serializable."""
+    graph (its labelled edges — list order carries no meaning — and its
+    vertices), lifetime cycle/pattern counts and pruning bookkeeping.
+    Labels and BUU ids must be JSON-serializable."""
     graph = detector.graph
     pruner = detector.pruner
     return {
         "labels": [
             [src, dst, [[label, kind.value] for label, kind in labels.items()]]
-            for (src, dst), labels in graph.labels.items()
+            for src, dst, labels in graph.edges()
         ],
         "present": sorted(graph.present),
         "starts": [[buu, t] for buu, t in graph.starts.items()],
@@ -356,24 +356,30 @@ def encode_detector_state(detector) -> dict:
 
 def decode_detector_state(detector, state: dict) -> None:
     """Load :func:`encode_detector_state` output into a freshly built,
-    identically configured detector."""
+    identically configured detector.  The graph is rebuilt through its
+    own ``add_vertex`` / ``add_edge``; a document whose recorded
+    ``edge_count`` disagrees with the edges it lists raises
+    :class:`CheckpointError`."""
     graph = detector.graph
+    for v in state["present"]:
+        graph.add_vertex(v)
     for src, dst, labels in state["labels"]:
-        table = {label: EdgeType(kind) for label, kind in labels}
-        graph.labels[(src, dst)] = table
-        graph.out[src].add(dst)
-        graph.inc[dst].add(src)
-    graph.present = set(state["present"])
-    graph.starts = {buu: t for buu, t in state["starts"]}
-    graph.commits = {buu: t for buu, t in state["commits"]}
+        for label, kind in labels:
+            graph.add_edge(src, dst, label, EdgeType(kind))
+    if graph.edge_count != state["edge_count"]:
+        raise CheckpointError(
+            f"detector state lists {graph.edge_count} distinct edges but "
+            f"records edge_count={state['edge_count']}"
+        )
     graph.alive = set(state["alive"])
+    # Documents written before commit() dropped a BUU's start carry one
+    # entry per BUU ever begun; only the alive ones are ever read.
+    graph.starts = {buu: t for buu, t in state["starts"] if buu in graph.alive}
+    graph.commits = {buu: t for buu, t in state["commits"]}
     # Rebuild the lazily-compacted active-time heap to match the restored
     # alive set (state was installed wholesale, bypassing begin()).
-    graph._active_heap = [
-        (graph.starts[b], b) for b in graph.alive if b in graph.starts
-    ]
+    graph._active_heap = [(t, buu) for buu, t in graph.starts.items()]
     heapq.heapify(graph._active_heap)
-    graph.edge_count = state["edge_count"]
     detector.counts = _decode_counts(state["counts"])
     detector.patterns = _decode_patterns(state["patterns"])
     detector._edges_since_prune = state["edges_since_prune"]

@@ -5,18 +5,26 @@ The contract under test: every batched API (``Collector.handle_batch``,
 ``RushMon.on_operations``) is *bit-identical* to its per-operation
 counterpart — same edges, same counters, same cycle/pattern counts, and
 the same RNG draw order — for every collector kind, sampling rate and
-batch size.  Also covered here: the reachability-based ECT prune vs the
-exact-ect oracle, the key/BUU interner, and the lazily-compacted
-active-time heap.
+batch size.  Also covered here: pruning safety against the exact
+checker, the key/BUU interner, and the lazily-compacted active-time
+heap.
 """
 
+import functools
 import random
 from collections import Counter
 
 import pytest
 
 from tests.histgen import random_history
+from tests.test_checkers_differential import (
+    FULL_SEEDS,
+    SMOKE_SEEDS,
+    WORKLOADS,
+    workload_history,
+)
 from repro.bench.regress import _chunk_plan, synth_events
+from repro.checkers import exact_cycle_counts
 from repro.core.collector import (
     BaselineCollector,
     DataCentricCollector,
@@ -26,7 +34,7 @@ from repro.core.concurrent import RushMonService, ShardedCollector
 from repro.core.config import RushMonConfig
 from repro.core.detector import CycleDetector, LiveGraph
 from repro.core.monitor import RushMon
-from repro.core.pruning import EctPruning, make_pruner
+from repro.core.pruning import make_pruner
 from repro.core.types import (
     BuuInterner,
     Edge,
@@ -119,6 +127,33 @@ def _lifecycle_stream(history):
     return stream
 
 
+def _feed_detector(det, stream, batch):
+    """Feed ``stream`` (lifecycle tuples and edges) to ``det``: ``batch``
+    edges per ``add_edge_batch``, flushed before every lifecycle event,
+    or per-edge ``add_edge`` when ``batch`` is None."""
+    buf = []
+    for item in stream:
+        if item.__class__ is Edge:
+            if batch is None:
+                det.add_edge(item)
+            else:
+                buf.append(item)
+                if len(buf) >= batch:
+                    det.add_edge_batch(buf)
+                    buf = []
+            continue
+        if buf:
+            det.add_edge_batch(buf)
+            buf = []
+        if item[0] == "b":
+            det.begin_buu(item[1], item[2])
+        else:
+            det.commit_buu(item[1], item[2])
+    if buf:
+        det.add_edge_batch(buf)
+    return det
+
+
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 @pytest.mark.parametrize("pruning", [None, "both"])
 def test_detector_batch_counts_identical(batch, pruning):
@@ -127,38 +162,20 @@ def test_detector_batch_counts_identical(batch, pruning):
     prune *timing* differs by design — counts still must not)."""
     for seed in range(10):
         stream = _lifecycle_stream(random_history(seed))
-        pruner_a = make_pruner(pruning) if pruning else None
-        pruner_b = make_pruner(pruning) if pruning else None
-        det_a = CycleDetector(pruner=pruner_a, prune_interval=50)
-        det_b = CycleDetector(pruner=pruner_b, prune_interval=50)
-        buf = []
-        for item in stream:
-            if item.__class__ is Edge:
-                det_a.add_edge(item)
-                buf.append(item)
-                if len(buf) >= batch:
-                    det_b.add_edge_batch(buf)
-                    buf = []
-            else:
-                if buf:
-                    det_b.add_edge_batch(buf)
-                    buf = []
-                if item[0] == "b":
-                    det_a.begin_buu(item[1], item[2])
-                    det_b.begin_buu(item[1], item[2])
-                else:
-                    det_a.commit_buu(item[1], item[2])
-                    det_b.commit_buu(item[1], item[2])
-        if buf:
-            det_b.add_edge_batch(buf)
+        det_a, det_b = (
+            _feed_detector(
+                CycleDetector(pruner=make_pruner(pruning) if pruning else None,
+                              prune_interval=50),
+                stream, size)
+            for size in (None, batch))
         assert det_a.counts == det_b.counts
         assert det_a.patterns.counts == det_b.patterns.counts
         if pruning is None:
             g_a, g_b = det_a.graph, det_b.graph
-            assert g_a.labels == g_b.labels
+            assert list(g_a.edges()) == list(g_b.edges())
             assert g_a.out == g_b.out
             assert g_a.inc == g_b.inc
-            assert g_a.present == g_b.present
+            assert list(g_a.out.keys()) == list(g_b.out.keys())
             assert g_a.edge_count == g_b.edge_count
 
 
@@ -212,47 +229,39 @@ def test_batching_across_lifecycle_boundaries_is_count_exact():
     assert col_a.stats == col_b.stats
 
 
-# -- ECT pruning: reachability pass == exact-ect oracle ----------------------
+# -- pruning safety: pruned counts == the exact checker's --------------------
 
 
-def _random_live_graph(seed):
-    rng = random.Random(seed)
-    graph = LiveGraph()
-    n = rng.randrange(6, 40)
-    for v in range(n):
-        graph.begin(v, rng.randrange(100))
-    kinds = [EdgeType.WR, EdgeType.WW, EdgeType.RW]
-    for _ in range(rng.randrange(10, 90)):
-        u, v = rng.randrange(n), rng.randrange(n)
-        graph.add_edge(u, v, f"k{rng.randrange(8)}", rng.choice(kinds))
-    for v in range(n):
-        if rng.random() < 0.7:
-            graph.commit(v, rng.randrange(100, 220))
-    return graph
+_history = functools.lru_cache(maxsize=None)(workload_history)
 
 
-def test_ect_reachability_matches_exact_ect_oracle():
-    checked = 0
-    for seed in range(50):
-        graph = _random_live_graph(seed)
-        if not graph.alive:
-            continue
-        now = 300
-        t_active = graph.active_time(default=now)
-        ect = EctPruning()._exact_ect(graph)
-        inf = float("inf")
-        expected = {
-            v for v in graph.present
-            if v not in graph.alive and v in graph.commits
-            and ect.get(v, inf) < t_active
-        }
-        before = set(graph.present)
-        pruner = EctPruning()
-        removed = pruner.prune(graph, now)
-        assert removed == len(expected)
-        assert graph.present == before - expected
-        checked += 1
-    assert checked > 10  # the sweep must actually exercise the pruner
+def _assert_pruning_is_safe(workload, seed):
+    """A pruner may only remove vertices that no future short cycle can
+    touch, so under every strategy, however often it runs and however
+    the edges are batched, the sr=1 counts stay the exact checker's."""
+    history = _history(workload, seed)
+    exact = exact_cycle_counts(history)
+    stream = _lifecycle_stream(history)
+    for pruning in ("none", "ect", "distance", "both"):
+        for prune_interval in (1, 100):
+            for batch in (None, 64):
+                det = CycleDetector(pruner=make_pruner(pruning),
+                                    prune_interval=prune_interval)
+                _feed_detector(det, stream, batch)
+                assert det.counts == exact, (pruning, prune_interval, batch)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("seed", SMOKE_SEEDS)
+def test_pruning_never_changes_exact_counts_smoke(workload, seed):
+    _assert_pruning_is_safe(workload, seed)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("seed", FULL_SEEDS)
+def test_pruning_never_changes_exact_counts_full_sweep(workload, seed):
+    _assert_pruning_is_safe(workload, seed)
 
 
 # -- sharded collector -------------------------------------------------------

@@ -25,7 +25,7 @@ counts included — on the snapshot-restore and the full-journal-replay
 path alike.
 
 Tier-1 runs the smoke seeds; the full ``>= 10`` seed x {2, 4} worker
-sweep carries the ``oracle`` mark (CI's cluster-chaos job runs it via
+sweep and the 30-round death-then-barrier loop carry the ``oracle`` mark (CI's cluster-chaos job runs it via
 ``-m cluster``, which overrides the default ``-m 'not oracle'``).
 """
 
@@ -256,6 +256,31 @@ def test_reset_recovers_a_degraded_cluster():
         _assert_chaos_bit_exact(cluster, seed=5)
     finally:
         cluster.stop()
+
+
+@pytest.mark.oracle
+def test_barrier_right_after_a_worker_death_never_waits_on_the_dead_shard():
+    """``close_window()`` straight after a worker with no restart budget
+    dies: the barrier itself notices the exited process and fails the
+    shard, so the survivor reads ``detach`` before ``flush``.  With the
+    frames in the other order the survivor drains for ``barrier_timeout``
+    on a watermark that cannot come — about one run in five before the
+    barrier did its own down detection, hence the repetitions."""
+    history = workload_history("ycsb", 0)
+    for round_ in range(30):
+        cluster = ClusterMonitor(_chaos_config(2, seed=0,
+                                               max_worker_restarts=0))
+        cluster.barrier_timeout = 20.0  # the per-iteration budget
+        try:
+            feed_with_lifecycle([cluster], history)
+            victim = cluster._links[round_ % 2].proc
+            victim.terminate()
+            victim.join(timeout=10)
+            report = cluster.close_window()
+            assert report.health == "degraded", round_
+            assert report.degraded_shards == (round_ % 2,)
+        finally:
+            cluster.stop()
 
 
 def test_corrupt_snapshots_are_rejected_and_fallback_stays_exact():

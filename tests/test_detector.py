@@ -39,7 +39,7 @@ class TestLiveGraph:
         graph.add_edge(1, 2, "x")
         graph.add_edge(2, 3, "y")
         graph.add_edge(3, 1, "z")
-        graph.remove_vertex(2)
+        graph.remove_vertices([2])
         assert graph.num_edges() == 1
         assert graph.edge_labels(3, 1) == {"z"}
         assert not graph.edge_labels(1, 2)
