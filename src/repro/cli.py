@@ -103,9 +103,14 @@ def _drain_timeout(value: str) -> float:
     return parsed
 
 
-def _add_monitor_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sampling-rate", type=int, default=1,
-                        help="item sampling rate sr (p = 1/sr)")
+def _add_monitor_args(parser: argparse.ArgumentParser,
+                      sampling_rate: int | None = 1) -> None:
+    """``sampling_rate=None`` leaves the flag's default to
+    :class:`RushMonConfig` (``from_cli_args`` fills it in)."""
+    effective = sampling_rate or RushMonConfig().sampling_rate
+    parser.add_argument("--sampling-rate", type=int, default=sampling_rate,
+                        help=f"item sampling rate sr (p = 1/sr; default "
+                             f"{effective})")
     parser.add_argument("--no-mob", action="store_true",
                         help="disable memory-optimized bookkeeping")
     parser.add_argument("--pruning", default="both",
@@ -994,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run a RushMon server accepting networked event streams",
     )
-    _add_monitor_args(srv)
+    _add_monitor_args(srv, sampling_rate=None)
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=0,
                      help="TCP port (0 = ephemeral; the bound port is "
@@ -1009,7 +1014,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--export-port", type=int, default=None,
                      help="serve /metrics on this port (0 = ephemeral)")
     srv.add_argument("--shards", type=int, default=8)
-    srv.add_argument("--detect-interval", type=float, default=0.02)
+    srv.add_argument("--detect-interval", type=float, default=None,
+                     help=f"seconds between background detection passes "
+                          f"(default {RushMonConfig().detect_interval})")
     srv.add_argument("--journal-capacity", type=int, default=None)
     srv.add_argument("--overflow", default="block",
                      choices=["block", "shed", "degrade"])
@@ -1031,9 +1038,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default 5)")
     srv.add_argument("--no-trace", action="store_true",
                      help="skip trace recording (saves memory linear in "
-                          "the events served and lets the server skip ops "
-                          "on unsampled items before the journal; disables "
-                          "the offline differential over the checkpoint)")
+                          "the events served and, at --sampling-rate > 1, "
+                          "lets the server drop ops on unsampled items while "
+                          "it decodes a frame; disables the offline "
+                          "differential over the checkpoint)")
     srv.set_defaults(func=cmd_serve)
 
     emit = sub.add_parser(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.core.columnar import (
     HAVE_NUMPY,
@@ -263,6 +263,21 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+class _DecisionMemo(dict):
+    """``key -> chosen?`` memo that computes a missing decision on first
+    lookup, so a hit through ``memo[key]`` / ``memo.__getitem__`` is one
+    C-level dict probe with no Python frame."""
+
+    __slots__ = ("_decide",)
+
+    def __init__(self, decide: Callable[[Key], bool]) -> None:
+        self._decide = decide
+
+    def __missing__(self, key: Key) -> bool:
+        decision = self[key] = self._decide(key)
+        return decision
+
+
 class ItemSampler:
     """Deterministic membership test for the chosen-item sample (§5.1).
 
@@ -273,6 +288,12 @@ class ItemSampler:
     membership; otherwise inclusion is decided per key by a salted stable
     hash.  ``reseed`` switches to a fresh independent sample (periodic
     re-sampling, §5.1 "reducing systematic variance").
+
+    :attr:`lookup` is the same predicate as :meth:`chosen` for callers
+    that test many keys in a loop (the service's pre-journal filter, the
+    server's decode): it is the decision memo's bound ``__getitem__``, so
+    a key seen before costs a dict probe.  It stays valid — and is
+    emptied — across ``reseed`` / ``load_state`` / ``materialize``.
     """
 
     def __init__(self, sampling_rate: int, seed: int = 0) -> None:
@@ -282,10 +303,11 @@ class ItemSampler:
         self._salt = seed
         self._chosen: set[Key] | None = None
         self._universe: list[Key] | None = None
-        # Memo of hash-mode decisions.  chosen() is pure in (key, salt,
-        # sampling_rate), so caching never changes a decision; the cache
-        # is dropped whenever any of those inputs changes.
-        self._memo: dict[Key, bool] = {}
+        # Memo of decisions.  They are pure in (key, salt, sampling_rate,
+        # materialized set), so caching never changes one; the memo is
+        # emptied whenever any of those inputs changes.
+        self._memo = _DecisionMemo(self._decide)
+        self.lookup: Callable[[Key], bool] = self._memo.__getitem__
 
     @property
     def probability(self) -> float:
@@ -293,6 +315,7 @@ class ItemSampler:
 
     def materialize(self, universe: Iterable[Key]) -> None:
         self._universe = list(universe)
+        self._memo.clear()
         self._resample_materialized()
 
     def _resample_materialized(self) -> None:
@@ -315,16 +338,17 @@ class ItemSampler:
     def chosen(self, key: Key) -> bool:
         if self.sampling_rate == 1:
             return True
+        return self._memo[key]
+
+    def _decide(self, key: Key) -> bool:
+        """The decision itself; every caller reaches it through the memo."""
+        if self.sampling_rate == 1:
+            return True
         if self._chosen is not None:
             return key in self._chosen
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
         digest = zlib.crc32(repr(key).encode())
         mixed = _splitmix64(digest ^ (self._salt * 0x9E3779B97F4A7C15))
-        decision = mixed % self.sampling_rate == 0
-        self._memo[key] = decision
-        return decision
+        return mixed % self.sampling_rate == 0
 
     # -- checkpoint support ----------------------------------------------------
 

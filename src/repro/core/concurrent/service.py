@@ -60,7 +60,7 @@ import threading
 import time
 import warnings
 from dataclasses import asdict, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.concurrent.sharded import (EV_BEGIN, EV_COMMIT, EV_ELIDED, EV_OP,
                                            ShardedCollector)
@@ -532,13 +532,17 @@ class RushMonService:
         self._ensure_accepting()
         self.collector.handle(op)
 
-    def on_operations(self, ops: Iterable[Operation]) -> None:
+    def on_operations(self, ops: Iterable[Operation],
+                      elided: int = 0) -> None:
         """Observe a sequence of operations; ingested through the
         collector's batched path, which bookkeeps them in
         :attr:`batch_size` chunks (one shard-lock acquisition per shard
-        per chunk)."""
+        per chunk).  ``elided`` counts operations the caller already
+        left out with ``collector.prefilter()``'s predicate (see
+        :meth:`ShardedCollector.handle_batch`)."""
         self._ensure_accepting()
-        self.collector.handle_batch(ops, chunk=self.batch_size)
+        self.collector.handle_batch(ops, chunk=self.batch_size,
+                                    elided=elided)
 
     def begin_buu(self, buu: BuuId, start_time: int = 0) -> None:
         self._ensure_accepting()
@@ -547,6 +551,18 @@ class RushMonService:
     def commit_buu(self, buu: BuuId, commit_time: int = 0) -> None:
         self._ensure_accepting()
         self.collector.record_lifecycle(EV_COMMIT, buu, commit_time)
+
+    def begin_buus(self, buus: Sequence[BuuId],
+                   start_times: Sequence[int]) -> None:
+        """A run of :meth:`begin_buu` calls as one journal append."""
+        self._ensure_accepting()
+        self.collector.record_lifecycle_run(EV_BEGIN, buus, start_times)
+
+    def commit_buus(self, buus: Sequence[BuuId],
+                    commit_times: Sequence[int]) -> None:
+        """A run of :meth:`commit_buu` calls as one journal append."""
+        self._ensure_accepting()
+        self.collector.record_lifecycle_run(EV_COMMIT, buus, commit_times)
 
     # -- detection (background thread, or close_window() caller) ----------------
 

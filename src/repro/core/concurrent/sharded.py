@@ -43,7 +43,13 @@ shard lock the batch takes anyway and added to that shard's
 ``ops_seen`` under the same lock.  The count is an ordinary journal
 event, so it inherits ticket order, :meth:`requeue` and the checkpoint's
 pending-journal section; ``ops_seen`` and the consumer's operation
-totals keep meaning *every operation offered*.  The default (every
+totals keep meaning *every operation offered*.  A caller that can tell
+earlier still — the network server, before it builds an ``Operation``
+from a decoded record — asks :meth:`ShardedCollector.prefilter` for the
+same predicate and hands :meth:`~ShardedCollector.handle_batch` the
+chosen operations plus the number it left out (``elided``); everything
+after the filter is shared.  ``prefilter`` is the one place that says
+when leaving operations out is sound.  The default (every
 operation journaled) is what a consumer that needs the complete
 serialized execution asks for — the service's ``record_trace`` replay
 re-samples it.  At ``sampling_rate=1`` every item is chosen and the two
@@ -98,7 +104,7 @@ import random
 import threading
 import time
 import zlib
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.collector import CollectorShard, ItemSampler, _splitmix64
 from repro.core.frontier import key_partition
@@ -476,6 +482,36 @@ class ShardedCollector:
         mixed = _splitmix64(digest ^ _DEGRADE_SALT)
         return mixed % (1 << shift) == 0
 
+    def _per_event(self) -> bool:
+        """True while events must be decided one at a time: injection
+        points fire per event, a bounded journal applies its overflow
+        policy per record (a ``"block"`` producer must never wait for a
+        drain while sitting on a shard lock for a whole batch), and the
+        degrade filter drops item state per operation."""
+        return (self._faults is not None
+                or self._shard_capacity is not None
+                or bool(self._degrade_shift))
+
+    def prefilter(self) -> Callable[[Key], bool] | None:
+        """The predicate ``key -> chosen?`` a caller may apply to
+        operations *before* building or handing over anything for them —
+        or ``None`` when leaving an operation out early would be unsound.
+
+        With it, a caller passes :meth:`handle_batch` only the
+        operations on chosen keys plus the number it left out as
+        ``elided``; :meth:`handle_batch` applies the same predicate to
+        sequences nobody filtered.  It is ``None`` when the journal must
+        hold every operation (no ``journal_sampled_only``: a recorded
+        trace is re-sampled by its replay), when every item is chosen
+        (``sampling_rate == 1``), and while events are decided one at a
+        time (:meth:`_per_event`: armed faults, a bounded journal, a
+        degrade shift — whose per-event consumed offsets and secondary
+        filter need every operation to arrive)."""
+        if (self._elide and self.sampler.sampling_rate != 1
+                and not self._per_event()):
+            return self.sampler.lookup
+        return None
+
     # -- overflow handling (caller holds the shard lock) -----------------------
 
     def _resolve_overflow(self, shard: _Shard, sampled_hint: bool) -> bool:
@@ -612,7 +648,8 @@ class ShardedCollector:
         return edges
 
     def handle_batch(self, ops: Iterable[Operation],
-                     chunk: int | None = None) -> list[Edge]:
+                     chunk: int | None = None,
+                     elided: int = 0) -> list[Edge]:
         """Batched ingest: group the operations by owning shard and
         acquire each shard's lock **once per batch** instead of once per
         operation (``chunk`` caps how many operations one such round of
@@ -625,36 +662,35 @@ class ShardedCollector:
         for a shard's group are drawn under that shard's lock, so the
         drain's complete-prefix guarantee holds unchanged.
 
-        Under ``journal_sampled_only`` the whole input is filtered
-        through the sampler first — before grouping, chunking and any
+        When :meth:`prefilter` allows it, the whole input is filtered
+        through that predicate first — before grouping, chunking and any
         lock — and only the chosen operations go further; the rest are
-        counted by one ``EV_ELIDED`` record.
+        counted by one ``EV_ELIDED`` record.  ``elided`` is how many
+        operations the caller already left out with the same predicate
+        (the server does, while decoding a frame): they join that count,
+        so every total keeps meaning *every operation offered*.
 
-        Falls back to the per-op path when fault injection, a bounded
-        journal, or degrade mode is active: those features make
-        per-event decisions (injection points, overflow policy, item
-        drops) that must not be coarsened — in particular, a ``"block"``
-        producer must never wait for a drain while sitting on a shard
-        lock for a whole batch.
+        Falls back to the per-op path while :meth:`_per_event` holds —
+        those features make per-event decisions (injection points,
+        overflow policy, item drops) that must not be coarsened.
         """
         if not isinstance(ops, (list, tuple)):
             ops = list(ops)
-        if (
-            self._faults is not None
-            or self._shard_capacity is not None
-            or self._degrade_shift
-        ):
+        chosen = self.prefilter()
+        if elided and chosen is None:
+            raise ValueError(
+                "handle_batch(elided=...) needs prefilter() to allow "
+                "eliding; this collector must see every operation")
+        if chosen is None and self._per_event():
             out: list[Edge] = []
             handle = self.handle
             for op in ops:
                 out.extend(handle(op))
             return out
-        offered = len(ops)
+        offered = len(ops) + elided
+        head = ops[0] if ops else None
         all_chosen = self.sampler.sampling_rate == 1
-        elided = 0
-        if self._elide and not all_chosen and offered:
-            first_key = ops[0].key
-            chosen = self.sampler.chosen
+        if chosen is not None:
             ops = [op for op in ops if chosen(op.key)]
             elided = offered - len(ops)
             all_chosen = True
@@ -662,8 +698,10 @@ class ShardedCollector:
         sampled = 0
         if not ops:
             if elided:
-                # No lock to share: take the first operation's.
-                shard = self._shards[self.shard_index(first_key)]
+                # No lock to share: take the first offered operation's
+                # (shard 0 when the caller left every one out).
+                shard = self._shards[
+                    0 if head is None else self.shard_index(head.key)]
                 with shard.lock:
                     shard.ops_seen += elided
                     self._journal_elided(shard, elided)
@@ -778,6 +816,34 @@ class ShardedCollector:
                 shard.journal_highwater = depth
         if self._m_lifecycle is not None:
             self._m_lifecycle.inc()
+
+    def record_lifecycle_run(self, kind: str, buus: Sequence[int],
+                             times: Sequence[int]) -> None:
+        """Journal a run of same-``kind`` lifecycle events as one append
+        — one shard lock hold (the first BUU's shard), one slice of
+        tickets — with the tickets, order and records of calling
+        :meth:`record_lifecycle` once per event, which is what a bounded
+        journal still gets (its overflow policy is per record)."""
+        if not self._journal or not buus:
+            return
+        if self._per_event():
+            for buu, when in zip(buus, times):
+                self.record_lifecycle(kind, buu, when)
+            return
+        shard = self._shards[
+            key_partition(buus[0], self.num_shards, self._shard_mask)]
+        count = len(buus)
+        with shard.lock:
+            j = shard.journal
+            j.tickets.extend(itertools.islice(self._ticket, count))
+            j.kinds.extend([kind] * count)
+            j.payloads.extend(buus)
+            j.extras.extend(times)
+            depth = len(j)
+            if depth > shard.journal_highwater:
+                shard.journal_highwater = depth
+        if self._m_lifecycle is not None:
+            self._m_lifecycle.inc(count)
 
     # -- journal draining (detection thread) ----------------------------------
 

@@ -32,6 +32,16 @@ Durable acknowledgements
     acks follow ingestion immediately (at-least-once across server
     crashes, effectively-once across reconnects).
 
+Sampling at decode
+    When the service's collector allows it
+    (:meth:`~repro.core.concurrent.sharded.ShardedCollector.prefilter`:
+    no recorded trace, ``sampling_rate > 1``, unbounded journal, no
+    armed faults), a frame's operations on items outside the sample are
+    dropped *while it is decoded* — no ``Operation`` is built for them —
+    and reach the service as a count (``on_operations(ops, elided)``).
+    ``events_ingested``, ``consumed`` offsets and every total downstream
+    keep counting wire events, dropped ones included.
+
 Typed failure propagation
     Journal backpressure (``overflow="block"`` timeouts) and the
     DEGRADED circuit-breaker state surface to clients as typed wire
@@ -717,8 +727,13 @@ class RushMonServer:
                 f"sequence gap: expected {high + 1}, got {seq}",
                 retriable=False, seq=seq,
             )
+        # Operations on items outside the monitor's sample are dropped
+        # while decoding, when the collector says that is sound.  A
+        # resend resumes at an offset into the *unfiltered* event list.
+        chosen = None if offset else self.service.collector.prefilter()
         try:
-            events = protocol.decode_events(message.get("events", []))
+            events = protocol.decode_events(message.get("events", []),
+                                            chosen)
         except ProtocolError as exc:
             return False, protocol.error(
                 "bad-frame", f"malformed batch events: {exc}",
@@ -762,36 +777,56 @@ class RushMonServer:
         return True, None
 
     def _ingest_locked(self, events: list[tuple], offset: int) -> int:
-        """Feed decoded events ``[offset:]`` to the service, in order.
+        """Feed decoded events ``[offset:]`` to the service, in order;
+        returns how many wire events that was (an ``("e", n)`` entry —
+        ``n`` operations the decode left out — counts ``n``).
 
         With an unbounded journal (or a non-raising overflow policy)
-        runs of consecutive operations go through the batched ingest
-        path; under ``overflow="block"`` events are fed one at a time so
-        a backpressure timeout reports exactly how many were consumed.
+        runs of consecutive operations, and runs of consecutive begins
+        or commits, each go through one batched ingest call; under
+        ``overflow="block"`` events are fed one at a time so a
+        backpressure timeout reports exactly how many were consumed.
         """
         service = self.service
         collector = service.collector
-        count = len(events) - offset
-        if count <= 0:
+        if len(events) <= offset:
             return 0
         blocking = (collector.journal_capacity is not None
                     and collector.overflow == "block")
         if not blocking:
-            run: list = []
-            flush = service.on_operations
+            ops: list = []
+            elided = 0
+            lifecycle = {"b": service.begin_buus, "c": service.commit_buus}
+            # The open lifecycle run: its kind, BUU ids and times.
+            kind = ""
+            buus: list = []
+            times: list = []
+            count = len(events) - offset
             for event in events[offset:] if offset else events:
-                if event[0] == "op":
-                    run.append(event[1])
-                    continue
-                if run:
-                    flush(run)
-                    run = []
-                if event[0] == "b":
-                    service.begin_buu(event[1], event[2])
+                tag = event[0]
+                if tag == "op":
+                    ops.append(event[1])
+                elif tag == "e":
+                    elided += event[1]
+                    count += event[1] - 1
                 else:
-                    service.commit_buu(event[1], event[2])
-            if run:
-                flush(run)
+                    if ops or elided:
+                        service.on_operations(ops, elided)
+                        ops, elided = [], 0
+                    if buus and tag != kind:
+                        lifecycle[kind](buus, times)
+                        buus, times = [], []
+                    kind = tag
+                    buus.append(event[1])
+                    times.append(event[2])
+                    continue
+                if buus:
+                    lifecycle[kind](buus, times)
+                    buus, times = [], []
+            if ops or elided:
+                service.on_operations(ops, elided)
+            if buus:
+                lifecycle[kind](buus, times)
             return count
         consumed = 0
         try:
@@ -807,7 +842,7 @@ class RushMonServer:
         except JournalBackpressure as exc:
             exc.consumed = offset + consumed  # type: ignore[attr-defined]
             raise
-        return count
+        return consumed
 
     # -- durability / acknowledgement -----------------------------------------
 

@@ -226,6 +226,36 @@ class TestItemSampler:
         with pytest.raises(ValueError):
             ItemSampler(0)
 
+    def test_lookup_is_chosen_and_follows_every_sample_switch(self):
+        """``lookup`` is one callable for the sampler's life; each way
+        the sample can change empties its memo instead of replacing it,
+        so a caller that kept the reference never reads a stale answer."""
+        keys = list(range(300)) + [f"k{i}" for i in range(100)]
+        sampler = ItemSampler(4, seed=1)
+        lookup = sampler.lookup
+        pure = ItemSampler(4, seed=1)
+
+        def agree():
+            assert sampler.lookup is lookup
+            assert [lookup(k) for k in keys] == \
+                [sampler.chosen(k) for k in keys]
+            return [lookup(k) for k in keys]
+
+        assert agree() == [pure.chosen(k) for k in keys]
+        first = agree()  # memo hits answer what the misses did
+        sampler.reseed(999)
+        assert agree() != first
+        sampler.materialize(keys[:200])
+        inside = agree()
+        assert not any(inside[200:])
+        sampler.reseed(5)
+        assert agree() != inside
+        other = ItemSampler(9, seed=77)
+        sampler.load_state(other.to_state())
+        assert agree() == [other.chosen(k) for k in keys]
+        sampler.load_state(ItemSampler(1).to_state())
+        assert all(agree())
+
 
 class TestDataCentricCollector:
     def test_rate_one_no_mob_equals_baseline(self):

@@ -24,6 +24,7 @@ The crash-recovery story (SIGKILL mid-stream, 20 seeds) lives in
 
 import os
 import random
+import re
 import signal
 import socket
 import struct
@@ -32,12 +33,15 @@ import sys
 import threading
 import time
 import urllib.request
+import zlib
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.concurrent import RushMonService
+from repro.core.collector import ItemSampler
+from repro.core.concurrent import JournalBackpressure, RushMonService
+from repro.core.concurrent.sharded import ShardedCollector
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor
 from repro.core.types import Operation, OpType
@@ -49,6 +53,8 @@ from repro.net import (
 )
 from repro.net import protocol
 from repro.testing import Fault, FaultInjector
+
+from tests.test_sampled_journal import _events as _buu_stream
 
 
 def _ops(count, num_keys, seed):
@@ -79,6 +85,12 @@ def _assert_sr1_differential(service):
     replayed = OfflineAnomalyMonitor()
     service.serialized_trace().replay([replayed])
     assert replayed.exact_counts() == service.counts()
+
+
+def _raw_frame(codec, body):
+    """A frame around an arbitrary (possibly malformed) body."""
+    return (struct.pack("!I", len(body) + 5) + bytes([codec])
+            + struct.pack("!I", zlib.crc32(body)) + body)
 
 
 # -- framing -------------------------------------------------------------------
@@ -136,9 +148,7 @@ def test_corrupt_body_fails_crc():
 
 
 def test_non_dict_body_is_refused():
-    body = b"[1,2,3]"
-    wire = (struct.pack("!I", len(body) + 5) + bytes([protocol.CODEC_JSON])
-            + struct.pack("!I", __import__("zlib").crc32(body)) + body)
+    wire = _raw_frame(protocol.CODEC_JSON, b"[1,2,3]")
     with pytest.raises(ProtocolError, match="message dict"):
         list(protocol.FrameReader().feed(wire))
 
@@ -243,6 +253,159 @@ def test_malformed_event_records_are_refused():
         protocol.decode_events([["x", 1, 2]])
     with pytest.raises(ProtocolError):
         protocol.decode_events([["r", 1]])  # missing key/seq
+
+
+# -- the JSON big-int guard ----------------------------------------------------
+
+_digit_runs = st.integers(min_value=17, max_value=21).flatmap(
+    lambda n: st.text("0123456789", min_size=n, max_size=n))
+_guard_pieces = st.one_of(
+    _digit_runs,                                       # a bare int
+    _digit_runs.map(lambda d: "-" + d),                # a negative one
+    _digit_runs.map(lambda d: '"' + d + '"'),          # inside a string
+    _digit_runs.map(lambda d: d[:9] + "." + d[9:]),    # split by '.'
+    _digit_runs.map(lambda d: d[:9] + "e" + d[9:]),    # split by 'e'
+    _digit_runs.map(lambda d: d[:9] + "," + d[9:]),    # split by ','
+    st.sampled_from(["[", "]", ",", '"k"', " ", "1", "-", "0.5", "\u0661"]),
+)
+
+
+@given(body=st.one_of(
+    st.lists(_guard_pieces, max_size=6).map(lambda p: "".join(p).encode()),
+    st.binary(max_size=64)))
+def test_big_int_guard_accepts_exactly_what_the_regex_did(body):
+    """The linear digit-run test sends the same bodies to the stdlib
+    parser as the ``\\d{19}`` search it replaced: any run of >= 19 ASCII
+    digits, wherever it sits."""
+    assert protocol._maybe_big_int(body) == \
+        (re.search(rb"\d{19}", body) is not None)
+
+
+# -- the packed key table ------------------------------------------------------
+
+
+@pytest.fixture(params=("numpy", "no-numpy"))
+def either_numpy(request, monkeypatch):
+    """Run a codec-2 test against both column decoders."""
+    if request.param == "no-numpy":
+        monkeypatch.setattr(protocol, "_np", None)
+    elif protocol._np is None:
+        pytest.skip("numpy is not installed")
+
+
+@pytest.mark.parametrize("keys", (
+    [7, -3, 2 ** 62, 0, 7],             # all int: the one-unpack path
+    ["a", "kéy", "", "a"],              # all str
+    [5, "five", -5, "", 2 ** 40],       # mixed, int first
+    ["x", 1, 2, 3],                     # mixed, str first
+), ids=("int", "str", "mixed", "mixed-str-first"))
+def test_packed_key_table_round_trips(keys, either_numpy):
+    records = [["b", 1, 0]]
+    records += [["w" if i % 2 else "r", 1, key, i + 1]
+                for i, key in enumerate(keys)]
+    records += [["c", 1, 99]]
+    message = protocol.batch("s", 4, records)
+    body = protocol._pack_batch_columnar(message)
+    assert body is not None and body[0] == 1
+    (decoded,) = protocol.FrameReader().feed(
+        _raw_frame(protocol.CODEC_COLUMNAR, body))
+    assert decoded["events"].keys == list(dict.fromkeys(keys))
+    assert decoded["events"].to_records() == records
+    assert protocol.decode_events(decoded["events"]) == \
+        protocol.decode_events(records)
+
+
+def test_corrupt_packed_key_tables_are_refused(either_numpy):
+    records = [["w", 1, key, key] for key in (10, 20, 30, 40)]
+    body = protocol._pack_batch_columnar(protocol.batch("s", 1, records))
+    table = 1 + 2 + 1 + 16   # tag, session length, "s", seq/n/n_keys
+    assert body[table:table + 36:9] == b"\x01" * 4
+    for position, tag in ((0, 2), (2, 7), (3, 0), (1, 0)):
+        bad = bytearray(body)
+        bad[table + 9 * position] = tag
+        with pytest.raises(ProtocolError):
+            protocol._decode_columnar_body(bytes(bad))
+    for cut in (table + 9 * 4 - 1, table + 9 * 2, table + 1):
+        with pytest.raises(ProtocolError):   # body ends inside the table
+            protocol._decode_columnar_body(body[:cut])
+    huge = bytearray(body)                   # a key count the body can't hold
+    struct.pack_into("<I", huge, table - 4, 2 ** 32 - 1)
+    with pytest.raises(ProtocolError):
+        protocol._decode_columnar_body(bytes(huge))
+
+
+# -- sampling at decode: decode_events(records, chosen) ------------------------
+
+_small_keys = st.one_of(st.integers(min_value=0, max_value=40),
+                        st.sampled_from(["a", "b", "c", "d", "e", "f"]))
+_small_ints = st.integers(min_value=0, max_value=10 ** 6)
+_packable_records = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("r", "w")), _small_ints, _small_keys,
+              _small_ints).map(list),
+    st.tuples(st.sampled_from(("b", "c")), _small_ints,
+              _small_ints).map(list),
+), max_size=40)
+
+
+def _assert_elides_exactly_the_unchosen(full, filtered, chosen):
+    """``filtered`` is ``full`` with every maximal run of operations on
+    unchosen keys replaced by one ``("e", run length)`` entry."""
+    position = 0
+    previous = None
+    for entry in filtered:
+        if entry[0] == "e":
+            assert previous != "e" and entry[1] > 0
+            run = full[position:position + entry[1]]
+            assert len(run) == entry[1]
+            assert all(event[0] == "op" and not chosen(event[1].key)
+                       for event in run)
+            position += entry[1]
+        else:
+            assert entry == full[position]
+            assert entry[0] != "op" or chosen(entry[1].key)
+            position += 1
+        previous = entry[0]
+    assert position == len(full)
+
+
+@given(records=_packable_records,
+       rate=st.sampled_from((1, 2, 3, 20)), seed=st.integers(0, 5))
+def test_decode_with_a_predicate_elides_exactly_the_unchosen(records, rate,
+                                                             seed):
+    chosen = ItemSampler(rate, seed).lookup
+    full = protocol.decode_events(records)
+    assert len(full) == len(records)
+    wire = protocol.encode_frame(protocol.batch("s", 1, records),
+                                 protocol.CODEC_COLUMNAR)
+    (packed,) = protocol.FrameReader().feed(wire)
+    assert isinstance(packed["events"], protocol.ColumnarEvents)
+    for shape in (records, packed["events"]):
+        assert protocol.decode_events(shape) == full
+        filtered = protocol.decode_events(shape, chosen)
+        _assert_elides_exactly_the_unchosen(full, filtered, chosen)
+        kept = [entry for entry in filtered if entry[0] != "e"]
+        elided = sum(entry[1] for entry in filtered if entry[0] == "e")
+        assert elided + len(kept) == len(records)
+
+
+def test_an_elided_record_is_still_validated():
+    unchosen = lambda key: False  # noqa: E731
+    assert protocol.decode_events([["r", 1, 5, 2], ["w", 1, 6, 3]],
+                                  unchosen) == [("e", 2)]
+    for bad in (["r", 1, 5], ["r", 1], ["x", 1, 5, 2], 7, None):
+        with pytest.raises(ProtocolError):
+            protocol.decode_events([["r", 1, 5, 2], bad], unchosen)
+    good = protocol.ColumnarEvents([0, 1, 3], [1, 1, 1], [0, 1, -1],
+                                   [1, 2, 3], ["a", "b"])
+    assert good.to_tuples(unchosen) == [("e", 2), ("c", 1, 3)]
+    for codes, kidxs in (([0, 1, 3], [0, 2, -1]),    # index past the table
+                         ([0, 9, 3], [0, 1, -1])):   # unknown op code
+        bad = protocol.ColumnarEvents(codes, [1, 1, 1], kidxs, [1, 2, 3],
+                                      ["a", "b"])
+        with pytest.raises(ProtocolError):
+            bad.to_tuples(unchosen)
+        with pytest.raises(ProtocolError):
+            bad.to_tuples()
 
 
 # -- fault vocabulary ----------------------------------------------------------
@@ -620,6 +783,232 @@ def test_server_parameter_validation():
                                checkpoint_interval=1))
 
 
+# -- sampling at decode: the server ------------------------------------------------
+
+
+class _CodecClient(_RawClient):
+    """A raw speaker on one codec that sends batches and awaits replies."""
+
+    def __init__(self, port, session, codec):
+        super().__init__(port)
+        self.session = session
+        self.codec = codec
+        self.seq = 0
+        self.sock.sendall(protocol.encode_frame(protocol.hello(session),
+                                                codec))
+        assert self.recv()["type"] == "welcome"
+
+    def batch(self, records):
+        self.seq += 1
+        self.sock.sendall(protocol.encode_frame(
+            protocol.batch(self.session, self.seq, records), self.codec))
+        return self.recv()
+
+
+def _wire_records(events):
+    """``tests.test_sampled_journal._events`` as wire event records."""
+    return [
+        protocol.wire_op(payload) if kind == "op"
+        else (protocol.wire_begin if kind == "begin"
+              else protocol.wire_commit)(*payload)
+        for kind, payload in events
+    ]
+
+
+def _frames(records, size=130):
+    return [records[start:start + size]
+            for start in range(0, len(records), size)]
+
+
+def _sampled_service(sr, record_trace=False, **kwargs):
+    kwargs.setdefault("num_shards", 4)
+    kwargs.setdefault("detect_interval", 0.002)
+    return RushMonService(RushMonConfig(sampling_rate=sr, seed=3, **kwargs),
+                          record_trace=record_trace)
+
+
+def _totals(service):
+    return {
+        "counts": service.counts(),
+        "operations": sum(r.operations for r in service.reports),
+        "two_cycles": sum(r.raw.two_cycles for r in service.reports),
+        "edges": sum(r.edges.total for r in service.reports),
+        "ops_seen": service.collector.ops_seen,
+        "touches": service.collector.touches,
+        "processed_events": service.processed_events,
+    }
+
+
+@pytest.mark.parametrize("record_trace", (False, True),
+                         ids=("no-trace", "trace"))
+@pytest.mark.parametrize("sr", (1, 20))
+def test_wire_ingest_matches_in_process_ingest(sr, record_trace):
+    """One stream through a bare service and through a server on a JSON
+    and on a packed connection: whether or not operations are dropped at
+    decode (they are at sr=20 without a trace), every count that means
+    "events offered" and every cycle count is the same."""
+    events = _buu_stream(6000, active=10, seed=11)
+    records = _wire_records(events)
+    num_ops = sum(1 for kind, _ in events if kind == "op")
+
+    reference = _sampled_service(sr, record_trace)
+    for frame in _frames(records):
+        for event in protocol.decode_events(frame):
+            if event[0] == "op":
+                reference.on_operation(event[1])
+            elif event[0] == "b":
+                reference.begin_buu(event[1], event[2])
+            else:
+                reference.commit_buu(event[1], event[2])
+    reference.stop()
+    expected = _totals(reference)
+    assert expected["operations"] == expected["ops_seen"] == num_ops
+    assert expected["processed_events"] == len(events)
+    assert expected["counts"].two_cycles > 0
+
+    for codec in (protocol.CODEC_JSON, protocol.CODEC_COLUMNAR):
+        service = _sampled_service(sr, record_trace)
+        eliding = service.collector.prefilter() is not None
+        assert eliding == (sr > 1 and not record_trace)
+        with RushMonServer(service) as server:
+            client = _CodecClient(server.port, "diff", codec)
+            for frame in _frames(records):
+                assert client.batch(frame) == protocol.ack("diff", client.seq)
+            client.close()
+            assert server.stats["events_ingested"] == len(events)
+        assert _totals(service) == expected, f"codec {codec}"
+        snap = service.metrics.snapshot()
+        assert snap["rushmon_net_events_ingested_total"] == len(events)
+        assert snap["rushmon_collector_ops_total"] == num_ops
+
+
+def _unchosen_keys(service, count):
+    chosen = service.collector.sampler.chosen
+    keys = [key for key in range(10_000) if not chosen(key)][:count]
+    assert len(keys) == count
+    return keys
+
+
+def _kidx_out_of_table(records):
+    """A packed frame of ``records`` whose first row points one past the
+    end of the key table."""
+    body = bytearray(protocol._pack_batch_columnar(
+        protocol.batch("atomic", 2, records)))
+    n = len(records)
+    n_keys = len({record[2] for record in records})
+    kidx_column = len(body) - 21 * n + n + 8 * n
+    struct.pack_into("<i", body, kidx_column, n_keys)
+    return _raw_frame(protocol.CODEC_COLUMNAR, bytes(body))
+
+
+@pytest.mark.parametrize("case", ("short-json-record", "packed-kidx",
+                                  "malformed-tail"))
+def test_a_malformed_unchosen_record_refuses_the_whole_frame(case):
+    """Dropping operations at decode must not weaken validation or
+    atomicity: a frame with a bad record among the *elided* ones answers
+    ``bad-frame`` and ingests nothing."""
+    service = _sampled_service(20)
+    unchosen = _unchosen_keys(service, 300)
+    good = [["b", 1, 0]] + [["w", 1, key, i + 1]
+                            for i, key in enumerate(unchosen[:20])]
+    with RushMonServer(service) as server:
+        client = _CodecClient(server.port, "atomic", protocol.CODEC_JSON)
+        assert client.batch(good) == protocol.ack("atomic", 1)
+        if case == "short-json-record":
+            frame = protocol.encode_frame(protocol.batch("atomic", 2, [
+                ["r", 1, unchosen[0], 50], ["r", 1, unchosen[1]],
+                ["c", 1, 60]]))
+        elif case == "packed-kidx":
+            frame = _kidx_out_of_table(
+                [["r", 1, key, 50 + i] for i, key in enumerate(unchosen[:8])])
+        else:
+            frame = protocol.encode_frame(protocol.batch("atomic", 2, [
+                ["r", 1, key, 50 + i] for i, key in enumerate(unchosen)
+            ] + [["w", 1]]))
+        client.sock.sendall(frame)
+        reply = client.recv()
+        assert (reply["type"], reply["code"]) == ("error", "bad-frame")
+        client.close()
+        assert server.session_high("atomic") == 1
+        assert server.stats["events_ingested"] == len(good)
+        assert server.stats["batches_accepted"] == 1
+    assert service.collector.ops_seen == len(good) - 1
+    assert service.processed_events == len(good)
+    assert sum(r.operations for r in service.reports) == len(good) - 1
+
+
+def test_prefilter_is_none_whenever_eliding_would_be_unsound():
+    def collector(sr=20, record_trace=False, faults=None, **kwargs):
+        return RushMonService(RushMonConfig(sampling_rate=sr, **kwargs),
+                              record_trace=record_trace,
+                              faults=faults).collector
+
+    plain = collector()
+    assert plain.prefilter() is plain.sampler.lookup
+    assert collector(record_trace=True).prefilter() is None
+    assert collector(sr=1).prefilter() is None
+    assert collector(journal_capacity=64, overflow="block").prefilter() is None
+    assert collector(journal_capacity=64,
+                     overflow="degrade").prefilter() is None
+    assert collector(journal_capacity=64, overflow="shed").prefilter() is None
+    assert collector(faults=FaultInjector()).prefilter() is None
+    assert ShardedCollector(sampling_rate=20).prefilter() is None
+    assert ShardedCollector(sampling_rate=20,
+                            journal=True).prefilter() is None
+    # A caller may only claim to have elided where the predicate exists.
+    with pytest.raises(ValueError, match="prefilter"):
+        collector(record_trace=True).handle_batch([], elided=3)
+
+
+def test_backpressure_offsets_stay_in_unfiltered_units():
+    """Under ``overflow="block"`` nothing is dropped at decode, so the
+    ``consumed`` offset of a refusal counts wire events — and the resend
+    resumes at it, decoding without the predicate again."""
+    def bounded():
+        return RushMonService(RushMonConfig(
+            sampling_rate=20, seed=3, num_shards=1, journal_capacity=4,
+            overflow="block", block_timeout=0.02, detect_interval=60.0))
+
+    service = bounded()
+    chosen = service.collector.sampler.chosen
+    hot = [key for key in range(2000) if chosen(key)][:8]
+    cold = _unchosen_keys(service, 50)
+    ops = [Operation(OpType.WRITE, 1, key, i)
+           for i, key in enumerate(cold + hot)]
+    records = protocol.encode_events(ops)
+    # The same events, one handle() at a time, on an identical collector.
+    probe = bounded().collector
+    expected = 0
+    with pytest.raises(JournalBackpressure):
+        for op in ops:
+            probe.handle(op)
+            expected += 1
+    assert len(cold) < expected < len(ops)
+
+    for codec in (protocol.CODEC_JSON, protocol.CODEC_COLUMNAR):
+        service = bounded()
+        with RushMonServer(service) as server:
+            client = _CodecClient(server.port, "bp", codec)
+            refusal = client.batch(records)
+            assert (refusal["code"], refusal["consumed"]) == \
+                ("backpressure", expected)
+            assert server.stats["events_ingested"] == expected
+            service.close_window()           # make room, then resend
+            client.seq -= 1
+            while True:
+                reply = client.batch(records)
+                if reply["type"] == "ack":
+                    break
+                assert reply["code"] == "backpressure"
+                assert reply["consumed"] > expected
+                service.close_window()
+                client.seq -= 1
+            client.close()
+            assert server.stats["events_ingested"] == len(ops)
+        assert service.collector.ops_seen == len(ops)
+        assert service.processed_events == len(ops)
+
+
 # -- durability plumbing -------------------------------------------------------
 
 
@@ -752,7 +1141,8 @@ def test_serve_emit_cli_round_trip(tmp_path):
     a graceful SIGTERM drain with a final checkpoint."""
     ckpt = str(tmp_path / "serve.ckpt")
     proc, port = _spawn_serve(["--port", "0", "--checkpoint", ckpt,
-                               "--no-mob", "--detect-interval", "0.005"])
+                               "--sampling-rate", "1", "--no-mob",
+                               "--detect-interval", "0.005"])
     try:
         emit = subprocess.run(
             [sys.executable, "-m", "repro", "emit", "--port", str(port),

@@ -111,10 +111,11 @@ def _spawn_serve(args):
 
 
 def _serve_args(port, ckpt):
-    # --no-mob matters: the chaos differential demands *exact* counts,
-    # and MOB bookkeeping is approximate by design.
+    # --sampling-rate 1 --no-mob matter: the chaos differential demands
+    # *exact* counts; sampling (serve's default is RushMonConfig's sr=20)
+    # and MOB bookkeeping are approximate by design.
     return ["--port", str(port), "--checkpoint", ckpt,
-            "--checkpoint-every", "2", "--no-mob",
+            "--checkpoint-every", "2", "--sampling-rate", "1", "--no-mob",
             "--detect-interval", "0.005"]
 
 
@@ -177,6 +178,68 @@ def test_kill9_mid_stream_recovery_is_bit_identical(tmp_path, seed):
     stats = restored.extra_state["net"]["stats"]
     assert stats["batches_accepted"] + stats["dedup_hits"] \
         >= stats["batches_received"] - counters["retransmits"]
+    assert stats["dedup_hits"] <= counters["retransmits"]
+    assert counters["reconnects"] >= 1  # the kill was actually felt
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kill9_recovery_reconciles_with_ops_dropped_at_decode(tmp_path, seed):
+    """The same kill/restart story at ``--sampling-rate 4 --no-trace``,
+    where the server drops operations on unsampled items while it
+    decodes a frame: every event offered is still counted exactly once
+    across both incarnations, and the sampled counts equal a bare
+    service's over the same stream."""
+    rng = random.Random(2000 + seed)
+    ops = [op._replace(key=int(op.key[1:]))
+           for op in _ops(rng.randrange(400, 600), 12, seed=seed)]
+    kill_at = rng.randrange(len(ops) // 4, 3 * len(ops) // 4)
+    ckpt = str(tmp_path / "elide.ckpt")
+    args = ["--checkpoint", ckpt, "--checkpoint-every", "2",
+            "--sampling-rate", "4", "--seed", "3", "--no-mob", "--no-trace",
+            "--detect-interval", "0.005"]
+    reference = RushMonService(RushMonConfig(sampling_rate=4, seed=3,
+                                             mob=False))
+    assert reference.collector.prefilter() is not None
+    reference.on_operations(ops)
+    reference.stop()
+
+    proc, port = _spawn_serve(["--port", "0", *args])
+    second = None
+    try:
+        with RushMonClient(
+            "127.0.0.1", port, session=f"elide-{seed}", batch_size=16,
+            flush_interval=0.002, ack_timeout=0.4, connect_timeout=0.5,
+            backoff_base=0.02, backoff_max=0.2, seed=seed,
+            codec=(seed % 2) * 2,
+        ) as client:
+            for index, op in enumerate(ops):
+                if index == kill_at:
+                    proc.kill()
+                    proc.wait(timeout=10)
+                    second, _ = _spawn_serve(["--port", str(port), *args])
+                client.on_operation(op)
+                if index % 8 == 0:
+                    time.sleep(0.001)
+            assert client.flush(30.0), "stream never settled after restart"
+            counters = client.counters()
+        out = _drain_serve(second)
+        second = None
+    finally:
+        for p in (proc, second):
+            if p is not None and p.poll() is None:
+                p.kill()
+
+    assert f" events={len(ops)} " in out  # wire stats span incarnations
+    restored = RushMonService.restore(ckpt)
+    assert restored.collector.prefilter() is not None
+    assert restored.processed_events == len(ops)
+    assert restored.collector.ops_seen == len(ops)
+    assert sum(r.operations for r in restored.reports) == len(ops)
+    assert restored.collector.touches == reference.collector.touches
+    assert restored.counts() == reference.counts()
+    assert reference.counts().two_cycles > 0
+    stats = restored.extra_state["net"]["stats"]
+    assert stats["events_ingested"] == len(ops)
     assert stats["dedup_hits"] <= counters["retransmits"]
     assert counters["reconnects"] >= 1  # the kill was actually felt
 

@@ -226,6 +226,103 @@ def test_full_journal_and_sr1_never_elide():
         assert [kind for _, kind, _, _ in events] == [EV_OP] * len(ops)
 
 
+def _journaling(sr=4, **kwargs):
+    return ShardedCollector(sampling_rate=sr, mob=False, seed=3,
+                            num_shards=4, journal=True,
+                            journal_sampled_only=True, **kwargs)
+
+
+@pytest.mark.parametrize("sr", SAMPLING_RATES)
+def test_prefiltered_batch_with_elided_count_journals_the_same(sr):
+    """Handing ``handle_batch`` the chosen operations plus how many were
+    left out (what the server does after decoding with ``prefilter()``)
+    journals the operations ``handle_batch`` journals when it filters
+    itself, and counts as many elided — including batches with nothing
+    chosen and with nothing elided."""
+    ops = [payload for kind, payload in _events(3000) if kind == "op"]
+    whole, prefiltered = _journaling(sr), _journaling(sr)
+    chosen = prefiltered.prefilter()
+    assert chosen is prefiltered.sampler.lookup
+    sizes = (1, 3, 40, 100, 7, 260)
+    start = 0
+    while start < len(ops):
+        size = sizes[start % len(sizes)]
+        batch = ops[start:start + size]
+        kept = [op for op in batch if chosen(op.key)]
+        assert whole.handle_batch(batch, chunk=32) == \
+            prefiltered.handle_batch(kept, chunk=32,
+                                     elided=len(batch) - len(kept))
+        start += size
+    assert whole.ops_seen == prefiltered.ops_seen == len(ops)
+    assert whole.touches == prefiltered.touches
+    assert whole.stats == prefiltered.stats
+    # An all-elided batch is counted on the first offered operation's
+    # shard, or on shard 0 when the caller kept none to name one, and a
+    # shard's trailing count grows in place: the run-length records may
+    # be cut differently, never the operations or the total.
+    journals = [collector.drain_journal()
+                for collector in (whole, prefiltered)]
+    for kind in (EV_OP, EV_ELIDED):
+        assert kind in {event[1] for event in journals[0]}
+    assert [event[2:] for event in journals[0] if event[1] == EV_OP] == \
+        [event[2:] for event in journals[1] if event[1] == EV_OP]
+    assert len({sum(event[2] for event in journal if event[1] == EV_ELIDED)
+                for journal in journals}) == 1
+
+
+@pytest.mark.parametrize("bounded", (False, True),
+                         ids=("unbounded", "bounded"))
+@pytest.mark.parametrize("seed", range(6))
+def test_lifecycle_run_appends_what_per_event_calls_append(seed, bounded):
+    """Random begin/op/commit interleavings: journaling each run of
+    consecutive begins (or commits) with one ``record_lifecycle_run``
+    drains to the same tickets, kinds and payloads as one
+    ``record_lifecycle`` per event.  A bounded journal takes the
+    per-event path inside the run call, and must agree too."""
+    import random
+
+    rng = random.Random(seed)
+    kwargs = {"journal_capacity": 10 ** 6} if bounded else {}
+    # sr=1: no run-length records, whose cut depends on which shard a
+    # lifecycle record lands on — every ticket can be compared.
+    per_event, runs = _journaling(1, **kwargs), _journaling(1, **kwargs)
+    script = []
+    for seq in range(400):
+        roll = rng.random()
+        if roll < 0.3:
+            script.append(("begin", (rng.randrange(50), seq)))
+        elif roll < 0.6:
+            script.append(("commit", (rng.randrange(50), seq)))
+        else:
+            script.append(("op", Operation(OpType.WRITE, rng.randrange(50),
+                                           rng.randrange(24), seq)))
+    for kind, payload in script:
+        if kind == "op":
+            per_event.handle_batch([payload])
+        else:
+            per_event.record_lifecycle(kind, *payload)
+    index = 0
+    while index < len(script):
+        kind = script[index][0]
+        end = index
+        while end < len(script) and script[end][0] == kind:
+            end += 1
+        payloads = [payload for _, payload in script[index:end]]
+        if kind == "op":
+            for payload in payloads:
+                runs.handle_batch([payload])
+        else:
+            runs.record_lifecycle_run(kind, [p[0] for p in payloads],
+                                      [p[1] for p in payloads])
+        index = end
+    runs.record_lifecycle_run("begin", [], [])  # an empty run is nothing
+    drained = runs.drain_journal()
+    assert drained == per_event.drain_journal()
+    assert sum(1 for _, kind, _, _ in drained
+               if kind in ("begin", "commit")) == \
+        sum(1 for kind, _ in script if kind != "op")
+
+
 # -- failed passes ----------------------------------------------------------------
 
 
