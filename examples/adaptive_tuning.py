@@ -35,7 +35,7 @@ def main() -> None:
         trainer.simulator.config.staleness_bound = controller.bound
         bound_used = controller.bound
         trainer.simulator.run(trainer._round_buus())
-        report = trainer.monitor.report(trainer.simulator.now)
+        report = trainer.monitor.close_window(trainer.simulator.now)
         decision = controller.observe(report)
         print(f"{round_index:>5}  {str(bound_used):>5}  "
               f"{decision.rate:>12.4f}  {trainer.current_loss():.4f}  "

@@ -33,7 +33,7 @@ def main() -> None:
             for i in range(500)
         ]
         simulator.run(buus)
-        report = monitor.report(simulator.now)
+        report = monitor.close_window(simulator.now)
         print(f"{round_index:>5}  {report.operations:>5}  "
               f"{report.estimated_2:>12.1f}  {report.estimated_3:>12.1f}")
 

@@ -10,11 +10,10 @@ Three benches, all driven by the same deterministic event generator:
   delivers — and fed through ``handle_batch`` / ``add_edge_batch``.
 - **detector edge storm** — the detector alone, fed pre-collected edges
   in batches (isolates cycle counting + pruning from collection).
-- **columnar** (numpy only) — the same combined stream through the
-  vectorized :mod:`repro.core.columnar` kernel
-  (``collector_detector_sr1_columnar``), plus the collection kernel in
-  isolation (``columnar_collect_sr1``) since the pure-python detector's
-  per-edge graph work bounds every combined row identically.
+- **columnar** (numpy only) — the vectorized :mod:`repro.core.columnar`
+  collection kernel in isolation (``columnar_collect_sr1``).  No monitor
+  feeds the kernel any more (the combined row lost to the batched path
+  end to end and was retired with the ``columnar`` switch).
 - **net ingest** — server-side wire decode + sr=1 ingest of pre-encoded
   frames, codec 0 (JSON) vs codec 2 (packed columns): the
   representation claim measured where it pays, at the wire boundary.
@@ -161,10 +160,9 @@ def _columnar_plan(events: Sequence, batch_size: int) -> list:
     """The :func:`_chunk_plan` with every operation batch pre-interned
     into an :class:`OpBatch` (one shared interner across the stream).
 
-    The conversion is untimed by design, mirroring how the columnar
-    path is fed in production: operations arrive as packed codec-2
-    columns (or are interned once at the workload boundary), not as
-    per-op objects converted inside the ingest hot path.
+    The conversion is untimed by design: the row measures the kernel,
+    and building the batches (``OpBatch.from_ops``, which interns every
+    key before sampling) is what made the combined path lose.
     """
     interner = KeyInterner()
     return [OpBatch.from_ops(item, interner) if item.__class__ is list
@@ -173,39 +171,14 @@ def _columnar_plan(events: Sequence, batch_size: int) -> list:
 
 def bench_collector_detector(events: Sequence, sr: int,
                              batch_size: int = DEFAULT_BATCH_SIZE,
-                             repeats: int = 3, batched: bool = True,
-                             columnar: bool = False) -> float:
+                             repeats: int = 3, batched: bool = True) -> float:
     """Single-thread collector+detector ingest throughput (ops/sec).
 
     ``batched=False`` runs the per-operation protocol (``handle`` +
     ``add_edge`` per event) used for the pre-change baseline and for
     the machine-independent speedup ratio in check mode.
-    ``columnar=True`` feeds pre-built :class:`OpBatch` batches through
-    the vectorized kernel (bit-identical edges/counters to the batched
-    per-op protocol; see ``tests/test_columnar.py``).
     """
     n_ops = sum(1 for e in events if e.__class__ is Operation)
-    if columnar:
-        cplan = _columnar_plan(events, batch_size)
-        best = None
-        for _ in range(repeats):
-            col = DataCentricCollector(sampling_rate=sr, mob=True, seed=0)
-            det = CycleDetector(pruner=make_pruner("both"),
-                                prune_interval=1000)
-            handle_batch = col.handle_batch
-            add_edge_batch = det.add_edge_batch
-            t0 = time.perf_counter()
-            for item in cplan:
-                if item.__class__ is not tuple:
-                    add_edge_batch(handle_batch(item))
-                elif item[0] == "b":
-                    det.begin_buu(item[1], item[2])
-                else:
-                    det.commit_buu(item[1], item[2])
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        assert best is not None
-        return n_ops / best
     plan = _chunk_plan(events, batch_size) if batched else None
     best = None
     for _ in range(repeats):
@@ -310,9 +283,8 @@ def bench_collector_columnar(events: Sequence, sr: int,
     per-key grouping + edge derivation over pre-built :class:`OpBatch`
     columns, without the (pure-python) cycle detector downstream.
 
-    This is the representation-change claim in isolation — the combined
-    ``collector_detector`` rows are capped by the detector's per-edge
-    graph work, which is shared by every ingest protocol.
+    The kernel in isolation: what is left of the columnar path, kept
+    for the performance ledger's ``columnar_leg``.
     """
     n_ops = sum(1 for e in events if e.__class__ is Operation)
     cplan = [item for item in _columnar_plan(events, batch_size)
@@ -390,7 +362,9 @@ def bench_net_ingest(events: Sequence, codec: int, sr: int = 20,
                 if isinstance(records, protocol.ColumnarEvents):
                     batch, lifecycle = OpBatch.from_wire(records, interner)
                     if len(batch):
-                        add_edge_batch(handle_batch(batch))
+                        edges = handle_batch(batch)
+                        add_edge_batch(edges.iter_rows() if HAVE_NUMPY
+                                       else edges)
                     for kind, buu, when in lifecycle:
                         if kind == "b":
                             det.begin_buu(buu, when)
@@ -593,8 +567,6 @@ def run_full(batch_size: int = DEFAULT_BATCH_SIZE,
     results["detector_edge_storm"] = storm
     results["detector_edges"] = n_edges
     if HAVE_NUMPY:
-        results["collector_detector_sr1_columnar"] = bench_collector_detector(
-            events, 1, batch_size, repeats, columnar=True)
         results["columnar_collect_sr1"] = bench_collector_columnar(
             events, 1, batch_size, repeats)
     net0, counts0 = bench_net_ingest(events, protocol.CODEC_JSON,
@@ -649,12 +621,8 @@ def run_quick(batch_size: int = DEFAULT_BATCH_SIZE,
     results["net_ingest_codec2"] = net2
     results["net_ingest_speedup"] = net2 / net0
     if HAVE_NUMPY:
-        columnar_sr1 = bench_collector_detector(events, 1, batch_size,
-                                                repeats, columnar=True)
-        kernel_sr1 = bench_collector_columnar(events, 1, batch_size, repeats)
-        results["collector_detector_sr1_columnar"] = columnar_sr1
-        results["columnar_collect_sr1"] = kernel_sr1
-        results["columnar_vs_batched_sr1"] = columnar_sr1 / batched_sr1
+        results["columnar_collect_sr1"] = bench_collector_columnar(
+            events, 1, batch_size, repeats)
     return results
 
 
@@ -677,12 +645,7 @@ def _print_table(full: dict, speedups: dict) -> None:
     for key, ratio in speedups.items():
         print(f"{key:<28}{PRE_CHANGE[key]:>14,.0f}{full[key]:>14,.0f}"
               f"{ratio:>8.2f}x")
-    if "collector_detector_sr1_columnar" in full:
-        ratio = (full["collector_detector_sr1_columnar"]
-                 / full["collector_detector_sr1"])
-        print(f"{'collector_detector_sr1_columnar':<28}{'--':>14}"
-              f"{full['collector_detector_sr1_columnar']:>14,.0f}"
-              f"{ratio:>8.2f}x  (vs same-run batched per-op)")
+    if "columnar_collect_sr1" in full:
         print(f"{'columnar_collect_sr1':<28}{'--':>14}"
               f"{full['columnar_collect_sr1']:>14,.0f}"
               f"{'':>9}  (collection kernel, no detector)")
@@ -717,12 +680,12 @@ def check_quick(committed: dict, measured: dict, tolerance: float) -> list[str]:
     failures = []
     quick = committed.get("quick", {})
     gated = ["batch_speedup_sr1", "batch_speedup_storm"]
-    # The columnar rows (and codec-2's decode advantage, which lives in
-    # numpy frombuffer) only hold where numpy does — a fallback-mode
-    # host measures the pure-python struct path, so the committed
-    # ratios would gate the wrong thing there.
-    if "columnar_vs_batched_sr1" in measured:
-        gated += ["net_ingest_speedup", "columnar_vs_batched_sr1"]
+    # Codec-2's decode advantage lives in numpy frombuffer, so it only
+    # holds where numpy does — a fallback-mode host measures the
+    # pure-python struct path, so the committed ratio would gate the
+    # wrong thing there.
+    if HAVE_NUMPY:
+        gated.append("net_ingest_speedup")
     for key in gated:
         baseline = quick.get(key)
         if baseline is None:
@@ -762,11 +725,9 @@ def run_regress(out_path: str | Path = RESULTS_FILE, *, quick: bool = False,
     print(f"  net ingest codec-2 {quick_results['net_ingest_codec2']:,.0f}"
           f" vs codec-0 {quick_results['net_ingest_codec0']:,.0f}"
           f" ops/s -> {quick_results['net_ingest_speedup']:.2f}x")
-    if "columnar_vs_batched_sr1" in quick_results:
-        print(f"  sr=1 columnar {quick_results['collector_detector_sr1_columnar']:,.0f}"
-              f" ops/s ({quick_results['columnar_vs_batched_sr1']:.2f}x "
-              f"batched); kernel {quick_results['columnar_collect_sr1']:,.0f}"
-              f" ops/s")
+    if "columnar_collect_sr1" in quick_results:
+        print(f"  sr=1 columnar kernel "
+              f"{quick_results['columnar_collect_sr1']:,.0f} ops/s")
 
     if check:
         if not out_path.exists():
@@ -813,15 +774,11 @@ def run_regress(out_path: str | Path = RESULTS_FILE, *, quick: bool = False,
         )
         payload["protocol"]["cluster_cpus"] = os.cpu_count()
         payload["protocol"]["columnar"] = (
-            "collector_detector_sr1_columnar = the combined row with "
-            "OpBatch batches pre-built (untimed) and fed through the "
-            "vectorized kernel + the EdgeBatch detector feed; "
             "columnar_collect_sr1 = the collection kernel alone "
-            "(sampling, grouping, edge derivation) without the "
-            "pure-python cycle detector, which bounds every combined "
-            "row at its graph work (~1.2us/edge plus pruning since the "
-            "adjacency carries the labels, ~2us/edge before) and is "
-            "shared by all ingest protocols; numpy required (skipped "
+            "(sampling, grouping, edge derivation) over pre-built "
+            "(untimed) OpBatch batches, without the cycle detector; no "
+            "monitor feeds the kernel (the combined row measured 0.83x "
+            "the batched path and was retired); numpy required (skipped "
             "otherwise)"
         )
         payload["protocol"]["net_ingest"] = (

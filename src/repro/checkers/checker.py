@@ -170,33 +170,16 @@ def derive_dependency_edges(
     Returns the derived edges (duplicates included, as collectors emit
     them), aggregate per-kind stats, and the read observations the
     G1a/G1b analysis needs.
-
-    Grouping and visibility-sorting the history is the only part that
-    costs on a large trace, and it is pure data movement — no Section
-    2.1 semantics — so with numpy installed it routes through the
-    columnar builder (:class:`~repro.core.columnar.OpBatch` + one
-    ``lexsort``) instead of per-key python lists.  The per-item rule
-    scan itself (:func:`_scan_item`) is shared by both layouts, and the
-    result is identical element for element: key ids are dense in
-    first-appearance order, so the stable ``(key, seq)`` sort visits
-    keys and operations exactly as the dict-of-lists walk does.
-    Histories the fixed-width columns can't hold (non-integer BUUs,
-    out-of-range sequence numbers) keep the pure-python layout.
     """
     edges: list[CheckerEdge] = []
     stats = EdgeStats()
     observations: list[_Observation] = []
-    groups = _columnar_key_groups(ops) if ops else None
-    if groups is None:
-        by_key: dict[Key, list[Operation]] = {}
-        for op in ops:
-            by_key.setdefault(op.key, []).append(op)
-        groups = (
-            (key, [(o.is_read(), o.buu, o.seq)
-                   for o in sorted(key_ops, key=lambda o: o.seq)])
-            for key, key_ops in by_key.items()
-        )
-    for key, rows in groups:
+    by_key: dict[Key, list[Operation]] = {}
+    for op in ops:
+        by_key.setdefault(op.key, []).append(op)
+    for key, key_ops in by_key.items():
+        rows = [(o.is_read(), o.buu, o.seq)
+                for o in sorted(key_ops, key=lambda o: o.seq)]
         _scan_item(key, rows, edges, stats, observations)
     return edges, stats, observations
 
@@ -209,8 +192,7 @@ def _scan_item(
     observations: list["_Observation"],
 ) -> None:
     """The Section 2.1 per-item rules over one key's ``(is_read, buu,
-    seq)`` rows in visibility order (the layout-independent core both
-    grouping strategies feed)."""
+    seq)`` rows in visibility order."""
     last_writer: BuuId | None = None
     last_write_seq = 0
     readers: dict[BuuId, None] = {}  # insertion-ordered set
@@ -242,41 +224,6 @@ def _scan_item(
             readers.clear()
             last_writer = buu
             last_write_seq = seq
-
-
-def _columnar_key_groups(ops: Sequence[Operation]):
-    """Key-grouped, seq-sorted ``(key, rows)`` pairs via the columnar
-    builder, or ``None`` when numpy is absent or the history doesn't
-    fit int64 columns (the caller then groups in pure python)."""
-    from repro.core.columnar import HAVE_NUMPY, OP_READ, OpBatch
-
-    if not HAVE_NUMPY:
-        return None
-    import numpy as np
-
-    try:
-        batch = OpBatch.from_ops(ops)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    # Stable, so ties (and key groups, via dense first-seen kids) land
-    # in exactly the dict-of-lists walk's order.
-    order = np.lexsort((batch.seq, batch.kid))
-    kid_s = batch.kid[order]
-    is_read = (batch.op[order] == OP_READ).tolist()
-    buu = batch.buu[order].tolist()
-    seq = batch.seq[order].tolist()
-    starts = np.flatnonzero(
-        np.r_[True, kid_s[1:] != kid_s[:-1]]).tolist()
-    starts.append(len(kid_s))
-    key_of = batch.interner.key_of
-    group_kids = kid_s[starts[:-1]].tolist()
-
-    def generate():
-        for g, kid in enumerate(group_kids):
-            lo, hi = starts[g], starts[g + 1]
-            yield key_of(kid), zip(is_read[lo:hi], buu[lo:hi], seq[lo:hi])
-
-    return generate()
 
 
 class _CheckerGraph:

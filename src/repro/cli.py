@@ -40,17 +40,17 @@ def _batch_size(value: str) -> int:
 
 
 def _loop_threads(value: str) -> int:
-    """Argparse type for ``--loop-threads``: a non-negative integer."""
+    """Argparse type for ``--loop-threads``: a positive integer."""
     try:
         parsed = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--loop-threads must be an integer, got {value!r}"
         ) from None
-    if parsed < 0:
+    if parsed < 1:
         raise argparse.ArgumentTypeError(
-            f"--loop-threads must be >= 0, got {parsed}; 0 selects the "
-            f"legacy thread-per-connection transport"
+            f"--loop-threads must be >= 1, got {parsed}; 0 selected the "
+            f"thread-per-connection transport, which was removed"
         )
     return parsed
 
@@ -115,9 +115,9 @@ def _add_monitor_args(parser: argparse.ArgumentParser,
                         help="disable memory-optimized bookkeeping")
     parser.add_argument("--pruning", default="both",
                         choices=["none", "ect", "distance", "both"])
+    # Removed; still parsed so that main() can say so.
     parser.add_argument("--columnar", action="store_true",
-                        help="vectorized columnar ingest (numpy; falls "
-                             "back to the per-op path without it)")
+                        help=argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -1024,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--batch-size", type=_batch_size, default=256)
     srv.add_argument("--loop-threads", type=_loop_threads, default=None,
                      help="event-loop threads multiplexing connections "
-                          "(default 2; 0 = thread-per-connection)")
+                          "(default 2, at least 1)")
     srv.add_argument("--max-connections", type=_max_connections,
                      default=None,
                      help="admission cap on concurrent connections; over "
@@ -1181,6 +1181,9 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "columnar", False):
+        parser.error("--columnar was removed: the default ingest path "
+                     "measured faster end to end (DESIGN.md §13.1)")
     return args.func(args)
 
 

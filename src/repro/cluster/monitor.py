@@ -109,7 +109,6 @@ from typing import Iterable
 from repro.cluster import messages as msg
 from repro.cluster.worker import no_delay, recv_message, worker_main
 from repro.core.collector import ItemSampler
-from repro.core.columnar import OpBatch
 from repro.core.config import RushMonConfig
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
 from repro.core.frontier import key_partition
@@ -139,12 +138,6 @@ _OP_WIRE = {member: member.value for member in OpType}
 #: many distinct keys (beyond it, compute without caching — placement
 #: stays correct, only the lookup speed degrades).
 _OWNER_CACHE_MAX = 1 << 20
-
-
-def _column_list(column) -> list:
-    """An :class:`~repro.core.columnar.OpBatch` column as a plain list
-    (numpy ``tolist`` or the fallback list itself)."""
-    return column if isinstance(column, list) else column.tolist()
 
 #: Barrier-latency buckets (seconds): sub-millisecond to the timeout.
 _BARRIER_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0,
@@ -275,9 +268,6 @@ class ClusterMonitor:
         self._sampler = ItemSampler(self.config.sampling_rate,
                                     self.config.seed)
         self._owners: dict = {}
-        #: columnar routing: interner identity + per-kid (signed) owner
-        #: table.
-        self._kid_owners: dict = {}
         #: Per-shard operations ticketed but never shipped (cumulative),
         #: and the same as of the last route frame — the difference
         #: rides in the next frame as ``elided``.
@@ -852,30 +842,9 @@ class ClusterMonitor:
         return owner if self._sampler.chosen(key) else ~owner
 
     def on_operation(self, op: Operation) -> None:
-        with self._lock:
-            self._ensure_started_locked()
-            if op.seq > self._now:
-                self._now = op.seq
-            ticket = self._next_ticket()
-            key = op.key
-            owner = self._owners.get(key)
-            if owner is None:
-                owner = self._place(key)
-                if len(self._owners) < _OWNER_CACHE_MAX:
-                    self._owners[key] = owner
-            if owner >= 0:
-                buffer = self._buffers[owner]
-                buffer.append([_OP_WIRE[op.op], op.buu, key, op.seq, ticket])
-                if len(buffer) > self._fullest:
-                    self._fullest = len(buffer)
-            else:
-                self._elided[~owner] += 1
-            self.ops_routed += 1
-            self._route_if_full_locked()
+        self.on_operations((op,))
 
     def on_operations(self, ops: Iterable[Operation]) -> None:
-        if isinstance(ops, OpBatch):
-            return self.on_op_batch(ops)
         with self._lock:
             self._ensure_started_locked()
             buffers = self._buffers
@@ -903,59 +872,6 @@ class ClusterMonitor:
             self.ops_routed += ticket - self._ticket
             self._ticket = ticket
             self._now = now
-            self._fullest = max(map(len, buffers))
-            self._route_if_full_locked()
-
-    def on_op_batch(self, batch: OpBatch) -> None:
-        """Columnar fast path of :meth:`on_operations`.
-
-        Routes an :class:`~repro.core.columnar.OpBatch` without
-        materializing per-op ``Operation`` objects: the owning worker is
-        (signed by the sampling decision, see :meth:`_place`) is
-        computed once per interned key id (a dense per-kid table shared
-        across batches), rows gather their owner through it, and wire
-        records are emitted straight from the batch's columns.  Tickets,
-        buffer contents, elided counts and route frames are identical to
-        routing the same operations through the per-op path.
-        """
-        with self._lock:
-            self._ensure_started_locked()
-            n = len(batch)
-            if not n:
-                return
-            interner = batch.interner
-            cache = self._kid_owners
-            owners = cache.get("owners")
-            if cache.get("interner") is not interner or owners is None:
-                cache.clear()
-                cache["interner"] = interner
-                owners = cache["owners"] = []
-            if len(owners) < len(interner):
-                owners.extend(map(self._place, map(
-                    interner.key_of, range(len(owners), len(interner)))))
-            kids = _column_list(batch.kid)
-            codes = _column_list(batch.op)
-            buus = _column_list(batch.buu)
-            seqs = _column_list(batch.seq)
-            keys = interner._keys
-            buffers = self._buffers
-            elided = self._elided
-            ticket = self._ticket
-            rw = ("r", "w")
-            for code, buu, kid, seq, owner in zip(
-                    codes, buus, kids, seqs,
-                    map(owners.__getitem__, kids)):
-                ticket += 1
-                if owner >= 0:
-                    buffers[owner].append(
-                        [rw[code], buu, keys[kid], seq, ticket])
-                else:
-                    elided[~owner] += 1
-            self._ticket = ticket
-            high = batch.max_seq()
-            if high > self._now:
-                self._now = high
-            self.ops_routed += n
             self._fullest = max(map(len, buffers))
             self._route_if_full_locked()
 
@@ -1320,7 +1236,6 @@ class ClusterMonitor:
                 # collectors will.
                 self._sampler = ItemSampler(config.sampling_rate, config.seed)
                 self._owners = {}
-                self._kid_owners = {}
             self.config = config
             with self._sup_lock:
                 self._config_dict = asdict(config)

@@ -644,7 +644,7 @@ class ClusterWorker:
         except OSError:
             pass
 
-    def _accept_loop(self) -> None:
+    def _accept_peers(self) -> None:
         """Lifetime acceptor for the exchange listener.
 
         Serves two kinds of inbound connection: initial mesh hellos
@@ -813,7 +813,7 @@ class ClusterWorker:
         """Connect to the router, build (or rejoin) the mesh, serve
         until ``bye``."""
         self._listener = socket.create_server(("127.0.0.1", 0))
-        threading.Thread(target=self._accept_loop, daemon=True,
+        threading.Thread(target=self._accept_peers, daemon=True,
                          name=f"accept-{self.index}").start()
         self._control = no_delay(socket.create_connection(
             (host, port), timeout=self.handshake_timeout))

@@ -1,11 +1,9 @@
 """The unified monitor API: one listener protocol, one report surface.
 
-Before this module existed, the repo had three monitor classes with
-three slightly different duck-typed surfaces: :class:`RushMon` (serial),
-:class:`RushMonService` (concurrent) and :class:`OfflineAnomalyMonitor`
-(exact baseline).  Drivers fed them via ``getattr`` probing and callers
-had to know which flavour they held (``report()`` vs ``flush()`` vs
-``exact_counts()``).  This module fixes the seam:
+The monitor classes — :class:`RushMon` (serial), :class:`RushMonService`
+(concurrent), :class:`~repro.cluster.ClusterMonitor` (multi-process) and
+:class:`OfflineAnomalyMonitor` (exact baseline) — share one surface, so
+drivers and callers never need to know which flavour they hold:
 
 - :class:`MonitorListener` — the *ingestion* protocol every monitor (and
   trace recorder) implements: BUU lifecycle plus the operation stream in
@@ -17,9 +15,7 @@ had to know which flavour they held (``report()`` vs ``flush()`` vs
 - :class:`AnomalyMonitor` — the *reporting* protocol: windowed
   ``close_window()`` → :class:`~repro.core.types.AnomalyReport`, the
   ``reports`` history, ``latest_report()`` and lifetime
-  ``cumulative_estimates()``.  ``RushMon.report()`` and
-  ``RushMonService.flush()`` remain as thin documented aliases of
-  ``close_window()`` for backward compatibility.
+  ``cumulative_estimates()``.
 
 Both protocols are ``runtime_checkable`` so conformance is testable
 (``isinstance(monitor, MonitorListener)``), and the shared conformance
@@ -74,8 +70,7 @@ class AnomalyMonitor(MonitorListener, Protocol):
 
     - ``close_window()`` closes the current monitoring window and
       returns its :class:`~repro.core.types.AnomalyReport` (``None`` if
-      the implementation had nothing to report).  The canonical verb;
-      ``RushMon.report()`` and ``RushMonService.flush()`` alias it.
+      the implementation had nothing to report).
     - ``reports`` is the ordered history of closed windows.
     - ``latest_report()`` is the most recently closed window (an atomic
       snapshot on the concurrent service).

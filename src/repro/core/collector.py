@@ -90,20 +90,13 @@ class Collector:
         """Batched :meth:`handle`: feed a sequence of operations, return
         their edges as one list.
 
-        Also accepts a columnar :class:`~repro.core.columnar.OpBatch`
-        (materialized back to per-op handling here; collectors with a
-        vectorized kernel override that path).  Subclasses override this
-        with fused loops (hoisted attribute lookups, one output buffer);
-        every override is bit-identical to per-op handling — same edges,
-        counters, and RNG draw order — as enforced by the
-        batch-equivalence test suite.
+        This loop over the per-op reference is what the baseline and
+        edge-sampling collectors run; :class:`DataCentricCollector`
+        overrides it with a fused loop that is bit-identical to per-op
+        handling — same edges, counters, and RNG draw order — as
+        enforced by the batch-equivalence test suite.
         """
-        if isinstance(ops, OpBatch):
-            ops = ops.to_ops()
-        edges: list[Edge] = []
-        for op in ops:
-            edges.extend(self.handle(op))
-        return edges
+        return self.handle_all(ops)
 
     @property
     def sampling_probability(self) -> float:
@@ -148,48 +141,6 @@ class BaselineCollector(Collector):
             state.last_write = op.buu
         return out
 
-    def handle_batch(self, ops: Iterable[Operation]) -> list[Edge]:
-        if isinstance(ops, OpBatch):
-            ops = ops.to_ops()
-        elif not isinstance(ops, (list, tuple)):
-            ops = list(ops)
-        n = len(ops)
-        self.ops_seen += n
-        self.touches += n
-        out: list[Edge] = []
-        append = out.append
-        items = self._items
-        stats = self.stats
-        READ = OpType.READ
-        WR, WW, RW = EdgeType.WR, EdgeType.WW, EdgeType.RW
-        new = tuple.__new__
-        for op in ops:
-            _kind, buu, key, seq = op
-            state = items.get(key)
-            if state is None:
-                state = _FullItemState()
-                items[key] = state
-            lw = state.last_write
-            if _kind is READ:
-                if lw is not None and lw != buu:
-                    stats.wr += 1
-                    append(new(Edge, (lw, buu, WR, key, seq)))
-                state.read_ids.add(buu)
-            else:
-                read_ids = state.read_ids
-                if not read_ids:
-                    if lw is not None and lw != buu:
-                        stats.ww += 1
-                        append(new(Edge, (lw, buu, WW, key, seq)))
-                else:
-                    for reader in read_ids:
-                        if reader != buu:
-                            stats.rw += 1
-                            append(new(Edge, (reader, buu, RW, key, seq)))
-                    read_ids.clear()
-                state.last_write = buu
-        return out
-
 
 class EdgeSamplingCollector(BaselineCollector):
     """Section 4.2's strawman: uniform per-edge sampling ("ES").
@@ -223,19 +174,6 @@ class EdgeSamplingCollector(BaselineCollector):
             if edge not in kept:
                 self._unrecord(edge.kind)
         return kept
-
-    def handle_batch(self, ops: Iterable[Operation]) -> list[Edge]:
-        if self.sampling_rate == 1:
-            return BaselineCollector.handle_batch(self, ops)
-        # Sampled ES must draw its coin per edge in per-op order to stay
-        # bit-identical; ES is the paper's strawman, not a fast path.
-        if isinstance(ops, OpBatch):
-            ops = ops.to_ops()
-        out: list[Edge] = []
-        handle = self.handle
-        for op in ops:
-            out.extend(handle(op))
-        return out
 
     def _unrecord(self, kind: EdgeType) -> None:
         if kind is EdgeType.WR:
@@ -703,7 +641,7 @@ class DataCentricCollector(Collector):
             self.sampler.materialize(items)
         self._resample_interval = resample_interval
         self._resample_epoch = 0
-        # Per-key-id DCS decision cache for the columnar path (see
+        # Per-key-id DCS decision cache for the columnar kernel (see
         # :func:`repro.core.columnar.sample_mask`).
         self._mask_cache: dict = {}
 
@@ -769,6 +707,8 @@ class DataCentricCollector(Collector):
         and returns an :class:`~repro.core.columnar.EdgeBatch`; without
         numpy (or under periodic re-sampling) it degrades to the per-op
         path via ``to_ops()`` — same results, list-of-``Edge`` output.
+        No monitor feeds one: the branch exists for the performance
+        ledger's ``columnar_leg`` and goes when that leg does.
         """
         if isinstance(ops, OpBatch):
             if not HAVE_NUMPY or self._resample_interval:
@@ -777,13 +717,9 @@ class DataCentricCollector(Collector):
         if not isinstance(ops, (list, tuple)):
             ops = list(ops)
         if self._resample_interval:
-            out: list[Edge] = []
-            handle = self.handle
-            for op in ops:
-                out.extend(handle(op))
-            return out
+            return self.handle_all(ops)
         self.ops_seen += len(ops)
-        out = []
+        out: list[Edge] = []
         sampler = self.sampler
         if sampler.sampling_rate == 1:
             self.shard.handle_batch(ops, out)

@@ -1,16 +1,22 @@
-"""Columnar batch ingest: parallel-array operation batches + kernels.
+"""Columnar operation batches + the vectorized collection kernel.
 
-The per-op hot path (``DataCentricCollector.handle_batch``) spends most
-of its time on python-object plumbing: one ``Operation`` NamedTuple per
-event, one dict probe per op, one attribute walk per bookkeeping field.
-This module provides the representation change ROADMAP item 2 calls for:
+**No monitor feeds this module.**  It was the second implementation
+behind ``RushMonConfig(columnar=True)``; that switch, the ``EdgeBatch``
+detector feed and the cluster/checker columnar entry points were
+retired once the fused pure-python ``handle_batch`` measured faster end
+to end on every recording (interning every key of every operation
+*before* sampling is the opposite of §5.1's premise that unsampled items
+pay nothing).  What stays is what the performance ledger's
+``columnar_leg`` times — the builders and the kernel — plus their
+bit-exact differential, until that leg is dropped and this file with it
+(DESIGN.md §13, ROADMAP item 1):
 
 - :class:`OpBatch` — one batch of operations as parallel arrays
   (op-type code, interned key id, txn id, seq, read-value id) sharing a
   :class:`~repro.core.types.KeyInterner`, built from ``Operation``
   sequences (:meth:`OpBatch.from_ops`), raw columns
   (:meth:`OpBatch.from_columns`) or wire event records
-  (:meth:`OpBatch.from_events`).
+  (:meth:`OpBatch.from_events`, :meth:`OpBatch.from_wire`).
 - :class:`EdgeBatch` — derived dependency edges as parallel arrays
   (src, dst, kind code, label id, seq) plus the original op row each
   edge was attributed to, so the flattened edge stream is *exactly* the
@@ -36,9 +42,9 @@ the recorded outcomes.  ``tests/test_columnar.py`` enforces equality of
 edges, counters and RNG end-state against the per-op path.
 
 numpy is optional (``pip install repro[fast]``).  Without it,
-:class:`OpBatch` stores plain lists and every consumer transparently
-falls back to the per-op path via :meth:`OpBatch.to_ops` — same
-results, no fast path.
+:class:`OpBatch` stores plain lists and
+``DataCentricCollector.handle_batch`` falls back to the per-op path via
+:meth:`OpBatch.to_ops` — same results, no kernel.
 """
 
 from __future__ import annotations
@@ -240,13 +246,6 @@ class OpBatch:
             for o, k, b, s in zip(ops, kids, buus, seqs)
         ]
 
-    def max_seq(self) -> int:
-        if not len(self.op):
-            return 0
-        if HAVE_NUMPY and not isinstance(self.seq, list):
-            return int(self.seq.max())
-        return max(self.seq)
-
 
 class EdgeBatch:
     """Derived dependency edges in struct-of-arrays layout.
@@ -283,11 +282,10 @@ class EdgeBatch:
         return cls(z, z, k, z, z, interner, 0, 0, 0)
 
     def iter_rows(self):
-        """Lazy ``(src, dst, kind, raw_key, seq)`` rows — the exact
-        5-tuple shape :meth:`CycleDetector.add_edge_batch` unpacks, with
-        labels translated back to raw keys.  Translation runs through
-        C-level ``map`` over the interner's id table so the hot detector
-        loop pays no python-level call per edge."""
+        """Lazy ``(src, dst, kind, raw_key, seq)`` rows — the 5-tuple
+        shape of :class:`~repro.core.types.Edge` — with labels
+        translated back to raw keys through C-level ``map`` over the
+        interner's id table."""
         if isinstance(self.src, list):
             srcs, dsts, kinds = self.src, self.dst, self.kind
             labels, seqs = self.label, self.seq

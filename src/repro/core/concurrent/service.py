@@ -58,13 +58,12 @@ from __future__ import annotations
 import logging
 import threading
 import time
-import warnings
 from dataclasses import asdict, replace
 from typing import Iterable, Sequence
 
 from repro.core.concurrent.sharded import (EV_BEGIN, EV_COMMIT, EV_ELIDED, EV_OP,
                                            ShardedCollector)
-from repro.core.config import RushMonConfig
+from repro.core.config import DEFAULT_BATCH_SIZE, RushMonConfig
 from repro.core.detector import CycleDetector
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
 from repro.core.monitor import WindowTracker
@@ -74,20 +73,9 @@ from repro.obs.instrument import instrument_detector
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import wal
 
-#: Default ops per ingest/detect batch.  Big enough to amortize lock
-#: acquisitions and detector dispatch, small enough that a pass's
-#: incremental progress (crash-safe consumed-count advancement) stays
-#: fine-grained.  (Canonical home: ``repro.core.config`` — re-exported
-#: here for backward compatibility.)
-DEFAULT_BATCH_SIZE = 256
-
-#: Sentinel distinguishing "kwarg not passed" from any real value, so
-#: the deprecated construction kwargs can warn only when actually used.
-_UNSET = object()
-
-#: Service tunables that moved into :class:`RushMonConfig`; passing them
-#: as keywords still works for one release but warns.
-_CONFIG_KWARGS = (
+#: Service tunables a checkpoint's ``"service"`` dict may carry;
+#: :meth:`RushMonService.restore` folds them into the config.
+_SERVICE_KNOBS = (
     "num_shards",
     "detect_interval",
     "journal_capacity",
@@ -96,8 +84,6 @@ _CONFIG_KWARGS = (
     "max_restarts",
     "restart_backoff",
     "max_backoff",
-    "checkpoint_path",
-    "checkpoint_interval",
     "batch_size",
 )
 
@@ -125,12 +111,6 @@ class RushMonService:
         ``ValueError`` rather than silently dropping the setting.  Use
         the serial :class:`~repro.core.monitor.RushMon` for periodic
         re-sampling.
-
-        .. deprecated:: 1.0
-           Passing the service tunables as keyword arguments
-           (``RushMonService(cfg, num_shards=4)``) still works but
-           emits a ``DeprecationWarning`` and will be removed in the
-           next release; the values override the config's.
     items:
         Optional known item universe for an exact up-front sample.
     record_trace:
@@ -160,51 +140,12 @@ class RushMonService:
         self,
         config: RushMonConfig | None = None,
         *,
-        num_shards: int = _UNSET,
-        detect_interval: float = _UNSET,
         items: Iterable[Key] | None = None,
         record_trace: bool = False,
-        journal_capacity: int | None = _UNSET,
-        overflow: str = _UNSET,
-        block_timeout: float = _UNSET,
-        max_restarts: int = _UNSET,
-        restart_backoff: float = _UNSET,
-        max_backoff: float = _UNSET,
-        checkpoint_path: str | None = _UNSET,
-        checkpoint_interval: int | None = _UNSET,
-        batch_size: int = _UNSET,
         faults=None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.config = config or RushMonConfig()
-        overrides = {
-            name: value
-            for name, value in (
-                ("num_shards", num_shards),
-                ("detect_interval", detect_interval),
-                ("journal_capacity", journal_capacity),
-                ("overflow", overflow),
-                ("block_timeout", block_timeout),
-                ("max_restarts", max_restarts),
-                ("restart_backoff", restart_backoff),
-                ("max_backoff", max_backoff),
-                ("checkpoint_path", checkpoint_path),
-                ("checkpoint_interval", checkpoint_interval),
-                ("batch_size", batch_size),
-            )
-            if value is not _UNSET
-        }
-        if overrides:
-            warnings.warn(
-                f"passing {sorted(overrides)} as RushMonService keyword "
-                f"arguments is deprecated; set them on RushMonConfig "
-                f"instead (e.g. RushMonConfig(num_shards=4)) — the "
-                f"keywords will be removed in the next release",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # replace() re-runs RushMonConfig validation on the result.
-            self.config = replace(self.config, **overrides)
         if self.config.resample_interval is not None:
             raise ValueError(
                 "RushMonConfig.resample_interval is not supported by "
@@ -747,23 +688,6 @@ class RushMonService:
             )
         return self._detect_pass()
 
-    def flush(self) -> AnomalyReport | None:
-        """Deprecated alias of :meth:`close_window`.
-
-        .. deprecated:: 1.0
-           Call :meth:`close_window` — the verb every monitor shares
-           (see :mod:`repro.core.api`).  This alias warns now and will
-           be removed in the next release.
-        """
-        warnings.warn(
-            "RushMonService.flush() is deprecated; call close_window() "
-            "instead (the canonical AnomalyMonitor verb, see "
-            "repro.core.api). flush() will be removed in the next release.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.close_window()
-
     # -- checkpoint / restore ----------------------------------------------------
 
     def _maybe_checkpoint(self) -> None:
@@ -847,10 +771,17 @@ class RushMonService:
         # what the snapshotted service actually ran with).  .get():
         # pre-batching checkpoints lack batch_size.
         cfg_dict = dict(payload["config"])
-        for knob in _CONFIG_KWARGS:
+        for knob in _SERVICE_KNOBS:
             if knob in saved:
                 cfg_dict[knob] = saved[knob]
         cfg_dict.setdefault("batch_size", DEFAULT_BATCH_SIZE)
+        # Options retired since the checkpoint was written: the columnar
+        # switch is gone, and loop_threads=0 selected the thread-per-
+        # connection transport, which is gone too (the pool default
+        # serves the restored service instead).
+        cfg_dict.pop("columnar", None)
+        if cfg_dict.get("loop_threads") == 0:
+            del cfg_dict["loop_threads"]
         # Checkpointing is re-armed by restore()'s own arguments, not by
         # whatever schedule the snapshotted service had.
         cfg_dict["checkpoint_path"] = checkpoint_path

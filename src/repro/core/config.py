@@ -8,9 +8,7 @@ service fields (``num_shards`` … ``checkpoint_interval``), and the
 multi-process :class:`~repro.cluster.ClusterMonitor` reads the cluster
 fields (``num_workers``, ``cluster_batch``).  Fields a flavour does not
 use are simply ignored, so one config object can describe a whole
-deployment.  Constructing the service with loose keyword arguments
-(``RushMonService(cfg, num_shards=4)``) still works but is deprecated —
-see :meth:`~repro.core.concurrent.RushMonService.__init__`.
+deployment.
 """
 
 from __future__ import annotations
@@ -18,8 +16,10 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
-#: Default ops per ingest/detect batch (service) — mirrored as
-#: ``repro.core.concurrent.service.DEFAULT_BATCH_SIZE``.
+#: Default ops per ingest/detect batch (service).  Big enough to
+#: amortize lock acquisitions and detector dispatch, small enough that a
+#: pass's incremental progress (crash-safe consumed-count advancement)
+#: stays fine-grained.
 DEFAULT_BATCH_SIZE = 256
 
 #: Default ops buffered per worker before the cluster router flushes.
@@ -49,12 +49,6 @@ class RushMonConfig:
         interval; logical operations are this reproduction's clock.
     count_three_cycles:
         Disable to monitor only 2-cycles.
-    columnar:
-        Route batched ingest through the vectorized columnar kernel
-        (:mod:`repro.core.columnar`) — operations are interned into
-        numpy column batches and edges derived as array ops.
-        Bit-identical results; silently ignored when numpy is not
-        installed (``pip install repro[fast]``).
     seed:
         Seed for all of the monitor's internal randomness.
     num_shards:
@@ -92,8 +86,7 @@ class RushMonConfig:
         window cannot be replayed bit-exactly and degrades instead.
     loop_threads:
         Serving: event-loop threads multiplexing connections in
-        :class:`~repro.net.server.RushMonServer` (``0`` = legacy
-        thread-per-connection transport).
+        :class:`~repro.net.server.RushMonServer`.
     max_connections:
         Serving: admission-control cap on concurrent connections;
         ``None`` = unlimited.
@@ -110,7 +103,6 @@ class RushMonConfig:
     prune_interval: int = 1000
     resample_interval: int | None = None
     count_three_cycles: bool = True
-    columnar: bool = False
     seed: int = 0
     # -- service (repro.core.concurrent.RushMonService) ----------------
     num_shards: int = 8
@@ -163,7 +155,6 @@ class RushMonConfig:
             sampling_rate=pick("sampling_rate", defaults.sampling_rate),
             mob=not getattr(args, "no_mob", False),
             pruning=pick("pruning", defaults.pruning),
-            columnar=bool(getattr(args, "columnar", False)),
             seed=pick("seed", defaults.seed),
             resample_interval=getattr(args, "resample_interval", None),
             num_shards=pick("shards", defaults.num_shards),
@@ -233,11 +224,6 @@ class RushMonConfig:
             raise ValueError(
                 f"seed must be an int, got {type(self.seed).__name__}"
             )
-        if not isinstance(self.columnar, bool):
-            raise ValueError(
-                f"columnar must be a bool, got "
-                f"{type(self.columnar).__name__}"
-            )
         # -- service fields (validated here so RushMonService can trust
         # -- any config object it is handed) -----------------------------
         if self.detect_interval <= 0:
@@ -306,11 +292,11 @@ class RushMonConfig:
         # -- serving fields ----------------------------------------------
         if not isinstance(self.loop_threads, int) or isinstance(
             self.loop_threads, bool
-        ) or self.loop_threads < 0:
+        ) or self.loop_threads < 1:
             raise ValueError(
-                f"loop_threads must be an integer >= 0 event-loop threads "
-                f"(0 = thread-per-connection transport), got "
-                f"{self.loop_threads!r}"
+                f"loop_threads must be an integer >= 1 event-loop threads "
+                f"(0 selected the thread-per-connection transport, which "
+                f"was removed), got {self.loop_threads!r}"
             )
         if self.max_connections is not None and (
             not isinstance(self.max_connections, int)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator, KeysView
 
-from repro.core.columnar import EdgeBatch
 from repro.core.patterns import PatternCounts, classify_two_cycle
 from repro.core.types import (
     Adjacency,
@@ -259,14 +258,7 @@ class CycleDetector:
         prune-interval check to the batch boundary.  Deferring pruning
         is count-preserving: safe pruning (§5.3) only removes vertices
         that cannot join future short cycles.
-
-        A columnar :class:`~repro.core.columnar.EdgeBatch` is accepted
-        natively: its rows are already in per-op emission order, and
-        labels are translated back to raw keys through the batch's
-        interner so graph state stays identical to the per-edge path.
         """
-        if isinstance(edges, EdgeBatch):
-            edges = edges.iter_rows()
         total = CycleCounts()
         graph = self.graph
         out = graph.out

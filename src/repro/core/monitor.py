@@ -19,11 +19,9 @@ branch on monitor flavour.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable
 
 from repro.core.collector import BaselineCollector, DataCentricCollector
-from repro.core.columnar import HAVE_NUMPY, EdgeBatch, OpBatch
 from repro.core.config import RushMonConfig
 from repro.core.detector import CycleDetector
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
@@ -34,7 +32,6 @@ from repro.core.types import (
     CycleCounts,
     EdgeStats,
     Key,
-    KeyInterner,
     Operation,
 )
 from repro.obs.instrument import instrument_serial_monitor
@@ -73,20 +70,12 @@ class WindowTracker:
         self.raw.add(self.detector.add_edge(edge))
 
     def observe_edges(self, edges) -> None:
-        """Batched :meth:`observe_edge` (same counts, one detector call).
-        Accepts a list of edges or a columnar
-        :class:`~repro.core.columnar.EdgeBatch` (per-kind tallies ride
-        on the batch, so no per-edge stats loop is needed)."""
+        """Batched :meth:`observe_edge` (same counts, one detector call)."""
         if not edges:
             return
         stats = self.edges
-        if isinstance(edges, EdgeBatch):
-            stats.wr += edges.wr
-            stats.ww += edges.ww
-            stats.rw += edges.rw
-        else:
-            for edge in edges:
-                stats.record(edge.kind)
+        for edge in edges:
+            stats.record(edge.kind)
         self.raw.add(self.detector.add_edge_batch(edges))
 
     def close(self, end: int, probability: float,
@@ -162,11 +151,6 @@ class RushMon:
         )
         self._window = WindowTracker(self.detector)
         self._now = 0
-        # --columnar: batches are interned into OpBatch columns and take
-        # the vectorized kernel; a no-numpy install silently keeps the
-        # (bit-identical) per-op path.
-        self._columnar = bool(self.config.columnar) and HAVE_NUMPY
-        self._interner = None
         self.reports: list[AnomalyReport] = []
         # Observability is callback-only on the serial path (zero
         # hot-path cost): every reading is pulled from existing counters
@@ -202,31 +186,16 @@ class RushMon:
         detector batch.  Identical counts to per-op ingestion (collector
         state never depends on detector state, per-key edge order is
         preserved, and windows only close on explicit
-        :meth:`close_window` calls).
-
-        Accepts a columnar :class:`~repro.core.columnar.OpBatch`
-        directly; with ``config.columnar`` set, plain operation
-        sequences are interned into one first."""
-        if not isinstance(ops, OpBatch):
-            if not isinstance(ops, (list, tuple)):
-                ops = list(ops)
-            if not ops:
-                return
-            if self._columnar:
-                if self._interner is None:
-                    self._interner = KeyInterner()
-                ops = OpBatch.from_ops(ops, self._interner)
-        if isinstance(ops, OpBatch):
-            if not len(ops):
-                return
-            edges = self.collector.handle_batch(ops)
-            now = max(self._now, ops.max_seq())
-        else:
-            edges = self.collector.handle_batch(ops)
-            now = self._now
-            for op in ops:
-                if op.seq > now:
-                    now = op.seq
+        :meth:`close_window` calls)."""
+        if not isinstance(ops, (list, tuple)):
+            ops = list(ops)
+        if not ops:
+            return
+        edges = self.collector.handle_batch(ops)
+        now = self._now
+        for op in ops:
+            if op.seq > now:
+                now = op.seq
         self._now = now
         self._window.observe_operations(len(ops))
         self._window.observe_edges(edges)
@@ -251,23 +220,6 @@ class RushMon:
         rep = self._window.close(end, self.sampling_probability)
         self.reports.append(rep)
         return rep
-
-    def report(self, now: int | None = None) -> AnomalyReport:
-        """Deprecated alias of :meth:`close_window`.
-
-        .. deprecated:: 1.0
-           Call :meth:`close_window` — the verb every monitor shares
-           (see :mod:`repro.core.api`).  This alias warns now and will
-           be removed in the next release.
-        """
-        warnings.warn(
-            "RushMon.report() is deprecated; call close_window() instead "
-            "(the canonical AnomalyMonitor verb, see repro.core.api). "
-            "report() will be removed in the next release.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.close_window(now)
 
     def latest_report(self) -> AnomalyReport | None:
         """The most recently closed window's report (``None`` if no

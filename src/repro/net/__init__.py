@@ -18,8 +18,8 @@ its host.  This package detaches the monitor from the monitored system:
   (honoring the server's ``retry_after`` hint when admission refuses
   it), heartbeats, and replay of unacknowledged batches after a
   reconnect.
-- :mod:`repro.net.protocol` — the length-prefixed JSON/msgpack frame
-  format and message vocabulary both sides speak.
+- :mod:`repro.net.protocol` — the length-prefixed frame format (JSON or
+  packed columns) and message vocabulary both sides speak.
 
 Delivery contract: **at-least-once made effectively-once**.  The client
 retransmits anything unacknowledged; the server's per-session

@@ -100,11 +100,9 @@ class RushMonClient:
         (pause, then resend the same sequence — the server resumes from
         its recorded partial offset) or ``"shed"`` (as above).
     codec:
-        ``protocol.CODEC_JSON`` (default, always available),
-        ``protocol.CODEC_MSGPACK`` (requires the optional dependency)
-        or ``protocol.CODEC_COLUMNAR`` (packed column batches the
-        server can decode without per-event object construction;
-        always available, vectorized when numpy is installed).
+        ``protocol.CODEC_JSON`` (default) or ``protocol.CODEC_COLUMNAR``
+        (packed column batches, decoded with ``numpy.frombuffer`` when
+        numpy is installed); anything else raises ``ValueError``.
     seed:
         Seeds the jitter RNG — lets chaos tests make backoff
         deterministic.
@@ -152,6 +150,11 @@ class RushMonClient:
                             ("heartbeat_interval", heartbeat_interval)):
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value!r}")
+        if codec not in (protocol.CODEC_JSON, protocol.CODEC_COLUMNAR):
+            # An unencodable codec would fail inside the sender thread's
+            # connect, which retries forever and reports nothing.
+            raise ValueError("codec must be protocol.CODEC_JSON or "
+                             f"protocol.CODEC_COLUMNAR, got {codec!r}")
         self.host = host
         self.port = port
         self.session = session or uuid.uuid4().hex

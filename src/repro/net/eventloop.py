@@ -1,19 +1,17 @@
-"""A ``selectors``-based event-loop transport for the RushMon server.
+"""The ``selectors``-based event-loop transport of the RushMon server.
 
-The thread-per-connection transport in :mod:`repro.net.server` is simple
-and correct, but its capacity ceiling is the OS thread count and its
-overload behaviour is implicit (blocking ``sendall`` under a slow peer,
-one stack per idle connection).  This module multiplexes every
-connection onto a small fixed pool of :class:`EventLoop` threads
-instead: non-blocking sockets, per-connection bounded read/write
-buffers, and incremental frame reassembly via
-:class:`~repro.net.protocol.FrameReader`.  The *delivery contract* —
-sessions, sequencing, dedup, durable acks — is untouched: loops call
-straight into the same ``RushMonServer._handle`` core the reader
-threads use, so the two transports are bit-compatible by construction
-(and pinned so by the sr=1 differential in ``tests/test_serving.py``).
+Every connection is multiplexed onto a small fixed pool of
+:class:`EventLoop` threads: non-blocking sockets, per-connection bounded
+read/write buffers, and incremental frame reassembly via
+:class:`~repro.net.protocol.FrameReader`.  (A thread per connection
+caps capacity at the OS thread count and leaves overload behaviour
+implicit: a blocking ``sendall`` under a slow peer, one stack per idle
+connection.)  The *delivery contract* — sessions, sequencing, dedup,
+durable acks — lives in ``RushMonServer._handle``, which the loops call
+straight into; the sr=1 differential in ``tests/test_serving.py`` pins
+the whole path against the offline monitor.
 
-What the loop adds on top of the threaded transport:
+What the transport provides:
 
 Admission control
     ``max_connections`` caps concurrent connections.  The connection
@@ -49,9 +47,9 @@ Graceful close
 
 Fault injection: the ``net.select`` point fires once per loop
 iteration (``stall``/``delay`` freeze the loop thread, ``slow-read``
-caps every read of that iteration at one byte); the existing
-``net.recv`` / ``net.accept`` / ``net.ack`` points fire exactly as
-they do on the threaded transport, so the chaos suite runs unchanged.
+caps every read of that iteration at one byte); ``net.recv`` fires per
+read, ``net.accept`` per accepted connection and ``net.ack`` (in the
+server) per acknowledgement.
 """
 
 from __future__ import annotations
@@ -92,12 +90,10 @@ _SWEEP_INTERVAL = 0.1
 class EventLoopConnection:
     """One multiplexed client connection (non-blocking socket).
 
-    Duck-compatible with the threaded transport's ``_Connection`` —
-    the shared ``RushMonServer`` handling core only touches ``send``,
+    The ``RushMonServer`` handling core only touches ``send``,
     ``close``, ``session``, ``codec``, ``alive`` and ``refused_high``.
-    The difference is hidden in :meth:`send`: instead of a blocking
-    ``sendall``, frames are appended to a bounded write buffer that
-    the owning loop flushes when the socket accepts them.
+    :meth:`send` never blocks: frames are appended to a bounded write
+    buffer that the owning loop flushes when the socket accepts them.
     """
 
     __slots__ = (
@@ -115,9 +111,13 @@ class EventLoopConnection:
         self.session: str | None = None
         self.codec = protocol.CODEC_JSON
         self.alive = True
-        # Same meaning as on the threaded transport: highest sequence
-        # this connection has refused, so pipelined followers get
-        # retriable refusals instead of a fatal bad-session.
+        # Highest sequence this connection has refused (backpressure /
+        # degraded).  TCP preserves order, so while the session high is
+        # below this watermark an apparent sequence gap is the refusal's
+        # fault, not the client's — such batches get retriable refusals
+        # instead of a fatal bad-session.  A single boolean is not
+        # enough: accepting the resend of one refused batch must not
+        # forget that later refused batches are still outstanding.
         self.refused_high = 0
         self.wbuf = bytearray()
         self.pending: collections.deque = collections.deque()
@@ -612,8 +612,9 @@ class EventLoopGroup:
                 self._refuse(sock)
                 self._pause_accepts()
                 return
-            # Same reason as on the threaded transport: small acks must
-            # not wait behind Nagle for the client's delayed ACK.
+            # Acks are small frames written behind the client's bulk
+            # data; with Nagle on, a pipelined client's acks lock one
+            # send interval behind.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.setblocking(False)
             target = self._loops[self._next % len(self._loops)]

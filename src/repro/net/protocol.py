@@ -6,7 +6,7 @@ Frames
 Every message travels as one frame::
 
     4 bytes  big-endian payload length N (codec byte + crc + body)
-    1 byte   codec id (0 = JSON, 1 = msgpack, 2 = columnar)
+    1 byte   codec id (0 = JSON, 2 = columnar; 1 is retired)
     4 bytes  big-endian CRC-32 of the body
     N-5 bytes encoded message body
 
@@ -16,10 +16,11 @@ which still parses as valid JSON — without the CRC such a frame would
 ingest silently wrong data.  A CRC mismatch is a :class:`ProtocolError`
 like any other framing violation.
 
-The codec is chosen per frame, so a JSON client and a msgpack client
-can share a server; msgpack is used only when the ``msgpack`` package
-is importable (it is optional — the JSON codec is always available and
-is the default).
+The codec is chosen per frame, so a JSON client and a packed-column
+client can share a server; JSON is the default.  Codec id 1 belonged to
+a serializer that was never installed anywhere the system was measured;
+the id stays unassigned and a frame carrying it is refused like any
+other unknown codec.
 
 Messages
 --------
@@ -78,11 +79,10 @@ The columnar codec (id 2)
 -------------------------
 
 Codec 2 carries ``batch`` messages as a packed fixed-width column
-layout instead of a per-record JSON/msgpack tree, so a receiver can
-decode a whole batch with a handful of buffer slices (``numpy.
-frombuffer`` when available) and hand the columns straight to the
-vectorized collector (:mod:`repro.core.columnar`) — no per-operation
-object construction on the hot ingest path.  The body is::
+layout instead of a per-record JSON tree, so a receiver can decode a
+whole batch with a handful of buffer slices (``numpy.frombuffer`` when
+available) and test the monitor's item sample once per key-table entry
+before building any per-operation object.  The body is::
 
     1 byte   tag (0 = JSON fallback, 1 = packed batch)
 
@@ -105,7 +105,7 @@ keys already implied the JSON representation).  Tag 1 is::
 
 Integers are fixed-width: a batch whose BUU/seq values do not fit the
 column falls back to tag 0 rather than truncate.  Decoding yields the
-same message dict as the other codecs except ``"events"`` is a
+same message dict as the JSON codec except ``"events"`` is a
 :class:`ColumnarEvents` column struct; :func:`decode_events` accepts it
 transparently, so codec-2 and JSON clients interoperate on one server.
 """
@@ -118,11 +118,6 @@ import zlib
 from typing import Iterable, Iterator
 
 from repro.core.types import Operation, OpType
-
-try:  # optional accelerator; the JSON codec is always available
-    import msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - depends on the environment
-    msgpack = None
 
 try:  # optional accelerator: same JSON wire format, ~10x faster codec
     import orjson  # type: ignore[import-not-found]
@@ -137,7 +132,6 @@ except ImportError:  # pragma: no cover - depends on the environment
 __all__ = [
     "CODEC_COLUMNAR",
     "CODEC_JSON",
-    "CODEC_MSGPACK",
     "ColumnarEvents",
     "ERROR_CODES",
     "FrameReader",
@@ -148,9 +142,8 @@ __all__ = [
     "encode_frame",
 ]
 
-#: Codec ids carried in the frame header.
+#: Codec ids carried in the frame header (1 is retired, never reused).
 CODEC_JSON = 0
-CODEC_MSGPACK = 1
 CODEC_COLUMNAR = 2
 
 #: Refuse frames larger than this (a corrupt length prefix must not
@@ -220,13 +213,6 @@ def encode_frame(message: dict, codec: int = CODEC_JSON) -> bytes:
         packed = (_pack_batch_columnar(message)
                   if message.get("type") == "batch" else None)
         body = packed if packed is not None else b"\x00" + _json_body(message)
-    elif codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise ProtocolError(
-                "msgpack codec requested but the msgpack package is not "
-                "installed; use CODEC_JSON"
-            )
-        body = msgpack.packb(message)
     else:
         raise ProtocolError(f"unknown codec id {codec!r}")
     return (_LEN.pack(len(body) + _OVERHEAD) + bytes([codec])
@@ -237,12 +223,6 @@ def _decode_body(codec: int, body: bytes) -> dict:
     try:
         if codec == CODEC_JSON:
             message = _loads_json(body)
-        elif codec == CODEC_MSGPACK:
-            if msgpack is None:
-                raise ProtocolError(
-                    "peer sent a msgpack frame but msgpack is not installed"
-                )
-            message = msgpack.unpackb(body)
         elif codec == CODEC_COLUMNAR:
             message = _decode_columnar_body(body)
         else:
@@ -278,9 +258,7 @@ class ColumnarEvents:
     ``-1`` on lifecycle rows) and ``seq`` (int64 op sequence /
     lifecycle time).  ``keys`` is the per-frame key table the indices
     point into.  :func:`decode_events` materializes per-op tuples from
-    it for the classic ingest path; the columnar fast path hands the
-    arrays to :mod:`repro.core.columnar` without building any
-    per-event object.
+    it.
     """
 
     __slots__ = ("op", "buu", "kidx", "seq", "keys")
@@ -658,8 +636,8 @@ def decode_events(records, chosen=None) -> list[tuple]:
     """Decode wire event records into ``("op", Operation)`` /
     ``("b"|"c", buu, time)`` tuples, validating as it goes.
 
-    Accepts either the list-of-records shape the JSON/msgpack codecs
-    produce or a codec-2 :class:`ColumnarEvents` column struct.
+    Accepts either the list-of-records shape the JSON codec produces
+    or a codec-2 :class:`ColumnarEvents` column struct.
 
     ``chosen`` is an optional predicate on operation keys (the
     monitor's item sample).  With it, a run of ``n`` operations on keys

@@ -2,13 +2,12 @@
 
 :class:`RushMonServer` listens on TCP and feeds decoded batches into a
 wrapped :class:`~repro.core.concurrent.RushMonService` (whose sharded
-collector does the actual thread-safe bookkeeping).  By default
-connections are multiplexed over a small pool of event-loop threads
+collector does the actual thread-safe bookkeeping).  Connections are
+multiplexed over a small pool of event-loop threads
 (:mod:`repro.net.eventloop` — admission control, per-client fairness,
-slow-client defenses); ``loop_threads=0`` selects the legacy
-thread-per-connection transport.  Both transports share the same
-handling core, so the **delivery contract** — at-least-once from the
-wire, effectively-once into the monitor — is identical:
+slow-client defenses), which call into the handling core here.  The
+**delivery contract** — at-least-once from the wire, effectively-once
+into the monitor:
 
 Sessions and sequence numbers
     Each client holds a session id and numbers its batches 1, 2, 3, …
@@ -55,13 +54,13 @@ Graceful drain
     (final detection pass) and writes a final checkpoint.
 
 Overload resilience
-    Under the event-loop transport, ``max_connections`` refuses the
-    connection that tips over the cap with a typed ``overloaded``
-    error carrying a ``retry_after`` hint (then pauses accepts until a
-    slot frees); per-connection in-flight caps and round-robin
-    dispatch keep one firehose client from starving others; idle and
-    partial-frame deadlines plus a write-buffer high-watermark drop
-    slowloris/non-reading peers instead of pinning buffers.
+    ``max_connections`` refuses the connection that tips over the cap
+    with a typed ``overloaded`` error carrying a ``retry_after`` hint
+    (then pauses accepts until a slot frees); per-connection in-flight
+    caps and round-robin dispatch keep one firehose client from starving
+    others; idle and partial-frame deadlines plus a write-buffer
+    high-watermark drop slowloris/non-reading peers instead of pinning
+    buffers.
 
 Fault injection: the ``net.accept``, ``net.recv``, ``net.ack`` and
 ``net.select`` points (kinds ``disconnect`` / ``delay`` / ``corrupt`` /
@@ -79,7 +78,8 @@ import time
 from repro.core.concurrent.sharded import JournalBackpressure
 from repro.core.concurrent.service import RushMonService
 from repro.net import protocol
-from repro.net.protocol import FrameReader, ProtocolError, encode_frame
+from repro.net.eventloop import EventLoopConnection, EventLoopGroup
+from repro.net.protocol import ProtocolError
 from repro.obs.instrument import instrument_net_server
 
 _log = logging.getLogger(__name__)
@@ -87,46 +87,8 @@ _log = logging.getLogger(__name__)
 #: extra_state key the server's durable state lives under.
 _EXTRA_KEY = "net"
 
-
-class _Connection:
-    """One accepted client connection (socket + reader bookkeeping)."""
-
-    __slots__ = ("sock", "wlock", "reader", "session", "codec", "alive",
-                 "refused_high")
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.wlock = threading.Lock()
-        self.reader = FrameReader()
-        self.session: str | None = None
-        self.codec = protocol.CODEC_JSON
-        self.alive = True
-        # Highest sequence this connection has refused (backpressure /
-        # degraded).  TCP preserves order, so while the session high is
-        # below this watermark an apparent sequence gap is the refusal's
-        # fault, not the client's — such batches get retriable refusals
-        # instead of a fatal bad-session.  A single boolean is not
-        # enough: accepting the resend of one refused batch must not
-        # forget that later refused batches are still outstanding.
-        self.refused_high = 0
-
-    def send(self, message: dict, *, corrupt: bool = False) -> None:
-        """Serialize and send one frame (thread-safe; reader replies and
-        the committer's acks share the socket)."""
-        frame = encode_frame(message, self.codec)
-        if corrupt:
-            index = len(frame) // 2
-            frame = frame[:index] + bytes([frame[index] ^ 0x40]) \
-                + frame[index + 1:]
-        with self.wlock:
-            self.sock.sendall(frame)
-
-    def close(self) -> None:
-        self.alive = False
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+#: One owed acknowledgement: (connection, session, seq, received-at).
+_Ack = tuple[EventLoopConnection, str, int, float]
 
 
 class RushMonServer:
@@ -170,12 +132,10 @@ class RushMonServer:
         comfortably exceed the longest expected client outage.
     loop_threads:
         Size of the event-loop pool multiplexing connections
-        (:mod:`repro.net.eventloop`).  ``0`` falls back to the legacy
-        thread-per-connection transport — same delivery contract,
-        no admission control or slow-client defenses.
+        (:mod:`repro.net.eventloop`), at least 1.
     max_connections:
-        Admission-control cap on concurrent connections (event-loop
-        transport).  The connection that tips over the cap receives a
+        Admission-control cap on concurrent connections.  The
+        connection that tips over the cap receives a
         typed ``overloaded`` error with a ``retry_after`` hint and
         accepts pause until a slot frees.  ``None`` = unlimited.
     idle_timeout:
@@ -227,9 +187,10 @@ class RushMonServer:
         if session_ttl is not None and session_ttl <= 0:
             raise ValueError("session_ttl must be > 0 seconds (or None "
                              "to disable idle-session eviction)")
-        if loop_threads < 0:
-            raise ValueError("loop_threads must be >= 0 (0 = legacy "
-                             "thread-per-connection transport)")
+        if loop_threads < 1:
+            raise ValueError("loop_threads must be >= 1 event-loop threads "
+                             "(0 selected the thread-per-connection "
+                             "transport, which was removed)")
         if max_connections is not None and max_connections < 1:
             raise ValueError("max_connections must be >= 1 connections "
                              "(or None for unlimited)")
@@ -294,18 +255,17 @@ class RushMonServer:
         self._session_seen: dict[str, float] = {
             sid: time.monotonic() for sid in self._sessions
         }
-        self._pending_acks: list[tuple[_Connection, str, int, float]] = []
+        self._pending_acks: list[_Ack] = []
         self._batches_since_commit = 0
         # Transport state.
         self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
         self._commit_thread: threading.Thread | None = None
         self._connections: set = set()
         self._conn_lock = threading.Lock()
         #: Guards the overload/disconnect counters below, which are
         #: bumped from multiple loop threads.
         self._count_lock = threading.Lock()
-        self._loops = None
+        self._loops: EventLoopGroup | None = None
         self._stop_event = threading.Event()
         self._draining = False
         self._stopped = False
@@ -348,7 +308,7 @@ class RushMonServer:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "RushMonServer":
-        """Bind, listen, and start the service + accept/commit threads."""
+        """Bind, listen, and start the service + loop/commit threads."""
         if self._stopped:
             raise RuntimeError("RushMonServer is stopped; construct a new "
                                "one (restore the checkpoint to resume)")
@@ -360,18 +320,9 @@ class RushMonServer:
         listener.listen(1024)
         self._listener = listener
         self.service.start()
-        if self.loop_threads:
-            from repro.net.eventloop import EventLoopGroup
-            listener.setblocking(False)
-            self._loops = EventLoopGroup(self, self.loop_threads)
-            self._loops.start(listener)
-        else:
-            listener.settimeout(0.2)
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="rushmon-net-accept",
-                daemon=True,
-            )
-            self._accept_thread.start()
+        listener.setblocking(False)
+        self._loops = EventLoopGroup(self, self.loop_threads)
+        self._loops.start(listener)
         self._commit_thread = threading.Thread(
             target=self._commit_loop, name="rushmon-net-commit", daemon=True,
         )
@@ -423,10 +374,10 @@ class RushMonServer:
         listener, self._listener = self._listener, None
         if listener is not None:
             listener.close()
-        for thread in (self._accept_thread, self._commit_thread):
-            if thread is not None and thread.is_alive() \
-                    and thread is not threading.current_thread():
-                thread.join(max(0.05, deadline - time.monotonic()))
+        thread = self._commit_thread
+        if thread is not None and thread.is_alive() \
+                and thread is not threading.current_thread():
+            thread.join(max(0.05, deadline - time.monotonic()))
         # Acknowledge everything already ingested, then retire the
         # service: readers that race a last batch in get a typed
         # "draining" error and their client replays on the next server.
@@ -442,10 +393,9 @@ class RushMonServer:
             except OSError:
                 pass
         if self._loops is not None:
-            # Event-loop transport: loops flush buffered acks/byes
-            # until empty or the deadline, then close everything;
-            # unflushed (or stuck-loop) connections come back as the
-            # forced count.
+            # The loops flush buffered acks/byes until empty or the
+            # deadline, then close everything; unflushed (or
+            # stuck-loop) connections come back as the forced count.
             self.drain_forced_total += self._loops.stop(deadline)
         late = time.monotonic() > deadline
         for conn in connections:
@@ -468,7 +418,7 @@ class RushMonServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.drain()
 
-    # -- accept / read loops ---------------------------------------------------
+    # -- fault injection -------------------------------------------------------
 
     def _fire(self, point: str):
         """Fire a net fault point; handles delay/stall/exception inline
@@ -486,91 +436,9 @@ class RushMonServer:
             return fault
         raise fault.exc_factory()
 
-    def _accept_loop(self) -> None:
-        while not self._stop_event.is_set():
-            listener = self._listener
-            if listener is None:
-                return
-            try:
-                sock, _addr = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed by drain()
-            try:
-                fault = self._fire("net.accept")
-            except Exception:
-                sock.close()
-                continue
-            if fault is not None:  # disconnect (corrupt is meaningless here)
-                sock.close()
-                continue
-            # Acks are small frames written behind the client's bulk
-            # data; with Nagle on, a pipelined client's acks lock one
-            # send interval behind.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(0.2)
-            conn = _Connection(sock)
-            with self._conn_lock:
-                self._connections.add(conn)
-            self.connections_total += 1
-            threading.Thread(
-                target=self._read_loop, args=(conn,),
-                name="rushmon-net-reader", daemon=True,
-            ).start()
-
-    def _read_loop(self, conn: _Connection) -> None:
-        try:
-            while conn.alive and not self._stop_event.is_set():
-                try:
-                    data = conn.sock.recv(65536)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                if not data:
-                    return  # peer closed
-                fault = self._fire("net.recv")
-                trickle = False
-                if fault is not None:
-                    if fault.kind == "disconnect":
-                        return
-                    if fault.kind == "slow-read":
-                        trickle = True
-                    else:
-                        index = len(data) // 2
-                        data = data[:index] + bytes([data[index] ^ 0x40]) \
-                            + data[index + 1:]
-                try:
-                    if trickle:
-                        # Pathological fragmentation: one byte per feed
-                        # through the incremental reassembly.
-                        messages = []
-                        for i in range(len(data)):
-                            messages.extend(conn.reader.feed(data[i:i + 1]))
-                    else:
-                        messages = conn.reader.feed(data)
-                    for message in messages:
-                        self._m_frames.inc()
-                        if not self._handle(conn, message):
-                            return
-                except ProtocolError as exc:
-                    # Framing can no longer be trusted: tell the client
-                    # (best effort) and drop the connection; it will
-                    # reconnect and replay.
-                    self._send_error(conn, protocol.error(
-                        "bad-frame", f"undecodable frame: {exc}",
-                        retriable=True,
-                    ))
-                    return
-        finally:
-            conn.close()
-            with self._conn_lock:
-                self._connections.discard(conn)
-
     # -- message handling ------------------------------------------------------
 
-    def _send_error(self, conn: _Connection, message: dict) -> None:
+    def _send_error(self, conn: EventLoopConnection, message: dict) -> None:
         self.errors_sent[message["code"]] = \
             self.errors_sent.get(message["code"], 0) + 1
         self._m_errors.inc()
@@ -579,7 +447,7 @@ class RushMonServer:
         except OSError:
             pass
 
-    def _handle(self, conn: _Connection, message: dict) -> bool:
+    def _handle(self, conn: EventLoopConnection, message: dict) -> bool:
         """Dispatch one message; returns False to close the connection."""
         kind = message.get("type")
         if kind == "batch":
@@ -618,7 +486,7 @@ class RushMonServer:
         ))
         return False
 
-    def _handle_batch(self, conn: _Connection, message: dict) -> bool:
+    def _handle_batch(self, conn: EventLoopConnection, message: dict) -> bool:
         received = time.monotonic()
         self._m_batches.inc()
         wire_session = str(message.get("session", "") or "")
@@ -664,7 +532,7 @@ class RushMonServer:
                 retriable=True, seq=seq, consumed=already,
             ))
             return True
-        acks: list[tuple[_Connection, str, int, float]] = []
+        acks: list[_Ack] = []
         with self._ingest_lock:
             keep, error = self._sequence_batch_locked(
                 conn, session, seq, message, received, acks)
@@ -680,12 +548,12 @@ class RushMonServer:
 
     def _sequence_batch_locked(
         self,
-        conn: _Connection,
+        conn: EventLoopConnection,
         session: str,
         seq: int,
         message: dict,
         received: float,
-        acks: list[tuple[_Connection, str, int, float]],
+        acks: list[_Ack],
     ) -> tuple[bool, dict | None]:
         """Sequence/ingest one batch; caller holds the ingest lock.
 
@@ -861,7 +729,7 @@ class RushMonServer:
 
     def _commit_locked(
         self, force: bool = False,
-    ) -> list[tuple[_Connection, str, int, float]]:
+    ) -> list[_Ack]:
         """Group commit: persist state and *return* the acks now covered
         by it.  Caller holds the ingest lock and must send the returned
         acks after releasing it — one slow client socket must not hold
@@ -875,7 +743,7 @@ class RushMonServer:
         self._batches_since_commit = 0
         return pending
 
-    def _send_ack(self, conn: _Connection, session: str, seq: int,
+    def _send_ack(self, conn: EventLoopConnection, session: str, seq: int,
                   received: float) -> None:
         corrupt = False
         try:
@@ -904,7 +772,7 @@ class RushMonServer:
         ``ack_interval`` even when the stream goes quiet mid-group.
         Doubles as the session-table janitor (idle-session eviction)."""
         while not self._stop_event.wait(self.ack_interval):
-            pending: list[tuple[_Connection, str, int, float]] = []
+            pending: list[_Ack] = []
             with self._ingest_lock:
                 if self._pending_acks:
                     oldest = self._pending_acks[0][3]

@@ -10,6 +10,9 @@ drifts from the contract in :mod:`repro.core.api`, this file is where
 it fails.
 """
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.cluster import ClusterMonitor
@@ -121,38 +124,40 @@ def test_windows_partition_the_stream(make):
     assert monitor.cumulative_estimates()[0] == 1.0
 
 
-def test_serial_report_alias_warns_and_matches_close_window():
-    """RushMon.report() still aliases close_window() but now warns; it
-    is scheduled for removal."""
-    monitor = _serial()
-    _lost_update(monitor)
-    with pytest.warns(DeprecationWarning, match="close_window"):
-        report = monitor.report()
-    assert monitor.reports == [report]
-    assert report.estimated_2 == 1.0
+def test_serial_report_alias_is_gone():
+    """close_window() is the one verb; the report() alias (deprecated
+    since the unified API landed) no longer exists."""
+    with pytest.raises(AttributeError):
+        _serial().report()
 
 
-def test_service_flush_alias_warns_and_matches_close_window():
-    """RushMonService.flush() still aliases close_window() but now
-    warns; it is scheduled for removal."""
-    service = _service()
-    _lost_update(service)
-    with pytest.warns(DeprecationWarning, match="close_window"):
-        report = service.flush()
-    assert report is not None
-    assert service.reports == [report]
-    assert report.estimated_2 == 1.0
+def test_service_flush_alias_is_gone():
+    with pytest.raises(AttributeError):
+        _service().flush()
 
 
-def test_service_construction_kwargs_warn_but_apply():
-    """The pre-config construction kwargs still work for one release —
-    with a DeprecationWarning — and override the config's values."""
-    with pytest.warns(DeprecationWarning, match="RushMonConfig"):
-        service = RushMonService(
-            RushMonConfig(sampling_rate=1, mob=False), num_shards=2
-        )
-    assert service.config.num_shards == 2
-    assert service.collector.num_shards == 2
+def test_service_construction_kwargs_are_gone():
+    """Service tunables travel in the config only."""
+    with pytest.raises(TypeError, match="num_shards"):
+        RushMonService(RushMonConfig(sampling_rate=1, mob=False),
+                       num_shards=2)
+
+
+def test_config_surface():
+    """The whole option surface, spelled out: a new RushMonConfig field
+    or RushMonService parameter has to be added here, in review."""
+    assert {f.name for f in dataclasses.fields(RushMonConfig)} == {
+        "sampling_rate", "mob", "pruning", "prune_interval",
+        "resample_interval", "count_three_cycles", "seed",
+        "num_shards", "detect_interval", "journal_capacity", "overflow",
+        "block_timeout", "max_restarts", "restart_backoff", "max_backoff",
+        "batch_size", "checkpoint_path", "checkpoint_interval",
+        "num_workers", "cluster_batch", "max_worker_restarts",
+        "snapshot_interval", "replay_journal_capacity",
+        "loop_threads", "max_connections", "idle_timeout", "drain_timeout",
+    }
+    assert list(inspect.signature(RushMonService.__init__).parameters) == [
+        "self", "config", "items", "record_trace", "faults", "metrics"]
 
 
 def test_config_is_the_single_construction_path():

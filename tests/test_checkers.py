@@ -101,6 +101,15 @@ class TestEdgeDerivation:
         assert edges == []
         assert stats.total == 0
 
+    def test_non_integer_buu_ids(self):
+        """BUU ids are opaque to the checker: nothing may assume they
+        fit an integer column."""
+        ops = history((W, "t1", "k"), (R, "t2", "k"), (W, "t3", "k"))
+        edges, stats, observations = derive_dependency_edges(ops)
+        assert stats.wr == 1 and stats.rw == 1
+        assert [(e.src, e.dst) for e in edges] == [("t1", "t2"), ("t2", "t3")]
+        assert len(observations) == 1
+
     def test_matches_offline_monitor_on_random_histories(self):
         """The independent per-key derivation reproduces Algorithm 1's
         aggregate edge stats on seeded random histories."""

@@ -21,7 +21,6 @@ import pytest
 from repro.checkers import exact_cycle_counts
 from repro.cluster import ClusterMonitor
 from repro.core.collector import ItemSampler
-from repro.core.columnar import KeyInterner, OpBatch
 from repro.core.concurrent.sharded import ShardedCollector
 from repro.core.config import RushMonConfig
 from repro.core.frontier import (
@@ -326,7 +325,7 @@ def test_cluster_sampled_run_matches_serial(seed):
 
 # -- sampling at the router ----------------------------------------------------
 
-INGEST_PATHS = ("on_operation", "on_operations", "on_op_batch")
+INGEST_PATHS = ("on_operation", "on_operations")
 SAMPLED_WINDOWS = 3
 
 
@@ -344,7 +343,6 @@ def _feed_windowed(monitor, history, path: str, windows: int) -> list:
     lifecycle events (or a window close) in one call."""
     last_index = {op.buu: i for i, op in enumerate(history)}
     closes = {len(history) * (w + 1) // windows - 1 for w in range(windows)}
-    interner = KeyInterner()
     begun: set = set()
     run: list = []
     reports = []
@@ -355,10 +353,8 @@ def _feed_windowed(monitor, history, path: str, windows: int) -> list:
         if path == "on_operation":
             for op in run:
                 monitor.on_operation(op)
-        elif path == "on_operations":
-            monitor.on_operations(list(run))
         else:
-            monitor.on_op_batch(OpBatch.from_ops(run, interner))
+            monitor.on_operations(list(run))
         run.clear()
 
     for i, op in enumerate(history):
@@ -382,8 +378,8 @@ def test_cluster_sampled_windows_match_serial(cluster, sampling_rate, path):
     """The router takes the DCS decision for the workers: at sr > 1 /
     ``mob=False`` every window's merged report — raw counts, edge stats,
     patterns **and the operation count, which now travels as ``elided``
-    integers** — equals the serial monitor's bit for bit, through each
-    of the three ingest paths."""
+    integers** — equals the serial monitor's bit for bit, through both
+    ingest verbs (``on_operation`` is the batch of one)."""
     seed = 4   # samples conflicting items of this history at both rates
     config = RushMonConfig(sampling_rate=sampling_rate, mob=False, seed=seed,
                            num_workers=cluster.num_workers)
@@ -429,9 +425,7 @@ def test_fullness_counter_tracks_the_longest_buffer():
         for op in ops[:50]:
             monitor.on_operation(op)
             check()
-        monitor.on_operations(ops[50:200])
-        check()
-        monitor.on_op_batch(OpBatch.from_ops(ops[200:], KeyInterner()))
+        monitor.on_operations(ops[50:])
         check()
         monitor.commit_buu(1, 301)
         check()
@@ -491,7 +485,7 @@ def test_route_frames_carry_only_sampled_keys_and_every_op_is_counted():
                              num_workers=2)]
     chosen_sets = []
     with ClusterMonitor(configs[0]) as monitor:
-        for path, config in zip(INGEST_PATHS + ("on_operations",), configs):
+        for path, config in zip(INGEST_PATHS * 2, configs):
             monitor.reset(config)
             reports = _feed_windowed(monitor, history, path, 2)
             sampler = ItemSampler(config.sampling_rate, config.seed)

@@ -22,6 +22,7 @@ The crash-recovery story (SIGKILL mid-stream, 20 seeds) lives in
 ``tests/test_net_chaos.py``.
 """
 
+import json
 import os
 import random
 import re
@@ -158,14 +159,34 @@ def test_unknown_codec_is_refused():
         protocol.encode_frame(protocol.ping(1), codec=7)
 
 
-def test_msgpack_codec_round_trip_or_gated():
+def test_retired_codec_1_is_refused():
+    """Codec id 1 is unassigned: nothing encodes it, and a peer's frame
+    carrying it answers a typed ``bad-frame`` and ingests nothing."""
     message = protocol.batch("s", 1, [["w", 1, "k", 1]])
-    if protocol.msgpack is None:
-        with pytest.raises(ProtocolError, match="msgpack"):
-            protocol.encode_frame(message, codec=protocol.CODEC_MSGPACK)
-    else:
-        wire = protocol.encode_frame(message, codec=protocol.CODEC_MSGPACK)
-        assert list(protocol.FrameReader().feed(wire)) == [message]
+    with pytest.raises(ProtocolError, match="unknown codec id 1"):
+        protocol.encode_frame(message, codec=1)
+    frame = _raw_frame(1, json.dumps(message).encode())
+    with pytest.raises(ProtocolError, match="unknown codec id 1"):
+        list(protocol.FrameReader().feed(frame))
+    service = _service()
+    with RushMonServer(service) as server:
+        raw = _RawClient(server.port)
+        raw.send(protocol.hello("s", 0))
+        assert raw.recv()["type"] == "welcome"
+        raw.sock.sendall(frame)
+        reply = raw.recv()
+        assert (reply["type"], reply["code"]) == ("error", "bad-frame")
+        raw.close()
+        assert server.stats["batches_received"] == 0
+    assert service.processed_events == 0
+
+
+def test_client_refuses_an_unusable_codec():
+    """An unencodable codec used to fail inside the sender thread's
+    connect — reconnecting forever, every counter at 0, no error."""
+    for codec in (1, 7):
+        with pytest.raises(ValueError, match="CODEC_JSON.*CODEC_COLUMNAR"):
+            RushMonClient("127.0.0.1", 1, codec=codec)
 
 
 def test_columnar_codec_packs_and_falls_back():
@@ -227,10 +248,7 @@ def test_every_codec_round_trips_any_message(message):
     every other codec delivers too — unicode, None keys, >64-bit ints.
     Codec 2 may deliver a batch's events as columns; normalizing them
     through ``to_records`` must restore the original records exactly."""
-    codecs = [protocol.CODEC_JSON, protocol.CODEC_COLUMNAR]
-    if protocol.msgpack is not None:
-        codecs.append(protocol.CODEC_MSGPACK)
-    for codec in codecs:
+    for codec in (protocol.CODEC_JSON, protocol.CODEC_COLUMNAR):
         wire = protocol.encode_frame(message, codec=codec)
         (decoded,) = protocol.FrameReader().feed(wire)
         events = decoded.get("events")

@@ -72,6 +72,16 @@ def _assert_sr1_differential(service):
     assert replayed.exact_counts() == service.counts()
 
 
+def _assert_detected_live(service, expected, timeout=10.0):
+    """The background detection thread — not drain's final pass — must
+    consume every ingested event while the server is still up.  An ack
+    says ingested, not detected, so give the thread a bounded moment."""
+    deadline = time.monotonic() + timeout
+    while service.processed_events < expected and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert service.processed_events == expected
+
+
 def _offline_exact(ops):
     """The ground truth: the same ops through the offline baseline."""
     baseline = OfflineAnomalyMonitor()
@@ -310,7 +320,7 @@ def test_dropped_acks_reconcile_dedup_hits_with_retransmits_exactly():
         assert server.stats["events_ingested"] == len(ops)
         assert server.stats["dedup_hits"] == counters["retransmits"] == 3
         assert counters["reconnects"] == 3
-        assert service.processed_events == len(ops)
+        _assert_detected_live(service, len(ops))
     assert service.counts() == _offline_exact(ops)
     _assert_sr1_differential(service)
 
@@ -341,7 +351,7 @@ def test_corrupt_frames_are_caught_and_replayed():
                 assert client.flush(20.0)
             counters = client.counters()
         assert server.stats["events_ingested"] == len(ops)
-        assert service.processed_events == len(ops)
+        _assert_detected_live(service, len(ops))
         assert counters["reconnects"] >= 1
     assert service.counts() == _offline_exact(ops)
     _assert_sr1_differential(service)

@@ -7,9 +7,14 @@ file pins two properties of that surface:
   module moves), and
 - the protocol verbs — every public method of ``MonitorListener`` and
   ``AnomalyMonitor`` — appear in DESIGN.md's API documentation, so the
-  design doc cannot silently drift from the code.
+  design doc cannot silently drift from the code, and
+- the callers we ship ourselves — every script under ``examples/`` and
+  the README's Quickstart block — still run against that surface, so a
+  removed method cannot leave them behind.
 """
 
+import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -17,7 +22,9 @@ import pytest
 import repro
 from repro.core.api import AnomalyMonitor, MonitorListener
 
-DESIGN = Path(__file__).resolve().parent.parent / "DESIGN.md"
+ROOT = Path(__file__).resolve().parent.parent
+DESIGN = ROOT / "DESIGN.md"
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 def _protocol_members(proto) -> list[str]:
@@ -71,3 +78,18 @@ def test_protocol_verbs_documented_in_design():
         assert f"`{member}" in text, (
             f"protocol member {member!r} is missing from DESIGN.md's "
             f"unified-API documentation")
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.name)
+def test_example_runs(script, capsys):
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.strip(), f"{script.name} printed nothing"
+
+
+def test_readme_quickstart_block_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quickstart\n+```python\n(.*?)```", text, re.S)
+    assert block, "README lost its Quickstart code block"
+    exec(compile(block.group(1), "README.md#Quickstart", "exec"), {})
+    estimates = capsys.readouterr().out.split()
+    assert len(estimates) == 2 and all(float(e) >= 0 for e in estimates)

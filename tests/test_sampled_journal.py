@@ -22,6 +22,7 @@ from repro.core.concurrent.sharded import EV_ELIDED, EV_OP, ShardedCollector
 from repro.core.config import RushMonConfig
 from repro.core.monitor import RushMon
 from repro.core.types import Operation, OpType
+from repro.storage import wal
 from repro.testing import Fault, FaultInjector, InjectedFault
 
 from tests.test_checkpoint import _feed as _feed_per_op
@@ -443,17 +444,27 @@ def test_checkpoint_between_ingest_and_drain(tmp_path, feed):
     _assert_matches_serial(restored, serial, events)
 
 
-def test_full_journal_checkpoint_still_restores():
+def test_full_journal_checkpoint_still_restores(tmp_path):
     """A checkpoint from before this journal format — every operation a
     pending ``op`` record, unsampled ones included — restores into a
-    sampled-only service and is consumed like any other journal."""
+    sampled-only service and is consumed like any other journal.  Its
+    config also stores options retired since (``columnar``, and a
+    ``loop_threads`` that could be 0): restore drops them, whatever
+    value they held."""
     events = _events(1000)
     serial = _serial(20, events)
     split = next(i for i, (kind, payload) in enumerate(events)
                  if kind == "op" and payload.seq == 500)
-    restored = RushMonService.restore(PARENT_CHECKPOINT)
-    pending = restored.collector.journal_depth
-    assert pending == split  # one record per event: nothing was elided
-    _feed_per_op(restored, events[split:])
-    restored.close_window()
-    _assert_matches_serial(restored, serial, events)
+    payload = wal.load_checkpoint(PARENT_CHECKPOINT)
+    assert payload["config"]["columnar"] is False
+    payload["config"].update(columnar=True, loop_threads=0)
+    retired_values = str(tmp_path / "retired.wal")
+    wal.save_checkpoint(retired_values, payload)
+    for path in (PARENT_CHECKPOINT, retired_values):
+        restored = RushMonService.restore(path)
+        assert restored.config.loop_threads == RushMonConfig().loop_threads
+        pending = restored.collector.journal_depth
+        assert pending == split  # one record per event: nothing was elided
+        _feed_per_op(restored, events[split:])
+        restored.close_window()
+        _assert_matches_serial(restored, serial, events)

@@ -1,10 +1,10 @@
 """Overload-resilient serving: event-loop transport, admission control,
 fairness and slow-client defenses (``repro.net.eventloop``).
 
-The bit-compatibility of the event-loop transport with the protocol,
-dedup and recovery semantics is covered by the whole of ``test_net.py``
-/ ``test_net_chaos.py`` running against it as the default.  This file
-covers what is *new*:
+The event-loop transport's protocol, dedup and recovery semantics are
+covered by the whole of ``test_net.py`` / ``test_net_chaos.py`` running
+against it (it is the only transport).  This file covers what the
+transport itself provides:
 
 - typed ``overloaded`` admission refusals (with ``retry_after``) and
   accept pause/resume at ``max_connections``;
@@ -12,8 +12,9 @@ covers what is *new*:
 - slowloris (partial-frame) and idle deadlines;
 - the drain deadline staying bounded under a frozen loop (``stall``
   fault at ``net.select``), with force-closes counted;
-- serve CLI / config validation for the new knobs;
-- the event-loop vs thread-per-connection vs offline sr=1 differential.
+- serve CLI / config validation for the serving knobs, and the retired
+  selectors (``loop_threads=0``, ``--columnar``) failing by name;
+- the event-loop vs offline sr=1 differential.
 
 Heavy legs (1000-connection smoke, 10:1 fairness under saturation, the
 10-seed differential sweep) are marked ``serving`` and run in their own
@@ -110,13 +111,11 @@ def test_fault_vocabulary_for_serving():
 # -- accepted sockets ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("loop_threads", (2, 0),
-                         ids=["eventloop", "threaded"])
-def test_accepted_connection_has_nodelay_set(loop_threads):
+def test_accepted_connection_has_nodelay_set():
     """Acks are tens of bytes written behind the client's bulk data;
     with Nagle on, a pipelined client's acks lock one send interval
-    behind.  Both transports must switch it off where they accept."""
-    with _serve(loop_threads=loop_threads) as server:
+    behind.  The transport must switch it off where it accepts."""
+    with _serve() as server:
         raw = _Raw(server.port)
         raw.send(protocol.hello("nodelay", 0))
         assert raw.recv()["type"] == "welcome"
@@ -291,6 +290,30 @@ def test_serve_cli_rejects_bad_flags():
         assert extra[0] in proc.stderr, (extra, proc.stderr)
 
 
+def test_retired_selectors_fail_naming_the_removal():
+    """``loop_threads=0`` used to select the thread-per-connection
+    transport and ``--columnar`` the numpy ingest path; both are gone,
+    and asking for them says so instead of silently doing something
+    else."""
+    with pytest.raises(ValueError, match="removed"):
+        RushMonConfig(loop_threads=0)
+    service = _service()
+    try:
+        with pytest.raises(ValueError, match="removed"):
+            RushMonServer(service, loop_threads=0)
+    finally:
+        service.stop()
+    for args in (["serve", "--port", "0", "--loop-threads", "0"],
+                 ["quickstart", "--columnar"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            capture_output=True, text=True, env={"PYTHONPATH": "src"},
+        )
+        assert proc.returncode != 0
+        assert args[-1] in proc.stderr and "removed" in proc.stderr, \
+            (args, proc.stderr)
+
+
 def test_config_serving_validation_names_the_field():
     for kwargs, field in [
         ({"loop_threads": -1}, "loop_threads"),
@@ -330,9 +353,9 @@ def test_server_rejects_bad_serving_kwargs():
 # -- differential --------------------------------------------------------------
 
 
-def _ingest_counts(ops, *, loop_threads, seed):
+def _ingest_counts(ops):
     service = _service()
-    with RushMonServer(service, loop_threads=loop_threads) as server:
+    with RushMonServer(service) as server:
         with RushMonClient("127.0.0.1", server.port, batch_size=32,
                            flush_interval=0.005) as client:
             for op in ops:
@@ -348,24 +371,19 @@ def _offline_counts(ops):
     return offline.exact_counts()
 
 
-def test_eventloop_matches_threaded_and_offline_smoke():
+def test_eventloop_matches_offline_smoke():
     for seed in (7, 8):
         ops = _ops(300, 10, seed=seed)
-        expected = _offline_counts(ops)
-        assert _ingest_counts(ops, loop_threads=2, seed=seed) == expected
-        assert _ingest_counts(ops, loop_threads=0, seed=seed) == expected
+        assert _ingest_counts(ops) == _offline_counts(ops)
 
 
 @pytest.mark.serving
 def test_sr1_differential_ten_seeds():
-    """The acceptance differential: event-loop transport, legacy
-    thread-per-connection transport and the offline monitor agree
-    bit-exactly on sr=1 counts across 10 seeds."""
+    """The acceptance differential: the event-loop transport and the
+    offline monitor agree bit-exactly on sr=1 counts across 10 seeds."""
     for seed in range(10):
         ops = _ops(400, 12, seed=100 + seed)
-        expected = _offline_counts(ops)
-        assert _ingest_counts(ops, loop_threads=2, seed=seed) == expected, seed
-        assert _ingest_counts(ops, loop_threads=0, seed=seed) == expected, seed
+        assert _ingest_counts(ops) == _offline_counts(ops), seed
 
 
 # -- scale + fairness (serving job) --------------------------------------------
