@@ -22,13 +22,13 @@ overhead shrinks as the sampling rate grows, because a sampled-out
 operation's hook is a hash + compare and nothing else.
 
 Results go to ``benchmarks/results/overhead.txt`` via
-:func:`repro.bench.reporting.emit`; ``--quick`` shrinks the workload for
-CI smoke runs.
+:func:`repro.bench.reporting.emit`.  The one entry point is the CLI verb
+``python -m repro bench-overhead`` (``--quick`` shrinks the workload for
+CI smoke runs).
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import time
 from dataclasses import replace
@@ -130,41 +130,3 @@ def run_overhead(
     )
     emit(name, table)
     return rows
-
-
-def main(argv: Sequence[str] | None = None) -> list[dict]:
-    """CLI entry point: parse flags, run the harness, return its rows."""
-    parser = argparse.ArgumentParser(
-        description="Measure monitoring overhead (monitored vs. bare)."
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="small workload for CI smoke runs")
-    parser.add_argument("--buus", type=int, default=None)
-    parser.add_argument("--keys", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--rates", type=int, nargs="+", default=None,
-                        help="sampling rates to measure")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        defaults = dict(buus=300, keys=128, threads=2,
-                        sampling_rates=(1, 20), repeats=1)
-    else:
-        defaults = dict(buus=4000, keys=1024, threads=4,
-                        sampling_rates=(1, 4, 20), repeats=3)
-    if args.buus is not None:
-        defaults["buus"] = args.buus
-    if args.keys is not None:
-        defaults["keys"] = args.keys
-    if args.threads is not None:
-        defaults["threads"] = args.threads
-    if args.repeats is not None:
-        defaults["repeats"] = args.repeats
-    if args.rates is not None:
-        defaults["sampling_rates"] = tuple(args.rates)
-    return run_overhead(**defaults)
-
-
-if __name__ == "__main__":
-    main()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import contextmanager
 
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor, RushMon
@@ -21,100 +22,38 @@ from repro.sim import SimConfig, Simulator, read_modify_write
 from repro.sim.traces import Trace
 
 
-def _batch_size(value: str) -> int:
-    """Argparse type for ``--batch-size``: a positive integer."""
+#: The one place a default lives: every flag that merely repeats a
+#: :class:`RushMonConfig` default reads it from here.
+_DEFAULTS = RushMonConfig()
+
+
+@contextmanager
+def _usage_errors(args: argparse.Namespace):
+    """Wrap the part of a verb that *constructs* its config / monitor /
+    service / server.  A ``ValueError`` there is a bad flag value (every
+    constructor names the field it refuses), so it is answered like any
+    other argparse error: the verb's usage, one ``error:`` line, exit 2.
+    A ``ValueError`` raised once the workload runs still propagates."""
     try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"batch size must be an integer, got {value!r} — operations "
-            f"are grouped into batches of this many per ingest call"
-        ) from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(
-            f"batch size must be >= 1, got {parsed}; use 1 to process "
-            f"operations individually (the default 256 amortizes one lock "
-            f"acquisition and one detector feed per batch)"
-        )
-    return parsed
-
-
-def _loop_threads(value: str) -> int:
-    """Argparse type for ``--loop-threads``: a positive integer."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--loop-threads must be an integer, got {value!r}"
-        ) from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(
-            f"--loop-threads must be >= 1, got {parsed}; 0 selected the "
-            f"thread-per-connection transport, which was removed"
-        )
-    return parsed
-
-
-def _max_connections(value: str) -> int:
-    """Argparse type for ``--max-connections``: a positive integer."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--max-connections must be an integer, got {value!r}"
-        ) from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(
-            f"--max-connections must be >= 1, got {parsed}; omit the flag "
-            f"for unlimited admission"
-        )
-    return parsed
-
-
-def _idle_timeout(value: str) -> float:
-    """Argparse type for ``--idle-timeout``: seconds >= 0 (0 disables)."""
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--idle-timeout must be a number of seconds, got {value!r}"
-        ) from None
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(
-            f"--idle-timeout must be >= 0 seconds, got {parsed}; use 0 to "
-            f"disable the idle deadline"
-        )
-    return parsed
-
-
-def _drain_timeout(value: str) -> float:
-    """Argparse type for ``--drain-timeout``: seconds > 0."""
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--drain-timeout must be a number of seconds, got {value!r}"
-        ) from None
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError(
-            f"--drain-timeout must be > 0 seconds of total graceful-drain "
-            f"budget, got {parsed}"
-        )
-    return parsed
+        yield
+    except ValueError as exc:
+        args.usage_error(str(exc))
 
 
 def _add_monitor_args(parser: argparse.ArgumentParser,
                       sampling_rate: int | None = 1) -> None:
     """``sampling_rate=None`` leaves the flag's default to
-    :class:`RushMonConfig` (``from_cli_args`` fills it in)."""
-    effective = sampling_rate or RushMonConfig().sampling_rate
+    :class:`RushMonConfig` (``from_cli_args`` fills it in); the toy
+    verbs default to 1 because their key spaces (20-64 items) are too
+    small for sr=20 to sample anything."""
+    effective = sampling_rate or _DEFAULTS.sampling_rate
     parser.add_argument("--sampling-rate", type=int, default=sampling_rate,
                         help=f"item sampling rate sr (p = 1/sr; default "
                              f"{effective})")
     parser.add_argument("--no-mob", action="store_true",
                         help="disable memory-optimized bookkeeping")
-    parser.add_argument("--pruning", default="both",
-                        choices=["none", "ect", "distance", "both"])
+    parser.add_argument("--pruning", default=_DEFAULTS.pruning,
+                        choices=RushMonConfig.PRUNING_CHOICES)
     # Removed; still parsed so that main() can say so.
     parser.add_argument("--columnar", action="store_true",
                         help=argparse.SUPPRESS)
@@ -122,15 +61,17 @@ def _add_monitor_args(parser: argparse.ArgumentParser,
 
 
 def _monitor_from(args: argparse.Namespace) -> RushMon:
-    return RushMon(RushMonConfig.from_cli_args(args))
+    with _usage_errors(args):
+        return RushMon(RushMonConfig.from_cli_args(args))
 
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=0,
                         help="drive the workload from N real threads through "
                              "the concurrent RushMonService (0 = serial)")
-    parser.add_argument("--shards", type=int, default=8,
+    parser.add_argument("--shards", type=int, default=_DEFAULTS.num_shards,
                         help="key-hash shards of the concurrent collector")
+    # Not RushMonConfig's 0.05 s: a toy run lasts well under a second.
     parser.add_argument("--detect-interval", type=float, default=0.02,
                         help="seconds between background detection passes")
 
@@ -199,7 +140,8 @@ def _service_quickstart(args: argparse.Namespace) -> int:
     from repro.core.concurrent import RushMonService
     from repro.sim.scheduler import ThreadedWorkloadDriver
 
-    service = RushMonService(RushMonConfig.from_cli_args(args))
+    with _usage_errors(args):
+        service = RushMonService(RushMonConfig.from_cli_args(args))
     # Yield points widen the interleaving space the GIL would otherwise
     # make coarse — without them the toy workload is nearly anomaly-free.
     driver = ThreadedWorkloadDriver([service], num_threads=args.threads,
@@ -428,8 +370,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     if getattr(args, "workers", 0):
         return _run_cluster_monitor(args)
 
-    service = RushMonService(RushMonConfig.from_cli_args(args),
-                             record_trace=args.oracle)
+    with _usage_errors(args):
+        service = RushMonService(RushMonConfig.from_cli_args(args),
+                                 record_trace=args.oracle)
     exporter = None
     if args.export_port is not None:
         exporter = MetricsExporter(service.metrics, port=args.export_port)
@@ -559,7 +502,8 @@ def _run_cluster_monitor(args: argparse.Namespace) -> int:
         print(f"cluster mode ignores {', '.join(ignored)} (service-only "
               f"features)", file=sys.stderr)
 
-    cluster = ClusterMonitor(RushMonConfig.from_cli_args(args))
+    with _usage_errors(args):
+        cluster = ClusterMonitor(RushMonConfig.from_cli_args(args))
     stop_live = _threading.Event()
 
     def _live_loop() -> None:
@@ -668,29 +612,30 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # One config object carries the monitor/service fields AND the
     # serving fields (--loop-threads, --max-connections, ...), so the
     # restore path still honors the serving flags.
-    cfg = RushMonConfig.from_cli_args(args)
-    if args.checkpoint is not None and os.path.exists(args.checkpoint):
-        service = RushMonService.restore(args.checkpoint)
-        print(f"restored state from {args.checkpoint} "
-              f"(events={service.processed_events}, "
-              f"reports={len(service.reports)})", flush=True)
-    else:
-        # from_cli_args picks up --checkpoint as the config's
-        # checkpoint_path; with no checkpoint_interval the service never
-        # checkpoints on its own — the server owns the group-commit
-        # checkpoint schedule (--checkpoint-every).
-        service = RushMonService(cfg, record_trace=not args.no_trace)
-    server = RushMonServer(
-        service,
-        host=args.host,
-        port=args.port,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        loop_threads=cfg.loop_threads,
-        max_connections=cfg.max_connections,
-        idle_timeout=cfg.idle_timeout,
-        drain_timeout=cfg.drain_timeout,
-    )
+    with _usage_errors(args):
+        cfg = RushMonConfig.from_cli_args(args)
+        if args.checkpoint is not None and os.path.exists(args.checkpoint):
+            service = RushMonService.restore(args.checkpoint)
+            print(f"restored state from {args.checkpoint} "
+                  f"(events={service.processed_events}, "
+                  f"reports={len(service.reports)})", flush=True)
+        else:
+            # from_cli_args picks up --checkpoint as the config's
+            # checkpoint_path; with no checkpoint_interval the service
+            # never checkpoints on its own — the server owns the
+            # group-commit checkpoint schedule (--checkpoint-every).
+            service = RushMonService(cfg, record_trace=not args.no_trace)
+        server = RushMonServer(
+            service,
+            host=args.host,
+            port=args.port,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            loop_threads=cfg.loop_threads,
+            max_connections=cfg.max_connections,
+            idle_timeout=cfg.idle_timeout,
+            drain_timeout=cfg.drain_timeout,
+        )
     server.start()
     exporter = None
     if args.export_port is not None:
@@ -773,19 +718,21 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_overhead(args: argparse.Namespace) -> int:
-    """Run the monitored-vs-bare overhead harness."""
+    """Run the monitored-vs-bare overhead harness; ``--quick`` shrinks
+    whatever was not given explicitly."""
     from repro.bench.overhead import run_overhead
 
-    rates = [int(v) for v in args.rates.split(",")]
-    if args.quick:
-        run_overhead(buus=300, keys=128, threads=2,
-                     sampling_rates=rates or (1, 20), repeats=1,
-                     batch_size=args.batch_size)
-    else:
-        run_overhead(buus=args.buus, keys=args.keys, threads=args.threads,
-                     sampling_rates=rates, repeats=args.repeats,
-                     num_shards=args.shards, seed=args.seed,
-                     batch_size=args.batch_size)
+    with _usage_errors(args):  # --shards / --batch-size, before any timing
+        RushMonConfig.from_cli_args(args)
+    quick = args.quick
+    rates = args.rates or ("1,20" if quick else "1,4,20")
+    run_overhead(buus=args.buus or (300 if quick else 4000),
+                 keys=args.keys or (128 if quick else 1024),
+                 threads=args.threads or (2 if quick else 4),
+                 repeats=args.repeats or (1 if quick else 3),
+                 sampling_rates=[int(v) for v in rates.split(",")],
+                 num_shards=args.shards, seed=args.seed,
+                 batch_size=args.batch_size)
     return 0
 
 
@@ -793,6 +740,8 @@ def cmd_bench_threads(args: argparse.Namespace) -> int:
     """Run the serial vs. sharded thread-scaling benchmark."""
     from repro.bench.threads import run_thread_scaling
 
+    with _usage_errors(args):  # --shards / --batch-size, before any timing
+        RushMonConfig.from_cli_args(args)
     thread_counts = [int(v) for v in args.threads.split(",")]
     run_thread_scaling(
         thread_counts=thread_counts,
@@ -805,22 +754,6 @@ def cmd_bench_threads(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
     )
     return 0
-
-
-def cmd_bench_regress(args: argparse.Namespace) -> int:
-    """Run the pinned-seed ingest regression suite (BENCH_ingest.json)."""
-    from repro.bench.regress import run_regress
-
-    return run_regress(
-        args.out,
-        quick=args.quick,
-        update=args.update,
-        check=args.check,
-        tolerance=args.tolerance,
-        batch_size=args.batch_size,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
 
 
 def cmd_bench_serving(args: argparse.Namespace) -> int:
@@ -837,29 +770,6 @@ def cmd_bench_serving(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         seed=args.seed,
     )
-
-
-def cmd_bench_cluster(args: argparse.Namespace) -> int:
-    """One end-to-end cluster throughput run: the BENCH cluster row's
-    protocol at a configurable scale (CI runs it small as a smoke)."""
-    from repro.bench.regress import bench_cluster
-
-    rate, p50, p99 = bench_cluster(
-        num_threads=args.threads,
-        ops_per_thread=args.ops,
-        num_keys=args.keys,
-        sr=args.sampling_rate,
-        workers=args.workers,
-        seed=args.seed,
-        cluster_batch=args.cluster_batch,
-        kill_respawn=args.kill_respawn,
-    )
-    suffix = " (one worker SIGKILLed and respawned mid-run)" \
-        if args.kill_respawn else ""
-    print(f"cluster ({args.workers} workers, {args.threads} feed threads, "
-          f"{args.threads * args.ops} ops){suffix}: {rate:,.0f} ops/s")
-    print(f"close latency: p50 {p50 * 1e3:.1f}ms  p99 {p99 * 1e3:.1f}ms")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -928,7 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sampling-rate", type=int, default=4)
     bench.add_argument("--shards", type=int, default=16)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--batch-size", type=_batch_size, default=256,
+    bench.add_argument("--batch-size", type=int,
+                       default=_DEFAULTS.batch_size,
                        help="operations per service ingest batch")
     bench.set_defaults(func=cmd_bench_threads)
 
@@ -952,19 +863,22 @@ def build_parser() -> argparse.ArgumentParser:
                      help="keep the exporter serving after the workload "
                           "finishes (Ctrl-C to exit)")
     mon.add_argument("--threads", type=int, default=4)
-    mon.add_argument("--shards", type=int, default=8)
+    mon.add_argument("--shards", type=int, default=_DEFAULTS.num_shards)
+    # As in quickstart: the toy run is over before 0.05 s passes twice.
     mon.add_argument("--detect-interval", type=float, default=0.02)
     mon.add_argument("--journal-capacity", type=int, default=None,
                      help="bound the detection journal to this many "
                           "buffered events (unbounded when omitted)")
-    mon.add_argument("--overflow", default="block",
-                     choices=["block", "shed", "degrade"],
+    mon.add_argument("--overflow", default=_DEFAULTS.overflow,
+                     choices=RushMonConfig.OVERFLOW_CHOICES,
                      help="what producers experience when the bounded "
                           "journal is full")
-    mon.add_argument("--max-restarts", type=int, default=5,
+    mon.add_argument("--max-restarts", type=int,
+                     default=_DEFAULTS.max_restarts,
                      help="consecutive detection failures before the "
                           "circuit breaker marks the service DEGRADED")
-    mon.add_argument("--batch-size", type=_batch_size, default=256,
+    mon.add_argument("--batch-size", type=int,
+                     default=_DEFAULTS.batch_size,
                      help="operations per ingest batch (one lock "
                           "acquisition and one detector feed per batch)")
     mon.add_argument("--buus", type=int, default=2000)
@@ -1013,29 +927,29 @@ def build_parser() -> argparse.ArgumentParser:
                           "many ingested batches")
     srv.add_argument("--export-port", type=int, default=None,
                      help="serve /metrics on this port (0 = ephemeral)")
-    srv.add_argument("--shards", type=int, default=8)
+    srv.add_argument("--shards", type=int, default=_DEFAULTS.num_shards)
     srv.add_argument("--detect-interval", type=float, default=None,
                      help=f"seconds between background detection passes "
-                          f"(default {RushMonConfig().detect_interval})")
+                          f"(default {_DEFAULTS.detect_interval})")
     srv.add_argument("--journal-capacity", type=int, default=None)
-    srv.add_argument("--overflow", default="block",
-                     choices=["block", "shed", "degrade"])
-    srv.add_argument("--max-restarts", type=int, default=5)
-    srv.add_argument("--batch-size", type=_batch_size, default=256)
-    srv.add_argument("--loop-threads", type=_loop_threads, default=None,
-                     help="event-loop threads multiplexing connections "
-                          "(default 2, at least 1)")
-    srv.add_argument("--max-connections", type=_max_connections,
-                     default=None,
+    srv.add_argument("--overflow", default=_DEFAULTS.overflow,
+                     choices=RushMonConfig.OVERFLOW_CHOICES)
+    srv.add_argument("--max-restarts", type=int,
+                     default=_DEFAULTS.max_restarts)
+    srv.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
+    srv.add_argument("--loop-threads", type=int, default=None,
+                     help=f"event-loop threads multiplexing connections "
+                          f"(default {_DEFAULTS.loop_threads}, at least 1)")
+    srv.add_argument("--max-connections", type=int, default=None,
                      help="admission cap on concurrent connections; over "
                           "it, new clients get a typed 'overloaded' error "
                           "with a retry hint (default: unlimited)")
-    srv.add_argument("--idle-timeout", type=_idle_timeout, default=None,
-                     help="seconds of connection silence before disconnect "
-                          "(default 30; 0 disables)")
-    srv.add_argument("--drain-timeout", type=_drain_timeout, default=None,
-                     help="hard bound on total graceful-drain seconds "
-                          "(default 5)")
+    srv.add_argument("--idle-timeout", type=float, default=None,
+                     help=f"seconds of connection silence before disconnect "
+                          f"(default {_DEFAULTS.idle_timeout:g}; 0 disables)")
+    srv.add_argument("--drain-timeout", type=float, default=None,
+                     help=f"hard bound on total graceful-drain seconds "
+                          f"(default {_DEFAULTS.drain_timeout:g})")
     srv.add_argument("--no-trace", action="store_true",
                      help="skip trace recording (saves memory linear in "
                           "the events served and, at --sampling-rate > 1, "
@@ -1076,44 +990,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="monitored vs. bare wall time (the paper's overhead claim)",
     )
     over.add_argument("--quick", action="store_true",
-                      help="small workload for smoke runs")
-    over.add_argument("--buus", type=int, default=4000)
-    over.add_argument("--keys", type=int, default=1024)
-    over.add_argument("--threads", type=int, default=4)
-    over.add_argument("--repeats", type=int, default=3)
-    over.add_argument("--rates", default="1,4,20",
-                      help="comma-separated sampling rates")
+                      help="small workload for smoke runs: 300 BUUs, 128 "
+                           "keys, 2 threads, 1 repeat, rates 1,20")
+    over.add_argument("--buus", type=int, default=None, help="default 4000")
+    over.add_argument("--keys", type=int, default=None, help="default 1024")
+    over.add_argument("--threads", type=int, default=None, help="default 4")
+    over.add_argument("--repeats", type=int, default=None,
+                      help="runs per configuration, the minimum is kept "
+                           "(default 3)")
+    over.add_argument("--rates", default=None,
+                      help="comma-separated sampling rates (default 1,4,20)")
     over.add_argument("--shards", type=int, default=16)
     over.add_argument("--seed", type=int, default=0)
-    over.add_argument("--batch-size", type=_batch_size, default=256,
+    over.add_argument("--batch-size", type=int,
+                      default=_DEFAULTS.batch_size,
                       help="operations per service ingest batch")
     over.set_defaults(func=cmd_bench_overhead)
-
-    reg = sub.add_parser(
-        "bench-regress",
-        help="pinned-seed ingest benchmarks vs the committed "
-             "BENCH_ingest.json baseline",
-    )
-    reg.add_argument("--quick", action="store_true",
-                     help="small stream only (what CI runs)")
-    reg.add_argument("--check", action="store_true",
-                     help="fail (exit 1) if the batch-vs-per-op speedup "
-                          "ratios regress beyond --tolerance vs the "
-                          "committed baseline")
-    reg.add_argument("--update", action="store_true",
-                     help="rewrite BENCH_ingest.json with fresh numbers")
-    reg.add_argument("--tolerance", type=float, default=0.30,
-                     help="allowed fractional regression of the speedup "
-                          "ratios in --check mode (default 0.30 = 30%%; "
-                          "raise on noisy runners, lower to tighten)")
-    reg.add_argument("--batch-size", type=_batch_size, default=2048,
-                     help="operations/edges per ingest batch")
-    reg.add_argument("--repeats", type=int, default=3,
-                     help="runs per bench; the minimum is kept")
-    reg.add_argument("--seed", type=int, default=0)
-    reg.add_argument("--out", default="BENCH_ingest.json",
-                     help="results file (committed at the repo root)")
-    reg.set_defaults(func=cmd_bench_regress)
 
     bsrv = sub.add_parser(
         "bench-serving",
@@ -1137,28 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="results file (committed at the repo root)")
     bsrv.set_defaults(func=cmd_bench_serving)
 
-    bclu = sub.add_parser(
-        "bench-cluster",
-        help="end-to-end multi-process cluster ingest throughput",
-    )
-    bclu.add_argument("--workers", type=int, default=4,
-                      help="cluster worker processes")
-    bclu.add_argument("--threads", type=int, default=8,
-                      help="feed threads in the parent")
-    bclu.add_argument("--ops", type=int, default=40000,
-                      help="operations per feed thread")
-    bclu.add_argument("--keys", type=int, default=4096)
-    bclu.add_argument("--sampling-rate", type=int, default=4)
-    bclu.add_argument("--cluster-batch", type=int, default=1024,
-                      help="events buffered per worker before a route "
-                           "frame is flushed")
-    bclu.add_argument("--seed", type=int, default=0)
-    bclu.add_argument("--kill-respawn", action="store_true",
-                      help="SIGKILL one worker mid-run so the measured "
-                           "number includes a supervisor respawn-and-replay "
-                           "(the run must still end healthy)")
-    bclu.set_defaults(func=cmd_bench_cluster)
-
     chk = sub.add_parser(
         "check",
         help="exact offline isolation check of a trace (G-class taxonomy)",
@@ -1174,6 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit the CheckReport as JSON")
     chk.set_defaults(func=cmd_check)
 
+    for verb in sub.choices.values():
+        verb.set_defaults(usage_error=verb.error)  # see _usage_errors
     return parser
 
 

@@ -545,11 +545,13 @@ class RushMonService:
         flight is idempotent for cycle counts (the live graph
         deduplicates edges).
 
-        With no fault injector armed, runs of consecutive operation
-        events feed the detector through :meth:`CycleDetector.add_edge_batch`
-        in :attr:`batch_size` chunks (``consumed`` advances only after a
-        chunk is fully applied); with faults armed, the exact per-event
-        path runs so injection points fire per event.
+        Runs of consecutive operation events feed the detector through
+        :meth:`CycleDetector.add_edge_batch` in :attr:`batch_size` chunks
+        (``consumed`` advances only after a chunk is fully applied).
+        With a fault injector armed the same loop runs at run length 1
+        and ``detect.process`` fires ahead of every event — no run is
+        ever pending there, so ``consumed`` counts exactly the events
+        before the one that failed.
 
         An ``EV_ELIDED`` record stands for ``count`` operations on
         unsampled items that were decided before the journal: it adds
@@ -559,7 +561,8 @@ class RushMonService:
         """
         with self._pass_lock:
             started = time.perf_counter()
-            if self._faults is not None:
+            armed = self._faults is not None
+            if armed:
                 self._fire_fault("detect.pass")
             events = self.collector.drain_journal()
             consumed = 0
@@ -567,85 +570,59 @@ class RushMonService:
             # beyond the one event each record already counts as.
             elided = 0
             try:
-                if self._faults is None:
-                    size = self.batch_size
-                    detector = self.detector
-                    trace = self._trace
-                    n = len(events)
-                    run_start = 0
-                    in_run = False
-                    pend_edges: list = []
-                    restamp = pend_edges.append
-                    for i in range(n):
-                        ticket, kind, payload, extra = events[i]
-                        if kind == EV_OP:
-                            if not in_run:
-                                in_run = True
-                                run_start = i
-                            if extra:
-                                # Re-stamp with the ticket: the
-                                # detector's logical clock (window ends,
-                                # prune 'now') must follow the
-                                # serialized order, not producer seqs.
-                                for edge in extra:
-                                    restamp(edge._replace(seq=ticket))
-                            if i + 1 - run_start >= size:
-                                self._apply_op_run(events, run_start, i + 1,
-                                                   pend_edges)
-                                consumed = i + 1
-                                in_run = False
-                                pend_edges = []
-                                restamp = pend_edges.append
-                        else:
-                            if in_run:
-                                self._apply_op_run(events, run_start, i,
-                                                   pend_edges)
-                                in_run = False
-                                pend_edges = []
-                                restamp = pend_edges.append
-                            if kind == EV_ELIDED:
-                                self._window.observe_operations(payload)
-                                elided += payload - 1
-                            elif kind == EV_BEGIN:
-                                detector.begin_buu(payload, ticket)
-                                if trace is not None:
-                                    trace.begins.append((payload, ticket))
-                            else:
-                                detector.commit_buu(payload, ticket)
-                                if trace is not None:
-                                    trace.commits.append((payload, ticket))
-                            consumed = i + 1
-                            self._clock = ticket
-                    if in_run:
-                        self._apply_op_run(events, run_start, n, pend_edges)
-                        consumed = n
-                else:
-                    for ticket, kind, payload, extra in events:
+                size = 1 if armed else self.batch_size
+                detector = self.detector
+                trace = self._trace
+                n = len(events)
+                run_start = 0
+                in_run = False
+                pend_edges: list = []
+                restamp = pend_edges.append
+                for i in range(n):
+                    if armed:
                         self._fire_fault("detect.process")
-                        if kind == EV_OP:
-                            self._window.observe_operation()
-                            if self._trace is not None:
-                                self._trace.ops.append(
-                                    payload._replace(seq=ticket)
-                                )
+                    ticket, kind, payload, extra = events[i]
+                    if kind == EV_OP:
+                        if not in_run:
+                            in_run = True
+                            run_start = i
+                        if extra:
+                            # Re-stamp with the ticket: the detector's
+                            # logical clock (window ends, prune 'now')
+                            # must follow the serialized order, not
+                            # producer seqs.
                             for edge in extra:
-                                # Re-stamp with the ticket (see above).
-                                self._window.observe_edge(
-                                    edge._replace(seq=ticket)
-                                )
-                        elif kind == EV_ELIDED:
+                                restamp(edge._replace(seq=ticket))
+                        if i + 1 - run_start >= size:
+                            self._apply_op_run(events, run_start, i + 1,
+                                               pend_edges)
+                            consumed = i + 1
+                            in_run = False
+                            pend_edges = []
+                            restamp = pend_edges.append
+                    else:
+                        if in_run:
+                            self._apply_op_run(events, run_start, i,
+                                               pend_edges)
+                            in_run = False
+                            pend_edges = []
+                            restamp = pend_edges.append
+                        if kind == EV_ELIDED:
                             self._window.observe_operations(payload)
                             elided += payload - 1
                         elif kind == EV_BEGIN:
-                            self.detector.begin_buu(payload, ticket)
-                            if self._trace is not None:
-                                self._trace.begins.append((payload, ticket))
+                            detector.begin_buu(payload, ticket)
+                            if trace is not None:
+                                trace.begins.append((payload, ticket))
                         else:
-                            self.detector.commit_buu(payload, ticket)
-                            if self._trace is not None:
-                                self._trace.commits.append((payload, ticket))
-                        consumed += 1
+                            detector.commit_buu(payload, ticket)
+                            if trace is not None:
+                                trace.commits.append((payload, ticket))
+                        consumed = i + 1
                         self._clock = ticket
+                if in_run:
+                    self._apply_op_run(events, run_start, n, pend_edges)
+                    consumed = n
             except BaseException:
                 if consumed < len(events):
                     self.collector.requeue(events[consumed:])

@@ -130,6 +130,8 @@ class RushMonConfig:
 
     #: Valid ``pruning`` strategies (mirrors repro.core.pruning.make_pruner).
     PRUNING_CHOICES = ("none", "ect", "distance", "both")
+    #: Valid ``overflow`` policies (mirrors sharded.OVERFLOW_POLICIES).
+    OVERFLOW_CHOICES = ("block", "shed", "degrade")
 
     @classmethod
     def from_cli_args(cls, args: argparse.Namespace) -> "RushMonConfig":
@@ -226,8 +228,34 @@ class RushMonConfig:
             )
         # -- service fields (validated here so RushMonService can trust
         # -- any config object it is handed) -----------------------------
+        if not isinstance(self.num_shards, int) or isinstance(
+            self.num_shards, bool
+        ) or self.num_shards < 1:
+            raise ValueError(
+                f"num_shards must be an integer >= 1 key-hash partitions, "
+                f"got {self.num_shards!r}"
+            )
         if self.detect_interval <= 0:
             raise ValueError("detect_interval must be > 0")
+        if self.journal_capacity is not None and (
+            not isinstance(self.journal_capacity, int)
+            or isinstance(self.journal_capacity, bool)
+            or self.journal_capacity < 1
+        ):
+            raise ValueError(
+                f"journal_capacity must be an integer >= 1 buffered events, "
+                f"or None for unbounded, got {self.journal_capacity!r}"
+            )
+        if self.overflow not in self.OVERFLOW_CHOICES:
+            raise ValueError(
+                f"overflow must be one of {self.OVERFLOW_CHOICES}, got "
+                f"{self.overflow!r}"
+            )
+        if self.block_timeout <= 0:
+            raise ValueError(
+                f"block_timeout must be > 0 seconds, got "
+                f"{self.block_timeout!r}"
+            )
         if not isinstance(self.batch_size, int) or isinstance(
             self.batch_size, bool
         ) or self.batch_size < 1:

@@ -5,7 +5,7 @@ package lets the reproduction *measure itself* making that claim —
 counters/gauges/histograms (:mod:`repro.obs.metrics`), callback-based
 component wiring (:mod:`repro.obs.instrument`) and an opt-in
 Prometheus-style HTTP endpoint (:mod:`repro.obs.exporter`).  The
-companion overhead harness lives in :mod:`repro.bench.overhead`.
+companion overhead harness is ``python -m repro bench-overhead``.
 """
 
 from repro.obs.exporter import MetricsExporter

