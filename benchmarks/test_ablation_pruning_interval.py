@@ -28,7 +28,9 @@ def _replay(run, prune_interval):
     start = time.perf_counter()
     event_idx = 0
     for edge in edges:
-        while event_idx < len(events) and events[event_idx][0] <= edge.seq:
+        # Begins stamped edge.seq apply first; a commit on that tie waits
+        # (it carries its last write's time and must follow that write).
+        while event_idx < len(events) and events[event_idx] < (edge.seq, 1):
             t, kind, buu = events[event_idx]
             (detector.begin_buu if kind == 0 else detector.commit_buu)(buu, t)
             event_idx += 1

@@ -55,7 +55,9 @@ def _replay(run, pruner_name, checkpoint_every, prune_interval):
     window_start = time.perf_counter()
     event_idx = 0
     for index, edge in enumerate(edges, start=1):
-        while event_idx < len(events) and events[event_idx][0] <= edge.seq:
+        # Begins stamped edge.seq apply first; a commit on that tie waits
+        # (it carries its last write's time and must follow that write).
+        while event_idx < len(events) and events[event_idx] < (edge.seq, 1):
             t, kind, buu = events[event_idx]
             if kind == 0:
                 detector.begin_buu(buu, t)

@@ -166,7 +166,10 @@ def measure_collector(
     """
     # Lifecycle events in time order (begins before commits on ties), so
     # the detector's alive set — and therefore pruning — behaves exactly
-    # as it would live.
+    # as it would live.  A begin stamped ``edge.seq`` precedes the edge;
+    # a commit does not: the simulator stamps a commit with its last
+    # write's time, and a BUU's operations reach the detector before its
+    # commit (the precondition of the detector's edge refusal).
     events = sorted(
         [(t, 0, buu) for buu, t in run.begins]
         + [(t, 1, buu) for buu, t in run.commits]
@@ -182,7 +185,7 @@ def measure_collector(
     start = time.perf_counter()
     event_idx = 0
     for edge in edges:
-        while event_idx < len(events) and events[event_idx][0] <= edge.seq:
+        while event_idx < len(events) and events[event_idx] < (edge.seq, 1):
             t, kind, buu = events[event_idx]
             if kind == 0:
                 detector.begin_buu(buu, t)

@@ -385,6 +385,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         "rushmon_collector_edges_total",
         "rushmon_service_events_processed_total",
         "rushmon_service_passes_total",
+        "rushmon_collector_lifecycle_elided_total",
+        "rushmon_detector_edges_refused_total",
         "rushmon_detector_live_vertices",
         "rushmon_service_report_age_seconds",
     ]
@@ -516,8 +518,9 @@ def _run_cluster_monitor(args: argparse.Namespace) -> int:
                 + (f"(r{s['restarts']})" if s["restarts"] else "")
                 for s in shards)
             print(f"[live] ops={cluster.ops_routed} "
-                  f"flushes={cluster.router_flushes} shards {states}",
-                  file=sys.stderr)
+                  f"flushes={cluster.router_flushes} "
+                  f"lifecycle_elided={cluster.lifecycle.elided} "
+                  f"shards {states}", file=sys.stderr)
 
     if args.live:
         _threading.Thread(target=_live_loop, daemon=True,

@@ -21,7 +21,15 @@ one :class:`~repro.core.config.RushMonConfig` (``num_workers``,
   shard's next frame as one integer (``elided``).  Tickets stay event
   ordinals, so watermarks, journals and snapshots are unaffected; at
   ``sampling_rate=1`` nothing is elided and no frame carries the
-  field.  Events buffer per worker and ship as ``route`` frames
+  field.  Lifecycle follows the sample the same way
+  (:class:`~repro.core.collector.SampledLifecycle`): at
+  ``sampling_rate > 1`` a begin is parked here and broadcast only when
+  its BUU's first operation on a sampled item is routed — with a fresh
+  ticket just below that operation's, because a record carrying the
+  ticket of the original call would arrive behind watermarks that have
+  already passed it — and the commit of a BUU still parked is dropped
+  with its begin (counted, never ticketed).  Events buffer per worker
+  and ship as ``route`` frames
   over the :mod:`repro.net.protocol` framing, with the net layer's
   sequence/cumulative-ack session per link (so worker delivery is
   effectively once and a bounded ack window provides backpressure).
@@ -108,8 +116,9 @@ from typing import Iterable
 
 from repro.cluster import messages as msg
 from repro.cluster.worker import no_delay, recv_message, worker_main
-from repro.core.collector import ItemSampler
+from repro.core.collector import ItemSampler, SampledLifecycle
 from repro.core.config import RushMonConfig
+from repro.core.detector import LifecycleOrderError
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
 from repro.core.frontier import key_partition
 from repro.core.types import (
@@ -273,6 +282,11 @@ class ClusterMonitor:
         #: rides in the next frame as ``elided``.
         self._elided = [0] * n
         self._elided_sent = [0] * n
+        #: Begins held back until their BUU touches a sampled item;
+        #: ``lifecycle.elided`` counts the begin/commit events never
+        #: broadcast (their BUU committed, or a :meth:`reset` ended its
+        #: run, without an operation on a sampled item).
+        self.lifecycle = SampledLifecycle(self.config.sampling_rate > 1)
         self.ops_routed = 0
         self.lifecycle_broadcasts = 0
         self.router_flushes = 0
@@ -784,8 +798,9 @@ class ClusterMonitor:
 
     def shard_health(self) -> list[dict]:
         """Per-shard supervisor view (for live displays): link state,
-        consumed restart budget and the shard's operations the router
-        ticketed without shipping (unsampled items)."""
+        consumed restart budget, the shard's operations the router
+        ticketed without shipping (unsampled items) and the lifecycle
+        events it was spared (a broadcast skips every shard alike)."""
         with self._sup_lock:
             restarts = list(self._restarts)
         out = []
@@ -796,6 +811,7 @@ class ClusterMonitor:
                     "state": link.state,
                     "restarts": restarts[link.index],
                     "ops_elided": self._elided[link.index],
+                    "lifecycle_elided": self.lifecycle.elided,
                 })
         return out
 
@@ -815,15 +831,17 @@ class ClusterMonitor:
         with self._lock:
             self._ensure_started_locked()
             when = self._time(start_time)
-            self._broadcast_locked(
-                msg.wire_begin(buu, when, self._next_ticket()))
+            if not self.lifecycle.begin(buu, when):
+                self._broadcast_locked(
+                    msg.wire_begin(buu, when, self._next_ticket()))
 
     def commit_buu(self, buu: BuuId, commit_time: int | None = None) -> None:
         with self._lock:
             self._ensure_started_locked()
             when = self._time(commit_time)
-            self._broadcast_locked(
-                msg.wire_commit(buu, when, self._next_ticket()))
+            if not self.lifecycle.commit(buu):
+                self._broadcast_locked(
+                    msg.wire_commit(buu, when, self._next_ticket()))
 
     def _broadcast_locked(self, record: list) -> None:
         """Append one lifecycle record — the same list, it is only ever
@@ -851,6 +869,8 @@ class ClusterMonitor:
             owners = self._owners
             elided = self._elided
             op_wire = _OP_WIRE
+            parked = self.lifecycle.parked
+            promoted = 0
             now = self._now
             ticket = self._ticket
             for op in ops:
@@ -865,11 +885,23 @@ class ClusterMonitor:
                     if len(owners) < _OWNER_CACHE_MAX:
                         owners[key] = owner
                 if owner >= 0:
+                    if parked:
+                        start = parked.pop(op.buu, None)
+                        if start is not None:
+                            # Promotion: the begin takes this ticket in
+                            # every worker's stream, the operation the
+                            # next one.
+                            record = msg.wire_begin(op.buu, start, ticket)
+                            for buffer in buffers:
+                                buffer.append(record)
+                            ticket += 1
+                            promoted += 1
                     buffers[owner].append(
                         [op_wire[op.op], op.buu, key, seq, ticket])
                 else:
                     elided[~owner] += 1
-            self.ops_routed += ticket - self._ticket
+            self.ops_routed += ticket - self._ticket - promoted
+            self.lifecycle_broadcasts += promoted
             self._ticket = ticket
             self._now = now
             self._fullest = max(map(len, buffers))
@@ -1101,6 +1133,18 @@ class ClusterMonitor:
         self._barrier_hist.observe(time.monotonic() - start)
         return replies
 
+    def _counted_barrier(self, window: bool, end: int = 0) -> list:
+        """A barrier whose replies are about to be reported: raises what
+        a worker's detector rejected — an operation that reached it
+        after its BUU's commit leaves its counts short until a
+        :meth:`reset`."""
+        replies = self._barrier(window, end)
+        for index, reply in replies:
+            if "error" in reply:
+                raise LifecycleOrderError(
+                    f"cluster worker {index}: {reply['error']}")
+        return replies
+
     def _await_reply(self, link: _WorkerLink) -> dict | None:
         """One barrier reply from ``link``, patient across a
         respawn-and-replay; ``None`` once the link is failed."""
@@ -1139,7 +1183,7 @@ class ClusterMonitor:
             self._ensure_started_locked()
             end = self._time(now)
             self._flush_buffers_locked()
-            replies = self._barrier(window=True, end=end)
+            replies = self._counted_barrier(window=True, end=end)
             raw = CycleCounts()
             edges = EdgeStats()
             operations = 0
@@ -1182,7 +1226,7 @@ class ClusterMonitor:
             self._ensure_started_locked()
             self._flush_buffers_locked()
             total = CycleCounts()
-            for _, reply in self._barrier(window=False):
+            for _, reply in self._counted_barrier(window=False):
                 total.add(CycleCounts(**reply["counts"]))
             return total
 
@@ -1236,6 +1280,11 @@ class ClusterMonitor:
                 # collectors will.
                 self._sampler = ItemSampler(config.sampling_rate, config.seed)
                 self._owners = {}
+            # BUUs of the run that ends here never commit: their parked
+            # begins are dropped, counted as elided.
+            self.lifecycle.elided += len(self.lifecycle.parked)
+            self.lifecycle.parked.clear()
+            self.lifecycle.engaged = config.sampling_rate > 1
             self.config = config
             with self._sup_lock:
                 self._config_dict = asdict(config)

@@ -121,7 +121,7 @@ from heapq import heapify, heappop, heapreplace
 from repro.cluster import messages as msg
 from repro.core.collector import DataCentricCollector
 from repro.core.config import RushMonConfig
-from repro.core.detector import CycleDetector
+from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.frontier import decode_frontier
 from repro.core.monitor import WindowTracker
 from repro.core.pruning import make_pruner
@@ -243,6 +243,9 @@ class ClusterWorker:
             count_three=config.count_three_cycles,
         )
         self.window = WindowTracker(self.detector)
+        #: Set once an operation arrived after its BUU's commit; every
+        #: barrier reply carries it from then on (the router raises it).
+        self._lifecycle_error: str | None = None
         self._local.clear()
         for stream in self._peers.values():
             stream.pending.clear()
@@ -316,8 +319,13 @@ class ClusterWorker:
         if kind == "o":
             self.window.observe_operation()
             observe = self.window.observe_edge
-            for edge in event[3]:
-                observe(edge)
+            try:
+                for edge in event[3]:
+                    observe(edge)
+            except LifecycleOrderError as exc:
+                # Keep merging — the peers gate on this worker's marks —
+                # and let the next barrier tell the caller.
+                self._lifecycle_error = str(exc)
         elif kind == "b":
             self.detector.begin_buu(event[2], event[3])
         else:
@@ -523,6 +531,8 @@ class ClusterWorker:
                 reply = msg.report_reply(report, self.detector.counts)
             else:
                 reply = msg.synced(self.detector.counts)
+            if self._lifecycle_error is not None:
+                reply["error"] = self._lifecycle_error
         self._send_control(encode_frame(reply))
 
     def _handle_snap_request(self, message: dict) -> None:
@@ -545,6 +555,7 @@ class ClusterWorker:
                 "collector": self.collector.to_state(),
                 "detector": wal.encode_detector_state(self.detector),
                 "window": wal.encode_window_state(self.window),
+                "lifecycle_error": self._lifecycle_error,
             }
         self._send_control(encode_frame(msg.snap(
             wal.encode_shard_snapshot(payload))))
@@ -764,6 +775,7 @@ class ClusterWorker:
                 self.collector.load_state(payload["collector"])
                 wal.decode_detector_state(self.detector, payload["detector"])
                 wal.decode_window_state(self.window, payload["window"])
+                self._lifecycle_error = payload.get("lifecycle_error")
                 base = payload["high"]
             self._local_mark = base
             detached = set(message.get("detached", ()))

@@ -65,10 +65,6 @@ class _MobItemState:
     count: int = 0
 
 
-#: Sentinel for "no previous key" in run-cached sample-membership tests.
-_NO_KEY = object()
-
-
 class Collector:
     """Base interface: feed operations in visibility order, get edges out."""
 
@@ -308,6 +304,56 @@ class ItemSampler:
         chosen = state["chosen"]
         self._chosen = None if chosen is None else set(chosen)
         self._memo.clear()
+
+
+class SampledLifecycle:
+    """Which BUU lifetimes the detector needs: lifecycle follows the sample.
+
+    An edge only ever points at the BUU issuing the operation, so a BUU
+    with no operation on a chosen item has no edge in either direction
+    and the detector need never hear of it.  A front end that filters
+    operations by the sample (``RushMon``'s collector, the sharded
+    collector's shards, the cluster router) therefore *parks* a begin
+    here, *promotes* it — takes it out of ``parked`` and delivers it,
+    with the parked start, immediately ahead of the BUU's first
+    operation on a chosen item — and answers the commit of a BUU still
+    parked by dropping both events.  ``engaged`` says whether the
+    sample can exclude a BUU at all (``sampling_rate > 1`` and nobody
+    recording the full trace); when it cannot, every begin is delivered
+    as it arrives.  Promotion and commit consult the parked set
+    unconditionally.
+
+    ``elided`` counts the events dropped, so at any instant *offered =
+    delivered + elided + parked*.  The owner serializes access (the
+    sharded collector keeps one instance per shard, under its lock).
+    Soundness for both pruners: DESIGN §5.
+    """
+
+    __slots__ = ("engaged", "parked", "elided")
+
+    def __init__(self, engaged: bool) -> None:
+        self.engaged = engaged
+        self.parked: dict[BuuId, int] = {}
+        self.elided = 0
+
+    def begin(self, buu: BuuId, start: int) -> bool:
+        """Park ``buu``'s begin; ``False`` when the caller must deliver
+        it now.  A repeated begin folds into the parked one."""
+        if not self.engaged:
+            return False
+        if buu in self.parked:
+            self.elided += 1
+        else:
+            self.parked[buu] = start
+        return True
+
+    def commit(self, buu: BuuId) -> bool:
+        """``True`` when ``buu`` is still parked: its begin and this
+        commit are both dropped.  ``False``: deliver the commit."""
+        if self.parked.pop(buu, None) is None:
+            return False
+        self.elided += 2
+        return True
 
 
 class CollectorShard:
@@ -619,6 +665,12 @@ class DataCentricCollector(Collector):
         If set, re-sample the chosen items every this many operations
         (§5.1, "reducing systematic variance").  Item states reset on each
         switch; the empty ``lastWrite`` acts as the warm-up phase.
+    begin_buu:
+        Where a promoted begin goes (the detector's ``begin_buu``).
+        With it, and ``sampling_rate > 1``, :attr:`lifecycle` parks the
+        begins its owner offers and the collector hands each one over
+        ahead of its BUU's first operation on a chosen item (see
+        :class:`SampledLifecycle`); without it nothing is ever parked.
     """
 
     def __init__(
@@ -629,6 +681,7 @@ class DataCentricCollector(Collector):
         seed: int = 0,
         resample_interval: int | None = None,
         mob_slots: int = 2,
+        begin_buu: Callable[[BuuId, int], None] | None = None,
     ) -> None:
         # The bookkeeping state lives in a single CollectorShard (the
         # counters the Collector base would set are properties here), so
@@ -641,6 +694,9 @@ class DataCentricCollector(Collector):
             self.sampler.materialize(items)
         self._resample_interval = resample_interval
         self._resample_epoch = 0
+        self.lifecycle = SampledLifecycle(
+            sampling_rate > 1 and begin_buu is not None)
+        self._begin_buu = begin_buu
         # Per-key-id DCS decision cache for the columnar kernel (see
         # :func:`repro.core.columnar.sample_mask`).
         self._mask_cache: dict = {}
@@ -686,6 +742,8 @@ class DataCentricCollector(Collector):
         self.ops_seen += 1
         edges: list[Edge] = []
         if self.sampler.chosen(op.key):
+            if self.lifecycle.parked:
+                self._promote((op,))
             edges = self.shard.handle(op)
         if self._resample_interval and self.ops_seen % self._resample_interval == 0:
             self._switch_sample()
@@ -694,13 +752,13 @@ class DataCentricCollector(Collector):
     def handle_batch(self, ops: Iterable[Operation]) -> list[Edge]:
         """Batched ingest (the DCS fast path).
 
-        Membership in the chosen-item sample is tested once per item
-        *run* (consecutive ops on the same key share one lookup), the
-        chosen subsequence feeds the shard's fused loop in one call, and
-        edges land in a single output buffer.  Bit-identical to per-op
-        :meth:`handle`; when periodic re-sampling is configured the
-        batch falls back to the per-op path so sample switches trigger
-        at exactly the same operation indexes.
+        Membership in the chosen-item sample is one C-level probe of the
+        sampler's decision memo per operation, the chosen subsequence
+        feeds the shard's fused loop in one call, and edges land in a
+        single output buffer.  Bit-identical to per-op :meth:`handle`;
+        when periodic re-sampling is configured the batch falls back to
+        the per-op path so sample switches trigger at exactly the same
+        operation indexes.
 
         A columnar :class:`~repro.core.columnar.OpBatch` takes the
         vectorized kernel (:func:`~repro.core.columnar.collect_columnar`)
@@ -724,21 +782,22 @@ class DataCentricCollector(Collector):
         if sampler.sampling_rate == 1:
             self.shard.handle_batch(ops, out)
             return out
-        chosen = sampler.chosen
-        picked: list[Operation] = []
-        append = picked.append
-        last_key: object = _NO_KEY
-        last_choice = False
-        for op in ops:
-            key = op.key
-            if key != last_key:
-                last_key = key
-                last_choice = chosen(key)
-            if last_choice:
-                append(op)
+        lookup = sampler.lookup
+        picked = [op for op in ops if lookup(op[2])]
         if picked:
+            if self.lifecycle.parked:
+                self._promote(picked)
             self.shard.handle_batch(picked, out)
         return out
+
+    def _promote(self, picked: Iterable[Operation]) -> None:
+        """Hand over the parked begin of every BUU issuing one of the
+        chosen operations ``picked``, ahead of their bookkeeping."""
+        promote = self.lifecycle.parked.pop
+        for op in picked:
+            start = promote(op[1], None)
+            if start is not None:
+                self._begin_buu(op[1], start)  # type: ignore[misc]
 
     def _handle_columnar(self, batch: OpBatch) -> EdgeBatch:
         """The vectorized DCS path: one boolean sample mask per batch,

@@ -557,7 +557,10 @@ class RushMonService:
         unsampled items that were decided before the journal: it adds
         ``count`` to the window's operations and to
         :attr:`processed_events`, so both keep meaning every operation
-        offered.
+        offered.  Its fourth field counts begin/commit events of BUUs
+        that committed without touching the sample (never journaled
+        either); they join :attr:`processed_events` too, so once every
+        BUU has committed it equals the events offered.
         """
         with self._pass_lock:
             started = time.perf_counter()
@@ -566,8 +569,8 @@ class RushMonService:
                 self._fire_fault("detect.pass")
             events = self.collector.drain_journal()
             consumed = 0
-            # Operations the consumed EV_ELIDED records stand for,
-            # beyond the one event each record already counts as.
+            # Events the consumed EV_ELIDED records stand for, beyond
+            # the one event each record already counts as.
             elided = 0
             try:
                 size = 1 if armed else self.batch_size
@@ -609,7 +612,7 @@ class RushMonService:
                             restamp = pend_edges.append
                         if kind == EV_ELIDED:
                             self._window.observe_operations(payload)
-                            elided += payload - 1
+                            elided += payload + (extra or 0) - 1
                         elif kind == EV_BEGIN:
                             detector.begin_buu(payload, ticket)
                             if trace is not None:

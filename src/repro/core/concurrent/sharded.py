@@ -55,6 +55,26 @@ serialized execution asks for — the service's ``record_trace`` replay
 re-samples it.  At ``sampling_rate=1`` every item is chosen and the two
 modes write identical journals.
 
+Lifecycle follows the sample
+----------------------------
+
+Under the same condition — ``journal_sampled_only`` and
+``sampling_rate > 1`` — a BUU that never touches a chosen item has no
+edge, so the detector need not hear of it: the collector owns a
+:class:`~repro.core.collector.SampledLifecycle`, guarded by one lock of
+its own (taken before any shard lock, never after).  A begin is
+*parked* there instead of journaled — a run of them under one hold; the
+BUU's first operation on a chosen item *promotes* it — the begin is
+journaled, with the parked start, and only then unparked, all under
+that lock and before the operation takes its ticket, so no producer can
+find the BUU unparked while its begin has no ticket yet — and the
+commit of a BUU still parked drops both events.  What was dropped since
+the previous drain reaches the consumer as one ``EV_ELIDED`` record per
+drain (no operations, the count in its fourth field), so the consumer's
+event total and :meth:`~ShardedCollector.requeue` account for it
+exactly as for elided operations.  The parked starts and the counts are
+part of :meth:`~ShardedCollector.snapshot_state`.
+
 Bounded journal and backpressure
 --------------------------------
 
@@ -106,7 +126,8 @@ import time
 import zlib
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.collector import CollectorShard, ItemSampler, _splitmix64
+from repro.core.collector import (CollectorShard, ItemSampler,
+                                  SampledLifecycle, _splitmix64)
 from repro.core.frontier import key_partition
 from repro.core.types import Edge, EdgeStats, Key, Operation, OpType
 from repro.obs.metrics import MetricsRegistry
@@ -115,8 +136,8 @@ from repro.obs.metrics import MetricsRegistry
 EV_OP = "op"
 EV_BEGIN = "begin"
 EV_COMMIT = "commit"
-#: Run-length record of operations left out of a sampled-only journal:
-#: ``(ticket, EV_ELIDED, count, None)``.
+#: Run-length record of what was left out of a sampled-only journal:
+#: ``(ticket, EV_ELIDED, operations, lifecycle events or None)``.
 EV_ELIDED = "elided"
 
 #: Valid journal-overflow policies.
@@ -328,6 +349,12 @@ class ShardedCollector:
         self._ticket = itertools.count()
         self._journal = journal
         self._elide = journal and journal_sampled_only
+        # Lifecycle follows the sample wherever the sample can exclude a
+        # BUU (module docstring).  The lock orders before shard locks.
+        self.lifecycle = SampledLifecycle(self._elide and sampling_rate != 1)
+        self._lifecycle_lock = threading.Lock()
+        #: Elided lifecycle events already handed to a drain.
+        self._lifecycle_drained = 0
         self.journal_capacity = journal_capacity
         self.overflow = overflow
         self.block_timeout = block_timeout
@@ -359,7 +386,21 @@ class ShardedCollector:
             )
             self._m_lifecycle = metrics.counter(
                 "rushmon_collector_lifecycle_events_total",
-                help="BUU begin/commit events journaled",
+                help="BUU begin/commit events offered and not shed: "
+                     "journaled, elided with their BUU, or still parked",
+            )
+            metrics.gauge_fn(
+                "rushmon_collector_lifecycle_elided_total",
+                lambda: float(self.lifecycle.elided),
+                help="offered begin/commit events of BUUs that committed "
+                     "without an operation on a sampled item (never "
+                     "journaled; counted by the journal's elided records)",
+            )
+            metrics.gauge_fn(
+                "rushmon_collector_lifecycle_parked",
+                lambda: float(len(self.lifecycle.parked)),
+                help="BUUs whose begin is held back until their first "
+                     "operation on a sampled item (or their commit)",
             )
             self._m_lock_wait = metrics.counter(
                 "rushmon_collector_lock_wait_seconds_total",
@@ -578,6 +619,9 @@ class ShardedCollector:
         *not acknowledged*: no bookkeeping, no journal entry)."""
         if self._faults is not None:
             self._apply_fault("collector.handle")
+        chosen = self._chosen(op.key)
+        if chosen and self.lifecycle.parked:
+            self._promote((op,))
         shard = self._shards[self.shard_index(op.key)]
         lock_wait = self._m_lock_wait
         if lock_wait is not None:
@@ -587,7 +631,6 @@ class ShardedCollector:
         else:
             shard.lock.acquire()
         try:
-            chosen = self._chosen(op.key)
             journaled = self._journal and (chosen or not self._elide)
             if (
                 journaled
@@ -668,7 +711,9 @@ class ShardedCollector:
         counted by one ``EV_ELIDED`` record.  ``elided`` is how many
         operations the caller already left out with the same predicate
         (the server does, while decoding a frame): they join that count,
-        so every total keeps meaning *every operation offered*.
+        so every total keeps meaning *every operation offered*.  The
+        parked begins of the BUUs issuing the chosen operations are
+        journaled first (:meth:`_promote`).
 
         Falls back to the per-op path while :meth:`_per_event` holds —
         those features make per-event decisions (injection points,
@@ -694,6 +739,7 @@ class ShardedCollector:
             ops = [op for op in ops if chosen(op.key)]
             elided = offered - len(ops)
             all_chosen = True
+            self._promote(ops)
         out = []
         sampled = 0
         if not ops:
@@ -793,14 +839,30 @@ class ShardedCollector:
                 shard.lock.release()
         return sampled
 
-    def record_lifecycle(self, kind: str, buu: int, time: int) -> None:
-        """Journal a BUU ``begin``/``commit`` event (routed by BUU id so
-        the ticket is assigned under some shard lock; placement only
-        affects contention, never counts).  Subject to the same capacity
-        policy as journaled operations; a shed lifecycle event is
-        dropped whole."""
-        if not self._journal:
+    def _promote(self, ops: Iterable[Operation]) -> None:
+        """Journal the parked begin of every BUU issuing one of the
+        chosen operations ``ops``, before any of them takes a ticket."""
+        parked = self.lifecycle.parked
+        hit = [op.buu for op in ops if op.buu in parked]
+        if not hit:
             return
+        with self._lifecycle_lock:
+            for buu in hit:
+                start = parked.get(buu)
+                if start is not None:
+                    self._journal_lifecycle(EV_BEGIN, buu, start)
+                    # Unparked only once journaled: whoever finds the
+                    # BUU gone tickets after its begin, and a begin a
+                    # full journal refuses ("block" timeout) stays
+                    # parked.
+                    del parked[buu]
+
+    def _journal_lifecycle(self, kind: str, buu: int, time: int) -> bool:
+        """Append one lifecycle record, routed by BUU id so its ticket
+        is assigned under some shard lock (placement only affects
+        contention, never counts), under the capacity policy of
+        journaled operations; ``False`` when the event was shed —
+        dropped whole."""
         shard = self._shards[
             key_partition(buu, self.num_shards, self._shard_mask)]
         with shard.lock:
@@ -809,41 +871,73 @@ class ShardedCollector:
                 and len(shard.journal) >= self._shard_capacity
                 and not self._resolve_overflow(shard, False)
             ):
-                return
+                return False
             shard.journal.append(next(self._ticket), kind, buu, time)
             depth = len(shard.journal)
             if depth > shard.journal_highwater:
                 shard.journal_highwater = depth
+        return True
+
+    def record_lifecycle(self, kind: str, buu: int, time: int) -> None:
+        """Offer a BUU ``begin``/``commit`` event.  A begin the sample
+        may yet exclude is parked, the commit of a BUU still parked is
+        dropped with it (module docstring); any other event is
+        journaled.  A shed event is not counted as offered."""
+        if not self._journal:
+            return
+        lifecycle = self.lifecycle
+        held = False
+        if lifecycle.engaged:
+            with self._lifecycle_lock:
+                held = (lifecycle.begin(buu, time) if kind == EV_BEGIN
+                        else lifecycle.commit(buu))
+        if not held and not self._journal_lifecycle(kind, buu, time):
+            return
         if self._m_lifecycle is not None:
             self._m_lifecycle.inc()
 
     def record_lifecycle_run(self, kind: str, buus: Sequence[int],
                              times: Sequence[int]) -> None:
-        """Journal a run of same-``kind`` lifecycle events as one append
-        — one shard lock hold (the first BUU's shard), one slice of
-        tickets — with the tickets, order and records of calling
-        :meth:`record_lifecycle` once per event, which is what a bounded
-        journal still gets (its overflow policy is per record)."""
+        """Offer a run of same-``kind`` lifecycle events, with the
+        tickets, order and records of calling :meth:`record_lifecycle`
+        once per event — which is what a bounded journal still gets (its
+        overflow policy is per record).  Otherwise the run is parked or
+        dropped under one hold of the lifecycle lock, and what is left
+        to journal goes in as one append: one shard lock hold (the
+        first BUU's shard), one slice of tickets."""
         if not self._journal or not buus:
             return
         if self._per_event():
             for buu, when in zip(buus, times):
                 self.record_lifecycle(kind, buu, when)
             return
-        shard = self._shards[
-            key_partition(buus[0], self.num_shards, self._shard_mask)]
-        count = len(buus)
-        with shard.lock:
-            j = shard.journal
-            j.tickets.extend(itertools.islice(self._ticket, count))
-            j.kinds.extend([kind] * count)
-            j.payloads.extend(buus)
-            j.extras.extend(times)
-            depth = len(j)
-            if depth > shard.journal_highwater:
-                shard.journal_highwater = depth
+        offered = len(buus)
+        lifecycle = self.lifecycle
+        if lifecycle.engaged:
+            with self._lifecycle_lock:
+                if kind == EV_BEGIN:
+                    for buu, when in zip(buus, times):
+                        lifecycle.begin(buu, when)
+                    buus = ()
+                else:
+                    kept = [(buu, when) for buu, when in zip(buus, times)
+                            if not lifecycle.commit(buu)]
+                    buus, times = zip(*kept) if kept else ((), ())
+        if buus:
+            shard = self._shards[
+                key_partition(buus[0], self.num_shards, self._shard_mask)]
+            count = len(buus)
+            with shard.lock:
+                j = shard.journal
+                j.tickets.extend(itertools.islice(self._ticket, count))
+                j.kinds.extend([kind] * count)
+                j.payloads.extend(buus)
+                j.extras.extend(times)
+                depth = len(j)
+                if depth > shard.journal_highwater:
+                    shard.journal_highwater = depth
         if self._m_lifecycle is not None:
-            self._m_lifecycle.inc(count)
+            self._m_lifecycle.inc(offered)
 
     # -- journal draining (detection thread) ----------------------------------
 
@@ -855,6 +949,10 @@ class ShardedCollector:
         every shard lock (briefly — the swap is a pointer exchange)
         guarantees no ticket issued so far is still in flight.  Blocked
         producers are woken (the swap empties every buffer).
+
+        Lifecycle events elided since the previous drain (module
+        docstring) close the batch as one ``(ticket, EV_ELIDED, 0,
+        count)`` record, ticketed under the same hold of every lock.
         """
         fault = None
         if self._faults is not None:
@@ -868,6 +966,10 @@ class ShardedCollector:
             arrays = [shard.journal.swap_arrays() for shard in self._shards]
             for shard in self._shards:
                 shard.not_full.notify_all()
+            elided = self.lifecycle.elided - self._lifecycle_drained
+            if elided:
+                self._lifecycle_drained += elided
+                elided_ticket = next(self._ticket)
         finally:
             for shard in reversed(self._shards):
                 shard.lock.release()
@@ -876,6 +978,8 @@ class ShardedCollector:
         # lock); tickets are unique, so the merge is a total order.
         merged = list(heapq.merge(*batches))
         self._maybe_recover_degrade(len(merged))
+        if elided:
+            merged.append((elided_ticket, EV_ELIDED, 0, elided))
         if fault is not None and fault.kind == "partial_drain":
             keep = int(len(merged) * fault.fraction)
             self.requeue(merged[keep:])
@@ -921,12 +1025,19 @@ class ShardedCollector:
         under all shard locks (so it is a prefix-consistent cut of the
         ticket order).  Keys must be JSON-serializable (str/int — what
         every workload in this repository uses)."""
+        self._lifecycle_lock.acquire()
         for shard in self._shards:
             shard.lock.acquire()
         try:
             # Burning one ticket yields a value strictly greater than
             # every ticket issued so far — the restart point.
             next_ticket = next(self._ticket)
+            lifecycle = {
+                "parked": [[buu, start] for buu, start
+                           in self.lifecycle.parked.items()],
+                "elided": self.lifecycle.elided,
+                "drained": self._lifecycle_drained,
+            }
             shards = [
                 {
                     "ops_seen": shard.ops_seen,
@@ -943,6 +1054,7 @@ class ShardedCollector:
         finally:
             for shard in reversed(self._shards):
                 shard.lock.release()
+            self._lifecycle_lock.release()
         with self._degrade_lock:
             shift = self._degrade_shift
             shifts_total = self._degrade_shifts_total
@@ -952,6 +1064,7 @@ class ShardedCollector:
             "sampler": self.sampler.to_state(),
             "degrade_shift": shift,
             "degrade_shifts_total": shifts_total,
+            "lifecycle": lifecycle,
             "shards": shards,
         }
 
@@ -964,6 +1077,12 @@ class ShardedCollector:
                 f"collector has {self.num_shards}"
             )
         self._ticket = itertools.count(state["next_ticket"])
+        # .get(): documents written before begins were parked.
+        lifecycle = state.get("lifecycle", {})
+        self.lifecycle.parked = {
+            buu: start for buu, start in lifecycle.get("parked", ())}
+        self.lifecycle.elided = lifecycle.get("elided", 0)
+        self._lifecycle_drained = lifecycle.get("drained", 0)
         self.sampler.load_state(state["sampler"])
         with self._degrade_lock:
             self._degrade_shift = state["degrade_shift"]

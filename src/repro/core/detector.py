@@ -13,7 +13,6 @@ times are retained (cheap ints) so pruning decisions stay well defined.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Iterator, KeysView
 
 from repro.core.patterns import PatternCounts, classify_two_cycle
@@ -28,6 +27,13 @@ from repro.core.types import (
 )
 
 
+class LifecycleOrderError(ValueError):
+    """An operation reached the detector after its BUU's commit (and
+    before that BUU began again).  Edge refusal is sound only when a
+    BUU's operations precede its commit, so the stream is rejected
+    rather than silently undercounted."""
+
+
 class LiveGraph:
     """Adjacency + vertex lifetimes for the streaming detector.
 
@@ -40,10 +46,11 @@ class LiveGraph:
     dict is ever empty and no self-loop is ever stored.  A vertex whose
     every neighbour was pruned stays present with empty rows.
 
-    ``starts`` records the start time of every *alive*
-    (started-but-uncommitted) BUU, ``commits`` the commit time of every
-    BUU ever committed — kept after pruning (cheap ints) so a vertex an
-    edge resurrects is prunable again.
+    ``starts`` is the one lifecycle structure: the start time of every
+    *alive* (started-but-uncommitted) BUU.  ``commits`` holds the commit
+    time of every BUU committed and not begun again since — kept after
+    pruning (cheap ints): it is what lets the detector refuse an edge
+    that would only resurrect a pruned vertex.
     """
 
     def __init__(self) -> None:
@@ -51,53 +58,29 @@ class LiveGraph:
         self.inc: Adjacency = {}
         self.starts: dict[BuuId, int] = {}
         self.commits: dict[BuuId, int] = {}
-        self.alive: set[BuuId] = set()
         self.edge_count = 0
-        # Lazily-compacted min-heap over (start, buu) for alive vertices.
-        # Entries go stale when a BUU commits; active_time() pops them on
-        # demand instead of rescanning every alive vertex per call.
-        self._active_heap: list[tuple[int, BuuId]] = []
 
     # -- lifecycle -----------------------------------------------------------
 
+    @property
+    def alive(self) -> KeysView[BuuId]:
+        """The alive BUUs (a read-only view of ``starts``' keys)."""
+        return self.starts.keys()
+
     def begin(self, buu: BuuId, start_time: int) -> None:
-        start = self.starts.setdefault(buu, start_time)
-        self.alive.add(buu)
-        heapq.heappush(self._active_heap, (start, buu))
+        """A BUU still running keeps its first start; one that begins
+        again after its commit is uncommitted from here on."""
+        self.starts.setdefault(buu, start_time)
+        self.commits.pop(buu, None)
 
     def commit(self, buu: BuuId, commit_time: int) -> None:
         self.commits[buu] = commit_time
-        self.alive.discard(buu)
         self.starts.pop(buu, None)
 
     def active_time(self, default: int = 0) -> float:
-        """The paper's ``t_active``: earliest start among alive vertices.
-
-        Amortized O(log |alive|): stale heap entries (committed BUUs) are
-        popped lazily; each begin() pushes exactly one entry, so total pop
-        work is bounded by total begins.
-        """
-        alive = self.alive
-        if not alive:
-            return float(default)
-        heap = self._active_heap
-        starts = self.starts
-        while heap:
-            start, buu = heap[0]
-            if buu in alive and starts.get(buu) == start:
-                return float(start)
-            heapq.heappop(heap)
-        # Heap exhausted while vertices are alive: state was installed
-        # directly (checkpoint restore assigns `alive`/`starts` wholesale).
-        # Rebuild the index from the alive set.
-        if any(v not in starts for v in alive):
-            # Degenerate case (alive vertex with no recorded start):
-            # fall back to the exact scan without caching.
-            return float(min(starts.get(v, default) for v in alive))
-        for v in alive:
-            heap.append((starts[v], v))
-        heapq.heapify(heap)
-        return float(heap[0][0])
+        """The paper's ``t_active``: earliest start among alive vertices
+        (O(alive), once per prune pass)."""
+        return float(min(self.starts.values(), default=default))
 
     def commit_time(self, buu: BuuId) -> float:
         return float(self.commits.get(buu, float("inf")))
@@ -193,6 +176,10 @@ class CycleDetector:
         self.count_three = count_three
         self._edges_since_prune = 0
         self.prune_passes = 0
+        #: Edges not inserted because their source was committed with no
+        #: row: it has no in-edge and can never gain one, so it would
+        #: re-enter the graph only for the next prune pass to remove it.
+        self.edges_refused = 0
 
     # -- BUU lifecycle forwarded to the live graph ---------------------------
 
@@ -201,8 +188,6 @@ class CycleDetector:
 
     def commit_buu(self, buu: BuuId, commit_time: int) -> None:
         self.graph.commit(buu, commit_time)
-        if self.pruner is not None:
-            self.pruner.on_commit(self.graph, buu)
 
     # -- edge ingestion ------------------------------------------------------
 
@@ -230,12 +215,16 @@ class CycleDetector:
         derived the closing edge, so the per-worker counts partition
         the serial counts exactly.  The prune clock advances just like
         :meth:`add_edge`, keeping graph evolution identical to a serial
-        monitor ingesting the same edge order.
+        monitor ingesting the same edge order — which includes refusing
+        the edges :meth:`add_edge_batch` refuses.
 
-        Returns whether the edge was new (mirrors
-        :meth:`LiveGraph.add_edge`).
+        Returns whether the edge was inserted.
         """
-        if not self.graph.add_edge(edge.src, edge.dst, edge.label, edge.kind):
+        graph = self.graph
+        if edge.src not in graph.out and edge.src in graph.commits:
+            self.edges_refused += 1
+            return False
+        if not graph.add_edge(edge.src, edge.dst, edge.label, edge.kind):
             return False
         self._edges_since_prune += 1
         if self.pruner is not None and self._edges_since_prune >= self.prune_interval:
@@ -254,6 +243,15 @@ class CycleDetector:
         of ``out[v]`` / ``inc[u]`` and probing the other; ``w`` is never
         ``u`` or ``v`` because no self-loop is stored.
 
+        An edge whose source is committed and has no row is *refused*
+        (tallied in :attr:`edges_refused`, nothing else moves): every
+        edge points at the BUU issuing the operation, so a committed
+        vertex never gains an in-edge and one without a row can close no
+        cycle.  That needs a BUU's operations to arrive before its
+        commit; an edge *into* a committed BUU breaks it and raises
+        :class:`LifecycleOrderError` once the edges ahead of it are
+        accounted for.
+
         Pattern recording is deferred to one ``Counter.update`` and the
         prune-interval check to the batch boundary.  Deferring pruning
         is count-preserving: safe pruning (§5.3) only removes vertices
@@ -263,18 +261,26 @@ class CycleDetector:
         graph = self.graph
         out = graph.out
         inc = graph.inc
+        commits = graph.commits
         count_three = self.count_three
         classify2 = classify_two_cycle
         pending: list = []
         record = pending.append
-        added = 0
+        added = refused = 0
         last_seq = 0
+        late = None
         ss = dd = sss_t = ssd_t = ddd_t = 0
         for src, dst, kind, label, seq in edges:
             if src == dst:
                 continue
+            if dst in commits:
+                late = dst
+                break
             row = out.get(src)
             if row is None:
+                if src in commits:
+                    refused += 1
+                    continue
                 row = out[src] = {}
                 inc[src] = {}
             labels = row.get(dst)
@@ -342,6 +348,7 @@ class CycleDetector:
                 ddd_t += na * nb - sss - ssd
         if pending:
             self.patterns.counts.update(pending)
+        self.edges_refused += refused
         if added:
             graph.edge_count += added
             total.ss = ss
@@ -354,6 +361,11 @@ class CycleDetector:
             if (self.pruner is not None
                     and self._edges_since_prune >= self.prune_interval):
                 self.prune(now=last_seq)
+        if late is not None:
+            raise LifecycleOrderError(
+                f"BUU {late!r} issued an operation after its commit; a "
+                f"BUU's operations must reach the detector before its "
+                f"commit_buu")
         return total
 
     # -- maintenance -----------------------------------------------------------

@@ -19,6 +19,8 @@ branch on monitor flavour.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from typing import Iterable
 
 from repro.core.collector import BaselineCollector, DataCentricCollector
@@ -31,11 +33,14 @@ from repro.core.types import (
     BuuId,
     CycleCounts,
     EdgeStats,
+    EdgeType,
     Key,
     Operation,
 )
 from repro.obs.instrument import instrument_serial_monitor
 from repro.obs.metrics import MetricsRegistry
+
+_EDGE_KIND = itemgetter(2)
 
 
 class WindowTracker:
@@ -73,9 +78,11 @@ class WindowTracker:
         """Batched :meth:`observe_edge` (same counts, one detector call)."""
         if not edges:
             return
+        kinds = Counter(map(_EDGE_KIND, edges))
         stats = self.edges
-        for edge in edges:
-            stats.record(edge.kind)
+        stats.wr += kinds[EdgeType.WR]
+        stats.ww += kinds[EdgeType.WW]
+        stats.rw += kinds[EdgeType.RW]
         self.raw.add(self.detector.add_edge_batch(edges))
 
     def close(self, end: int, probability: float,
@@ -137,17 +144,21 @@ class RushMon:
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.config = config or RushMonConfig()
+        self.detector = CycleDetector(
+            pruner=make_pruner(self.config.pruning),
+            prune_interval=self.config.prune_interval,
+            count_three=self.config.count_three_cycles,
+        )
+        # Lifecycle follows the sample: the collector parks each begin
+        # and hands it to the detector ahead of the BUU's first operation
+        # on a chosen item (nothing is parked at sampling_rate=1).
         self.collector = DataCentricCollector(
             sampling_rate=self.config.sampling_rate,
             mob=self.config.mob,
             items=items,
             seed=self.config.seed,
             resample_interval=self.config.resample_interval,
-        )
-        self.detector = CycleDetector(
-            pruner=make_pruner(self.config.pruning),
-            prune_interval=self.config.prune_interval,
-            count_three=self.config.count_three_cycles,
+            begin_buu=self.detector.begin_buu,
         )
         self._window = WindowTracker(self.detector)
         self._now = 0
@@ -161,10 +172,14 @@ class RushMon:
     # -- BUU lifecycle -------------------------------------------------------
 
     def begin_buu(self, buu: BuuId, start_time: int | None = None) -> None:
-        self.detector.begin_buu(buu, self._time(start_time))
+        when = self._time(start_time)
+        if not self.collector.lifecycle.begin(buu, when):
+            self.detector.begin_buu(buu, when)
 
     def commit_buu(self, buu: BuuId, commit_time: int | None = None) -> None:
-        self.detector.commit_buu(buu, self._time(commit_time))
+        when = self._time(commit_time)
+        if not self.collector.lifecycle.commit(buu):
+            self.detector.commit_buu(buu, when)
 
     def _time(self, explicit: int | None) -> int:
         if explicit is not None:

@@ -17,8 +17,10 @@ Two strategies plus their combination:
 - :class:`CombinedPruning` — ECT then distance, the paper's "Both".
 
 All pruners refuse to act when no vertex is alive (there is no defined
-``t_active``), and never remove vertices whose lifecycle was never
-reported — conservatism over aggressiveness.
+``t_active``) — behind a sampling monitor that is "nobody alive that
+touched the sample", since a begin only arrives with its BUU's first
+operation on a chosen item — and never remove vertices whose lifecycle
+was never reported: conservatism over aggressiveness.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from repro.core.detector import LiveGraph
 
 
 class Pruner:
-    """Base interface.  ``on_commit`` is the cheap per-commit fast path;
-    ``prune`` is the periodic full pass.  Both return vertices removed.
+    """Base interface: ``prune`` is the periodic full pass and returns
+    the vertices removed.
 
     Every pruner accumulates ``removed_total`` so observability
     (:mod:`repro.obs`) can report pruning effectiveness per strategy;
@@ -42,9 +44,6 @@ class Pruner:
 
     def __init__(self) -> None:
         self.removed_total = 0
-
-    def on_commit(self, graph: LiveGraph, buu: BuuId) -> int:
-        return 0
 
     def prune(self, graph: LiveGraph, now: int) -> int:
         return 0
@@ -77,11 +76,10 @@ class EctPruning(Pruner):
     # ect_v >= ct_v = now >= t_active, so the commit-time check can never
     # prune; its value in the paper is pre-computing ect for the periodic
     # pass.  This reproduction folds that maintenance into the periodic
-    # pass, so ``on_commit`` is inherited as a no-op.
+    # pass, so there is no per-commit hook.
 
     def prune(self, graph: LiveGraph, now: int) -> int:
-        alive = graph.alive
-        if not alive:
+        if not graph.alive:
             return 0
         t_active = graph.active_time(default=now)
         commits = graph.commits
@@ -95,9 +93,8 @@ class EctPruning(Pruner):
                 if w not in visited:
                     add(w)
                     push(w)
-        # Unvisited vertices are committed (they were not seeds); one
-        # that began again since stays until it commits again.
-        doomed = [v for v in out if v not in visited and v not in alive]
+        # Unvisited vertices are committed: they were not seeds.
+        doomed = [v for v in out if v not in visited]
         graph.remove_vertices(doomed)
         self.removed_total += len(doomed)
         return len(doomed)
@@ -145,9 +142,6 @@ class CombinedPruning(Pruner):
         super().__init__()
         self.ect = EctPruning()
         self.distance = DistancePruning(max_cycle_length)
-
-    def on_commit(self, graph: LiveGraph, buu: BuuId) -> int:
-        return self.ect.on_commit(graph, buu)
 
     def prune(self, graph: LiveGraph, now: int) -> int:
         removed = self.ect.prune(graph, now) + self.distance.prune(graph, now)

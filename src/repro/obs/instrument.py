@@ -55,6 +55,13 @@ def instrument_detector(registry: MetricsRegistry, detector: Any) -> None:
         ),
         help="sampled 2-/3-cycles counted since construction",
     )
+    registry.gauge_fn(
+        "rushmon_detector_edges_refused_total",
+        lambda: float(detector.edges_refused),
+        help="collected edges not inserted because their source was "
+             "committed and absent, so could never close a cycle (offered "
+             "= admitted + duplicate + self-loop + refused)",
+    )
     pruner = getattr(detector, "pruner", None)
     if pruner is None or not hasattr(pruner, "removed_by_strategy"):
         return
@@ -246,7 +253,20 @@ def instrument_cluster_monitor(registry: MetricsRegistry,
     registry.gauge_fn(
         "rushmon_cluster_lifecycle_broadcasts_total",
         lambda: float(cluster.lifecycle_broadcasts),
-        help="BUU begin/commit events broadcast to every worker",
+        help="BUU begin/commit broadcasts made (each goes to every "
+             "worker); offered = broadcasts + elided + parked",
+    )
+    registry.gauge_fn(
+        "rushmon_cluster_lifecycle_elided_total",
+        lambda: float(cluster.lifecycle.elided),
+        help="offered begin/commit events never broadcast: their BUU "
+             "committed without an operation on a sampled item",
+    )
+    registry.gauge_fn(
+        "rushmon_cluster_lifecycle_parked",
+        lambda: float(len(cluster.lifecycle.parked)),
+        help="BUUs whose begin the router holds back until their first "
+             "operation on a sampled item (or their commit)",
     )
     registry.gauge_fn(
         "rushmon_cluster_router_flushes_total",

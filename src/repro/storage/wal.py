@@ -29,7 +29,6 @@ restored into a silently wrong monitor.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import zlib
@@ -347,6 +346,7 @@ def encode_detector_state(detector) -> dict:
         "patterns": _encode_patterns(detector.patterns),
         "edges_since_prune": detector._edges_since_prune,
         "prune_passes": detector.prune_passes,
+        "edges_refused": detector.edges_refused,
         "pruner_removed_total": 0 if pruner is None else pruner.removed_total,
         "pruner_removed_by_strategy": (
             {} if pruner is None else pruner.removed_by_strategy()
@@ -371,19 +371,20 @@ def decode_detector_state(detector, state: dict) -> None:
             f"detector state lists {graph.edge_count} distinct edges but "
             f"records edge_count={state['edge_count']}"
         )
-    graph.alive = set(state["alive"])
     # Documents written before commit() dropped a BUU's start carry one
-    # entry per BUU ever begun; only the alive ones are ever read.
-    graph.starts = {buu: t for buu, t in state["starts"] if buu in graph.alive}
-    graph.commits = {buu: t for buu, t in state["commits"]}
-    # Rebuild the lazily-compacted active-time heap to match the restored
-    # alive set (state was installed wholesale, bypassing begin()).
-    graph._active_heap = [(t, buu) for buu, t in graph.starts.items()]
-    heapq.heapify(graph._active_heap)
+    # entry per BUU ever begun, and those written before begin() dropped
+    # a stale commit time list one for an alive BUU that began again:
+    # only the alive starts and the other BUUs' commits are state.
+    alive = set(state["alive"])
+    graph.starts = {buu: t for buu, t in state["starts"] if buu in alive}
+    graph.commits = {buu: t for buu, t in state["commits"]
+                     if buu not in alive}
     detector.counts = _decode_counts(state["counts"])
     detector.patterns = _decode_patterns(state["patterns"])
     detector._edges_since_prune = state["edges_since_prune"]
     detector.prune_passes = state["prune_passes"]
+    # .get(): documents written before the detector refused edges.
+    detector.edges_refused = state.get("edges_refused", 0)
     pruner = detector.pruner
     if pruner is not None:
         pruner.removed_total = state["pruner_removed_total"]

@@ -470,7 +470,7 @@ def test_interned_stream_equivalent_to_string_stream():
     assert counts[0] == counts[1]
 
 
-# -- active-time heap --------------------------------------------------------
+# -- active time ---------------------------------------------------------------
 
 
 def test_active_time_matches_naive_min_under_churn():
@@ -489,17 +489,6 @@ def test_active_time_matches_naive_min_under_churn():
         expected = (min(graph.starts[b] for b in alive)
                     if alive else float(step))
         assert graph.active_time(default=step) == expected
-
-
-def test_active_time_after_wholesale_state_install():
-    """Checkpoint restore assigns alive/starts directly; the heap must
-    rebuild itself instead of reporting a stale or missing minimum."""
-    graph = LiveGraph()
-    graph.alive = {10, 11, 12}
-    graph.starts = {10: 50, 11: 30, 12: 70}
-    assert graph.active_time() == 30.0
-    graph.commit(11, 80)
-    assert graph.active_time() == 50.0
 
 
 def test_wal_detector_roundtrip_preserves_active_time():

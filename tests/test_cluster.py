@@ -502,3 +502,153 @@ def test_route_frames_carry_only_sampled_keys_and_every_op_is_counted():
     # vacuous), and sr=1 shipped everything.
     assert len({frozenset(c) for c in chosen_sets}) == len(configs)
     assert chosen_sets[-1] == all_keys
+
+
+# -- lifecycle follows the sample (router side) --------------------------------
+
+
+def _link_streams(monitor: ClusterMonitor) -> list[list]:
+    """Per worker, every event record journaled since the last reset, in
+    the order that worker receives them."""
+    streams = []
+    for link in monitor._links:
+        with link.cond:
+            entries = [e for e in link.journal if e[0] == "route"]
+        streams.append([record for entry in entries
+                        for frame in FrameReader().feed(entry[2])
+                        for record in frame["events"]])
+    return streams
+
+
+def test_lifecycle_records_travel_only_for_buus_that_touch_the_sample():
+    """Frame level, sr=20: no ``b``/``c`` record for a BUU without an
+    operation on a sampled item; each promoted begin reaches *every*
+    worker, ahead of its BUU's first routed operation and with a
+    smaller ticket, in a stream whose tickets still only grow; and
+    broadcast + elided + parked account for every event offered."""
+    config = RushMonConfig(sampling_rate=20, mob=False, seed=4,
+                           num_workers=2)
+    history = _sampled_history(5)
+    sampler = ItemSampler(config.sampling_rate, config.seed)
+    touched = {op.buu for op in history if sampler.chosen(op.key)}
+    all_buus = {op.buu for op in history}
+    assert 0 < len(touched) < len(all_buus)
+    with ClusterMonitor(config) as monitor:
+        _feed_windowed(monitor, history, "on_operations", 2)
+        first_op = {}
+        for stream in _link_streams(monitor):
+            for record in stream:
+                if record[0] in ("r", "w"):
+                    first_op[record[1]] = min(record[4],
+                                              first_op.get(record[1], 1 << 62))
+        assert set(first_op) == touched
+        for stream in _link_streams(monitor):
+            tickets = [record[-1] for record in stream]
+            assert tickets == sorted(set(tickets))
+            for tag in ("b", "c"):
+                assert sorted(r[1] for r in stream if r[0] == tag) == \
+                    sorted(touched)
+            seen_ops = set()
+            for record in stream:
+                if record[0] == "b":
+                    assert record[1] not in seen_ops
+                    assert record[3] < first_op[record[1]]
+                elif record[0] in ("r", "w"):
+                    seen_ops.add(record[1])
+        assert monitor.lifecycle_broadcasts == 2 * len(touched)
+        assert monitor.lifecycle.elided == 2 * (len(all_buus) - len(touched))
+        assert len(monitor.lifecycle.parked) == 0
+        assert {shard["lifecycle_elided"]
+                for shard in monitor.shard_health()} == \
+            {monitor.lifecycle.elided}
+        snap = monitor.metrics.snapshot()
+        assert snap["rushmon_cluster_lifecycle_broadcasts_total"] \
+            + snap["rushmon_cluster_lifecycle_elided_total"] \
+            + snap["rushmon_cluster_lifecycle_parked"] == 2 * len(all_buus)
+
+        # A reset ends the run: BUUs still parked are dropped, counted.
+        elided = monitor.lifecycle.elided
+        for buu in (900, 901, 902):
+            monitor.begin_buu(buu, 1)
+        assert len(monitor.lifecycle.parked) == 3
+        monitor.reset(config)
+        assert len(monitor.lifecycle.parked) == 0
+        assert monitor.lifecycle.elided == elided + 3
+        # At sr=1 every begin is broadcast as it arrives.
+        monitor.reset(RushMonConfig(sampling_rate=1, mob=False, seed=4,
+                                    num_workers=2))
+        broadcasts = monitor.lifecycle_broadcasts
+        monitor.begin_buu(1, 1)
+        monitor.commit_buu(1, 2)
+        assert monitor.lifecycle_broadcasts == broadcasts + 2
+        assert len(monitor.lifecycle.parked) == 0
+
+
+def _assert_cluster_matches_restricted_oracle(cluster, history, sr, seed,
+                                              pruning, prune_interval):
+    config = RushMonConfig(sampling_rate=sr, mob=False, seed=seed,
+                           num_workers=cluster.num_workers,
+                           pruning=pruning, prune_interval=prune_interval)
+    cluster.reset(config)
+    reports = _feed_windowed(cluster, history, "on_operations", 2)
+    sampler = ItemSampler(sr, seed)
+    exact = exact_cycle_counts(
+        [op for op in history if sampler.chosen(op.key)])
+    raw = reports[0].raw.copy()
+    raw.add(reports[1].raw)
+    assert raw == cluster.counts() == exact, (sr, pruning, prune_interval)
+    return exact
+
+
+@pytest.mark.parametrize("sr", (4, 20), ids=["sr4", "sr20"])
+def test_cluster_sampled_counts_equal_the_restricted_history_oracle(
+        cluster, sr):
+    """Without MOB the merged raw counts of a sampled run are the exact
+    checker's over the operations on chosen keys, under every pruner."""
+    history = _sampled_history(5)
+    for pruning in ("both", "ect", "distance"):
+        for prune_interval in (1, 100):
+            exact = _assert_cluster_matches_restricted_oracle(
+                cluster, history, sr, 4, pruning, prune_interval)
+    assert exact.two_cycles + exact.three_cycles > 0
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_sampled_counts_equal_the_restricted_history_oracle_sweep(
+        cluster, seed):
+    history = _sampled_history(seed)
+    found = 0
+    for sr in (4, 20):
+        for pruning in ("both", "ect", "distance"):
+            for prune_interval in (1, 100):
+                exact = _assert_cluster_matches_restricted_oracle(
+                    cluster, history, sr, seed, pruning, prune_interval)
+        found += exact.two_cycles + exact.three_cycles
+    assert found > 0
+
+
+def test_an_operation_after_its_commit_raises_at_the_next_barrier():
+    """The owning worker's detector rejects the late operation; the
+    worker keeps merging (its peers gate on its watermarks) and every
+    report asked of the cluster raises until a ``reset``."""
+    from repro.core.detector import LifecycleOrderError
+
+    config = RushMonConfig(sampling_rate=1, mob=False, num_workers=2)
+    with ClusterMonitor(config) as monitor:
+        monitor.begin_buu(1, 0)
+        monitor.begin_buu(2, 0)
+        monitor.on_operation(Operation(OpType.WRITE, 1, "y", 1))
+        monitor.on_operation(Operation(OpType.WRITE, 2, "x", 2))
+        monitor.commit_buu(1, 3)
+        monitor.on_operation(Operation(OpType.READ, 1, "x", 4))
+        with pytest.raises(LifecycleOrderError, match="BUU 1 "):
+            monitor.close_window()
+        with pytest.raises(LifecycleOrderError):
+            monitor.counts()
+        assert all(shard["state"] == "up"
+                   for shard in monitor.shard_health())
+        monitor.reset(config)
+        history = random_history(3)
+        feed_with_lifecycle([monitor], history)
+        assert monitor.counts() == exact_cycle_counts(history)

@@ -1,0 +1,559 @@
+"""Lifecycle follows the sample, and the detector refuses edges that can
+never close a cycle.
+
+Pinned here, for the serial monitor and the threaded service (the
+cluster's share is in ``tests/test_cluster.py``):
+
+- an exact oracle for *sampled* runs: without MOB the raw counts at
+  ``sr`` in {4, 20} equal :func:`repro.checkers.exact_cycle_counts` over
+  the history restricted to the chosen keys, through every ingest path
+  and under every pruning strategy;
+- the detector hears of exactly the BUUs with an operation on a chosen
+  item — whatever the order and shape of the lifecycle calls — and every
+  event offered is delivered, elided or still parked;
+- an edge whose source is committed and absent is refused and counted,
+  and an operation arriving after its BUU's commit raises
+  :class:`~repro.core.detector.LifecycleOrderError` instead of being
+  undercounted;
+- the collector's batch filter is its per-op ``handle``.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from repro.bench.harness import measure_collector, record_graph_workload
+from repro.checkers import exact_cycle_counts
+from repro.core.collector import (
+    BaselineCollector,
+    DataCentricCollector,
+    ItemSampler,
+)
+from repro.core.concurrent import RushMonService
+from repro.core.concurrent.sharded import EV_BEGIN, EV_COMMIT, EV_OP
+from repro.core.detector import CycleDetector, LifecycleOrderError
+from repro.core.monitor import RushMon
+from repro.core.pruning import make_pruner
+from repro.core.types import Operation, OpType
+from repro.testing import FaultInjector
+
+from tests.histgen import random_history
+from tests.test_batch_equivalence import _lifecycle_stream
+from tests.test_checkpoint import _feed as _feed_per_op
+from tests.test_sampled_journal import (
+    SAMPLING_RATES,
+    _assert_matches_serial,
+    _config,
+    _events,
+    _feed_batched,
+    _serial,
+)
+
+SEED = 3  # the sampler seed of tests.test_sampled_journal._config
+
+
+def _ops(events):
+    return [payload for kind, payload in events if kind == "op"]
+
+
+def _buus(events):
+    return {payload[0] for kind, payload in events if kind == "begin"}
+
+
+def _chosen_buus(events, sr):
+    chosen = ItemSampler(sr, SEED).chosen
+    return {op.buu for op in _ops(events) if chosen(op.key)}
+
+
+def _a_key(sr, chosen=True, start=0):
+    pick = ItemSampler(sr, SEED).chosen
+    return next(key for key in range(start, 10_000) if pick(key) is chosen)
+
+
+def _elided_and_parked(monitor):
+    lifecycle = monitor.collector.lifecycle
+    return lifecycle.elided, len(lifecycle.parked)
+
+
+# -- (a) the restricted-history oracle ------------------------------------------
+
+INGEST = {
+    "serial-per-op": (RushMon, _feed_per_op, 4),
+    "serial-batched": (RushMon, _feed_batched, 4),
+    "service-batched-1": (RushMonService, _feed_batched, 1),
+    "service-batched-4": (RushMonService, _feed_batched, 4),
+    "service-per-op-1": (RushMonService, _feed_per_op, 1),
+    "service-per-op-4": (RushMonService, _feed_per_op, 4),
+}
+PRUNINGS = ("both", "ect", "distance")
+PRUNE_INTERVALS = (1, 100)
+
+
+def restricted_exact(ops, sr, seed=SEED):
+    """The exact checker's counts over the operations on chosen keys."""
+    chosen = ItemSampler(sr, seed).chosen
+    return exact_cycle_counts([op for op in ops if chosen(op.key)])
+
+
+def _assert_sampled_counts_are_exact(events, sr, ingest, pruning,
+                                     prune_interval):
+    flavour, feed, shards = INGEST[ingest]
+    monitor = flavour(_config(sr, num_shards=shards, pruning=pruning,
+                              prune_interval=prune_interval))
+    half = len(events) // 2
+    feed(monitor, events[:half])
+    monitor.close_window()
+    feed(monitor, events[half:])
+    monitor.close_window()
+    exact = restricted_exact(_ops(events), sr)
+    assert monitor.detector.counts == exact, (ingest, pruning,
+                                              prune_interval)
+    return exact
+
+
+@pytest.mark.parametrize("ingest", INGEST)
+@pytest.mark.parametrize("sr", SAMPLING_RATES)
+def test_sampled_counts_equal_the_restricted_history_oracle(sr, ingest):
+    events = _events(3000)
+    for pruning in PRUNINGS:
+        for prune_interval in PRUNE_INTERVALS:
+            exact = _assert_sampled_counts_are_exact(
+                events, sr, ingest, pruning, prune_interval)
+    assert exact.two_cycles > 0  # not vacuous
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("ingest", INGEST)
+@pytest.mark.parametrize("stream_seed", range(1, 9))
+def test_sampled_counts_equal_the_restricted_history_oracle_sweep(
+        stream_seed, ingest):
+    events = _events(8000, seed=stream_seed)
+    found = 0
+    for sr in SAMPLING_RATES:
+        for pruning in PRUNINGS:
+            for prune_interval in PRUNE_INTERVALS:
+                exact = _assert_sampled_counts_are_exact(
+                    events, sr, ingest, pruning, prune_interval)
+        found += exact.two_cycles + exact.three_cycles
+    assert found > 0
+
+
+# -- (b) which lifetimes reach the detector ---------------------------------------
+
+
+@pytest.mark.parametrize("ingest", INGEST)
+@pytest.mark.parametrize("sr", SAMPLING_RATES)
+def test_detector_hears_of_exactly_the_buus_that_touch_the_sample(sr,
+                                                                  ingest):
+    flavour, feed, shards = INGEST[ingest]
+    events = _events(3000)
+    monitor = flavour(_config(sr, num_shards=shards, pruning="none"))
+    feed(monitor, events)
+    monitor.close_window()
+    graph = monitor.detector.graph
+    touched = _chosen_buus(events, sr)
+    assert 0 < len(touched) < len(_buus(events))
+    assert set(graph.commits) == touched
+    assert not graph.starts
+    # Promotion preceded every edge: no vertex of unknown lifecycle.
+    assert graph.present <= graph.commits.keys()
+    elided, parked = _elided_and_parked(monitor)
+    assert (elided, parked) == (2 * (len(_buus(events)) - len(touched)), 0)
+
+
+@pytest.mark.parametrize("flavour", (RushMon, RushMonService),
+                         ids=("serial", "service"))
+def test_lifecycle_calls_of_every_shape(flavour):
+    """Begin without commit, commit without begin, BUUs with no
+    operation, ids that begin again: the detector's lifetimes, and
+    *offered = delivered + elided + parked* after every step."""
+    hot, cold = _a_key(20), _a_key(20, chosen=False)
+    monitor = flavour(_config(20, pruning="none"))
+    graph = monitor.detector.graph
+    offered = ops = 0
+
+    def lifecycle(kind, buu, when):
+        nonlocal offered
+        offered += 1
+        (monitor.begin_buu if kind == "b" else monitor.commit_buu)(buu, when)
+
+    def op(kind, buu, key, seq):
+        nonlocal ops
+        ops += 1
+        monitor.on_operation(Operation(kind, buu, key, seq))
+
+    def settled(elided, parked, commits, starts):
+        monitor.close_window()
+        assert _elided_and_parked(monitor) == (elided, parked)
+        assert set(graph.commits) == commits
+        assert set(graph.starts) == starts
+        if flavour is RushMonService:
+            assert monitor.processed_events + parked == offered + ops
+
+    lifecycle("b", 1, 0)
+    op(OpType.WRITE, 1, cold, 1)            # 1 stays parked: no commit
+    lifecycle("c", 7, 2)                    # no begin: forwarded as ever
+    settled(0, 1, {7}, set())
+    lifecycle("b", 2, 3)
+    lifecycle("c", 2, 4)                    # no operation at all
+    settled(2, 1, {7}, set())
+    lifecycle("b", 3, 5)
+    op(OpType.WRITE, 3, hot, 6)             # promoted, never commits
+    settled(2, 1, {7}, {3})
+    if flavour is RushMon:
+        assert graph.starts[3] == 5         # the parked start travels
+    lifecycle("b", 4, 7)
+    op(OpType.READ, 4, hot, 8)
+    op(OpType.WRITE, 3, hot, 9)             # 3 -> 4 -> 3
+    lifecycle("c", 4, 10)
+    lifecycle("b", 4, 11)                   # begins again, misses the
+    op(OpType.READ, 4, cold, 12)            # sample this time
+    lifecycle("c", 4, 13)
+    settled(4, 1, {7, 4}, {3})
+    lifecycle("b", 4, 14)                   # and again, and hits it
+    op(OpType.WRITE, 4, hot, 15)
+    settled(4, 1, {7}, {3, 4})
+    lifecycle("b", 1, 16)                   # a second begin while parked
+    lifecycle("c", 1, 17)                   # folds into the first
+    settled(7, 0, {7}, {3, 4})
+    assert monitor.detector.counts.two_cycles == 1
+
+
+@pytest.mark.parametrize("feed", (_feed_per_op, _feed_batched),
+                         ids=("per-op", "batched"))
+def test_resampling_promotes_on_whichever_sample_is_current(feed):
+    """``resample_interval`` switches the chosen items mid-stream (and
+    sends batches down the per-op path): a parked BUU is promoted by
+    its first operation on an item of the sample current *then*, and
+    the counts are those of a monitor that parks nothing."""
+    events = _events(3000)
+    config = _config(4, resample_interval=150, pruning="none")
+    monitor, reference = RushMon(config), RushMon(config)
+    reference.collector.lifecycle.engaged = False
+    shadow = DataCentricCollector(sampling_rate=4, mob=False, seed=SEED,
+                                  resample_interval=150)
+    touched = set()
+    for op in _ops(events):
+        if shadow.sampler.chosen(op.key):
+            touched.add(op.buu)
+        shadow.handle(op)
+    for mon in (monitor, reference):
+        feed(mon, events)
+        mon.close_window()
+    assert monitor.collector._resample_epoch == 3000 // 150
+    assert set(monitor.detector.graph.commits) == touched
+    assert set(reference.detector.graph.commits) == _buus(events) != touched
+    assert monitor.detector.counts == reference.detector.counts
+    assert monitor.reports == reference.reports
+    assert monitor.detector.counts.two_cycles > 0
+
+
+def test_parked_buus_survive_an_armed_injector_and_a_degrade_shift():
+    """The per-event collector paths consult the parked set too: behind
+    an armed (idle) injector the service still equals the serial
+    monitor, and a degrade shift in mid-stream — operations the
+    secondary filter now excludes promote nobody — leaves every vertex
+    with a known lifetime and every event accounted for."""
+    events = _events(3000)
+    serial = _serial(20, events)
+    armed = RushMonService(_config(20), faults=FaultInjector())
+    _feed_batched(armed, events)
+    armed.close_window()
+    _assert_matches_serial(armed, serial, events)
+    assert set(armed.detector.graph.commits) == _chosen_buus(events, 20)
+
+    degrading = RushMonService(_config(
+        4, pruning="none", journal_capacity=64, overflow="degrade"))
+    collector = degrading.collector
+    _feed_batched(degrading, events[:1500])
+    assert collector.degrade_shift > 0 and collector.lifecycle.parked
+    _feed_batched(degrading, events[1500:])
+    degrading.close_window()
+    degrading.close_window()
+    graph = degrading.detector.graph
+    assert degrading.health == "ok"
+    assert graph.present and graph.present <= graph.commits.keys()
+    assert set(graph.commits) <= _chosen_buus(events, 4)
+    assert not collector.lifecycle.parked
+    assert degrading.processed_events == len(events)
+    snap = degrading.metrics.snapshot()
+    assert snap["rushmon_collector_lifecycle_events_total"] == \
+        2 * len(_buus(events))
+    assert snap["rushmon_collector_lifecycle_elided_total"] == \
+        2 * (len(_buus(events)) - len(graph.commits))
+
+
+def test_two_producers_on_one_buu_promote_it_once():
+    """Four threads issue the operations of the same BUUs at once: each
+    BUU's begin is journaled exactly once, with a ticket below every
+    one of its operations'."""
+    hot = [_a_key(4, start=s) for s in (0, 40, 80)]
+    hot = sorted({*hot, _a_key(4, start=max(hot) + 1)})
+    cold = _a_key(4, chosen=False)
+    buus = range(6)
+    service = RushMonService(_config(4))
+    for buu in buus:
+        service.begin_buu(buu, 0)
+    start = threading.Barrier(4)
+
+    def produce(thread):
+        start.wait(timeout=30)
+        for i in range(150):
+            buu = buus[i % len(buus)]
+            key = cold if i < 12 else hot[(i + thread) % len(hot)]
+            op = Operation(OpType.WRITE, buu, key, thread * 1000 + i)
+            if i % 3:
+                service.on_operation(op)
+            else:
+                service.on_operations([op])
+
+    threads = [threading.Thread(target=produce, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    journal = service.collector.drain_journal()
+    for buu in buus:
+        begins = [ticket for ticket, kind, payload, _ in journal
+                  if kind == EV_BEGIN and payload == buu]
+        first_op = min(ticket for ticket, kind, payload, _ in journal
+                       if kind == EV_OP and payload.buu == buu)
+        assert len(begins) == 1 and begins[0] < first_op
+    assert not service.collector.lifecycle.parked
+    assert service.collector.lifecycle.elided == 0
+
+
+def test_checkpoint_with_parked_buus_restores_like_an_uninterrupted_run(
+        tmp_path):
+    events = _events(6000)
+    serial = _serial(20, events)
+    path = str(tmp_path / "svc.wal")
+    whole, first = RushMonService(_config(20)), RushMonService(_config(20))
+    for service in (whole, first):
+        _feed_batched(service, events[:2000])
+        service.close_window()
+        _feed_batched(service, events[2000:3500])
+    parked = len(first.collector.lifecycle.parked)
+    assert parked > 0 and first.collector.lifecycle.elided > 0
+    first.checkpoint(path)
+    del first  # simulated kill: nothing after the checkpoint survives
+    restored = RushMonService.restore(path)
+    assert len(restored.collector.lifecycle.parked) == parked
+    for service in (whole, restored):
+        _feed_batched(service, events[3500:])
+        service.close_window()
+    _assert_matches_serial(restored, serial, events)
+    a, b = restored.detector.graph, whole.detector.graph
+    assert sorted(a.edges()) == sorted(b.edges())
+    assert (a.present, a.starts, a.commits) == (b.present, b.starts,
+                                                b.commits)
+    assert set(a.commits) | set(a.starts) == _chosen_buus(events, 20)
+    assert restored.processed_events == whole.processed_events
+    assert restored.collector.lifecycle.elided == \
+        whole.collector.lifecycle.elided
+    assert restored.detector.edges_refused == whole.detector.edges_refused
+
+
+def test_journaled_lifecycle_records_are_the_promoted_buus():
+    """Journal level: begin/commit records exist for exactly the BUUs
+    with a chosen operation, each begin ticketed below its BUU's first
+    operation, and what was dropped closes the drain as one count."""
+    events = _events(3000)
+    service = RushMonService(_config(20))
+    _feed_batched(service, events)
+    journal = service.collector.drain_journal()
+    touched = _chosen_buus(events, 20)
+    for kind in (EV_BEGIN, EV_COMMIT):
+        assert sorted(payload for _, k, payload, _ in journal
+                      if k == kind) == sorted(touched)
+    first_op = {}
+    for ticket, kind, payload, _ in journal:
+        if kind == EV_OP:
+            first_op.setdefault(payload.buu, ticket)
+    assert all(ticket < first_op[payload]
+               for ticket, kind, payload, _ in journal if kind == EV_BEGIN)
+    assert journal[-1][1:] == (
+        "elided", 0, 2 * (len(_buus(events)) - len(touched)))
+    assert service.collector.drain_journal() == []
+
+
+# -- (d) refusal and the ordering it rests on -----------------------------------
+
+
+def test_refused_edges_reconcile_and_never_enter_the_graph():
+    """offered = admitted + duplicate + self-loop + refused, decided
+    edge by edge against the graph as it stood."""
+    tallies = dict.fromkeys(("admitted", "duplicate", "self-loop",
+                             "refused"), 0)
+    offered = 0
+    for seed in range(6):
+        det = CycleDetector(make_pruner("both"), prune_interval=10**9)
+        graph = det.graph
+        refused_before = 0
+        for item in _lifecycle_stream(random_history(seed)):
+            if isinstance(item, tuple) and item[0] in ("b", "c"):
+                (det.begin_buu if item[0] == "b" else det.commit_buu)(
+                    item[1], item[2])
+                det.prune(now=item[2])
+                continue
+            offered += 1
+            if item.src == item.dst:
+                verdict = "self-loop"
+            elif item.src not in graph.present and item.src in graph.commits:
+                verdict = "refused"
+            elif item.label in graph.edge_labels(item.src, item.dst):
+                verdict = "duplicate"
+            else:
+                verdict = "admitted"
+            tallies[verdict] += 1
+            edges, vertices = det.num_edges, det.num_vertices
+            det.add_edge(item)
+            assert det.num_edges - edges == (verdict == "admitted")
+            if verdict == "refused":
+                assert det.num_vertices == vertices
+        assert det.edges_refused - refused_before > 0
+    assert sum(tallies.values()) == offered
+    assert tallies["refused"] > 0 and tallies["admitted"] > 0
+
+
+def test_refused_edges_still_count_as_collected():
+    history = random_history(3, num_buus=120, num_keys=6)
+    monitor = RushMon(_config(1, prune_interval=20))
+    last = {op.buu: i for i, op in enumerate(history)}
+    begun = set()
+    for i, op in enumerate(history):
+        if op.buu not in begun:
+            begun.add(op.buu)
+            monitor.begin_buu(op.buu, op.seq)
+        monitor.on_operation(op)
+        if last[op.buu] == i:
+            monitor.commit_buu(op.buu, op.seq)
+    report = monitor.close_window()
+    assert monitor.detector.edges_refused > 0
+    assert report.edges == monitor.collector.stats
+    assert monitor.detector.counts == exact_cycle_counts(history)
+    assert monitor.metrics.snapshot()[
+        "rushmon_detector_edges_refused_total"] == \
+        monitor.detector.edges_refused
+
+
+def _late_operation_stream():
+    """BUU 1 reads what BUU 2 wrote *after* its own commit."""
+    return [("begin", (1, 0)), ("begin", (2, 0)),
+            ("op", Operation(OpType.WRITE, 1, "y", 1)),
+            ("op", Operation(OpType.WRITE, 2, "x", 2)),
+            ("commit", (1, 3)),
+            ("op", Operation(OpType.READ, 1, "x", 4))]
+
+
+def test_an_operation_after_its_commit_raises_from_the_serial_monitor():
+    monitor = RushMon(_config(1))
+    with pytest.raises(LifecycleOrderError, match="BUU 1 "):
+        _feed_per_op(monitor, _late_operation_stream())
+    # What preceded the late edge is accounted for, and beginning again
+    # makes the BUU's operations welcome again.
+    assert monitor.detector.num_edges == 0
+    monitor.begin_buu(1, 5)
+    monitor.on_operation(Operation(OpType.READ, 1, "x", 6))
+    assert monitor.detector.num_edges == 1
+
+
+def test_an_operation_after_its_commit_degrades_the_service():
+    """Inline the pass raises; on the background thread the supervisor
+    catches it, retries, and trips the breaker: health is not ``ok``."""
+    inline = RushMonService(_config(1))
+    _feed_per_op(inline, _late_operation_stream())
+    with pytest.raises(LifecycleOrderError):
+        inline.close_window()
+
+    service = RushMonService(_config(1, detect_interval=0.005,
+                                     max_restarts=1, restart_backoff=0.001,
+                                     max_backoff=0.002)).start()
+    try:
+        _feed_per_op(service, _late_operation_stream())
+        deadline = threading.Event()
+        for _ in range(2000):
+            if service.degraded:
+                break
+            deadline.wait(0.005)
+        assert service.degraded and service.health == "degraded"
+        assert isinstance(service.last_error, LifecycleOrderError)
+        assert service.latest_report().health == "degraded"
+    finally:
+        service.stop()
+
+
+def test_replay_applies_a_commit_after_the_edges_of_its_last_write():
+    """The simulator stamps a commit with its last write's time.  The
+    timestamp-replay loops therefore hold a commit back on that tie
+    (begins still go first); applying it ahead of the tied edges, as
+    they used to, is the misordering the detector now rejects."""
+    run = record_graph_workload(600, 200, seed=1)
+    measured = measure_collector(BaselineCollector(), run, "us",
+                                 prune_interval=50)
+    assert measured.raw == exact_cycle_counts(run.ops)
+
+    events = sorted([(t, 0, buu) for buu, t in run.begins]
+                    + [(t, 1, buu) for buu, t in run.commits])
+    detector = CycleDetector(make_pruner("both"), prune_interval=50)
+    index = 0
+    with pytest.raises(LifecycleOrderError):
+        for edge in BaselineCollector().handle_all(run.ops):
+            while index < len(events) and events[index][0] <= edge.seq:
+                t, kind, buu = events[index]
+                (detector.commit_buu if kind else detector.begin_buu)(buu, t)
+                index += 1
+            detector.add_edge(edge)
+
+
+# -- (e) the batch filter is the per-op handle -------------------------------------
+
+
+def _same_key_runs(seed):
+    """Long runs of consecutive operations on one key, the shape the
+    retired key-run cache was built for."""
+    import random
+
+    rng = random.Random(seed)
+    ops = []
+    while len(ops) < 1200:
+        key = rng.randrange(40)
+        for _ in range(rng.choice((1, 2, 30, 80))):
+            kind = OpType.WRITE if rng.random() < 0.5 else OpType.READ
+            ops.append(Operation(kind, rng.randrange(12), key, len(ops)))
+    return ops
+
+
+@pytest.mark.parametrize("mob", (False, True), ids=("full", "mob"))
+def test_batch_filter_is_per_op_handle_across_sampler_changes(mob):
+    ops = _same_key_runs(5)
+    per_op, batched = (DataCentricCollector(sampling_rate=4, mob=mob, seed=2)
+                       for _ in range(2))
+
+    def phase(chunk, size):
+        want = [edge for op in chunk for edge in per_op.handle(op)]
+        got = []
+        for start in range(0, len(chunk), size):
+            got.extend(batched.handle_batch(chunk[start:start + size]))
+        assert got == want
+        assert batched.to_state() == per_op.to_state()
+
+    phase(ops[:300], 64)
+    for collector in (per_op, batched):
+        collector.sampler.reseed(7)
+    phase(ops[300:600], 1)
+    for collector in (per_op, batched):
+        collector.sampler.materialize(range(40))
+    phase(ops[600:900], 300)
+    state = DataCentricCollector(sampling_rate=4, mob=mob, seed=9).to_state()
+    for collector in (per_op, batched):
+        collector.load_state(state)
+    phase(ops[900:], 37)
+    assert 0 < batched.touches < len(ops[900:])

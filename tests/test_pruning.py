@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.checkers import exact_cycle_counts
 from repro.core.collector import BaselineCollector
 from repro.core.detector import CycleDetector, LiveGraph
 from repro.core.pruning import (
@@ -21,8 +22,10 @@ from repro.core.pruning import (
     NoPruning,
     make_pruner,
 )
-from repro.core.types import Operation, OpType
+from repro.core.types import Edge, EdgeType, Operation, OpType
 from repro.storage.history import BuuProgram, interleaved_history, lifecycle_bounds
+
+from tests.strategies import interleavings
 
 
 def _simulated_run(detector, ops, bounds):
@@ -87,6 +90,22 @@ def _windowed_workload(seed, num_buus, keys, steps, window):
 PRUNER_NAMES = ["ect", "distance", "both"]
 
 
+@st.composite
+def reused_id_scripts(draw):
+    """A history whose BUU ids are worker slots: each id runs several
+    BUUs back to back, the next beginning the moment the previous one
+    commits.  Returns ``(ops, cuts)``; ``cuts`` holds the ``seq`` of
+    every operation that ends a BUU and is followed by another of the
+    same id."""
+    ops = draw(interleavings(max_buus=5, max_steps=8, max_keys=3))
+    cuts = set()
+    for buu in {op.buu for op in ops}:
+        seqs = [op.seq for op in ops if op.buu == buu]
+        cuts.update(draw(st.sets(st.sampled_from(seqs[:-1]), max_size=3))
+                    if len(seqs) > 1 else ())
+    return ops, cuts
+
+
 class TestPruningSafety:
     @pytest.mark.parametrize("name", PRUNER_NAMES)
     @pytest.mark.parametrize("seed", range(5))
@@ -118,6 +137,78 @@ class TestPruningSafety:
             unpruned.counts.ssd,
             unpruned.counts.ddd,
         )
+
+    @given(script=reused_id_scripts(),
+           prune_interval=st.sampled_from((1, 3)))
+    def test_reused_buu_ids_still_match_the_checker(self, script,
+                                                    prune_interval):
+        """A BUU id that begins again right after its commit is the same
+        vertex, alive again: under every strategy the counts stay the
+        exact checker's over the history (ids as vertices)."""
+        ops, cuts = script
+        exact = exact_cycle_counts(ops)
+        last = {op.buu: op.seq for op in ops}
+        for name in ["none"] + PRUNER_NAMES:
+            det = CycleDetector(make_pruner(name), prune_interval)
+            collector = BaselineCollector()
+            begun = set()
+            for op in ops:
+                if op.buu not in begun:
+                    begun.add(op.buu)
+                    det.begin_buu(op.buu, op.seq)
+                for edge in collector.handle(op):
+                    det.add_edge(edge)
+                if op.seq in cuts:
+                    det.commit_buu(op.buu, op.seq)
+                    det.begin_buu(op.buu, op.seq)
+                elif op.seq == last[op.buu]:
+                    det.commit_buu(op.buu, op.seq)
+            assert det.counts == exact, name
+
+    # Four ids and short scripts: the space in which 500 cheap examples
+    # reliably hit "commit, someone else begins, the first begins again".
+    @given(st.lists(st.tuples(st.sampled_from("bce"), st.integers(0, 3),
+                              st.integers(0, 3)), max_size=16))
+    @settings(max_examples=500, deadline=None)
+    def test_no_pruner_removes_what_an_alive_vertex_reaches(self, script):
+        """Begins, commits and edges in any order — ids re-used, with
+        gaps: whatever lies within two hops of an alive vertex (a future
+        3-cycle's closing edge lands on one) survives every pruner."""
+        for name in PRUNER_NAMES:
+            graph = LiveGraph()
+            for t, (kind, u, v) in enumerate(script):
+                if kind == "b":
+                    graph.begin(u, t)
+                elif kind == "c":
+                    graph.commit(u, t)
+                else:
+                    graph.add_edge(u, v, "k")
+            near = set(graph.alive & graph.present)
+            for _ in range(2):
+                near |= {w for v in near for w in graph.out[v]}
+            make_pruner(name).prune(graph, now=len(script))
+            assert near <= graph.present, name
+
+    @pytest.mark.parametrize("name", ["none"] + PRUNER_NAMES)
+    def test_a_buu_that_begins_again_is_alive_to_every_pruner(self, name):
+        """The stale commit time of a BUU that began again kept ECT from
+        seeding it, so everything reachable only from it was removed and
+        the closing edge counted nothing."""
+        det = CycleDetector(make_pruner(name), prune_interval=10**9)
+        det.begin_buu(1, 0)
+        det.begin_buu(2, 1)
+        det.add_edge(Edge(1, 2, EdgeType.WR, "x", 2))
+        det.commit_buu(1, 3)
+        det.commit_buu(2, 4)
+        det.begin_buu(3, 5)
+        det.add_edge(Edge(2, 3, EdgeType.WR, "y", 6))
+        det.commit_buu(3, 7)
+        det.begin_buu(1, 10)
+        det.begin_buu(9, 10)
+        det.prune(now=11)
+        assert det.graph.present == {1, 2, 3}
+        assert 1 not in det.graph.commits
+        assert det.add_edge(Edge(3, 1, EdgeType.WR, "z", 12)).three_cycles == 1
 
     @pytest.mark.parametrize("name", PRUNER_NAMES)
     def test_pruning_shrinks_graph(self, name):
