@@ -28,7 +28,9 @@ one :class:`~repro.core.config.RushMonConfig` (``num_workers``,
   ticket just below that operation's, because a record carrying the
   ticket of the original call would arrive behind watermarks that have
   already passed it — and the commit of a BUU still parked is dropped
-  with its begin (counted, never ticketed).  Events buffer per worker
+  with its begin (counted, never ticketed).  A begin of an id already
+  broadcast is broadcast as it arrives: the workers may hold that id's
+  commit time.  Events buffer per worker
   and ship as ``route`` frames
   over the :mod:`repro.net.protocol` framing, with the net layer's
   sequence/cumulative-ack session per link (so worker delivery is
@@ -870,6 +872,7 @@ class ClusterMonitor:
             elided = self._elided
             op_wire = _OP_WIRE
             parked = self.lifecycle.parked
+            promote = self.lifecycle.promote
             promoted = 0
             now = self._now
             ticket = self._ticket
@@ -885,17 +888,16 @@ class ClusterMonitor:
                     if len(owners) < _OWNER_CACHE_MAX:
                         owners[key] = owner
                 if owner >= 0:
-                    if parked:
-                        start = parked.pop(op.buu, None)
-                        if start is not None:
-                            # Promotion: the begin takes this ticket in
-                            # every worker's stream, the operation the
-                            # next one.
-                            record = msg.wire_begin(op.buu, start, ticket)
-                            for buffer in buffers:
-                                buffer.append(record)
-                            ticket += 1
-                            promoted += 1
+                    if parked and op.buu in parked:
+                        # Promotion: the begin takes this ticket in
+                        # every worker's stream, the operation the
+                        # next one.
+                        record = msg.wire_begin(
+                            op.buu, promote(op.buu), ticket)
+                        for buffer in buffers:
+                            buffer.append(record)
+                        ticket += 1
+                        promoted += 1
                     buffers[owner].append(
                         [op_wire[op.op], op.buu, key, seq, ticket])
                 else:
@@ -1139,10 +1141,9 @@ class ClusterMonitor:
         after its BUU's commit leaves its counts short until a
         :meth:`reset`."""
         replies = self._barrier(window, end)
-        for index, reply in replies:
+        for _, reply in replies:
             if "error" in reply:
-                raise LifecycleOrderError(
-                    f"cluster worker {index}: {reply['error']}")
+                raise LifecycleOrderError(reply["error"], CycleCounts())
         return replies
 
     def _await_reply(self, link: _WorkerLink) -> dict | None:
@@ -1282,9 +1283,7 @@ class ClusterMonitor:
                 self._owners = {}
             # BUUs of the run that ends here never commit: their parked
             # begins are dropped, counted as elided.
-            self.lifecycle.elided += len(self.lifecycle.parked)
-            self.lifecycle.parked.clear()
-            self.lifecycle.engaged = config.sampling_rate > 1
+            self.lifecycle.reset(config.sampling_rate > 1)
             self.config = config
             with self._sup_lock:
                 self._config_dict = asdict(config)

@@ -243,9 +243,10 @@ class ClusterWorker:
             count_three=config.count_three_cycles,
         )
         self.window = WindowTracker(self.detector)
-        #: Set once an operation arrived after its BUU's commit; every
-        #: barrier reply carries it from then on (the router raises it).
-        self._lifecycle_error: str | None = None
+        #: The first BUU one of whose operations arrived after its
+        #: commit; every barrier reply carries it from then on (the
+        #: router raises it).
+        self._lifecycle_error = None
         self._local.clear()
         for stream in self._peers.values():
             stream.pending.clear()
@@ -319,13 +320,15 @@ class ClusterWorker:
         if kind == "o":
             self.window.observe_operation()
             observe = self.window.observe_edge
-            try:
-                for edge in event[3]:
+            for edge in event[3]:
+                try:
                     observe(edge)
-            except LifecycleOrderError as exc:
-                # Keep merging — the peers gate on this worker's marks —
-                # and let the next barrier tell the caller.
-                self._lifecycle_error = str(exc)
+                except LifecycleOrderError as exc:
+                    # The edge is left out, here and by every peer.  Keep
+                    # merging — the peers gate on this worker's marks —
+                    # and let the next barrier tell the caller.
+                    if self._lifecycle_error is None:
+                        self._lifecycle_error = exc.buu
         elif kind == "b":
             self.detector.begin_buu(event[2], event[3])
         else:

@@ -313,33 +313,43 @@ class SampledLifecycle:
     with no operation on a chosen item has no edge in either direction
     and the detector need never hear of it.  A front end that filters
     operations by the sample (``RushMon``'s collector, the sharded
-    collector's shards, the cluster router) therefore *parks* a begin
-    here, *promotes* it — takes it out of ``parked`` and delivers it,
-    with the parked start, immediately ahead of the BUU's first
-    operation on a chosen item — and answers the commit of a BUU still
-    parked by dropping both events.  ``engaged`` says whether the
-    sample can exclude a BUU at all (``sampling_rate > 1`` and nobody
-    recording the full trace); when it cannot, every begin is delivered
-    as it arrives.  Promotion and commit consult the parked set
+    collector, the cluster router) therefore *parks* a begin here
+    (:meth:`begin`), *promotes* it — :meth:`promote` unparks it and the
+    front end delivers it, with the parked start, immediately ahead of
+    the BUU's first operation on a chosen item — and answers the commit
+    of a BUU still parked by dropping both events (:meth:`commit`).
+
+    Only the begin of an id the detector has never heard of is parked.
+    ``known`` holds every id whose begin or commit was delivered: a
+    begin for one of those goes straight through, because the detector
+    may hold that id's commit time (edges *out of* a committed vertex
+    with no row are refused, and pruners treat it as finished) and only
+    a delivered begin makes the id alive again.
+
+    ``engaged`` says whether the sample can exclude a BUU at all
+    (``sampling_rate > 1`` and nobody recording the full trace); when
+    it cannot, every begin is delivered as it arrives and nothing is
+    remembered.  Promotion and commit consult the parked set
     unconditionally.
 
     ``elided`` counts the events dropped, so at any instant *offered =
-    delivered + elided + parked*.  The owner serializes access (the
-    sharded collector keeps one instance per shard, under its lock).
-    Soundness for both pruners: DESIGN §5.
+    delivered + elided + parked*.  ``parked`` may be read freely (its
+    truth value, ``in``, ``get``); it changes only through the methods.
+    The owner serializes access.  Soundness for both pruners: DESIGN §5.
     """
 
-    __slots__ = ("engaged", "parked", "elided")
+    __slots__ = ("engaged", "parked", "known", "elided")
 
     def __init__(self, engaged: bool) -> None:
         self.engaged = engaged
         self.parked: dict[BuuId, int] = {}
+        self.known: set[BuuId] = set()
         self.elided = 0
 
     def begin(self, buu: BuuId, start: int) -> bool:
         """Park ``buu``'s begin; ``False`` when the caller must deliver
         it now.  A repeated begin folds into the parked one."""
-        if not self.engaged:
+        if not self.engaged or buu in self.known:
             return False
         if buu in self.parked:
             self.elided += 1
@@ -350,10 +360,53 @@ class SampledLifecycle:
     def commit(self, buu: BuuId) -> bool:
         """``True`` when ``buu`` is still parked: its begin and this
         commit are both dropped.  ``False``: deliver the commit."""
-        if self.parked.pop(buu, None) is None:
-            return False
-        self.elided += 2
-        return True
+        if self.parked.pop(buu, None) is not None:
+            self.elided += 2
+            return True
+        if self.engaged:
+            self.known.add(buu)
+        return False
+
+    def promote(self, buu: BuuId) -> int:
+        """Unpark ``buu`` (which must be parked): the start its begin
+        must now be delivered with.  A front end whose delivery can
+        fail reads ``parked[buu]``, delivers, and only then calls
+        this."""
+        self.known.add(buu)
+        return self.parked.pop(buu)
+
+    def shed(self, buu: BuuId) -> None:
+        """The owner dropped ``buu``'s parked begin instead of
+        delivering it (a full journal under ``overflow="shed"``)."""
+        del self.parked[buu]
+        self.elided += 1
+
+    def reset(self, engaged: bool) -> None:
+        """Start over for a new run: BUUs still parked never commit, so
+        their begins count as elided; nothing is known any more."""
+        self.elided += len(self.parked)
+        self.parked.clear()
+        self.known.clear()
+        self.engaged = engaged
+
+    # -- checkpoint support ----------------------------------------------------
+
+    def to_state(self) -> dict:
+        """JSON-friendly snapshot (BUU ids must be JSON-serializable).
+        ``known`` is not in it: it is what the detector's own snapshot
+        and the records still on their way to it name."""
+        return {
+            "parked": [[buu, start] for buu, start in self.parked.items()],
+            "elided": self.elided,
+        }
+
+    def load_state(self, state: dict, known: Iterable[BuuId]) -> None:
+        """Inverse of :meth:`to_state`; ``known`` names every id the
+        restored detector, or a lifecycle record not yet fed to it,
+        has heard of."""
+        self.parked = {buu: start for buu, start in state["parked"]}
+        self.elided = state["elided"]
+        self.known = set(known) if self.engaged else set()
 
 
 class CollectorShard:
@@ -793,11 +846,12 @@ class DataCentricCollector(Collector):
     def _promote(self, picked: Iterable[Operation]) -> None:
         """Hand over the parked begin of every BUU issuing one of the
         chosen operations ``picked``, ahead of their bookkeeping."""
-        promote = self.lifecycle.parked.pop
+        lifecycle = self.lifecycle
+        parked = lifecycle.parked
         for op in picked:
-            start = promote(op[1], None)
-            if start is not None:
-                self._begin_buu(op[1], start)  # type: ignore[misc]
+            if op[1] in parked:
+                self._begin_buu(  # type: ignore[misc]
+                    op[1], lifecycle.promote(op[1]))
 
     def _handle_columnar(self, batch: OpBatch) -> EdgeBatch:
         """The vectorized DCS path: one boolean sample mask per batch,

@@ -38,6 +38,13 @@ on ``/metrics`` — and the collector switches its overflow policy to
 back.  A degraded service keeps accepting (and shedding) events and
 keeps serving its last reports; it never silently pretends to monitor.
 
+One error is a bad *record*, not a failed pass: an operation journaled
+after its BUU's commit (:class:`~repro.core.detector.LifecycleOrderError`)
+is consumed with the rest of the journal, its window is published with
+``health == "degraded"`` (a lower bound), and only then is the error
+raised — the supervisor counts and logs it, nothing is re-queued, and
+the next pass starts behind it.
+
 Crash recovery: :meth:`checkpoint` persists the collector bookkeeping,
 pending journal, detector graph/counts and open-window state through
 :mod:`repro.storage.wal` (atomic write, CRC); :meth:`restore` rebuilds a
@@ -64,7 +71,7 @@ from typing import Iterable, Sequence
 from repro.core.concurrent.sharded import (EV_BEGIN, EV_COMMIT, EV_ELIDED, EV_OP,
                                            ShardedCollector)
 from repro.core.config import DEFAULT_BATCH_SIZE, RushMonConfig
-from repro.core.detector import CycleDetector
+from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
 from repro.core.monitor import WindowTracker
 from repro.core.pruning import make_pruner
@@ -193,6 +200,8 @@ class RushMonService:
         self.detect_failures = 0
         self.detect_restarts = 0
         self._consecutive_failures = 0
+        #: The open window's first LifecycleOrderError (``_detect_pass``).
+        self._late: LifecycleOrderError | None = None
         self._clock = 0  # last processed ticket (the service's logical now)
         self.processed_events = 0
         self.passes = 0
@@ -350,6 +359,7 @@ class RushMonService:
             ):
                 break
             thread.join()
+        late = None
         if drain and not self._degraded:
             started = time.perf_counter()
             try:
@@ -359,11 +369,15 @@ class RushMonService:
                 self.detect_failures += 1
                 _log.error("final drain pass failed on stop()",
                            exc_info=exc)
-                raise
+                if not isinstance(exc, LifecycleOrderError):
+                    raise
+                late = exc  # that pass ran to its end: checkpoint first
             finally:
                 self._m_drain.set(time.perf_counter() - started)
         if self._checkpoint_path is not None:
             self.checkpoint(self._checkpoint_path)
+        if late is not None:
+            raise late
         return self._latest
 
     def __enter__(self) -> "RushMonService":
@@ -523,8 +537,15 @@ class RushMonService:
         detector in a single ``add_edge_batch`` call, then op/trace
         bookkeeping advances.  The detector feed runs first so a failure
         consumes nothing from the run — re-feeding the same edges after
-        a requeue is idempotent (the live graph deduplicates)."""
-        self._window.observe_edges(edges)
+        a requeue is idempotent (the live graph deduplicates).  A
+        :class:`~repro.core.detector.LifecycleOrderError` is not such a
+        failure: the detector applied the run but for the late edges, so
+        the run is consumed and the error kept for the end of the pass."""
+        try:
+            self._window.observe_edges(edges)
+        except LifecycleOrderError as late:
+            if self._late is None:
+                self._late = late
         self._window.observe_operations(stop - start)
         if self._trace is not None:
             ops_append = self._trace.ops.append
@@ -561,6 +582,14 @@ class RushMonService:
         that committed without touching the sample (never journaled
         either); they join :attr:`processed_events` too, so once every
         BUU has committed it equals the events offered.
+
+        An operation journaled after its BUU's commit (a misordered
+        producer) costs that operation's edges and nothing else: the
+        pass consumes every event, publishes the window with health
+        ``"degraded"`` — its counts are a lower bound — and then raises
+        the detector's :class:`~repro.core.detector.LifecycleOrderError`
+        to its caller (the supervisor, for the background thread), so
+        one bad record is loud but never blocks the journal.
         """
         with self._pass_lock:
             started = time.perf_counter()
@@ -637,9 +666,10 @@ class RushMonService:
                 self._m_pass_seconds.observe(time.perf_counter() - started)
                 return None
             self.processed_events += len(events) + elided
+            late, self._late = self._late, None
             report = self._window.close(
                 self._clock, self.collector.sampling_probability,
-                health=self.health,
+                health=self.health if late is None else "degraded",
             )
             self.reports.append(report)
             self._latest = report  # atomic reference swap
@@ -647,6 +677,8 @@ class RushMonService:
             elapsed = time.perf_counter() - started
             self._m_pass_seconds.observe(elapsed)
             self._m_close_lag.set(elapsed)
+            if late is not None:
+                raise late
             return report
 
     def close_window(self, now: int | None = None) -> AnomalyReport | None:
@@ -772,8 +804,10 @@ class RushMonService:
             faults=faults,
             metrics=metrics,
         )
-        service.collector.restore_state(payload["collector"])
         wal.decode_detector_state(service.detector, payload["detector"])
+        graph = service.detector.graph
+        service.collector.restore_state(
+            payload["collector"], known=graph.starts.keys() | graph.commits)
         wal.decode_window_state(service._window, payload["window"])
         service.reports = [wal.decode_report(r) for r in payload["reports"]]
         service._latest = service.reports[-1] if service.reports else None

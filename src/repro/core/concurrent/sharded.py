@@ -68,12 +68,17 @@ BUU's first operation on a chosen item *promotes* it — the begin is
 journaled, with the parked start, and only then unparked, all under
 that lock and before the operation takes its ticket, so no producer can
 find the BUU unparked while its begin has no ticket yet — and the
-commit of a BUU still parked drops both events.  What was dropped since
-the previous drain reaches the consumer as one ``EV_ELIDED`` record per
-drain (no operations, the count in its fourth field), so the consumer's
-event total and :meth:`~ShardedCollector.requeue` account for it
-exactly as for elided operations.  The parked starts and the counts are
-part of :meth:`~ShardedCollector.snapshot_state`.
+commit of a BUU still parked drops both events.  Only an id no record
+has named yet is parked: once a begin or commit of it was journaled the
+detector may hold its commit time, so a later begin of the same id is
+journaled as it arrives.  A promoted begin that a full journal sheds
+(``overflow="shed"``) is dropped whole and counted with the elided
+ones.  What was dropped since the previous drain reaches the consumer
+as one ``EV_ELIDED`` record per drain (no operations, the count in its
+fourth field), so the consumer's event total and
+:meth:`~ShardedCollector.requeue` account for it exactly as for elided
+operations.  The parked starts and the counts are part of
+:meth:`~ShardedCollector.snapshot_state`.
 
 Bounded journal and backpressure
 --------------------------------
@@ -392,9 +397,10 @@ class ShardedCollector:
             metrics.gauge_fn(
                 "rushmon_collector_lifecycle_elided_total",
                 lambda: float(self.lifecycle.elided),
-                help="offered begin/commit events of BUUs that committed "
-                     "without an operation on a sampled item (never "
-                     "journaled; counted by the journal's elided records)",
+                help="offered begin/commit events never journaled: their "
+                     "BUU committed without an operation on a sampled "
+                     "item, or a full journal shed the parked begin "
+                     "(counted by the journal's elided records)",
             )
             metrics.gauge_fn(
                 "rushmon_collector_lifecycle_parked",
@@ -842,20 +848,25 @@ class ShardedCollector:
     def _promote(self, ops: Iterable[Operation]) -> None:
         """Journal the parked begin of every BUU issuing one of the
         chosen operations ``ops``, before any of them takes a ticket."""
-        parked = self.lifecycle.parked
+        lifecycle = self.lifecycle
+        parked = lifecycle.parked
         hit = [op.buu for op in ops if op.buu in parked]
         if not hit:
             return
         with self._lifecycle_lock:
             for buu in hit:
                 start = parked.get(buu)
-                if start is not None:
-                    self._journal_lifecycle(EV_BEGIN, buu, start)
-                    # Unparked only once journaled: whoever finds the
-                    # BUU gone tickets after its begin, and a begin a
-                    # full journal refuses ("block" timeout) stays
-                    # parked.
-                    del parked[buu]
+                if start is None:
+                    continue
+                # Unparked only once journaled: whoever finds the BUU
+                # gone tickets after its begin, and a begin the journal
+                # refuses by raising ("block" timeout) stays parked.  One
+                # it sheds is dropped whole, as a begin offered to a full
+                # journal always was.
+                if self._journal_lifecycle(EV_BEGIN, buu, start):
+                    lifecycle.promote(buu)
+                else:
+                    lifecycle.shed(buu)
 
     def _journal_lifecycle(self, kind: str, buu: int, time: int) -> bool:
         """Append one lifecycle record, routed by BUU id so its ticket
@@ -1032,12 +1043,8 @@ class ShardedCollector:
             # Burning one ticket yields a value strictly greater than
             # every ticket issued so far — the restart point.
             next_ticket = next(self._ticket)
-            lifecycle = {
-                "parked": [[buu, start] for buu, start
-                           in self.lifecycle.parked.items()],
-                "elided": self.lifecycle.elided,
-                "drained": self._lifecycle_drained,
-            }
+            lifecycle = {**self.lifecycle.to_state(),
+                         "drained": self._lifecycle_drained}
             shards = [
                 {
                     "ops_seen": shard.ops_seen,
@@ -1068,25 +1075,25 @@ class ShardedCollector:
             "shards": shards,
         }
 
-    def restore_state(self, state: dict) -> None:
+    def restore_state(self, state: dict,
+                      known: Iterable[int] = ()) -> None:
         """Load a :meth:`snapshot_state` payload into this (freshly
-        constructed, identically sharded) collector."""
+        constructed, identically sharded) collector.  ``known`` names
+        the BUUs the restored consumer has already heard of (the
+        detector's alive and committed ones): with those of the pending
+        journal's lifecycle records they are the ids whose next begin
+        must not be parked (:class:`SampledLifecycle`)."""
         if state["num_shards"] != self.num_shards:
             raise ValueError(
                 f"checkpoint has {state['num_shards']} shards, "
                 f"collector has {self.num_shards}"
             )
         self._ticket = itertools.count(state["next_ticket"])
-        # .get(): documents written before begins were parked.
-        lifecycle = state.get("lifecycle", {})
-        self.lifecycle.parked = {
-            buu: start for buu, start in lifecycle.get("parked", ())}
-        self.lifecycle.elided = lifecycle.get("elided", 0)
-        self._lifecycle_drained = lifecycle.get("drained", 0)
         self.sampler.load_state(state["sampler"])
         with self._degrade_lock:
             self._degrade_shift = state["degrade_shift"]
             self._degrade_shifts_total = state["degrade_shifts_total"]
+        named = set(known)
         for shard, payload in zip(self._shards, state["shards"]):
             with shard.lock:
                 shard.ops_seen = payload["ops_seen"]
@@ -1098,6 +1105,14 @@ class ShardedCollector:
                 for record in payload["journal"]:
                     journal.append(*_decode_event(record))
                 shard.journal = journal
+                named.update(
+                    buu for kind, buu in zip(journal.kinds, journal.payloads)
+                    if kind == EV_BEGIN or kind == EV_COMMIT)
+        # .get(): documents written before begins were parked.
+        lifecycle = state.get("lifecycle",
+                              {"parked": (), "elided": 0, "drained": 0})
+        self.lifecycle.load_state(lifecycle, named)
+        self._lifecycle_drained = lifecycle["drained"]
 
     # -- aggregate views ------------------------------------------------------
 

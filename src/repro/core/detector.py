@@ -16,22 +16,24 @@ from __future__ import annotations
 from typing import Iterable, Iterator, KeysView
 
 from repro.core.patterns import PatternCounts, classify_two_cycle
-from repro.core.types import (
-    Adjacency,
-    BuuId,
-    CycleCounts,
-    Edge,
-    EdgeType,
-    Key,
-    LabelDict,
-)
+from repro.core.types import (Adjacency, BuuId, CycleCounts, Edge, EdgeType,
+                              Key, LabelDict)
 
 
 class LifecycleOrderError(ValueError):
     """An operation reached the detector after its BUU's commit (and
     before that BUU began again).  Edge refusal is sound only when a
-    BUU's operations precede its commit, so the stream is rejected
-    rather than silently undercounted."""
+    BUU's operations precede its commit, so such an edge is left out
+    loudly: raised once the rest of its batch is applied, with the first
+    offender as ``buu`` and the cycles the batch closed (already in the
+    detector's totals) as ``counts``."""
+
+    def __init__(self, buu: BuuId, counts: CycleCounts) -> None:
+        super().__init__(
+            f"BUU {buu!r} issued an operation after its commit; a BUU's "
+            f"operations must reach the detector before its commit_buu")
+        self.buu = buu
+        self.counts = counts
 
 
 class LiveGraph:
@@ -176,9 +178,7 @@ class CycleDetector:
         self.count_three = count_three
         self._edges_since_prune = 0
         self.prune_passes = 0
-        #: Edges not inserted because their source was committed with no
-        #: row: it has no in-edge and can never gain one, so it would
-        #: re-enter the graph only for the next prune pass to remove it.
+        #: Edges not inserted (see :meth:`add_edge_batch`).
         self.edges_refused = 0
 
     # -- BUU lifecycle forwarded to the live graph ---------------------------
@@ -209,19 +209,22 @@ class CycleDetector:
 
         This is the cluster's foreign-edge path (:mod:`repro.cluster`):
         every worker mirrors its peers' edges so the graph each worker
-        sees is the full serial graph — and therefore its *own* edges
-        close exactly the cycles the serial monitor would attribute to
-        them — while cycle ownership stays with the worker whose shard
-        derived the closing edge, so the per-worker counts partition
-        the serial counts exactly.  The prune clock advances just like
-        :meth:`add_edge`, keeping graph evolution identical to a serial
-        monitor ingesting the same edge order — which includes refusing
-        the edges :meth:`add_edge_batch` refuses.
+        sees is the full serial graph — its *own* edges then close
+        exactly the cycles the serial monitor would attribute to them —
+        while cycle ownership stays with the worker whose shard derived
+        the closing edge: the per-worker counts partition the serial
+        ones.  The prune clock advances, and edges are refused or left
+        out, exactly as in :meth:`add_edge_batch` (a late edge is
+        reported by the worker that derived it), so the graph evolves as
+        a serial monitor's does on the same edge order.
 
         Returns whether the edge was inserted.
         """
         graph = self.graph
-        if edge.src not in graph.out and edge.src in graph.commits:
+        commits = graph.commits
+        if edge.dst in commits:
+            return False
+        if edge.src not in graph.out and edge.src in commits:
             self.edges_refused += 1
             return False
         if not graph.add_edge(edge.src, edge.dst, edge.label, edge.kind):
@@ -246,11 +249,11 @@ class CycleDetector:
         An edge whose source is committed and has no row is *refused*
         (tallied in :attr:`edges_refused`, nothing else moves): every
         edge points at the BUU issuing the operation, so a committed
-        vertex never gains an in-edge and one without a row can close no
-        cycle.  That needs a BUU's operations to arrive before its
-        commit; an edge *into* a committed BUU breaks it and raises
-        :class:`LifecycleOrderError` once the edges ahead of it are
-        accounted for.
+        vertex never gains an in-edge, and one without a row would only
+        re-enter the graph for the next prune pass to remove it.  That
+        needs a BUU's operations to arrive before its commit; an edge
+        *into* a committed BUU is left out and, once the rest of the
+        batch is applied, raises :class:`LifecycleOrderError`.
 
         Pattern recording is deferred to one ``Counter.update`` and the
         prune-interval check to the batch boundary.  Deferring pruning
@@ -274,8 +277,9 @@ class CycleDetector:
             if src == dst:
                 continue
             if dst in commits:
-                late = dst
-                break
+                if late is None:
+                    late = dst
+                continue
             row = out.get(src)
             if row is None:
                 if src in commits:
@@ -362,10 +366,7 @@ class CycleDetector:
                     and self._edges_since_prune >= self.prune_interval):
                 self.prune(now=last_seq)
         if late is not None:
-            raise LifecycleOrderError(
-                f"BUU {late!r} issued an operation after its commit; a "
-                f"BUU's operations must reach the detector before its "
-                f"commit_buu")
+            raise LifecycleOrderError(late, total)
         return total
 
     # -- maintenance -----------------------------------------------------------

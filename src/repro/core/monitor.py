@@ -25,7 +25,7 @@ from typing import Iterable
 
 from repro.core.collector import BaselineCollector, DataCentricCollector
 from repro.core.config import RushMonConfig
-from repro.core.detector import CycleDetector
+from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
 from repro.core.pruning import make_pruner
 from repro.core.types import (
@@ -75,7 +75,9 @@ class WindowTracker:
         self.raw.add(self.detector.add_edge(edge))
 
     def observe_edges(self, edges) -> None:
-        """Batched :meth:`observe_edge` (same counts, one detector call)."""
+        """Batched :meth:`observe_edge` (same counts, one detector call).
+        A :class:`~repro.core.detector.LifecycleOrderError` passes
+        through with the batch consumed and its cycles attributed."""
         if not edges:
             return
         kinds = Counter(map(_EDGE_KIND, edges))
@@ -83,7 +85,11 @@ class WindowTracker:
         stats.wr += kinds[EdgeType.WR]
         stats.ww += kinds[EdgeType.WW]
         stats.rw += kinds[EdgeType.RW]
-        self.raw.add(self.detector.add_edge_batch(edges))
+        try:
+            self.raw.add(self.detector.add_edge_batch(edges))
+        except LifecycleOrderError as late:
+            self.raw.add(late.counts)
+            raise
 
     def close(self, end: int, probability: float,
               health: str = "ok") -> AnomalyReport:

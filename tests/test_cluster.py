@@ -613,6 +613,33 @@ def test_cluster_sampled_counts_equal_the_restricted_history_oracle(
     assert exact.two_cycles + exact.three_cycles > 0
 
 
+def test_an_id_the_router_broadcast_once_is_never_parked_again(cluster):
+    """BUU 1 commits and its id begins again: the workers hold the id's
+    commit time, so the second begin is broadcast as it arrives — parked,
+    the edge 1 -> 2 below was refused and every pruner treated 1 as
+    finished (see the serial twin in ``tests/test_lifecycle_elision``)."""
+    sampler = ItemSampler(20, 4)
+    hot, hot2 = [key for key in range(200) if sampler.chosen(key)][:2]
+    for pruning in ("none", "both", "ect", "distance"):
+        cluster.reset(RushMonConfig(
+            sampling_rate=20, mob=False, seed=4, pruning=pruning,
+            prune_interval=1, num_workers=cluster.num_workers))
+        broadcasts = cluster.lifecycle_broadcasts
+        cluster.begin_buu(1, 0)
+        cluster.on_operation(Operation(OpType.WRITE, 1, hot, 1))
+        cluster.commit_buu(1, 2)
+        cluster.begin_buu(1, 3)
+        assert not cluster.lifecycle.parked
+        cluster.begin_buu(2, 4)
+        cluster.on_operations([Operation(OpType.READ, 2, hot, 5),
+                               Operation(OpType.WRITE, 2, hot2, 6),
+                               Operation(OpType.READ, 1, hot2, 7)])
+        cluster.commit_buu(1, 8)
+        cluster.commit_buu(2, 9)
+        assert cluster.close_window().raw.two_cycles == 1, pruning
+        assert cluster.lifecycle_broadcasts == broadcasts + 6
+
+
 @pytest.mark.oracle
 @pytest.mark.parametrize("seed", range(6))
 def test_cluster_sampled_counts_equal_the_restricted_history_oracle_sweep(

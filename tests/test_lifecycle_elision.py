@@ -22,6 +22,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.harness import measure_collector, record_graph_workload
 from repro.checkers import exact_cycle_counts
@@ -29,6 +31,7 @@ from repro.core.collector import (
     BaselineCollector,
     DataCentricCollector,
     ItemSampler,
+    SampledLifecycle,
 )
 from repro.core.concurrent import RushMonService
 from repro.core.concurrent.sharded import EV_BEGIN, EV_COMMIT, EV_OP
@@ -41,6 +44,7 @@ from repro.testing import FaultInjector
 from tests.histgen import random_history
 from tests.test_batch_equivalence import _lifecycle_stream
 from tests.test_checkpoint import _feed as _feed_per_op
+from tests.test_pruning import reused_id_scripts
 from tests.test_sampled_journal import (
     SAMPLING_RATES,
     _assert_matches_serial,
@@ -207,17 +211,112 @@ def test_lifecycle_calls_of_every_shape(flavour):
     op(OpType.READ, 4, hot, 8)
     op(OpType.WRITE, 3, hot, 9)             # 3 -> 4 -> 3
     lifecycle("c", 4, 10)
-    lifecycle("b", 4, 11)                   # begins again, misses the
-    op(OpType.READ, 4, cold, 12)            # sample this time
-    lifecycle("c", 4, 13)
-    settled(4, 1, {7, 4}, {3})
+    lifecycle("b", 4, 11)                   # begins again: the detector
+    settled(2, 1, {7}, {3, 4})              # knows the id, so delivered
+    op(OpType.READ, 4, cold, 12)            # at once; it misses the
+    lifecycle("c", 4, 13)                   # sample this time
+    settled(2, 1, {7, 4}, {3})
     lifecycle("b", 4, 14)                   # and again, and hits it
     op(OpType.WRITE, 4, hot, 15)
-    settled(4, 1, {7}, {3, 4})
-    lifecycle("b", 1, 16)                   # a second begin while parked
-    lifecycle("c", 1, 17)                   # folds into the first
-    settled(7, 0, {7}, {3, 4})
+    lifecycle("b", 4, 16)                   # a second begin while alive
+    settled(2, 1, {7}, {3, 4})
+    lifecycle("b", 7, 17)                   # so is an id that only ever
+    settled(2, 1, set(), {3, 4, 7})         # committed
+    lifecycle("b", 1, 18)                   # a second begin while parked
+    lifecycle("c", 1, 19)                   # folds into the first
+    settled(5, 0, set(), {3, 4, 7})
     assert monitor.detector.counts.two_cycles == 1
+
+
+def _reused_id_trace(hot, hot2):
+    """BUU 1 writes ``hot`` and commits; the id begins again and, before
+    its first chosen operation, BUU 2 reads ``hot``: the edge 1 -> 2
+    leaves a vertex that is alive again.  2 -> 1 on ``hot2`` closes the
+    2-cycle."""
+    return [("begin", (1, 0)),
+            ("op", Operation(OpType.WRITE, 1, hot, 1)),
+            ("commit", (1, 2)),
+            ("begin", (1, 3)),
+            ("begin", (2, 4)),
+            ("op", Operation(OpType.READ, 2, hot, 5)),
+            ("op", Operation(OpType.WRITE, 2, hot2, 6)),
+            ("op", Operation(OpType.READ, 1, hot2, 7)),
+            ("commit", (1, 8)),
+            ("commit", (2, 9))]
+
+
+@pytest.mark.parametrize("pruning", ("none",) + PRUNINGS)
+@pytest.mark.parametrize("ingest", INGEST)
+def test_an_id_that_begins_again_is_alive_before_its_first_chosen_operation(
+        ingest, pruning):
+    """Parking the second begin of an id left the detector holding the
+    first incarnation's commit time: edges out of the id were refused
+    and every pruner treated it as finished."""
+    flavour, feed, shards = INGEST[ingest]
+    hot = _a_key(20)
+    events = _reused_id_trace(hot, _a_key(20, start=hot + 1))
+    monitor = flavour(_config(20, num_shards=shards, pruning=pruning,
+                              prune_interval=1))
+    feed(monitor, events[:4])
+    monitor.close_window()
+    graph = monitor.detector.graph
+    assert (set(graph.starts), set(graph.commits)) == ({1}, set())
+    feed(monitor, events[4:])
+    monitor.close_window()
+    assert monitor.detector.counts == restricted_exact(_ops(events), 20)
+    assert monitor.detector.counts.two_cycles == 1
+    assert monitor.detector.edges_refused == 0
+    assert _elided_and_parked(monitor) == (0, 0)
+
+
+def _script_keys(sr):
+    """Keys for ``k0`` .. ``k3``: chosen, not, chosen, not."""
+    hot = _a_key(sr)
+    return [hot, _a_key(sr, chosen=False), _a_key(sr, start=hot + 1),
+            _a_key(sr, chosen=False, start=hot + 1)]
+
+
+@given(script=reused_id_scripts(max_keys=4),
+       sr=st.sampled_from(SAMPLING_RATES),
+       prune_interval=st.sampled_from((1, 3)))
+@settings(max_examples=60, deadline=None)
+def test_sampled_runs_with_reused_ids_match_the_restricted_oracle(
+        script, sr, prune_interval):
+    """Ids as worker slots — the next BUU of a slot begins the moment
+    the previous one commits, whether or not either touched the sample —
+    through the whole serial monitor, under every strategy."""
+    ops, cuts = script
+    keys = _script_keys(sr)
+    ops = [op._replace(key=keys[int(op.key[1:])]) for op in ops]
+    exact = restricted_exact(ops, sr)
+    last = {op.buu: op.seq for op in ops}
+    for batched in (False, True):
+        for pruning in ("none",) + PRUNINGS:
+            monitor = RushMon(_config(sr, pruning=pruning,
+                                      prune_interval=prune_interval))
+            offered = 0
+            begun = set()
+            for op in ops:
+                if op.buu not in begun:
+                    begun.add(op.buu)
+                    monitor.begin_buu(op.buu, op.seq)
+                    offered += 1
+                if batched:
+                    monitor.on_operations([op])
+                else:
+                    monitor.on_operation(op)
+                if op.seq in cuts or op.seq == last[op.buu]:
+                    monitor.commit_buu(op.buu, op.seq)
+                    offered += 1
+                if op.seq in cuts:
+                    monitor.begin_buu(op.buu, op.seq)
+                    offered += 1
+            assert monitor.detector.counts == exact, (pruning, batched)
+            graph = monitor.detector.graph
+            assert not graph.starts
+            assert graph.present <= graph.commits.keys()
+            elided, parked = _elided_and_parked(monitor)
+            assert parked == 0 and elided % 2 == 0 and elided <= offered
 
 
 @pytest.mark.parametrize("feed", (_feed_per_op, _feed_batched),
@@ -282,6 +381,72 @@ def test_parked_buus_survive_an_armed_injector_and_a_degrade_shift():
         2 * len(_buus(events))
     assert snap["rushmon_collector_lifecycle_elided_total"] == \
         2 * (len(_buus(events)) - len(graph.commits))
+
+
+def test_a_promoted_begin_the_journal_sheds_still_reconciles(monkeypatch):
+    """``overflow="shed"``: a promotion that finds the journal full drops
+    the begin whole — unparked, counted with the elided events and in
+    the shed counters — so offered = journaled + elided + parked, and
+    ``processed_events + parked`` is every event acknowledged."""
+    shed_promotions = []
+    shed = SampledLifecycle.shed
+    monkeypatch.setattr(
+        SampledLifecycle, "shed",
+        lambda self, buu: (shed_promotions.append(buu), shed(self, buu)))
+    events = _events(3000)
+    service = RushMonService(_config(4, pruning="none", num_shards=1,
+                                     journal_capacity=6, overflow="shed"))
+    collector = service.collector
+    journaled = 0
+    for start in range(0, len(events), 25):
+        _feed_batched(service, events[start:start + 25])
+        journaled += sum(kind in (EV_BEGIN, EV_COMMIT) for _, kind, _, _
+                         in collector.drain_journal())
+    assert shed_promotions and collector.shed_events > len(shed_promotions)
+    lifecycle = collector.lifecycle
+    assert not lifecycle.parked.keys() & set(shed_promotions)
+    snap = service.metrics.snapshot()
+    assert snap["rushmon_collector_lifecycle_events_total"] == \
+        journaled + lifecycle.elided + len(lifecycle.parked)
+    assert snap["rushmon_collector_lifecycle_elided_total"] == lifecycle.elided
+
+    service = RushMonService(_config(4, pruning="none", num_shards=1,
+                                     journal_capacity=6, overflow="shed"))
+    before = len(shed_promotions)
+    for start in range(0, len(events), 25):
+        _feed_batched(service, events[start:start + 25])
+        service.close_window()
+    service.close_window()
+    shed_at_offer = service.collector.shed_events - (
+        len(shed_promotions) - before)
+    assert len(shed_promotions) > before
+    assert service.processed_events \
+        + len(service.collector.lifecycle.parked) == \
+        len(events) - shed_at_offer
+
+
+@pytest.mark.parametrize("consumed", (True, False),
+                         ids=("in-detector", "in-journal"))
+def test_a_restored_service_knows_the_ids_its_detector_holds(tmp_path,
+                                                             consumed):
+    """``known`` is not in the checkpoint: it is rebuilt from the
+    detector's lifetimes and the lifecycle records still pending, so an
+    id that begins again after the restore is delivered, not parked."""
+    hot = _a_key(20)
+    events = _reused_id_trace(hot, _a_key(20, start=hot + 1))
+    path = str(tmp_path / "svc.wal")
+    service = RushMonService(_config(20, pruning="both", prune_interval=1))
+    _feed_per_op(service, events[:3])
+    if consumed:
+        service.close_window()
+    service.checkpoint(path)
+    restored = RushMonService.restore(path)
+    assert restored.collector.lifecycle.known == {1}
+    _feed_per_op(restored, events[3:])
+    restored.close_window()
+    assert restored.counts() == restricted_exact(_ops(events), 20)
+    assert restored.counts().two_cycles == 1
+    assert restored.processed_events == len(events)
 
 
 def test_two_producers_on_one_buu_promote_it_once():
@@ -465,29 +630,103 @@ def test_an_operation_after_its_commit_raises_from_the_serial_monitor():
     assert monitor.detector.num_edges == 1
 
 
-def test_an_operation_after_its_commit_degrades_the_service():
-    """Inline the pass raises; on the background thread the supervisor
-    catches it, retries, and trips the breaker: health is not ``ok``."""
+def _late_run_stream():
+    """The late read sits inside a run of operations: the edges behind
+    it (2 -> 3 on ``x``, then 3 -> 2 on ``z``) close a 2-cycle."""
+    return [("begin", (1, 0)), ("begin", (2, 0)), ("begin", (3, 0)),
+            ("op", Operation(OpType.WRITE, 1, "y", 1)),
+            ("op", Operation(OpType.WRITE, 2, "x", 2)),
+            ("commit", (1, 3)),
+            ("op", Operation(OpType.READ, 1, "x", 4)),
+            ("op", Operation(OpType.READ, 3, "x", 5)),
+            ("op", Operation(OpType.WRITE, 3, "z", 6)),
+            ("op", Operation(OpType.READ, 2, "z", 7)),
+            ("commit", (2, 8)), ("commit", (3, 8))]
+
+
+def test_a_late_operation_costs_its_own_edges_and_nothing_else():
+    """The batch around a late edge is applied and attributed to the
+    window before the error leaves the detector."""
+    monitor = RushMon(_config(1))
+    with pytest.raises(LifecycleOrderError, match="BUU 1 ") as raised:
+        _feed_batched(monitor, _late_run_stream())
+    assert raised.value.buu == 1 and raised.value.counts.two_cycles == 1
+    monitor.commit_buu(2, 8)
+    monitor.commit_buu(3, 8)
+    report = monitor.close_window()
+    assert report.raw == monitor.detector.counts
+    assert report.raw.two_cycles == 1 and report.edges.total == 3
+    assert monitor.detector.num_edges == 2
+
+
+def test_an_operation_after_its_commit_is_loud_and_blocks_nothing():
+    """The pass that meets the late operation consumes it with the rest
+    of the journal, publishes its window as degraded (a lower bound) and
+    raises — inline to the caller, on the background thread to the
+    supervisor, which restarts detection.  Later events are processed,
+    later windows are healthy and nothing is counted twice."""
+    late, rest = _late_run_stream(), _events(600, first_buu=10)
+    reference = RushMon(_config(1))
+    _feed_per_op(reference, rest)
+    exact = exact_cycle_counts(_ops(rest))
+    exact.dd += 1  # the 2-cycle behind the late edge (labels x, z)
+    assert reference.detector.counts.dd + 1 == exact.dd
+
     inline = RushMonService(_config(1))
-    _feed_per_op(inline, _late_operation_stream())
-    with pytest.raises(LifecycleOrderError):
+    _feed_per_op(inline, late + rest[:300])
+    with pytest.raises(LifecycleOrderError, match="BUU 1 "):
         inline.close_window()
+    assert inline.processed_events == len(late) + 300
+    degraded = inline.latest_report()
+    assert degraded.health == "degraded" and inline.health == "ok"
+    assert degraded.operations == len(_ops(late + rest[:300]))
+    assert degraded.raw.two_cycles >= 1
+    _feed_per_op(inline, rest[300:])
+    assert inline.close_window().health == "ok"
+    assert inline.counts() == exact
+    assert sum(r.raw.two_cycles for r in inline.reports) == exact.two_cycles
+    assert sum(r.raw.three_cycles for r in inline.reports) == \
+        exact.three_cycles
+    assert inline.detector.edges_refused == reference.detector.edges_refused
+    assert inline.processed_events == len(late) + len(rest)
 
     service = RushMonService(_config(1, detect_interval=0.005,
                                      max_restarts=1, restart_backoff=0.001,
                                      max_backoff=0.002)).start()
+    tick = threading.Event()
+
+    def wait_for(condition):
+        for _ in range(4000):
+            if condition():
+                return
+            tick.wait(0.005)
+        raise AssertionError("timed out")
+
     try:
-        _feed_per_op(service, _late_operation_stream())
-        deadline = threading.Event()
-        for _ in range(2000):
-            if service.degraded:
-                break
-            deadline.wait(0.005)
-        assert service.degraded and service.health == "degraded"
+        _feed_per_op(service, late)
+        wait_for(lambda: service.last_error is not None)
         assert isinstance(service.last_error, LifecycleOrderError)
-        assert service.latest_report().health == "degraded"
+        _feed_per_op(service, rest)
+        wait_for(lambda: service.processed_events == len(late) + len(rest))
+        assert not service.degraded  # one bad record trips no breaker
+        assert (service.detect_failures, service.detect_restarts) == (1, 1)
     finally:
         service.stop()
+    assert service.counts() == exact
+    assert [r.health for r in service.reports].count("degraded") == 1
+
+
+def test_stop_checkpoints_before_it_raises_a_late_operation(tmp_path):
+    path = str(tmp_path / "svc.wal")
+    service = RushMonService(_config(1, checkpoint_path=path))
+    _feed_per_op(service, _late_run_stream())
+    with pytest.raises(LifecycleOrderError):
+        service.stop()
+    assert service.latest_report().health == "degraded"
+    restored = RushMonService.restore(path)
+    assert restored.processed_events == len(_late_run_stream())
+    assert restored.counts().two_cycles == 1
+    assert restored.close_window() is None  # nothing left to replay
 
 
 def test_replay_applies_a_commit_after_the_edges_of_its_last_write():

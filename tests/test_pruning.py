@@ -91,13 +91,13 @@ PRUNER_NAMES = ["ect", "distance", "both"]
 
 
 @st.composite
-def reused_id_scripts(draw):
+def reused_id_scripts(draw, max_keys=3):
     """A history whose BUU ids are worker slots: each id runs several
     BUUs back to back, the next beginning the moment the previous one
     commits.  Returns ``(ops, cuts)``; ``cuts`` holds the ``seq`` of
     every operation that ends a BUU and is followed by another of the
     same id."""
-    ops = draw(interleavings(max_buus=5, max_steps=8, max_keys=3))
+    ops = draw(interleavings(max_buus=5, max_steps=8, max_keys=max_keys))
     cuts = set()
     for buu in {op.buu for op in ops}:
         seqs = [op.seq for op in ops if op.buu == buu]

@@ -428,8 +428,13 @@ def test_fairness_light_client_not_starved_by_heavy():
         heavy = OpenLoopEmitter("127.0.0.1", server.port, records,
                                 target_rate=20000, batch_size=64,
                                 session="heavy", drain_window=10.0)
+        # The light session replays a prefix of the same recording under
+        # BUU ids of its own: two sessions interleaving the *same* ids
+        # deliver operations after "their" BUU's commit, which the
+        # detector rejects (LifecycleOrderError).
         light = OpenLoopEmitter("127.0.0.1", server.port,
-                                records[:2000], target_rate=2000,
+                                [[r[0], r[1] + 10**6, *r[2:]]
+                                 for r in records[:2000]], target_rate=2000,
                                 batch_size=64, session="light",
                                 drain_window=10.0)
         heavy_result, light_result = run_emitters([heavy, light])
