@@ -29,13 +29,6 @@ from repro.core.patterns import (
     PatternCounts,
     classify_two_cycle,
 )
-from repro.core.serializability import (
-    SerializabilityVerdict,
-    check_graph,
-    check_history,
-    witness_is_valid,
-)
-from repro.core.windows import EwmaRate, SlidingWindowRate, report_rate
 from repro.core.pruning import (
     CombinedPruning,
     DistancePruning,
@@ -77,14 +70,7 @@ __all__ = [
     "PatternCounts",
     "classify_two_cycle",
     "ConvergencePredictor",
-    "SerializabilityVerdict",
-    "check_graph",
-    "check_history",
-    "witness_is_valid",
     "rank_correlation",
-    "EwmaRate",
-    "SlidingWindowRate",
-    "report_rate",
     "CycleDetector",
     "LiveGraph",
     "estimate_edge_sampled_three_cycles",

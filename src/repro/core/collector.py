@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import random
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from repro.core.columnar import (
     HAVE_NUMPY,
@@ -307,44 +308,74 @@ class ItemSampler:
 
 
 class SampledLifecycle:
-    """Which BUU lifetimes the detector needs: lifecycle follows the sample.
+    """The admission gate: the sample decides which operations, and
+    which BUU lifetimes, exist — decided here, once, for every front end.
 
     An edge only ever points at the BUU issuing the operation, so a BUU
     with no operation on a chosen item has no edge in either direction
-    and the detector need never hear of it.  A front end that filters
-    operations by the sample (``RushMon``'s collector, the sharded
-    collector, the cluster router) therefore *parks* a begin here
-    (:meth:`begin`), *promotes* it — :meth:`promote` unparks it and the
-    front end delivers it, with the parked start, immediately ahead of
-    the BUU's first operation on a chosen item — and answers the commit
-    of a BUU still parked by dropping both events (:meth:`commit`).
+    and the detector need never hear of it.  ``RushMon``, the sharded
+    collector (service, server) and the cluster router offer their
+    begins and commits to the gate (:meth:`begin`, :meth:`commit`,
+    :meth:`run`) and their operations to :meth:`admit`; they differ only
+    in the *sink* a delivered event goes to (detector, ticketed journal,
+    per-worker buffers) and in the lock they hold.  The contract:
 
-    Only the begin of an id the detector has never heard of is parked.
-    ``known`` holds every id whose begin or commit was delivered: a
-    begin for one of those goes straight through, because the detector
-    may hold that id's commit time (edges *out of* a committed vertex
-    with no row are refused, and pruners treat it as finished) and only
-    a delivered begin makes the id alive again.
+    - **known.**  Only the begin of an id the sink never heard of is
+      parked.  ``known`` holds every id whose begin or commit was
+      delivered: the detector may hold such an id's commit time (edges
+      *out of* a committed vertex with no row are refused, and pruners
+      treat it as finished), and only a delivered begin makes the id
+      alive again — so its next begin goes straight through.
+    - **Unpark after deliver.**  :meth:`admit` keeps the operations on
+      chosen items and hands the sink, as ``deliver(buu, start)``, the
+      parked begin of each kept operation's BUU ahead of it
+      (:meth:`promote`).  A begin is unparked only once the sink took
+      it: whoever finds the BUU gone comes after its begin, and a sink
+      that raises leaves it parked.
+    - **Shed.**  A sink that returns ``False`` dropped the begin whole
+      (a full journal under ``overflow="shed"``): unparked, and counted
+      with the elided events.
+    - **engaged**: can the sample exclude a BUU at all
+      (``sampling_rate > 1`` and a sink fed only the sampled
+      operations)?  The one predicate for "leaving something out is
+      sound"; while false every begin is delivered as it arrives and
+      nothing is remembered.
+    - **Accounting.**  ``elided`` counts the begin/commit events
+      dropped: *offered = delivered + elided + parked* at any instant
+      (plus what the sink itself shed at offer), across :meth:`reset`
+      and a restore (:meth:`load_state`, with ``known=``).
 
-    ``engaged`` says whether the sample can exclude a BUU at all
-    (``sampling_rate > 1`` and nobody recording the full trace); when
-    it cannot, every begin is delivered as it arrives and nothing is
-    remembered.  Promotion and commit consult the parked set
-    unconditionally.
-
-    ``elided`` counts the events dropped, so at any instant *offered =
-    delivered + elided + parked*.  ``parked`` may be read freely (its
-    truth value, ``in``, ``get``); it changes only through the methods.
-    The owner serializes access.  Soundness for both pruners: DESIGN §5.
+    ``lock`` serializes a threaded front end: :meth:`run` and
+    :meth:`promote` hold it themselves, a caller of the scalar gate
+    holds it around the call (a single-threaded owner's is a no-op its
+    scalar calls never touch).  ``parked`` and ``known`` change only in
+    this class; the one outside reader is the cluster router's fused
+    placement loop (with :meth:`unpark`).  Soundness: DESIGN §5.
     """
 
-    __slots__ = ("engaged", "parked", "known", "elided")
+    __slots__ = ("lookup", "engaged", "parked", "known", "elided", "lock")
 
-    def __init__(self, engaged: bool) -> None:
-        self.engaged = engaged
+    def __init__(self, sampler: ItemSampler, engaged: bool = True, lock=None) -> None:
         self.parked: dict[BuuId, int] = {}
         self.known: set[BuuId] = set()
         self.elided = 0
+        self.lock = nullcontext() if lock is None else lock
+        self.reset(sampler, engaged)
+
+    def reset(self, sampler: ItemSampler, engaged: bool = True) -> None:
+        """Start over for a new run under ``sampler``: BUUs still parked
+        never commit, so their begins count as elided; nothing is known
+        any more."""
+        self.elided += len(self.parked)
+        self.parked.clear()
+        self.known.clear()
+        self.lookup = sampler.lookup
+        self.engaged = engaged and sampler.sampling_rate > 1
+
+    @property
+    def num_parked(self) -> int:
+        """How many begins are parked (lock-free: a count, or a truth)."""
+        return len(self.parked)
 
     def begin(self, buu: BuuId, start: int) -> bool:
         """Park ``buu``'s begin; ``False`` when the caller must deliver
@@ -357,9 +388,10 @@ class SampledLifecycle:
             self.parked[buu] = start
         return True
 
-    def commit(self, buu: BuuId) -> bool:
+    def commit(self, buu: BuuId, time: int = 0) -> bool:
         """``True`` when ``buu`` is still parked: its begin and this
-        commit are both dropped.  ``False``: deliver the commit."""
+        commit are both dropped.  ``False``: deliver the commit
+        (``time`` only gives both gates one signature)."""
         if self.parked.pop(buu, None) is not None:
             self.elided += 2
             return True
@@ -367,27 +399,51 @@ class SampledLifecycle:
             self.known.add(buu)
         return False
 
-    def promote(self, buu: BuuId) -> int:
-        """Unpark ``buu`` (which must be parked): the start its begin
-        must now be delivered with.  A front end whose delivery can
-        fail reads ``parked[buu]``, delivers, and only then calls
-        this."""
+    def run(self, begins: bool, buus: Sequence[BuuId],
+            times: Sequence[int]) -> tuple[Sequence[BuuId], Sequence[int]]:
+        """The gate over a run of begins (or commits) under one hold of
+        the lock: the ``(buus, times)`` to deliver, in order."""
+        if not self.engaged:
+            return buus, times
+        gate = self.begin if begins else self.commit
+        with self.lock:
+            kept = [(buu, when) for buu, when in zip(buus, times)
+                    if not gate(buu, when)]
+        return tuple(zip(*kept)) if kept else ((), ())
+
+    def admit(self, ops: Iterable[Operation],
+              deliver: Callable[[BuuId, int], object]) -> list[Operation]:
+        """The operations of ``ops`` on chosen items, after handing
+        ``deliver`` the parked begin of every BUU issuing one."""
+        lookup = self.lookup
+        kept = [op for op in ops if lookup(op[2])]
+        if kept and self.parked:
+            self.promote(kept, deliver)
+        return kept
+
+    def promote(self, ops: Iterable[Operation],
+                deliver: Callable[[BuuId, int], object]) -> None:
+        """Hand ``deliver(buu, start)`` the parked begin of every BUU
+        issuing one of the chosen operations ``ops``, then unpark it."""
+        parked = self.parked
+        hit = [op[1] for op in ops if op[1] in parked]
+        if not hit:
+            return
+        with self.lock:
+            for buu in hit:
+                start = parked.get(buu)
+                if start is None:  # promoted meanwhile, or twice in ops
+                    continue
+                if deliver(buu, start) is False:  # shed: dropped whole
+                    del parked[buu]
+                    self.elided += 1
+                else:
+                    self.unpark(buu)
+
+    def unpark(self, buu: BuuId) -> int:
+        """``buu``'s parked begin is delivered: now known; its start."""
         self.known.add(buu)
         return self.parked.pop(buu)
-
-    def shed(self, buu: BuuId) -> None:
-        """The owner dropped ``buu``'s parked begin instead of
-        delivering it (a full journal under ``overflow="shed"``)."""
-        del self.parked[buu]
-        self.elided += 1
-
-    def reset(self, engaged: bool) -> None:
-        """Start over for a new run: BUUs still parked never commit, so
-        their begins count as elided; nothing is known any more."""
-        self.elided += len(self.parked)
-        self.parked.clear()
-        self.known.clear()
-        self.engaged = engaged
 
     # -- checkpoint support ----------------------------------------------------
 
@@ -719,11 +775,12 @@ class DataCentricCollector(Collector):
         (§5.1, "reducing systematic variance").  Item states reset on each
         switch; the empty ``lastWrite`` acts as the warm-up phase.
     begin_buu:
-        Where a promoted begin goes (the detector's ``begin_buu``).
-        With it, and ``sampling_rate > 1``, :attr:`lifecycle` parks the
-        begins its owner offers and the collector hands each one over
-        ahead of its BUU's first operation on a chosen item (see
-        :class:`SampledLifecycle`); without it nothing is ever parked.
+        The sink of :attr:`lifecycle`, the admission gate
+        (:class:`SampledLifecycle`): where a promoted begin goes (the
+        detector's ``begin_buu``).  With it, and ``sampling_rate > 1``,
+        the gate parks the begins its owner offers and hands each over
+        ahead of its BUU's first operation on a chosen item; without it
+        nothing is ever parked.
     """
 
     def __init__(
@@ -747,8 +804,7 @@ class DataCentricCollector(Collector):
             self.sampler.materialize(items)
         self._resample_interval = resample_interval
         self._resample_epoch = 0
-        self.lifecycle = SampledLifecycle(
-            sampling_rate > 1 and begin_buu is not None)
+        self.lifecycle = SampledLifecycle(self.sampler, begin_buu is not None)
         self._begin_buu = begin_buu
         # Per-key-id DCS decision cache for the columnar kernel (see
         # :func:`repro.core.columnar.sample_mask`).
@@ -796,7 +852,7 @@ class DataCentricCollector(Collector):
         edges: list[Edge] = []
         if self.sampler.chosen(op.key):
             if self.lifecycle.parked:
-                self._promote((op,))
+                self.lifecycle.promote((op,), self._begin_buu)  # type: ignore
             edges = self.shard.handle(op)
         if self._resample_interval and self.ops_seen % self._resample_interval == 0:
             self._switch_sample()
@@ -805,13 +861,13 @@ class DataCentricCollector(Collector):
     def handle_batch(self, ops: Iterable[Operation]) -> list[Edge]:
         """Batched ingest (the DCS fast path).
 
-        Membership in the chosen-item sample is one C-level probe of the
-        sampler's decision memo per operation, the chosen subsequence
-        feeds the shard's fused loop in one call, and edges land in a
-        single output buffer.  Bit-identical to per-op :meth:`handle`;
-        when periodic re-sampling is configured the batch falls back to
-        the per-op path so sample switches trigger at exactly the same
-        operation indexes.
+        Admission (:meth:`SampledLifecycle.admit`) is one C-level probe
+        of the sampler's decision memo per operation, the chosen
+        subsequence feeds the shard's fused loop in one call, and edges
+        land in a single output buffer.  Bit-identical to per-op
+        :meth:`handle`; when periodic re-sampling is configured the
+        batch falls back to the per-op path so sample switches trigger
+        at exactly the same operation indexes.
 
         A columnar :class:`~repro.core.columnar.OpBatch` takes the
         vectorized kernel (:func:`~repro.core.columnar.collect_columnar`)
@@ -831,27 +887,11 @@ class DataCentricCollector(Collector):
             return self.handle_all(ops)
         self.ops_seen += len(ops)
         out: list[Edge] = []
-        sampler = self.sampler
-        if sampler.sampling_rate == 1:
+        if self.sampler.sampling_rate != 1:
+            ops = self.lifecycle.admit(ops, self._begin_buu)  # type: ignore
+        if ops:
             self.shard.handle_batch(ops, out)
-            return out
-        lookup = sampler.lookup
-        picked = [op for op in ops if lookup(op[2])]
-        if picked:
-            if self.lifecycle.parked:
-                self._promote(picked)
-            self.shard.handle_batch(picked, out)
         return out
-
-    def _promote(self, picked: Iterable[Operation]) -> None:
-        """Hand over the parked begin of every BUU issuing one of the
-        chosen operations ``picked``, ahead of their bookkeeping."""
-        lifecycle = self.lifecycle
-        parked = lifecycle.parked
-        for op in picked:
-            if op[1] in parked:
-                self._begin_buu(  # type: ignore[misc]
-                    op[1], lifecycle.promote(op[1]))
 
     def _handle_columnar(self, batch: OpBatch) -> EdgeBatch:
         """The vectorized DCS path: one boolean sample mask per batch,

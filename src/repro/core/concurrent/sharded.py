@@ -60,22 +60,19 @@ Lifecycle follows the sample
 
 Under the same condition — ``journal_sampled_only`` and
 ``sampling_rate > 1`` — a BUU that never touches a chosen item has no
-edge, so the detector need not hear of it: the collector owns a
-:class:`~repro.core.collector.SampledLifecycle`, guarded by one lock of
-its own (taken before any shard lock, never after).  A begin is
-*parked* there instead of journaled — a run of them under one hold; the
-BUU's first operation on a chosen item *promotes* it — the begin is
-journaled, with the parked start, and only then unparked, all under
-that lock and before the operation takes its ticket, so no producer can
-find the BUU unparked while its begin has no ticket yet — and the
-commit of a BUU still parked drops both events.  Only an id no record
-has named yet is parked: once a begin or commit of it was journaled the
-detector may hold its commit time, so a later begin of the same id is
-journaled as it arrives.  A promoted begin that a full journal sheds
-(``overflow="shed"``) is dropped whole and counted with the elided
-ones.  What was dropped since the previous drain reaches the consumer
-as one ``EV_ELIDED`` record per drain (no operations, the count in its
-fourth field), so the consumer's event total and
+edge, so the detector need not hear of it.  Parking, promoting and
+dropping begins is the admission gate's business
+(:class:`~repro.core.collector.SampledLifecycle` carries the contract
+every front end shares); this collector is its *ticketed-journal sink*.
+The gate's lock is taken before any shard lock, never after, and under
+it a promoted begin is journaled, with the parked start, before the
+promoting operation takes its ticket: no producer can find the BUU
+unparked while its begin has no ticket yet.  A promoted begin that a
+full journal sheds (``overflow="shed"``) is dropped whole and counted
+with the elided ones; one it refuses by raising (a ``"block"`` timeout)
+stays parked.  What was dropped since the previous drain reaches the
+consumer as one ``EV_ELIDED`` record per drain (no operations, the
+count in its fourth field), so the consumer's event total and
 :meth:`~ShardedCollector.requeue` account for it exactly as for elided
 operations.  The parked starts and the counts are part of
 :meth:`~ShardedCollector.snapshot_state`.
@@ -355,9 +352,9 @@ class ShardedCollector:
         self._journal = journal
         self._elide = journal and journal_sampled_only
         # Lifecycle follows the sample wherever the sample can exclude a
-        # BUU (module docstring).  The lock orders before shard locks.
-        self.lifecycle = SampledLifecycle(self._elide and sampling_rate != 1)
-        self._lifecycle_lock = threading.Lock()
+        # BUU (module docstring).  Its lock orders before shard locks.
+        self.lifecycle = SampledLifecycle(self.sampler, self._elide,
+                                          threading.Lock())
         #: Elided lifecycle events already handed to a drain.
         self._lifecycle_drained = 0
         self.journal_capacity = journal_capacity
@@ -404,7 +401,7 @@ class ShardedCollector:
             )
             metrics.gauge_fn(
                 "rushmon_collector_lifecycle_parked",
-                lambda: float(len(self.lifecycle.parked)),
+                lambda: float(self.lifecycle.num_parked),
                 help="BUUs whose begin is held back until their first "
                      "operation on a sampled item (or their commit)",
             )
@@ -554,9 +551,8 @@ class ShardedCollector:
         time (:meth:`_per_event`: armed faults, a bounded journal, a
         degrade shift — whose per-event consumed offsets and secondary
         filter need every operation to arrive)."""
-        if (self._elide and self.sampler.sampling_rate != 1
-                and not self._per_event()):
-            return self.sampler.lookup
+        if self.lifecycle.engaged and not self._per_event():
+            return self.lifecycle.lookup
         return None
 
     # -- overflow handling (caller holds the shard lock) -----------------------
@@ -626,8 +622,8 @@ class ShardedCollector:
         if self._faults is not None:
             self._apply_fault("collector.handle")
         chosen = self._chosen(op.key)
-        if chosen and self.lifecycle.parked:
-            self._promote((op,))
+        if chosen and self.lifecycle.num_parked:
+            self.lifecycle.promote((op,), self._journal_lifecycle)
         shard = self._shards[self.shard_index(op.key)]
         lock_wait = self._m_lock_wait
         if lock_wait is not None:
@@ -718,8 +714,7 @@ class ShardedCollector:
         operations the caller already left out with the same predicate
         (the server does, while decoding a frame): they join that count,
         so every total keeps meaning *every operation offered*.  The
-        parked begins of the BUUs issuing the chosen operations are
-        journaled first (:meth:`_promote`).
+        filter is the gate's ``admit``: parked begins are journaled first.
 
         Falls back to the per-op path while :meth:`_per_event` holds —
         those features make per-event decisions (injection points,
@@ -742,10 +737,9 @@ class ShardedCollector:
         head = ops[0] if ops else None
         all_chosen = self.sampler.sampling_rate == 1
         if chosen is not None:
-            ops = [op for op in ops if chosen(op.key)]
+            ops = self.lifecycle.admit(ops, self._journal_lifecycle)
             elided = offered - len(ops)
             all_chosen = True
-            self._promote(ops)
         out = []
         sampled = 0
         if not ops:
@@ -845,35 +839,13 @@ class ShardedCollector:
                 shard.lock.release()
         return sampled
 
-    def _promote(self, ops: Iterable[Operation]) -> None:
-        """Journal the parked begin of every BUU issuing one of the
-        chosen operations ``ops``, before any of them takes a ticket."""
-        lifecycle = self.lifecycle
-        parked = lifecycle.parked
-        hit = [op.buu for op in ops if op.buu in parked]
-        if not hit:
-            return
-        with self._lifecycle_lock:
-            for buu in hit:
-                start = parked.get(buu)
-                if start is None:
-                    continue
-                # Unparked only once journaled: whoever finds the BUU
-                # gone tickets after its begin, and a begin the journal
-                # refuses by raising ("block" timeout) stays parked.  One
-                # it sheds is dropped whole, as a begin offered to a full
-                # journal always was.
-                if self._journal_lifecycle(EV_BEGIN, buu, start):
-                    lifecycle.promote(buu)
-                else:
-                    lifecycle.shed(buu)
-
-    def _journal_lifecycle(self, kind: str, buu: int, time: int) -> bool:
+    def _journal_lifecycle(self, buu: int, time: int,
+                           kind: str = EV_BEGIN) -> bool:
         """Append one lifecycle record, routed by BUU id so its ticket
         is assigned under some shard lock (placement only affects
         contention, never counts), under the capacity policy of
         journaled operations; ``False`` when the event was shed —
-        dropped whole."""
+        dropped whole.  The admission gate's ``deliver(buu, start)``."""
         shard = self._shards[
             key_partition(buu, self.num_shards, self._shard_mask)]
         with shard.lock:
@@ -890,19 +862,19 @@ class ShardedCollector:
         return True
 
     def record_lifecycle(self, kind: str, buu: int, time: int) -> None:
-        """Offer a BUU ``begin``/``commit`` event.  A begin the sample
-        may yet exclude is parked, the commit of a BUU still parked is
-        dropped with it (module docstring); any other event is
-        journaled.  A shed event is not counted as offered."""
+        """Offer a BUU ``begin``/``commit`` event to the admission gate:
+        a begin the sample may yet exclude is parked, the commit of a
+        BUU still parked is dropped with it; any other is journaled,
+        under the capacity policy (if shed, not counted as offered)."""
         if not self._journal:
             return
-        lifecycle = self.lifecycle
+        gate = self.lifecycle
         held = False
-        if lifecycle.engaged:
-            with self._lifecycle_lock:
-                held = (lifecycle.begin(buu, time) if kind == EV_BEGIN
-                        else lifecycle.commit(buu))
-        if not held and not self._journal_lifecycle(kind, buu, time):
+        if gate.engaged:
+            with gate.lock:
+                held = (gate.begin if kind == EV_BEGIN else gate.commit)(
+                    buu, time)
+        if not held and not self._journal_lifecycle(buu, time, kind):
             return
         if self._m_lifecycle is not None:
             self._m_lifecycle.inc()
@@ -912,10 +884,10 @@ class ShardedCollector:
         """Offer a run of same-``kind`` lifecycle events, with the
         tickets, order and records of calling :meth:`record_lifecycle`
         once per event — which is what a bounded journal still gets (its
-        overflow policy is per record).  Otherwise the run is parked or
-        dropped under one hold of the lifecycle lock, and what is left
-        to journal goes in as one append: one shard lock hold (the
-        first BUU's shard), one slice of tickets."""
+        overflow policy is per record).  Otherwise the gate takes the
+        run under one hold of its lock and what it says to deliver goes
+        in as one append: one shard lock hold (the first BUU's shard),
+        one slice of tickets."""
         if not self._journal or not buus:
             return
         if self._per_event():
@@ -923,17 +895,7 @@ class ShardedCollector:
                 self.record_lifecycle(kind, buu, when)
             return
         offered = len(buus)
-        lifecycle = self.lifecycle
-        if lifecycle.engaged:
-            with self._lifecycle_lock:
-                if kind == EV_BEGIN:
-                    for buu, when in zip(buus, times):
-                        lifecycle.begin(buu, when)
-                    buus = ()
-                else:
-                    kept = [(buu, when) for buu, when in zip(buus, times)
-                            if not lifecycle.commit(buu)]
-                    buus, times = zip(*kept) if kept else ((), ())
+        buus, times = self.lifecycle.run(kind == EV_BEGIN, buus, times)
         if buus:
             shard = self._shards[
                 key_partition(buus[0], self.num_shards, self._shard_mask)]
@@ -1036,7 +998,7 @@ class ShardedCollector:
         under all shard locks (so it is a prefix-consistent cut of the
         ticket order).  Keys must be JSON-serializable (str/int — what
         every workload in this repository uses)."""
-        self._lifecycle_lock.acquire()
+        self.lifecycle.lock.acquire()
         for shard in self._shards:
             shard.lock.acquire()
         try:
@@ -1061,7 +1023,7 @@ class ShardedCollector:
         finally:
             for shard in reversed(self._shards):
                 shard.lock.release()
-            self._lifecycle_lock.release()
+            self.lifecycle.lock.release()
         with self._degrade_lock:
             shift = self._degrade_shift
             shifts_total = self._degrade_shifts_total

@@ -155,9 +155,9 @@ class RushMon:
             prune_interval=self.config.prune_interval,
             count_three=self.config.count_three_cycles,
         )
-        # Lifecycle follows the sample: the collector parks each begin
-        # and hands it to the detector ahead of the BUU's first operation
-        # on a chosen item (nothing is parked at sampling_rate=1).
+        # Lifecycle follows the sample: the collector's gate parks each
+        # begin and hands it to the detector ahead of the BUU's first
+        # operation on a chosen item (nothing is parked at sampling_rate=1).
         self.collector = DataCentricCollector(
             sampling_rate=self.config.sampling_rate,
             mob=self.config.mob,
@@ -166,6 +166,7 @@ class RushMon:
             resample_interval=self.config.resample_interval,
             begin_buu=self.detector.begin_buu,
         )
+        self._gate = self.collector.lifecycle
         self._window = WindowTracker(self.detector)
         self._now = 0
         self.reports: list[AnomalyReport] = []
@@ -179,12 +180,12 @@ class RushMon:
 
     def begin_buu(self, buu: BuuId, start_time: int | None = None) -> None:
         when = self._time(start_time)
-        if not self.collector.lifecycle.begin(buu, when):
+        if not self._gate.begin(buu, when):
             self.detector.begin_buu(buu, when)
 
     def commit_buu(self, buu: BuuId, commit_time: int | None = None) -> None:
         when = self._time(commit_time)
-        if not self.collector.lifecycle.commit(buu):
+        if not self._gate.commit(buu):
             self.detector.commit_buu(buu, when)
 
     def _time(self, explicit: int | None) -> int:

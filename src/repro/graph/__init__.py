@@ -22,29 +22,8 @@ __all__ = [
     "count_labelled_short_cycles",
     "count_simple_cycles_by_length",
     "johnson_simple_cycles",
-    "adjacency_matrix",
-    "count_k_cycle_closed_walks",
-    "count_three_cycles_matrix",
-    "count_two_cycles_matrix",
     "UndirectedGraph",
     "directed_gnp",
     "expected_k_cycles",
     "preferential_attachment_graph",
 ]
-
-_MATRIX_EXPORTS = frozenset((
-    "adjacency_matrix",
-    "count_k_cycle_closed_walks",
-    "count_three_cycles_matrix",
-    "count_two_cycles_matrix",
-))
-
-
-def __getattr__(name):
-    # The matrix counters hard-require numpy; loading them lazily keeps
-    # a base install (no ``repro[fast]`` extra) importable end to end.
-    if name in _MATRIX_EXPORTS:
-        from repro.graph import matrix
-
-        return getattr(matrix, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -264,7 +264,7 @@ def instrument_cluster_monitor(registry: MetricsRegistry,
     )
     registry.gauge_fn(
         "rushmon_cluster_lifecycle_parked",
-        lambda: float(len(cluster.lifecycle.parked)),
+        lambda: float(cluster.lifecycle.num_parked),
         help="BUUs whose begin the router holds back until their first "
              "operation on a sampled item (or their commit)",
     )

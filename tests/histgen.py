@@ -70,3 +70,32 @@ def feed_with_lifecycle(listeners: Iterable, history: Sequence[Operation]) -> No
                 handler = getattr(listener, "commit_buu", None)
                 if handler is not None:
                     handler(op.buu, op.seq)
+
+
+def count_delivered_lifecycle(monkeypatch) -> None:
+    """Make every :class:`~repro.core.detector.CycleDetector` count the
+    begin/commit calls it receives (``lifecycle_calls``): what an
+    in-process front end *delivered*."""
+    from repro.core.detector import CycleDetector
+
+    for name in ("begin_buu", "commit_buu"):
+        def counted(self, buu, when, _original=getattr(CycleDetector, name)):
+            self.lifecycle_calls = getattr(self, "lifecycle_calls", 0) + 1
+            return _original(self, buu, when)
+        monkeypatch.setattr(CycleDetector, name, counted)
+
+
+def assert_lifecycle_reconciles(monitor, offered, delivered=None, shed=0):
+    """*offered = delivered + elided + parked (+ shed)* over the
+    begin/commit events offered to ``monitor``, whatever its front end;
+    returns ``(elided, parked)``.  ``delivered`` defaults to what
+    reached the sink: the router's broadcasts, else the calls its
+    detector received (:func:`count_delivered_lifecycle`; every
+    journaled record, once a window closed)."""
+    gate = getattr(monitor, "lifecycle", None) or monitor.collector.lifecycle
+    if delivered is None:
+        delivered = (monitor.lifecycle_broadcasts
+                     if hasattr(monitor, "lifecycle_broadcasts")
+                     else getattr(monitor.detector, "lifecycle_calls", 0))
+    assert offered == delivered + gate.elided + gate.num_parked + shed
+    return gate.elided, gate.num_parked

@@ -191,3 +191,47 @@ def test_drivers_accept_any_monitor_flavour():
     driver.run([read_modify_write(["a", "b"], lambda v: (v or 0) + 1)])
     for monitor in monitors:
         assert monitor.close_window().operations == 4
+
+
+def test_only_the_admission_gate_touches_its_parked_and_known_sets():
+    """Structure guard: ``parked`` / ``known`` belong to
+    ``SampledLifecycle`` (``core/collector.py``).  The cluster router's
+    fused placement loop may *read* them; no other module under
+    ``src/repro`` names them at all, so a front end cannot grow its own
+    copy of the park / promote / drop protocol."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    owner, reader = root / "core" / "collector.py", root / "cluster" / "monitor.py"
+    mutators = {"add", "clear", "discard", "pop", "popitem", "remove",
+                "setdefault", "update", "difference_update",
+                "intersection_update", "symmetric_difference_update"}
+    offences = []
+    for path in sorted(root.rglob("*.py")):
+        if path == owner:
+            continue
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute)
+                    and node.attr in ("parked", "known")):
+                continue
+            above = parents[node]
+            written = (
+                not isinstance(node.ctx, ast.Load)
+                or (isinstance(above, ast.Subscript) and above.value is node
+                    and not isinstance(above.ctx, ast.Load))
+                or (isinstance(above, ast.Attribute)
+                    and above.attr in mutators
+                    and isinstance(parents[above], ast.Call)
+                    and parents[above].func is above)
+                or (isinstance(above, ast.AugAssign) and above.target is node))
+            if written or path != reader:
+                offences.append(f"{path.relative_to(root)}:{node.lineno} "
+                                f"{'writes' if written else 'reads'} "
+                                f".{node.attr}")
+    assert not offences, offences

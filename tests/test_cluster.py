@@ -34,7 +34,11 @@ from repro.core.monitor import RushMon
 from repro.core.types import Edge, EdgeType, Operation, OpType
 from repro.net.protocol import FrameReader
 
-from tests.histgen import feed_with_lifecycle, random_history
+from tests.histgen import (
+    assert_lifecycle_reconciles,
+    feed_with_lifecycle,
+    random_history,
+)
 from tests.test_checkers_differential import (
     WORKLOADS,
     monitor_counts,
@@ -556,24 +560,25 @@ def test_lifecycle_records_travel_only_for_buus_that_touch_the_sample():
                 elif record[0] in ("r", "w"):
                     seen_ops.add(record[1])
         assert monitor.lifecycle_broadcasts == 2 * len(touched)
-        assert monitor.lifecycle.elided == 2 * (len(all_buus) - len(touched))
-        assert len(monitor.lifecycle.parked) == 0
+        offered = 2 * len(all_buus)
+        elided, parked = assert_lifecycle_reconciles(monitor, offered)
+        assert (elided, parked) == (offered - 2 * len(touched), 0)
         assert {shard["lifecycle_elided"]
-                for shard in monitor.shard_health()} == \
-            {monitor.lifecycle.elided}
+                for shard in monitor.shard_health()} == {elided}
         snap = monitor.metrics.snapshot()
-        assert snap["rushmon_cluster_lifecycle_broadcasts_total"] \
-            + snap["rushmon_cluster_lifecycle_elided_total"] \
-            + snap["rushmon_cluster_lifecycle_parked"] == 2 * len(all_buus)
+        assert (snap["rushmon_cluster_lifecycle_broadcasts_total"],
+                snap["rushmon_cluster_lifecycle_elided_total"],
+                snap["rushmon_cluster_lifecycle_parked"]) == \
+            (monitor.lifecycle_broadcasts, elided, parked)
 
         # A reset ends the run: BUUs still parked are dropped, counted.
-        elided = monitor.lifecycle.elided
         for buu in (900, 901, 902):
             monitor.begin_buu(buu, 1)
-        assert len(monitor.lifecycle.parked) == 3
+        assert assert_lifecycle_reconciles(monitor, offered + 3) == \
+            (elided, 3)
         monitor.reset(config)
-        assert len(monitor.lifecycle.parked) == 0
-        assert monitor.lifecycle.elided == elided + 3
+        assert assert_lifecycle_reconciles(monitor, offered + 3) == \
+            (elided + 3, 0)
         # At sr=1 every begin is broadcast as it arrives.
         monitor.reset(RushMonConfig(sampling_rate=1, mob=False, seed=4,
                                     num_workers=2))
@@ -581,7 +586,7 @@ def test_lifecycle_records_travel_only_for_buus_that_touch_the_sample():
         monitor.begin_buu(1, 1)
         monitor.commit_buu(1, 2)
         assert monitor.lifecycle_broadcasts == broadcasts + 2
-        assert len(monitor.lifecycle.parked) == 0
+        assert_lifecycle_reconciles(monitor, offered + 5)
 
 
 def _assert_cluster_matches_restricted_oracle(cluster, history, sr, seed,
@@ -629,7 +634,7 @@ def test_an_id_the_router_broadcast_once_is_never_parked_again(cluster):
         cluster.on_operation(Operation(OpType.WRITE, 1, hot, 1))
         cluster.commit_buu(1, 2)
         cluster.begin_buu(1, 3)
-        assert not cluster.lifecycle.parked
+        assert not cluster.lifecycle.num_parked
         cluster.begin_buu(2, 4)
         cluster.on_operations([Operation(OpType.READ, 2, hot, 5),
                                Operation(OpType.WRITE, 2, hot2, 6),

@@ -168,7 +168,7 @@ def test_sigkill_respawn_sampled_counts_survive_replay(workers,
         assert 0 < cluster.ops_elided < len(history)
         # Lifecycle followed the sample across the kill as well: begins
         # promoted before it are in the snapshot or the replayed frames.
-        assert cluster.lifecycle.elided > 0 == len(cluster.lifecycle.parked)
+        assert cluster.lifecycle.elided > 0 == cluster.lifecycle.num_parked
         assert faults.fired_by_point.get("cluster.route", 0) == 1, \
             "the kill never fired — the workload produced too few flushes"
         assert cluster.worker_restarts_total >= 1

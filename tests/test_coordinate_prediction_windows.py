@@ -1,12 +1,9 @@
-"""Tests for coordinate descent, the convergence predictor, and rate
-smoothers."""
+"""Tests for coordinate descent and the convergence predictor."""
 
 import numpy as np
 import pytest
 
 from repro.core.prediction import ConvergencePredictor, rank_correlation
-from repro.core.types import AnomalyReport
-from repro.core.windows import EwmaRate, SlidingWindowRate, report_rate
 from repro.ml.coordinate import (
     AsyncCoordinateDescent,
     RidgeProblem,
@@ -112,58 +109,3 @@ class TestRankCorrelation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rank_correlation([1, 2], [1])
-
-
-def _report(anomalies, start=0, end=100):
-    return AnomalyReport(window_start=start, window_end=end,
-                         estimated_2=anomalies, estimated_3=0.0)
-
-
-class TestRateSmoothers:
-    def test_report_rate(self):
-        assert report_rate(_report(50.0)) == pytest.approx(0.5)
-
-    def test_sliding_window_mean(self):
-        smoother = SlidingWindowRate(size=3)
-        for rate in (1.0, 2.0, 3.0):
-            smoother.observe_rate(rate)
-        assert smoother.value == pytest.approx(2.0)
-        smoother.observe_rate(5.0)  # evicts 1.0
-        assert smoother.value == pytest.approx(10 / 3)
-
-    def test_sliding_window_empty(self):
-        assert SlidingWindowRate().value == 0.0
-
-    def test_sliding_window_bad_size(self):
-        with pytest.raises(ValueError):
-            SlidingWindowRate(size=0)
-
-    def test_ewma_first_sample_initialises(self):
-        ewma = EwmaRate(alpha=0.5)
-        assert ewma.observe_rate(4.0) == 4.0
-
-    def test_ewma_converges_to_constant_input(self):
-        ewma = EwmaRate(alpha=0.5)
-        for _ in range(30):
-            ewma.observe_rate(7.0)
-        assert ewma.value == pytest.approx(7.0)
-
-    def test_ewma_reacts_faster_than_wide_window(self):
-        ewma = EwmaRate(alpha=0.5)
-        window = SlidingWindowRate(size=10)
-        for _ in range(10):
-            ewma.observe_rate(0.0)
-            window.observe_rate(0.0)
-        ewma.observe_rate(10.0)
-        window.observe_rate(10.0)
-        assert ewma.value > window.value
-
-    def test_ewma_bad_alpha(self):
-        with pytest.raises(ValueError):
-            EwmaRate(alpha=0.0)
-        with pytest.raises(ValueError):
-            EwmaRate(alpha=1.5)
-
-    def test_observe_report(self):
-        ewma = EwmaRate(alpha=1.0)
-        assert ewma.observe(_report(20.0)) == pytest.approx(0.2)

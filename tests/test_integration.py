@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from repro.checkers import check_operations
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor, RushMon
-from repro.core.serializability import check_history
 from repro.sim import SimConfig, Simulator, Trace
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
@@ -41,13 +41,14 @@ class TestFullStack:
         monitor, offline, trace, _ = monitored_ycsb_run("serializable")
         e2, e3 = monitor.cumulative_estimates()
         assert e2 == 0 and e3 == 0
-        verdict = check_history(trace.ops)
+        verdict = check_operations(trace.ops)
         assert verdict.serializable
+        assert set(verdict.serial_order) == {op.buu for op in trace.ops}
 
     def test_chaotic_stack_fails_serializability(self):
         _, _, trace, _ = monitored_ycsb_run("none")
-        verdict = check_history(trace.ops)
-        assert not verdict.serializable
+        verdict = check_operations(trace.ops)
+        assert not verdict.serializable and not verdict.serial_order
 
     def test_trace_replay_reproduces_monitor(self, tmp_path):
         monitor, _, trace, _ = monitored_ycsb_run("none")

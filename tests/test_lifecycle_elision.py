@@ -1,7 +1,10 @@
 """Lifecycle follows the sample, and the detector refuses edges that can
 never close a cycle.
 
-Pinned here, for the serial monitor and the threaded service (the
+Pinned here, for every front end of the admission gate
+(:class:`~repro.core.collector.SampledLifecycle`) — the serial monitor,
+the threaded service fed per event, in batches and in lifecycle *runs*,
+and a server fed over a JSON and a packed connection (``INGEST``; the
 cluster's share is in ``tests/test_cluster.py``):
 
 - an exact oracle for *sampled* runs: without MOB the raw counts at
@@ -18,6 +21,8 @@ cluster's share is in ``tests/test_cluster.py``):
 - the collector's batch filter is its per-op ``handle``.
 """
 
+import dataclasses
+import itertools
 import sys
 import threading
 
@@ -31,19 +36,29 @@ from repro.core.collector import (
     BaselineCollector,
     DataCentricCollector,
     ItemSampler,
-    SampledLifecycle,
 )
 from repro.core.concurrent import RushMonService
-from repro.core.concurrent.sharded import EV_BEGIN, EV_COMMIT, EV_OP
+from repro.core.concurrent.sharded import (
+    EV_BEGIN,
+    EV_COMMIT,
+    EV_OP,
+    ShardedCollector,
+)
 from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.monitor import RushMon
 from repro.core.pruning import make_pruner
 from repro.core.types import Operation, OpType
+from repro.net import RushMonServer, protocol
 from repro.testing import FaultInjector
 
-from tests.histgen import random_history
+from tests.histgen import (
+    assert_lifecycle_reconciles,
+    count_delivered_lifecycle,
+    random_history,
+)
 from tests.test_batch_equivalence import _lifecycle_stream
 from tests.test_checkpoint import _feed as _feed_per_op
+from tests.test_net import _CodecClient, _wire_records
 from tests.test_pruning import reused_id_scripts
 from tests.test_sampled_journal import (
     SAMPLING_RATES,
@@ -75,9 +90,60 @@ def _a_key(sr, chosen=True, start=0):
     return next(key for key in range(start, 10_000) if pick(key) is chosen)
 
 
-def _elided_and_parked(monitor):
-    lifecycle = monitor.collector.lifecycle
-    return lifecycle.elided, len(lifecycle.parked)
+@pytest.fixture(autouse=True)
+def _delivered_counts_and_server_teardown(monkeypatch):
+    """Count what each front end *delivers* to its detector, and drain
+    the servers a test started."""
+    count_delivered_lifecycle(monkeypatch)
+    yield
+    while _WireMonitor.live:
+        _WireMonitor.live.pop().close()
+
+
+def _feed_runs(service, events):
+    """Runs of consecutive begins, commits and operations each go in as
+    one call (what the server does with a decoded frame)."""
+    feed = {"begin": lambda run: service.begin_buus(*zip(*run)),
+            "commit": lambda run: service.commit_buus(*zip(*run)),
+            "op": service.on_operations}
+    for kind, run in itertools.groupby(events, key=lambda event: event[0]):
+        feed[kind]([payload for _, payload in run])
+
+
+class _WireMonitor:
+    """A trace-less service behind a :class:`RushMonServer`, fed frames
+    that alternate between a JSON and a packed connection.  Detection
+    runs only in ``close_window()`` (the background pass is parked), so
+    what a test reads after it is settled."""
+
+    live: list = []
+    FRAME = 97
+
+    def __init__(self, config):
+        self.service = RushMonService(
+            dataclasses.replace(config, detect_interval=3600.0))
+        self.server = RushMonServer(self.service).start()
+        self.live.append(self)
+        self.clients = [
+            _CodecClient(self.server.port, f"codec-{codec}", codec)
+            for codec in (protocol.CODEC_JSON, protocol.CODEC_COLUMNAR)]
+        self.frames = 0
+
+    def close(self):
+        for client in self.clients:
+            client.close()
+        self.server.drain()
+
+    def __getattr__(self, name):
+        return getattr(self.service, name)
+
+    def feed(self, events):
+        records = _wire_records(events)
+        for start in range(0, len(records), self.FRAME):
+            client = self.clients[self.frames % 2]
+            self.frames += 1
+            reply = client.batch(records[start:start + self.FRAME])
+            assert reply == protocol.ack(client.session, client.seq)
 
 
 # -- (a) the restricted-history oracle ------------------------------------------
@@ -89,7 +155,11 @@ INGEST = {
     "service-batched-4": (RushMonService, _feed_batched, 4),
     "service-per-op-1": (RushMonService, _feed_per_op, 1),
     "service-per-op-4": (RushMonService, _feed_per_op, 4),
+    "service-runs": (RushMonService, _feed_runs, 4),
+    "wire": (_WireMonitor, _WireMonitor.feed, 4),
 }
+JOURNALED_INGEST = [name for name, (flavour, _, _) in INGEST.items()
+                    if flavour is not RushMon]
 PRUNINGS = ("both", "ect", "distance")
 PRUNE_INTERVALS = (1, 100)
 
@@ -162,37 +232,38 @@ def test_detector_hears_of_exactly_the_buus_that_touch_the_sample(sr,
     assert not graph.starts
     # Promotion preceded every edge: no vertex of unknown lifecycle.
     assert graph.present <= graph.commits.keys()
-    elided, parked = _elided_and_parked(monitor)
-    assert (elided, parked) == (2 * (len(_buus(events)) - len(touched)), 0)
+    assert assert_lifecycle_reconciles(monitor, 2 * len(_buus(events))) == \
+        (2 * (len(_buus(events)) - len(touched)), 0)
 
 
-@pytest.mark.parametrize("flavour", (RushMon, RushMonService),
-                         ids=("serial", "service"))
-def test_lifecycle_calls_of_every_shape(flavour):
+@pytest.mark.parametrize("ingest", INGEST)
+def test_lifecycle_calls_of_every_shape(ingest):
     """Begin without commit, commit without begin, BUUs with no
     operation, ids that begin again: the detector's lifetimes, and
     *offered = delivered + elided + parked* after every step."""
+    flavour, feed, shards = INGEST[ingest]
     hot, cold = _a_key(20), _a_key(20, chosen=False)
-    monitor = flavour(_config(20, pruning="none"))
+    monitor = flavour(_config(20, num_shards=shards, pruning="none"))
     graph = monitor.detector.graph
     offered = ops = 0
 
     def lifecycle(kind, buu, when):
         nonlocal offered
         offered += 1
-        (monitor.begin_buu if kind == "b" else monitor.commit_buu)(buu, when)
+        feed(monitor, [("begin" if kind == "b" else "commit", (buu, when))])
 
     def op(kind, buu, key, seq):
         nonlocal ops
         ops += 1
-        monitor.on_operation(Operation(kind, buu, key, seq))
+        feed(monitor, [("op", Operation(kind, buu, key, seq))])
 
     def settled(elided, parked, commits, starts):
         monitor.close_window()
-        assert _elided_and_parked(monitor) == (elided, parked)
+        assert assert_lifecycle_reconciles(monitor, offered) == \
+            (elided, parked)
         assert set(graph.commits) == commits
         assert set(graph.starts) == starts
-        if flavour is RushMonService:
+        if flavour is not RushMon:
             assert monitor.processed_events + parked == offered + ops
 
     lifecycle("b", 1, 0)
@@ -266,7 +337,45 @@ def test_an_id_that_begins_again_is_alive_before_its_first_chosen_operation(
     assert monitor.detector.counts == restricted_exact(_ops(events), 20)
     assert monitor.detector.counts.two_cycles == 1
     assert monitor.detector.edges_refused == 0
-    assert _elided_and_parked(monitor) == (0, 0)
+    assert assert_lifecycle_reconciles(monitor, 6) == (0, 0)
+
+
+@pytest.mark.parametrize("sr", SAMPLING_RATES)
+def test_a_rebegun_id_in_a_lifecycle_run_is_delivered(sr):
+    """``begin_buus`` used to discard the gate's "deliver it now": the
+    second begin of id 1 — alone in its run, as in every batched
+    ``serve --no-trace`` frame — was neither parked, journaled nor
+    counted, its operations met a committed vertex
+    (``LifecycleOrderError``, a degraded window) and the lost update on
+    ``hot2`` went uncounted."""
+    hot = _a_key(sr)
+    hot2 = _a_key(sr, start=hot + 1)
+    events = ([("begin", (1, 0)), ("begin", (2, 0)),
+               ("op", Operation(OpType.WRITE, 1, hot, 1)),
+               ("commit", (1, 2)), ("begin", (1, 3))]
+              + [("op", Operation(kind, buu, hot2, seq))
+                 for seq, (kind, buu) in enumerate(
+                     [(OpType.READ, 1), (OpType.READ, 2),
+                      (OpType.WRITE, 1), (OpType.WRITE, 2)], start=4)]
+              + [("commit", (1, 8)), ("commit", (2, 8))])
+    exact = restricted_exact(_ops(events), sr)
+    assert exact.ss == 1
+
+    def settled(monitor):
+        monitor.close_window()
+        assert monitor.counts() == exact
+        assert [report.health for report in monitor.reports] == ["ok"]
+        assert monitor.processed_events == len(events)
+        assert assert_lifecycle_reconciles(monitor, 6) == (0, 0)
+
+    service = RushMonService(_config(sr))
+    _feed_runs(service, events)
+    settled(service)
+    for codec in (0, 1):
+        wire = _WireMonitor(_config(sr))
+        wire.frames = codec  # the whole trace in one frame of this codec
+        wire.feed(events)
+        settled(wire)
 
 
 def _script_keys(sr):
@@ -315,8 +424,8 @@ def test_sampled_runs_with_reused_ids_match_the_restricted_oracle(
             graph = monitor.detector.graph
             assert not graph.starts
             assert graph.present <= graph.commits.keys()
-            elided, parked = _elided_and_parked(monitor)
-            assert parked == 0 and elided % 2 == 0 and elided <= offered
+            elided, parked = assert_lifecycle_reconciles(monitor, offered)
+            assert parked == 0 and elided % 2 == 0
 
 
 @pytest.mark.parametrize("feed", (_feed_per_op, _feed_batched),
@@ -366,7 +475,7 @@ def test_parked_buus_survive_an_armed_injector_and_a_degrade_shift():
         4, pruning="none", journal_capacity=64, overflow="degrade"))
     collector = degrading.collector
     _feed_batched(degrading, events[:1500])
-    assert collector.degrade_shift > 0 and collector.lifecycle.parked
+    assert collector.degrade_shift > 0 and collector.lifecycle.num_parked
     _feed_batched(degrading, events[1500:])
     degrading.close_window()
     degrading.close_window()
@@ -374,7 +483,7 @@ def test_parked_buus_survive_an_armed_injector_and_a_degrade_shift():
     assert degrading.health == "ok"
     assert graph.present and graph.present <= graph.commits.keys()
     assert set(graph.commits) <= _chosen_buus(events, 4)
-    assert not collector.lifecycle.parked
+    assert not collector.lifecycle.num_parked
     assert degrading.processed_events == len(events)
     snap = degrading.metrics.snapshot()
     assert snap["rushmon_collector_lifecycle_events_total"] == \
@@ -389,10 +498,18 @@ def test_a_promoted_begin_the_journal_sheds_still_reconciles(monkeypatch):
     the shed counters — so offered = journaled + elided + parked, and
     ``processed_events + parked`` is every event acknowledged."""
     shed_promotions = []
-    shed = SampledLifecycle.shed
-    monkeypatch.setattr(
-        SampledLifecycle, "shed",
-        lambda self, buu: (shed_promotions.append(buu), shed(self, buu)))
+    journal = ShardedCollector._journal_lifecycle
+
+    def journal_or_shed(self, buu, time, kind=EV_BEGIN):
+        # No id begins twice in this stream: a begin that reaches the
+        # journal is a promotion.
+        taken = journal(self, buu, time, kind)
+        if kind == EV_BEGIN and not taken:
+            shed_promotions.append(buu)
+        return taken
+
+    monkeypatch.setattr(ShardedCollector, "_journal_lifecycle",
+                        journal_or_shed)
     events = _events(3000)
     service = RushMonService(_config(4, pruning="none", num_shards=1,
                                      journal_capacity=6, overflow="shed"))
@@ -406,9 +523,13 @@ def test_a_promoted_begin_the_journal_sheds_still_reconciles(monkeypatch):
     lifecycle = collector.lifecycle
     assert not lifecycle.parked.keys() & set(shed_promotions)
     snap = service.metrics.snapshot()
-    assert snap["rushmon_collector_lifecycle_events_total"] == \
-        journaled + lifecycle.elided + len(lifecycle.parked)
-    assert snap["rushmon_collector_lifecycle_elided_total"] == lifecycle.elided
+    # The counter leaves out what was shed at offer; a shed promotion
+    # had been counted when it was parked, and is elided now.
+    elided, parked = assert_lifecycle_reconciles(
+        service, snap["rushmon_collector_lifecycle_events_total"],
+        delivered=journaled)
+    assert (snap["rushmon_collector_lifecycle_elided_total"],
+            snap["rushmon_collector_lifecycle_parked"]) == (elided, parked)
 
     service = RushMonService(_config(4, pruning="none", num_shards=1,
                                      journal_capacity=6, overflow="shed"))
@@ -421,7 +542,7 @@ def test_a_promoted_begin_the_journal_sheds_still_reconciles(monkeypatch):
         len(shed_promotions) - before)
     assert len(shed_promotions) > before
     assert service.processed_events \
-        + len(service.collector.lifecycle.parked) == \
+        + service.collector.lifecycle.num_parked == \
         len(events) - shed_at_offer
 
 
@@ -491,7 +612,7 @@ def test_two_producers_on_one_buu_promote_it_once():
         first_op = min(ticket for ticket, kind, payload, _ in journal
                        if kind == EV_OP and payload.buu == buu)
         assert len(begins) == 1 and begins[0] < first_op
-    assert not service.collector.lifecycle.parked
+    assert not service.collector.lifecycle.num_parked
     assert service.collector.lifecycle.elided == 0
 
 
@@ -505,12 +626,12 @@ def test_checkpoint_with_parked_buus_restores_like_an_uninterrupted_run(
         _feed_batched(service, events[:2000])
         service.close_window()
         _feed_batched(service, events[2000:3500])
-    parked = len(first.collector.lifecycle.parked)
+    parked = first.collector.lifecycle.num_parked
     assert parked > 0 and first.collector.lifecycle.elided > 0
     first.checkpoint(path)
     del first  # simulated kill: nothing after the checkpoint survives
     restored = RushMonService.restore(path)
-    assert len(restored.collector.lifecycle.parked) == parked
+    assert restored.collector.lifecycle.num_parked == parked
     for service in (whole, restored):
         _feed_batched(service, events[3500:])
         service.close_window()
@@ -659,21 +780,29 @@ def test_a_late_operation_costs_its_own_edges_and_nothing_else():
     assert monitor.detector.num_edges == 2
 
 
-def test_an_operation_after_its_commit_is_loud_and_blocks_nothing():
-    """The pass that meets the late operation consumes it with the rest
-    of the journal, publishes its window as degraded (a lower bound) and
-    raises — inline to the caller, on the background thread to the
-    supervisor, which restarts detection.  Later events are processed,
-    later windows are healthy and nothing is counted twice."""
+def _late_then_rest():
+    """The late run, a clean stream behind it, that stream's serial
+    monitor and the exact counts of both together."""
     late, rest = _late_run_stream(), _events(600, first_buu=10)
     reference = RushMon(_config(1))
     _feed_per_op(reference, rest)
     exact = exact_cycle_counts(_ops(rest))
     exact.dd += 1  # the 2-cycle behind the late edge (labels x, z)
     assert reference.detector.counts.dd + 1 == exact.dd
+    return late, rest, reference, exact
 
-    inline = RushMonService(_config(1))
-    _feed_per_op(inline, late + rest[:300])
+
+@pytest.mark.parametrize("ingest", JOURNALED_INGEST)
+def test_an_operation_after_its_commit_is_loud_and_blocks_nothing(ingest):
+    """The pass that meets the late operation consumes it with the rest
+    of the journal, publishes its window as degraded (a lower bound) and
+    raises to the ``close_window()`` caller.  Later events are
+    processed, later windows are healthy and nothing is counted
+    twice."""
+    flavour, feed, shards = INGEST[ingest]
+    late, rest, reference, exact = _late_then_rest()
+    inline = flavour(_config(1, num_shards=shards))
+    feed(inline, late + rest[:300])
     with pytest.raises(LifecycleOrderError, match="BUU 1 "):
         inline.close_window()
     assert inline.processed_events == len(late) + 300
@@ -681,7 +810,7 @@ def test_an_operation_after_its_commit_is_loud_and_blocks_nothing():
     assert degraded.health == "degraded" and inline.health == "ok"
     assert degraded.operations == len(_ops(late + rest[:300]))
     assert degraded.raw.two_cycles >= 1
-    _feed_per_op(inline, rest[300:])
+    feed(inline, rest[300:])
     assert inline.close_window().health == "ok"
     assert inline.counts() == exact
     assert sum(r.raw.two_cycles for r in inline.reports) == exact.two_cycles
@@ -690,6 +819,11 @@ def test_an_operation_after_its_commit_is_loud_and_blocks_nothing():
     assert inline.detector.edges_refused == reference.detector.edges_refused
     assert inline.processed_events == len(late) + len(rest)
 
+
+def test_a_late_operation_restarts_background_detection_once():
+    """On the background thread the error goes to the supervisor, which
+    restarts detection; one bad record trips no breaker."""
+    late, rest, _, exact = _late_then_rest()
     service = RushMonService(_config(1, detect_interval=0.005,
                                      max_restarts=1, restart_backoff=0.001,
                                      max_backoff=0.002)).start()

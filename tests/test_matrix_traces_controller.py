@@ -1,77 +1,15 @@
-"""Tests for matrix cycle counting, trace persistence, and the controller."""
+"""Tests for trace persistence and the controller."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.controller import AnomalyController, DEFAULT_LADDER
 from repro.core.monitor import OfflineAnomalyMonitor, RushMon
 from repro.core.config import RushMonConfig
 from repro.core.types import AnomalyReport
-from repro.graph.dependency import DependencyGraph
-from repro.graph.cycles import count_simple_cycles_by_length
-from repro.graph.matrix import (
-    adjacency_matrix,
-    count_k_cycle_closed_walks,
-    count_three_cycles_matrix,
-    count_two_cycles_matrix,
-)
 from repro.sim import SimConfig, Simulator, read_modify_write
 from repro.sim.traces import Trace, TraceWriter
-
-
-def random_digraph(num_vertices, num_edges, seed):
-    rng = random.Random(seed)
-    graph = DependencyGraph()
-    for v in range(num_vertices):
-        graph.add_vertex(v)
-    for _ in range(num_edges):
-        graph.add(rng.randrange(num_vertices), rng.randrange(num_vertices),
-                  label=rng.randrange(3))
-    return graph
-
-
-class TestMatrixCounting:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dfs_counter(self, seed):
-        graph = random_digraph(12, 40, seed)
-        by_len = count_simple_cycles_by_length(graph, max_length=3)
-        assert count_two_cycles_matrix(graph) == by_len[2]
-        assert count_three_cycles_matrix(graph) == by_len[3]
-
-    def test_empty_graph(self):
-        graph = DependencyGraph()
-        assert count_two_cycles_matrix(graph) == 0
-        assert count_three_cycles_matrix(graph) == 0
-
-    def test_adjacency_ignores_parallel_labels(self):
-        graph = DependencyGraph()
-        graph.add(1, 2, "x")
-        graph.add(1, 2, "y")
-        matrix, vertices = adjacency_matrix(graph)
-        assert matrix.sum() == 1
-        assert vertices == [1, 2]
-
-    def test_closed_walks_dominate_simple_cycles(self):
-        """trace(A^k) counts non-simple cycles too — the §3 explosion."""
-        graph = random_digraph(8, 30, seed=1)
-        walks4 = count_k_cycle_closed_walks(graph, 4)
-        simple4 = count_simple_cycles_by_length(graph, max_length=4)[4]
-        assert walks4 >= simple4
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            count_k_cycle_closed_walks(DependencyGraph(), 0)
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=25, deadline=None)
-    def test_property_matrix_equals_dfs(self, seed):
-        graph = random_digraph(9, 25, seed)
-        by_len = count_simple_cycles_by_length(graph, max_length=3)
-        assert count_two_cycles_matrix(graph) == by_len[2]
-        assert count_three_cycles_matrix(graph) == by_len[3]
 
 
 class TestTraces:
