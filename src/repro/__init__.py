@@ -17,22 +17,49 @@ The monitor family, all conforming to
 - :class:`OfflineAnomalyMonitor` — the exact §4 baseline.
 
 All are constructed from one :class:`RushMonConfig`.
+
+``import repro`` itself loads none of them: each name is resolved on
+first access (:mod:`repro._lazy`), so a process pays for the monitor
+it builds — a ``serve`` child never imports ``multiprocessing``, a
+cluster worker never imports the router.
 """
 
-from repro.cluster import ClusterMonitor
-from repro.core.api import AnomalyMonitor, MonitorListener
-from repro.core.concurrent import RushMonService
-from repro.core.config import RushMonConfig
-from repro.core.monitor import OfflineAnomalyMonitor, RushMon
-from repro.core.types import (
-    AnomalyReport,
-    CycleCounts,
-    Edge,
-    EdgeStats,
-    EdgeType,
-    Operation,
-    OpType,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # what the names below resolve to, for tools that read
+    from repro.cluster import ClusterMonitor
+    from repro.core.api import AnomalyMonitor, MonitorListener
+    from repro.core.concurrent import RushMonService
+    from repro.core.config import RushMonConfig
+    from repro.core.monitor import OfflineAnomalyMonitor, RushMon
+    from repro.core.types import (
+        AnomalyReport,
+        CycleCounts,
+        Edge,
+        EdgeStats,
+        EdgeType,
+        Operation,
+        OpType,
+    )
+
+__getattr__ = lazy_exports(globals(), {
+    "AnomalyMonitor": "repro.core.api",
+    "AnomalyReport": "repro.core.types",
+    "ClusterMonitor": "repro.cluster",
+    "CycleCounts": "repro.core.types",
+    "Edge": "repro.core.types",
+    "EdgeStats": "repro.core.types",
+    "EdgeType": "repro.core.types",
+    "MonitorListener": "repro.core.api",
+    "OfflineAnomalyMonitor": "repro.core.monitor",
+    "OpType": "repro.core.types",
+    "Operation": "repro.core.types",
+    "RushMon": "repro.core.monitor",
+    "RushMonConfig": "repro.core.config",
+    "RushMonService": "repro.core.concurrent",
+})
 
 __version__ = "1.0.0"
 

@@ -15,11 +15,18 @@ import argparse
 import random
 import sys
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
+# Module level holds what *every* verb needs (the parser reads its
+# defaults from RushMonConfig); a verb imports the rest inside its
+# ``cmd_*``, so that ``serve`` — whose start-up is time nobody is
+# monitoring — loads no simulator, workload, cluster or bench module
+# (DESIGN.md §13.2).
 from repro.core.config import RushMonConfig
-from repro.core.monitor import OfflineAnomalyMonitor, RushMon
-from repro.sim import SimConfig, Simulator, read_modify_write
-from repro.sim.traces import Trace
+
+if TYPE_CHECKING:
+    from repro.core.monitor import RushMon
+    from repro.sim import SimConfig
 
 
 #: The one place a default lives: every flag that merely repeats a
@@ -61,6 +68,8 @@ def _add_monitor_args(parser: argparse.ArgumentParser,
 
 
 def _monitor_from(args: argparse.Namespace) -> RushMon:
+    from repro.core.monitor import RushMon
+
     with _usage_errors(args):
         return RushMon(RushMonConfig.from_cli_args(args))
 
@@ -89,6 +98,8 @@ def _add_sim_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
+    from repro.sim import SimConfig
+
     return SimConfig(
         num_workers=args.workers,
         write_latency=args.latency,
@@ -100,6 +111,8 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
 
 
 def _counter_buus(count: int, keys: int, touch: int, seed: int):
+    from repro.sim import read_modify_write
+
     rng = random.Random(seed)
     for _ in range(count):
         picked = rng.sample(range(keys), min(touch, keys))
@@ -132,6 +145,19 @@ def _restore_sigterm(previous) -> None:
             signal.signal(signal.SIGTERM, previous)
         except ValueError:
             pass
+
+
+def _start_exporter(args: argparse.Namespace, registry):
+    """``--export-port``: a bound, serving ``/metrics`` endpoint, or the
+    verb ends as a usage error carrying the exporter's own message (the
+    port is taken).  The HTTP stack is imported here, by the run that
+    asked for it."""
+    from repro.obs import MetricsExporter
+
+    try:
+        return MetricsExporter(registry, port=args.export_port).start()
+    except RuntimeError as exc:
+        args.usage_error(str(exc))
 
 
 def _service_quickstart(args: argparse.Namespace) -> int:
@@ -170,6 +196,8 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
     """Run a monitored toy workload and print windowed reports."""
     if args.threads > 0:
         return _service_quickstart(args)
+    from repro.sim import Simulator
+
     monitor = _monitor_from(args)
     sim = Simulator(_sim_config(args), listeners=[monitor])
     print("window  ops   est 2-cycles  est 3-cycles  top pattern")
@@ -189,6 +217,8 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep one chaos knob and print anomaly estimates per value."""
+    from repro.sim import Simulator
+
     values = [int(v) for v in args.values.split(",")]
     print(f"{args.knob:>10}  est 2-cyc  est 3-cyc  per-kstep")
     for value in values:
@@ -230,6 +260,9 @@ def cmd_bookstore(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     """Record an execution trace to a JSONL file."""
+    from repro.sim import Simulator
+    from repro.sim.traces import Trace
+
     trace = Trace()
     sim = Simulator(_sim_config(args), listeners=[trace])
     sim.run(_counter_buus(args.buus, args.keys, args.touch, args.seed))
@@ -241,6 +274,9 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Replay a trace through the monitor and print exact vs estimated."""
+    from repro.core.monitor import OfflineAnomalyMonitor
+    from repro.sim.traces import Trace
+
     trace = Trace.load(args.trace)
     monitor = _monitor_from(args)
     offline = OfflineAnomalyMonitor()
@@ -280,6 +316,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     Exit 0 iff the history is anomaly-free.
     """
     from repro.checkers import CYCLE_CLASSES, GClass, check_trace
+    from repro.sim.traces import Trace
 
     trace = Trace.load(args.trace)
     report = check_trace(trace, max_cycle_length=args.max_cycle_len,
@@ -364,7 +401,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.core.concurrent import RushMonService
-    from repro.obs import MetricsExporter
     from repro.sim.scheduler import ThreadedWorkloadDriver
 
     if getattr(args, "workers", 0):
@@ -375,8 +411,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                                  record_trace=args.oracle)
     exporter = None
     if args.export_port is not None:
-        exporter = MetricsExporter(service.metrics, port=args.export_port)
-        exporter.start()
+        exporter = _start_exporter(args, service.metrics)
         print(f"metrics exported at {exporter.url}/metrics "
               f"(JSON at /metrics.json)")
 
@@ -610,7 +645,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.concurrent import RushMonService
     from repro.net import RushMonServer
-    from repro.obs import MetricsExporter
 
     # One config object carries the monitor/service fields AND the
     # serving fields (--loop-threads, --max-connections, ...), so the
@@ -639,15 +673,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
             idle_timeout=cfg.idle_timeout,
             drain_timeout=cfg.drain_timeout,
         )
-    server.start()
+    # The exporter binds first: if its port is taken the verb ends
+    # before an ingest socket exists for a client to connect to.
     exporter = None
     if args.export_port is not None:
-        exporter = MetricsExporter(service.metrics, port=args.export_port)
-        exporter.start()
+        exporter = _start_exporter(args, service.metrics)
         print(f"metrics exported at {exporter.url}/metrics", flush=True)
-    # The parseable line test harnesses and the quickstart grep for:
-    print(f"rushmon server listening on {server.host}:{server.port}",
-          flush=True)
+    server.start()
 
     stop = threading.Event()
 
@@ -660,6 +692,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             previous[signum] = signal.signal(signum, _handler)
         except ValueError:  # non-main thread (in-process tests)
             pass
+    # The parseable line test harnesses and the quickstart grep for —
+    # printed once a SIGTERM means "drain", so whoever waits for it may
+    # stop the server the moment they have read it:
+    print(f"rushmon server listening on {server.host}:{server.port}",
+          flush=True)
     try:
         stop.wait()
     finally:
@@ -694,6 +731,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     Exits 0 when every event was acknowledged, 1 otherwise.
     """
     from repro.net import RushMonClient
+    from repro.sim import Simulator
 
     client = RushMonClient(
         args.host, args.port,

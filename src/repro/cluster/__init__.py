@@ -16,7 +16,20 @@ See :mod:`repro.cluster.monitor` for the facade and
 exact.
 """
 
-from repro.cluster.monitor import ClusterMonitor
-from repro.cluster.worker import ClusterWorker, worker_main
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cluster.monitor import ClusterMonitor
+    from repro.cluster.worker import ClusterWorker, worker_main
+
+# A worker process imports repro.cluster.worker only: the router (and
+# multiprocessing, signal handling, the metrics wiring) is the parent's.
+__getattr__ = lazy_exports(globals(), {
+    "ClusterMonitor": "repro.cluster.monitor",
+    "ClusterWorker": "repro.cluster.worker",
+    "worker_main": "repro.cluster.worker",
+})
 
 __all__ = ["ClusterMonitor", "ClusterWorker", "worker_main"]

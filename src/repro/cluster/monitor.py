@@ -151,6 +151,10 @@ _OWNER_CACHE_MAX = 1 << 20
 _BARRIER_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0,
                     60.0, 120.0)
 
+#: Respawn-time buckets (seconds): a worker's cold start (~0.1 s, most of
+#: it imports) up to the handshake timeout.
+_RESPAWN_BUCKETS = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0, 15.0, 60.0)
+
 
 class _WorkerLink:
     """The router's view of one worker incarnation chain.
@@ -320,6 +324,14 @@ class ClusterMonitor:
             help="wall time of cluster flush barriers (includes any "
                  "respawn-and-replay a barrier rode out)",
             buckets=_BARRIER_BUCKETS,
+        )
+        self._respawn_hist = self.metrics.histogram(
+            "rushmon_cluster_respawn_seconds",
+            help="wall time of successful worker respawns: process spawn, "
+                 "handshake, restore and journal replay until the link is "
+                 "live again (the shard's unmonitored time; failed attempts "
+                 "are counted in worker_restarts_total only)",
+            buckets=_RESPAWN_BUCKETS,
         )
         instrument_cluster_monitor(self.metrics, self)
 
@@ -576,8 +588,10 @@ class ClusterMonitor:
             if tripped:
                 self._fail_link(link, reason)
                 return
+            began = time.monotonic()
             try:
                 self._spawn_and_restore(link)
+                self._respawn_hist.observe(time.monotonic() - began)
                 return
             except Exception as exc:
                 if stop.is_set():

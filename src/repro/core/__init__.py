@@ -1,5 +1,6 @@
 """RushMon core: collectors, estimator, detector, pruning, monitor."""
 
+from repro._lazy import lazy_exports
 from repro.core.api import AnomalyMonitor, MonitorListener
 from repro.core.collector import (
     BaselineCollector,
@@ -98,12 +99,11 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # repro.core.prediction is the one core module that hard-requires
-    # numpy (lstsq); loading it lazily keeps a base install (no
-    # ``repro[fast]`` extra) importable end to end.
-    if name in ("ConvergencePredictor", "rank_correlation"):
-        from repro.core import prediction
-
-        return getattr(prediction, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# repro.core.prediction is the one core module that hard-requires numpy
+# (lstsq); loading it lazily keeps a base install (no ``repro[fast]``
+# extra) importable end to end, and numpy out of every process that
+# predicts nothing.
+__getattr__ = lazy_exports(globals(), {
+    "ConvergencePredictor": "repro.core.prediction",
+    "rank_correlation": "repro.core.prediction",
+})

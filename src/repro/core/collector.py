@@ -27,15 +27,8 @@ import random
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.core.columnar import (
-    HAVE_NUMPY,
-    EdgeBatch,
-    OpBatch,
-    collect_columnar,
-    sample_mask,
-)
 from repro.core.types import (
     BuuId,
     Edge,
@@ -45,6 +38,9 @@ from repro.core.types import (
     Operation,
     OpType,
 )
+
+if TYPE_CHECKING:  # the kernel module is loaded by whoever builds an OpBatch
+    from repro.core.columnar import EdgeBatch, OpBatch
 
 
 @dataclass(slots=True)
@@ -877,11 +873,11 @@ class DataCentricCollector(Collector):
         No monitor feeds one: the branch exists for the performance
         ledger's ``columnar_leg`` and goes when that leg does.
         """
-        if isinstance(ops, OpBatch):
-            if not HAVE_NUMPY or self._resample_interval:
-                return self.handle_batch(ops.to_ops())
-            return self._handle_columnar(ops)
         if not isinstance(ops, (list, tuple)):
+            from repro.core import columnar
+
+            if isinstance(ops, columnar.OpBatch):
+                return self._handle_columnar(ops)
             ops = list(ops)
         if self._resample_interval:
             return self.handle_all(ops)
@@ -898,9 +894,13 @@ class DataCentricCollector(Collector):
         then the grouped edge-derivation kernel on the shard's state.
         Bit-identical to per-op handling (the columnar differential
         suite compares edges, counters and RNG end state)."""
+        from repro.core import columnar
+
+        if not columnar.HAVE_NUMPY or self._resample_interval:
+            return self.handle_batch(batch.to_ops())  # type: ignore
         self.ops_seen += len(batch)
-        mask = sample_mask(batch, self.sampler, self._mask_cache)
-        return collect_columnar(self.shard, batch, mask)
+        mask = columnar.sample_mask(batch, self.sampler, self._mask_cache)
+        return columnar.collect_columnar(self.shard, batch, mask)
 
     def _switch_sample(self) -> None:
         self._resample_epoch += 1

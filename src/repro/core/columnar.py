@@ -44,22 +44,22 @@ edges, counters and RNG end-state against the per-op path.
 numpy is optional (``pip install repro[fast]``).  Without it,
 :class:`OpBatch` stores plain lists and
 ``DataCentricCollector.handle_batch`` falls back to the per-op path via
-:meth:`OpBatch.to_ops` — same results, no kernel.
+:meth:`OpBatch.to_ops` — same results, no kernel.  With it, numpy is
+imported by the function that first builds a column, never by importing
+this module (DESIGN.md §13.2: every process that does not run the kernel
+would pay ~0.1 s and ~12 MB for it).
 """
 
 from __future__ import annotations
 
+from importlib.util import find_spec
 from typing import Iterable, Sequence
 
 from repro.core.types import Edge, EdgeType, KeyInterner, Operation, OpType
 
-try:  # pragma: no cover - exercised by the no-numpy CI leg
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
+#: Whether the kernel can run — asked of the import system, which loads
+#: nothing; each function below that needs numpy imports it itself.
+HAVE_NUMPY = find_spec("numpy") is not None
 
 __all__ = [
     "HAVE_NUMPY",
@@ -81,6 +81,8 @@ _CODE_BY_KIND = {EdgeType.WR: 0, EdgeType.WW: 1, EdgeType.RW: 2}
 
 
 def _as_i64(values):
+    import numpy as _np
+
     return _np.asarray(values, dtype=_np.int64)
 
 
@@ -125,6 +127,8 @@ class OpBatch:
         """Wrap raw columns (the codec-2 decode path and workload
         generators land here — no per-op object is ever built)."""
         if HAVE_NUMPY:
+            import numpy as _np
+
             op = _np.asarray(op, dtype=_np.uint8)
             kid = _as_i64(kid)
             buu = _as_i64(buu)
@@ -190,27 +194,6 @@ class OpBatch:
         frame order.
         """
         frame_kids = interner.intern_many(events.keys)
-        if HAVE_NUMPY and not isinstance(events.op, list):
-            op = _np.asarray(events.op, dtype=_np.uint8)
-            buu = _as_i64(events.buu)
-            kidx = _np.asarray(events.kidx)
-            seq = _as_i64(events.seq)
-            kid_table = _np.asarray(frame_kids, dtype=_np.int64)
-            is_op = op < 2
-            if is_op.all():
-                batch = cls.from_columns(op, kid_table[kidx], buu, seq,
-                                         interner)
-                return batch, []
-            batch = cls.from_columns(op[is_op], kid_table[kidx[is_op]],
-                                     buu[is_op], seq[is_op], interner)
-            life_mask = ~is_op
-            lifecycle = [
-                ("b" if code == 2 else "c", b, t)
-                for code, b, t in zip(op[life_mask].tolist(),
-                                      buu[life_mask].tolist(),
-                                      seq[life_mask].tolist())
-            ]
-            return batch, lifecycle
         op_col: list[int] = []
         kid_col: list[int] = []
         buu_col: list[int] = []
@@ -277,9 +260,12 @@ class EdgeBatch:
 
     @classmethod
     def empty(cls, interner: KeyInterner) -> "EdgeBatch":
-        z = _np.empty(0, _np.int64) if HAVE_NUMPY else []
-        k = _np.empty(0, _np.uint8) if HAVE_NUMPY else []
-        return cls(z, z, k, z, z, interner, 0, 0, 0)
+        if not HAVE_NUMPY:
+            return cls([], [], [], [], [], interner, 0, 0, 0)
+        import numpy as _np
+
+        z = _np.empty(0, _np.int64)
+        return cls(z, z, _np.empty(0, _np.uint8), z, z, interner, 0, 0, 0)
 
     def iter_rows(self):
         """Lazy ``(src, dst, kind, raw_key, seq)`` rows — the 5-tuple
@@ -326,6 +312,8 @@ def sample_mask(batch: OpBatch, sampler, cache: dict) -> "object | None":
     """
     if sampler.sampling_rate == 1:
         return None
+    import numpy as _np
+
     interner = batch.interner
     salt = sampler._salt
     if (cache.get("interner") is not interner or cache.get("salt") != salt
@@ -382,6 +370,8 @@ def _group_layout(kid, op, n):
     kernels.  A *segment* is a maximal run of reads on one key closed by
     (at most) one write — exactly the unit Algorithm 1/2 bookkeeping
     resets on."""
+    import numpy as _np
+
     order = _np.argsort(kid, kind="stable")
     kid_s = kid[order]
     isw_s = op[order] != OP_READ
@@ -401,6 +391,8 @@ def _group_layout(kid, op, n):
 def _gather_mob_state(items, ukeys):
     """Fetch (creating on first touch, like the per-op path) the MOB
     state of every key in the batch; returns parallel carry arrays."""
+    import numpy as _np
+
     from repro.core.collector import _MobItemState
 
     states = []
@@ -418,6 +410,8 @@ def _gather_mob_state(items, ukeys):
 
 
 def _collect_mob(shard, interner, op, kid, buu, seq, n) -> EdgeBatch:
+    import numpy as _np
+
     slots = shard.mob_slots
     order, kid_s, isw_s, new_grp, gidx, sidx, sstart = _group_layout(kid, op, n)
     buu_s = buu[order]
@@ -573,6 +567,8 @@ def _collect_full(shard, interner, op, kid, buu, seq, n) -> EdgeBatch:
     counts are vectorized; rw emission walks python sets per segment
     because the per-op path iterates a real ``set`` (hash order) and
     bit-exactness requires reproducing that iteration exactly."""
+    import numpy as _np
+
     from repro.core.collector import _FullItemState
 
     order, kid_s, isw_s, new_grp, gidx, sidx, sstart = _group_layout(kid, op, n)
@@ -686,6 +682,8 @@ def _assemble_edges(interner, shard, wr_mask, ww_mask, lw_row, buu_s,
     """Merge the three per-kind edge sets back into original-op order
     with one stable argsort on the attributing op row (rw edges of one
     write stay in their ``dict.fromkeys`` order — ties are stable)."""
+    import numpy as _np
+
     n_wr = int(wr_mask.sum())
     n_ww = int(ww_mask.sum())
     n_rw = len(rw_src)

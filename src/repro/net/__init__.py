@@ -28,9 +28,23 @@ replay into either a first delivery or a counted dedup hit — never a
 double count.
 """
 
-from repro.net.client import ClientBackpressure, RushMonClient
-from repro.net.protocol import ProtocolError
-from repro.net.server import RushMonServer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.net.client import ClientBackpressure, RushMonClient
+    from repro.net.protocol import ProtocolError
+    from repro.net.server import RushMonServer
+
+# The application that embeds a client loads no server or event loop;
+# a server loads no client.
+__getattr__ = lazy_exports(globals(), {
+    "ClientBackpressure": "repro.net.client",
+    "ProtocolError": "repro.net.protocol",
+    "RushMonClient": "repro.net.client",
+    "RushMonServer": "repro.net.server",
+})
 
 __all__ = [
     "ClientBackpressure",

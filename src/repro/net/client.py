@@ -101,8 +101,8 @@ class RushMonClient:
         its recorded partial offset) or ``"shed"`` (as above).
     codec:
         ``protocol.CODEC_JSON`` (default) or ``protocol.CODEC_COLUMNAR``
-        (packed column batches, decoded with ``numpy.frombuffer`` when
-        numpy is installed); anything else raises ``ValueError``.
+        (packed column batches: 21 bytes per event, one ``struct``
+        unpack per column); anything else raises ``ValueError``.
     seed:
         Seeds the jitter RNG — lets chaos tests make backoff
         deterministic.

@@ -80,9 +80,9 @@ The columnar codec (id 2)
 
 Codec 2 carries ``batch`` messages as a packed fixed-width column
 layout instead of a per-record JSON tree, so a receiver can decode a
-whole batch with a handful of buffer slices (``numpy.frombuffer`` when
-available) and test the monitor's item sample once per key-table entry
-before building any per-operation object.  The body is::
+whole batch with one ``struct.unpack_from`` per column and test the
+monitor's item sample once per key-table entry before building any
+per-operation object.  The body is::
 
     1 byte   tag (0 = JSON fallback, 1 = packed batch)
 
@@ -100,7 +100,9 @@ keys already implied the JSON representation).  Tag 1 is::
                tag 1: 8 bytes LE signed int key
     n bytes  op codes  (0 = r, 1 = w, 2 = begin, 3 = commit)
     8n bytes LE signed BUU ids
-    4n bytes LE signed key-table indices (-1 for lifecycle rows)
+    4n bytes LE key-table indices (lifecycle rows: 0xFFFFFFFF, a
+             signed -1 — read unsigned, so that no value of an op row
+             can index the key table from its end)
     8n bytes LE signed per-op sequence numbers / lifecycle times
 
 Integers are fixed-width: a batch whose BUU/seq values do not fit the
@@ -123,11 +125,6 @@ try:  # optional accelerator: same JSON wire format, ~10x faster codec
     import orjson  # type: ignore[import-not-found]
 except ImportError:  # pragma: no cover - depends on the environment
     orjson = None
-
-try:  # optional accelerator: vectorized codec-2 column packing
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
 
 __all__ = [
     "CODEC_COLUMNAR",
@@ -252,13 +249,12 @@ class ColumnarEvents:
     """The decoded payload of a packed codec-2 batch: four parallel
     event columns plus the frame's key table.
 
-    Columns are numpy views over the frame body when numpy is
-    installed (plain lists otherwise): ``op`` (uint8 codes per
-    ``_COL_OPS``), ``buu`` (int64), ``kidx`` (int32 key-table index,
-    ``-1`` on lifecycle rows) and ``seq`` (int64 op sequence /
-    lifecycle time).  ``keys`` is the per-frame key table the indices
-    point into.  :func:`decode_events` materializes per-op tuples from
-    it.
+    Columns are plain lists of ints: ``op`` (codes per ``_COL_OPS``),
+    ``buu``, ``kidx`` (key-table index of an op row; a lifecycle row
+    carries the wire's filler, which nothing reads) and ``seq`` (op
+    sequence / lifecycle time).  ``keys`` is the per-frame key table
+    the indices point into.  :func:`decode_events` materializes per-op
+    tuples from it.
     """
 
     __slots__ = ("op", "buu", "kidx", "seq", "keys")
@@ -278,9 +274,8 @@ class ColumnarEvents:
         out: list[list] = []
         keys = self.keys
         kinds = _COL_KINDS
-        for code, buu, kidx, seq in zip(
-                _tolist(self.op), _tolist(self.buu),
-                _tolist(self.kidx), _tolist(self.seq)):
+        for code, buu, kidx, seq in zip(self.op, self.buu, self.kidx,
+                                        self.seq):
             if code < 2:
                 out.append([kinds[code], buu, keys[kidx], seq])
             else:
@@ -292,8 +287,7 @@ class ColumnarEvents:
         documents ``chosen``): the predicate is asked once per key-table
         entry, and only the rows it keeps — and lifecycle rows — are
         turned into objects."""
-        codes = _tolist(self.op)
-        kidxs = _tolist(self.kidx)
+        codes, buus, kidxs, seqs = self.op, self.buu, self.kidx, self.seq
         keys = self.keys
         rows: Iterable[int] = range(len(codes))
         out: list[tuple] = []
@@ -306,8 +300,6 @@ class ColumnarEvents:
                 rows = [row for row, (code, kidx)
                         in enumerate(zip(codes, kidxs))
                         if code > 1 or keep[kidx]]
-            buus = _tolist(self.buu)
-            seqs = _tolist(self.seq)
             expected = 0
             for row in rows:
                 if row != expected:
@@ -330,10 +322,6 @@ class ColumnarEvents:
             raise ProtocolError(
                 "columnar key index outside the frame's key table") from exc
         return out
-
-
-def _tolist(column):
-    return column if isinstance(column, list) else column.tolist()
 
 
 def _fits_i64(value) -> bool:
@@ -410,16 +398,10 @@ def _pack_batch_columnar(message: dict) -> bytes | None:
     parts = [b"\x01", _COL_U16.pack(len(session_b)), session_b,
              _COL_HEAD.pack(seq, n, len(key_ids))]
     parts.extend(key_parts)
-    if _np is not None:
-        parts.append(bytes(op))
-        parts.append(_np.asarray(buus, _np.int64).tobytes())
-        parts.append(_np.asarray(kidxs, _np.int32).tobytes())
-        parts.append(_np.asarray(seqs, _np.int64).tobytes())
-    else:
-        parts.append(bytes(op))
-        parts.append(struct.pack(f"<{n}q", *buus))
-        parts.append(struct.pack(f"<{n}i", *kidxs))
-        parts.append(struct.pack(f"<{n}q", *seqs))
+    parts.append(bytes(op))
+    parts.append(struct.pack(f"<{n}q", *buus))
+    parts.append(struct.pack(f"<{n}i", *kidxs))
+    parts.append(struct.pack(f"<{n}q", *seqs))
     return b"".join(parts)
 
 
@@ -474,25 +456,14 @@ def _decode_columnar_body(body: bytes) -> dict:
                 f"columnar column block is {len(body) - offset} bytes "
                 f"for {n} events (expected {n * 21})"
             )
-        if _np is not None:
-            op = _np.frombuffer(body, _np.uint8, n, offset)
-            offset += n
-            buu = _np.frombuffer(body, "<i8", n, offset).astype(
-                _np.int64, copy=False)
-            offset += 8 * n
-            kidx = _np.frombuffer(body, "<i4", n, offset).astype(
-                _np.int32, copy=False)
-            offset += 4 * n
-            when = _np.frombuffer(body, "<i8", n, offset).astype(
-                _np.int64, copy=False)
-        else:
-            op = list(body[offset:offset + n])
-            offset += n
-            buu = list(struct.unpack_from(f"<{n}q", body, offset))
-            offset += 8 * n
-            kidx = list(struct.unpack_from(f"<{n}i", body, offset))
-            offset += 4 * n
-            when = list(struct.unpack_from(f"<{n}q", body, offset))
+        op = list(body[offset:offset + n])
+        offset += n
+        buu = list(struct.unpack_from(f"<{n}q", body, offset))
+        offset += 8 * n
+        # Unsigned: a negative index would read the table from its end.
+        kidx = list(struct.unpack_from(f"<{n}I", body, offset))
+        offset += 4 * n
+        when = list(struct.unpack_from(f"<{n}q", body, offset))
     except ProtocolError:
         raise
     except Exception as exc:

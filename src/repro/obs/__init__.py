@@ -6,9 +6,14 @@ counters/gauges/histograms (:mod:`repro.obs.metrics`), callback-based
 component wiring (:mod:`repro.obs.instrument`) and an opt-in
 Prometheus-style HTTP endpoint (:mod:`repro.obs.exporter`).  The
 companion overhead harness is ``python -m repro bench-overhead``.
+
+Every monitor imports this package for its registry; only a process that
+serves ``/metrics`` needs an HTTP stack, so :class:`MetricsExporter`
+(``http.server`` → ``http.client``, ``ssl``, ``email``) is loaded by the
+first access to the name (DESIGN.md §13.2).
 """
 
-from repro.obs.exporter import MetricsExporter
+from repro._lazy import lazy_exports
 from repro.obs.instrument import instrument_detector, instrument_serial_monitor
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -28,3 +33,7 @@ __all__ = [
     "instrument_detector",
     "instrument_serial_monitor",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "MetricsExporter": "repro.obs.exporter",
+})

@@ -94,6 +94,10 @@ def _run_kill_case(workers: int, seed: int, **config_overrides) -> None:
         assert cluster.worker_restarts_total >= 1
         assert all(entry["state"] == "up"
                    for entry in cluster.shard_health())
+        # Recovery time is a number: spawn -> restore-ok -> link live.
+        respawn = cluster.metrics.snapshot()["rushmon_cluster_respawn_seconds"]
+        assert 1 <= respawn["count"] <= cluster.worker_restarts_total
+        assert 0 < respawn["max"] < cluster.handshake_timeout
     finally:
         cluster.stop()
 

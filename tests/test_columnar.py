@@ -196,7 +196,7 @@ def test_opbatch_from_wire_splits_ops_and_lifecycle():
     assert batch.interner is interner
     assert lifecycle == [("b", 1, 1), ("b", 2, 2), ("c", 1, 6), ("c", 2, 7)]
 
-    # An all-op frame takes the no-mask fast path.
+    # An all-op frame: no lifecycle rows to split out.
     wire = protocol.encode_frame(
         protocol.batch("s", 2, protocol.encode_events(ops)),
         protocol.CODEC_COLUMNAR)

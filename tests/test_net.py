@@ -302,22 +302,13 @@ def test_big_int_guard_accepts_exactly_what_the_regex_did(body):
 # -- the packed key table ------------------------------------------------------
 
 
-@pytest.fixture(params=("numpy", "no-numpy"))
-def either_numpy(request, monkeypatch):
-    """Run a codec-2 test against both column decoders."""
-    if request.param == "no-numpy":
-        monkeypatch.setattr(protocol, "_np", None)
-    elif protocol._np is None:
-        pytest.skip("numpy is not installed")
-
-
 @pytest.mark.parametrize("keys", (
     [7, -3, 2 ** 62, 0, 7],             # all int: the one-unpack path
     ["a", "kéy", "", "a"],              # all str
     [5, "five", -5, "", 2 ** 40],       # mixed, int first
     ["x", 1, 2, 3],                     # mixed, str first
 ), ids=("int", "str", "mixed", "mixed-str-first"))
-def test_packed_key_table_round_trips(keys, either_numpy):
+def test_packed_key_table_round_trips(keys):
     records = [["b", 1, 0]]
     records += [["w" if i % 2 else "r", 1, key, i + 1]
                 for i, key in enumerate(keys)]
@@ -333,7 +324,7 @@ def test_packed_key_table_round_trips(keys, either_numpy):
         protocol.decode_events(records)
 
 
-def test_corrupt_packed_key_tables_are_refused(either_numpy):
+def test_corrupt_packed_key_tables_are_refused():
     records = [["w", 1, key, key] for key in (10, 20, 30, 40)]
     body = protocol._pack_batch_columnar(protocol.batch("s", 1, records))
     table = 1 + 2 + 1 + 16   # tag, session length, "s", seq/n/n_keys
@@ -350,6 +341,50 @@ def test_corrupt_packed_key_tables_are_refused(either_numpy):
     struct.pack_into("<I", huge, table - 4, 2 ** 32 - 1)
     with pytest.raises(ProtocolError):
         protocol._decode_columnar_body(bytes(huge))
+
+
+_I64 = st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1)
+_I64_EDGES = st.one_of(
+    st.sampled_from((-2 ** 63, -2 ** 63 + 1, -1, 0, 1, 2 ** 63 - 1)), _I64)
+_mixed_keys = st.one_of(_I64_EDGES, st.text(max_size=6))
+_edge_records = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("r", "w")), _I64_EDGES, _mixed_keys,
+              _I64_EDGES).map(list),
+    st.tuples(st.sampled_from(("b", "c")), _I64_EDGES, _I64_EDGES).map(list),
+), max_size=30)
+
+
+@given(records=_edge_records, seq=st.sampled_from((0, 1, 2 ** 63 - 1)))
+def test_packed_batch_round_trips_at_the_column_bounds(records, seq):
+    """The one codec-2 implementation (``struct``, list columns): every
+    value an i64 column can hold, str and int keys sharing one table,
+    and the empty batch come back as the records that went in."""
+    message = protocol.batch("s", seq, records)
+    body = protocol._pack_batch_columnar(message)
+    assert body is not None and body[0] == 1
+    (decoded,) = protocol.FrameReader().feed(
+        protocol.encode_frame(message, protocol.CODEC_COLUMNAR))
+    events = decoded.pop("events")
+    assert decoded == {"type": "batch", "session": "s", "seq": seq}
+    assert len(events) == len(records)
+    assert all(type(column) is list for column in
+               (events.op, events.buu, events.kidx, events.seq))
+    assert events.to_records() == records
+    assert protocol.decode_events(events) == protocol.decode_events(records)
+    # Equal keys share one table entry — but 1 and "1" are two keys.
+    assert events.keys == list(dict.fromkeys(
+        record[2] for record in records if record[0] in "rw"))
+
+
+def test_values_outside_the_columns_fall_back_to_json():
+    for record in (["w", 2 ** 63, 1, 1], ["w", 1, -2 ** 63 - 1, 1],
+                   ["w", 1, 1, 2 ** 63], ["b", 1, -2 ** 63 - 1],
+                   ["w", 1, 1.5, 1], ["w", True, 1, 1]):
+        message = protocol.batch("s", 1, [["r", 1, 1, 1], record])
+        assert protocol._pack_batch_columnar(message) is None
+        (decoded,) = protocol.FrameReader().feed(
+            protocol.encode_frame(message, protocol.CODEC_COLUMNAR))
+        assert decoded == message
 
 
 # -- sampling at decode: decode_events(records, chosen) ------------------------
@@ -424,6 +459,34 @@ def test_an_elided_record_is_still_validated():
             bad.to_tuples(unchosen)
         with pytest.raises(ProtocolError):
             bad.to_tuples()
+
+
+def _packed_with_first_kidx(records, kidx, seq=2):
+    """The packed body of ``records`` (all operations) with the first
+    row's key index rewritten to ``kidx``."""
+    body = bytearray(protocol._pack_batch_columnar(
+        protocol.batch("atomic", seq, records)))
+    n = len(records)
+    kidx_column = len(body) - 21 * n + n + 8 * n
+    struct.pack_into("<i", body, kidx_column, kidx)
+    return bytes(body)
+
+
+@pytest.mark.parametrize("kidx", (-1, -2, -3, -4, -2 ** 31, 3, 2 ** 31 - 1))
+def test_a_key_index_outside_the_table_is_refused(kidx):
+    """Python reads ``keys[-2]`` from the end of the table: a negative
+    index on an op row must be a ``ProtocolError`` like one past the
+    end, not an operation on some other key — with the predicate (where
+    the index picks the keep decision first) and without."""
+    records = [["w", 1, key, i + 1] for i, key in enumerate(("a", "b", "c"))]
+    events = protocol._decode_columnar_body(
+        _packed_with_first_kidx(records, kidx))["events"]
+    for chosen in (None, lambda key: True, lambda key: False):
+        with pytest.raises(ProtocolError, match="key index"):
+            protocol.decode_events(events, chosen)
+    untouched = protocol._decode_columnar_body(
+        _packed_with_first_kidx(records, 0))["events"]
+    assert protocol.decode_events(untouched) == protocol.decode_events(records)
 
 
 # -- fault vocabulary ----------------------------------------------------------
@@ -907,20 +970,8 @@ def _unchosen_keys(service, count):
     return keys
 
 
-def _kidx_out_of_table(records):
-    """A packed frame of ``records`` whose first row points one past the
-    end of the key table."""
-    body = bytearray(protocol._pack_batch_columnar(
-        protocol.batch("atomic", 2, records)))
-    n = len(records)
-    n_keys = len({record[2] for record in records})
-    kidx_column = len(body) - 21 * n + n + 8 * n
-    struct.pack_into("<i", body, kidx_column, n_keys)
-    return _raw_frame(protocol.CODEC_COLUMNAR, bytes(body))
-
-
 @pytest.mark.parametrize("case", ("short-json-record", "packed-kidx",
-                                  "malformed-tail"))
+                                  "packed-kidx-negative", "malformed-tail"))
 def test_a_malformed_unchosen_record_refuses_the_whole_frame(case):
     """Dropping operations at decode must not weaken validation or
     atomicity: a frame with a bad record among the *elided* ones answers
@@ -936,9 +987,12 @@ def test_a_malformed_unchosen_record_refuses_the_whole_frame(case):
             frame = protocol.encode_frame(protocol.batch("atomic", 2, [
                 ["r", 1, unchosen[0], 50], ["r", 1, unchosen[1]],
                 ["c", 1, 60]]))
-        elif case == "packed-kidx":
-            frame = _kidx_out_of_table(
-                [["r", 1, key, 50 + i] for i, key in enumerate(unchosen[:8])])
+        elif case.startswith("packed-kidx"):
+            # One past the end of the 8-key table, or the valid-looking
+            # second-to-last entry read from its end.
+            frame = _raw_frame(protocol.CODEC_COLUMNAR, _packed_with_first_kidx(
+                [["r", 1, key, 50 + i] for i, key in enumerate(unchosen[:8])],
+                8 if case == "packed-kidx" else -2))
         else:
             frame = protocol.encode_frame(protocol.batch("atomic", 2, [
                 ["r", 1, key, 50 + i] for i, key in enumerate(unchosen)
@@ -1183,3 +1237,55 @@ def test_serve_emit_cli_round_trip(tmp_path):
     restored = RushMonService.restore(ckpt)
     assert restored.processed_events == 60 * 6  # 2-key RMW: 4 ops + b/c
     _assert_sr1_differential(restored)
+
+
+def test_serve_binds_the_exporter_first_and_prints_the_parsed_lines():
+    """``--export-port``: the two stdout lines the ledger's harness and
+    the quickstart parse, in the order they parse them — and the
+    endpoint behind the first one answers."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--export-port", "0", "--no-trace"],
+        env=_repro_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True)
+    try:
+        exported = re.fullmatch(
+            r"metrics exported at http://127\.0\.0\.1:(\d+)/metrics\n",
+            proc.stdout.readline())
+        listening = re.fullmatch(
+            r"rushmon server listening on 127\.0\.0\.1:(\d+)\n",
+            proc.stdout.readline())
+        assert exported and listening
+        with urllib.request.urlopen(
+                f"http://127.0.0.1:{exported[1]}/metrics.json",
+                timeout=10) as reply:
+            assert "rushmon_net_frames_total" in json.load(reply)
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0
+
+
+def test_serve_with_a_taken_export_port_is_a_usage_error_before_listening():
+    """The exporter used to be bound *after* the ingest server started:
+    a client could connect to a server that was about to die with a
+    traceback.  Now the verb ends as a usage error (exit 2, one
+    ``error:`` line) and no ingest socket is ever opened."""
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--export-port", str(taken.getsockname()[1])],
+            env=_repro_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "listening" not in done.stdout
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines()
+              if not line.startswith(("usage:", " "))]
+    assert len(errors) == 1
+    assert errors[0].startswith(
+        "repro serve: error: metrics exporter could not bind 127.0.0.1:")
