@@ -7,32 +7,32 @@ decoding for free.  What this module adds is the cluster's message
 vocabulary on three links:
 
 Router → worker (control)
-    ``peers`` (the exchange-port map), ``route`` (a batch of events at a
-    session sequence number — the same ``seq == high+1`` /
-    cumulative-ack discipline as net batches, so delivery to a worker is
-    effectively once — plus ``elided``, the count of this shard's
-    operations the router ticketed but did not ship), ``flush`` (a
-    barrier: drain up to ticket ``high`` and reply), ``reset`` (rebuild
-    the engine with a new config; test/bench hook), ``ping``
-    (supervisor liveness probe),
-    ``snap-request`` (drain and ship a shard snapshot), ``restore``
-    (first message to a respawned worker: config + port map + the last
-    verified snapshot), ``detach`` (stop gating the merge on a
+    ``restore`` (the first message every worker incarnation receives —
+    at start, at respawn, and again for an in-place reset: config,
+    exchange-port map, ticket baseline, snapshot-or-none, detached
+    shards), ``route`` (a batch of events at a session sequence number
+    — the same ``seq == high+1`` / cumulative-ack discipline as net
+    batches, so delivery to a worker is effectively once — plus
+    ``elided``, the count of this shard's operations the router
+    ticketed but did not ship), ``flush`` (a barrier: drain up to
+    ticket ``high`` and reply), ``snap-request`` (drain and ship a
+    shard snapshot), ``detach`` (stop gating the merge on a
     breaker-tripped shard) and ``bye``.
 
 Worker → router (control)
-    ``worker-hello`` (index + exchange port), ``ready``, ``ack``
-    (cumulative per the session), ``report`` / ``synced`` / ``reset-ok``
-    (barrier replies), ``pong``, ``snap`` (a CRC-guarded shard-snapshot
-    document), ``restore-ok`` and ``err``.
+    ``worker-hello`` (index + exchange port), ``restore-ok``, ``ack``
+    (cumulative per the session), ``report`` / ``synced`` (barrier
+    replies), ``snap`` (a CRC-guarded shard-snapshot document) and
+    ``err``.
 
 Worker ↔ worker (exchange)
-    ``peer-hello`` (with a ``resume`` watermark when a respawned worker
-    redials) and ``edges`` — a versioned :mod:`~repro.core.frontier`
-    payload of the edge groups one shard derived, plus that worker's
-    ticket watermark ``mark``.  An ``edges`` message with no groups is a
-    pure watermark advance; ``resume-nack`` refuses a resume the
-    broadcast journal can no longer cover.
+    ``peer-hello`` (with the ``resume`` watermark the dialing worker
+    already holds the peer's stream up to — 0 from an empty baseline)
+    and ``edges`` — a versioned :mod:`~repro.core.frontier` payload of
+    the edge groups one shard derived, plus that worker's ticket
+    watermark ``mark``.  An ``edges`` message with no groups is a pure
+    watermark advance; ``resume-nack`` refuses a resume the broadcast
+    journal can no longer cover.
 
 Events
 ------
@@ -78,13 +78,7 @@ __all__ = [
     "err",
     "flush",
     "peer_hello",
-    "peers",
-    "ping",
-    "pong",
-    "ready",
     "report_reply",
-    "reset",
-    "reset_ok",
     "restore",
     "restore_ok",
     "resume_nack",
@@ -107,29 +101,43 @@ def worker_hello(index: int, port: int) -> dict:
     return {"type": "worker-hello", "index": index, "port": port}
 
 
-def peers(ports: list[int]) -> dict:
-    """The router's exchange-port map, ``ports[i]`` = worker *i*."""
-    return {"type": "peers", "ports": ports}
+def restore(config: dict, ports: list, route_high: int,
+            base_mark: int, snapshot: dict | None, detached: list) -> dict:
+    """Build (or rebuild) a worker's engine: the first message every
+    worker incarnation receives, and the whole of an in-place reset.
+
+    ``snapshot`` is the last verified shard-snapshot document (``None``
+    is a fresh engine at ``base_mark`` — a start, a reset, or the
+    full-journal replay path of a respawn); ``route_high`` is the
+    control-session sequence the stream resumes after, ``ports`` the
+    exchange ports to dial (``None`` entries are not dialled: peers not
+    yet joined or down dial *in* when they join, and a reset keeps every
+    link it has), ``base_mark`` the ticket baseline a fresh engine
+    starts its streams at (0 at first start, the reset ticket after a
+    reset), and ``detached`` the shards whose breaker already tripped
+    (their watermarks must never gate this worker's merge).
+    """
+    return {"type": "restore", "config": config, "ports": ports,
+            "route_high": route_high, "base_mark": base_mark,
+            "snapshot": snapshot, "detached": list(detached)}
 
 
-def ready(index: int) -> dict:
-    """A worker reporting its peer mesh is fully connected."""
-    return {"type": "ready", "index": index}
+def restore_ok(index: int) -> dict:
+    """A worker reporting its engine is (re)built and its ``ports``
+    dialled; the router may start the journal replay."""
+    return {"type": "restore-ok", "index": index}
 
 
-def peer_hello(index: int, resume: int | None = None) -> dict:
+def peer_hello(index: int, resume: int) -> dict:
     """The first message on a worker↔worker exchange connection.
 
-    ``resume`` is absent on the initial mesh build.  A *respawned*
-    worker redialing a peer sets it to the ticket watermark up to which
-    it already holds that peer's stream (restored from its snapshot);
-    the peer replies by replaying its broadcast-journal suffix past
-    that mark before any live broadcast travels on the link.
+    ``resume`` is the ticket watermark up to which the dialing worker
+    already holds the peer's stream (its restore baseline: 0 at start,
+    a snapshot's barrier after a respawn); the peer replies by
+    replaying its broadcast-journal suffix past that mark before any
+    live broadcast travels on the link.
     """
-    message = {"type": "peer-hello", "index": index}
-    if resume is not None:
-        message["resume"] = resume
-    return message
+    return {"type": "peer-hello", "index": index, "resume": resume}
 
 
 def resume_nack(index: int, resume: int, trimmed: int) -> dict:
@@ -245,17 +253,6 @@ def _counts_dict(counts: CycleCounts) -> dict:
 # -- supervision ---------------------------------------------------------------
 
 
-def ping() -> dict:
-    """Router liveness probe; the worker's control loop answers
-    :func:`pong` whenever it is not blocked in a barrier drain."""
-    return {"type": "ping"}
-
-
-def pong(index: int) -> dict:
-    """A worker's answer to :func:`ping`."""
-    return {"type": "pong", "index": index}
-
-
 def snap_request(high: int) -> dict:
     """Ask a worker to drain its merge to ticket ``high`` (the router
     flushed every buffer first, so all streams can reach it), serialize
@@ -270,54 +267,15 @@ def snap(document: dict) -> dict:
     return {"type": "snap", "document": document}
 
 
-def restore(config: dict, ports: list, route_high: int,
-            base_mark: int, snapshot: dict | None,
-            detached: list | None = None) -> dict:
-    """The router's first message to a *respawned* worker.
-
-    ``snapshot`` is the last verified shard-snapshot document (``None``
-    falls back to a fresh engine at ``base_mark`` — the full-journal
-    replay path); ``route_high`` is the control-session sequence the
-    replay resumes after, ``ports`` the current exchange-port map for
-    redialing the mesh (``None`` entries are peers that are down but
-    may themselves be respawned — they dial back in), ``base_mark`` the
-    ticket baseline a fresh engine starts its streams at (0 at first
-    start, the reset ticket after a :func:`reset`), and ``detached``
-    the shards whose breaker already tripped (their watermarks must
-    never gate this worker's merge).
-    """
-    return {"type": "restore", "config": config, "ports": ports,
-            "route_high": route_high, "base_mark": base_mark,
-            "snapshot": snapshot, "detached": list(detached or ())}
-
-
-def restore_ok(index: int) -> dict:
-    """A respawned worker reporting its state is installed and its peer
-    mesh redialed; the router may start the journal replay."""
-    return {"type": "restore-ok", "index": index}
-
-
 def detach(index: int) -> dict:
     """Tell a surviving worker to stop waiting on shard ``index``'s
     stream: the supervisor's circuit breaker tripped, the shard is gone,
     and its watermark must no longer gate the merge (degraded mode —
-    counts continue without that shard's edges)."""
+    counts continue without that shard's edges).  The worker applies it
+    the moment it arrives, ahead of control messages queued before it:
+    its control loop may be waiting in a drain on exactly that
+    watermark."""
     return {"type": "detach", "index": index}
-
-
-# -- lifecycle -----------------------------------------------------------------
-
-
-def reset(config: dict) -> dict:
-    """Rebuild the worker's engine from a fresh config (the differential
-    and bench harnesses reuse one spawned cluster across runs; tickets
-    and watermarks stay monotone across the reset)."""
-    return {"type": "reset", "config": config}
-
-
-def reset_ok() -> dict:
-    """Acknowledges a :func:`reset`."""
-    return {"type": "reset-ok"}
 
 
 def err(message: str) -> dict:

@@ -45,15 +45,28 @@ one :class:`~repro.core.config.RushMonConfig` (``num_workers``,
   ``mob=False``; the ``sr=1`` differential pins it against the exact
   checkers).
 
+Joining
+-------
+
+A worker engine is built one way: ``restore``.  Start spawns every
+process at once (their imports overlap), then restores them in index
+order from the empty baseline, each naming the exchange ports of the
+workers already up — so worker *i* dials every *j < i*.  A respawn
+restores the one new incarnation from the shard's last verified
+snapshot (or the baseline) and replays the journal past it.  An
+in-place :meth:`ClusterMonitor.reset` is a barrier and then a
+``restore`` with no snapshot and no ports on every live link.  So the
+recovery handshake runs on every cluster start, not only after a
+crash.
+
 Supervision: respawn-and-replay
 -------------------------------
 
 A real-time monitor that dies with one lost process is worse than none,
 so worker death is a handled state, not an exception.  The router runs
-a supervisor thread that detects a dead worker three ways — control
-link EOF (the reader thread), ``Process.is_alive()`` going false (the
-poll loop), or a missed heartbeat when ``ping_timeout`` is enabled —
-and brings the shard back bit-exactly:
+a supervisor thread that detects a dead worker two ways — control link
+EOF (the reader thread) or ``Process.is_alive()`` going false (the poll
+loop) — and brings the shard back bit-exactly:
 
 - **Journal-then-send.**  Every ``route`` and ``flush`` frame is
   appended to a per-link replay journal *before* it touches the wire,
@@ -82,11 +95,10 @@ and brings the shard back bit-exactly:
   are dropped with the counts they carry (counted), and reports carry
   ``health="degraded"`` plus the missing shard indices in
   ``degraded_shards`` — the anomaly signal narrows instead of dying.
-  A barrier does the down detection itself before it sends ``flush``
-  (an exited worker is marked down, a down shard with no budget left is
-  failed on the spot), so a survivor always reads ``detach`` first; its
-  single control loop would otherwise drain for the dead shard's
-  watermark with the ``detach`` unread behind the ``flush``.
+  A survivor applies ``detach`` the moment it arrives, so a barrier in
+  flight when the breaker trips completes without the lost shard.
+  Only the supervisor thread trips breakers and respawns, one link at
+  a time, so a ``restore`` never misses a ``detach``.
   :meth:`reset` on a degraded cluster tears everything down and starts
   a fresh, healthy one.
 
@@ -165,8 +177,8 @@ class _WorkerLink:
     terminal until :meth:`ClusterMonitor.reset`).  ``gen`` increments
     per incarnation so a stale reader thread can never mark a fresh
     incarnation dead.  ``cond`` guards every mutable field below it;
-    ``wlock`` serializes raw socket writes (ingestion, barriers, pings
-    and replay may interleave frames otherwise).
+    ``wlock`` serializes raw socket writes (ingestion, barriers, the
+    supervisor and replay may interleave frames otherwise).
     """
 
     def __init__(self, index: int) -> None:
@@ -201,8 +213,6 @@ class _WorkerLink:
         #: session seq it covers.
         self.snapshot: dict | None = None
         self.snapshot_route_high = 0
-        self.last_ping = 0.0
-        self.last_pong = 0.0
         # -- unguarded -------------------------------------------------
         self.replies: queue.Queue = queue.Queue()
         self.error: str | None = None
@@ -232,20 +242,13 @@ class ClusterMonitor:
     #: product ``ack_window * cluster_batch`` bounds the backlog a
     #: barrier must drain while the router idles, so keep it modest.
     ack_window = 8
-    #: Seconds allowed for worker spawn + mesh handshake.
+    #: Seconds allowed for a worker's spawn, hello and restore.
     handshake_timeout = 60.0
     #: Seconds allowed for a flush/query/reset barrier — this must also
     #: cover a respawn-and-replay happening mid-barrier.
     barrier_timeout = 120.0
     #: Supervisor poll cadence for ``Process.is_alive()`` checks.
     poll_interval = 0.25
-    #: Heartbeat cadence, and the pong-silence threshold that marks a
-    #: worker dead.  ``ping_timeout=None`` (default) disables heartbeat
-    #: *enforcement*: a worker legitimately blocks its control loop for
-    #: up to its barrier drain timeout, so only enable this with
-    #: workloads whose barriers are known-fast.
-    ping_interval = 5.0
-    ping_timeout: float | None = None
 
     def __init__(self, config: RushMonConfig | None = None,
                  metrics: MetricsRegistry | None = None,
@@ -300,10 +303,6 @@ class ClusterMonitor:
         # -- supervision state (guarded by _sup_lock, not _lock: the
         # supervisor must never contend with a blocked barrier) --------
         self._sup_lock = threading.Lock()
-        #: Serializes breaker trips, so that whoever finds a link
-        #: already ``failed`` knows its ``detach`` frames are sent.
-        #: Reentrant: a barrier's head holds it while it trips links.
-        self._fail_lock = threading.RLock()
         self._degraded: set[int] = set()
         self._restarts = [0] * n
         self._config_dict = asdict(self.config)
@@ -342,59 +341,27 @@ class ClusterMonitor:
             return
         if self._stopped:
             raise RuntimeError("ClusterMonitor is stopped")
-        ctx = multiprocessing.get_context("spawn")
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(self.handshake_timeout)
-        host, port = self._listener.getsockname()
-        config_dict = asdict(self.config)
         self._links = [_WorkerLink(i) for i in range(self.num_workers)]
         self._sup_stop = threading.Event()
         self._sup_queue = queue.Queue()
+        joining: dict = {}
         try:
             for link in self._links:
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(link.index, self.num_workers, host, port,
-                          config_dict, self.worker_fault_specs),
-                    daemon=True,
-                    name=f"rushmon-cluster-{link.index}",
-                )
-                proc.start()
-                link.proc = proc
-            for _ in range(self.num_workers):
-                sock = no_delay(self._listener.accept()[0])
-                sock.settimeout(self.handshake_timeout)
-                reader = FrameReader()
-                hello = recv_message(sock, reader)
-                if hello["type"] != "worker-hello":
-                    raise ProtocolError(
-                        f"expected worker-hello, got {hello['type']!r}")
-                link = self._links[hello["index"]]
-                link.sock, link.reader, link.port = sock, reader, hello["port"]
-            frame = encode_frame(msg.peers([ln.port for ln in self._links]))
+                self._spawn(link, self._listener)
+            for _ in self._links:
+                sock, reader, hello = self._accept_hello(self._listener)
+                joining[hello["index"]] = (sock, reader, hello["port"])
+            # A start is a restore from the empty baseline, in index
+            # order: each worker dials the ones already up.
             for link in self._links:
-                link.sock.sendall(frame)
-            for link in self._links:
-                reply = recv_message(link.sock, link.reader)
-                if reply["type"] == "err":
-                    raise RuntimeError(
-                        f"cluster worker {link.index} failed during "
-                        f"startup: {reply['message']}")
-                if reply["type"] != "ready":
-                    raise ProtocolError(
-                        f"expected ready, got {reply['type']!r}")
-                link.sock.settimeout(None)
+                self._restore_link(link, *joining.pop(link.index))
         except Exception:
+            for sock, _, _ in joining.values():
+                sock.close()
             self._teardown_locked()
             raise
-        now = time.monotonic()
-        for link in self._links:
-            with link.cond:
-                link.state = "up"
-                link.last_ping = now
-                link.last_pong = now
-            self._start_reader(link, link.sock, link.reader, link.gen,
-                               self._sup_queue)
         self._sup_thread = threading.Thread(
             target=self._supervise,
             args=(self._links, self._sup_stop, self._sup_queue),
@@ -402,6 +369,83 @@ class ClusterMonitor:
         )
         self._sup_thread.start()
         self._started = True
+
+    def _spawn(self, link: _WorkerLink, listener: socket.socket) -> None:
+        host, port = listener.getsockname()
+        with self._sup_lock:
+            config_dict = self._config_dict
+        proc = multiprocessing.get_context("spawn").Process(
+            target=worker_main,
+            args=(link.index, self.num_workers, host, port, config_dict,
+                  self.worker_fault_specs),
+            daemon=True,
+            name=f"rushmon-cluster-{link.index}",
+        )
+        proc.start()
+        link.proc = proc
+
+    def _accept_hello(self, listener: socket.socket
+                      ) -> tuple[socket.socket, FrameReader, dict]:
+        sock = no_delay(listener.accept()[0])
+        try:
+            sock.settimeout(self.handshake_timeout)
+            reader = FrameReader()
+            hello = recv_message(sock, reader)
+            if hello["type"] != "worker-hello":
+                raise ProtocolError(
+                    f"expected worker-hello, got {hello['type']!r}")
+        except Exception:
+            sock.close()
+            raise
+        return sock, reader, hello
+
+    def _restore_frame(self, link: _WorkerLink, ports: list) -> bytes:
+        """The ``restore`` that builds ``link``'s engine: the router's
+        config, ticket baseline and failed shards, the link's restore
+        point (last verified snapshot, else the journal baseline) and
+        the exchange ``ports`` to dial."""
+        with self._sup_lock:
+            config_dict = self._config_dict
+            base_mark = self._base_mark
+            detached = sorted(self._degraded)
+        with link.cond:
+            snapshot = link.snapshot
+            route_high = (link.snapshot_route_high if snapshot is not None
+                          else link.journal_base_seq)
+        return encode_frame(msg.restore(config_dict, ports, route_high,
+                                        base_mark, snapshot, detached))
+
+    def _restore_link(self, link: _WorkerLink, sock: socket.socket,
+                      reader: FrameReader, port: int) -> None:
+        """Join one fresh worker incarnation: ``restore`` naming the
+        exchange ports of every link up, ``restore-ok``, install, then
+        replay the journal suffix and go live."""
+        try:
+            ports = []
+            for other in self._links:
+                with other.cond:
+                    ports.append(port if other is link else
+                                  other.port if other.state == "up" else None)
+            sock.sendall(self._restore_frame(link, ports))
+            reply = recv_message(sock, reader)
+            if reply["type"] == "err":
+                raise RuntimeError(
+                    f"cluster worker {link.index} failed to restore: "
+                    f"{reply['message']}")
+            if reply["type"] != "restore-ok":
+                raise ProtocolError(
+                    f"expected restore-ok, got {reply['type']!r}")
+            sock.settimeout(None)
+        except Exception:
+            sock.close()
+            raise
+        with link.cond:
+            link.sock = sock
+            link.reader = reader
+            link.port = port
+            link.gen += 1
+            gen = link.gen
+        self._replay_link(link, gen)
 
     def _start_reader(self, link: _WorkerLink, sock: socket.socket,
                       reader: FrameReader, gen: int,
@@ -435,9 +479,6 @@ class ClusterMonitor:
                 elif kind == "err":
                     self._link_down(link, gen, message["message"], sup_queue)
                     return
-                elif kind == "pong":
-                    with link.cond:
-                        link.last_pong = time.monotonic()
                 else:
                     with link.cond:
                         if link.discard_replies > 0:
@@ -460,6 +501,29 @@ class ClusterMonitor:
             link.down_reason = reason
             link.cond.notify_all()
         sup_queue.put(link)
+
+    def _send_if_up(self, link: _WorkerLink, frame: bytes, what: str,
+                    journal: tuple | None = None) -> int | None:
+        """Send ``frame`` if ``link`` is ``up``; a failed send marks it
+        down.  Returns the incarnation it went to, ``None`` if it went
+        nowhere.  ``journal`` is appended under the same hold of
+        ``link.cond`` that decides liveness, so a journaled frame lands
+        either in the range a replay sends or after the link is up to
+        send it here — never in both, never in neither."""
+        with link.cond:
+            if journal is not None:
+                link.journal.append(journal)
+            if link.state != "up":
+                return None
+            gen, sock = link.gen, link.sock
+        try:
+            with link.wlock:
+                sock.sendall(frame)
+        except OSError:
+            self._link_down(link, gen, f"{what} send failed",
+                            self._sup_queue)
+            return None
+        return gen
 
     def stop(self) -> None:
         """Shut the cluster down: orderly ``bye``, then join (and, past
@@ -487,15 +551,7 @@ class ClusterMonitor:
             self._listener = None
         frame = encode_frame(msg.bye())
         for link in self._links:
-            with link.cond:
-                sock = link.sock
-                live = link.state == "up"
-            if sock is not None and live:
-                try:
-                    with link.wlock:
-                        sock.sendall(frame)
-                except OSError:
-                    pass
+            self._send_if_up(link, frame, "bye")
         if self._sup_thread is not None:
             self._sup_thread.join(timeout=5.0)
             self._sup_thread = None
@@ -537,49 +593,28 @@ class ClusterMonitor:
 
     def _poll_links(self, links: list[_WorkerLink],
                     sup_queue: queue.Queue) -> None:
-        now = time.monotonic()
         for link in links:
             with link.cond:
                 if link.state != "up":
                     continue
-                proc, gen, sock = link.proc, link.gen, link.sock
-                last_ping, last_pong = link.last_ping, link.last_pong
+                proc, gen = link.proc, link.gen
             if proc is not None and not proc.is_alive():
                 self._link_down(link, gen, "worker process exited",
                                 sup_queue)
-                continue
-            if self.ping_timeout is None:
-                continue
-            if now - last_ping >= self.ping_interval:
-                with link.cond:
-                    link.last_ping = now
-                try:
-                    with link.wlock:
-                        sock.sendall(encode_frame(msg.ping()))
-                except OSError:
-                    self._link_down(link, gen, "heartbeat send failed",
-                                    sup_queue)
-                    continue
-            if now - last_pong > self.ping_timeout:
-                self._link_down(
-                    link, gen,
-                    f"no heartbeat reply within {self.ping_timeout}s",
-                    sup_queue)
 
     def _respawn(self, link: _WorkerLink, stop: threading.Event) -> None:
         """Bring one dead link back, retrying until it sticks or the
         circuit breaker trips."""
         while not stop.is_set():
             # Claim and budget check are one step: ``respawning`` always
-            # means an attempt the budget paid for, and a link whose
-            # budget is spent stays ``down`` until ``_fail_link`` — here
-            # or at the head of a barrier — makes it ``failed``.
+            # means an attempt the budget paid for.
             with link.cond:
                 if link.state != "down":
                     return
                 reason = link.down_reason or "unknown"
                 with self._sup_lock:
-                    tripped = self._budget_spent_locked(link)
+                    tripped = (self._restarts[link.index]
+                               >= self.config.max_worker_restarts)
                     if not tripped:
                         self._restarts[link.index] += 1
                         self.worker_restarts_total += 1
@@ -600,41 +635,8 @@ class ClusterMonitor:
                     link.state = "down"
                     link.down_reason = f"respawn attempt failed: {exc!r}"
 
-    def _budget_spent_locked(self, link: _WorkerLink) -> bool:
-        return (self._restarts[link.index]
-                >= self.config.max_worker_restarts)
-
-    def _settle_dead_links_locked(self) -> None:
-        """Down detection at the head of a barrier, on the caller's
-        clock instead of the supervisor's: a worker whose process has
-        exited is marked down now, and a down link whose restart budget
-        is spent is failed now — so every survivor's control link
-        carries its ``detach`` *before* the barrier's ``flush``.  In the
-        other order the survivor's single control loop waits in its
-        drain for the dead shard's watermark and never reads the
-        ``detach`` queued behind the ``flush``."""
-        # Holding the lock also waits out a trip the supervisor is in
-        # the middle of (``failed`` already, ``detach`` not yet sent).
-        with self._fail_lock:
-            for link in self._links:
-                with link.cond:
-                    up = link.state == "up"
-                    proc, gen = link.proc, link.gen
-                if up and proc is not None and not proc.is_alive():
-                    self._link_down(link, gen, "worker process exited",
-                                    self._sup_queue)
-                with link.cond:
-                    down = link.state == "down"
-                    reason = link.down_reason or "unknown"
-                if down:
-                    with self._sup_lock:
-                        spent = self._budget_spent_locked(link)
-                    if spent:
-                        self._fail_link(link, reason)
-
     def _spawn_and_restore(self, link: _WorkerLink) -> None:
-        """One respawn attempt: spawn, handshake, restore (snapshot or
-        fresh-at-baseline), replay the journal suffix, go live."""
+        """One respawn attempt: spawn, then join like any start."""
         old_sock, old_proc = link.sock, link.proc
         if old_sock is not None:
             try:
@@ -645,77 +647,21 @@ class ClusterMonitor:
             if old_proc.is_alive():
                 old_proc.terminate()
             old_proc.join(timeout=5.0)
-        with self._sup_lock:
-            config_dict = dict(self._config_dict)
-            base_mark = self._base_mark
-            detached = sorted(self._degraded)
         listener = self._listener
         if listener is None:
             raise RuntimeError("cluster is shutting down")
-        host, port = listener.getsockname()
-        ctx = multiprocessing.get_context("spawn")
-        proc = ctx.Process(
-            target=worker_main,
-            args=(link.index, self.num_workers, host, port, config_dict,
-                  self.worker_fault_specs),
-            daemon=True,
-            name=f"rushmon-cluster-{link.index}",
-        )
-        proc.start()
-        link.proc = proc
-        sock = None
+        self._spawn(link, listener)
         try:
-            sock = no_delay(listener.accept()[0])
-            sock.settimeout(self.handshake_timeout)
-            reader = FrameReader()
-            hello = recv_message(sock, reader)
-            if hello["type"] != "worker-hello" or hello["index"] != link.index:
+            sock, reader, hello = self._accept_hello(listener)
+            if hello["index"] != link.index:
+                sock.close()
                 raise ProtocolError(f"unexpected respawn hello {hello!r}")
-            ports: list = []
-            for other in self._links:
-                if other is link:
-                    ports.append(hello["port"])
-                    continue
-                with other.cond:
-                    ports.append(
-                        other.port if other.state == "up" else None)
-            with link.cond:
-                snapshot = link.snapshot
-                route_high = (link.snapshot_route_high
-                              if snapshot is not None
-                              else link.journal_base_seq)
-            sock.sendall(encode_frame(msg.restore(
-                config_dict, ports, route_high, base_mark, snapshot,
-                detached)))
-            reply = recv_message(sock, reader)
-            if reply["type"] == "err":
-                raise RuntimeError(
-                    f"respawned worker {link.index} failed to restore: "
-                    f"{reply['message']}")
-            if reply["type"] != "restore-ok":
-                raise ProtocolError(
-                    f"expected restore-ok, got {reply['type']!r}")
-            sock.settimeout(None)
+            self._restore_link(link, sock, reader, hello["port"])
         except Exception:
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
+            if link.proc.is_alive():
+                link.proc.terminate()
+            link.proc.join(timeout=5.0)
             raise
-        with link.cond:
-            link.sock = sock
-            link.reader = reader
-            link.port = hello["port"]
-            link.gen += 1
-            now = time.monotonic()
-            link.last_ping = now
-            link.last_pong = now
-            gen = link.gen
-        self._replay_link(link, gen)
 
     def _replay_link(self, link: _WorkerLink, gen: int) -> None:
         """Replay the journal suffix onto a restored link, then flip it
@@ -751,39 +697,25 @@ class ClusterMonitor:
         """Trip the circuit breaker of a link whose restart budget is
         spent: the shard is gone for good (until a reset).  Survivors
         stop gating their merges on it, waiters are released, and
-        reports degrade instead of raising.  Called by the supervisor
-        and by a barrier's head; the second caller returns once the
-        first has sent every ``detach``."""
+        reports degrade instead of raising."""
         reason = (f"restart budget exhausted "
                   f"({self.config.max_worker_restarts}); last failure: "
                   f"{last_failure}")
-        with self._fail_lock:
-            with self._sup_lock:
-                self._degraded.add(link.index)
-            with link.cond:
-                if link.state == "failed":
-                    return
-                link.state = "failed"
-                link.error = reason
-                link.down_reason = reason
-                link.journal.clear()
-                link.snapshot = None
-                link.cond.notify_all()
-            # Release a barrier blocked on this shard's reply.
-            link.replies.put({"type": "failed"})
-            frame = encode_frame(msg.detach(link.index))
-            for other in self._links:
-                if other is link:
-                    continue
-                with other.cond:
-                    live = other.state == "up"
-                    sock = other.sock
-                if live:
-                    try:
-                        with other.wlock:
-                            sock.sendall(frame)
-                    except OSError:
-                        pass
+        with self._sup_lock:
+            self._degraded.add(link.index)
+        with link.cond:
+            link.state = "failed"
+            link.error = reason
+            link.down_reason = reason
+            link.journal.clear()
+            link.snapshot = None
+            link.cond.notify_all()
+        # Release a barrier blocked on this shard's reply.
+        link.replies.put({"type": "failed"})
+        frame = encode_frame(msg.detach(link.index))
+        for other in self._links:
+            if other is not link:
+                self._send_if_up(other, frame, "detach")
         if link.proc is not None:
             if link.proc.is_alive():
                 link.proc.terminate()
@@ -977,20 +909,10 @@ class ClusterMonitor:
                     self.frames_dropped_failed += 1
                     return
             link.send_seq += 1
-            frame = encode_frame(
-                msg.route(link.send_seq, self._ticket, events, elided))
-            link.journal.append(("route", link.send_seq, frame, None))
-            live = link.state == "up"
-            gen = link.gen
-            sock = link.sock
-        if live:
-            try:
-                with link.wlock:
-                    sock.sendall(frame)
-            except OSError:
-                # Journaled before the send: the replay covers it.
-                self._link_down(link, gen, "route send failed",
-                                self._sup_queue)
+            seq = link.send_seq
+        frame = encode_frame(msg.route(seq, self._ticket, events, elided))
+        self._send_if_up(link, frame, "route",
+                         journal=("route", seq, frame, None))
 
     def _apply_route_fault(self, link: _WorkerLink, fault) -> None:
         if fault.kind == "kill_worker":
@@ -1025,7 +947,6 @@ class ClusterMonitor:
         verified snapshots.  Aborted (retried at the next flush) while
         any shard is mid-respawn; a shard dying mid-round just keeps
         its previous snapshot."""
-        self._settle_dead_links_locked()
         high = self._ticket
         targets = []
         for link in self._links:
@@ -1040,22 +961,18 @@ class ClusterMonitor:
         self._last_snap_flush = self.router_flushes
         self.snapshot_rounds += 1
         frame = encode_frame(msg.snap_request(high))
-        gens = {}
-        for link in targets:
-            with link.cond:
-                gens[link.index] = link.gen
-                sock = link.sock
-            try:
-                with link.wlock:
-                    sock.sendall(frame)
-            except OSError:
-                self._link_down(link, gens[link.index],
-                                "snap-request send failed", self._sup_queue)
-                return
-        for link in targets:
-            reply = self._await_snap(link, gens[link.index])
+        gens = [self._send_if_up(link, frame, "snap-request")
+                for link in targets]
+        for link, gen in zip(targets, gens):
+            # Snapshot requests are not journaled: only the incarnation
+            # asked can answer.
+            reply = None if gen is None else self._await_reply(link, gen)
             if reply is None:
                 continue  # died mid-round; previous snapshot stands
+            if reply["type"] != "snap":
+                raise ProtocolError(
+                    f"expected snap from worker {link.index}, got "
+                    f"{reply['type']!r}")
             document = reply["document"]
             if self.faults is not None:
                 fault = self.faults.fire("cluster.snapshot")
@@ -1082,28 +999,6 @@ class ClusterMonitor:
                 link.journal.clear()
             self.snapshots_shipped += 1
 
-    def _await_snap(self, link: _WorkerLink, gen: int) -> dict | None:
-        deadline = time.monotonic() + self.barrier_timeout
-        while True:
-            with link.cond:
-                if link.state != "up" or link.gen != gen:
-                    return None
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            try:
-                reply = link.replies.get(timeout=min(remaining, 0.25))
-            except queue.Empty:
-                continue
-            if reply.get("type") == "snap":
-                return reply
-            if reply.get("type") == "failed":
-                return None
-            # Anything else is out of protocol during a locked round.
-            raise ProtocolError(
-                f"expected snap from worker {link.index}, got "
-                f"{reply.get('type')!r}")
-
     # -- barriers --------------------------------------------------------------
 
     def _barrier(self, window: bool, end: int = 0) -> list[tuple[int, dict]]:
@@ -1114,7 +1009,6 @@ class ClusterMonitor:
         worker dying mid-barrier re-executes the flush after its
         respawn and the barrier rides the recovery out instead of
         raising."""
-        self._settle_dead_links_locked()
         frame = encode_frame(msg.flush(self._ticket, window, end))
         start = time.monotonic()
         waiting = []
@@ -1123,17 +1017,8 @@ class ClusterMonitor:
                 if link.state == "failed":
                     continue
                 link.flush_seq += 1
-                link.journal.append(("flush", None, frame, link.flush_seq))
-                live = link.state == "up"
-                gen = link.gen
-                sock = link.sock
-            if live:
-                try:
-                    with link.wlock:
-                        sock.sendall(frame)
-                except OSError:
-                    self._link_down(link, gen, "flush send failed",
-                                    self._sup_queue)
+                entry = ("flush", None, frame, link.flush_seq)
+            self._send_if_up(link, frame, "flush", journal=entry)
             waiting.append(link)
         replies = []
         for link in waiting:
@@ -1157,13 +1042,17 @@ class ClusterMonitor:
                 raise LifecycleOrderError(reply["error"], CycleCounts())
         return replies
 
-    def _await_reply(self, link: _WorkerLink) -> dict | None:
-        """One barrier reply from ``link``, patient across a
-        respawn-and-replay; ``None`` once the link is failed."""
+    def _await_reply(self, link: _WorkerLink,
+                     gen: int | None = None) -> dict | None:
+        """One reply from ``link``; ``None`` once the link is failed.
+        Without ``gen`` (a barrier: its ``flush`` is journaled) this is
+        patient across a respawn-and-replay; with it only that
+        incarnation can answer, so ``None`` once it is gone."""
         deadline = time.monotonic() + self.barrier_timeout
         while True:
             with link.cond:
-                if link.state == "failed":
+                if link.state == "failed" or gen is not None and (
+                        link.state != "up" or link.gen != gen):
                     return None
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -1260,9 +1149,10 @@ class ClusterMonitor:
         On a *healthy* cluster this is in-place: tickets and watermarks
         stay monotone, replay journals and snapshots are cleared (the
         reset is the new replay baseline).  On a cluster with any dead
-        or breaker-tripped shard it is a full restart — workers torn
-        down and respawned lazily, restart budgets and degraded state
-        wiped — which is how a degraded cluster is *recovered*."""
+        or breaker-tripped shard — before the reset or during it — it is
+        a full restart: workers torn down and respawned lazily, restart
+        budgets and degraded state wiped — which is how a degraded
+        cluster is *recovered*."""
         with self._lock:
             if config.num_workers != self.num_workers:
                 raise ValueError(
@@ -1271,20 +1161,11 @@ class ClusterMonitor:
                     f"start a new ClusterMonitor instead")
             if config.resample_interval is not None:
                 raise ValueError("resample_interval is serial-only")
-            if self._started:
-                healthy = True
-                for link in self._links:
-                    with link.cond:
-                        if link.state != "up":
-                            healthy = False
-                            break
-                if healthy:
-                    self._reset_in_place_locked(config)
-                else:
-                    self._teardown_locked()
-                    self._started = False
-                    self._links = []
-                    self._ticket = 0
+            if self._started and not self._reset_in_place_locked(config):
+                self._teardown_locked()
+                self._started = False
+                self._links = []
+                self._ticket = 0
             if (config.sampling_rate, config.seed) != (
                     self.config.sampling_rate, self.config.seed):
                 # The decision is pure in (key, sampling_rate, seed):
@@ -1309,27 +1190,44 @@ class ClusterMonitor:
             self._fullest = 0
             self._elided_sent = list(self._elided)
 
-    def _reset_in_place_locked(self, config: RushMonConfig) -> None:
+    def _all_up(self) -> bool:
+        for link in self._links:
+            with link.cond:
+                if link.state != "up":
+                    return False
+        return True
+
+    def _reset_in_place_locked(self, config: RushMonConfig) -> bool:
+        """A barrier, then every link restored from nothing at the
+        barrier ticket, keeping its links (no ports).  ``False`` when a
+        shard is down or goes down on the way — the caller's full
+        restart then discards whatever was half reset."""
+        if not self._all_up():
+            return False
         self._flush_buffers_locked()
         self._barrier(window=False)
-        # Publish the new config/baseline before the workers rebuild, so
-        # a respawn racing the reset restores the post-reset world.
+        if not self._all_up():
+            return False
+        # Publish the new baseline before the workers rebuild, so a
+        # respawn racing the reset restores the post-reset world.
         with self._sup_lock:
             self._config_dict = asdict(config)
             self._base_mark = self._ticket
-        frame = encode_frame(msg.reset(asdict(config)))
-        for link in self._links:
-            with link.wlock:
-                link.sock.sendall(frame)
-        for link in self._links:
-            reply = self._await_reply(link)
-            if reply is None or reply["type"] != "reset-ok":
-                raise ProtocolError(
-                    f"expected reset-ok, got "
-                    f"{reply['type'] if reply else 'failed link'!r}")
+        no_ports = [None] * self.num_workers
+        gens = []
         for link in self._links:
             with link.cond:
                 link.journal.clear()
                 link.journal_base_seq = link.send_seq
                 link.snapshot = None
                 link.snapshot_route_high = 0
+            gens.append(self._send_if_up(
+                link, self._restore_frame(link, no_ports), "restore"))
+        for link, gen in zip(self._links, gens):
+            reply = None if gen is None else self._await_reply(link, gen)
+            if reply is None:
+                return False
+            if reply["type"] != "restore-ok":
+                raise ProtocolError(
+                    f"expected restore-ok, got {reply['type']!r}")
+        return True

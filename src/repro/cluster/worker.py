@@ -101,17 +101,31 @@ respawn-and-replay on (see :mod:`repro.cluster.monitor`):
   makes journal replays and a respawned peer's re-broadcasts exactly
   idempotent.
 
-A respawned worker starts from ``restore`` instead of ``peers``: it
-installs the snapshot (or a fresh engine at the reset baseline on the
-full-replay fallback), dials *every* live peer with a resume mark, and
-replies ``restore-ok``; the router then replays the journaled route
-suffix past the snapshot.  ``detach(j)`` drops a breaker-tripped shard
-``j`` from the merge gating so the survivors keep counting without it
-(degraded mode).
+Joining
+-------
+
+Every engine a worker runs is built by ``restore`` — the first control
+message of every incarnation, and the whole of an in-place reset.  The
+worker installs the snapshot (or a fresh engine at ``base_mark``), dials
+every peer the message names with ``peer-hello(resume=baseline)``, and
+replies ``restore-ok``; the router then replays its journal past the
+restore point.  At start the router restores workers in index order
+naming only peers already joined, so worker *i* dials every *j < i* at
+``resume=0`` — one link per pair; a respawned worker dials every live
+peer; a reset names none and keeps the links it has.
+
+A single reader thread owns the control link: it applies ``detach(j)``
+(drop a breaker-tripped shard ``j`` from the merge gating, so the
+survivors keep counting without it) the moment it arrives and queues
+everything else, in order, for the control loop.  A control loop
+waiting in a barrier drain for the dead shard's watermark is exactly
+the one that needs the ``detach`` — queued behind the barrier's own
+``flush`` it would never be read.
 """
 
 from __future__ import annotations
 
+import queue
 import socket
 import threading
 import time
@@ -149,7 +163,7 @@ def recv_message(sock: socket.socket, reader: FrameReader) -> dict:
 
     Messages already buffered in ``reader`` are drained first; a peer
     closing mid-message raises :class:`ConnectionError`.  Used for the
-    lock-step handshakes (hello / peers / ready) on both ends.
+    lock-step handshakes (hello / restore / peer-hello) on both ends.
     """
     for message in reader.feed(b""):
         return message
@@ -187,15 +201,15 @@ class ClusterWorker:
     merge state — pending queues, watermarks, detector, window — is
     guarded by one condition variable, which the flush barrier also
     waits on.  A persistent acceptor thread keeps the exchange
-    listener open for the worker's whole life so respawned peers can
-    redial at any time.
+    listener open for the worker's whole life so peers can join at
+    any time, and a control reader thread feeds the control loop.
     """
 
-    #: Seconds to wait for the peer mesh and for barrier drains.
+    #: Seconds to wait for a handshake message and for barrier drains.
     handshake_timeout = 30.0
     barrier_timeout = 120.0
-    #: Redial attempts (and inter-attempt sleep) when a restored worker
-    #: rebuilds its mesh against peers that may be mid-accept.
+    #: Dial attempts (and inter-attempt sleep) when a joining worker
+    #: dials peers that may be mid-accept.
     redial_attempts = 5
     redial_sleep = 0.2
 
@@ -222,10 +236,6 @@ class ClusterWorker:
         # paths and (replies aside) nowhere else; serialize them so an
         # err frame never interleaves into an ack mid-frame.
         self._control_lock = threading.Lock()
-        # Inbound mesh connections land here (acceptor thread -> run()).
-        self._mesh_cond = threading.Condition()
-        self._mesh_inbound: dict[int, tuple[socket.socket, FrameReader]] = {}
-        self._accept_errors: list[BaseException] = []
         self._build_engine(config)
 
     def _build_engine(self, config: RushMonConfig) -> None:
@@ -360,7 +370,18 @@ class ClusterWorker:
                 return False
         return True
 
-    def _wait_drained(self, high: int, what: str) -> None:
+    def _drain_to(self, high: int, what: str) -> None:
+        """A barrier's prelude: raise the local mark to ``high``,
+        broadcast it, and wait until the merge has applied every ticket
+        ``<= high``.  A shard whose breaker trips meanwhile is released
+        by its ``detach``, which the control reader applies while this
+        waits."""
+        with self._merge:
+            if high > self._local_mark:
+                self._local_mark = high
+            self._advance_locked()
+            self._merge.notify_all()
+        self._broadcast([], high)
         deadline = time.monotonic() + self.barrier_timeout
         with self._merge:
             while not self._drained_locked(high):
@@ -517,14 +538,7 @@ class ClusterWorker:
                     pass
 
     def _handle_flush(self, message: dict) -> None:
-        high = message["high"]
-        with self._merge:
-            if high > self._local_mark:
-                self._local_mark = high
-            self._advance_locked()
-            self._merge.notify_all()
-        self._broadcast([], high)
-        self._wait_drained(high, "barrier")
+        self._drain_to(message["high"], "barrier")
         with self._merge:
             if message["window"]:
                 report = self.window.close(
@@ -543,13 +557,7 @@ class ClusterWorker:
         (every stream's mark reaches ``high``, every queue empties — the
         merge state serializes to nothing), then ship the shard state."""
         high = message["high"]
-        with self._merge:
-            if high > self._local_mark:
-                self._local_mark = high
-            self._advance_locked()
-            self._merge.notify_all()
-        self._broadcast([], high)
-        self._wait_drained(high, "snapshot barrier")
+        self._drain_to(high, "snapshot barrier")
         with self._merge:
             payload = {
                 "index": self.index,
@@ -562,21 +570,6 @@ class ClusterWorker:
             }
         self._send_control(encode_frame(msg.snap(
             wal.encode_shard_snapshot(payload))))
-
-    def _handle_reset(self, message: dict) -> None:
-        config = RushMonConfig(**message["config"])
-        with self._merge:
-            self._build_engine(config)
-            base = self._local_mark
-        with self._bcast_lock:
-            # Pre-reset broadcasts restore nothing useful; a respawn
-            # after a reset resumes at the reset baseline.
-            self._bcast_journal.clear()
-            self._bcast_trimmed = base
-        self._send_control(encode_frame(msg.reset_ok()))
-
-    def _handle_ping(self, message: dict) -> None:
-        self._send_control(encode_frame(msg.pong(self.index)))
 
     def _handle_detach(self, message: dict) -> None:
         """Shard ``j``'s circuit breaker tripped: stop gating the merge
@@ -659,12 +652,9 @@ class ClusterWorker:
             pass
 
     def _accept_peers(self) -> None:
-        """Lifetime acceptor for the exchange listener.
-
-        Serves two kinds of inbound connection: initial mesh hellos
-        (handed to :meth:`_connect_mesh` through ``_mesh_inbound``) and
-        resume hellos from respawned peers (journal suffix replayed,
-        link swapped in under the broadcast lock)."""
+        """Lifetime acceptor for the exchange listener: every inbound
+        link is a joining peer's ``peer-hello(resume=H)`` (journal
+        suffix replayed, link swapped in under the broadcast lock)."""
         while True:
             try:
                 sock, _ = self._listener.accept()
@@ -675,22 +665,12 @@ class ClusterWorker:
                 sock.settimeout(self.handshake_timeout)
                 reader = FrameReader()
                 hello = recv_message(sock, reader)
-                if hello["type"] != "peer-hello":
-                    raise ProtocolError(
-                        f"expected peer-hello, got {hello['type']!r}")
+                if hello["type"] != "peer-hello" or "resume" not in hello:
+                    raise ProtocolError(f"expected peer-hello, got {hello!r}")
                 sock.settimeout(None)
-                resume = hello.get("resume")
-                if resume is None:
-                    with self._mesh_cond:
-                        self._mesh_inbound[hello["index"]] = (sock, reader)
-                        self._mesh_cond.notify_all()
-                else:
-                    self._attach_resumed_peer(
-                        hello["index"], resume, sock, reader)
-            except (OSError, ConnectionError, ProtocolError) as exc:
-                with self._mesh_cond:
-                    self._accept_errors.append(exc)
-                    self._mesh_cond.notify_all()
+                self._attach_resumed_peer(
+                    hello["index"], hello["resume"], sock, reader)
+            except (OSError, ConnectionError, ProtocolError):
                 try:
                     sock.close()
                 except OSError:
@@ -699,7 +679,7 @@ class ClusterWorker:
     def _attach_resumed_peer(self, j: int, resume: int,
                              sock: socket.socket,
                              reader: FrameReader) -> None:
-        """Bring a respawned peer's fresh link up to date and go live.
+        """Bring a joining peer's fresh link up to date and go live.
 
         Holding ``_bcast_lock`` across replay + install means no live
         broadcast can slip between the journal suffix and the first
@@ -725,48 +705,18 @@ class ClusterWorker:
                 pass
         self._start_peer_loop(j, sock, reader)
 
-    def _connect_mesh(self, ports: list[int]) -> None:
-        """Build the full worker mesh: accept from higher indices
-        (via the lifetime acceptor), connect to lower ones (one duplex
-        link per pair)."""
-        expected = self.num_workers - 1 - self.index
-        for j in range(self.index):
-            sock = no_delay(socket.create_connection(
-                ("127.0.0.1", ports[j]), timeout=self.handshake_timeout))
-            sock.settimeout(None)
-            sock.sendall(encode_frame(msg.peer_hello(self.index)))
-            self._peer_socks[j] = sock
-            self._start_peer_loop(j, sock, FrameReader())
-        deadline = time.monotonic() + self.handshake_timeout
-        with self._mesh_cond:
-            while len(self._mesh_inbound) < expected:
-                if self._accept_errors:
-                    raise self._accept_errors[0]
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RuntimeError(
-                        f"worker {self.index}: peer mesh incomplete "
-                        f"({len(self._mesh_inbound)}/{expected} inbound "
-                        f"connections)"
-                    )
-                self._mesh_cond.wait(remaining)
-            inbound = dict(self._mesh_inbound)
-            self._mesh_inbound.clear()
-        for j, (sock, reader) in inbound.items():
-            self._peer_socks[j] = sock
-            self._start_peer_loop(j, sock, reader)
-
-    # -- respawn ---------------------------------------------------------------
+    # -- joining ---------------------------------------------------------------
 
     def _handle_restore(self, message: dict) -> None:
-        """Install shipped state and redial the mesh (respawn path).
+        """Build the engine, dial the peers named, reply ``restore-ok``.
 
         With a snapshot, the engine resumes bit-exactly at the snapshot
-        barrier's ticket; without one (full-replay fallback) it starts
-        fresh at ``base_mark`` and the router replays everything since.
-        Either way every stream starts at the baseline — anything at or
-        below it is already inside the restored state, so ``seen``
-        starts there too and replayed peer broadcasts dedup cleanly.
+        barrier's ticket; without one (a start, a reset, or a respawn's
+        full-replay fallback) it starts fresh at ``base_mark`` and the
+        router replays everything since.  Either way every stream starts
+        at the baseline — anything at or below it is already inside the
+        restored state, so ``seen`` starts there too and replayed peer
+        broadcasts dedup cleanly.
         """
         config = RushMonConfig(**message["config"])
         base = message["base_mark"]
@@ -781,24 +731,23 @@ class ClusterWorker:
                 self._lifecycle_error = payload.get("lifecycle_error")
                 base = payload["high"]
             self._local_mark = base
-            detached = set(message.get("detached", ()))
+            detached = set(message["detached"])
             for j, stream in self._peers.items():
                 stream.mark = base
                 stream.seen = base
-                stream.detached = j in detached
+                # Sticky: a detach the control reader applied while this
+                # (reset) restore sat queued must survive it.
+                stream.detached = stream.detached or j in detached
         self._route_high = message["route_high"]
         with self._bcast_lock:
             self._bcast_journal.clear()
             self._bcast_trimmed = base
         for j, port in enumerate(message["ports"]):
-            if j == self.index or j in detached:
-                continue
-            if port is None:
-                # Peer is down too; when *it* restores it dials us (a
-                # restored worker dials everyone), or the router detaches
-                # it once its breaker trips.
-                continue
-            self._dial_peer(j, port, base)
+            # None: a peer that joins later dials us, a reset keeps the
+            # link it has, and a failed shard stays detached.
+            if port is not None and j != self.index and j not in detached:
+                self._dial_peer(j, port, base)
+        self._send_control(encode_frame(msg.restore_ok(self.index)))
 
     def _dial_peer(self, j: int, port: int, resume: int) -> None:
         last: BaseException | None = None
@@ -812,7 +761,7 @@ class ClusterWorker:
                 time.sleep(self.redial_sleep)
         else:
             raise RuntimeError(
-                f"worker {self.index}: cannot redial peer {j} on port "
+                f"worker {self.index}: cannot dial peer {j} on port "
                 f"{port}: {last!r}"
             )
         no_delay(sock)
@@ -825,8 +774,8 @@ class ClusterWorker:
     # -- lifecycle -------------------------------------------------------------
 
     def run(self, host: str, port: int) -> None:
-        """Connect to the router, build (or rejoin) the mesh, serve
-        until ``bye``."""
+        """Connect to the router, join on its ``restore``, serve until
+        ``bye``."""
         self._listener = socket.create_server(("127.0.0.1", 0))
         threading.Thread(target=self._accept_peers, daemon=True,
                          name=f"accept-{self.index}").start()
@@ -838,16 +787,10 @@ class ClusterWorker:
             reader = FrameReader()
             self._control.settimeout(self.handshake_timeout)
             first = recv_message(self._control, reader)
-            if first["type"] == "peers":
-                self._connect_mesh(first["ports"])
-                self._control.sendall(encode_frame(msg.ready(self.index)))
-            elif first["type"] == "restore":
-                self._handle_restore(first)
-                self._control.sendall(encode_frame(
-                    msg.restore_ok(self.index)))
-            else:
+            if first["type"] != "restore":
                 raise ProtocolError(
-                    f"expected peers or restore, got {first['type']!r}")
+                    f"expected restore, got {first['type']!r}")
+            self._handle_restore(first)
             self._control.settimeout(None)
             self._serve(reader)
         except Exception as exc:
@@ -870,29 +813,51 @@ class ClusterWorker:
             self._control.close()
 
     def _serve(self, reader: FrameReader) -> None:
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._read_control, args=(reader, inbox),
+                         daemon=True, name=f"control-{self.index}").start()
         handlers = {
             "route": self._handle_route,
             "flush": self._handle_flush,
-            "reset": self._handle_reset,
-            "ping": self._handle_ping,
             "snap-request": self._handle_snap_request,
-            "detach": self._handle_detach,
+            "restore": self._handle_restore,
         }
         while True:
-            try:
+            message = inbox.get()
+            if isinstance(message, ProtocolError):
+                raise message
+            if message["type"] == "bye":
+                return
+            handler = handlers.get(message["type"])
+            if handler is None:
+                raise ProtocolError(
+                    f"unexpected control message {message['type']!r}")
+            handler(message)
+
+    def _read_control(self, reader: FrameReader,
+                      inbox: queue.SimpleQueue) -> None:
+        """The control link's only reader: applies ``detach`` on
+        arrival and queues every other message, in order, for
+        :meth:`_serve`.  EOF (the router vanished, or :meth:`_fatal`
+        shut the link) queues a ``bye``; a corrupt frame queues its
+        :class:`ProtocolError`."""
+        data = b""
+        try:
+            while True:
+                for message in reader.feed(data):
+                    if message["type"] == "detach":
+                        self._handle_detach(message)
+                    else:
+                        inbox.put(message)
                 data = self._control.recv(_RECV)
-            except OSError:
-                return  # control link torn down by _fatal
-            if not data:
-                return  # router vanished; daemon exit
-            for message in reader.feed(data):
-                if message["type"] == "bye":
-                    return
-                handler = handlers.get(message["type"])
-                if handler is None:
-                    raise ProtocolError(
-                        f"unexpected control message {message['type']!r}")
-                handler(message)
+                if not data:
+                    break
+        except ProtocolError as exc:
+            inbox.put(exc)
+            return
+        except OSError:
+            pass
+        inbox.put(msg.bye())
 
 
 def worker_main(index: int, num_workers: int, host: str, port: int,

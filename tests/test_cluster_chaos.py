@@ -31,6 +31,8 @@ sweep and the 30-round death-then-barrier loop carry the ``oracle`` mark (CI's c
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.checkers import exact_cycle_counts
@@ -268,11 +270,10 @@ def test_reset_recovers_a_degraded_cluster():
 @pytest.mark.oracle
 def test_barrier_right_after_a_worker_death_never_waits_on_the_dead_shard():
     """``close_window()`` straight after a worker with no restart budget
-    dies: the barrier itself notices the exited process and fails the
-    shard, so the survivor reads ``detach`` before ``flush``.  With the
-    frames in the other order the survivor drains for ``barrier_timeout``
-    on a watermark that cannot come — about one run in five before the
-    barrier did its own down detection, hence the repetitions."""
+    dies, racing the supervisor's breaker trip: whichever of ``detach``
+    and ``flush`` reaches the survivor first, it must not drain for
+    ``barrier_timeout`` on a watermark that cannot come — about one run
+    in five did, once, hence the repetitions."""
     history = workload_history("ycsb", 0)
     for round_ in range(30):
         cluster = ClusterMonitor(_chaos_config(2, seed=0,
@@ -288,6 +289,73 @@ def test_barrier_right_after_a_worker_death_never_waits_on_the_dead_shard():
             assert report.degraded_shards == (round_ % 2,)
         finally:
             cluster.stop()
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS,
+                         ids=["workers2", "workers4"])
+@pytest.mark.parametrize("verb", ("close_window", "reset"))
+def test_breaker_trip_during_a_barrier_does_not_wedge_the_survivors(
+        workers, verb):
+    """No restart budget, and worker 0 is SIGKILLed by the route frame
+    the call's own buffer flush sends — so the barrier's ``flush`` is
+    already queued at every survivor when the breaker trips.  A
+    survivor waiting in its drain for the dead shard's watermark must
+    still apply the ``detach`` that arrives behind that ``flush``: the
+    call returns within seconds (not after ``barrier_timeout``), and so
+    does the next window.  A ``reset`` that loses a shard during its
+    barrier becomes a full restart."""
+    seed = 2
+    faults = FaultInjector()
+    cluster = ClusterMonitor(_chaos_config(workers, seed,
+                                           max_worker_restarts=0),
+                             faults=faults)
+    cluster.barrier_timeout = 10.0
+    try:
+        history = workload_history("ycsb", seed)
+        feed_with_lifecycle([cluster], history)
+        cluster.begin_buu(10 ** 6)   # leaves every buffer non-empty
+        faults.inject(Fault("cluster.route", kind="kill_worker", times=1))
+        began = time.monotonic()
+        if verb == "close_window":
+            report = cluster.close_window()
+            assert report.health == "degraded"
+            assert report.degraded_shards == (0,)
+        else:
+            cluster.reset(_chaos_config(workers, seed,
+                                        max_worker_restarts=0))
+            assert cluster.degraded_shards == ()
+        assert time.monotonic() - began < cluster.barrier_timeout / 2
+        assert faults.fired_by_point.get("cluster.route", 0) == 1
+        if verb == "close_window":
+            feed_with_lifecycle([cluster], history)
+            assert cluster.close_window().degraded_shards == (0,)
+        else:
+            _assert_chaos_bit_exact(cluster, seed)
+    finally:
+        cluster.stop()
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS,
+                         ids=["workers2", "workers4"])
+def test_sigkill_respawn_after_an_in_place_reset_is_bit_exact(workers):
+    """A reset leaves the cluster running with a new restore point: no
+    snapshot, the reset ticket as ``base_mark`` and the reset's session
+    sequence as the journal baseline.  A worker killed by the first
+    route frame after the reset is restored there and replays only the
+    post-reset stream — which must be bit-exact against the serial
+    monitor and the exact checker."""
+    faults = FaultInjector()
+    cluster = ClusterMonitor(_chaos_config(workers, seed=3), faults=faults)
+    try:
+        feed_with_lifecycle([cluster], workload_history("ycsb", 3))
+        cluster.close_window()
+        cluster.reset(_chaos_config(workers, seed=6))
+        faults.inject(Fault("cluster.route", kind="kill_worker", times=1))
+        _assert_chaos_bit_exact(cluster, seed=6)
+        assert faults.fired_by_point.get("cluster.route", 0) == 1
+        assert cluster.worker_restarts_total == 1
+    finally:
+        cluster.stop()
 
 
 def test_corrupt_snapshots_are_rejected_and_fallback_stays_exact():
