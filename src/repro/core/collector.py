@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from repro.core.types import (
     BuuId,
     Edge,
+    EdgeColumns,
     EdgeStats,
     EdgeType,
     Key,
@@ -79,15 +80,16 @@ class Collector:
             edges.extend(self.handle(op))
         return edges
 
-    def handle_batch(self, ops: Iterable[Operation]) -> list[Edge]:
-        """Batched :meth:`handle`: feed a sequence of operations, return
-        their edges as one list.
+    def handle_batch(self, ops: Iterable[Operation]) -> list[Edge] | EdgeColumns:
+        """Batched :meth:`handle`: feed an iterable of operations, return
+        their edges in order.
 
         This loop over the per-op reference is what the baseline and
-        edge-sampling collectors run; :class:`DataCentricCollector`
-        overrides it with a fused loop that is bit-identical to per-op
-        handling — same edges, counters, and RNG draw order — as
-        enforced by the batch-equivalence test suite.
+        edge-sampling collectors run, returning a ``list[Edge]``;
+        :class:`DataCentricCollector` overrides it with a fused loop
+        that returns an :class:`~repro.core.types.EdgeColumns` and is
+        bit-identical to per-op handling — same edges, counters, and RNG
+        draw order — as enforced by the batch-equivalence test suite.
         """
         return self.handle_all(ops)
 
@@ -511,19 +513,22 @@ class CollectorShard:
         self.touches += 1
         return self._handle_mob(op) if self.mob else self._handle_full(op)
 
-    def handle_batch(self, ops, out: list[Edge]) -> None:
+    def handle_batch(self, ops: Sequence[Operation]) -> EdgeColumns:
         """Fused :meth:`handle` over a sequence of already-chosen
-        operations, appending emitted edges to ``out``.
+        operations: their edges, in order, as one
+        :class:`~repro.core.types.EdgeColumns`.
 
         Bit-identical to per-op handling: same RNG draw order (one
         reservoir/discard coin per op, in op order) and the ww discard
         coin reads the *live* discard ratio, not a batch-start snapshot.
         """
         self.touches += len(ops)
+        out = EdgeColumns()
         if self.mob:
             self._handle_mob_batch(ops, out)
         else:
             self._handle_full_batch(ops, out)
+        return out
 
     def clear_items(self) -> None:
         """Drop all per-item state (sample switches, §5.1)."""
@@ -633,16 +638,17 @@ class CollectorShard:
             state.last_write = op.buu
         return out
 
-    def _handle_mob_batch(self, ops, out: list[Edge]) -> None:
+    def _handle_mob_batch(self, ops, out: EdgeColumns) -> None:
         items = self._mob_items
         rng_random = self._rng.random
         rng_randrange = self._rng.randrange
         slots = self.mob_slots
         stats = self.stats
-        append = out.append
+        add_src, add_dst = out.src.append, out.dst.append
+        add_kind, add_label, add_seq = (out.kind.append, out.label.append,
+                                        out.seq.append)
         READ = OpType.READ
         WR, WW, RW = EdgeType.WR, EdgeType.WW, EdgeType.RW
-        new = tuple.__new__
         # The running read totals feed the live discard ratio, so they are
         # carried in locals and written back once at the end of the batch —
         # the values observed at each write are identical to per-op handling.
@@ -666,7 +672,11 @@ class CollectorShard:
                     reads[rng_randrange(slots)] = buu
                 if lw is not None and lw != buu:
                     stats.wr += 1
-                    append(new(Edge, (lw, buu, WR, key, seq)))
+                    add_src(lw)
+                    add_dst(buu)
+                    add_kind(WR)
+                    add_label(key)
+                    add_seq(seq)
             else:
                 count = state.count
                 if count == 0:
@@ -674,14 +684,22 @@ class CollectorShard:
                     if rng_random() >= ratio:
                         if lw is not None and lw != buu:
                             stats.ww += 1
-                            append(new(Edge, (lw, buu, WW, key, seq)))
+                            add_src(lw)
+                            add_dst(buu)
+                            add_kind(WW)
+                            add_label(key)
+                            add_seq(seq)
                 else:
                     reads = state.reads
                     discarded_reads += count - len(reads)
                     for reader in dict.fromkeys(reads):
                         if reader != buu:
                             stats.rw += 1
-                            append(new(Edge, (reader, buu, RW, key, seq)))
+                            add_src(reader)
+                            add_dst(buu)
+                            add_kind(RW)
+                            add_label(key)
+                            add_seq(seq)
                     state.reads = []
                     state.count = 0
                 state.last_write = buu
@@ -710,13 +728,14 @@ class CollectorShard:
             state.last_write = op.buu
         return out
 
-    def _handle_full_batch(self, ops, out: list[Edge]) -> None:
+    def _handle_full_batch(self, ops, out: EdgeColumns) -> None:
         items = self._full_items
         stats = self.stats
-        append = out.append
+        add_src, add_dst = out.src.append, out.dst.append
+        add_kind, add_label, add_seq = (out.kind.append, out.label.append,
+                                        out.seq.append)
         READ = OpType.READ
         WR, WW, RW = EdgeType.WR, EdgeType.WW, EdgeType.RW
-        new = tuple.__new__
         total_reads = self.total_reads
         for op in ops:
             _kind, buu, key, seq = op
@@ -729,19 +748,31 @@ class CollectorShard:
                 total_reads += 1
                 if lw is not None and lw != buu:
                     stats.wr += 1
-                    append(new(Edge, (lw, buu, WR, key, seq)))
+                    add_src(lw)
+                    add_dst(buu)
+                    add_kind(WR)
+                    add_label(key)
+                    add_seq(seq)
                 state.read_ids.add(buu)
             else:
                 read_ids = state.read_ids
                 if not read_ids:
                     if lw is not None and lw != buu:
                         stats.ww += 1
-                        append(new(Edge, (lw, buu, WW, key, seq)))
+                        add_src(lw)
+                        add_dst(buu)
+                        add_kind(WW)
+                        add_label(key)
+                        add_seq(seq)
                 else:
                     for reader in read_ids:
                         if reader != buu:
                             stats.rw += 1
-                            append(new(Edge, (reader, buu, RW, key, seq)))
+                            add_src(reader)
+                            add_dst(buu)
+                            add_kind(RW)
+                            add_label(key)
+                            add_seq(seq)
                     read_ids.clear()
                 state.last_write = buu
         self.total_reads = total_reads
@@ -854,15 +885,16 @@ class DataCentricCollector(Collector):
             self._switch_sample()
         return edges
 
-    def handle_batch(self, ops: Iterable[Operation]) -> list[Edge]:
-        """Batched ingest (the DCS fast path).
+    def handle_batch(self, ops: Iterable[Operation]) -> EdgeColumns | list[Edge]:
+        """Batched ingest (the DCS fast path): an iterable of operations
+        in, their edges out as one :class:`~repro.core.types.EdgeColumns`.
 
         Admission (:meth:`SampledLifecycle.admit`) is one C-level probe
-        of the sampler's decision memo per operation, the chosen
-        subsequence feeds the shard's fused loop in one call, and edges
-        land in a single output buffer.  Bit-identical to per-op
-        :meth:`handle`; when periodic re-sampling is configured the
-        batch falls back to the per-op path so sample switches trigger
+        of the sampler's decision memo per operation, and the chosen
+        subsequence feeds the shard's fused loop in one call.
+        Bit-identical to per-op :meth:`handle`; when periodic
+        re-sampling is configured the batch falls back to the per-op
+        path, and returns its ``list[Edge]``, so sample switches trigger
         at exactly the same operation indexes.
 
         A columnar :class:`~repro.core.columnar.OpBatch` takes the
@@ -882,12 +914,9 @@ class DataCentricCollector(Collector):
         if self._resample_interval:
             return self.handle_all(ops)
         self.ops_seen += len(ops)
-        out: list[Edge] = []
         if self.sampler.sampling_rate != 1:
             ops = self.lifecycle.admit(ops, self._begin_buu)  # type: ignore
-        if ops:
-            self.shard.handle_batch(ops, out)
-        return out
+        return self.shard.handle_batch(ops)
 
     def _handle_columnar(self, batch: OpBatch) -> EdgeBatch:
         """The vectorized DCS path: one boolean sample mask per batch,

@@ -833,7 +833,7 @@ class ShardedCollector:
                         picked = [op for op in group if chosen(op.key)]
                     sampled += len(picked)
                     if picked:
-                        state.handle_batch(picked, out)
+                        out.extend(state.handle_batch(picked))
                 elided = 0
             finally:
                 shard.lock.release()

@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, KeysView
 
 from repro.core.patterns import PatternCounts, classify_two_cycle
-from repro.core.types import (Adjacency, BuuId, CycleCounts, Edge, EdgeType,
-                              Key, LabelDict)
+from repro.core.types import (Adjacency, BuuId, CycleCounts, Edge,
+                              EdgeColumns, EdgeType, Key, LabelDict)
 
 
 class LifecycleOrderError(ValueError):
@@ -234,9 +234,12 @@ class CycleDetector:
             self.prune(now=edge.seq)
         return True
 
-    def add_edge_batch(self, edges) -> CycleCounts:
-        """Ingest a sequence of edges, returning the new cycles they
-        closed as one aggregate — the detector's one counting loop.
+    def add_edge_batch(self, edges: Iterable[Edge] | EdgeColumns) -> CycleCounts:
+        """Ingest a batch of edges — an :class:`~repro.core.types.EdgeColumns`
+        (walked through one ``zip``, allocating nothing per edge) or any
+        iterable of :class:`~repro.core.types.Edge` — and return the new
+        cycles they closed as one aggregate: the detector's one counting
+        loop.
 
         Each cycle is counted when its last edge arrives: a new edge
         ``u -> v`` closes a 2-cycle with every label of ``v -> u`` and a
@@ -273,7 +276,9 @@ class CycleDetector:
         last_seq = 0
         late = None
         ss = dd = sss_t = ssd_t = ddd_t = 0
-        for src, dst, kind, label, seq in edges:
+        rows: Iterable[tuple[BuuId, BuuId, EdgeType, Key, int]] = (
+            edges.rows() if isinstance(edges, EdgeColumns) else edges)
+        for src, dst, kind, label, seq in rows:
             if src == dst:
                 continue
             if dst in commits:

@@ -19,9 +19,8 @@ branch on monitor flavour.
 
 from __future__ import annotations
 
-from collections import Counter
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.collector import BaselineCollector, DataCentricCollector
 from repro.core.config import RushMonConfig
@@ -32,6 +31,8 @@ from repro.core.types import (
     AnomalyReport,
     BuuId,
     CycleCounts,
+    Edge,
+    EdgeColumns,
     EdgeStats,
     EdgeType,
     Key,
@@ -74,17 +75,23 @@ class WindowTracker:
         self.edges.record(edge.kind)
         self.raw.add(self.detector.add_edge(edge))
 
-    def observe_edges(self, edges) -> None:
-        """Batched :meth:`observe_edge` (same counts, one detector call).
-        A :class:`~repro.core.detector.LifecycleOrderError` passes
-        through with the batch consumed and its cycles attributed."""
+    def observe_edges(self, edges: EdgeColumns | Sequence[Edge]) -> None:
+        """Batched :meth:`observe_edge` (same counts, one detector call)
+        over an :class:`~repro.core.types.EdgeColumns` (the serial
+        path's collector batch) or a sequence of
+        :class:`~repro.core.types.Edge` (the service's journal path).
+        The kinds are tallied with ``list.count``, an identity scan that
+        never calls the Python-level ``Enum.__hash__``.  A
+        :class:`~repro.core.detector.LifecycleOrderError` passes through
+        with the batch consumed and its cycles attributed."""
         if not edges:
             return
-        kinds = Counter(map(_EDGE_KIND, edges))
+        kinds = (edges.kind if isinstance(edges, EdgeColumns)
+                 else list(map(_EDGE_KIND, edges)))
         stats = self.edges
-        stats.wr += kinds[EdgeType.WR]
-        stats.ww += kinds[EdgeType.WW]
-        stats.rw += kinds[EdgeType.RW]
+        stats.wr += kinds.count(EdgeType.WR)
+        stats.ww += kinds.count(EdgeType.WW)
+        stats.rw += kinds.count(EdgeType.RW)
         try:
             self.raw.add(self.detector.add_edge_batch(edges))
         except LifecycleOrderError as late:

@@ -2,11 +2,6 @@
 
 from repro.ml.async_sgd import AsyncTrainer, RoundRecord, TrainingResult
 from repro.ml.recovery import RecoveringTrainer, RecoveryEvent, RecoveryResult
-from repro.ml.coordinate import (
-    AsyncCoordinateDescent,
-    RidgeProblem,
-    random_ridge_problem,
-)
 from repro.ml.logistic import (
     dataset_loss,
     initial_loss,
@@ -31,9 +26,6 @@ __all__ = [
     "RecoveringTrainer",
     "RecoveryEvent",
     "RecoveryResult",
-    "AsyncCoordinateDescent",
-    "RidgeProblem",
-    "random_ridge_problem",
     "dataset_loss",
     "initial_loss",
     "optimum_loss",

@@ -1,4 +1,4 @@
-"""Shared-storage substrate: instrumented KV store and history builders."""
+"""Shared-storage substrate: history builders and the write-ahead log."""
 
 from repro.storage.history import (
     BuuProgram,
@@ -9,7 +9,6 @@ from repro.storage.history import (
     random_rw_permutation,
     serial_history,
 )
-from repro.storage.kvstore import KVStore, OperationListener
 from repro.storage.wal import LogParser, LogRecord, WriteAheadLog
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "program",
     "random_rw_permutation",
     "serial_history",
-    "KVStore",
-    "OperationListener",
     "LogParser",
     "LogRecord",
     "WriteAheadLog",

@@ -32,12 +32,14 @@ from repro.core.collector import (
 )
 from repro.core.concurrent import RushMonService, ShardedCollector
 from repro.core.config import RushMonConfig
-from repro.core.detector import CycleDetector, LiveGraph
-from repro.core.monitor import RushMon
+from repro.core.detector import CycleDetector, LifecycleOrderError, LiveGraph
+from repro.core.monitor import RushMon, WindowTracker
 from repro.core.pruning import make_pruner
 from repro.core.types import (
     BuuInterner,
+    CycleCounts,
     Edge,
+    EdgeColumns,
     EdgeType,
     KeyInterner,
     Operation,
@@ -132,6 +134,152 @@ def test_collector_batch_accepts_generators():
     edges_a = [e for op in history for e in per_op.handle(op)]
     edges_b = list(batched.handle_batch(op for op in history))
     assert edges_a == edges_b
+
+
+# -- the columnar edge hand-off ------------------------------------------------
+
+
+@pytest.mark.parametrize("mob", (False, True), ids=("full", "mob"))
+@pytest.mark.parametrize("sr", (1, 4, 20))
+@pytest.mark.parametrize("chunk", (1, 7, 256))
+def test_handle_batch_columns_equal_per_op_edges(mob, sr, chunk):
+    """The fused loops' five columns hold, row by row, the edges per-op
+    ``handle`` returns, in order; counters and the MOB reservoir RNG end
+    in the same state."""
+    emitted = 0
+    for seed in range(12):
+        history = random_history(seed, num_keys=40 * sr)
+        per_op = DataCentricCollector(sampling_rate=sr, mob=mob, seed=seed)
+        batched = DataCentricCollector(sampling_rate=sr, mob=mob, seed=seed)
+        expected = [e for op in history for e in per_op.handle(op)]
+        rows = []
+        for part in _chunks(history, chunk):
+            columns = batched.handle_batch(part)
+            assert isinstance(columns, EdgeColumns)
+            rows.extend(columns.rows())
+        assert rows == [tuple(edge) for edge in expected]
+        assert per_op.stats == batched.stats
+        assert per_op.touches == batched.touches
+        assert per_op.ops_seen == batched.ops_seen
+        assert (per_op.total_reads, per_op.discarded_reads) == \
+            (batched.total_reads, batched.discarded_reads)
+        assert _rng_states(per_op) == _rng_states(batched)
+        emitted += len(expected)
+    assert emitted
+
+
+def test_edge_columns_read_as_an_edge_list():
+    history = random_history(5)
+    edges = BaselineCollector().handle_batch(history)
+    columns = DataCentricCollector(sampling_rate=1, mob=False).handle_batch(
+        history)
+    assert len(columns) == len(edges) > 0
+    assert columns == edges and edges == columns
+    assert all(edge.__class__ is Edge for edge in columns)
+    assert list(columns) == edges
+    assert columns != edges[:-1]
+    assert not DataCentricCollector().handle_batch([])
+
+
+def _drive_detector(history, chunk, materialize):
+    """Feed ``history`` through a full-``readIDs`` collector into a
+    pruning detector, ``chunk`` operations per batch, handing it each
+    batch's columns as they come or as a list of ``Edge``."""
+    collector = DataCentricCollector(sampling_rate=1, mob=False)
+    det = CycleDetector(pruner=make_pruner("both"), prune_interval=20)
+    last_index = {op.buu: i for i, op in enumerate(history)}
+    begun = set()
+    buf = []
+
+    def flush():
+        for part in _chunks(buf, chunk):
+            edges = collector.handle_batch(part)
+            det.add_edge_batch(list(edges) if materialize else edges)
+        buf.clear()
+
+    for i, op in enumerate(history):
+        if op.buu not in begun:
+            flush()
+            begun.add(op.buu)
+            det.begin_buu(op.buu, op.seq)
+        buf.append(op)
+        if last_index[op.buu] == i:
+            flush()
+            det.commit_buu(op.buu, op.seq)
+    flush()
+    return det
+
+
+@pytest.mark.parametrize("chunk", (1, 7, 256))
+def test_add_edge_batch_columns_equal_edge_list(chunk):
+    refused = 0
+    for seed in range(12):
+        history = random_history(seed)
+        det_a, det_b = (_drive_detector(history, chunk, materialize)
+                        for materialize in (False, True))
+        assert det_a.counts == det_b.counts
+        assert det_a.patterns.counts == det_b.patterns.counts
+        assert det_a.edges_refused == det_b.edges_refused
+        assert list(det_a.graph.edges()) == list(det_b.graph.edges())
+        assert det_a.graph.edge_count == det_b.graph.edge_count
+        refused += det_a.edges_refused
+    assert refused  # the refusal branch ran
+
+
+def test_add_edge_batch_columns_raise_the_same_lifecycle_order_error():
+    """BUU 3 reads after its commit: its edge is left out and the batch's
+    other cycle (a dd 2-cycle between 1 and 2) is still counted."""
+    r, w = OpType.READ, OpType.WRITE
+    batch = [Operation(r, 1, "x", 1), Operation(r, 2, "y", 2),
+             Operation(w, 2, "x", 3), Operation(w, 1, "y", 4),
+             Operation(r, 3, "x", 5)]
+    raised = []
+    for materialize in (False, True):
+        det = CycleDetector()
+        for buu in (1, 2, 3):
+            det.begin_buu(buu, 0)
+        det.commit_buu(3, 0)
+        edges = DataCentricCollector(sampling_rate=1, mob=False).handle_batch(
+            batch)
+        with pytest.raises(LifecycleOrderError) as late:
+            det.add_edge_batch(list(edges) if materialize else edges)
+        raised.append((late.value.buu, late.value.counts, det.counts,
+                       list(det.graph.edges())))
+    assert raised[0] == raised[1]
+    assert raised[0][0] == 3 and raised[0][1] == CycleCounts(dd=1)
+
+
+def test_observe_edges_tallies_columns_like_an_edge_list():
+    """The serial path hands the window columns, the service's journal
+    path a list of ``Edge``: the same wr/ww/rw tallies and raw counts."""
+    for seed in range(6):
+        history = random_history(seed)
+        columns = DataCentricCollector(sampling_rate=1, mob=False).handle_batch(
+            history)
+        windows = [WindowTracker(CycleDetector()) for _ in range(2)]
+        windows[0].observe_edges(columns)
+        windows[1].observe_edges(list(columns))
+        assert windows[0].edges == windows[1].edges
+        assert windows[0].edges.total == len(columns)
+        assert windows[0].raw == windows[1].raw
+
+
+def test_rushmon_hands_the_detector_columns():
+    mon = RushMon(RushMonConfig(sampling_rate=1, mob=False))
+    seen = []
+    add_edge_batch = mon.detector.add_edge_batch
+
+    def spy(edges):
+        seen.append(type(edges))
+        return add_edge_batch(edges)
+
+    mon.detector.add_edge_batch = spy
+    history = random_history(2)
+    for buu in {op.buu for op in history}:
+        mon.begin_buu(buu, 0)
+    mon.on_operations(history)
+    assert seen == [EdgeColumns]
+    assert mon.close_window().edges.total == mon.collector.stats.total > 0
 
 
 # -- detector: add_edge_batch == add_edge ------------------------------------

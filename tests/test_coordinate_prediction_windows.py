@@ -1,74 +1,9 @@
-"""Tests for coordinate descent and the convergence predictor."""
+"""Tests for the convergence predictor."""
 
 import numpy as np
 import pytest
 
 from repro.core.prediction import ConvergencePredictor, rank_correlation
-from repro.ml.coordinate import (
-    AsyncCoordinateDescent,
-    RidgeProblem,
-    random_ridge_problem,
-)
-from repro.sim import SimConfig
-
-
-class TestRidgeProblem:
-    def test_exact_solution_minimises(self):
-        problem = random_ridge_problem(seed=1)
-        optimal = problem.optimal_loss()
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            perturbed = problem.solution + 0.1 * rng.normal(
-                size=problem.dimension
-            )
-            assert problem.loss(perturbed) >= optimal
-
-    def test_zero_weights_loss_positive(self):
-        problem = random_ridge_problem(seed=2)
-        assert problem.loss(np.zeros(problem.dimension)) > problem.optimal_loss()
-
-
-class TestAsyncCoordinateDescent:
-    def test_serial_converges(self):
-        problem = random_ridge_problem(seed=3)
-        cd = AsyncCoordinateDescent(problem, SimConfig(num_workers=1, seed=0))
-        trajectory = cd.run(rounds=40, tolerance=1e-4)
-        assert trajectory[-1][1] <= problem.optimal_loss() + 1e-4
-
-    def test_serial_loss_monotone(self):
-        """Exact coordinate minimisation never increases the loss when
-        executed in isolation."""
-        problem = random_ridge_problem(seed=4)
-        cd = AsyncCoordinateDescent(problem, SimConfig(num_workers=1, seed=0))
-        trajectory = cd.run(rounds=15, tolerance=0.0)
-        losses = [loss for _, loss in trajectory]
-        for earlier, later in zip(losses, losses[1:]):
-            assert later <= earlier + 1e-9
-
-    def test_concurrent_chaos_slows_or_breaks_monotonicity(self):
-        problem = random_ridge_problem(seed=5)
-        serial = AsyncCoordinateDescent(problem,
-                                        SimConfig(num_workers=1, seed=0))
-        serial_traj = serial.run(rounds=25, tolerance=1e-5)
-
-        chaotic = AsyncCoordinateDescent(
-            problem,
-            SimConfig(num_workers=8, seed=1, write_latency=300,
-                      compute_jitter=10),
-        )
-        chaotic_traj = chaotic.run(rounds=25, tolerance=1e-5)
-        # chaos needs at least as many updates, usually more
-        assert len(chaotic_traj) >= len(serial_traj)
-
-    def test_monitor_attached(self):
-        problem = random_ridge_problem(seed=6)
-        cd = AsyncCoordinateDescent(
-            problem,
-            SimConfig(num_workers=8, seed=2, write_latency=100),
-        )
-        cd.run(rounds=5, tolerance=0.0)
-        e2, e3 = cd.monitor.cumulative_estimates()
-        assert e2 + e3 >= 0  # dense reads, every BUU conflicts: usually > 0
 
 
 class TestConvergencePredictor:
