@@ -199,16 +199,34 @@ def _splitmix64(x: int) -> int:
 class _DecisionMemo(dict):
     """``key -> chosen?`` memo that computes a missing decision on first
     lookup, so a hit through ``memo[key]`` / ``memo.__getitem__`` is one
-    C-level dict probe with no Python frame."""
+    C-level dict probe with no Python frame.
 
-    __slots__ = ("_decide",)
+    It carries the decision's inputs rather than calling back into its
+    :class:`ItemSampler`: the sampler owns the memo, so a reference back
+    would make a cycle, and every dropped sampler — holding a decision
+    per key it ever saw — would wait for a full cyclic collection."""
 
-    def __init__(self, decide: Callable[[Key], bool]) -> None:
-        self._decide = decide
+    __slots__ = ("sampling_rate", "salt", "chosen")
+
+    def __init__(self, sampling_rate: int, salt: int,
+                 chosen: set[Key] | None) -> None:
+        self.sampling_rate = sampling_rate
+        self.salt = salt
+        self.chosen = chosen
 
     def __missing__(self, key: Key) -> bool:
         decision = self[key] = self._decide(key)
         return decision
+
+    def _decide(self, key: Key) -> bool:
+        """The decision itself; every caller reaches it through the memo."""
+        if self.sampling_rate == 1:
+            return True
+        if self.chosen is not None:
+            return key in self.chosen
+        digest = zlib.crc32(repr(key).encode())
+        mixed = _splitmix64(digest ^ (self.salt * 0x9E3779B97F4A7C15))
+        return mixed % self.sampling_rate == 0
 
 
 class ItemSampler:
@@ -238,8 +256,9 @@ class ItemSampler:
         self._universe: list[Key] | None = None
         # Memo of decisions.  They are pure in (key, salt, sampling_rate,
         # materialized set), so caching never changes one; the memo is
-        # emptied whenever any of those inputs changes.
-        self._memo = _DecisionMemo(self._decide)
+        # emptied, and handed the new inputs, whenever any of them
+        # changes (_forget).
+        self._memo = _DecisionMemo(sampling_rate, seed, None)
         self.lookup: Callable[[Key], bool] = self._memo.__getitem__
 
     @property
@@ -248,8 +267,8 @@ class ItemSampler:
 
     def materialize(self, universe: Iterable[Key]) -> None:
         self._universe = list(universe)
-        self._memo.clear()
         self._resample_materialized()
+        self._forget()
 
     def _resample_materialized(self) -> None:
         assert self._universe is not None
@@ -264,24 +283,22 @@ class ItemSampler:
 
     def reseed(self, new_salt: int) -> None:
         self._salt = new_salt
-        self._memo.clear()
         if self._universe is not None:
             self._resample_materialized()
+        self._forget()
 
     def chosen(self, key: Key) -> bool:
         if self.sampling_rate == 1:
             return True
         return self._memo[key]
 
-    def _decide(self, key: Key) -> bool:
-        """The decision itself; every caller reaches it through the memo."""
-        if self.sampling_rate == 1:
-            return True
-        if self._chosen is not None:
-            return key in self._chosen
-        digest = zlib.crc32(repr(key).encode())
-        mixed = _splitmix64(digest ^ (self._salt * 0x9E3779B97F4A7C15))
-        return mixed % self.sampling_rate == 0
+    def _forget(self) -> None:
+        """Empty the memo and hand it the decision's current inputs."""
+        memo = self._memo
+        memo.clear()
+        memo.sampling_rate = self.sampling_rate
+        memo.salt = self._salt
+        memo.chosen = self._chosen
 
     # -- checkpoint support ----------------------------------------------------
 
@@ -302,7 +319,7 @@ class ItemSampler:
         self._universe = state["universe"]
         chosen = state["chosen"]
         self._chosen = None if chosen is None else set(chosen)
-        self._memo.clear()
+        self._forget()
 
 
 class SampledLifecycle:

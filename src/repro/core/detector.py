@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, KeysView
 
 from repro.core.patterns import PatternCounts, classify_two_cycle
 from repro.core.types import (Adjacency, BuuId, CycleCounts, Edge,
-                              EdgeColumns, EdgeType, Key, LabelDict)
+                              EdgeColumns, EdgeType, Key, LabelDict,
+                              LabelEntry)
 
 
 class LifecycleOrderError(ValueError):
@@ -36,17 +37,41 @@ class LifecycleOrderError(ValueError):
         self.counts = counts
 
 
+_WR = EdgeType.WR
+_RW = EdgeType.RW
+
+
+def _as_dict(labels: LabelEntry | LabelDict) -> LabelDict:
+    """A pair's labels as a dict (a fresh one for a shared entry)."""
+    return {labels[0]: labels[1]} if isinstance(labels, tuple) else labels
+
+
 class LiveGraph:
     """Adjacency + vertex lifetimes for the streaming detector.
 
-    ``out[u][v]`` and ``inc[v][u]`` are *the same* dict, mapping each
-    item label of a parallel edge ``u -> v`` to that edge's type
+    ``out[u][v]`` and ``inc[v][u]`` are *the same* object holding the
+    item labels of the parallel edges ``u -> v`` with each edge's type
     (wr/ww/rw, used for anomaly-pattern classification), so a
     neighbourhood walk arrives holding the labels and nothing is keyed
-    by a ``(src, dst)`` tuple.  A vertex is present iff it is a key of
-    ``out``; ``out`` and ``inc`` gain and lose a key together, no label
-    dict is ever empty and no self-loop is ever stored.  A vertex whose
-    every neighbour was pruned stays present with empty rows.
+    by a ``(src, dst)`` tuple.  A pair with one label — almost every
+    pair — holds an interned ``(label, kind)`` tuple
+    (:data:`~repro.core.types.LabelEntry`) shared by every pair with
+    that label and kind, so a new pair allocates nothing for its labels;
+    a pair that gains a second label is promoted to its own
+    ``{label: kind}`` dict (:data:`~repro.core.types.LabelDict`).
+    :meth:`edges` and :meth:`edge_labels` read either as a dict, so the
+    checkpoint and every reader see the one shape.  A vertex is present iff
+    it is a key of ``out``; ``out`` and ``inc`` gain and lose a key
+    together, no label dict is ever empty and no self-loop is ever
+    stored.  A vertex whose every neighbour was pruned stays present
+    with empty rows.
+
+    The intern table is one ``label -> entry`` dict per edge type,
+    picked by identity (``kind is EdgeType.WR``, ...; kinds are
+    ``EdgeType`` members): hashing an ``EdgeType`` runs the
+    Python-level ``Enum.__hash__``.  It holds at most three entries per
+    distinct label ever admitted, is never trimmed and is not
+    checkpointed — a restore re-interns through :meth:`add_edge`.
 
     ``starts`` is the one lifecycle structure: the start time of every
     *alive* (started-but-uncommitted) BUU.  ``commits`` holds the commit
@@ -61,6 +86,17 @@ class LiveGraph:
         self.starts: dict[BuuId, int] = {}
         self.commits: dict[BuuId, int] = {}
         self.edge_count = 0
+        # The intern tables, one per edge type: wr, rw, ww.
+        self._entries: tuple[dict[Key, LabelEntry], ...] = ({}, {}, {})
+
+    def _entry(self, label: Key, kind: EdgeType) -> LabelEntry:
+        """The shared ``(label, kind)`` entry of a one-label pair."""
+        wr, rw, ww = self._entries
+        table = wr if kind is _WR else rw if kind is _RW else ww
+        entry = table.get(label)
+        if entry is None:
+            entry = table[label] = (label, kind)
+        return entry
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -110,22 +146,30 @@ class LiveGraph:
         labels = row.get(dst)
         if labels is None:
             self.add_vertex(dst)
-            labels = row[dst] = self.inc[dst][src] = {}
+            row[dst] = self.inc[dst][src] = self._entry(label, kind)
+        elif isinstance(labels, tuple):
+            if labels[0] == label:
+                return False
+            row[dst] = self.inc[dst][src] = {labels[0]: labels[1],
+                                             label: kind}
         elif label in labels:
             return False
-        labels[label] = kind
+        else:
+            labels[label] = kind
         self.edge_count += 1
         return True
 
     def edges(self) -> Iterator[tuple[BuuId, BuuId, LabelDict]]:
-        """Every connected ordered pair as ``(src, dst, labels)``."""
+        """Every connected ordered pair as ``(src, dst, labels)``, the
+        labels as a :data:`~repro.core.types.LabelDict` (a fresh one for
+        a one-label pair: this is a read path, not the hot one)."""
         for src, row in self.out.items():
             for dst, labels in row.items():
-                yield src, dst, labels
+                yield src, dst, _as_dict(labels)
 
     def edge_labels(self, src: BuuId, dst: BuuId) -> KeysView[Key]:
         """The labels of parallel edges src -> dst (a set-like view)."""
-        return self.out.get(src, {}).get(dst, {}).keys()
+        return _as_dict(self.out.get(src, {}).get(dst, {})).keys()
 
     def remove_vertices(self, doomed: Iterable[BuuId]) -> None:
         """Unlink every vertex of ``doomed`` (absent ones are skipped)
@@ -141,10 +185,10 @@ class LiveGraph:
             # its mirror entry here, so every entry left names a vertex
             # that is still present.
             for w, labels in succs.items():
-                removed += len(labels)
+                removed += 1 if isinstance(labels, tuple) else len(labels)
                 del inc[w][v]
             for u, labels in inc.pop(v).items():
-                removed += len(labels)
+                removed += 1 if isinstance(labels, tuple) else len(labels)
                 del out[u][v]
         self.edge_count -= removed
 
@@ -244,10 +288,15 @@ class CycleDetector:
         Each cycle is counted when its last edge arrives: a new edge
         ``u -> v`` closes a 2-cycle with every label of ``v -> u`` and a
         3-cycle with every label pair of ``v -> w``, ``w -> u``.  Both
-        label dicts of a triangle candidate ``w`` arrive with the
+        legs' labels of a triangle candidate ``w`` arrive with the
         neighbour (see :class:`LiveGraph`), found by walking the smaller
         of ``out[v]`` / ``inc[u]`` and probing the other; ``w`` is never
-        ``u`` or ``v`` because no self-loop is stored.
+        ``u`` or ``v`` because no self-loop is stored.  A new pair takes
+        its ``(label, kind)`` entry from the intern table and a second
+        label promotes it to a dict, so the loop allocates nothing for a
+        one-label pair; the label arithmetic has a case for entry x
+        entry (almost every triangle), entry x dict and dict x dict,
+        none of which builds a container.
 
         An edge whose source is committed and has no row is *refused*
         (tallied in :attr:`edges_refused`, nothing else moves): every
@@ -268,6 +317,7 @@ class CycleDetector:
         out = graph.out
         inc = graph.inc
         commits = graph.commits
+        wr_entries, rw_entries, ww_entries = graph._entries
         count_three = self.count_three
         classify2 = classify_two_cycle
         pending: list = []
@@ -298,7 +348,19 @@ class CycleDetector:
                 if out_v is None:
                     out_v = out[dst] = {}
                     inc[dst] = {}
-                row[dst] = inc[dst][src] = {label: kind}
+                # LiveGraph._entry, inlined.
+                table = (wr_entries if kind is _WR
+                         else rw_entries if kind is _RW else ww_entries)
+                entry = table.get(label)
+                if entry is None:
+                    entry = table[label] = (label, kind)
+                row[dst] = inc[dst][src] = entry
+            elif isinstance(labels, tuple):
+                if labels[0] == label:
+                    continue
+                row[dst] = inc[dst][src] = {labels[0]: labels[1],
+                                            label: kind}
+                out_v = out[dst]
             elif label in labels:
                 continue
             else:
@@ -311,7 +373,8 @@ class CycleDetector:
             # 2-cycles: the new edge pairs with every existing dst->src label.
             back = out_v.get(src)
             if back is not None:
-                for back_label, back_kind in back.items():
+                for back_label, back_kind in (
+                        (back,) if isinstance(back, tuple) else back.items()):
                     if back_label == label:
                         ss += 1
                     else:
@@ -331,27 +394,39 @@ class CycleDetector:
                 b = large.get(w)
                 if b is None:
                     continue
-                na = len(a)
-                nb = len(b)
-                if na == 1 and nb == 1:
-                    if label in a:
-                        if label in b:
-                            sss_t += 1
-                        else:
+                if isinstance(b, tuple):
+                    if isinstance(a, tuple):
+                        x = a[0]
+                        y = b[0]
+                        if x == label:
+                            if y == label:
+                                sss_t += 1
+                            else:
+                                ssd_t += 1
+                        elif y == label or x == y:
                             ssd_t += 1
-                    elif label in b or a.keys() == b.keys():
-                        ssd_t += 1
-                    else:
-                        ddd_t += 1
-                    continue
-                l_in_a = 1 if label in a else 0
+                        else:
+                            ddd_t += 1
+                        continue
+                    a, b = b, a
+                # b is a dict, a an entry or a dict.
+                nb = len(b)
                 l_in_b = 1 if label in b else 0
+                if isinstance(a, tuple):
+                    x = a[0]
+                    na = 1
+                    l_in_a = 1 if x == label else 0
+                    common = 1 if x in b else 0
+                else:
+                    na = len(a)
+                    l_in_a = 1 if label in a else 0
+                    common = 0
+                    for x in a:
+                        if x in b:
+                            common += 1
                 sss = l_in_a * l_in_b
-                ssd = (
-                    l_in_a * (nb - l_in_b)
-                    + l_in_b * (na - l_in_a)
-                    + (len(a.keys() & b.keys()) - sss)
-                )
+                ssd = (l_in_a * (nb - l_in_b) + l_in_b * (na - l_in_a)
+                       + common - sss)
                 sss_t += sss
                 ssd_t += ssd
                 ddd_t += na * nb - sss - ssd

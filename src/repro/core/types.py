@@ -44,12 +44,18 @@ class EdgeType(enum.Enum):
 
 
 #: The parallel edges between one ordered vertex pair: item label -> the
-#: type of the edge carrying it.
+#: type of the edge carrying it.  What ``LiveGraph.edges()`` yields, and
+#: how the live graph stores a pair that carries two labels or more.
 LabelDict = dict[Key, EdgeType]
 
+#: How the live graph stores a pair that carries one label: a
+#: ``(label, kind)`` 2-tuple interned per graph, shared by every pair
+#: with that label and kind.
+LabelEntry = tuple[Key, EdgeType]
+
 #: One direction of :class:`~repro.core.detector.LiveGraph` adjacency:
-#: ``vertex -> neighbour -> LabelDict``.
-Adjacency = dict[BuuId, dict[BuuId, LabelDict]]
+#: ``vertex -> neighbour -> LabelEntry | LabelDict``.
+Adjacency = dict[BuuId, dict[BuuId, LabelEntry | LabelDict]]
 
 
 class Operation(NamedTuple):

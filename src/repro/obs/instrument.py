@@ -83,7 +83,12 @@ def instrument_serial_monitor(registry: MetricsRegistry, monitor: Any) -> None:
     work to the serial hot path — the paper's overhead story is the
     collector's, and the serial monitor keeps it untouched.
     """
+    # The callbacks close over the parts, never over ``monitor``: the
+    # monitor owns the registry, and a callback holding the monitor would
+    # make every dropped monitor (and its live graph) wait for a full
+    # cyclic collection.  ``reports`` is appended to, never rebound.
     collector = monitor.collector
+    reports = monitor.reports
 
     def hit_rate() -> float:
         seen = collector.ops_seen
@@ -111,7 +116,7 @@ def instrument_serial_monitor(registry: MetricsRegistry, monitor: Any) -> None:
     )
     registry.gauge_fn(
         "rushmon_monitor_reports_total",
-        lambda: float(len(monitor.reports)),
+        lambda: float(len(reports)),
         help="monitoring windows closed so far",
     )
     instrument_detector(registry, monitor.detector)

@@ -1,19 +1,123 @@
-"""Random concurrent-history generation shared by the differential,
-estimator-unbiasedness and concurrency-stress tests.
+"""Operation histories for the tests: builders, random concurrent
+histories and lifecycle delivery.
 
-Histories vary BUU count, key-space size, key skew and read/write mix by
-seed, and are delivered with full BUU lifecycle events (``begin`` before
-a BUU's first operation, ``commit`` after its last) so detector pruning
-runs under the same assumptions the simulator guarantees.
+A *history* is a list of :class:`~repro.core.types.Operation` in storage
+visibility order — the exact input a collector consumes.  The builders
+run BUU programs serially or randomly interleaved; ``random_history``
+varies BUU count, key-space size, key skew and read/write mix by seed
+for the differential, estimator-unbiasedness and concurrency-stress
+tests; histories are delivered with full BUU lifecycle events (``begin``
+before a BUU's first operation, ``commit`` after its last) so detector
+pruning runs under the same assumptions the simulator guarantees.
+``count_consecutive_write_pairs`` is the combinatorial helper behind
+Theorem B.1.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.types import Operation
-from repro.storage.history import BuuProgram, interleaved_history
+from repro.core.types import BuuId, Key, Operation, OpType
+
+
+@dataclass
+class BuuProgram:
+    """A BUU as a plain sequence of (op type, key) steps."""
+
+    buu: BuuId
+    steps: list[tuple[OpType, Key]] = field(default_factory=list)
+
+    def read(self, key: Key) -> "BuuProgram":
+        self.steps.append((OpType.READ, key))
+        return self
+
+    def write(self, key: Key) -> "BuuProgram":
+        self.steps.append((OpType.WRITE, key))
+        return self
+
+
+def program(buu: BuuId, *steps: tuple[str, Key]) -> BuuProgram:
+    """Shorthand: ``program(1, ("r", "x"), ("w", "x"))``."""
+    prog = BuuProgram(buu)
+    for kind, key in steps:
+        if kind == "r":
+            prog.read(key)
+        elif kind == "w":
+            prog.write(key)
+        else:
+            raise ValueError(f"unknown op kind {kind!r}")
+    return prog
+
+
+def serial_history(programs: Sequence[BuuProgram]) -> list[Operation]:
+    """Execute programs one after another — a serializable history."""
+    ops: list[Operation] = []
+    seq = 0
+    for prog in programs:
+        for op_type, key in prog.steps:
+            seq += 1
+            ops.append(Operation(op_type, prog.buu, key, seq))
+    return ops
+
+
+def interleaved_history(
+    programs: Sequence[BuuProgram], rng: random.Random | None = None
+) -> list[Operation]:
+    """Randomly interleave programs step by step (uniform over merges)."""
+    rng = rng or random.Random(0)
+    cursors = [0] * len(programs)
+    remaining = [len(p.steps) for p in programs]
+    ops: list[Operation] = []
+    seq = 0
+    total = sum(remaining)
+    while len(ops) < total:
+        # Choose a program weighted by remaining steps: uniform over merges.
+        pick = rng.randrange(sum(remaining))
+        for idx, count in enumerate(remaining):
+            if pick < count:
+                break
+            pick -= count
+        prog = programs[idx]
+        op_type, key = prog.steps[cursors[idx]]
+        cursors[idx] += 1
+        remaining[idx] -= 1
+        seq += 1
+        ops.append(Operation(op_type, prog.buu, key, seq))
+    return ops
+
+
+def lifecycle_bounds(ops: Iterable[Operation]) -> dict[BuuId, tuple[int, int]]:
+    """(start, commit) per BUU: first and last operation sequence numbers."""
+    bounds: dict[BuuId, tuple[int, int]] = {}
+    for op in ops:
+        lo, hi = bounds.get(op.buu, (op.seq, op.seq))
+        bounds[op.buu] = (min(lo, op.seq), max(hi, op.seq))
+    return bounds
+
+
+def count_consecutive_write_pairs(ops: Sequence[Operation]) -> int:
+    """Number of adjacent (write, write) pairs in a history.
+
+    Theorem B.1: for a uniformly random permutation of n reads and n
+    writes, the expectation of this count is (n - 1) / 2 — the fact
+    behind MOB's claim that few reads sit between consecutive writes.
+    """
+    return sum(
+        1
+        for first, second in zip(ops, ops[1:])
+        if first.is_write() and second.is_write()
+    )
+
+
+def random_rw_permutation(
+    num_reads: int, num_writes: int, rng: random.Random, key: Key = "d"
+) -> list[Operation]:
+    """A uniformly random single-item history of reads and writes."""
+    kinds = [OpType.READ] * num_reads + [OpType.WRITE] * num_writes
+    rng.shuffle(kinds)
+    return [Operation(kind, buu=i, key=key, seq=i + 1) for i, kind in enumerate(kinds)]
 
 
 def skewed_key(rng: random.Random, num_keys: int, skew: float) -> str:

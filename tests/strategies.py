@@ -19,7 +19,8 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.core.types import Operation, OpType
-from repro.storage.history import BuuProgram
+
+from tests.histgen import BuuProgram
 
 _OP_KINDS = st.sampled_from((OpType.READ, OpType.WRITE))
 

@@ -270,6 +270,7 @@ class TestDataCentricCollector:
         """Example 5.1: with x and z chosen, only x/z edges are issued."""
         dcs = DataCentricCollector(sampling_rate=2, mob=False, items=["x", "z"])
         dcs.sampler._chosen = {"x", "z"}  # pin the paper's exact choice
+        dcs.sampler._forget()
         edges = dcs.handle_all(FIG5_HISTORY)
         assert edge_triples(edges) == sorted(
             [
@@ -283,6 +284,7 @@ class TestDataCentricCollector:
     def test_unchosen_items_pay_no_bookkeeping(self):
         dcs = DataCentricCollector(sampling_rate=2, mob=False, items=["x", "z"])
         dcs.sampler._chosen = {"x"}
+        dcs.sampler._forget()
         dcs.handle_all(FIG5_HISTORY)
         # Only the 4 x-operations touch bookkeeping.
         assert dcs.touches == 4

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import OpType
-from repro.storage.history import (
+
+from tests.histgen import (
     BuuProgram,
     count_consecutive_write_pairs,
     interleaved_history,

@@ -1,15 +1,22 @@
 """The live graph's storage contract and its durable form.
 
-``LiveGraph`` keeps one adjacency in two directions whose entries share
-their label dicts.  Pinned here: the structural invariants after every
-kind of mutation (edge inserts, arbitrary ``remove_vertices`` calls,
-prune passes), per-edge ingestion being the batch of one, the lifetime
-tables staying as small as the alive set, and a checkpoint written by
-the commit *before* this layout restoring into it and evolving exactly
-like an uninterrupted run.
+``LiveGraph`` keeps one adjacency in two directions whose entries are
+shared: a one-label pair holds an interned ``(label, kind)`` entry, a
+pair with more labels its own label dict.  Pinned here: the structural
+invariants after every kind of mutation (edge inserts, arbitrary
+``remove_vertices`` calls, prune passes), per-edge ingestion being the
+batch of one, every ingestion path counting what the dict-only layout
+counted (a brute-force recount over that layout), each triangle shape,
+the intern table's bound, the lifetime tables staying as small as the
+alive set, checkpoints keeping the dict-only layout's bytes, and a
+checkpoint written before this layout restoring into it and evolving
+exactly like an uninterrupted run.
 """
 
+import hashlib
+import json
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -17,10 +24,11 @@ from hypothesis import strategies as st
 
 from repro.core.collector import BaselineCollector
 from repro.core.concurrent import RushMonService
-from repro.core.detector import CycleDetector, LiveGraph
+from repro.core.detector import CycleDetector, LifecycleOrderError, LiveGraph
 from repro.core.monitor import RushMon
+from repro.core.patterns import classify_two_cycle
 from repro.core.pruning import make_pruner
-from repro.core.types import Edge, EdgeType
+from repro.core.types import CycleCounts, Edge, EdgeColumns, EdgeType
 from repro.storage.wal import (
     CheckpointError,
     decode_detector_state,
@@ -30,6 +38,8 @@ from repro.storage.wal import (
 from tests.strategies import op_streams
 from tests.test_checkpoint import _feed
 from tests.test_sampled_journal import _assert_matches_serial, _config, _events
+
+KINDS = (EdgeType.WR, EdgeType.RW, EdgeType.WW)  # the intern tables' order
 
 #: Written by the commit before the adjacency carried the label dicts
 #: (tuple-keyed ``labels`` table, ``starts`` never trimmed):
@@ -51,13 +61,22 @@ def assert_graph_invariants(graph: LiveGraph,
     assert out.keys() == inc.keys()
     assert graph.present == out.keys()
     assert graph.num_vertices() == len(out)
+    tables = dict(zip(KINDS, graph._entries))
+    for kind, table in tables.items():
+        assert all(entry == (label, kind) for label, entry in table.items())
     total = 0
     for u, row in out.items():
         for v, labels in row.items():
             assert u != v
-            assert labels, "empty label dict"
             assert inc[v][u] is labels  # KeyError: v is not a vertex
-            total += len(labels)
+            if type(labels) is tuple:
+                label, kind = labels
+                assert tables[kind][label] is labels, "entry not interned"
+                total += 1
+            else:
+                assert type(labels) is dict
+                assert len(labels) >= 2, "a one-label pair owns a dict"
+                total += len(labels)
     for v, row in inc.items():
         for u, labels in row.items():
             assert out[u][v] is labels
@@ -151,7 +170,218 @@ def test_remove_vertices_skips_absent_and_repeated_vertices():
     assert graph.present == {1} and graph.num_edges() == 0
 
 
-# -- lifetimes ----------------------------------------------------------------
+# -- shared entries count what the dict-only layout counted --------------------
+
+
+class DictOnlyGraph:
+    """The live graph as the dict-only layout kept it — every connected
+    pair owns a ``{label: kind}`` dict — under the detector's admission
+    rules, with each admitted edge's new cycles recounted by brute force
+    over every third vertex."""
+
+    def __init__(self):
+        self.labels = {}  # (src, dst) -> {label: kind}
+        self.present = set()
+        self.commits = set()
+        self.counts = CycleCounts()
+        self.patterns = Counter()
+        self.refused = 0
+        self.admitted_labels = set()
+
+    def add(self, src, dst, kind, label):
+        if src == dst or dst in self.commits:
+            return
+        if src not in self.present and src in self.commits:
+            self.refused += 1
+            return
+        pair = self.labels.setdefault((src, dst), {})
+        if label in pair:
+            return
+        pair[label] = kind
+        self.present |= {src, dst}
+        self.admitted_labels.add(label)
+        counts = self.counts
+        for back_label, back_kind in self.labels.get((dst, src), {}).items():
+            if back_label == label:
+                counts.ss += 1
+            else:
+                counts.dd += 1
+            self.patterns[classify_two_cycle(kind, label, back_kind,
+                                             back_label)] += 1
+        for w in self.present - {src, dst}:
+            for a in self.labels.get((dst, w), ()):
+                for b in self.labels.get((w, src), ()):
+                    distinct = len({label, a, b})
+                    if distinct == 1:
+                        counts.sss += 1
+                    elif distinct == 2:
+                        counts.ssd += 1
+                    else:
+                        counts.ddd += 1
+
+    def keep(self, present):
+        """Mirror a prune pass that left ``present``."""
+        self.present &= present
+        self.labels = {pair: labels for pair, labels in self.labels.items()
+                       if pair[0] in self.present and pair[1] in self.present}
+
+
+VERTEX = st.integers(min_value=0, max_value=5)
+
+
+@st.composite
+def edge_scripts(draw):
+    """Edges over six vertices and four labels — so pairs and labels
+    repeat and a pair gains a second label of another kind — with
+    self-loops, begins, commits, forced prune passes and batch cuts."""
+    edge = st.tuples(st.just("edge"), VERTEX, VERTEX, st.sampled_from(KINDS),
+                     st.integers(min_value=0, max_value=3))
+    other = st.one_of(st.tuples(st.sampled_from(("begin", "commit")), VERTEX),
+                      st.just(("prune",)), st.just(("cut",)))
+    return draw(st.lists(st.one_of(edge, edge, edge, other), max_size=60))
+
+
+@given(script=edge_scripts())
+def test_every_path_counts_what_the_dict_only_layout_counted(script):
+    batched, per_edge, uncounted = detectors = tuple(
+        CycleDetector(make_pruner("both"), prune_interval=10**9)
+        for _ in range(3))
+    reference = DictOnlyGraph()
+    batch = EdgeColumns()
+
+    def flush():
+        nonlocal batch
+        if batch:
+            try:
+                batched.add_edge_batch(batch)
+            except LifecycleOrderError:
+                pass
+            batch = EdgeColumns()
+
+    for seq, step in enumerate(script, start=1):
+        if step[0] == "edge":
+            edge = Edge(*step[1:], seq)
+            for column, value in zip((batch.src, batch.dst, batch.kind,
+                                      batch.label, batch.seq), edge):
+                column.append(value)
+            try:
+                per_edge.add_edge(edge)
+            except LifecycleOrderError:
+                pass
+            uncounted.add_edge_uncounted(edge)
+            reference.add(*step[1:])
+            continue
+        flush()
+        if step[0] == "begin":
+            reference.commits.discard(step[1])
+            for det in detectors:
+                det.begin_buu(step[1], seq)
+        elif step[0] == "commit":
+            reference.commits.add(step[1])
+            for det in detectors:
+                det.commit_buu(step[1], seq)
+        elif step[0] == "prune":
+            for det in detectors:
+                det.prune(now=seq)
+            reference.keep(set(per_edge.graph.present))
+    flush()
+
+    layout = {pair: list(labels.items())
+              for pair, labels in reference.labels.items()}
+    for det in detectors:
+        graph = det.graph
+        assert_graph_invariants(graph)
+        assert {(u, v): list(labels.items())
+                for u, v, labels in graph.edges()} == layout
+        assert graph.present == reference.present
+        assert graph.edge_count == sum(map(len, reference.labels.values()))
+        assert det.edges_refused == reference.refused
+        assert set().union(*graph._entries) <= reference.admitted_labels
+        assert sum(map(len, graph._entries)) <= \
+            3 * len(reference.admitted_labels)
+    assert list(batched.graph.edges()) == list(per_edge.graph.edges()) == \
+        list(uncounted.graph.edges())
+    for det in (batched, per_edge):
+        assert det.counts == reference.counts
+        assert det.patterns.counts == reference.patterns
+    assert uncounted.counts == CycleCounts()
+
+
+#: ``(labels of v -> w, labels of w -> u, (sss, ssd, ddd))`` for the
+#: triangle that ``u -> v`` labelled ``"x"`` closes: a one-label leg is
+#: a shared entry, a longer one a dict.
+TRIANGLES = [
+    (("x",), ("x",), (1, 0, 0)),
+    (("x",), ("y",), (0, 1, 0)),
+    (("y",), ("x",), (0, 1, 0)),
+    (("y",), ("y",), (0, 1, 0)),
+    (("y",), ("z",), (0, 0, 1)),
+    (("x",), ("x", "y"), (1, 1, 0)),
+    (("y",), ("x", "y", "z"), (0, 2, 1)),
+    (("x", "y"), ("y",), (0, 2, 0)),
+    (("y", "z"), ("w",), (0, 0, 2)),
+    (("x", "y"), ("y", "z"), (0, 3, 1)),
+    (("x", "y"), ("x", "y"), (1, 3, 0)),
+]
+
+
+@pytest.mark.parametrize("walk", ("out_v", "in_u"))
+@pytest.mark.parametrize("leg_vw, leg_wu, expected", TRIANGLES)
+def test_each_triangle_shape_counts_its_label_classes(leg_vw, leg_wu,
+                                                      expected, walk):
+    u, v, w, pad = 1, 2, 3, 4
+    det = CycleDetector()
+    graph = det.graph
+    for label, kind in zip(leg_vw, KINDS):
+        graph.add_edge(v, w, label, kind)
+    for label, kind in zip(leg_wu, KINDS):
+        graph.add_edge(w, u, label, kind)
+    # A neighbour on no triangle makes the other row the larger, so the
+    # walk yields the leg through the row ``walk`` names.
+    if walk == "out_v":
+        graph.add_edge(pad, u, "p")
+    else:
+        graph.add_edge(v, pad, "p")
+    assert [type(graph.out[v][w]), type(graph.out[w][u])] == \
+        [tuple if len(leg) == 1 else dict for leg in (leg_vw, leg_wu)]
+    closed = det.add_edge(Edge(u, v, EdgeType.WR, "x"))
+    assert (closed.sss, closed.ssd, closed.ddd) == expected
+    assert closed.two_cycles == 0
+
+
+def test_a_second_label_promotes_the_pair_and_leaves_the_entry_shared():
+    graph = LiveGraph()
+    assert graph.add_edge(1, 2, "x", EdgeType.RW)
+    assert graph.add_edge(3, 4, "x", EdgeType.RW)
+    entry = graph.out[1][2]
+    assert entry == ("x", EdgeType.RW) and graph.out[3][4] is entry
+    assert not graph.add_edge(1, 2, "x", EdgeType.WW)  # a duplicate label
+    assert graph.add_edge(1, 2, "y", EdgeType.WW)
+    # first label first: the checkpoint lists a pair's labels in order
+    assert list(graph.out[1][2].items()) == [("x", EdgeType.RW),
+                                             ("y", EdgeType.WW)]
+    assert graph.inc[2][1] is graph.out[1][2]
+    assert graph.out[3][4] is entry
+    assert graph.edge_labels(1, 2) == {"x", "y"}
+    assert graph.edge_labels(3, 4) == {"x"} and not graph.edge_labels(4, 3)
+    assert_graph_invariants(graph)
+    graph.remove_vertices([1])
+    assert graph.num_edges() == 1
+
+
+def test_the_intern_table_grows_with_labels_not_with_edges():
+    events = _events(1200, num_keys=8)
+    det = CycleDetector(make_pruner("both"), prune_interval=40)
+    collector = BaselineCollector()
+    _replay([det], collector, events[:600])
+    before = [dict(table) for table in det.graph._entries]
+    _replay([det], collector, events[600:])
+    tables = det.graph._entries
+    for old, new in zip(before, tables):
+        assert all(new[label] is entry for label, entry in old.items())
+    assert set().union(*tables) <= set(range(8))
+    assert sum(map(len, tables)) <= 3 * 8
+    assert det.prune_passes > 3 * 8  # edges admitted: prune_interval each
 
 
 def test_starts_holds_alive_buus_only():
@@ -188,19 +418,56 @@ def test_detector_state_lists_starts_of_alive_buus_only():
 # -- the durable form ---------------------------------------------------------
 
 
+def _replay(detectors, collector, events):
+    """Feed ``events`` to every detector, collecting each op once."""
+    for kind, payload in events:
+        if kind == "op":
+            edges = collector.handle(payload)
+            for det in detectors:
+                det.add_edge_batch(edges)
+        elif kind == "begin":
+            for det in detectors:
+                det.begin_buu(*payload)
+        else:
+            for det in detectors:
+                det.commit_buu(*payload)
+
+
 def _dense_detector():
     det = CycleDetector(make_pruner("both"), prune_interval=40)
-    collector = BaselineCollector()
-    events = _events(600, num_keys=8)
-    for kind, payload in events[:-12]:  # the BUUs still running stay alive
-        if kind == "op":
-            det.add_edge_batch(collector.handle(payload))
-        elif kind == "begin":
-            det.begin_buu(*payload)
-        else:
-            det.commit_buu(*payload)
+    # the BUUs still running stay alive
+    _replay([det], BaselineCollector(), _events(600, num_keys=8)[:-12])
     assert det.prune_passes and det.graph.alive and det.num_edges
     return det
+
+
+#: sha256 of the checkpoint body's encoding (sorted-key JSON) of
+#: ``encode_detector_state`` after ``_events(1200, num_keys=8)[:600]``
+#: through a ``"both"`` / 40 detector, as written by the dict-only layout
+#: (every connected pair its own label dict).
+DICT_ONLY_STATE_SHA256 = \
+    "63f7ae911b8c6f47d21ebc06216353c2259d217e286804c5ff83a0c4388bddd0"
+
+
+def test_checkpoints_keep_the_dict_only_bytes_and_restore_then_continue():
+    events = _events(1200, num_keys=8)
+    collector = BaselineCollector()
+    det = CycleDetector(make_pruner("both"), prune_interval=40)
+    _replay([det], collector, events[:600])
+    assert {type(labels) for row in det.graph.out.values()
+            for labels in row.values()} == {tuple, dict}
+    body = json.dumps(encode_detector_state(det), sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == DICT_ONLY_STATE_SHA256
+    restored = CycleDetector(make_pruner("both"), prune_interval=40)
+    decode_detector_state(restored, json.loads(body))
+    assert_graph_invariants(restored.graph)
+    _replay([det, restored], collector, events[600:])
+    # the dict-only layout's counts for the uninterrupted stream
+    assert restored.counts == det.counts == CycleCounts(126, 228, 164, 928,
+                                                        749)
+    assert restored.patterns.counts == det.patterns.counts
+    assert sorted(restored.graph.edges()) == sorted(det.graph.edges())
+    assert restored.prune_passes == det.prune_passes
 
 
 def test_detector_state_round_trip_rebuilds_the_same_graph():

@@ -1,17 +1,21 @@
 """Tests for the RushMon facade and the offline baseline monitor."""
 
+import gc
+import random
+import weakref
+
 import pytest
 
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor, RushMon
 from repro.core.types import Operation, OpType
-from repro.storage.history import (
+
+from tests.histgen import (
     BuuProgram,
     interleaved_history,
     program,
     serial_history,
 )
-import random
 
 
 def lost_update_ops():
@@ -106,6 +110,31 @@ class TestRushMon:
             e2, _ = mon.cumulative_estimates()
             total += e2
         assert total / trials == pytest.approx(exact.two_cycles, rel=0.15)
+
+    @pytest.mark.parametrize("config", (
+        RushMonConfig(sampling_rate=1, mob=False), RushMonConfig()),
+        ids=("exact", "deployed"))
+    def test_a_dropped_monitor_is_freed_by_reference_counting(self, config):
+        # No part may sit in a reference cycle — metrics callbacks closing
+        # over the monitor that owns their registry, a sampler's memo
+        # calling back into the sampler — or a dropped monitor keeps its
+        # live graph and its sampling decisions until a full collection.
+        gc.collect()
+        gc.disable()
+        try:
+            mon = RushMon(config)
+            mon.begin_buu(1, 0)
+            mon.begin_buu(2, 0)
+            mon.on_operations(lost_update_ops())
+            mon.close_window()
+            assert mon.metrics.snapshot()["rushmon_monitor_reports_total"] == 1
+            parts = [weakref.ref(part) for part in (
+                mon, mon.detector, mon.collector, mon.collector.sampler)]
+            del mon
+            assert [part() for part in parts] == [None] * len(parts)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_doctest_example(self):
         import doctest

@@ -23,8 +23,8 @@ from repro.core.pruning import (
     make_pruner,
 )
 from repro.core.types import Edge, EdgeType, Operation, OpType
-from repro.storage.history import BuuProgram, interleaved_history, lifecycle_bounds
 
+from tests.histgen import BuuProgram, interleaved_history, lifecycle_bounds
 from tests.strategies import interleavings
 
 
