@@ -941,13 +941,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cluster mode: respawn attempts per worker shard "
                           "before its circuit breaker trips and reports "
                           "turn DEGRADED")
-    mon.add_argument("--snapshot-interval", type=int, default=None,
-                     help="cluster mode: run a shard snapshot round every N "
-                          "router flushes (default: automatically once a "
-                          "shard's replay journal reaches half capacity)")
     mon.add_argument("--replay-journal-capacity", type=int, default=None,
-                     help="cluster mode: per-shard replay-journal bound that "
-                          "triggers automatic snapshot rounds")
+                     help="cluster mode: per-shard replay-journal bound; a "
+                          "shard snapshot round runs once a journal reaches "
+                          "half of it")
     mon.set_defaults(func=cmd_monitor)
 
     srv = sub.add_parser(

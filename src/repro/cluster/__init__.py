@@ -11,9 +11,9 @@ At ``sr = 1`` with ``mob=False`` the merged counts are bit-exact
 against the serial monitor and the exact offline checkers — the cluster
 differential in ``tests/test_cluster.py`` pins this.
 
-See :mod:`repro.cluster.monitor` for the facade and
+See :mod:`repro.cluster.monitor` for the facade,
 :mod:`repro.cluster.worker` for the merge that makes the partition
-exact.
+exact, and :mod:`repro.cluster.process` for the worker processes.
 """
 
 from typing import TYPE_CHECKING
@@ -22,14 +22,15 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.cluster.monitor import ClusterMonitor
-    from repro.cluster.worker import ClusterWorker, worker_main
+    from repro.cluster.process import worker_main
+    from repro.cluster.worker import ClusterWorker
 
-# A worker process imports repro.cluster.worker only: the router (and
-# multiprocessing, signal handling, the metrics wiring) is the parent's.
+# A worker process imports repro.cluster.process and .worker only: the
+# router (and the metrics wiring) is the parent's.
 __getattr__ = lazy_exports(globals(), {
     "ClusterMonitor": "repro.cluster.monitor",
     "ClusterWorker": "repro.cluster.worker",
-    "worker_main": "repro.cluster.worker",
+    "worker_main": "repro.cluster.process",
 })
 
 __all__ = ["ClusterMonitor", "ClusterWorker", "worker_main"]

@@ -48,25 +48,24 @@ one :class:`~repro.core.config.RushMonConfig` (``num_workers``,
 Joining
 -------
 
-A worker engine is built one way: ``restore``.  Start spawns every
-process at once (their imports overlap), then restores them in index
-order from the empty baseline, each naming the exchange ports of the
-workers already up — so worker *i* dials every *j < i*.  A respawn
-restores the one new incarnation from the shard's last verified
-snapshot (or the baseline) and replays the journal past it.  An
-in-place :meth:`ClusterMonitor.reset` is a barrier and then a
-``restore`` with no snapshot and no ports on every live link.  So the
-recovery handshake runs on every cluster start, not only after a
-crash.
+The router owns no process: each worker *incarnation* comes from a
+factory (:mod:`repro.cluster.process`) as a handle with ``kill()``,
+``join()`` and an exit ``sentinel``.  Incarnations start lazily, on
+first ingestion.  Every worker engine is built by ``restore`` (see
+:mod:`repro.cluster.worker`) — at start (all spawned at once, restored
+in index order), at respawn and at an in-place
+:meth:`ClusterMonitor.reset` — so the recovery handshake runs on every
+cluster start.  A join waits on the listener and the incarnation's
+sentinel together: one that dies before its ``worker-hello`` fails the
+attempt at once.
 
 Supervision: respawn-and-replay
 -------------------------------
 
 A real-time monitor that dies with one lost process is worse than none,
-so worker death is a handled state, not an exception.  The router runs
-a supervisor thread that detects a dead worker two ways — control link
-EOF (the reader thread) or ``Process.is_alive()`` going false (the poll
-loop) — and brings the shard back bit-exactly:
+so worker death is a handled state, not an exception.  A dead worker's
+control link reads EOF; its reader thread hands the link to a
+supervisor thread, which brings the shard back bit-exactly:
 
 - **Journal-then-send.**  Every ``route`` and ``flush`` frame is
   appended to a per-link replay journal *before* it touches the wire,
@@ -79,9 +78,9 @@ loop) — and brings the shard back bit-exactly:
   session sequence) and replayed flush frames rebuild the worker's
   window state; their surplus replies are counted and discarded by the
   reader (``flush`` ordinals vs. barrier replies already consumed).
-- **Snapshot shipping.**  Periodic snapshot rounds (``snapshot_interval``
-  router flushes, or automatically at half the journal capacity)
-  barrier every worker with ``snap-request`` and store each shard's
+- **Snapshot shipping.**  A snapshot round runs whenever some link's
+  journal reaches half of ``replay_journal_capacity``; it barriers
+  every worker with ``snap-request`` and stores each shard's
   CRC-guarded state (see :func:`repro.storage.wal.encode_shard_snapshot`).
   A verified snapshot empties that link's journal — the journal is
   exactly the suffix past the last verified snapshot, which is all a
@@ -106,19 +105,12 @@ The supervisor never takes the monitor's ingestion lock (a barrier
 blocks holding it, and recovery is what unblocks the barrier); all
 supervisor↔ingestion coordination goes through per-link condition
 variables and a small supervisor-state lock.
-
-Workers are daemon processes started lazily on first ingestion via the
-``spawn`` start method (fork-safety: no inherited locks or sockets), so
-constructing a ClusterMonitor is cheap and a never-used one spawns
-nothing.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import queue
-import signal
+import selectors
 import socket
 import threading
 import time
@@ -126,7 +118,8 @@ from dataclasses import asdict
 from typing import Iterable
 
 from repro.cluster import messages as msg
-from repro.cluster.worker import no_delay, recv_message, worker_main
+from repro.cluster.process import WorkerProcess
+from repro.cluster.worker import no_delay, recv_message
 from repro.core.collector import ItemSampler, SampledLifecycle
 from repro.core.config import RushMonConfig
 from repro.core.detector import LifecycleOrderError
@@ -183,7 +176,8 @@ class _WorkerLink:
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.proc: multiprocessing.process.BaseProcess | None = None
+        #: The current incarnation (see :mod:`repro.cluster.process`).
+        self.handle = None
         self.sock: socket.socket | None = None
         self.reader = FrameReader()
         self.port: int | None = None
@@ -247,13 +241,11 @@ class ClusterMonitor:
     #: Seconds allowed for a flush/query/reset barrier — this must also
     #: cover a respawn-and-replay happening mid-barrier.
     barrier_timeout = 120.0
-    #: Supervisor poll cadence for ``Process.is_alive()`` checks.
-    poll_interval = 0.25
 
     def __init__(self, config: RushMonConfig | None = None,
                  metrics: MetricsRegistry | None = None,
                  faults: FaultInjector | None = None,
-                 worker_fault_specs: list[dict] | None = None) -> None:
+                 spawn=WorkerProcess) -> None:
         self.config = config or RushMonConfig()
         if self.config.resample_interval is not None:
             raise ValueError(
@@ -295,11 +287,11 @@ class ClusterMonitor:
         self.lifecycle_broadcasts = 0
         self.router_flushes = 0
         #: Router-side fault injector (``cluster.route`` /
-        #: ``cluster.snapshot`` points); ``worker_fault_specs`` are
-        #: plain-dict Fault kwargs shipped across the spawn boundary to
-        #: arm the in-worker ``cluster.exchange`` point.
+        #: ``cluster.snapshot`` points).
         self.faults = faults
-        self.worker_fault_specs = worker_fault_specs
+        #: The incarnation factory: ``spawn(index, num_workers, host,
+        #: port, config_dict)`` -> handle (:mod:`repro.cluster.process`).
+        self._spawn_incarnation = spawn
         # -- supervision state (guarded by _sup_lock, not _lock: the
         # supervisor must never contend with a blocked barrier) --------
         self._sup_lock = threading.Lock()
@@ -310,7 +302,6 @@ class ClusterMonitor:
         self._sup_thread: threading.Thread | None = None
         self._sup_stop: threading.Event | None = None
         self._sup_queue: queue.Queue | None = None
-        self._last_snap_flush = 0
         self.worker_restarts_total = 0
         self.snapshots_shipped = 0
         self.snapshots_rejected = 0
@@ -342,7 +333,6 @@ class ClusterMonitor:
         if self._stopped:
             raise RuntimeError("ClusterMonitor is stopped")
         self._listener = socket.create_server(("127.0.0.1", 0))
-        self._listener.settimeout(self.handshake_timeout)
         self._links = [_WorkerLink(i) for i in range(self.num_workers)]
         self._sup_stop = threading.Event()
         self._sup_queue = queue.Queue()
@@ -350,8 +340,10 @@ class ClusterMonitor:
         try:
             for link in self._links:
                 self._spawn(link, self._listener)
+            handles = [link.handle for link in self._links]
             for _ in self._links:
-                sock, reader, hello = self._accept_hello(self._listener)
+                sock, reader, hello = self._accept_hello(self._listener,
+                                                         handles)
                 joining[hello["index"]] = (sock, reader, hello["port"])
             # A start is a restore from the empty baseline, in index
             # order: each worker dials the ones already up.
@@ -364,7 +356,7 @@ class ClusterMonitor:
             raise
         self._sup_thread = threading.Thread(
             target=self._supervise,
-            args=(self._links, self._sup_stop, self._sup_queue),
+            args=(self._sup_stop, self._sup_queue),
             daemon=True, name="rushmon-cluster-supervisor",
         )
         self._sup_thread.start()
@@ -374,18 +366,27 @@ class ClusterMonitor:
         host, port = listener.getsockname()
         with self._sup_lock:
             config_dict = self._config_dict
-        proc = multiprocessing.get_context("spawn").Process(
-            target=worker_main,
-            args=(link.index, self.num_workers, host, port, config_dict,
-                  self.worker_fault_specs),
-            daemon=True,
-            name=f"rushmon-cluster-{link.index}",
-        )
-        proc.start()
-        link.proc = proc
+        link.handle = self._spawn_incarnation(
+            link.index, self.num_workers, host, port, config_dict)
 
-    def _accept_hello(self, listener: socket.socket
+    def _accept_hello(self, listener: socket.socket, handles: list
                       ) -> tuple[socket.socket, FrameReader, dict]:
+        """Accept one ``worker-hello``.  Waits on the listener and the
+        joining incarnations' exit sentinels together: an incarnation
+        that dies before it dials fails the wait at once."""
+        with selectors.DefaultSelector() as waiting:
+            waiting.register(listener, selectors.EVENT_READ)
+            for handle in handles:
+                waiting.register(handle.sentinel, selectors.EVENT_READ,
+                                 handle)
+            ready = [key.data for key, _ in
+                     waiting.select(self.handshake_timeout)]
+        if not ready:
+            raise TimeoutError(f"no worker-hello within "
+                               f"{self.handshake_timeout}s")
+        if None not in ready:   # the listener is the key without data
+            raise RuntimeError(f"cluster worker {ready[0].index} exited "
+                               f"before its worker-hello")
         sock = no_delay(listener.accept()[0])
         try:
             sock.settimeout(self.handshake_timeout)
@@ -447,16 +448,6 @@ class ClusterMonitor:
             gen = link.gen
         self._replay_link(link, gen)
 
-    def _start_reader(self, link: _WorkerLink, sock: socket.socket,
-                      reader: FrameReader, gen: int,
-                      sup_queue: queue.Queue) -> None:
-        threading.Thread(
-            target=self._reader_loop, args=(link, sock, reader, gen,
-                                            sup_queue),
-            daemon=True,
-            name=f"rushmon-cluster-reader-{link.index}.{gen}",
-        ).start()
-
     def _reader_loop(self, link: _WorkerLink, sock: socket.socket,
                      reader: FrameReader, gen: int,
                      sup_queue: queue.Queue) -> None:
@@ -509,7 +500,14 @@ class ClusterMonitor:
         nowhere.  ``journal`` is appended under the same hold of
         ``link.cond`` that decides liveness, so a journaled frame lands
         either in the range a replay sends or after the link is up to
-        send it here — never in both, never in neither."""
+        send it here — never in both, never in neither.
+
+        Every control frame passes the ``cluster.route`` fault point
+        here, before it is journaled."""
+        if self.faults is not None:
+            fault = self.faults.fire("cluster.route")
+            if fault is not None:
+                self._apply_route_fault(link, fault)
         with link.cond:
             if journal is not None:
                 link.journal.append(journal)
@@ -527,26 +525,26 @@ class ClusterMonitor:
 
     def stop(self) -> None:
         """Shut the cluster down: orderly ``bye``, then join (and, past
-        a grace period, terminate) the worker processes.  Idempotent; a
+        a grace period, kill) the worker incarnations.  Idempotent; a
         stopped monitor refuses further ingestion."""
         with self._lock:
             self._stopped = True
-            if not self._started:
-                if self._listener is not None:
-                    self._listener.close()
-                    self._listener = None
-                return
-            self._started = False
-            self._teardown_locked()
+            if self._started:
+                self._started = False
+                self._teardown_locked()
 
     def _teardown_locked(self) -> None:
         if self._sup_stop is not None:
             self._sup_stop.set()
         if self._sup_queue is not None:
             self._sup_queue.put(None)
-        # Close the listener before joining the supervisor: a respawn
-        # blocked in accept() aborts immediately instead of timing out.
+        # Shut the listener before joining the supervisor: a respawn
+        # waiting for a hello aborts immediately instead of timing out.
         if self._listener is not None:
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._listener.close()
             self._listener = None
         frame = encode_frame(msg.bye())
@@ -556,16 +554,9 @@ class ClusterMonitor:
             self._sup_thread.join(timeout=5.0)
             self._sup_thread = None
         for link in self._links:
-            if link.proc is not None:
-                link.proc.join(timeout=5.0)
-                if link.proc.is_alive():
-                    link.proc.terminate()
-                    link.proc.join(timeout=1.0)
-            if link.sock is not None:
-                try:
-                    link.sock.close()
-                except OSError:
-                    pass
+            if link.handle is not None:
+                link.handle.join(timeout=5.0)
+            self._end_incarnation(link)
 
     def __enter__(self) -> "ClusterMonitor":
         return self
@@ -575,32 +566,26 @@ class ClusterMonitor:
 
     # -- supervision -----------------------------------------------------------
 
-    def _supervise(self, links: list[_WorkerLink], stop: threading.Event,
+    def _supervise(self, stop: threading.Event,
                    sup_queue: queue.Queue) -> None:
-        """The supervisor loop: respawn links the readers report dead,
-        and poll the rest for silent deaths."""
-        while not stop.is_set():
-            try:
-                item = sup_queue.get(timeout=self.poll_interval)
-            except queue.Empty:
-                item = None
-            if stop.is_set():
+        """The supervisor loop: respawn the links the readers report
+        dead."""
+        while True:
+            link = sup_queue.get()
+            if link is None or stop.is_set():
                 return
-            if item is not None:
-                self._respawn(item, stop)
-                continue
-            self._poll_links(links, sup_queue)
+            self._respawn(link, stop)
 
-    def _poll_links(self, links: list[_WorkerLink],
-                    sup_queue: queue.Queue) -> None:
-        for link in links:
-            with link.cond:
-                if link.state != "up":
-                    continue
-                proc, gen = link.proc, link.gen
-            if proc is not None and not proc.is_alive():
-                self._link_down(link, gen, "worker process exited",
-                                sup_queue)
+    def _end_incarnation(self, link: _WorkerLink) -> None:
+        """Close ``link``'s control socket and kill its incarnation."""
+        if link.sock is not None:
+            try:
+                link.sock.close()
+            except OSError:
+                pass
+        if link.handle is not None:
+            link.handle.kill()
+            link.handle.join(timeout=5.0)
 
     def _respawn(self, link: _WorkerLink, stop: threading.Event) -> None:
         """Bring one dead link back, retrying until it sticks or the
@@ -636,32 +621,19 @@ class ClusterMonitor:
                     link.down_reason = f"respawn attempt failed: {exc!r}"
 
     def _spawn_and_restore(self, link: _WorkerLink) -> None:
-        """One respawn attempt: spawn, then join like any start."""
-        old_sock, old_proc = link.sock, link.proc
-        if old_sock is not None:
-            try:
-                old_sock.close()
-            except OSError:
-                pass
-        if old_proc is not None:
-            if old_proc.is_alive():
-                old_proc.terminate()
-            old_proc.join(timeout=5.0)
+        """One respawn attempt: spawn, then join like any start.  A
+        failed attempt's incarnation is ended by whatever comes next —
+        the next attempt, the breaker, or the teardown."""
+        self._end_incarnation(link)
         listener = self._listener
         if listener is None:
             raise RuntimeError("cluster is shutting down")
         self._spawn(link, listener)
-        try:
-            sock, reader, hello = self._accept_hello(listener)
-            if hello["index"] != link.index:
-                sock.close()
-                raise ProtocolError(f"unexpected respawn hello {hello!r}")
-            self._restore_link(link, sock, reader, hello["port"])
-        except Exception:
-            if link.proc.is_alive():
-                link.proc.terminate()
-            link.proc.join(timeout=5.0)
-            raise
+        sock, reader, hello = self._accept_hello(listener, [link.handle])
+        if hello["index"] != link.index:
+            sock.close()
+            raise ProtocolError(f"unexpected respawn hello {hello!r}")
+        self._restore_link(link, sock, reader, hello["port"])
 
     def _replay_link(self, link: _WorkerLink, gen: int) -> None:
         """Replay the journal suffix onto a restored link, then flip it
@@ -677,7 +649,10 @@ class ClusterMonitor:
                 if entry[0] == "flush" and entry[3] <= consumed)
             sock = link.sock
             reader = link.reader
-        self._start_reader(link, sock, reader, gen, self._sup_queue)
+        threading.Thread(
+            target=self._reader_loop,
+            args=(link, sock, reader, gen, self._sup_queue), daemon=True,
+            name=f"rushmon-cluster-reader-{link.index}.{gen}").start()
         sent = 0
         while True:
             with link.cond:
@@ -716,15 +691,7 @@ class ClusterMonitor:
         for other in self._links:
             if other is not link:
                 self._send_if_up(other, frame, "detach")
-        if link.proc is not None:
-            if link.proc.is_alive():
-                link.proc.terminate()
-            link.proc.join(timeout=5.0)
-        if link.sock is not None:
-            try:
-                link.sock.close()
-            except OSError:
-                pass
+        self._end_incarnation(link)
 
     @property
     def ops_elided(self) -> int:
@@ -886,10 +853,6 @@ class ClusterMonitor:
         Backpressure applies only to live links (a down link's acks
         are frozen; its backlog is bounded by the respawn, which never
         waits on this lock)."""
-        if self.faults is not None:
-            fault = self.faults.fire("cluster.route")
-            if fault is not None:
-                self._apply_route_fault(link, fault)
         with link.cond:
             if link.state == "failed":
                 self.frames_dropped_failed += 1
@@ -916,10 +879,7 @@ class ClusterMonitor:
 
     def _apply_route_fault(self, link: _WorkerLink, fault) -> None:
         if fault.kind == "kill_worker":
-            with link.cond:
-                proc = link.proc
-            if proc is not None and proc.pid is not None and proc.is_alive():
-                os.kill(proc.pid, signal.SIGKILL)
+            link.handle.kill()
         elif fault.kind == "delay":
             time.sleep(fault.delay)
         elif fault.kind == "exception":
@@ -928,18 +888,11 @@ class ClusterMonitor:
     # -- snapshot rounds -------------------------------------------------------
 
     def _maybe_snapshot_locked(self) -> None:
-        """Run a snapshot round when due: every ``snapshot_interval``
-        router flushes if configured, else whenever some link's journal
-        reaches half its capacity (journal pressure — the bound that
-        keeps 'bounded per-shard replay journal' honest)."""
-        interval = self.config.snapshot_interval
-        if interval is not None:
-            due = self.router_flushes - self._last_snap_flush >= interval
-        else:
-            threshold = max(1, self.config.replay_journal_capacity // 2)
-            due = any(len(link.journal) >= threshold
-                      for link in self._links)
-        if due:
+        """Run a snapshot round whenever some link's journal reaches
+        half its capacity (journal pressure — the bound that keeps
+        'bounded per-shard replay journal' honest)."""
+        threshold = max(1, self.config.replay_journal_capacity // 2)
+        if any(len(link.journal) >= threshold for link in self._links):
             self._snapshot_round_locked()
 
     def _snapshot_round_locked(self) -> None:
@@ -958,7 +911,6 @@ class ClusterMonitor:
             targets.append(link)
         if not targets:
             return
-        self._last_snap_flush = self.router_flushes
         self.snapshot_rounds += 1
         frame = encode_frame(msg.snap_request(high))
         gens = [self._send_if_up(link, frame, "snap-request")

@@ -142,9 +142,9 @@ from repro.core.pruning import make_pruner
 from repro.core.types import Operation
 from repro.net.protocol import FrameReader, ProtocolError, encode_frame
 from repro.storage import wal
-from repro.testing.faults import Fault, FaultInjector
+from repro.testing.faults import FaultInjector
 
-__all__ = ["ClusterWorker", "no_delay", "recv_message", "worker_main"]
+__all__ = ["ClusterWorker", "no_delay", "recv_message"]
 
 _RECV = 1 << 16
 
@@ -203,15 +203,13 @@ class ClusterWorker:
     waits on.  A persistent acceptor thread keeps the exchange
     listener open for the worker's whole life so peers can join at
     any time, and a control reader thread feeds the control loop.
+    Every socket the worker opens or accepts is registered, so
+    :meth:`close` ends the incarnation's traffic in one call.
     """
 
     #: Seconds to wait for a handshake message and for barrier drains.
     handshake_timeout = 30.0
     barrier_timeout = 120.0
-    #: Dial attempts (and inter-attempt sleep) when a joining worker
-    #: dials peers that may be mid-accept.
-    redial_attempts = 5
-    redial_sleep = 0.2
 
     def __init__(self, index: int, num_workers: int,
                  config: RushMonConfig,
@@ -236,7 +234,42 @@ class ClusterWorker:
         # paths and (replies aside) nowhere else; serialize them so an
         # err frame never interleaves into an ack mid-frame.
         self._control_lock = threading.Lock()
+        # Every socket this incarnation owns; refused once closed.
+        self._sockets_lock = threading.Lock()
+        self._sockets: set = set()
+        self._closed = False
         self._build_engine(config)
+
+    def _own(self, sock: socket.socket) -> socket.socket:
+        """Register ``sock`` for :meth:`close`; a worker already closed
+        refuses (and closes) it."""
+        with self._sockets_lock:
+            if not self._closed:
+                self._sockets.add(sock)
+                return sock
+        sock.close()
+        raise OSError(f"worker {self.index} is closed")
+
+    def _drop(self, sock: socket.socket) -> None:
+        with self._sockets_lock:
+            self._sockets.discard(sock)
+        sock.close()
+
+    def close(self) -> None:
+        """Shut every socket this worker owns — control link, exchange
+        listener, peer links, joins in flight — and release a barrier
+        drain, so the incarnation sends nothing more.  Idempotent."""
+        with self._sockets_lock:
+            self._closed = True
+            sockets, self._sockets = self._sockets, set()
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            sock.close()
+        with self._merge:
+            self._merge.notify_all()
 
     def _build_engine(self, config: RushMonConfig) -> None:
         """(Re)build collector/detector/window; merge state survives a
@@ -385,6 +418,9 @@ class ClusterWorker:
         deadline = time.monotonic() + self.barrier_timeout
         with self._merge:
             while not self._drained_locked(high):
+                if self._closed:
+                    raise ConnectionError(
+                        f"worker {self.index}: closed during {what}")
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise RuntimeError(
@@ -531,11 +567,7 @@ class ClusterWorker:
                 except OSError:
                     dead.append(j)
             for j in dead:
-                sock = self._peer_socks.pop(j)
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                self._drop(self._peer_socks.pop(j))
 
     def _handle_flush(self, message: dict) -> None:
         self._drain_to(message["high"], "barrier")
@@ -586,10 +618,7 @@ class ClusterWorker:
         with self._bcast_lock:
             sock = self._peer_socks.pop(j, None)
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            self._drop(sock)
 
     # -- peer exchange --------------------------------------------------------
 
@@ -602,12 +631,15 @@ class ClusterWorker:
 
     def _peer_loop(self, j: int, sock: socket.socket,
                    reader: FrameReader) -> None:
+        """Apply one peer link's ``edges``.  Frames that arrived with
+        the ``peer-hello`` are already in ``reader`` and are applied
+        before the first ``recv`` — waiting on the socket first would
+        leave them unread until the peer's next broadcast, and a
+        barrier needing their mark would wedge."""
         stream = self._peers[j]
+        data = b""
         try:
             while True:
-                data = sock.recv(_RECV)
-                if not data:
-                    return
                 for message in reader.feed(data):
                     if message["type"] == "edges":
                         groups, _ = decode_frontier(message["frontier"])
@@ -636,6 +668,9 @@ class ClusterWorker:
                         return
                     elif message["type"] == "bye":
                         return
+                data = sock.recv(_RECV)
+                if not data:
+                    return
         except (OSError, ValueError):
             return  # torn down mid-recv during shutdown
 
@@ -657,12 +692,11 @@ class ClusterWorker:
         suffix replayed, link swapped in under the broadcast lock)."""
         while True:
             try:
-                sock, _ = self._listener.accept()
+                sock = self._listener.accept()[0]
             except OSError:
                 return  # listener closed at teardown
             try:
-                no_delay(sock)
-                sock.settimeout(self.handshake_timeout)
+                self._own(no_delay(sock)).settimeout(self.handshake_timeout)
                 reader = FrameReader()
                 hello = recv_message(sock, reader)
                 if hello["type"] != "peer-hello" or "resume" not in hello:
@@ -671,10 +705,7 @@ class ClusterWorker:
                 self._attach_resumed_peer(
                     hello["index"], hello["resume"], sock, reader)
             except (OSError, ConnectionError, ProtocolError):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                self._drop(sock)
 
     def _attach_resumed_peer(self, j: int, resume: int,
                              sock: socket.socket,
@@ -691,7 +722,7 @@ class ClusterWorker:
                     sock.sendall(encode_frame(msg.resume_nack(
                         self.index, resume, self._bcast_trimmed)))
                 finally:
-                    sock.close()
+                    self._drop(sock)
                 return
             for mark, frame in self._bcast_journal:
                 if mark > resume:
@@ -699,10 +730,7 @@ class ClusterWorker:
             old = self._peer_socks.get(j)
             self._peer_socks[j] = sock
         if old is not None:
-            try:
-                old.close()
-            except OSError:
-                pass
+            self._drop(old)
         self._start_peer_loop(j, sock, reader)
 
     # -- joining ---------------------------------------------------------------
@@ -750,21 +778,10 @@ class ClusterWorker:
         self._send_control(encode_frame(msg.restore_ok(self.index)))
 
     def _dial_peer(self, j: int, port: int, resume: int) -> None:
-        last: BaseException | None = None
-        for _ in range(self.redial_attempts):
-            try:
-                sock = socket.create_connection(
-                    ("127.0.0.1", port), timeout=self.handshake_timeout)
-                break
-            except OSError as exc:
-                last = exc
-                time.sleep(self.redial_sleep)
-        else:
-            raise RuntimeError(
-                f"worker {self.index}: cannot dial peer {j} on port "
-                f"{port}: {last!r}"
-            )
-        no_delay(sock)
+        """One dial: the router names only peers that are ``up``, and a
+        peer's exchange listener opened before its ``worker-hello``."""
+        sock = self._own(no_delay(socket.create_connection(
+            ("127.0.0.1", port), timeout=self.handshake_timeout)))
         sock.settimeout(None)
         sock.sendall(encode_frame(msg.peer_hello(self.index, resume=resume)))
         with self._bcast_lock:
@@ -776,11 +793,11 @@ class ClusterWorker:
     def run(self, host: str, port: int) -> None:
         """Connect to the router, join on its ``restore``, serve until
         ``bye``."""
-        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener = self._own(socket.create_server(("127.0.0.1", 0)))
         threading.Thread(target=self._accept_peers, daemon=True,
                          name=f"accept-{self.index}").start()
-        self._control = no_delay(socket.create_connection(
-            (host, port), timeout=self.handshake_timeout))
+        self._control = self._own(no_delay(socket.create_connection(
+            (host, port), timeout=self.handshake_timeout)))
         try:
             self._control.sendall(encode_frame(msg.worker_hello(
                 self.index, self._listener.getsockname()[1])))
@@ -801,16 +818,7 @@ class ClusterWorker:
                 pass
             raise
         finally:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            for sock in self._peer_socks.values():
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            self._control.close()
+            self.close()
 
     def _serve(self, reader: FrameReader) -> None:
         inbox: queue.SimpleQueue = queue.SimpleQueue()
@@ -859,31 +867,3 @@ class ClusterWorker:
             pass
         inbox.put(msg.bye())
 
-
-def worker_main(index: int, num_workers: int, host: str, port: int,
-                config_dict: dict,
-                fault_specs: list[dict] | None = None) -> None:
-    """Spawn entry point (must stay top-level importable for the
-    ``spawn`` start method): build the engine and serve.
-
-    ``fault_specs`` are plain-dict :class:`~repro.testing.faults.Fault`
-    kwargs (picklable across the spawn boundary) armed inside the worker
-    process — how the chaos suite reaches the ``cluster.exchange``
-    injection point.
-    """
-    import os
-
-    if os.environ.get("RUSHMON_WORKER_DUMP"):
-        # Debug hook: dump every worker thread's stack after N seconds
-        # (hung-cluster triage; harmless if the worker exits first).
-        import faulthandler
-
-        faulthandler.dump_traceback_later(
-            float(os.environ["RUSHMON_WORKER_DUMP"]), exit=False)
-    faults = None
-    if fault_specs:
-        faults = FaultInjector()
-        for spec in fault_specs:
-            faults.inject(Fault(**spec))
-    ClusterWorker(index, num_workers, RushMonConfig(**config_dict),
-                  faults=faults).run(host, port)

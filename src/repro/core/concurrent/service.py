@@ -788,10 +788,12 @@ class RushMonService:
                 cfg_dict[knob] = saved[knob]
         cfg_dict.setdefault("batch_size", DEFAULT_BATCH_SIZE)
         # Options retired since the checkpoint was written: the columnar
-        # switch is gone, and loop_threads=0 selected the thread-per-
-        # connection transport, which is gone too (the pool default
-        # serves the restored service instead).
+        # switch and the cluster's fixed snapshot cadence are gone, and
+        # loop_threads=0 selected the thread-per-connection transport,
+        # which is gone too (the pool default serves the restored
+        # service instead).
         cfg_dict.pop("columnar", None)
+        cfg_dict.pop("snapshot_interval", None)
         if cfg_dict.get("loop_threads") == 0:
             del cfg_dict["loop_threads"]
         # Checkpointing is re-armed by restore()'s own arguments, not by

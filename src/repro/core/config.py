@@ -75,15 +75,13 @@ class RushMonConfig:
         Cluster: respawns allowed *per worker* before the supervisor's
         circuit breaker trips and the cluster runs DEGRADED without
         that shard (mirrors the service's ``max_restarts``).
-    snapshot_interval:
-        Cluster: router flushes between shard-snapshot rounds.  ``None``
-        (the default) ships snapshots adaptively, whenever any worker's
-        replay journal reaches half of ``replay_journal_capacity``.
     replay_journal_capacity:
         Cluster: control frames the router retains per worker for
         respawn-and-replay (and broadcasts each worker retains for peer
-        resume).  A respawn whose snapshot falls outside the retained
-        window cannot be replayed bit-exactly and degrades instead.
+        resume).  A snapshot round runs whenever some worker's replay
+        journal reaches half of it.  A respawn whose snapshot falls
+        outside the retained window cannot be replayed bit-exactly and
+        degrades instead.
     loop_threads:
         Serving: event-loop threads multiplexing connections in
         :class:`~repro.net.server.RushMonServer`.
@@ -120,7 +118,6 @@ class RushMonConfig:
     num_workers: int = 4
     cluster_batch: int = DEFAULT_CLUSTER_BATCH
     max_worker_restarts: int = 3
-    snapshot_interval: int | None = None
     replay_journal_capacity: int = 4096
     # -- serving (repro.net.server.RushMonServer) ----------------------
     loop_threads: int = 2
@@ -173,7 +170,6 @@ class RushMonConfig:
             max_worker_restarts=pick(
                 "max_worker_restarts", defaults.max_worker_restarts
             ),
-            snapshot_interval=getattr(args, "snapshot_interval", None),
             replay_journal_capacity=pick(
                 "replay_journal_capacity", defaults.replay_journal_capacity
             ),
@@ -298,16 +294,6 @@ class RushMonConfig:
                 f"max_worker_restarts must be an integer >= 0 respawns per "
                 f"worker before the circuit breaker trips, got "
                 f"{self.max_worker_restarts!r}"
-            )
-        if self.snapshot_interval is not None and (
-            not isinstance(self.snapshot_interval, int)
-            or isinstance(self.snapshot_interval, bool)
-            or self.snapshot_interval < 1
-        ):
-            raise ValueError(
-                f"snapshot_interval must be >= 1 router flushes between "
-                f"snapshot rounds, or None for journal-pressure-driven "
-                f"snapshots, got {self.snapshot_interval!r}"
             )
         if not isinstance(self.replay_journal_capacity, int) or isinstance(
             self.replay_journal_capacity, bool

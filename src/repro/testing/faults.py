@@ -52,17 +52,19 @@ Injection points wired into the pipeline
     forcing the client's retransmit/server-dedup path; ``corrupt``
     flips a byte of the ack frame on the wire.
 ``cluster.route``
-    In the cluster router, per route frame sent to a worker, *before*
-    the frame hits the wire.  ``kill_worker`` SIGKILLs the destination
-    worker process at that exact point — the deterministic crash the
-    cluster chaos differential is built on (the supervisor must
-    respawn-and-replay it bit-exactly).
+    In the cluster router, per control frame sent to a worker (route,
+    flush, snapshot request, detach, reset restore, bye), *before* it is
+    journaled or hits the wire.  ``kill_worker`` kills the destination
+    worker incarnation at that exact point — the deterministic crash the
+    cluster chaos enumeration places at every control frame of a run
+    (the supervisor must respawn-and-replay it bit-exactly).
 ``cluster.exchange``
-    In a cluster worker, per edge-frontier broadcast to the peer mesh
-    (armed via :attr:`~repro.cluster.ClusterMonitor.worker_fault_specs`
-    because it fires inside the worker *process*).  ``exception`` turns
-    the broadcast into a worker-fatal error (exercising the supervisor);
-    ``delay`` simulates a slow exchange link.
+    In a cluster worker, per edge-frontier broadcast to the peer mesh.
+    It fires inside the worker, so it is armed through the incarnation
+    factory: an in-process factory hands the worker a
+    :class:`FaultInjector` directly.  ``exception`` turns the broadcast
+    into a worker-fatal error (exercising the supervisor); ``delay``
+    simulates a slow exchange link.
 ``cluster.snapshot``
     In the cluster router, on receipt of a shard snapshot, before CRC
     verification.  ``corrupt`` flips one byte of the serialized payload
@@ -85,8 +87,8 @@ Fault kinds
     Only meaningful at ``net.recv`` / ``net.ack`` / ``cluster.snapshot``:
     flip one byte of the data in flight.
 ``kill_worker``
-    Only meaningful at ``cluster.route``: SIGKILL the destination
-    worker process.
+    Only meaningful at ``cluster.route``: kill the destination worker
+    incarnation (SIGKILL for a worker process).
 ``slow-read``
     Only meaningful at ``net.recv`` / ``net.select``: cap socket reads
     at one byte (slowloris-style trickle, server side).

@@ -153,7 +153,7 @@ def test_config_surface():
         "block_timeout", "max_restarts", "restart_backoff", "max_backoff",
         "batch_size", "checkpoint_path", "checkpoint_interval",
         "num_workers", "cluster_batch", "max_worker_restarts",
-        "snapshot_interval", "replay_journal_capacity",
+        "replay_journal_capacity",
         "loop_threads", "max_connections", "idle_timeout", "drain_timeout",
     }
     assert list(inspect.signature(RushMonService.__init__).parameters) == [

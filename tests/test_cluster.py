@@ -198,6 +198,36 @@ def test_worker_counts_elided_ops_once_per_route_sequence():
         router_end.close()
 
 
+def test_a_peer_link_applies_the_frames_that_arrived_with_its_hello():
+    """A joining peer dials, says ``peer-hello`` and at once replays its
+    journal, so the hello and the first ``edges`` frames can arrive in
+    one read.  The peer loop must apply what the handshake read left in
+    the frame reader before it waits on the socket again: waiting first
+    kept that watermark unread until the peer's next broadcast, and a
+    barrier needing it wedged for ``barrier_timeout``."""
+    import socket
+
+    from repro.cluster import messages as msg
+    from repro.cluster.worker import ClusterWorker, recv_message
+    from repro.net.protocol import encode_frame
+
+    worker = ClusterWorker(0, 2, RushMonConfig(
+        sampling_rate=1, mob=False, seed=1, num_workers=2))
+    ours, theirs = socket.socketpair()
+    try:
+        theirs.sendall(encode_frame(msg.peer_hello(1, resume=0))
+                       + encode_frame(msg.edges(1, [], 5)))
+        reader = FrameReader()
+        assert recv_message(ours, reader)["type"] == "peer-hello"
+        worker._start_peer_loop(1, ours, reader)
+        with worker._merge:
+            assert worker._merge.wait_for(
+                lambda: worker._peers[1].mark == 5, timeout=10)
+    finally:
+        theirs.close()
+        ours.close()
+
+
 def test_route_message_omits_a_zero_elided_count():
     """At ``sr = 1`` nothing is ever elided, and the frame must not
     carry the field at all (old journals and new frames stay one
@@ -252,8 +282,8 @@ def test_worker_death_is_respawned_transparently():
     monitor = ClusterMonitor(
         RushMonConfig(sampling_rate=1, mob=False, num_workers=2))
     monitor.on_operation(Operation(OpType.WRITE, 1, "x", 1))
-    victim = monitor._links[0].proc
-    victim.terminate()
+    victim = monitor._links[0].handle
+    victim.kill()
     victim.join(timeout=10)
     # The supervisor detects the death and respawns shard 0 behind the
     # barrier: the window closes healthy, with nothing lost.
@@ -262,7 +292,7 @@ def test_worker_death_is_respawned_transparently():
     assert report.degraded_shards == ()
     assert report.operations == 1
     assert monitor.worker_restarts_total >= 1
-    assert monitor._links[0].proc is not victim
+    assert monitor._links[0].handle is not victim
     health = {entry["index"]: entry for entry in monitor.shard_health()}
     assert health[0]["state"] == "up"
     assert health[0]["restarts"] >= 1
