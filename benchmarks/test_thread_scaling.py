@@ -1,9 +1,9 @@
-"""Extension bench: serial vs. sharded monitored throughput (ops/sec).
+"""Extension bench: serial vs. service monitored throughput (ops/sec).
 
 Not a paper figure — the paper's overhead numbers come from a 32/128-core
 C++ deployment — but the reproduction's concurrent service needs the
 same question answered at its own scale: what does monitoring cost when
-N real threads feed the sharded collector, relative to the serial
+N real threads feed the concurrent service, relative to the serial
 monitor?  See ``repro.bench.threads`` for the CPython/GIL caveat.
 """
 
@@ -19,7 +19,6 @@ def test_thread_scaling(benchmark):
             keys=256,
             touch=3,
             sampling_rate=4,
-            num_shards=16,
             seed=0,
         )
 

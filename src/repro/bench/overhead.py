@@ -11,8 +11,8 @@ YCSB-style read-modify-write workload is driven through
 - **serial** — the single-threaded :class:`~repro.core.monitor.RushMon`
   facade subscribed as the sole listener;
 - **service** — the concurrent
-  :class:`~repro.core.concurrent.RushMonService` (sharded collector +
-  background detection thread) subscribed.
+  :class:`~repro.core.concurrent.RushMonService` (ticketed journal +
+  background collection and detection) subscribed.
 
 For each monitored mode it reports ``ratio = t_monitored / t_bare`` and
 the derived overhead percentage.  Pure-Python hook costs are far larger
@@ -67,7 +67,6 @@ def run_overhead(
     threads: int = 4,
     sampling_rates: Sequence[int] = (1, 4, 20),
     repeats: int = 3,
-    num_shards: int = 16,
     seed: int = 0,
     name: str = "overhead",
     batch_size: int = 256,
@@ -102,7 +101,6 @@ def run_overhead(
 
         def timed_service() -> float:
             service = RushMonService(replace(config,
-                                             num_shards=num_shards,
                                              detect_interval=0.01,
                                              batch_size=batch_size))
             start = time.perf_counter()

@@ -54,7 +54,7 @@ RESULTS_FILE = "BENCH_serving.json"
 
 #: p99 scheduled-send->ack latency a rung must stay under to count as
 #: sustained.  Generous because the reference host is single-core: the
-#: server's loop threads, the service shards, and the emitter all share
+#: server's loop threads, the detection thread, and the emitter all share
 #: one CPU, so scheduling jitter alone costs tens of milliseconds.
 LATENCY_SLO = 0.75
 
@@ -73,7 +73,7 @@ def _server(*, seed: int = 0, **server_kwargs):
     from repro.net.server import RushMonServer
 
     service = RushMonService(
-        RushMonConfig(sampling_rate=20, mob=True, seed=seed, num_shards=4,
+        RushMonConfig(sampling_rate=20, mob=True, seed=seed,
                       detect_interval=3600.0),
         record_trace=False,
     )
@@ -288,8 +288,8 @@ def run_serving(out_path: str | Path = RESULTS_FILE, *, quick: bool = False,
                          "scheduled at t0 + k*batch/rate; latency measured "
                          "from the scheduled instant; typed refusals shed "
                          "with a gap-free empty resend",
-            "server": "event loop (loop_threads=2), sr=20 service, 4 "
-                      "shards, detect_interval=3600, ack_interval=20ms, "
+            "server": "event loop (loop_threads=2), sr=20 service, "
+                      "detect_interval=3600, ack_interval=20ms, "
                       "no trace recording",
             "sustained": f"ack fraction >= {ACK_FLOOR} and p99 <= "
                          f"{LATENCY_SLO * 1e3:.0f}ms",

@@ -1,4 +1,4 @@
-"""Thread-scaling throughput benchmark: serial monitor vs. sharded service.
+"""Thread-scaling throughput benchmark: serial monitor vs. threaded service.
 
 Compares monitored ops/sec of the serial :class:`~repro.core.monitor.RushMon`
 (single caller, no locks) against the concurrent
@@ -7,10 +7,11 @@ threads via :class:`~repro.sim.scheduler.ThreadedWorkloadDriver`.
 
 Interpretation note for CPython: the GIL serializes the Python-level
 bookkeeping, so multi-threaded rows measure *coordination overhead*
-(shard locks, journal, context switches) rather than parallel speedup;
+(the journal lock, context switches) rather than parallel speedup;
 near-flat ops/sec across thread counts is the success criterion — it
-means disjoint-key writers do not contend on shared monitor state.  On
-free-threaded builds the same harness measures real scaling.
+means writers do not contend on shared monitor state beyond one short
+append.  On free-threaded builds the same harness measures real
+scaling.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ def run_thread_scaling(
     keys: int = 256,
     touch: int = 3,
     sampling_rate: int = 4,
-    num_shards: int = 16,
     seed: int = 0,
     name: str = "thread_scaling",
     batch_size: int = 256,
@@ -67,8 +67,7 @@ def run_thread_scaling(
     })
 
     for threads in thread_counts:
-        service = RushMonService(replace(config, num_shards=num_shards,
-                                         detect_interval=0.01,
+        service = RushMonService(replace(config, detect_interval=0.01,
                                          batch_size=batch_size))
         driver = ThreadedWorkloadDriver([service], num_threads=threads,
                                         seed=seed)
@@ -79,14 +78,14 @@ def run_thread_scaling(
         elapsed = time.perf_counter() - start
         rate = driver.ops_emitted / elapsed
         rows.append({
-            "mode": "sharded", "threads": threads, "ops": driver.ops_emitted,
+            "mode": "service", "threads": threads, "ops": driver.ops_emitted,
             "seconds": elapsed, "ops_per_sec": rate,
             "vs_serial": rate / serial_rate,
         })
 
     table = format_table(
         f"Thread scaling: monitored ops/sec (sr={sampling_rate}, "
-        f"{num_shards} shards, {buus} BUUs x {touch} keys)",
+        f"{buus} BUUs x {touch} keys)",
         ["mode", "threads", "ops", "seconds", "ops/sec", "vs serial"],
         [[r["mode"], r["threads"], r["ops"], r["seconds"],
           r["ops_per_sec"], r["vs_serial"]] for r in rows],

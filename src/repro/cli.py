@@ -78,8 +78,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=0,
                         help="drive the workload from N real threads through "
                              "the concurrent RushMonService (0 = serial)")
-    parser.add_argument("--shards", type=int, default=_DEFAULTS.num_shards,
-                        help="key-hash shards of the concurrent collector")
     # Not RushMonConfig's 0.05 s: a toy run lasts well under a second.
     parser.add_argument("--detect-interval", type=float, default=0.02,
                         help="seconds between background detection passes")
@@ -172,7 +170,7 @@ def _service_quickstart(args: argparse.Namespace) -> int:
     # make coarse — without them the toy workload is nearly anomaly-free.
     driver = ThreadedWorkloadDriver([service], num_threads=args.threads,
                                     seed=args.seed, yield_every=5)
-    print(f"threads: {args.threads}   shards: {args.shards}")
+    print(f"threads: {args.threads}")
     print("window  ops   est 2-cycles  est 3-cycles  top pattern")
     with service:
         for window in range(args.windows):
@@ -763,7 +761,7 @@ def cmd_bench_overhead(args: argparse.Namespace) -> int:
     whatever was not given explicitly."""
     from repro.bench.overhead import run_overhead
 
-    with _usage_errors(args):  # --shards / --batch-size, before any timing
+    with _usage_errors(args):  # --batch-size, before any timing
         RushMonConfig.from_cli_args(args)
     quick = args.quick
     rates = args.rates or ("1,20" if quick else "1,4,20")
@@ -772,16 +770,16 @@ def cmd_bench_overhead(args: argparse.Namespace) -> int:
                  threads=args.threads or (2 if quick else 4),
                  repeats=args.repeats or (1 if quick else 3),
                  sampling_rates=[int(v) for v in rates.split(",")],
-                 num_shards=args.shards, seed=args.seed,
+                 seed=args.seed,
                  batch_size=args.batch_size)
     return 0
 
 
 def cmd_bench_threads(args: argparse.Namespace) -> int:
-    """Run the serial vs. sharded thread-scaling benchmark."""
+    """Run the serial vs. service thread-scaling benchmark."""
     from repro.bench.threads import run_thread_scaling
 
-    with _usage_errors(args):  # --shards / --batch-size, before any timing
+    with _usage_errors(args):  # --batch-size, before any timing
         RushMonConfig.from_cli_args(args)
     thread_counts = [int(v) for v in args.threads.split(",")]
     run_thread_scaling(
@@ -790,7 +788,6 @@ def cmd_bench_threads(args: argparse.Namespace) -> int:
         keys=args.keys,
         touch=args.touch,
         sampling_rate=args.sampling_rate,
-        num_shards=args.shards,
         seed=args.seed,
         batch_size=args.batch_size,
     )
@@ -869,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench-threads",
-        help="serial vs. sharded monitored throughput at 1/2/4/8 threads",
+        help="serial vs. service monitored throughput at 1/2/4/8 threads",
     )
     bench.add_argument("--threads", default="1,2,4,8",
                        help="comma-separated thread counts")
@@ -877,7 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--keys", type=int, default=256)
     bench.add_argument("--touch", type=int, default=3)
     bench.add_argument("--sampling-rate", type=int, default=4)
-    bench.add_argument("--shards", type=int, default=16)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--batch-size", type=int,
                        default=_DEFAULTS.batch_size,
@@ -904,7 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="keep the exporter serving after the workload "
                           "finishes (Ctrl-C to exit)")
     mon.add_argument("--threads", type=int, default=4)
-    mon.add_argument("--shards", type=int, default=_DEFAULTS.num_shards)
     # As in quickstart: the toy run is over before 0.05 s passes twice.
     mon.add_argument("--detect-interval", type=float, default=0.02)
     mon.add_argument("--journal-capacity", type=int, default=None,
@@ -920,8 +915,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "circuit breaker marks the service DEGRADED")
     mon.add_argument("--batch-size", type=int,
                      default=_DEFAULTS.batch_size,
-                     help="operations per ingest batch (one lock "
-                          "acquisition and one detector feed per batch)")
+                     help="most journaled operations per journal record "
+                          "(one collector call and one detector feed "
+                          "each)")
     mon.add_argument("--buus", type=int, default=2000)
     mon.add_argument("--keys", type=int, default=64)
     mon.add_argument("--touch", type=int, default=3)
@@ -965,7 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "many ingested batches")
     srv.add_argument("--export-port", type=int, default=None,
                      help="serve /metrics on this port (0 = ephemeral)")
-    srv.add_argument("--shards", type=int, default=_DEFAULTS.num_shards)
     srv.add_argument("--detect-interval", type=float, default=None,
                      help=f"seconds between background detection passes "
                           f"(default {_DEFAULTS.detect_interval})")
@@ -1038,7 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 3)")
     over.add_argument("--rates", default=None,
                       help="comma-separated sampling rates (default 1,4,20)")
-    over.add_argument("--shards", type=int, default=16)
     over.add_argument("--seed", type=int, default=0)
     over.add_argument("--batch-size", type=int,
                       default=_DEFAULTS.batch_size,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -328,12 +327,11 @@ class SampledLifecycle:
 
     An edge only ever points at the BUU issuing the operation, so a BUU
     with no operation on a chosen item has no edge in either direction
-    and the detector need never hear of it.  ``RushMon``, the sharded
-    collector (service, server) and the cluster router offer their
-    begins and commits to the gate (:meth:`begin`, :meth:`commit`,
-    :meth:`run`) and their operations to :meth:`admit`; they differ only
-    in the *sink* a delivered event goes to (detector, ticketed journal,
-    per-worker buffers) and in the lock they hold.  The contract:
+    and the detector need never hear of it.  ``RushMon``, the service's
+    detection pass and the cluster router offer their begins and commits
+    to the gate (:meth:`begin`, :meth:`commit`) and their operations to
+    :meth:`admit`; they differ only in the *sink* a delivered event goes
+    to (a detector, or per-worker buffers).  The contract:
 
     - **known.**  Only the begin of an id the sink never heard of is
       parked.  ``known`` holds every id whose begin or commit was
@@ -345,36 +343,30 @@ class SampledLifecycle:
       chosen items and hands the sink, as ``deliver(buu, start)``, the
       parked begin of each kept operation's BUU ahead of it
       (:meth:`promote`).  A begin is unparked only once the sink took
-      it: whoever finds the BUU gone comes after its begin, and a sink
-      that raises leaves it parked.
-    - **Shed.**  A sink that returns ``False`` dropped the begin whole
-      (a full journal under ``overflow="shed"``): unparked, and counted
-      with the elided events.
+      it: a sink that raises leaves it parked.
     - **engaged**: can the sample exclude a BUU at all
       (``sampling_rate > 1`` and a sink fed only the sampled
       operations)?  The one predicate for "leaving something out is
       sound"; while false every begin is delivered as it arrives and
       nothing is remembered.
     - **Accounting.**  ``elided`` counts the begin/commit events
-      dropped: *offered = delivered + elided + parked* at any instant
-      (plus what the sink itself shed at offer), across :meth:`reset`
-      and a restore (:meth:`load_state`, with ``known=``).
+      dropped: *offered = delivered + elided + parked* at any instant,
+      across :meth:`reset` and a restore (:meth:`load_state`, with
+      ``known=``).
 
-    ``lock`` serializes a threaded front end: :meth:`run` and
-    :meth:`promote` hold it themselves, a caller of the scalar gate
-    holds it around the call (a single-threaded owner's is a no-op its
-    scalar calls never touch).  ``parked`` and ``known`` change only in
-    this class; the one outside reader is the cluster router's fused
-    placement loop (with :meth:`unpark`).  Soundness: DESIGN §5.
+    The gate is single-threaded: each front end calls it from one thread
+    at a time (the service from its detection pass).  ``parked`` and
+    ``known`` change only in this class; the one outside reader is the
+    cluster router's fused placement loop (with :meth:`unpark`).
+    Soundness: DESIGN §5.
     """
 
-    __slots__ = ("lookup", "engaged", "parked", "known", "elided", "lock")
+    __slots__ = ("lookup", "engaged", "parked", "known", "elided")
 
-    def __init__(self, sampler: ItemSampler, engaged: bool = True, lock=None) -> None:
+    def __init__(self, sampler: ItemSampler, engaged: bool = True) -> None:
         self.parked: dict[BuuId, int] = {}
         self.known: set[BuuId] = set()
         self.elided = 0
-        self.lock = nullcontext() if lock is None else lock
         self.reset(sampler, engaged)
 
     def reset(self, sampler: ItemSampler, engaged: bool = True) -> None:
@@ -389,7 +381,7 @@ class SampledLifecycle:
 
     @property
     def num_parked(self) -> int:
-        """How many begins are parked (lock-free: a count, or a truth)."""
+        """How many begins are parked."""
         return len(self.parked)
 
     def begin(self, buu: BuuId, start: int) -> bool:
@@ -414,18 +406,6 @@ class SampledLifecycle:
             self.known.add(buu)
         return False
 
-    def run(self, begins: bool, buus: Sequence[BuuId],
-            times: Sequence[int]) -> tuple[Sequence[BuuId], Sequence[int]]:
-        """The gate over a run of begins (or commits) under one hold of
-        the lock: the ``(buus, times)`` to deliver, in order."""
-        if not self.engaged:
-            return buus, times
-        gate = self.begin if begins else self.commit
-        with self.lock:
-            kept = [(buu, when) for buu, when in zip(buus, times)
-                    if not gate(buu, when)]
-        return tuple(zip(*kept)) if kept else ((), ())
-
     def admit(self, ops: Iterable[Operation],
               deliver: Callable[[BuuId, int], object]) -> list[Operation]:
         """The operations of ``ops`` on chosen items, after handing
@@ -441,19 +421,11 @@ class SampledLifecycle:
         """Hand ``deliver(buu, start)`` the parked begin of every BUU
         issuing one of the chosen operations ``ops``, then unpark it."""
         parked = self.parked
-        hit = [op[1] for op in ops if op[1] in parked]
-        if not hit:
-            return
-        with self.lock:
-            for buu in hit:
-                start = parked.get(buu)
-                if start is None:  # promoted meanwhile, or twice in ops
-                    continue
-                if deliver(buu, start) is False:  # shed: dropped whole
-                    del parked[buu]
-                    self.elided += 1
-                else:
-                    self.unpark(buu)
+        for buu in [op[1] for op in ops if op[1] in parked]:
+            start = parked.get(buu)
+            if start is not None:  # not twice in ops
+                deliver(buu, start)
+                self.unpark(buu)
 
     def unpark(self, buu: BuuId) -> int:
         """``buu``'s parked begin is delivered: now known; its start."""
@@ -552,12 +524,14 @@ class CollectorShard:
         self._mob_items.clear()
         self._full_items.clear()
 
-    def drop_item(self, key: Key) -> None:
-        """Forget one item's bookkeeping (degrade-mode exclusion): the
-        next operation on the key warms up from scratch, exactly as a
-        sample switch would, instead of deriving edges from stale state."""
-        self._mob_items.pop(key, None)
-        self._full_items.pop(key, None)
+    def drop_items(self, excluded: Callable[[Key], bool]) -> None:
+        """Forget the bookkeeping of every tracked item ``excluded``
+        names (degrade-mode exclusion): the next operation on such a key
+        warms up from scratch, exactly as a sample switch would, instead
+        of deriving edges from stale state."""
+        for table in (self._mob_items, self._full_items):
+            for key in [key for key in table if excluded(key)]:
+                del table[key]
 
     # -- checkpoint support ----------------------------------------------------
 

@@ -1,24 +1,27 @@
-"""Concurrent RushMon: sharded thread-safe collection + background detection.
+"""Concurrent RushMon: thread-safe ingestion + background detection.
 
 The serial monitor (:mod:`repro.core.monitor`) assumes a single caller.
 This package makes the monitor safe under real threads:
 
+- :class:`RushMonService` — producers only journal (one ticketed record
+  per batch, :mod:`repro.core.concurrent.journaled`); a *supervised*
+  background thread (restart with exponential backoff, a circuit
+  breaker into an explicit DEGRADED state) collects the journal in
+  ticket order, runs the pruned cycle detector at a configurable window
+  interval and publishes each window's
+  :class:`~repro.core.types.AnomalyReport` via an atomic snapshot, with
+  graceful ``start()``/``stop()`` drain semantics and checkpoint/restore
+  crash recovery.
 - :class:`ShardedCollector` — key-hash shards, one lock and one
   :class:`~repro.core.collector.CollectorShard` each, so writers on
-  disjoint keys never contend; an optional ticket-ordered journal
-  records the serialized execution.
-- :class:`RushMonService` — runs the pruned cycle detector on a
-  *supervised* background thread (restart with exponential backoff, a
-  circuit breaker into an explicit DEGRADED state) at a configurable
-  window interval and publishes each window's
-  :class:`~repro.core.types.AnomalyReport` via an atomic snapshot, with
-  graceful ``start()``/``stop()`` drain semantics and
-  checkpoint/restore crash recovery.
+  disjoint keys never contend and get their edges back; an optional
+  ticket-ordered journal records the serialized execution.
 - :class:`JournalBackpressure` — raised to producers when the bounded
   journal stays full past the block timeout (``overflow="block"``).
 """
 
+from repro.core.concurrent.journaled import JournalBackpressure
 from repro.core.concurrent.service import RushMonService
-from repro.core.concurrent.sharded import JournalBackpressure, ShardedCollector
+from repro.core.concurrent.sharded import ShardedCollector
 
 __all__ = ["JournalBackpressure", "RushMonService", "ShardedCollector"]

@@ -1,0 +1,745 @@
+"""The service's collector: producers journal, the detection pass collects.
+
+A producer of :class:`~repro.core.concurrent.service.RushMonService`
+does no bookkeeping.  The operations of one ``on_operations`` call
+become one journal record ``(ticket, EV_OPS, ops, elided)`` (a call
+longer than ``batch_size`` journaled operations becomes several), and a
+begin or commit becomes ``(ticket, EV_BEGIN | EV_COMMIT, buu, time)``.
+The ticket is drawn and the record appended under one short lock, so
+journal order *is* ticket order and a drain is always a complete prefix
+of it.  A batch record reserves one ticket per operation (at least one),
+so the operations of the recorded trace keep distinct, increasing
+stamps.
+
+The consumer — the service's detection pass, one thread at a time —
+drains the journal and walks it in ticket order: lifecycle records go
+to the admission gate (:class:`~repro.core.collector.SampledLifecycle`),
+and each batch goes to :meth:`JournaledCollector.collect`, which is the
+serial :class:`~repro.core.monitor.RushMon`'s path — the gate's
+``admit``, then one fused :meth:`CollectorShard.handle_batch` over the
+chosen operations.  Per-key bookkeeping order is ticket order, so the
+edges a service derives are those of a serial run over its serialized
+trace, and one :class:`~repro.core.collector.CollectorShard` seeded like
+the serial collector's makes even MOB's reservoir draws identical.  No
+item state is shared with a producer, so nothing but the journal is
+locked.
+
+Sampling before the journal
+---------------------------
+
+An operation on an unsampled item derives no edge.  With
+``journal_sampled_only`` (the service without a recorded trace) and
+``sampling_rate > 1`` a producer therefore keeps only the operations on
+chosen items, and the rest ride along as the record's ``elided`` count;
+a call that keeps none adds its count to one run-length total that the
+next drain hands over as an ``(ticket, EV_OPS, [], count)`` record.  The
+decision is a lock-free probe of the sampler's memo.  A caller that can
+tell earlier still — the network server, while decoding a frame — asks
+:meth:`JournaledCollector.prefilter` for the same predicate and passes
+``elided`` itself.  A recorded trace needs every operation (its replay
+re-samples), so then nothing is left out.
+
+Bounded journal and backpressure
+--------------------------------
+
+``journal_capacity`` bounds the events waiting in the journal — journaled
+operations and lifecycle events; elided operations take no room.  A
+record arriving at a journal that holds events and has no room for it
+meets the ``overflow`` policy:
+
+``"block"``
+    The producer waits (released by the next drain) up to
+    ``block_timeout`` seconds, then gets :class:`JournalBackpressure`.
+``"shed"``
+    The record is dropped whole and counted in the shed counters; its
+    elided count is still counted, so only sampled operations (and
+    lifecycle events) are ever shed.
+``"degrade"``
+    The record is journaled anyway and the effective sampling rate
+    doubles (at most once per drain): an item is kept only if a
+    secondary per-item hash also keeps it, and
+    :attr:`~JournaledCollector.sampling_probability` stays calibrated.
+    A drain that comes up under half the capacity steps it back down.
+
+Each change of the degrade shift is journaled as a marker record
+``(ticket, EV_SHIFT, shift, 0)`` at the position it takes effect, so the
+pass filters every batch at the shift in force where it was journaled
+and, when the shift rises, forgets the state of the items it now
+excludes (a later re-inclusion warms up instead of deriving edges from a
+stale ``lastWrite``).  Producers that may leave operations out (as
+above) apply the same filter before the journal, so an excluded
+operation is elided like an unsampled one: each shift halves the inflow,
+and excluded operations are never a reason to escalate again.  A
+producer never filters at a shift above the one in force where its
+record lands — if the shift fell while it filtered, it filters again
+under the lock — so the pass always sees every operation on the items
+it keeps.
+"""
+
+from __future__ import annotations
+
+import heapq
+import random
+import threading
+import time
+import zlib
+from typing import Any, Callable, Iterable, Sequence
+
+from repro.core.collector import (CollectorShard, ItemSampler,
+                                  SampledLifecycle, _splitmix64)
+from repro.core.types import (BuuId, Edge, EdgeColumns, EdgeStats, EdgeType,
+                              Key, Operation, OpType)
+from repro.obs.metrics import MetricsRegistry
+
+#: Record kinds.  ``EV_OPS``: ``(ticket, EV_OPS, ops, elided)``, a
+#: producer batch still to collect.
+EV_OPS = "ops"
+EV_BEGIN = "begin"
+EV_COMMIT = "commit"
+#: ``(ticket, EV_SHIFT, shift, 0)``: the degrade shift from here on.
+EV_SHIFT = "shift"
+#: ``(ticket, EV_EDGES, 0, edges)``: edges the pass collected from
+#: records it consumed, then failed to feed the detector (re-queued).
+EV_EDGES = "edges"
+#: Kinds only a checkpoint written before collection moved into the pass
+#: holds: an operation collected at ingest, ``(ticket, EV_OP, op,
+#: edges)``, and a run-length count ``(ticket, EV_ELIDED, operations,
+#: lifecycle events)``.
+EV_OP = "op"
+EV_ELIDED = "elided"
+
+#: Valid journal-overflow policies.
+OVERFLOW_POLICIES = ("block", "shed", "degrade")
+
+#: Salt for the degrade-mode secondary item filter (must differ from the
+#: sampler's salt so the two inclusions are independent).
+_DEGRADE_SALT = 0xD1E6_7A5E
+
+_EDGE_TYPES = {member.value: member for member in EdgeType}
+
+
+def _degrade_hash(key: Key) -> int:
+    """The degrade filter's per-item hash: ``key`` is kept at shift
+    ``s`` iff its low ``s`` bits are zero.  Process-stable, so filter
+    membership survives a restore."""
+    return _splitmix64(zlib.crc32(repr(key).encode()) ^ _DEGRADE_SALT)
+
+
+class JournalBackpressure(RuntimeError):
+    """Raised to a producer when the journal stayed full past the
+    ``block_timeout`` under the ``"block"`` overflow policy."""
+
+
+def _weight(record: tuple) -> int:
+    """Journal room a record takes: its operations, or one event."""
+    kind = record[1]
+    if kind == EV_OPS:
+        return len(record[2])
+    return 0 if kind in (EV_ELIDED, EV_SHIFT, EV_EDGES) else 1
+
+
+def _encode_edges(edges: Iterable[Edge]) -> list:
+    return [[e.src, e.dst, e.kind.value, e.label, e.seq] for e in edges]
+
+
+def _decode_edges(rows: list) -> EdgeColumns:
+    edges = EdgeColumns()
+    edges.extend((r[0], r[1], _EDGE_TYPES[r[2]], r[3], r[4]) for r in rows)
+    return edges
+
+
+def _encode(record: tuple) -> list:
+    """Checkpoint encoding of one journal record (JSON-friendly)."""
+    ticket, kind, payload, extra = record
+    if kind == EV_OPS:
+        return [ticket, kind, [[op.op.value, op.buu, op.key, op.seq]
+                               for op in payload], extra]
+    if kind == EV_OP:
+        return [ticket, kind, [payload.op.value, payload.buu, payload.key,
+                               payload.seq], _encode_edges(extra)]
+    if kind == EV_EDGES:
+        return [ticket, kind, payload, _encode_edges(extra)]
+    return [ticket, kind, payload, extra]
+
+
+def _decode(record: list) -> tuple:
+    """Inverse of :func:`_encode` (an EV_OP record's edges come back as
+    :class:`~repro.core.types.EdgeColumns`)."""
+    ticket, kind, payload, extra = record
+    if kind == EV_OPS:
+        return (ticket, kind, [Operation(OpType(o[0]), o[1], o[2], o[3])
+                               for o in payload], extra)
+    if kind == EV_OP:
+        return (ticket, kind,
+                Operation(OpType(payload[0]), payload[1], payload[2],
+                          payload[3]),
+                _decode_edges(extra))
+    if kind == EV_EDGES:
+        return (ticket, kind, payload, _decode_edges(extra))
+    return (ticket, kind, payload, extra)
+
+
+class JournaledCollector:
+    """The collector of :class:`~repro.core.concurrent.RushMonService`
+    (module docstring): ``offer_*`` on any producer thread, everything
+    else on the consumer's.
+
+    Parameters mirror :class:`~repro.core.collector.DataCentricCollector`
+    (``sampling_rate``, ``mob``, ``mob_slots``, ``items``, ``seed``) plus
+    the journal's: ``journal_sampled_only``, ``journal_capacity``,
+    ``overflow``, ``block_timeout`` and ``batch_size`` (most journaled
+    operations per record).  ``faults`` arms the ``collector.handle``
+    (each offer) and ``journal.drain`` injection points; ``metrics``
+    gets the collector's readings as callback gauges.
+    """
+
+    def __init__(
+        self,
+        sampling_rate: int = 1,
+        mob: bool = True,
+        items: Iterable[Key] | None = None,
+        seed: int = 0,
+        mob_slots: int = 2,
+        journal_sampled_only: bool = False,
+        journal_capacity: int | None = None,
+        overflow: str = "block",
+        block_timeout: float = 5.0,
+        batch_size: int = 256,
+        faults: Any | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
+        if journal_capacity is not None and journal_capacity < 1:
+            raise ValueError("journal_capacity must be >= 1 or None")
+        if overflow not in OVERFLOW_POLICIES:
+            raise ValueError(
+                f"overflow must be one of {OVERFLOW_POLICIES}, "
+                f"got {overflow!r}")
+        if block_timeout <= 0:
+            raise ValueError("block_timeout must be > 0")
+        self.sampler = ItemSampler(sampling_rate, seed)
+        if items is not None:
+            self.sampler.materialize(items)
+        # Seeded like DataCentricCollector's shard: a service fed one
+        # stream draws MOB's coins exactly as the serial monitor does.
+        self.shard = CollectorShard(mob, mob_slots,
+                                    random.Random(seed ^ 0x5EED))
+        #: The admission gate; the consumer is its only caller.
+        self.lifecycle = SampledLifecycle(self.sampler)
+        self._sampled_only = journal_sampled_only
+        self.journal_capacity = journal_capacity
+        self.overflow = overflow
+        self.block_timeout = block_timeout
+        self.batch_size = batch_size
+        self._faults = faults
+        # Everything below is guarded by _lock (producers and drains).
+        self._lock = threading.Lock()
+        self._not_full = threading.Condition(self._lock)
+        self._records: list[tuple] = []
+        self._next_ticket = 0
+        self._pending = 0      # journaled events not yet drained
+        self._elided = 0       # elided operations not yet drained
+        self._ops_seen = 0
+        self.journal_highwater = 0
+        self.shed_events = 0
+        self.shed_sampled_events = 0
+        self.blocked_seconds = 0.0
+        self.block_timeouts = 0
+        # Degrade-policy state: the effective per-item keep fraction is
+        # 1 / 2**shift on top of the base sample.  _degrade_shift is the
+        # shift at the journal's tail; _pass_shift, the consumer's, is
+        # the one in force where the pass has got to (EV_SHIFT records).
+        self._degrade_shift = 0
+        self._pass_shift = 0
+        self.degrade_shifts_total = 0
+        self._shifted_this_epoch = False
+        self.lifecycle_offered = 0
+        self.lock_wait_seconds = 0.0
+        if metrics is not None:
+            self._register_metrics(metrics)
+
+    def _register_metrics(self, metrics: MetricsRegistry) -> None:
+        """Callback gauges only, reading what the journal and the shard
+        count anyway: exporting costs a producer nothing."""
+        gauges: dict[str, tuple[Callable[[], float], str]] = {
+            "ops_total": (
+                lambda: self._ops_seen,
+                "operations offered and not shed"),
+            "sampled_ops_total": (
+                lambda: self.shard.touches,
+                "operations the detection pass bookkept (sampled-item hits)"),
+            "edges_total": (
+                lambda: self.shard.stats.total,
+                "dependency edges the detection pass collected"),
+            "lifecycle_events_total": (
+                lambda: self.lifecycle_offered,
+                "BUU begin/commit events offered and not shed"),
+            "lock_wait_seconds_total": (
+                lambda: self.lock_wait_seconds,
+                "cumulative time producer threads waited for the journal "
+                "lock"),
+            "lifecycle_elided_total": (
+                lambda: self.lifecycle.elided,
+                "begin/commit events the detector never heard of: their "
+                "BUU committed without an operation on a sampled item"),
+            "lifecycle_parked": (
+                lambda: self.lifecycle.num_parked,
+                "BUUs whose begin is held back until their first operation "
+                "on a sampled item (or their commit)"),
+            "journal_depth": (
+                lambda: self._pending,
+                "events waiting in the journal: journaled operations and "
+                "lifecycle events (elided operations take no room)"),
+            "journal_depth_highwater": (
+                lambda: self.journal_highwater,
+                "deepest the journal has grown between drains, in events"),
+            "journal_fill_ratio": (
+                self._fill_ratio,
+                "journal depth / journal capacity (0 when unbounded)"),
+            "journal_shed_total": (
+                lambda: self.shed_events,
+                "events dropped whole by the 'shed' overflow policy "
+                "(never acknowledged, so estimates stay honest)"),
+            "journal_shed_sampled_total": (
+                lambda: self.shed_sampled_events,
+                "shed events that were operations on sampled items"),
+            "backpressure_wait_seconds_total": (
+                lambda: self.blocked_seconds,
+                "cumulative time producers spent blocked on a full "
+                "journal ('block' overflow policy)"),
+            "backpressure_timeouts_total": (
+                lambda: self.block_timeouts,
+                "producer waits that exceeded block_timeout and raised "
+                "JournalBackpressure"),
+            "effective_sampling_rate": (
+                lambda: self.sampler.sampling_rate << self._degrade_shift,
+                "configured sr times the degrade-policy multiplier"),
+            "degrade_shifts_total": (
+                lambda: self.degrade_shifts_total,
+                "times the degrade policy changed the effective sampling "
+                "rate (up or down)"),
+            "sampled_hit_rate": (
+                self._hit_rate,
+                "fraction of operations offered that were bookkept"),
+        }
+        for name, (read, text) in gauges.items():
+            metrics.gauge_fn(f"rushmon_collector_{name}",
+                             lambda read=read: float(read()), help=text)
+
+    def _hit_rate(self) -> float:
+        seen = self._ops_seen
+        return self.touches / seen if seen else 0.0
+
+    def _fill_ratio(self) -> float:
+        if self.journal_capacity is None:
+            return 0.0
+        return self._pending / self.journal_capacity
+
+    # -- producers (any thread) ----------------------------------------------
+
+    def prefilter(self) -> Callable[[Key], bool] | None:
+        """The predicate ``key -> chosen?`` a caller may apply to
+        operations *before* it builds or hands over anything for them —
+        passing :meth:`offer_ops` the chosen ones and the number it left
+        out as ``elided`` — or ``None`` when every operation must be
+        journaled (a recorded trace, or ``sampling_rate == 1``)."""
+        if self._sampled_only and self.sampler.sampling_rate > 1:
+            return self.sampler.lookup
+        return None
+
+    def offer_ops(self, ops: Iterable[Operation], elided: int = 0) -> None:
+        """Journal a producer batch: its operations (the chosen ones,
+        when :meth:`prefilter` allows leaving the rest out) in records of
+        at most ``batch_size``, under one hold of the journal lock.
+        ``elided`` counts operations the caller already left out with
+        :meth:`prefilter`'s predicate.  Under a degrade shift, operations
+        the secondary filter excludes are elided too (when operations
+        may be left out at all).  The records are copies: the caller may
+        reuse its list."""
+        if self._faults is not None:
+            self._fire("collector.handle")
+        if not isinstance(ops, (list, tuple)):
+            ops = list(ops)
+        chosen = self.prefilter()
+        if elided and chosen is None:
+            raise ValueError(
+                "offer_ops(elided=...) needs prefilter() to allow eliding; "
+                "this collector journals every operation")
+        offered = len(ops) + elided
+        shift = self._degrade_shift if self._sampled_only else 0
+        kept = self._keep(ops, chosen, shift)
+        size = self.batch_size
+        lock = self._lock
+        if not lock.acquire(False):
+            self._wait_for(lock)
+        try:
+            if self._degrade_shift < shift:
+                # The shift fell while this call filtered.
+                kept = self._keep(ops, chosen, self._degrade_shift)
+            elided = offered - len(kept)
+            if not kept:
+                self._elided += elided
+                self._ops_seen += elided
+            for start in range(0, len(kept), size):
+                self._append_locked(EV_OPS, kept[start:start + size], elided)
+                elided = 0
+        finally:
+            lock.release()
+
+    @staticmethod
+    def _keep(ops: Sequence[Operation], chosen: Callable[[Key], bool] | None,
+              shift: int) -> list[Operation]:
+        """The operations of ``ops`` a producer journals: those on items
+        ``chosen`` keeps (all, for ``None``) and the degrade filter keeps
+        at ``shift``."""
+        kept = (list(ops) if chosen is None
+                else [op for op in ops if chosen(op[2])])
+        if shift:
+            mask = (1 << shift) - 1
+            kept = [op for op in kept if not _degrade_hash(op[2]) & mask]
+        return kept
+
+    def offer_op(self, op: Operation) -> None:
+        """:meth:`offer_ops` of one operation, without building a batch
+        to filter: an unchosen one only adds to the elided total."""
+        if self._faults is not None:
+            self._fire("collector.handle")
+        chosen = self.prefilter()
+        keep = chosen is None or chosen(op[2])
+        shift = self._degrade_shift if keep and self._sampled_only else 0
+        if shift:
+            digest = _degrade_hash(op[2])
+            keep = not digest & ((1 << shift) - 1)
+        lock = self._lock
+        if not lock.acquire(False):
+            self._wait_for(lock)
+        try:
+            if not keep and self._degrade_shift < shift:
+                # The shift fell while this call filtered.
+                keep = not digest & ((1 << self._degrade_shift) - 1)
+            if keep:
+                self._append_locked(EV_OPS, [op], 0)
+            else:
+                self._elided += 1
+                self._ops_seen += 1
+        finally:
+            lock.release()
+
+    def offer_lifecycle(self, kind: str, buu: BuuId, time: int) -> None:
+        """Journal a ``begin`` / ``commit`` event (if shed, it is not
+        counted as offered)."""
+        if self._faults is not None:
+            self._fire("collector.handle")
+        lock = self._lock
+        if not lock.acquire(False):
+            self._wait_for(lock)
+        try:
+            self._append_locked(kind, buu, time)
+        finally:
+            lock.release()
+
+    def offer_lifecycle_run(self, kind: str, buus: Sequence[BuuId],
+                            times: Sequence[int]) -> None:
+        """Journal a run of same-``kind`` lifecycle events under one hold
+        of the journal lock, one record each."""
+        if self._faults is not None:
+            self._fire("collector.handle")
+        lock = self._lock
+        if not lock.acquire(False):
+            self._wait_for(lock)
+        try:
+            for buu, when in zip(buus, times):
+                self._append_locked(kind, buu, when)
+        finally:
+            lock.release()
+
+    def _wait_for(self, lock) -> None:
+        """Take the contended journal lock, timing the wait (an
+        uncontended producer reads no clock)."""
+        waited = time.perf_counter()
+        lock.acquire()
+        self.lock_wait_seconds += time.perf_counter() - waited
+
+    def _append_locked(self, kind: str, payload, extra) -> bool:
+        """Ticket and append one record under the capacity policy;
+        ``False`` when the policy shed it.  Caller holds the lock."""
+        weight = len(payload) if kind == EV_OPS else 1
+        capacity = self.journal_capacity
+        if (capacity is not None and self._pending
+                and self._pending + weight > capacity
+                and not self._make_room_locked(kind, payload, extra, weight)):
+            return False
+        ticket = self._next_ticket
+        self._next_ticket = ticket + (weight or 1)
+        self._records.append((ticket, kind, payload, extra))
+        self._pending += weight
+        if kind == EV_OPS:
+            self._ops_seen += weight + extra
+        else:
+            self.lifecycle_offered += 1
+        if self._pending > self.journal_highwater:
+            self.journal_highwater = self._pending
+        return True
+
+    def _make_room_locked(self, kind: str, payload, extra,
+                          weight: int) -> bool:
+        """Apply the overflow policy to a record the journal has no room
+        for; ``True`` when it may be journaled."""
+        if self.overflow == "shed":
+            self.shed_events += weight
+            if kind == EV_OPS:
+                chosen = self.sampler.chosen
+                self.shed_sampled_events += sum(
+                    1 for op in payload if chosen(op[2]))
+                self._elided += extra
+                self._ops_seen += extra
+            return False
+        if self.overflow == "degrade":
+            if not self._shifted_this_epoch:
+                self._shifted_this_epoch = True
+                self._records.append(
+                    self._shift_locked(self._degrade_shift + 1))
+            return True
+        started = time.monotonic()
+        deadline = started + self.block_timeout
+        capacity = self.journal_capacity
+        assert capacity is not None
+        while self._pending and self._pending + weight > capacity:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self.blocked_seconds += time.monotonic() - started
+                self.block_timeouts += 1
+                raise JournalBackpressure(
+                    f"journal stayed full ({capacity} events) for "
+                    f"{self.block_timeout}s — the detection thread is not "
+                    f"draining; raise journal_capacity, lower "
+                    f"detect_interval, or use the 'shed'/'degrade' "
+                    f"overflow policy")
+            self._not_full.wait(remaining)
+        self.blocked_seconds += time.monotonic() - started
+        return True
+
+    def _shift_locked(self, shift: int) -> tuple:
+        """Change the degrade shift at the journal's tail; returns the
+        ``EV_SHIFT`` record the caller puts where the change takes
+        effect.  Caller holds the lock."""
+        self._degrade_shift = shift
+        self.degrade_shifts_total += 1
+        ticket = self._next_ticket
+        self._next_ticket = ticket + 1
+        return (ticket, EV_SHIFT, shift, 0)
+
+    # -- the consumer (one thread at a time) --------------------------------------
+
+    def drain(self) -> list[tuple]:
+        """Take every journaled record, in ticket order — a complete
+        prefix of the serialized execution — and wake blocked producers.
+        Operations elided since the previous drain close it as one
+        ``(ticket, EV_OPS, [], count)`` record."""
+        fault = None
+        if self._faults is not None:
+            fault = self._fire("journal.drain", defer=("partial_drain",))
+        with self._lock:
+            records, self._records = self._records, []
+            drained, self._pending = self._pending, 0
+            if self._elided:
+                records.append((self._next_ticket, EV_OPS, [], self._elided))
+                self._next_ticket += 1
+                self._elided = 0
+            self._not_full.notify_all()
+            # Degrade: reopen the once-per-drain escalation, and step
+            # back down once a drain comes up light — from the next
+            # record on, so the marker closes this drain.
+            self._shifted_this_epoch = False
+            if (self._degrade_shift and self.journal_capacity is not None
+                    and drained < self.journal_capacity // 2):
+                records.append(self._shift_locked(self._degrade_shift - 1))
+        if fault is not None:
+            keep = int(len(records) * fault.fraction)
+            self.requeue(records[keep:])
+            records = records[:keep]
+        return records
+
+    def requeue(self, records: list[tuple]) -> None:
+        """Put drained records (an ascending-ticket suffix) back at the
+        front of the journal, to be drained again — a failed pass's
+        unconsumed tail.  Capacity is ignored: they were acknowledged."""
+        if not records:
+            return
+        with self._lock:
+            self._records[:0] = records
+            self._pending += sum(map(_weight, records))
+
+    def collect(self, ops: list[Operation],
+                begin: Callable[[BuuId, int], object]) -> EdgeColumns:
+        """Bookkeep a batch record's operations: the degrade filter at
+        the shift in force thins them, the gate keeps those on chosen
+        items (handing ``begin`` each parked begin they promote), and one
+        fused :meth:`CollectorShard.handle_batch` derives their edges."""
+        shift = self._pass_shift
+        if shift:
+            mask = (1 << shift) - 1
+            ops = [op for op in ops if not _degrade_hash(op[2]) & mask]
+        if self.sampler.sampling_rate != 1:
+            ops = self.lifecycle.admit(ops, begin)
+        return self.shard.handle_batch(ops)
+
+    def apply_shift(self, shift: int) -> None:
+        """An ``EV_SHIFT`` record reached the pass: the degrade filter
+        keeps an item with probability ``1 / 2**shift`` from here on.  A
+        rise forgets the state of every item it excludes."""
+        if shift > self._pass_shift:
+            mask = (1 << shift) - 1
+            self.shard.drop_items(lambda key: _degrade_hash(key) & mask)
+        self._pass_shift = shift
+
+    def _fire(self, point: str, defer: tuple = ()):
+        """Fire an injection point; applies exception/delay kinds
+        inline, returns the fault for kinds the call site handles."""
+        fault = self._faults.fire(point)
+        if fault is None or fault.kind in defer:
+            return fault
+        if fault.kind == "delay":
+            time.sleep(fault.delay)
+            return None
+        raise fault.exc_factory()
+
+    # -- checkpoint support ------------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        """A JSON-friendly snapshot: collection state and the records not
+        yet drained.  The caller keeps the consumer out (the service holds
+        its pass lock); the journal is cut under its lock, so a record is
+        either in the snapshot or was appended after it."""
+        with self._lock:
+            journal = [_encode(record) for record in self._records]
+            journal_state = {
+                "next_ticket": self._next_ticket,
+                "elided": self._elided,
+                "ops_seen": self._ops_seen,
+                "lifecycle_offered": self.lifecycle_offered,
+                "journal_highwater": self.journal_highwater,
+                "shed": self.shed_events,
+                "shed_sampled": self.shed_sampled_events,
+                "degrade_shift": self._degrade_shift,
+                "pass_shift": self._pass_shift,
+                "degrade_shifts_total": self.degrade_shifts_total,
+            }
+        return {
+            **journal_state,
+            "sampler": self.sampler.to_state(),
+            "shard": self.shard.to_state(),
+            "lifecycle": self.lifecycle.to_state(),
+            "journal": journal,
+        }
+
+    def restore_state(self, state: dict, known: Iterable[BuuId] = ()) -> None:
+        """Load a :meth:`snapshot_state` payload into this fresh
+        collector; ``known`` names the BUUs the restored detector holds
+        (:class:`~repro.core.collector.SampledLifecycle`).  A snapshot of
+        the sharded journal collection used to run in — per-shard states,
+        one record per operation collected at ingest — loads too: the
+        shards' item tables are disjoint, so they merge into one (MOB's
+        coins continue from shard 0's generator)."""
+        self.sampler.load_state(state["sampler"])
+        named = set(known)
+        if "shards" in state:
+            shards = state["shards"]
+            version, internal, gauss = shards[0]["state"]["rng"]
+            for payload in shards:
+                part = CollectorShard()
+                part.load_state(payload["state"])
+                self.shard.merge(part)
+            self.shard.mob = part.mob
+            self.shard.mob_slots = part.mob_slots
+            self.shard._rng.setstate((version, tuple(internal), gauss))
+            records = list(heapq.merge(*(
+                [_decode(record) for record in payload["journal"]]
+                for payload in shards)))
+            # Their lifecycle records passed the gate at ingest.
+            named.update(record[2] for record in records
+                         if record[1] in (EV_BEGIN, EV_COMMIT))
+            # .get(): documents written before begins were parked.
+            lifecycle = state.get("lifecycle",
+                                  {"parked": (), "elided": 0, "drained": 0})
+            undrained = lifecycle["elided"] - lifecycle["drained"]
+            if undrained:
+                records.append((state["next_ticket"], EV_ELIDED, 0,
+                                undrained))
+            journal = {
+                "next_ticket": state["next_ticket"] + 1,
+                "elided": 0,
+                "ops_seen": sum(p["ops_seen"] for p in shards),
+                "lifecycle_offered": 0,
+                "journal_highwater": max(p["journal_highwater"]
+                                         for p in shards),
+                "shed": sum(p["shed"] for p in shards),
+                "shed_sampled": sum(p["shed_sampled"] for p in shards),
+                # Its records were filtered at ingest.
+                "pass_shift": state["degrade_shift"],
+            }
+        else:
+            self.shard.load_state(state["shard"])
+            records = [_decode(record) for record in state["journal"]]
+            lifecycle = state["lifecycle"]
+            journal = state
+        self.lifecycle.load_state(lifecycle, named)
+        with self._lock:
+            self._records = records
+            self._pending = sum(map(_weight, records))
+            self._next_ticket = journal["next_ticket"]
+            self._elided = journal["elided"]
+            self._ops_seen = journal["ops_seen"]
+            self.lifecycle_offered = journal["lifecycle_offered"]
+            self.journal_highwater = journal["journal_highwater"]
+            self.shed_events = journal["shed"]
+            self.shed_sampled_events = journal["shed_sampled"]
+            self._degrade_shift = state["degrade_shift"]
+            self._pass_shift = journal["pass_shift"]
+            self.degrade_shifts_total = state["degrade_shifts_total"]
+
+    # -- aggregate views ------------------------------------------------------------
+
+    @property
+    def journal_depth(self) -> int:
+        """Events waiting in the journal (what the next pass drains)."""
+        return self._pending
+
+    @property
+    def ops_seen(self) -> int:
+        """Operations offered and not shed (elided ones included)."""
+        return self._ops_seen
+
+    @property
+    def sampling_rate(self) -> int:
+        return self.sampler.sampling_rate
+
+    @property
+    def sampling_probability(self) -> float:
+        """Effective per-item inclusion probability: the base sample
+        times the degrade-policy multiplier (1 until a shift happens)."""
+        return self.sampler.probability / (1 << self._degrade_shift)
+
+    @property
+    def degrade_shift(self) -> int:
+        """Current degrade level (kept fraction is 1/2**shift)."""
+        return self._degrade_shift
+
+    @property
+    def stats(self) -> EdgeStats:
+        return self.shard.stats
+
+    @property
+    def touches(self) -> int:
+        return self.shard.touches
+
+    @property
+    def total_reads(self) -> int:
+        return self.shard.total_reads
+
+    @property
+    def discarded_reads(self) -> int:
+        return self.shard.discarded_reads
+
+    @property
+    def discard_ratio(self) -> float:
+        return self.shard.discard_ratio

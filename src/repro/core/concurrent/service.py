@@ -2,31 +2,34 @@
 
 :class:`RushMonService` is the threaded counterpart of the serial
 :class:`~repro.core.monitor.RushMon` facade.  Producer threads call the
-standard listener protocol (``on_operation`` / ``begin_buu`` /
-``commit_buu``); collection happens inline under the owning shard's lock
-(:class:`~repro.core.concurrent.sharded.ShardedCollector`), while cycle
-detection runs on a *background thread* that wakes every
-``detect_interval`` seconds, drains the ticket-ordered event journal,
-feeds the pruned :class:`~repro.core.detector.CycleDetector`, closes a
-monitoring window and publishes the resulting
-:class:`~repro.core.types.AnomalyReport` as an atomic snapshot
-(a single reference swap — readers never see a torn report).
+standard listener protocol (``on_operation(s)`` / ``begin_buu`` /
+``commit_buu``) and only *journal*: a call becomes one ticketed journal
+record (:class:`~repro.core.concurrent.journaled.JournaledCollector`).
+Collection and cycle detection run on a *background thread* that wakes
+every ``detect_interval`` seconds, drains the journal, walks it in
+ticket order — lifecycle records through the admission gate, each batch
+through the batched collector, its edges into the pruned
+:class:`~repro.core.detector.CycleDetector` — closes a monitoring window
+and publishes the resulting :class:`~repro.core.types.AnomalyReport` as
+an atomic snapshot (a single reference swap — readers never see a torn
+report).  This is the paper's log-parser deployment (§4.1), with the
+journal as the log.
 
-Because the detector consumes events in ticket order, the detection path
-is literally a serial RushMon replay of the serialized trace; the only
-concurrency-sensitive code is the sharded collector, whose per-key
-bookkeeping order matches the ticket order by construction.  That is the
+Because the pass consumes the journal in ticket order, the detection
+path is literally a serial RushMon run over the serialized trace; the
+only concurrency-sensitive code is the journal append, and per-key
+bookkeeping order is ticket order by construction.  That is the
 invariant the differential, stress and chaos tests pin: at ``sr=1`` the
 service must report exactly what
 :class:`~repro.core.monitor.OfflineAnomalyMonitor` computes from the
-recorded serialized trace — for every event the collector acknowledged.
+recorded serialized trace — for every event the journal acknowledged.
 
 Fault tolerance
 ---------------
 
 The detection thread is **supervised**: an exception in a detection pass
 is caught, logged and counted, the unconsumed suffix of the drained
-batch is re-queued (nothing acknowledged is lost), and a replacement
+records is re-queued (nothing acknowledged is lost), and a replacement
 thread is spawned after an exponential backoff
 (``restart_backoff * 2**(failures-1)``, capped at ``max_backoff``).  A
 *completed* pass resets the failure streak; ``max_restarts`` consecutive
@@ -46,7 +49,7 @@ raised — the supervisor counts and logs it, nothing is re-queued, and
 the next pass starts behind it.
 
 Crash recovery: :meth:`checkpoint` persists the collector bookkeeping,
-pending journal, detector graph/counts and open-window state through
+pending journal records, detector graph/counts and open-window state through
 :mod:`repro.storage.wal` (atomic write, CRC); :meth:`restore` rebuilds a
 service from the file and resumes exactly where the snapshot was cut.
 ``checkpoint_interval`` automates this every N detection passes.
@@ -68,14 +71,16 @@ import time
 from dataclasses import asdict, replace
 from typing import Iterable, Sequence
 
-from repro.core.concurrent.sharded import (EV_BEGIN, EV_COMMIT, EV_ELIDED, EV_OP,
-                                           ShardedCollector)
+from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
+                                             EV_OP, EV_OPS, EV_SHIFT,
+                                             JournaledCollector)
 from repro.core.config import DEFAULT_BATCH_SIZE, RushMonConfig
 from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
 from repro.core.monitor import WindowTracker
 from repro.core.pruning import make_pruner
-from repro.core.types import AnomalyReport, BuuId, CycleCounts, Key, Operation
+from repro.core.types import (AnomalyReport, BuuId, CycleCounts, EdgeColumns,
+                              Key, Operation)
 from repro.obs.instrument import instrument_detector
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import wal
@@ -106,15 +111,14 @@ class RushMonService:
         The single construction path: one validated
         :class:`~repro.core.config.RushMonConfig` carrying both the
         monitor tunables (``sampling_rate`` …) and the service tunables
-        (``num_shards``, ``detect_interval``, the
+        (``detect_interval``, the
         ``journal_capacity``/``overflow``/``block_timeout``
         backpressure knobs, the ``max_restarts``/``restart_backoff``/
         ``max_backoff`` supervision schedule, ``batch_size`` and
         ``checkpoint_path``/``checkpoint_interval`` — see the config's
         docstring for each).  ``resample_interval`` is **unsupported**
-        in sharded mode (a sample switch would need a stop-the-world
-        drain on the hot path — see
-        :mod:`repro.core.concurrent.sharded`); passing one raises
+        (a sample switch would have to reach the producers' pre-journal
+        filter and the pass at one ticket); passing one raises
         ``ValueError`` rather than silently dropping the setting.  Use
         the serial :class:`~repro.core.monitor.RushMon` for periodic
         re-sampling.
@@ -125,10 +129,10 @@ class RushMonService:
         processed, for offline replay/auditing.  Costs memory linear in
         the event count; meant for tests and debugging.  It is also what
         decides the journal's contents: a recorded trace must hold every
-        operation (the replay re-samples it), so the collector journals
-        them all; without one, operations on unsampled items are decided
-        before the journal and reach the detection pass as run-length
-        counts (see :mod:`repro.core.concurrent.sharded`).
+        operation (the replay re-samples it), so the producers journal
+        them all; without one, operations on unsampled items are left
+        out before the journal and reach the detection pass as counts
+        (see :mod:`repro.core.concurrent.journaled`).
     faults:
         Optional :class:`~repro.testing.faults.FaultInjector`; arms the
         ``detect.pass`` / ``detect.process`` points here and the
@@ -157,8 +161,8 @@ class RushMonService:
             raise ValueError(
                 "RushMonConfig.resample_interval is not supported by "
                 "RushMonService: switching the item sample atomically "
-                "would require a stop-the-world pause across every "
-                "shard.  Use the serial RushMon monitor, or set "
+                "would have to reach every producer's pre-journal filter "
+                "at one ticket.  Use the serial RushMon monitor, or set "
                 "resample_interval=None."
             )
         self.detect_interval = self.config.detect_interval
@@ -168,17 +172,16 @@ class RushMonService:
         self.max_backoff = self.config.max_backoff
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._faults = faults
-        self.collector = ShardedCollector(
+        self.collector = JournaledCollector(
             sampling_rate=self.config.sampling_rate,
             mob=self.config.mob,
             items=items,
             seed=self.config.seed,
-            num_shards=self.config.num_shards,
-            journal=True,
             journal_sampled_only=not record_trace,
             journal_capacity=self.config.journal_capacity,
             overflow=self.config.overflow,
             block_timeout=self.config.block_timeout,
+            batch_size=self.config.batch_size,
             faults=faults,
             metrics=self.metrics,
         )
@@ -482,42 +485,40 @@ class RushMonService:
             )
 
     def on_operation(self, op: Operation) -> None:
-        """Observe one read/write (thread-safe; collection is inline,
-        detection is deferred to the background pass)."""
+        """Observe one read/write (thread-safe; it is journaled, and
+        collected and detected by the background pass)."""
         self._ensure_accepting()
-        self.collector.handle(op)
+        self.collector.offer_op(op)
 
     def on_operations(self, ops: Iterable[Operation],
                       elided: int = 0) -> None:
-        """Observe a sequence of operations; ingested through the
-        collector's batched path, which bookkeeps them in
-        :attr:`batch_size` chunks (one shard-lock acquisition per shard
-        per chunk).  ``elided`` counts operations the caller already
-        left out with ``collector.prefilter()``'s predicate (see
-        :meth:`ShardedCollector.handle_batch`)."""
+        """Observe a sequence of operations: one journal record (several
+        past :attr:`batch_size` journaled operations), collected as one
+        batch by the pass.  ``elided`` counts operations the caller
+        already left out with ``collector.prefilter()``'s predicate (see
+        :meth:`JournaledCollector.offer_ops`)."""
         self._ensure_accepting()
-        self.collector.handle_batch(ops, chunk=self.batch_size,
-                                    elided=elided)
+        self.collector.offer_ops(ops, elided)
 
     def begin_buu(self, buu: BuuId, start_time: int = 0) -> None:
         self._ensure_accepting()
-        self.collector.record_lifecycle(EV_BEGIN, buu, start_time)
+        self.collector.offer_lifecycle(EV_BEGIN, buu, start_time)
 
     def commit_buu(self, buu: BuuId, commit_time: int = 0) -> None:
         self._ensure_accepting()
-        self.collector.record_lifecycle(EV_COMMIT, buu, commit_time)
+        self.collector.offer_lifecycle(EV_COMMIT, buu, commit_time)
 
     def begin_buus(self, buus: Sequence[BuuId],
                    start_times: Sequence[int]) -> None:
-        """A run of :meth:`begin_buu` calls as one journal append."""
+        """A run of :meth:`begin_buu` calls under one journal lock hold."""
         self._ensure_accepting()
-        self.collector.record_lifecycle_run(EV_BEGIN, buus, start_times)
+        self.collector.offer_lifecycle_run(EV_BEGIN, buus, start_times)
 
     def commit_buus(self, buus: Sequence[BuuId],
                     commit_times: Sequence[int]) -> None:
-        """A run of :meth:`commit_buu` calls as one journal append."""
+        """A run of :meth:`commit_buu` calls under one journal lock hold."""
         self._ensure_accepting()
-        self.collector.record_lifecycle_run(EV_COMMIT, buus, commit_times)
+        self.collector.offer_lifecycle_run(EV_COMMIT, buus, commit_times)
 
     # -- detection (background thread, or close_window() caller) ----------------
 
@@ -530,62 +531,52 @@ class RushMonService:
         else:
             raise fault.exc_factory()
 
-    def _apply_op_run(self, events: list, start: int, stop: int,
-                      edges: list) -> None:
-        """Apply a run of journal EV_OP events ``[start, stop)`` as one
-        batch: the run's (already ticket-restamped) edges feed the
-        detector in a single ``add_edge_batch`` call, then op/trace
-        bookkeeping advances.  The detector feed runs first so a failure
-        consumes nothing from the run — re-feeding the same edges after
-        a requeue is idempotent (the live graph deduplicates).  A
-        :class:`~repro.core.detector.LifecycleOrderError` is not such a
-        failure: the detector applied the run but for the late edges, so
-        the run is consumed and the error kept for the end of the pass."""
+    def _observe(self, edges: EdgeColumns) -> None:
+        """Feed a run's edges to the detector, window-attributed.  A
+        :class:`~repro.core.detector.LifecycleOrderError` is not a
+        failed pass: the detector applied every edge but the late ones,
+        so the run is consumed and the error kept for the pass's end."""
         try:
             self._window.observe_edges(edges)
         except LifecycleOrderError as late:
             if self._late is None:
                 self._late = late
-        self._window.observe_operations(stop - start)
-        if self._trace is not None:
-            ops_append = self._trace.ops.append
-            for i in range(start, stop):
-                event = events[i]
-                ops_append(event[2]._replace(seq=event[0]))
-        self._clock = events[stop - 1][0]
 
     def _detect_pass(self) -> AnomalyReport | None:
-        """Drain the journal, feed the detector in ticket order, close a
+        """Drain the journal, collect and detect in ticket order, close a
         window.  Serialized by ``_pass_lock`` so an explicit
         ``close_window()`` cannot interleave with the background thread.
 
-        Crash safety: if processing raises mid-batch, the unconsumed
-        suffix is re-queued (ticket order preserved) before the
-        exception propagates to the supervisor, so a failed pass loses
-        no acknowledged events.  Re-processing the event that was in
-        flight is idempotent for cycle counts (the live graph
-        deduplicates edges).
-
-        Runs of consecutive operation events feed the detector through
-        :meth:`CycleDetector.add_edge_batch` in :attr:`batch_size` chunks
-        (``consumed`` advances only after a chunk is fully applied).
-        With a fault injector armed the same loop runs at run length 1
-        and ``detect.process`` fires ahead of every event — no run is
-        ever pending there, so ``consumed`` counts exactly the events
-        before the one that failed.
-
-        An ``EV_ELIDED`` record stands for ``count`` operations on
-        unsampled items that were decided before the journal: it adds
-        ``count`` to the window's operations and to
+        The records are walked exactly as the serial monitor is called:
+        a begin or commit goes to the admission gate (and, unless it
+        parks or drops it, to the detector, stamped with its ticket); a
+        batch's operations go through :meth:`JournaledCollector.collect`
+        — the degrade filter, the gate's ``admit``, one fused
+        bookkeeping loop.  The edges of consecutive batches form a
+        *run*, fed to :meth:`CycleDetector.add_edge_batch` once it spans
+        :attr:`batch_size` journaled operations, and before anything
+        reaches the detector's lifecycle (a begin or commit, or a begin
+        the gate promotes) — the runs a journal of one record per
+        operation always fed.  A batch's ``elided`` count and its
+        operations join the window's operations and
         :attr:`processed_events`, so both keep meaning every operation
-        offered.  Its fourth field counts begin/commit events of BUUs
-        that committed without touching the sample (never journaled
-        either); they join :attr:`processed_events` too, so once every
-        BUU has committed it equals the events offered.
+        offered, and once the journal is drained
+        :attr:`processed_events` equals the events acknowledged.
+
+        Crash safety: a record counts as consumed once it is collected
+        (or, for a begin/commit, once the detector took it).  If the
+        pass raises, the run's edges not yet fed are re-queued as one
+        ``EV_EDGES`` record, followed by every record not consumed
+        (ticket order preserved), before the exception propagates to
+        the supervisor — so a failed pass loses no acknowledged record
+        and never collects one twice, and feeding the run's edges again
+        is idempotent (the live graph deduplicates edges).  With a fault
+        injector armed, runs are one record long and ``detect.process``
+        fires ahead of every record — before it is consumed.
 
         An operation journaled after its BUU's commit (a misordered
         producer) costs that operation's edges and nothing else: the
-        pass consumes every event, publishes the window with health
+        pass consumes every record, publishes the window with health
         ``"degraded"`` — its counts are a lower bound — and then raises
         the detector's :class:`~repro.core.detector.LifecycleOrderError`
         to its caller (the supervisor, for the background thread), so
@@ -596,79 +587,114 @@ class RushMonService:
             armed = self._faults is not None
             if armed:
                 self._fire_fault("detect.pass")
-            events = self.collector.drain_journal()
+            collector = self.collector
+            records = collector.drain()
             consumed = 0
-            # Events the consumed EV_ELIDED records stand for, beyond
-            # the one event each record already counts as.
-            elided = 0
+            # Events the consumed records stand for beyond one each.
+            extra = 0
+            markers = 0
+            detector = self.detector
+            # The run: edges of consumed records not yet fed to the
+            # detector, and the journaled operations they came from.
+            run: list[EdgeColumns] = []
+            run_ops = 0
+
+            def gather() -> EdgeColumns:
+                # Records are consumed, so their edges are ours to merge.
+                edges = run[0]
+                for more in run[1:]:
+                    edges.extend(more)
+                del run[1:]
+                return edges
+
+            def flush() -> None:
+                nonlocal run_ops
+                run_ops = 0
+                if run:
+                    self._observe(gather())
+                    run.clear()
+
+            def deliver(buu: BuuId, start: int) -> None:
+                flush()
+                detector.begin_buu(buu, start)
+
             try:
                 size = 1 if armed else self.batch_size
-                detector = self.detector
+                window = self._window
+                gate = collector.lifecycle
                 trace = self._trace
-                n = len(events)
-                run_start = 0
-                in_run = False
-                pend_edges: list = []
-                restamp = pend_edges.append
-                for i in range(n):
+                for ticket, kind, payload, count in records:
                     if armed:
                         self._fire_fault("detect.process")
-                    ticket, kind, payload, extra = events[i]
-                    if kind == EV_OP:
-                        if not in_run:
-                            in_run = True
-                            run_start = i
-                        if extra:
-                            # Re-stamp with the ticket: the detector's
-                            # logical clock (window ends, prune 'now')
-                            # must follow the serialized order, not
-                            # producer seqs.
-                            for edge in extra:
-                                restamp(edge._replace(seq=ticket))
-                        if i + 1 - run_start >= size:
-                            self._apply_op_run(events, run_start, i + 1,
-                                               pend_edges)
-                            consumed = i + 1
-                            in_run = False
-                            pend_edges = []
-                            restamp = pend_edges.append
-                    else:
-                        if in_run:
-                            self._apply_op_run(events, run_start, i,
-                                               pend_edges)
-                            in_run = False
-                            pend_edges = []
-                            restamp = pend_edges.append
-                        if kind == EV_ELIDED:
-                            self._window.observe_operations(payload)
-                            elided += payload + (extra or 0) - 1
-                        elif kind == EV_BEGIN:
+                    if kind == EV_OPS:
+                        n = len(payload)
+                        if n:
+                            edges = collector.collect(payload, deliver)
+                            if edges:
+                                run.append(edges)
+                            run_ops += n
+                            if trace is not None:
+                                trace.ops.extend(
+                                    op._replace(seq=ticket + i)
+                                    for i, op in enumerate(payload))
+                        window.observe_operations(n + count)
+                        extra += n + count - 1
+                        self._clock = ticket + max(n - 1, 0)
+                    elif kind == EV_BEGIN:
+                        if not gate.begin(payload, ticket):
+                            flush()
                             detector.begin_buu(payload, ticket)
-                            if trace is not None:
-                                trace.begins.append((payload, ticket))
-                        else:
-                            detector.commit_buu(payload, ticket)
-                            if trace is not None:
-                                trace.commits.append((payload, ticket))
-                        consumed = i + 1
+                        if trace is not None:
+                            trace.begins.append((payload, ticket))
                         self._clock = ticket
-                if in_run:
-                    self._apply_op_run(events, run_start, n, pend_edges)
-                    consumed = n
+                    elif kind == EV_COMMIT:
+                        if not gate.commit(payload):
+                            flush()
+                            detector.commit_buu(payload, ticket)
+                        if trace is not None:
+                            trace.commits.append((payload, ticket))
+                        self._clock = ticket
+                    elif kind == EV_SHIFT:
+                        collector.apply_shift(payload)
+                        extra -= 1
+                        markers += 1
+                    elif kind == EV_EDGES:
+                        run.append(count)
+                        extra -= 1
+                    elif kind == EV_OP:
+                        # Collected at ingest: a record restored from a
+                        # checkpoint of the sharded journal.
+                        if count:
+                            run.append(count)
+                        run_ops += 1
+                        window.observe_operations(1)
+                        if trace is not None:
+                            trace.ops.append(payload._replace(seq=ticket))
+                        self._clock = ticket
+                    else:
+                        # EV_ELIDED, from such a checkpoint too: elided
+                        # operations, then begin/commit events.
+                        window.observe_operations(payload)
+                        extra += payload + (count or 0) - 1
+                        self._clock = ticket
+                    consumed += 1
+                    if run_ops >= size:
+                        flush()
+                flush()
             except BaseException:
-                if consumed < len(events):
-                    self.collector.requeue(events[consumed:])
-                self.processed_events += consumed + elided
+                unfed = [(self._clock, EV_EDGES, 0, gather())] if run else []
+                collector.requeue(unfed + records[consumed:])
+                self.processed_events += consumed + extra
                 self.passes += 1
                 raise
             self.passes += 1
-            if not events:
+            if len(records) == markers:
                 self._m_pass_seconds.observe(time.perf_counter() - started)
                 return None
-            self.processed_events += len(events) + elided
+            self.processed_events += len(records) + extra
             late, self._late = self._late, None
             report = self._window.close(
-                self._clock, self.collector.sampling_probability,
+                self._clock, collector.sampling_probability,
                 health=self.health if late is None else "degraded",
             )
             self.reports.append(report)
@@ -730,7 +756,7 @@ class RushMonService:
             payload = {
                 "config": asdict(self.config),
                 "service": {
-                    "num_shards": self.collector.num_shards,
+                    "num_shards": self.config.num_shards,
                     "detect_interval": self.detect_interval,
                     "journal_capacity": self.collector.journal_capacity,
                     "overflow": self.collector.overflow,

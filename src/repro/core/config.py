@@ -4,7 +4,7 @@
 monitor flavour: the serial :class:`~repro.core.monitor.RushMon` reads
 the sampling/detector fields, the concurrent
 :class:`~repro.core.concurrent.RushMonService` additionally reads the
-service fields (``num_shards`` … ``checkpoint_interval``), and the
+service fields (``detect_interval`` … ``checkpoint_interval``), and the
 multi-process :class:`~repro.cluster.ClusterMonitor` reads the cluster
 fields (``num_workers``, ``cluster_batch``).  Fields a flavour does not
 use are simply ignored, so one config object can describe a whole
@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
-#: Default ops per ingest/detect batch (service).  Big enough to
-#: amortize lock acquisitions and detector dispatch, small enough that a
-#: pass's incremental progress (crash-safe consumed-count advancement)
-#: stays fine-grained.
+#: Default journaled ops per journal record (service).  Big enough to
+#: amortize the journal lock and the collector/detector dispatch, small
+#: enough that a pass's incremental progress (crash-safe consumed-count
+#: advancement) stays fine-grained.
 DEFAULT_BATCH_SIZE = 256
 
 #: Default ops buffered per worker before the cluster router flushes.
@@ -52,16 +52,21 @@ class RushMonConfig:
     seed:
         Seed for all of the monitor's internal randomness.
     num_shards:
-        Service: key-hash partitions of the concurrent collector.
+        Key-hash partitions of a
+        :class:`~repro.core.concurrent.ShardedCollector` built from this
+        config (no CLI flag sets it).  The service does not read it: its
+        producers share one journal and its detection pass collects
+        (:mod:`repro.core.concurrent.journaled`).
     detect_interval:
         Service: seconds between background detection passes.
     journal_capacity / overflow / block_timeout:
         Service: bounded-journal backpressure (see
-        :class:`~repro.core.concurrent.sharded.ShardedCollector`).
+        :mod:`repro.core.concurrent.journaled`).
     max_restarts / restart_backoff / max_backoff:
         Service: detection-thread supervision schedule.
     batch_size:
-        Service: ops per ingest/detect batch.
+        Service: most journaled operations per journal record, and so
+        per collector call and detector batch of a detection pass.
     checkpoint_path / checkpoint_interval:
         Service: periodic crash-consistent checkpointing.
     num_workers:
@@ -127,7 +132,7 @@ class RushMonConfig:
 
     #: Valid ``pruning`` strategies (mirrors repro.core.pruning.make_pruner).
     PRUNING_CHOICES = ("none", "ect", "distance", "both")
-    #: Valid ``overflow`` policies (mirrors sharded.OVERFLOW_POLICIES).
+    #: Valid ``overflow`` policies (mirrors journaled.OVERFLOW_POLICIES).
     OVERFLOW_CHOICES = ("block", "shed", "degrade")
 
     @classmethod
@@ -135,7 +140,7 @@ class RushMonConfig:
         """Build a config from an ``argparse`` namespace.
 
         Understands the flag names the CLI uses (``--sampling-rate``,
-        ``--no-mob``, ``--shards``, ``--workers`` …); flags absent from
+        ``--no-mob``, ``--workers`` …); flags absent from
         the namespace fall back to the dataclass defaults, so every
         subcommand — whichever argument groups it registered — goes
         through this one path.
@@ -156,7 +161,6 @@ class RushMonConfig:
             pruning=pick("pruning", defaults.pruning),
             seed=pick("seed", defaults.seed),
             resample_interval=getattr(args, "resample_interval", None),
-            num_shards=pick("shards", defaults.num_shards),
             detect_interval=pick("detect_interval", defaults.detect_interval),
             journal_capacity=getattr(args, "journal_capacity", None),
             overflow=pick("overflow", defaults.overflow),
@@ -256,8 +260,8 @@ class RushMonConfig:
             self.batch_size, bool
         ) or self.batch_size < 1:
             raise ValueError(
-                f"batch_size must be an integer >= 1 (ops per shard-lock "
-                f"acquisition on ingest and per detector feed on the "
+                f"batch_size must be an integer >= 1 (journaled ops per "
+                f"journal record, collected as one batch by the "
                 f"detection pass), got {self.batch_size!r}; the default "
                 f"{DEFAULT_BATCH_SIZE} suits most workloads"
             )

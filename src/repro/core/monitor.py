@@ -83,20 +83,25 @@ class WindowTracker:
         The kinds are tallied with ``list.count``, an identity scan that
         never calls the Python-level ``Enum.__hash__``.  A
         :class:`~repro.core.detector.LifecycleOrderError` passes through
-        with the batch consumed and its cycles attributed."""
+        with the batch consumed and its cycles attributed; any other
+        error from the detector leaves the window as it was, so the
+        batch can be fed again."""
         if not edges:
             return
+        late = None
+        try:
+            counts = self.detector.add_edge_batch(edges)
+        except LifecycleOrderError as error:
+            late, counts = error, error.counts
         kinds = (edges.kind if isinstance(edges, EdgeColumns)
                  else list(map(_EDGE_KIND, edges)))
         stats = self.edges
         stats.wr += kinds.count(EdgeType.WR)
         stats.ww += kinds.count(EdgeType.WW)
         stats.rw += kinds.count(EdgeType.RW)
-        try:
-            self.raw.add(self.detector.add_edge_batch(edges))
-        except LifecycleOrderError as late:
-            self.raw.add(late.counts)
-            raise
+        self.raw.add(counts)
+        if late is not None:
+            raise late
 
     def close(self, end: int, probability: float,
               health: str = "ok") -> AnomalyReport:

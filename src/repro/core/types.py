@@ -132,6 +132,22 @@ class EdgeColumns:
         """The ``(src, dst, kind, label, seq)`` rows, in order."""
         return zip(self.src, self.dst, self.kind, self.label, self.seq)
 
+    def extend(self, edges: "EdgeColumns | Iterable[Edge]") -> None:
+        """Append ``edges`` (columns, or :class:`Edge` rows) in order."""
+        if isinstance(edges, EdgeColumns):
+            self.src += edges.src
+            self.dst += edges.dst
+            self.kind += edges.kind
+            self.label += edges.label
+            self.seq += edges.seq
+            return
+        for src, dst, kind, label, seq in edges:
+            self.src.append(src)
+            self.dst.append(dst)
+            self.kind.append(kind)
+            self.label.append(label)
+            self.seq.append(seq)
+
     def __iter__(self) -> Iterator[Edge]:
         # tuple.__new__ builds each Edge in C; Edge(...) would run the
         # generated __new__, a Python frame per edge (~2.5x the cost).

@@ -33,11 +33,12 @@ Durable acknowledgements
 
 Sampling at decode
     When the service's collector allows it
-    (:meth:`~repro.core.concurrent.sharded.ShardedCollector.prefilter`:
-    no recorded trace, ``sampling_rate > 1``, unbounded journal, no
-    armed faults), a frame's operations on items outside the sample are
-    dropped *while it is decoded* — no ``Operation`` is built for them —
-    and reach the service as a count (``on_operations(ops, elided)``).
+    (:meth:`~repro.core.concurrent.journaled.JournaledCollector.prefilter`:
+    no recorded trace, ``sampling_rate > 1``) and no ``"block"`` journal
+    needs every event fed one at a time, a frame's operations on items
+    outside the sample are dropped *while it is decoded* — no
+    ``Operation`` is built for them — and reach the service as a count
+    (``on_operations(ops, elided)``).
     ``events_ingested``, ``consumed`` offsets and every total downstream
     keep counting wire events, dropped ones included.
 
@@ -75,7 +76,7 @@ import socket
 import threading
 import time
 
-from repro.core.concurrent.sharded import JournalBackpressure
+from repro.core.concurrent.journaled import JournalBackpressure
 from repro.core.concurrent.service import RushMonService
 from repro.net import protocol
 from repro.net.eventloop import EventLoopConnection, EventLoopGroup
@@ -596,9 +597,11 @@ class RushMonServer:
                 retriable=False, seq=seq,
             )
         # Operations on items outside the monitor's sample are dropped
-        # while decoding, when the collector says that is sound.  A
-        # resend resumes at an offset into the *unfiltered* event list.
-        chosen = None if offset else self.service.collector.prefilter()
+        # while decoding, when the collector says that is sound and no
+        # refusal has to count wire events.  A resend resumes at an
+        # offset into the *unfiltered* event list.
+        chosen = (None if offset or self._blocking()
+                  else self.service.collector.prefilter())
         try:
             events = protocol.decode_events(message.get("events", []),
                                             chosen)
@@ -644,6 +647,14 @@ class RushMonServer:
                 acks.extend(self._commit_locked())
         return True, None
 
+    def _blocking(self) -> bool:
+        """Does a full journal make producers wait (and time out)?  Then
+        events are fed one at a time, so a refusal knows how many wire
+        events went in."""
+        collector = self.service.collector
+        return (collector.journal_capacity is not None
+                and collector.overflow == "block")
+
     def _ingest_locked(self, events: list[tuple], offset: int) -> int:
         """Feed decoded events ``[offset:]`` to the service, in order;
         returns how many wire events that was (an ``("e", n)`` entry —
@@ -656,12 +667,9 @@ class RushMonServer:
         backpressure timeout reports exactly how many were consumed.
         """
         service = self.service
-        collector = service.collector
         if len(events) <= offset:
             return 0
-        blocking = (collector.journal_capacity is not None
-                    and collector.overflow == "block")
-        if not blocking:
+        if not self._blocking():
             ops: list = []
             elided = 0
             lifecycle = {"b": service.begin_buus, "c": service.commit_buus}

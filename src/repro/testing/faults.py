@@ -12,20 +12,22 @@ Injection points wired into the pipeline
 ----------------------------------------
 
 ``collector.handle``
-    Entry of :meth:`~repro.core.concurrent.sharded.ShardedCollector.handle`,
-    *before* the shard lock — a fault here hits the producer thread.
+    Entry of every producer offer of the service's
+    :class:`~repro.core.concurrent.journaled.JournaledCollector`
+    (``on_operation(s)``, ``begin_buu(s)``, ``commit_buu(s)``), *before*
+    the journal lock — a fault here hits the producer thread.
 ``journal.drain``
     Entry of
-    :meth:`~repro.core.concurrent.sharded.ShardedCollector.drain_journal`,
-    before any journal buffer is swapped, so an ``exception`` fault
-    loses nothing.  ``partial_drain`` truncates the drained batch and
+    :meth:`~repro.core.concurrent.journaled.JournaledCollector.drain`,
+    before the journal is swapped out, so an ``exception`` fault loses
+    nothing.  ``partial_drain`` truncates the drained records and
     re-queues the tail (tickets stay ordered).
 ``detect.pass``
     Start of a :class:`~repro.core.concurrent.service.RushMonService`
     detection pass, before the drain — the supervised-restart path.
 ``detect.process``
-    Before each journal event is applied to the detector, mid-pass —
-    exercises the service's re-queue-on-failure crash safety.
+    Before each journal record is consumed, mid-pass — exercises the
+    service's re-queue-on-failure crash safety.
 ``net.accept``
     In :class:`~repro.net.server.RushMonServer`'s accept loop, after a
     connection is accepted but before its reader thread starts — a

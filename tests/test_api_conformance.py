@@ -162,13 +162,13 @@ def test_config_surface():
 
 def test_config_is_the_single_construction_path():
     """Every service tunable is settable through RushMonConfig alone."""
-    config = RushMonConfig(sampling_rate=1, mob=False, num_shards=3,
+    config = RushMonConfig(sampling_rate=1, mob=False, journal_capacity=9,
                            detect_interval=1.5, batch_size=64,
                            max_restarts=2)
     service = RushMonService(config)
-    assert service.collector.num_shards == 3
+    assert service.collector.journal_capacity == 9
     assert service.detect_interval == 1.5
-    assert service.batch_size == 64
+    assert service.batch_size == service.collector.batch_size == 64
     assert service.max_restarts == 2
 
 

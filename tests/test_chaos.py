@@ -51,7 +51,6 @@ def _ops(count, num_keys, seed):
 
 
 def _service(faults=None, **kwargs):
-    kwargs.setdefault("num_shards", 4)
     kwargs.setdefault("detect_interval", 0.003)
     record_trace = kwargs.pop("record_trace", True)
     return RushMonService(
@@ -216,7 +215,7 @@ def test_degrade_overflow_raises_sampling_rate_and_records_it():
     rate rises (recorded, and reflected in sampling_probability so the
     estimator stays calibrated) and recovers once drains come up light."""
     service = RushMonService(
-        RushMonConfig(sampling_rate=1, mob=False, seed=7, num_shards=2,
+        RushMonConfig(sampling_rate=1, mob=False, seed=7,
                       journal_capacity=16, overflow="degrade"),
         record_trace=True,
     )
@@ -289,17 +288,17 @@ def test_degrade_steps_down_one_shift_per_light_drain():
     by step: a drain that comes up light (under half the capacity)
     lowers the shift by exactly one — never more — while a heavy drain
     only reopens the escalation epoch and holds the shift."""
-    from repro.core.concurrent.sharded import ShardedCollector
+    from repro.core.concurrent.journaled import JournaledCollector
 
-    collector = ShardedCollector(
-        sampling_rate=1, mob=False, num_shards=1, journal=True,
-        journal_capacity=8, overflow="degrade", seed=5,
+    collector = JournaledCollector(
+        sampling_rate=1, mob=False, journal_capacity=8, overflow="degrade",
+        seed=5,
     )
     ops = iter(_ops(400, 64, seed=17))
 
     def feed(count):
         for _ in range(count):
-            collector.handle(next(ops))
+            collector.offer_op(next(ops))
 
     # Escalate to shift=3: each overfill raises the shift once per
     # epoch, and the (heavy) drain between overfills holds it.
@@ -308,7 +307,7 @@ def test_degrade_steps_down_one_shift_per_light_drain():
         assert collector.degrade_shift == expected
         feed(3)  # same epoch: a burst escalates one step, not three
         assert collector.degrade_shift == expected
-        drained = collector.drain_journal()
+        drained = collector.drain()
         assert len(drained) >= collector.journal_capacity // 2  # heavy
         assert collector.degrade_shift == expected  # held, not lowered
     assert collector.degrade_shifts_total == 3
@@ -318,7 +317,7 @@ def test_degrade_steps_down_one_shift_per_light_drain():
     # effective probability recalibrates at every step.
     for expected in (2, 1, 0):
         feed(2)
-        drained = collector.drain_journal()
+        drained = collector.drain()
         assert len(drained) < collector.journal_capacity // 2  # light
         assert collector.degrade_shift == expected
         assert collector.sampling_probability == pytest.approx(
@@ -330,7 +329,7 @@ def test_degrade_steps_down_one_shift_per_light_drain():
     # Stepping down below zero is impossible: further light drains are
     # no-ops on the shift and on the transition counter.
     feed(2)
-    collector.drain_journal()
+    collector.drain()
     assert collector.degrade_shift == 0
     assert collector.degrade_shifts_total == 6
     assert collector.sampling_probability == 1.0

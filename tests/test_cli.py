@@ -22,11 +22,9 @@ class TestParser:
 
     def test_quickstart_service_flags(self):
         args = build_parser().parse_args(
-            ["quickstart", "--threads", "4", "--shards", "2",
-             "--detect-interval", "0.01"]
+            ["quickstart", "--threads", "4", "--detect-interval", "0.01"]
         )
         assert args.threads == 4
-        assert args.shards == 2
         assert args.detect_interval == 0.01
 
     def test_quickstart_serial_by_default(self):
@@ -35,7 +33,6 @@ class TestParser:
     def test_bench_threads_defaults(self):
         args = build_parser().parse_args(["bench-threads"])
         assert args.threads == "1,2,4,8"
-        assert args.shards == 16
 
     @pytest.mark.parametrize(
         "verb", [f"bench-{name}" for name in ("regress", "cluster")])
@@ -50,7 +47,6 @@ class TestParser:
 
 
 _BAD_FLAG_VALUES = [
-    (["monitor", "--shards", "0"], "num_shards"),
     (["monitor", "--detect-interval", "0"], "detect_interval"),
     (["quickstart", "--sampling-rate", "0"], "sampling_rate"),
     (["serve", "--port", "0", "--checkpoint-every", "0"], "checkpoint_every"),
@@ -138,10 +134,9 @@ class TestCommands:
 
 class TestServiceCommands:
     def test_quickstart_threaded_runs(self, capsys):
-        assert main(["quickstart", "--threads", "2", "--shards", "4",
-                     "--windows", "2", "--buus", "80", "--keys", "10"]) == 0
+        assert main(["quickstart", "--threads", "2", "--windows", "2", "--buus", "80", "--keys", "10"]) == 0
         out = capsys.readouterr().out
-        assert "threads: 2   shards: 4" in out
+        assert "threads: 2\n" in out
         assert "est 2-cycles" in out
         assert "total:" in out
 
@@ -159,7 +154,7 @@ class TestServiceCommands:
         assert "ops/sec" in out
         assert "serial" in out
         recorded = (tmp_path / "thread_scaling.txt").read_text()
-        assert "sharded" in recorded
+        assert "service" in recorded
 
 
 class TestCheckCommand:

@@ -50,7 +50,7 @@ def _run_stress(num_threads, ops_per_thread, num_keys, seed):
     workload = _workload(num_buus, num_keys, touch, seed)
     service = RushMonService(
         RushMonConfig(sampling_rate=1, mob=False, pruning="both", seed=seed,
-                      num_shards=8, detect_interval=0.005),
+                      detect_interval=0.005),
         record_trace=True,
     )
     driver = ThreadedWorkloadDriver(
@@ -96,7 +96,7 @@ def _assert_differential(service, driver):
 
 
 def test_stress_8_threads_5k_ops():
-    """8 threads x ~5k ops with a hot key space: heavy shard contention,
+    """8 threads x ~5k ops with a hot key space: heavy journal contention,
     many real anomalies, exact differential match."""
     service, driver = _run_stress(num_threads=8, ops_per_thread=5000,
                                   num_keys=512, seed=101)
@@ -107,8 +107,10 @@ def test_stress_8_threads_5k_ops():
 
 
 def test_stress_small_shard_count():
-    """num_shards=1 degenerates to a single global lock — the ordering
-    invariants must not depend on shard granularity."""
+    """``num_shards=1``, a field the service does not read: its one
+    journal lock orders every producer call whatever the config says.
+    Four producers on 32 hot keys, yielding every 5 operations, must
+    still match the serial replay exactly."""
     workload = _workload(400, 32, 3, seed=7)
     service = RushMonService(
         RushMonConfig(sampling_rate=1, mob=False, seed=7, num_shards=1,
@@ -127,7 +129,7 @@ def test_stress_sampled_and_mob():
     (counts are sampled, so no exactness claim — that is sr=1's job)."""
     workload = _workload(600, 64, 4, seed=13)
     service = RushMonService(
-        RushMonConfig(sampling_rate=4, mob=True, seed=13, num_shards=8,
+        RushMonConfig(sampling_rate=4, mob=True, seed=13,
                       detect_interval=0.005),
     )
     driver = ThreadedWorkloadDriver([service], num_threads=8, seed=13,
@@ -148,11 +150,12 @@ def test_stress_sampled_service_two_producers(sr, record_trace):
     """The sampled service differential under real interleaving: two
     producers alternate batched and per-op ingest beside the detection
     thread.  With a recorded trace (full journal) the counts must equal
-    a serial replay of that trace; without one (sampled journal,
-    run-length records bumped in place and appended concurrently) no
-    interleaving may lose or double-apply an elided count."""
+    a serial replay of that trace; without one (sampled journal, elided
+    counts carried by records and by the run-length total, appended
+    concurrently) no interleaving may lose or double-apply an elided
+    count."""
     config = RushMonConfig(sampling_rate=sr, mob=False, seed=3,
-                           num_shards=4, detect_interval=0.002)
+                           detect_interval=0.002)
     service = RushMonService(config, record_trace=record_trace)
     num_threads = 2
     streams = [_events(3000, seed=tid + 1, first_buu=tid * 1_000_000)

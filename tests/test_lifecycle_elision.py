@@ -38,12 +38,7 @@ from repro.core.collector import (
     ItemSampler,
 )
 from repro.core.concurrent import RushMonService
-from repro.core.concurrent.sharded import (
-    EV_BEGIN,
-    EV_COMMIT,
-    EV_OP,
-    ShardedCollector,
-)
+from repro.core.config import DEFAULT_BATCH_SIZE
 from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.monitor import RushMon
 from repro.core.pruning import make_pruner
@@ -148,15 +143,18 @@ class _WireMonitor:
 
 # -- (a) the restricted-history oracle ------------------------------------------
 
+#: name -> (monitor flavour, feed, ``batch_size``).  The service journals
+#: at most ``batch_size`` operations per record, so at 1 and 4 a batched
+#: call becomes many records the pass gates and collects one by one.
 INGEST = {
-    "serial-per-op": (RushMon, _feed_per_op, 4),
-    "serial-batched": (RushMon, _feed_batched, 4),
+    "serial-per-op": (RushMon, _feed_per_op, DEFAULT_BATCH_SIZE),
+    "serial-batched": (RushMon, _feed_batched, DEFAULT_BATCH_SIZE),
     "service-batched-1": (RushMonService, _feed_batched, 1),
     "service-batched-4": (RushMonService, _feed_batched, 4),
     "service-per-op-1": (RushMonService, _feed_per_op, 1),
     "service-per-op-4": (RushMonService, _feed_per_op, 4),
-    "service-runs": (RushMonService, _feed_runs, 4),
-    "wire": (_WireMonitor, _WireMonitor.feed, 4),
+    "service-runs": (RushMonService, _feed_runs, DEFAULT_BATCH_SIZE),
+    "wire": (_WireMonitor, _WireMonitor.feed, DEFAULT_BATCH_SIZE),
 }
 JOURNALED_INGEST = [name for name, (flavour, _, _) in INGEST.items()
                     if flavour is not RushMon]
@@ -172,8 +170,8 @@ def restricted_exact(ops, sr, seed=SEED):
 
 def _assert_sampled_counts_are_exact(events, sr, ingest, pruning,
                                      prune_interval):
-    flavour, feed, shards = INGEST[ingest]
-    monitor = flavour(_config(sr, num_shards=shards, pruning=pruning,
+    flavour, feed, batch = INGEST[ingest]
+    monitor = flavour(_config(sr, batch_size=batch, pruning=pruning,
                               prune_interval=prune_interval))
     half = len(events) // 2
     feed(monitor, events[:half])
@@ -220,9 +218,9 @@ def test_sampled_counts_equal_the_restricted_history_oracle_sweep(
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
 def test_detector_hears_of_exactly_the_buus_that_touch_the_sample(sr,
                                                                   ingest):
-    flavour, feed, shards = INGEST[ingest]
+    flavour, feed, batch = INGEST[ingest]
     events = _events(3000)
-    monitor = flavour(_config(sr, num_shards=shards, pruning="none"))
+    monitor = flavour(_config(sr, batch_size=batch, pruning="none"))
     feed(monitor, events)
     monitor.close_window()
     graph = monitor.detector.graph
@@ -241,9 +239,9 @@ def test_lifecycle_calls_of_every_shape(ingest):
     """Begin without commit, commit without begin, BUUs with no
     operation, ids that begin again: the detector's lifetimes, and
     *offered = delivered + elided + parked* after every step."""
-    flavour, feed, shards = INGEST[ingest]
+    flavour, feed, batch = INGEST[ingest]
     hot, cold = _a_key(20), _a_key(20, chosen=False)
-    monitor = flavour(_config(20, num_shards=shards, pruning="none"))
+    monitor = flavour(_config(20, batch_size=batch, pruning="none"))
     graph = monitor.detector.graph
     offered = ops = 0
 
@@ -263,8 +261,8 @@ def test_lifecycle_calls_of_every_shape(ingest):
             (elided, parked)
         assert set(graph.commits) == commits
         assert set(graph.starts) == starts
-        if flavour is not RushMon:
-            assert monitor.processed_events + parked == offered + ops
+        if flavour is not RushMon:  # a parked begin is consumed too
+            assert monitor.processed_events == offered + ops
 
     lifecycle("b", 1, 0)
     op(OpType.WRITE, 1, cold, 1)            # 1 stays parked: no commit
@@ -323,10 +321,10 @@ def test_an_id_that_begins_again_is_alive_before_its_first_chosen_operation(
     """Parking the second begin of an id left the detector holding the
     first incarnation's commit time: edges out of the id were refused
     and every pruner treated it as finished."""
-    flavour, feed, shards = INGEST[ingest]
+    flavour, feed, batch = INGEST[ingest]
     hot = _a_key(20)
     events = _reused_id_trace(hot, _a_key(20, start=hot + 1))
-    monitor = flavour(_config(20, num_shards=shards, pruning=pruning,
+    monitor = flavour(_config(20, batch_size=batch, pruning=pruning,
                               prune_interval=1))
     feed(monitor, events[:4])
     monitor.close_window()
@@ -458,11 +456,10 @@ def test_resampling_promotes_on_whichever_sample_is_current(feed):
 
 
 def test_parked_buus_survive_an_armed_injector_and_a_degrade_shift():
-    """The per-event collector paths consult the parked set too: behind
-    an armed (idle) injector the service still equals the serial
-    monitor, and a degrade shift in mid-stream — operations the
-    secondary filter now excludes promote nobody — leaves every vertex
-    with a known lifetime and every event accounted for."""
+    """Behind an armed (idle) injector the service still equals the
+    serial monitor, and a degrade shift in mid-stream — the gate promotes
+    on the base sample, the pass then collects fewer items — leaves
+    every vertex with a known lifetime and every event accounted for."""
     events = _events(3000)
     serial = _serial(20, events)
     armed = RushMonService(_config(20), faults=FaultInjector())
@@ -475,6 +472,7 @@ def test_parked_buus_survive_an_armed_injector_and_a_degrade_shift():
         4, pruning="none", journal_capacity=64, overflow="degrade"))
     collector = degrading.collector
     _feed_batched(degrading, events[:1500])
+    degrading.close_window()
     assert collector.degrade_shift > 0 and collector.lifecycle.num_parked
     _feed_batched(degrading, events[1500:])
     degrading.close_window()
@@ -492,58 +490,24 @@ def test_parked_buus_survive_an_armed_injector_and_a_degrade_shift():
         2 * (len(_buus(events)) - len(graph.commits))
 
 
-def test_a_promoted_begin_the_journal_sheds_still_reconciles(monkeypatch):
-    """``overflow="shed"``: a promotion that finds the journal full drops
-    the begin whole — unparked, counted with the elided events and in
-    the shed counters — so offered = journaled + elided + parked, and
-    ``processed_events + parked`` is every event acknowledged."""
-    shed_promotions = []
-    journal = ShardedCollector._journal_lifecycle
-
-    def journal_or_shed(self, buu, time, kind=EV_BEGIN):
-        # No id begins twice in this stream: a begin that reaches the
-        # journal is a promotion.
-        taken = journal(self, buu, time, kind)
-        if kind == EV_BEGIN and not taken:
-            shed_promotions.append(buu)
-        return taken
-
-    monkeypatch.setattr(ShardedCollector, "_journal_lifecycle",
-                        journal_or_shed)
+def test_what_a_full_journal_sheds_never_reaches_the_gate():
+    """``overflow="shed"`` drops records at offer, before the gate runs:
+    the gate reconciles over the lifecycle events the journal took, and
+    ``processed_events`` plus what was shed is every event offered."""
     events = _events(3000)
-    service = RushMonService(_config(4, pruning="none", num_shards=1,
-                                     journal_capacity=6, overflow="shed"))
-    collector = service.collector
-    journaled = 0
-    for start in range(0, len(events), 25):
-        _feed_batched(service, events[start:start + 25])
-        journaled += sum(kind in (EV_BEGIN, EV_COMMIT) for _, kind, _, _
-                         in collector.drain_journal())
-    assert shed_promotions and collector.shed_events > len(shed_promotions)
-    lifecycle = collector.lifecycle
-    assert not lifecycle.parked.keys() & set(shed_promotions)
-    snap = service.metrics.snapshot()
-    # The counter leaves out what was shed at offer; a shed promotion
-    # had been counted when it was parked, and is elided now.
-    elided, parked = assert_lifecycle_reconciles(
-        service, snap["rushmon_collector_lifecycle_events_total"],
-        delivered=journaled)
-    assert (snap["rushmon_collector_lifecycle_elided_total"],
-            snap["rushmon_collector_lifecycle_parked"]) == (elided, parked)
-
-    service = RushMonService(_config(4, pruning="none", num_shards=1,
-                                     journal_capacity=6, overflow="shed"))
-    before = len(shed_promotions)
+    service = RushMonService(_config(4, pruning="none", journal_capacity=6,
+                                     overflow="shed"))
     for start in range(0, len(events), 25):
         _feed_batched(service, events[start:start + 25])
         service.close_window()
-    service.close_window()
-    shed_at_offer = service.collector.shed_events - (
-        len(shed_promotions) - before)
-    assert len(shed_promotions) > before
-    assert service.processed_events \
-        + service.collector.lifecycle.num_parked == \
-        len(events) - shed_at_offer
+    collector = service.collector
+    assert collector.shed_events > 0
+    snap = service.metrics.snapshot()
+    elided, parked = assert_lifecycle_reconciles(
+        service, snap["rushmon_collector_lifecycle_events_total"])
+    assert (snap["rushmon_collector_lifecycle_elided_total"],
+            snap["rushmon_collector_lifecycle_parked"]) == (elided, parked)
+    assert service.processed_events + collector.shed_events == len(events)
 
 
 @pytest.mark.parametrize("consumed", (True, False),
@@ -551,8 +515,9 @@ def test_a_promoted_begin_the_journal_sheds_still_reconciles(monkeypatch):
 def test_a_restored_service_knows_the_ids_its_detector_holds(tmp_path,
                                                              consumed):
     """``known`` is not in the checkpoint: it is rebuilt from the
-    detector's lifetimes and the lifecycle records still pending, so an
-    id that begins again after the restore is delivered, not parked."""
+    detector's lifetimes (a pending lifecycle record has not met the
+    gate yet), so an id that begins again after the restore is
+    delivered, not parked."""
     hot = _a_key(20)
     events = _reused_id_trace(hot, _a_key(20, start=hot + 1))
     path = str(tmp_path / "svc.wal")
@@ -562,7 +527,7 @@ def test_a_restored_service_knows_the_ids_its_detector_holds(tmp_path,
         service.close_window()
     service.checkpoint(path)
     restored = RushMonService.restore(path)
-    assert restored.collector.lifecycle.known == {1}
+    assert restored.collector.lifecycle.known == ({1} if consumed else set())
     _feed_per_op(restored, events[3:])
     restored.close_window()
     assert restored.counts() == restricted_exact(_ops(events), 20)
@@ -571,14 +536,13 @@ def test_a_restored_service_knows_the_ids_its_detector_holds(tmp_path,
 
 
 def test_two_producers_on_one_buu_promote_it_once():
-    """Four threads issue the operations of the same BUUs at once: each
-    BUU's begin is journaled exactly once, with a ticket below every
-    one of its operations'."""
+    """Four threads issue the operations of the same BUUs at once: the
+    pass delivers each BUU's begin exactly once, ahead of its edges."""
     hot = [_a_key(4, start=s) for s in (0, 40, 80)]
     hot = sorted({*hot, _a_key(4, start=max(hot) + 1)})
     cold = _a_key(4, chosen=False)
     buus = range(6)
-    service = RushMonService(_config(4))
+    service = RushMonService(_config(4, pruning="none"))
     for buu in buus:
         service.begin_buu(buu, 0)
     start = threading.Barrier(4)
@@ -605,15 +569,13 @@ def test_two_producers_on_one_buu_promote_it_once():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    journal = service.collector.drain_journal()
-    for buu in buus:
-        begins = [ticket for ticket, kind, payload, _ in journal
-                  if kind == EV_BEGIN and payload == buu]
-        first_op = min(ticket for ticket, kind, payload, _ in journal
-                       if kind == EV_OP and payload.buu == buu)
-        assert len(begins) == 1 and begins[0] < first_op
+    service.close_window()
+    graph = service.detector.graph
+    assert set(graph.starts) == set(buus) and graph.present <= set(buus)
+    assert service.detector.lifecycle_calls == len(buus)
     assert not service.collector.lifecycle.num_parked
     assert service.collector.lifecycle.elided == 0
+    assert service.processed_events == len(buus) + 4 * 150
 
 
 def test_checkpoint_with_parked_buus_restores_like_an_uninterrupted_run(
@@ -645,29 +607,6 @@ def test_checkpoint_with_parked_buus_restores_like_an_uninterrupted_run(
     assert restored.collector.lifecycle.elided == \
         whole.collector.lifecycle.elided
     assert restored.detector.edges_refused == whole.detector.edges_refused
-
-
-def test_journaled_lifecycle_records_are_the_promoted_buus():
-    """Journal level: begin/commit records exist for exactly the BUUs
-    with a chosen operation, each begin ticketed below its BUU's first
-    operation, and what was dropped closes the drain as one count."""
-    events = _events(3000)
-    service = RushMonService(_config(20))
-    _feed_batched(service, events)
-    journal = service.collector.drain_journal()
-    touched = _chosen_buus(events, 20)
-    for kind in (EV_BEGIN, EV_COMMIT):
-        assert sorted(payload for _, k, payload, _ in journal
-                      if k == kind) == sorted(touched)
-    first_op = {}
-    for ticket, kind, payload, _ in journal:
-        if kind == EV_OP:
-            first_op.setdefault(payload.buu, ticket)
-    assert all(ticket < first_op[payload]
-               for ticket, kind, payload, _ in journal if kind == EV_BEGIN)
-    assert journal[-1][1:] == (
-        "elided", 0, 2 * (len(_buus(events)) - len(touched)))
-    assert service.collector.drain_journal() == []
 
 
 # -- (d) refusal and the ordering it rests on -----------------------------------
@@ -799,9 +738,9 @@ def test_an_operation_after_its_commit_is_loud_and_blocks_nothing(ingest):
     raises to the ``close_window()`` caller.  Later events are
     processed, later windows are healthy and nothing is counted
     twice."""
-    flavour, feed, shards = INGEST[ingest]
+    flavour, feed, batch = INGEST[ingest]
     late, rest, reference, exact = _late_then_rest()
-    inline = flavour(_config(1, num_shards=shards))
+    inline = flavour(_config(1, batch_size=batch))
     feed(inline, late + rest[:300])
     with pytest.raises(LifecycleOrderError, match="BUU 1 "):
         inline.close_window()

@@ -42,7 +42,6 @@ from hypothesis import strategies as st
 
 from repro.core.collector import ItemSampler
 from repro.core.concurrent import JournalBackpressure, RushMonService
-from repro.core.concurrent.sharded import ShardedCollector
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor
 from repro.core.types import Operation, OpType
@@ -72,7 +71,6 @@ def _ops(count, num_keys, seed):
 
 
 def _service(faults=None, **kwargs):
-    kwargs.setdefault("num_shards", 2)
     kwargs.setdefault("detect_interval", 0.003)
     record_trace = kwargs.pop("record_trace", True)
     return RushMonService(
@@ -902,7 +900,6 @@ def _frames(records, size=130):
 
 
 def _sampled_service(sr, record_trace=False, **kwargs):
-    kwargs.setdefault("num_shards", 4)
     kwargs.setdefault("detect_interval", 0.002)
     return RushMonService(RushMonConfig(sampling_rate=sr, seed=3, **kwargs),
                           record_trace=record_trace)
@@ -1006,9 +1003,9 @@ def test_a_malformed_unchosen_record_refuses_the_whole_frame(case):
         assert server.stats["batches_accepted"] == 1
     assert service.collector.ops_seen == len(good) - 1
     # BUU 1 touched no sampled item and its commit was refused with the
-    # frame: its begin is still parked, not yet an event processed.
+    # frame: the pass consumed its begin, and the gate still parks it.
     assert service.collector.lifecycle.num_parked == 1
-    assert service.processed_events == len(good) - 1
+    assert service.processed_events == len(good)
     assert sum(r.operations for r in service.reports) == len(good) - 1
 
 
@@ -1022,17 +1019,17 @@ def test_prefilter_is_none_whenever_eliding_would_be_unsound():
     assert plain.prefilter() is plain.sampler.lookup
     assert collector(record_trace=True).prefilter() is None
     assert collector(sr=1).prefilter() is None
-    assert collector(journal_capacity=64, overflow="block").prefilter() is None
-    assert collector(journal_capacity=64,
-                     overflow="degrade").prefilter() is None
-    assert collector(journal_capacity=64, overflow="shed").prefilter() is None
-    assert collector(faults=FaultInjector()).prefilter() is None
-    assert ShardedCollector(sampling_rate=20).prefilter() is None
-    assert ShardedCollector(sampling_rate=20,
-                            journal=True).prefilter() is None
+    # Producers leave unsampled operations out before the journal under
+    # every overflow policy and with an armed injector alike (what the
+    # journal bounds and the degrade filter thins are journaled events),
+    # so a caller may too.
+    for overflow in ("block", "degrade", "shed"):
+        bounded = collector(journal_capacity=64, overflow=overflow)
+        assert bounded.prefilter() is bounded.sampler.lookup
+    assert collector(faults=FaultInjector()).prefilter() is not None
     # A caller may only claim to have elided where the predicate exists.
     with pytest.raises(ValueError, match="prefilter"):
-        collector(record_trace=True).handle_batch([], elided=3)
+        collector(record_trace=True).offer_ops([], elided=3)
 
 
 def test_backpressure_offsets_stay_in_unfiltered_units():
@@ -1041,7 +1038,7 @@ def test_backpressure_offsets_stay_in_unfiltered_units():
     resumes at it, decoding without the predicate again."""
     def bounded():
         return RushMonService(RushMonConfig(
-            sampling_rate=20, seed=3, num_shards=1, journal_capacity=4,
+            sampling_rate=20, seed=3, journal_capacity=4,
             overflow="block", block_timeout=0.02, detect_interval=60.0))
 
     service = bounded()
@@ -1051,12 +1048,12 @@ def test_backpressure_offsets_stay_in_unfiltered_units():
     ops = [Operation(OpType.WRITE, 1, key, i)
            for i, key in enumerate(cold + hot)]
     records = protocol.encode_events(ops)
-    # The same events, one handle() at a time, on an identical collector.
+    # The same events, one offer_op() at a time, on an identical collector.
     probe = bounded().collector
     expected = 0
     with pytest.raises(JournalBackpressure):
         for op in ops:
-            probe.handle(op)
+            probe.offer_op(op)
             expected += 1
     assert len(cold) < expected < len(ops)
 

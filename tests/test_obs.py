@@ -329,13 +329,11 @@ class TestServiceMetricsReconcile:
 
     def test_elided_operations_are_counted(self):
         """At sr=20 most operations never enter the journal, yet the
-        progress gauges keep meaning every event offered: an elided run
-        counts by its length, and ops minus sampled ops is exactly what
-        the run-length records hold."""
-        from repro.core.concurrent.sharded import EV_ELIDED
-
+        progress gauges keep meaning every event offered: the batch
+        records carry the count of what they left out, and once the pass
+        collected them the sampled operations are what was journaled."""
         service = RushMonService(
-            RushMonConfig(sampling_rate=20, mob=False, seed=3, num_shards=4))
+            RushMonConfig(sampling_rate=20, mob=False, seed=3))
         num_buus, ops_per_buu = 50, 40
         for buu in range(num_buus):
             service.begin_buu(buu, buu)
@@ -345,19 +343,20 @@ class TestServiceMetricsReconcile:
             ])
             service.commit_buu(buu, buu)
         num_ops = num_buus * ops_per_buu
-        pending = [record
-                   for shard in service.collector.snapshot_state()["shards"]
-                   for record in shard["journal"]]
-        elided = sum(r[2] for r in pending if r[1] == EV_ELIDED)
+        state = service.collector.snapshot_state()
+        batches = [r for r in state["journal"] if r[1] == "ops"]
+        journaled = sum(len(r[2]) for r in batches)
+        elided = sum(r[3] for r in batches) + state["elided"]
         snap = service.metrics.snapshot()
         assert snap["rushmon_collector_ops_total"] == num_ops
-        assert 0 < snap["rushmon_collector_sampled_ops_total"] < num_ops
-        assert snap["rushmon_collector_ops_total"] \
-            - snap["rushmon_collector_sampled_ops_total"] == elided
-        assert snap["rushmon_collector_journal_depth"] == len(pending) \
-            < num_ops
+        assert 0 < journaled < num_ops
+        assert journaled + elided == num_ops
+        assert snap["rushmon_collector_journal_depth"] == \
+            journaled + 2 * num_buus
         service.close_window()
         snap = service.metrics.snapshot()
+        assert snap["rushmon_collector_sampled_ops_total"] == journaled
+        assert snap["rushmon_collector_journal_depth"] == 0
         assert snap["rushmon_service_events_processed_total"] == \
             num_ops + 2 * num_buus
         assert service.reports[-1].operations == num_ops
@@ -375,12 +374,25 @@ class TestServiceMetricsReconcile:
         assert snap["rushmon_collector_journal_depth_highwater"] > 0
         assert snap["rushmon_collector_lock_wait_seconds_total"] >= 0.0
 
-    def test_unmetered_collector_has_no_overhead_path(self):
-        """metrics=None keeps the collector's hot path untimed (the
-        perf_counter pair is gated on instrument presence)."""
-        from repro.core.concurrent import ShardedCollector
+    def test_unmetered_collector_has_no_overhead_path(self, monkeypatch):
+        """An uncontended producer reads no clock, metered or not: the
+        collector's metrics are callback gauges, and only a wait for the
+        journal lock is timed."""
+        from types import SimpleNamespace
 
-        collector = ShardedCollector(sampling_rate=1, mob=False, num_shards=2)
-        assert collector._m_ops is None
-        collector.handle(Operation(OpType.WRITE, 1, "x", 1))
-        assert collector.ops_seen == 1
+        from repro.core.concurrent import journaled
+
+        def no_clock():
+            raise AssertionError("an uncontended producer read the clock")
+
+        monkeypatch.setattr(journaled, "time", SimpleNamespace(
+            perf_counter=no_clock, monotonic=no_clock))
+        for metrics in (None, MetricsRegistry()):
+            collector = journaled.JournaledCollector(
+                sampling_rate=1, mob=False, metrics=metrics)
+            collector.offer_lifecycle("begin", 1, 0)
+            collector.offer_op(Operation(OpType.WRITE, 1, "x", 1))
+            collector.offer_ops([Operation(OpType.READ, 1, "y", 2)])
+            collector.offer_lifecycle_run("commit", [1], [3])
+            assert collector.ops_seen == 2
+            assert collector.lock_wait_seconds == 0.0

@@ -1,6 +1,6 @@
 """Sampling before the journal: a service that records no trace journals
-sampled operations only and counts the rest with run-length
-``EV_ELIDED`` records.
+sampled operations only and counts the rest in each batch record's
+``elided`` field (or one run-length total per drain).
 
 The contract pinned here, at ``sr`` in {4, 20} (every other service
 differential runs at ``sr=1``, where nothing is ever elided):
@@ -18,7 +18,8 @@ import os
 import pytest
 
 from repro.core.concurrent import JournalBackpressure, RushMonService
-from repro.core.concurrent.sharded import EV_ELIDED, EV_OP, ShardedCollector
+from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
+                                             EV_OPS, JournaledCollector)
 from repro.core.config import RushMonConfig
 from repro.core.monitor import RushMon
 from repro.core.types import Operation, OpType
@@ -33,7 +34,8 @@ SAMPLING_RATES = (4, 20)
 #: ``_events(1000)`` up to the operation with ``seq == 500``, fed per op
 #: into ``RushMonService(RushMonConfig(sampling_rate=20, mob=False,
 #: seed=3, num_shards=4))`` and checkpointed before any drain, so its
-#: pending journal holds one ``op`` record per operation.
+#: pending journal holds one ``op`` record per operation, collected at
+#: ingest by four key-hash shards.
 PARENT_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
                                  "checkpoint_full_journal_sr20.wal")
 
@@ -95,7 +97,6 @@ def _feed_batched(monitor, events):
 
 
 def _config(sr, **kwargs):
-    kwargs.setdefault("num_shards", 4)
     return RushMonConfig(sampling_rate=sr, mob=False, seed=3, **kwargs)
 
 
@@ -146,8 +147,8 @@ def test_sampled_service_matches_serial(sr, path, record_trace):
     events = _events(6000)
     serial = _serial(sr, events)
     assert serial.detector.counts.two_cycles > 0  # not vacuous
-    # "bounded": a capacity nothing here reaches still sends
-    # on_operations down the collector's per-op fallback.
+    # "bounded": a capacity nothing here reaches still checks every
+    # record against it.
     config = _config(sr, journal_capacity=1 << 20) if path == "bounded" \
         else _config(sr)
     service = RushMonService(config, record_trace=record_trace)
@@ -157,11 +158,28 @@ def test_sampled_service_matches_serial(sr, path, record_trace):
     _assert_matches_serial(service, serial, events)
 
 
+@pytest.mark.parametrize("sr", (1,) + SAMPLING_RATES)
+def test_one_producer_with_mob_is_the_serial_monitor(sr):
+    """Collection runs in the pass, in ticket order, on one shard seeded
+    like the serial collector's: fed one stream, the service draws MOB's
+    reservoir and discard coins exactly as ``RushMon`` does."""
+    events = _events(6000)
+    serial = RushMon(RushMonConfig(sampling_rate=sr, seed=3))
+    _feed_per_op(serial, events)
+    serial.close_window()
+    service = RushMonService(RushMonConfig(sampling_rate=sr, seed=3))
+    _run_in_windows(service, _feed_batched, events)
+    assert serial.collector.discarded_reads > 0  # MOB dropped reads
+    assert service.collector.discarded_reads == \
+        serial.collector.discarded_reads
+    _assert_matches_serial(service, serial, events)
+
+
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
 def test_on_operations_longer_than_batch_size(sr):
     """One call far longer than ``batch_size``: the input is filtered
-    once, the chosen operations are bookkept in several rounds, and the
-    elided count is recorded exactly once."""
+    once, the chosen operations are journaled in records of at most
+    ``batch_size``, and the elided count is recorded exactly once."""
     events = _events(6000)
     serial = _serial(sr, events)
     ops = [payload for kind, payload in events if kind == "op"]
@@ -170,6 +188,11 @@ def test_on_operations_longer_than_batch_size(sr):
         if kind == "begin":
             service.begin_buu(*payload)
     service.on_operations(ops)
+    batches = [record for record in service.collector.snapshot_state()[
+        "journal"] if record[1] == EV_OPS]
+    assert len(batches) > 1
+    assert max(len(record[2]) for record in batches) == 64
+    assert [record[3] for record in batches].count(0) == len(batches) - 1
     for kind, payload in events:
         if kind == "commit":
             service.commit_buu(*payload)
@@ -183,65 +206,67 @@ def test_on_operations_longer_than_batch_size(sr):
 # -- journal level --------------------------------------------------------------
 
 
+def _journaling(sr=4, **kwargs):
+    return JournaledCollector(sampling_rate=sr, mob=False, seed=3,
+                              journal_sampled_only=True, **kwargs)
+
+
+def _journaled_ops(records):
+    return [op for _, kind, ops, _ in records if kind == EV_OPS for op in ops]
+
+
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
-def test_journal_holds_sampled_ops_and_run_lengths(sr):
-    """No ``EV_OP`` record carries an unchosen key, and the run-length
-    records account for exactly the operations left out."""
+def test_journal_holds_sampled_ops_and_counts(sr):
+    """No journaled operation is on an unchosen key, the records' counts
+    account for exactly the operations left out, and tickets rise with
+    one per journaled operation."""
     ops = [payload for kind, payload in _events(3000) if kind == "op"]
-    collector = ShardedCollector(sampling_rate=sr, mob=False, seed=3,
-                                 num_shards=4, journal=True,
-                                 journal_sampled_only=True)
+    collector = _journaling(sr)
     for start in range(0, 2000, 100):
-        collector.handle_batch(ops[start:start + 100])
+        collector.offer_ops(ops[start:start + 100])
     for op in ops[2000:]:
-        collector.handle(op)
-    events = collector.drain_journal()
-    journaled = [payload for _, kind, payload, _ in events if kind == EV_OP]
-    elided = [payload for _, kind, payload, _ in events if kind == EV_ELIDED]
+        collector.offer_op(op)
+    records = collector.drain()
     chosen = collector.sampler.chosen
-    # A batch tickets shard group by shard group, so compare by seq.
-    assert sorted(journaled, key=lambda op: op.seq) == \
-        [op for op in ops if chosen(op.key)]
-    assert len(journaled) + sum(elided) == len(ops)
+    assert _journaled_ops(records) == [op for op in ops if chosen(op.key)]
+    assert len(_journaled_ops(records)) + sum(
+        record[3] for record in records) == len(ops)
     assert collector.ops_seen == len(ops)
-    # One record per batch; the per-op tail grew trailing records in
-    # place, starting a new one only behind a journaled operation.
-    tail_sampled = sum(1 for op in journaled if op.seq >= 2000)
-    assert len(elided) <= 20 + tail_sampled + collector.num_shards
-    tickets = [ticket for ticket, *_ in events]
+    # Each per-op record and each batch of the first 2000 holds at least
+    # one op; the per-op calls that kept none share one count at the end.
+    assert all(record[2] for record in records[:-1])
+    assert records[-1][2] == [] and records[-1][3] > 0
+    tickets = [ticket for ticket, *_ in records]
     assert tickets == sorted(set(tickets))
+    assert collector.drain() == []
 
 
 def test_full_journal_and_sr1_never_elide():
-    """``journal=True`` alone keeps meaning every operation, and at
-    ``sr=1`` the sampled-only journal is the full journal."""
+    """Without ``journal_sampled_only`` every operation is journaled, and
+    at ``sr=1`` the sampled-only journal is the full journal."""
     ops = [payload for kind, payload in _events(800) if kind == "op"]
     for sr, sampled_only in ((20, False), (1, True)):
-        collector = ShardedCollector(sampling_rate=sr, mob=False, seed=3,
-                                     num_shards=4, journal=True,
-                                     journal_sampled_only=sampled_only)
-        collector.handle_batch(ops[:400])
+        collector = JournaledCollector(sampling_rate=sr, mob=False, seed=3,
+                                       journal_sampled_only=sampled_only)
+        assert collector.prefilter() is None
+        collector.offer_ops(ops[:400])
         for op in ops[400:]:
-            collector.handle(op)
-        events = collector.drain_journal()
-        assert [kind for _, kind, _, _ in events] == [EV_OP] * len(ops)
-
-
-def _journaling(sr=4, **kwargs):
-    return ShardedCollector(sampling_rate=sr, mob=False, seed=3,
-                            num_shards=4, journal=True,
-                            journal_sampled_only=True, **kwargs)
+            collector.offer_op(op)
+        records = collector.drain()
+        assert _journaled_ops(records) == ops
+        assert sum(record[3] for record in records) == 0
 
 
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
 def test_prefiltered_batch_with_elided_count_journals_the_same(sr):
-    """Handing ``handle_batch`` the chosen operations plus how many were
+    """Handing ``offer_ops`` the chosen operations plus how many were
     left out (what the server does after decoding with ``prefilter()``)
-    journals the operations ``handle_batch`` journals when it filters
-    itself, and counts as many elided — including batches with nothing
-    chosen and with nothing elided."""
+    journals exactly the records ``offer_ops`` journals when it filters
+    itself — including batches with nothing chosen and with nothing
+    elided."""
     ops = [payload for kind, payload in _events(3000) if kind == "op"]
-    whole, prefiltered = _journaling(sr), _journaling(sr)
+    whole, prefiltered = _journaling(sr, batch_size=32), \
+        _journaling(sr, batch_size=32)
     chosen = prefiltered.prefilter()
     assert chosen is prefiltered.sampler.lookup
     sizes = (1, 3, 40, 100, 7, 260)
@@ -250,25 +275,15 @@ def test_prefiltered_batch_with_elided_count_journals_the_same(sr):
         size = sizes[start % len(sizes)]
         batch = ops[start:start + size]
         kept = [op for op in batch if chosen(op.key)]
-        assert whole.handle_batch(batch, chunk=32) == \
-            prefiltered.handle_batch(kept, chunk=32,
-                                     elided=len(batch) - len(kept))
+        whole.offer_ops(batch)
+        prefiltered.offer_ops(kept, elided=len(batch) - len(kept))
         start += size
     assert whole.ops_seen == prefiltered.ops_seen == len(ops)
-    assert whole.touches == prefiltered.touches
-    assert whole.stats == prefiltered.stats
-    # An all-elided batch is counted on the first offered operation's
-    # shard, or on shard 0 when the caller kept none to name one, and a
-    # shard's trailing count grows in place: the run-length records may
-    # be cut differently, never the operations or the total.
-    journals = [collector.drain_journal()
-                for collector in (whole, prefiltered)]
-    for kind in (EV_OP, EV_ELIDED):
-        assert kind in {event[1] for event in journals[0]}
-    assert [event[2:] for event in journals[0] if event[1] == EV_OP] == \
-        [event[2:] for event in journals[1] if event[1] == EV_OP]
-    assert len({sum(event[2] for event in journal if event[1] == EV_ELIDED)
-                for journal in journals}) == 1
+    records = whole.drain()
+    assert records == prefiltered.drain()
+    assert {len(record[2]) > 32 for record in records} == {False}
+    with pytest.raises(ValueError, match="prefilter"):
+        _journaling(1).offer_ops(ops[:3], elided=2)
 
 
 @pytest.mark.parametrize("bounded", (False, True),
@@ -276,16 +291,12 @@ def test_prefiltered_batch_with_elided_count_journals_the_same(sr):
 @pytest.mark.parametrize("seed", range(6))
 def test_lifecycle_run_appends_what_per_event_calls_append(seed, bounded):
     """Random begin/op/commit interleavings: journaling each run of
-    consecutive begins (or commits) with one ``record_lifecycle_run``
-    drains to the same tickets, kinds and payloads as one
-    ``record_lifecycle`` per event.  A bounded journal takes the
-    per-event path inside the run call, and must agree too."""
+    consecutive begins (or commits) with one ``offer_lifecycle_run``
+    drains to the same records as one ``offer_lifecycle`` per event."""
     import random
 
     rng = random.Random(seed)
     kwargs = {"journal_capacity": 10 ** 6} if bounded else {}
-    # sr=1: no run-length records, whose cut depends on which shard a
-    # lifecycle record lands on — every ticket can be compared.
     per_event, runs = _journaling(1, **kwargs), _journaling(1, **kwargs)
     script = []
     for seq in range(400):
@@ -299,9 +310,9 @@ def test_lifecycle_run_appends_what_per_event_calls_append(seed, bounded):
                                            rng.randrange(24), seq)))
     for kind, payload in script:
         if kind == "op":
-            per_event.handle_batch([payload])
+            per_event.offer_ops([payload])
         else:
-            per_event.record_lifecycle(kind, *payload)
+            per_event.offer_lifecycle(kind, *payload)
     index = 0
     while index < len(script):
         kind = script[index][0]
@@ -311,17 +322,71 @@ def test_lifecycle_run_appends_what_per_event_calls_append(seed, bounded):
         payloads = [payload for _, payload in script[index:end]]
         if kind == "op":
             for payload in payloads:
-                runs.handle_batch([payload])
+                runs.offer_ops([payload])
         else:
-            runs.record_lifecycle_run(kind, [p[0] for p in payloads],
-                                      [p[1] for p in payloads])
+            runs.offer_lifecycle_run(kind, [p[0] for p in payloads],
+                                     [p[1] for p in payloads])
         index = end
-    runs.record_lifecycle_run("begin", [], [])  # an empty run is nothing
-    drained = runs.drain_journal()
-    assert drained == per_event.drain_journal()
+    runs.offer_lifecycle_run(EV_BEGIN, [], [])  # an empty run is nothing
+    drained = runs.drain()
+    assert drained == per_event.drain()
     assert sum(1 for _, kind, _, _ in drained
-               if kind in ("begin", "commit")) == \
+               if kind in (EV_BEGIN, EV_COMMIT)) == \
         sum(1 for kind, _ in script if kind != "op")
+
+
+def test_concurrent_producers_lose_no_append_and_no_ticket():
+    """Six threads offer batches, single operations and lifecycle events
+    while a seventh drains: every record arrives once, tickets rise
+    strictly across drains, and the counters updated under the journal
+    lock are exact."""
+    import sys
+    import threading
+
+    ops = [payload for kind, payload in _events(3000) if kind == "op"]
+    collector = _journaling(4)
+    start = threading.Barrier(7)
+    stop = threading.Event()
+    drained = []
+
+    def produce(thread):
+        start.wait(timeout=30)
+        for i in range(thread, len(ops), 6):
+            if i % 5:
+                collector.offer_op(ops[i])
+            else:
+                collector.offer_ops(ops[i:i + 1])
+            collector.offer_lifecycle(EV_COMMIT, ops[i].buu, i)
+
+    def drain():
+        start.wait(timeout=30)
+        while not stop.is_set():
+            drained.extend(collector.drain())
+
+    threads = [threading.Thread(target=produce, args=(t,)) for t in range(6)]
+    drainer = threading.Thread(target=drain)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads + [drainer]:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        stop.set()
+        drainer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads + [drainer])
+    drained.extend(collector.drain())
+    tickets = [record[0] for record in drained]
+    assert tickets == sorted(set(tickets))
+    assert sorted(_journaled_ops(drained), key=lambda op: op.seq) == [
+        op for op in ops if collector.sampler.chosen(op.key)]
+    assert sum(record[3] for record in drained if record[1] == EV_OPS) \
+        + len(_journaled_ops(drained)) == len(ops) == collector.ops_seen
+    assert sum(record[1] == EV_COMMIT for record in drained) == len(ops) \
+        == collector.lifecycle_offered
+    assert collector.journal_depth == 0
 
 
 # -- failed passes ----------------------------------------------------------------
@@ -343,6 +408,39 @@ def test_failed_pass_neither_loses_nor_repeats_elided_counts(after):
         service.close_window()
     _feed_per_op(service, events[1500:])
     service.close_window()
+    service.close_window()
+    assert service.collector.journal_depth == 0
+    _assert_matches_serial(service, serial, events)
+
+
+@pytest.mark.parametrize("sr", (1, 20))
+@pytest.mark.parametrize("call", (0, 3, 25))
+@pytest.mark.parametrize("feed", (_feed_per_op, _feed_batched),
+                         ids=("per-op", "batched"))
+def test_a_detector_that_raises_loses_no_collected_edge(feed, call, sr):
+    """The detector raises once, on its ``call``-th batch, after the pass
+    collected the records whose edges it was fed: those edges are
+    re-queued and fed again, so the totals still equal the serial run's
+    (collection is never repeated, feeding again is idempotent)."""
+    events = _events(3000)
+    serial = _serial(sr, events)
+    service = RushMonService(_config(sr))
+    add_edge_batch = service.detector.add_edge_batch
+    calls = []
+
+    def flaky(edges):
+        calls.append(len(edges))
+        if len(calls) == call + 1:
+            raise MemoryError("injected")
+        return add_edge_batch(edges)
+
+    service.detector.add_edge_batch = flaky
+    feed(service, events[:1500])
+    with pytest.raises(MemoryError):
+        service.close_window()
+    journal = service.collector.snapshot_state()["journal"]
+    assert journal[0][1] == EV_EDGES and journal[0][3]
+    feed(service, events[1500:])
     service.close_window()
     assert service.collector.journal_depth == 0
     _assert_matches_serial(service, serial, events)
@@ -379,7 +477,7 @@ def test_block_never_blocks_unsampled_ops():
     a sampled one still feels the backpressure."""
     ops = [payload for kind, payload in _events(4000) if kind == "op"]
     service = RushMonService(
-        _config(20, num_shards=1, journal_capacity=2, overflow="block",
+        _config(20, journal_capacity=2, overflow="block",
                 block_timeout=0.05))
     chosen = service.collector.sampler.chosen
     sampled = [op for op in ops if chosen(op.key)]
@@ -404,7 +502,7 @@ def test_degrade_relieves_the_journal():
     unsampled one — and are never a reason to escalate further."""
     ops = [payload for kind, payload in _events(4000) if kind == "op"]
     service = RushMonService(
-        _config(1, num_shards=1, journal_capacity=16, overflow="degrade"))
+        _config(1, journal_capacity=16, overflow="degrade"))
     collector = service.collector
     for op in ops[:17]:  # the 17th overflows: shift 0 -> 1
         service.on_operation(op)
@@ -414,9 +512,74 @@ def test_degrade_relieves_the_journal():
     assert collector.degrade_shift == 1  # one step per drain epoch
     journaled = collector.journal_depth - before
     assert journaled < 0.75 * len(ops[17:])  # about half were elided
-    service.close_window()
+    assert collector.sampling_probability == 0.5
+    service.close_window()  # a heavy drain: the shift holds
+    assert collector.degrade_shift == 1
+    # The pass bookkept what was journaled, less the 17th op's item if
+    # the filter excludes it.
+    assert collector.touches <= 16 + journaled
     assert sum(r.operations for r in service.reports) == len(ops)
     assert collector.ops_seen == len(ops)
+
+
+@pytest.mark.parametrize("per_op", (False, True), ids=("batched", "per-op"))
+def test_degrade_shift_stays_bounded_while_a_producer_outpaces_the_pass(
+        per_op):
+    """A producer offering 25x the journal's capacity every epoch: each
+    shift halves what it journals, so the shift settles near
+    log2(25) instead of climbing once per drain."""
+    capacity, per_epoch, epochs = 16, 400, 30
+    service = RushMonService(
+        _config(1, journal_capacity=capacity, overflow="degrade"))
+    collector = service.collector
+    seq = 0
+    shifts = []
+    for epoch in range(epochs):
+        ops = [Operation(OpType.WRITE, seq + i, ("k", seq + i), seq + i)
+               for i in range(per_epoch)]
+        seq += per_epoch
+        if per_op:
+            for op in ops:
+                service.on_operation(op)
+        else:
+            for start in range(0, per_epoch, 20):
+                service.on_operations(ops[start:start + 20])
+        service.close_window()
+        shifts.append(collector.degrade_shift)
+    assert max(shifts) <= 7
+    assert min(shifts[epochs // 2:]) >= 3  # the pressure is real
+    assert sum(r.operations for r in service.reports) == epochs * per_epoch
+    assert collector.ops_seen == epochs * per_epoch
+
+
+def test_degrade_never_derives_an_edge_from_stale_item_state():
+    """Across shift changes — up on overflow, down on a light drain —
+    every item the pass bookkeeps has each of its operations since it
+    was last excluded: each ww edge joins two consecutive writers of its
+    key, never writers with an elided or forgotten write between."""
+    service = RushMonService(_config(
+        1, journal_capacity=16, overflow="degrade", pruning="none"))
+    writers: dict = {}
+    shifts = []
+    buu = 0
+    for burst in (40, 40, 2, 2, 40, 40, 2, 2, 2, 2):
+        for _ in range(burst):
+            keys = [("k", i) for i in range(buu % 8, 64, 8)]
+            for key in keys:
+                writers.setdefault(key, []).append(buu)
+            service.on_operations([Operation(OpType.WRITE, buu, key, buu)
+                                   for key in keys])
+            buu += 1
+        service.close_window()
+        shifts.append(service.collector.degrade_shift)
+    assert max(shifts) >= 2 and shifts[-1] < max(shifts)
+    edges = 0
+    for src, dst, labels in service.detector.graph.edges():
+        for key in labels:
+            order = writers[key]
+            assert order.index(dst) == order.index(src) + 1
+            edges += 1
+    assert edges == service.collector.stats.ww > 0
 
 
 # -- durability -----------------------------------------------------------------------
