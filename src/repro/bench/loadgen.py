@@ -142,7 +142,7 @@ class LoadResult:
 class OpenLoopEmitter:
     """One open-loop client session (see module docstring).
 
-    ``records`` are consumed in batches of ``batch_size`` events; batch
+    ``records`` are sent in batches of ``batch_size`` events; batch
     ``k`` is *scheduled* at ``t0 + k * batch_size / target_rate`` and
     its ack latency is measured from that scheduled instant.  The
     emitter never slows down to match the server; it is the server's
@@ -294,9 +294,8 @@ class OpenLoopEmitter:
                 # Honest shed: the events are refused and counted; the
                 # sequence number is resent empty to stay gap-free.
                 _scheduled, events = self._outstanding[seq]
-                consumed = int(message.get("consumed", 0) or 0)
                 self.result.refused_batches += 1
-                self.result.refused_events += max(0, events - consumed)
+                self.result.refused_events += events
                 self._shed.add(seq)
                 self._to_resend.append(seq)
             elif code in ("draining", "bad-frame", "bad-session"):

@@ -458,10 +458,12 @@ class CollectorShard:
     One shard owns the Algorithm 1/2 per-item state (``lastWrite``,
     read set or MOB reservoir) for a disjoint subset of the key space,
     plus every counter derived from it.  The serial
-    :class:`DataCentricCollector` drives exactly one shard; the
-    concurrent :class:`~repro.core.concurrent.ShardedCollector` drives
-    one lock-protected shard per key-hash partition.  Both paths run
-    this code, so they cannot drift.
+    :class:`DataCentricCollector` drives exactly one shard, and so does
+    each cluster worker (through its own ``DataCentricCollector``); the
+    service's
+    :class:`~repro.core.concurrent.journaled.JournaledCollector` drives
+    one in its detection pass.  Every path runs this code, so they
+    cannot drift.
 
     All state combines associatively across disjoint key ranges —
     :class:`~repro.core.types.EdgeStats` and the scalar counters add,

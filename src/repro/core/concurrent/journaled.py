@@ -1,15 +1,17 @@
 """The service's collector: producers journal, the detection pass collects.
 
 A producer of :class:`~repro.core.concurrent.service.RushMonService`
-does no bookkeeping.  The operations of one ``on_operations`` call
-become one journal record ``(ticket, EV_OPS, ops, elided)`` (a call
-longer than ``batch_size`` journaled operations becomes several), and a
-begin or commit becomes ``(ticket, EV_BEGIN | EV_COMMIT, buu, time)``.
-The ticket is drawn and the record appended under one short lock, so
-journal order *is* ticket order and a drain is always a complete prefix
-of it.  A batch record reserves one ticket per operation (at least one),
-so the operations of the recorded trace keep distinct, increasing
-stamps.
+does no bookkeeping.  A producer call — ``on_operations``, a begin or
+commit, or a network frame — is offered whole
+(:meth:`JournaledCollector.offer`): its operations become journal
+records ``(ticket, EV_OPS, ops, elided)`` (a batch longer than
+``batch_size`` journaled operations becomes several), and a begin or
+commit becomes ``(ticket, EV_BEGIN | EV_COMMIT, buu, time)``.  The
+tickets are drawn and the records appended under one short lock, so
+journal order *is* ticket order, a drain is always a complete prefix of
+it, and a call is journaled whole or not at all.  A batch record
+reserves one ticket per operation (at least one), so the operations of
+the recorded trace keep distinct, increasing stamps.
 
 The consumer — the service's detection pass, one thread at a time —
 drains the journal and walks it in ticket order: lifecycle records go
@@ -36,26 +38,30 @@ next drain hands over as an ``(ticket, EV_OPS, [], count)`` record.  The
 decision is a lock-free probe of the sampler's memo.  A caller that can
 tell earlier still — the network server, while decoding a frame — asks
 :meth:`JournaledCollector.prefilter` for the same predicate and passes
-``elided`` itself.  A recorded trace needs every operation (its replay
-re-samples), so then nothing is left out.
+``elided`` itself, under every overflow policy.  A recorded trace
+needs every operation (its replay re-samples), so then nothing is left
+out.
 
 Bounded journal and backpressure
 --------------------------------
 
 ``journal_capacity`` bounds the events waiting in the journal — journaled
-operations and lifecycle events; elided operations take no room.  A
-record arriving at a journal that holds events and has no room for it
-meets the ``overflow`` policy:
+operations and lifecycle events; elided operations take no room.  The
+unit of admission is the producer call: a call arriving at a journal
+that holds events and has no room for all of it meets the ``overflow``
+policy once (under ``"block"`` and ``"shed"`` the journal therefore
+exceeds its capacity only by a call admitted into an empty journal):
 
 ``"block"``
-    The producer waits (released by the next drain) up to
-    ``block_timeout`` seconds, then gets :class:`JournalBackpressure`.
+    The producer waits (released by the next drain) until the whole
+    call fits or the journal is empty, up to ``block_timeout`` seconds,
+    then gets :class:`JournalBackpressure` with nothing journaled.
 ``"shed"``
-    The record is dropped whole and counted in the shed counters; its
-    elided count is still counted, so only sampled operations (and
-    lifecycle events) are ever shed.
+    The call is dropped whole and counted in the shed counters; its
+    elided operations are still counted, so only sampled operations
+    (and lifecycle events) are ever shed.
 ``"degrade"``
-    The record is journaled anyway and the effective sampling rate
+    The call is journaled anyway and the effective sampling rate
     doubles (at most once per drain): an item is kept only if a
     secondary per-item hash also keeps it, and
     :attr:`~JournaledCollector.sampling_probability` stays calibrated.
@@ -181,7 +187,7 @@ def _decode(record: list) -> tuple:
 
 class JournaledCollector:
     """The collector of :class:`~repro.core.concurrent.RushMonService`
-    (module docstring): ``offer_*`` on any producer thread, everything
+    (module docstring): :meth:`offer` on any producer thread, everything
     else on the consumer's.
 
     Parameters mirror :class:`~repro.core.collector.DataCentricCollector`
@@ -189,8 +195,8 @@ class JournaledCollector:
     the journal's: ``journal_sampled_only``, ``journal_capacity``,
     ``overflow``, ``block_timeout`` and ``batch_size`` (most journaled
     operations per record).  ``faults`` arms the ``collector.handle``
-    (each offer) and ``journal.drain`` injection points; ``metrics``
-    gets the collector's readings as callback gauges.
+    (each producer call) and ``journal.drain`` injection points;
+    ``metrics`` gets the collector's readings as callback gauges.
     """
 
     def __init__(
@@ -339,118 +345,108 @@ class JournaledCollector:
     def prefilter(self) -> Callable[[Key], bool] | None:
         """The predicate ``key -> chosen?`` a caller may apply to
         operations *before* it builds or hands over anything for them —
-        passing :meth:`offer_ops` the chosen ones and the number it left
-        out as ``elided`` — or ``None`` when every operation must be
+        offering the chosen ones and the number it left out as a batch
+        record's ``elided`` — or ``None`` when every operation must be
         journaled (a recorded trace, or ``sampling_rate == 1``)."""
         if self._sampled_only and self.sampler.sampling_rate > 1:
             return self.sampler.lookup
         return None
 
-    def offer_ops(self, ops: Iterable[Operation], elided: int = 0) -> None:
-        """Journal a producer batch: its operations (the chosen ones,
-        when :meth:`prefilter` allows leaving the rest out) in records of
-        at most ``batch_size``, under one hold of the journal lock.
-        ``elided`` counts operations the caller already left out with
-        :meth:`prefilter`'s predicate.  Under a degrade shift, operations
-        the secondary filter excludes are elided too (when operations
-        may be left out at all).  The records are copies: the caller may
-        reuse its list."""
+    def offer(self, records: Sequence[tuple]) -> None:
+        """Journal one producer call whole, or nothing of it.
+
+        ``records`` are the call's events in order, without tickets:
+        ``(EV_OPS, ops, elided)`` — operations (the chosen ones, when
+        :meth:`prefilter` allows leaving the rest out) and how many the
+        caller already left out with its predicate — and ``(EV_BEGIN |
+        EV_COMMIT, buu, time)``.  The call is weighed once and meets the
+        overflow policy once (module docstring); an admitted call is
+        ticketed and appended under that same hold of the journal lock,
+        a batch of more than ``batch_size`` journaled operations as
+        several records.  Under a degrade shift, operations the
+        secondary filter excludes are elided too (when operations may be
+        left out at all).  The records hold copies: the caller may reuse
+        its lists."""
         if self._faults is not None:
             self._fire("collector.handle")
-        if not isinstance(ops, (list, tuple)):
-            ops = list(ops)
-        chosen = self.prefilter()
-        if elided and chosen is None:
-            raise ValueError(
-                "offer_ops(elided=...) needs prefilter() to allow eliding; "
-                "this collector journals every operation")
-        offered = len(ops) + elided
-        shift = self._degrade_shift if self._sampled_only else 0
-        kept = self._keep(ops, chosen, shift)
-        size = self.batch_size
+        # A call of begins and commits alone is journaled as given.
+        built, weight, loose = records, len(records), 0
+        shift = 0
+        for record in records:
+            if record[0] == EV_OPS:
+                if self._sampled_only:
+                    shift = self._degrade_shift
+                built, weight, loose = self._build(records, shift)
+                break
         lock = self._lock
         if not lock.acquire(False):
             self._wait_for(lock)
         try:
             if self._degrade_shift < shift:
                 # The shift fell while this call filtered.
-                kept = self._keep(ops, chosen, self._degrade_shift)
-            elided = offered - len(kept)
-            if not kept:
-                self._elided += elided
-                self._ops_seen += elided
-            for start in range(0, len(kept), size):
-                self._append_locked(EV_OPS, kept[start:start + size], elided)
-                elided = 0
+                built, weight, loose = self._build(records,
+                                                   self._degrade_shift)
+            capacity = self.journal_capacity
+            if (capacity is not None and self._pending
+                    and self._pending + weight > capacity
+                    and not self._make_room_locked(built, weight, loose)):
+                return
+            if loose:
+                self._elided += loose
+                self._ops_seen += loose
+            ticket = self._next_ticket
+            for kind, payload, extra in built:
+                self._records.append((ticket, kind, payload, extra))
+                if kind == EV_OPS:
+                    ticket += len(payload)
+                    self._ops_seen += len(payload) + extra
+                else:
+                    ticket += 1
+                    self.lifecycle_offered += 1
+            self._next_ticket = ticket
+            self._pending += weight
+            if self._pending > self.journal_highwater:
+                self.journal_highwater = self._pending
         finally:
             lock.release()
 
-    @staticmethod
-    def _keep(ops: Sequence[Operation], chosen: Callable[[Key], bool] | None,
-              shift: int) -> list[Operation]:
-        """The operations of ``ops`` a producer journals: those on items
-        ``chosen`` keeps (all, for ``None``) and the degrade filter keeps
-        at ``shift``."""
-        kept = (list(ops) if chosen is None
-                else [op for op in ops if chosen(op[2])])
-        if shift:
-            mask = (1 << shift) - 1
-            kept = [op for op in kept if not _degrade_hash(op[2]) & mask]
-        return kept
-
-    def offer_op(self, op: Operation) -> None:
-        """:meth:`offer_ops` of one operation, without building a batch
-        to filter: an unchosen one only adds to the elided total."""
-        if self._faults is not None:
-            self._fire("collector.handle")
+    def _build(self, records: Sequence[tuple],
+               shift: int) -> tuple[list[tuple], int, int]:
+        """The call's records as journaled — operations thinned by
+        :meth:`prefilter` and the degrade filter at ``shift``, split
+        past ``batch_size`` — with their journal weight and the elided
+        operations no record carries."""
         chosen = self.prefilter()
-        keep = chosen is None or chosen(op[2])
-        shift = self._degrade_shift if keep and self._sampled_only else 0
-        if shift:
-            digest = _degrade_hash(op[2])
-            keep = not digest & ((1 << shift) - 1)
-        lock = self._lock
-        if not lock.acquire(False):
-            self._wait_for(lock)
-        try:
-            if not keep and self._degrade_shift < shift:
-                # The shift fell while this call filtered.
-                keep = not digest & ((1 << self._degrade_shift) - 1)
-            if keep:
-                self._append_locked(EV_OPS, [op], 0)
+        mask = (1 << shift) - 1
+        size = self.batch_size
+        built: list[tuple] = []
+        weight = loose = 0
+        for record in records:
+            if record[0] != EV_OPS:
+                built.append(record)
+                weight += 1
+                continue
+            _, ops, elided = record
+            if chosen is not None:
+                kept = [op for op in ops if chosen(op[2])]
+            elif elided:
+                raise ValueError(
+                    "an ops record with elided operations needs "
+                    "prefilter() to allow eliding; this collector "
+                    "journals every operation")
             else:
-                self._elided += 1
-                self._ops_seen += 1
-        finally:
-            lock.release()
-
-    def offer_lifecycle(self, kind: str, buu: BuuId, time: int) -> None:
-        """Journal a ``begin`` / ``commit`` event (if shed, it is not
-        counted as offered)."""
-        if self._faults is not None:
-            self._fire("collector.handle")
-        lock = self._lock
-        if not lock.acquire(False):
-            self._wait_for(lock)
-        try:
-            self._append_locked(kind, buu, time)
-        finally:
-            lock.release()
-
-    def offer_lifecycle_run(self, kind: str, buus: Sequence[BuuId],
-                            times: Sequence[int]) -> None:
-        """Journal a run of same-``kind`` lifecycle events under one hold
-        of the journal lock, one record each."""
-        if self._faults is not None:
-            self._fire("collector.handle")
-        lock = self._lock
-        if not lock.acquire(False):
-            self._wait_for(lock)
-        try:
-            for buu, when in zip(buus, times):
-                self._append_locked(kind, buu, when)
-        finally:
-            lock.release()
+                kept = list(ops)
+            if shift:
+                kept = [op for op in kept if not _degrade_hash(op[2]) & mask]
+            elided += len(ops) - len(kept)
+            if not kept:
+                loose += elided
+                continue
+            weight += len(kept)
+            for start in range(0, len(kept), size):
+                built.append((EV_OPS, kept[start:start + size], elided))
+                elided = 0
+        return built, weight, loose
 
     def _wait_for(self, lock) -> None:
         """Take the contended journal lock, timing the wait (an
@@ -459,39 +455,20 @@ class JournaledCollector:
         lock.acquire()
         self.lock_wait_seconds += time.perf_counter() - waited
 
-    def _append_locked(self, kind: str, payload, extra) -> bool:
-        """Ticket and append one record under the capacity policy;
-        ``False`` when the policy shed it.  Caller holds the lock."""
-        weight = len(payload) if kind == EV_OPS else 1
-        capacity = self.journal_capacity
-        if (capacity is not None and self._pending
-                and self._pending + weight > capacity
-                and not self._make_room_locked(kind, payload, extra, weight)):
-            return False
-        ticket = self._next_ticket
-        self._next_ticket = ticket + (weight or 1)
-        self._records.append((ticket, kind, payload, extra))
-        self._pending += weight
-        if kind == EV_OPS:
-            self._ops_seen += weight + extra
-        else:
-            self.lifecycle_offered += 1
-        if self._pending > self.journal_highwater:
-            self.journal_highwater = self._pending
-        return True
-
-    def _make_room_locked(self, kind: str, payload, extra,
-                          weight: int) -> bool:
-        """Apply the overflow policy to a record the journal has no room
-        for; ``True`` when it may be journaled."""
+    def _make_room_locked(self, built: Sequence[tuple], weight: int,
+                          loose: int) -> bool:
+        """Apply the overflow policy to a call the journal has no room
+        for; ``True`` when it may be journaled.  Caller holds the lock."""
         if self.overflow == "shed":
             self.shed_events += weight
-            if kind == EV_OPS:
-                chosen = self.sampler.chosen
-                self.shed_sampled_events += sum(
-                    1 for op in payload if chosen(op[2]))
-                self._elided += extra
-                self._ops_seen += extra
+            chosen = self.sampler.chosen
+            for kind, payload, extra in built:
+                if kind == EV_OPS:
+                    self.shed_sampled_events += sum(
+                        1 for op in payload if chosen(op[2]))
+                    loose += extra
+            self._elided += loose
+            self._ops_seen += loose
             return False
         if self.overflow == "degrade":
             if not self._shifted_this_epoch:
@@ -499,23 +476,26 @@ class JournaledCollector:
                 self._records.append(
                     self._shift_locked(self._degrade_shift + 1))
             return True
+        # "block": wait (released by the next drain) until the whole
+        # call fits or the journal is empty.
         started = time.monotonic()
         deadline = started + self.block_timeout
         capacity = self.journal_capacity
         assert capacity is not None
-        while self._pending and self._pending + weight > capacity:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self.blocked_seconds += time.monotonic() - started
-                self.block_timeouts += 1
-                raise JournalBackpressure(
-                    f"journal stayed full ({capacity} events) for "
-                    f"{self.block_timeout}s — the detection thread is not "
-                    f"draining; raise journal_capacity, lower "
-                    f"detect_interval, or use the 'shed'/'degrade' "
-                    f"overflow policy")
-            self._not_full.wait(remaining)
-        self.blocked_seconds += time.monotonic() - started
+        try:
+            while self._pending and self._pending + weight > capacity:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self.block_timeouts += 1
+                    raise JournalBackpressure(
+                        f"journal stayed full ({capacity} events) for "
+                        f"{self.block_timeout}s — the detection thread is "
+                        f"not draining; raise journal_capacity, lower "
+                        f"detect_interval, or use the 'shed'/'degrade' "
+                        f"overflow policy")
+                self._not_full.wait(remaining)
+        finally:
+            self.blocked_seconds += time.monotonic() - started
         return True
 
     def _shift_locked(self, shift: int) -> tuple:
@@ -623,6 +603,7 @@ class JournaledCollector:
                 "degrade_shift": self._degrade_shift,
                 "pass_shift": self._pass_shift,
                 "degrade_shifts_total": self.degrade_shifts_total,
+                "shifted_this_epoch": self._shifted_this_epoch,
             }
         return {
             **journal_state,
@@ -696,6 +677,8 @@ class JournaledCollector:
             self._degrade_shift = state["degrade_shift"]
             self._pass_shift = journal["pass_shift"]
             self.degrade_shifts_total = state["degrade_shifts_total"]
+            # .get(): checkpoints written before it was kept.
+            self._shifted_this_epoch = state.get("shifted_this_epoch", False)
 
     # -- aggregate views ------------------------------------------------------------
 
@@ -718,6 +701,14 @@ class JournaledCollector:
         """Effective per-item inclusion probability: the base sample
         times the degrade-policy multiplier (1 until a shift happens)."""
         return self.sampler.probability / (1 << self._degrade_shift)
+
+    @property
+    def pass_probability(self) -> float:
+        """The inclusion probability the detection pass collects under:
+        the base sample times the degrade multiplier in force where the
+        pass has got to — what a window it closes is scaled by (the
+        journal's tail may already run under a higher shift)."""
+        return self.sampler.probability / (1 << self._pass_shift)
 
     @property
     def degrade_shift(self) -> int:

@@ -3,8 +3,9 @@
 :class:`RushMonService` is the threaded counterpart of the serial
 :class:`~repro.core.monitor.RushMon` facade.  Producer threads call the
 standard listener protocol (``on_operation(s)`` / ``begin_buu`` /
-``commit_buu``) and only *journal*: a call becomes one ticketed journal
-record (:class:`~repro.core.concurrent.journaled.JournaledCollector`).
+``commit_buu``, or ``on_records`` for a whole network frame) and only
+*journal*: a call becomes ticketed journal records, appended whole or
+not at all (:class:`~repro.core.concurrent.journaled.JournaledCollector`).
 Collection and cycle detection run on a *background thread* that wakes
 every ``detect_interval`` seconds, drains the journal, walks it in
 ticket order — lifecycle records through the admission gate, each batch
@@ -476,49 +477,56 @@ class RushMonService:
 
     # -- producer-side listener protocol (any thread) --------------------------
 
-    def _ensure_accepting(self) -> None:
-        if self._stopped:
-            raise RuntimeError(
-                "RushMonService is stopped — it no longer accepts "
-                "events; construct a new service (or restore() a "
-                "checkpoint) to resume monitoring"
-            )
+    @staticmethod
+    def _refuse() -> None:
+        """What a producer call meets once the service is stopped (each
+        tests ``_stopped`` itself, sparing every producer call a method
+        call)."""
+        raise RuntimeError(
+            "RushMonService is stopped — it no longer accepts "
+            "events; construct a new service (or restore() a "
+            "checkpoint) to resume monitoring"
+        )
 
     def on_operation(self, op: Operation) -> None:
         """Observe one read/write (thread-safe; it is journaled, and
         collected and detected by the background pass)."""
-        self._ensure_accepting()
-        self.collector.offer_op(op)
+        if self._stopped:
+            self._refuse()
+        self.collector.offer(((EV_OPS, (op,), 0),))
 
-    def on_operations(self, ops: Iterable[Operation],
-                      elided: int = 0) -> None:
+    def on_operations(self, ops: Iterable[Operation]) -> None:
         """Observe a sequence of operations: one journal record (several
         past :attr:`batch_size` journaled operations), collected as one
-        batch by the pass.  ``elided`` counts operations the caller
-        already left out with ``collector.prefilter()``'s predicate (see
-        :meth:`JournaledCollector.offer_ops`)."""
-        self._ensure_accepting()
-        self.collector.offer_ops(ops, elided)
+        batch by the pass."""
+        if self._stopped:
+            self._refuse()
+        if not isinstance(ops, (list, tuple)):
+            ops = list(ops)
+        self.collector.offer(((EV_OPS, ops, 0),))
 
     def begin_buu(self, buu: BuuId, start_time: int = 0) -> None:
-        self._ensure_accepting()
-        self.collector.offer_lifecycle(EV_BEGIN, buu, start_time)
+        if self._stopped:
+            self._refuse()
+        self.collector.offer(((EV_BEGIN, buu, start_time),))
 
     def commit_buu(self, buu: BuuId, commit_time: int = 0) -> None:
-        self._ensure_accepting()
-        self.collector.offer_lifecycle(EV_COMMIT, buu, commit_time)
+        if self._stopped:
+            self._refuse()
+        self.collector.offer(((EV_COMMIT, buu, commit_time),))
 
-    def begin_buus(self, buus: Sequence[BuuId],
-                   start_times: Sequence[int]) -> None:
-        """A run of :meth:`begin_buu` calls under one journal lock hold."""
-        self._ensure_accepting()
-        self.collector.offer_lifecycle_run(EV_BEGIN, buus, start_times)
-
-    def commit_buus(self, buus: Sequence[BuuId],
-                    commit_times: Sequence[int]) -> None:
-        """A run of :meth:`commit_buu` calls under one journal lock hold."""
-        self._ensure_accepting()
-        self.collector.offer_lifecycle_run(EV_COMMIT, buus, commit_times)
+    def on_records(self, records: Sequence[tuple]) -> None:
+        """Observe the events of one call — a network frame — journaled
+        whole or not at all: ``(EV_OPS, ops, elided)`` and ``(EV_BEGIN |
+        EV_COMMIT, buu, time)`` records, in order, as
+        :meth:`JournaledCollector.offer` takes them (``elided`` counts
+        operations the caller already left out with
+        ``collector.prefilter()``'s predicate).  A call the overflow
+        policy refuses (``JournalBackpressure``) or a fault interrupts
+        has journaled nothing, so it may be offered again."""
+        if self._stopped:
+            self._refuse()
+        self.collector.offer(records)
 
     # -- detection (background thread, or close_window() caller) ----------------
 
@@ -694,7 +702,7 @@ class RushMonService:
             self.processed_events += len(records) + extra
             late, self._late = self._late, None
             report = self._window.close(
-                self._clock, collector.sampling_probability,
+                self._clock, collector.pass_probability,
                 health=self.health if late is None else "degraded",
             )
             self.reports.append(report)
@@ -741,10 +749,10 @@ class RushMonService:
         recorded trace, if any) — to ``path`` (default: the configured
         ``checkpoint_path``) via :func:`repro.storage.wal.save_checkpoint`.
 
-        Taken under the pass lock *and* all shard locks, so the cut is a
-        consistent prefix of the ticket order: every event is either in
-        the snapshot's detector state, in its pending journal, or was
-        ingested after the cut.
+        Taken under the pass lock, with the journal cut under the journal
+        lock, so the cut is a consistent prefix of the ticket order: every
+        event is either in the snapshot's detector state, in its pending
+        journal, or was ingested after the cut.
         """
         target = path if path is not None else self._checkpoint_path
         if target is None:
@@ -866,14 +874,14 @@ class RushMonService:
     def cumulative_estimates(self) -> tuple[float, float]:
         """Unbiased (E2, E3) over everything processed so far."""
         raw = self.counts()
-        p = self.collector.sampling_probability
+        p = self.collector.pass_probability
         return estimate_two_cycles(raw, p), estimate_three_cycles(raw, p)
 
     def serialized_trace(self):
         """The recorded ticket-ordered trace (``record_trace=True`` only).
 
         Call after :meth:`stop` or :meth:`close_window`; events still in
-        shard journals are not yet part of the trace.  Replaying it
+        the journal are not yet part of the trace.  Replaying it
         through :class:`~repro.core.monitor.OfflineAnomalyMonitor`
         reproduces the service's counts exactly at ``sr=1`` (the
         differential tests' invariant).

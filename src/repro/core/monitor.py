@@ -77,9 +77,9 @@ class WindowTracker:
 
     def observe_edges(self, edges: EdgeColumns | Sequence[Edge]) -> None:
         """Batched :meth:`observe_edge` (same counts, one detector call)
-        over an :class:`~repro.core.types.EdgeColumns` (the serial
-        path's collector batch) or a sequence of
-        :class:`~repro.core.types.Edge` (the service's journal path).
+        over an :class:`~repro.core.types.EdgeColumns` (a collector
+        batch) or a sequence of :class:`~repro.core.types.Edge` (the
+        per-op fallback a ``resample_interval`` collector takes).
         The kinds are tallied with ``list.count``, an identity scan that
         never calls the Python-level ``Enum.__hash__``.  A
         :class:`~repro.core.detector.LifecycleOrderError` passes through

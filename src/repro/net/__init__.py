@@ -5,8 +5,9 @@ its host.  This package detaches the monitor from the monitored system:
 
 - :class:`RushMonServer` — a TCP server wrapping a ``RushMonService``.
   A small pool of event-loop threads (:mod:`repro.net.eventloop`)
-  multiplexes the connections and feeds the sharded collector, with
-  admission control, per-client fairness and slow-client defenses;
+  multiplexes the connections and feeds the service one call per
+  frame, with admission control, per-client fairness and slow-client
+  defenses;
   batches are deduplicated per client session and acknowledged only
   once their state is durable in a :mod:`repro.storage.wal`
   checkpoint, so a SIGKILLed server restored from its checkpoint

@@ -200,7 +200,7 @@ class RushMonClient:
         self.heartbeats_total = 0
         self.refusals_total = 0
         #: The server's retry_after hint from the last ``overloaded``
-        #: refusal; consumed (and cleared) by the next connect's sleep.
+        #: refusal; used (and cleared) by the next connect's sleep.
         self._retry_after_hint: float | None = None
         self._thread: threading.Thread | None = None
         self._sock: socket.socket | None = None
@@ -587,13 +587,12 @@ class RushMonClient:
     def _handle_error(self, message: dict) -> None:
         code = message.get("code")
         seq = message.get("seq")
-        consumed = message.get("consumed", 0)
         if code == "backpressure":
             self.backpressure_errors_total += 1
-            self._shed_or_pause(seq, self.on_backpressure, consumed)
+            self._shed_or_pause(seq, self.on_backpressure)
         elif code == "degraded":
             self.degraded_errors_total += 1
-            self._shed_or_pause(seq, self.on_degraded, consumed)
+            self._shed_or_pause(seq, self.on_degraded)
         elif code == "draining":
             # The server is shutting down; reconnect (with backoff)
             # until its replacement appears, then replay.
@@ -619,16 +618,14 @@ class RushMonClient:
             self._settled.notify_all()
             self._space.notify_all()
 
-    def _shed_or_pause(self, seq, policy: str, consumed: int = 0) -> None:
-        """React to a server refusal of batch ``seq``.
+    def _shed_or_pause(self, seq, policy: str) -> None:
+        """React to a server refusal of batch ``seq`` (which ingested
+        none of it).
 
         ``block``: wait a jittered beat, then resend the same sequence
-        number (the server resumes a partially-ingested batch from its
-        recorded offset).  ``shed``: drop the batch's remaining events
-        but still resend the (now empty) sequence number so the session
-        stays gap-free; the loss is counted, never silent.  ``consumed``
-        is the server-reported ingested prefix of the refused batch —
-        those events are *not* lost and must not count as shed.
+        number.  ``shed``: drop the batch's events but still resend the
+        (now empty) sequence number so the session stays gap-free; the
+        loss is counted, never silent.
         """
         with self._lock:
             batch = next((b for b in self._pending if b.seq == seq), None)
@@ -638,9 +635,7 @@ class RushMonClient:
             with self._lock:
                 if batch.events:
                     self.shed_batches_total += 1
-                    self.shed_events_total += max(
-                        0, len(batch.events) - consumed
-                    )
+                    self.shed_events_total += len(batch.events)
                 batch.events = []
         else:
             delay = self._rng.uniform(self.backoff_base,

@@ -47,17 +47,17 @@ Messages are flat dicts with a ``"type"`` key:
     the batch's effects are durable (when the server checkpoints) or
     ingested (when it runs without a checkpoint path).
 ``error``
-    ``{type, code, message, retriable, seq?, consumed?, retry_after?}``
-    — typed failure.  ``consumed`` (refusals only) is how many events of
-    the refused batch the server *did* ingest before refusing: a
-    blocking client resends the full batch (the server resumes at its
-    recorded offset), while a shedding client must not count the
-    ingested prefix as lost.  ``retry_after`` (admission refusals) is
-    the server's hint, in seconds, for when capacity may be back.
-    Codes:
-    ``backpressure`` (journal full, batch not fully ingested — resend
-    after a backoff), ``degraded`` (detection circuit breaker tripped),
-    ``draining`` (server is shutting down gracefully), ``overloaded``
+    ``{type, code, message, retriable, seq?, retry_after?}`` — typed
+    failure.  A refused batch was not ingested at all — the server feeds
+    a frame to the monitor in one call, journaled whole or refused whole
+    — so a blocking client resends the whole batch and a shedding client
+    counts every event of it as shed.  ``retry_after`` (admission
+    refusals) is the server's hint, in seconds, for when capacity may be
+    back.  Codes:
+    ``backpressure`` (journal full, batch not ingested — resend after a
+    backoff), ``degraded`` (detection circuit breaker tripped),
+    ``draining`` (server is shutting down, or its service raised before
+    taking the batch — reconnect and replay), ``overloaded``
     (admission control refused the *connection* — too many clients;
     reconnect after ``retry_after`` seconds), ``bad-frame``
     (undecodable frame — the connection is no longer trustworthy),
@@ -547,15 +547,13 @@ def ack(session: str, seq: int) -> dict:
 
 
 def error(code: str, message: str, *, retriable: bool,
-          seq: int | None = None, consumed: int = 0,
+          seq: int | None = None,
           retry_after: float | None = None) -> dict:
     """A typed failure; see the module docstring for the codes."""
     payload = {"type": "error", "code": code, "message": message,
                "retriable": retriable}
     if seq is not None:
         payload["seq"] = seq
-    if consumed:
-        payload["consumed"] = consumed
     if retry_after is not None:
         payload["retry_after"] = retry_after
     return payload

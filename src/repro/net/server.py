@@ -1,9 +1,9 @@
 """The networked RushMon ingestion server.
 
 :class:`RushMonServer` listens on TCP and feeds decoded batches into a
-wrapped :class:`~repro.core.concurrent.RushMonService` (whose sharded
-collector does the actual thread-safe bookkeeping).  Connections are
-multiplexed over a small pool of event-loop threads
+wrapped :class:`~repro.core.concurrent.RushMonService`, one service
+call per frame (its journal takes the call whole or refuses it whole).
+Connections are multiplexed over a small pool of event-loop threads
 (:mod:`repro.net.eventloop` — admission control, per-client fairness,
 slow-client defenses), which call into the handling core here.  The
 **delivery contract** — at-least-once from the wire, effectively-once
@@ -12,7 +12,7 @@ into the monitor:
 Sessions and sequence numbers
     Each client holds a session id and numbers its batches 1, 2, 3, …
     The server keeps a per-session *high-water* sequence (the last batch
-    fully ingested).  ``seq == high+1`` is ingested; ``seq <= high`` is
+    ingested).  ``seq == high+1`` is ingested; ``seq <= high`` is
     a **dedup hit** (the batch is a replay — re-acknowledged, never
     re-ingested); a gap is a protocol violation (``bad-session``).
 
@@ -34,20 +34,19 @@ Durable acknowledgements
 Sampling at decode
     When the service's collector allows it
     (:meth:`~repro.core.concurrent.journaled.JournaledCollector.prefilter`:
-    no recorded trace, ``sampling_rate > 1``) and no ``"block"`` journal
-    needs every event fed one at a time, a frame's operations on items
-    outside the sample are dropped *while it is decoded* — no
-    ``Operation`` is built for them — and reach the service as a count
-    (``on_operations(ops, elided)``).
-    ``events_ingested``, ``consumed`` offsets and every total downstream
-    keep counting wire events, dropped ones included.
+    no recorded trace, ``sampling_rate > 1``), under every overflow
+    policy, a frame's operations on items outside the sample are dropped
+    *while it is decoded* — no ``Operation`` is built for them — and
+    reach the service as a count (an ops record's ``elided``).
+    ``events_ingested`` and every total downstream keep counting wire
+    events, dropped ones included.
 
 Typed failure propagation
     Journal backpressure (``overflow="block"`` timeouts) and the
     DEGRADED circuit-breaker state surface to clients as typed wire
-    errors rather than silent stalls; a backpressured batch records how
-    many of its events were already ingested so the client's resend is
-    resumed from that offset, never double-ingested.
+    errors rather than silent stalls.  A frame is one service call,
+    journaled whole or refused whole, so a refused batch has ingested
+    nothing and the client's resend is the whole batch.
 
 Graceful drain
     :meth:`drain` (wired to SIGTERM by the ``repro serve`` CLI) stops
@@ -76,7 +75,8 @@ import socket
 import threading
 import time
 
-from repro.core.concurrent.journaled import JournalBackpressure
+from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_OPS,
+                                             JournalBackpressure)
 from repro.core.concurrent.service import RushMonService
 from repro.net import protocol
 from repro.net.eventloop import EventLoopConnection, EventLoopGroup
@@ -87,6 +87,9 @@ _log = logging.getLogger(__name__)
 
 #: extra_state key the server's durable state lives under.
 _EXTRA_KEY = "net"
+
+#: Wire lifecycle tags -> journal record kinds.
+_LIFECYCLE = {"b": EV_BEGIN, "c": EV_COMMIT}
 
 #: One owed acknowledgement: (connection, session, seq, received-at).
 _Ack = tuple[EventLoopConnection, str, int, float]
@@ -234,7 +237,10 @@ class RushMonServer:
         # the crux of the no-loss/no-double-count guarantee.
         self._ingest_lock = threading.Lock()
         restored = service.extra_state.get(_EXTRA_KEY, {})
-        #: session id -> [high_seq, partial_offset]
+        #: session id -> [high_seq, resume_offset].  The offset is
+        #: nonzero only in a session table restored from a checkpoint of
+        #: a server that ingested frames in parts: the resend of batch
+        #: high+1 is ingested from there, once.
         self._sessions: dict[str, list[int]] = {
             sid: list(entry) for sid, entry in
             restored.get("sessions", {}).items()
@@ -520,17 +526,10 @@ class RushMonServer:
         # would wedge the session's sequence space.
         if self.service.degraded and message.get("events"):
             conn.refused_high = max(conn.refused_high, seq)
-            # The refused batch may carry a partially-ingested prefix
-            # from an earlier backpressure refusal — tell the client so
-            # a shed does not count already-ingested events as lost.
-            with self._ingest_lock:
-                entry = self._sessions.get(session)
-                already = (entry[1] if entry is not None
-                           and seq == entry[0] + 1 else 0)
             self._send_error(conn, protocol.error(
                 "degraded", "detection circuit breaker tripped; the "
                 "service is DEGRADED and not accepting wire batches",
-                retriable=True, seq=seq, consumed=already,
+                retriable=True, seq=seq,
             ))
             return True
         acks: list[_Ack] = []
@@ -597,11 +596,9 @@ class RushMonServer:
                 retriable=False, seq=seq,
             )
         # Operations on items outside the monitor's sample are dropped
-        # while decoding, when the collector says that is sound and no
-        # refusal has to count wire events.  A resend resumes at an
-        # offset into the *unfiltered* event list.
-        chosen = (None if offset or self._blocking()
-                  else self.service.collector.prefilter())
+        # while decoding, when the collector says that is sound.  A
+        # restored resume offset indexes the *unfiltered* event list.
+        chosen = None if offset else self.service.collector.prefilter()
         try:
             events = protocol.decode_events(message.get("events", []),
                                             chosen)
@@ -611,27 +608,17 @@ class RushMonServer:
                 retriable=False, seq=seq,
             )
         try:
-            ingested = self._ingest_locked(events, offset)
+            ingested = self._ingest_locked(events[offset:])
         except JournalBackpressure as exc:
-            # Partial ingest: remember how far we got so the
-            # client's resend resumes at the offset — the prefix is
-            # never double-ingested.  Credit the newly consumed
-            # prefix now; the resend's accept only counts from the
-            # stored offset onward.
-            consumed = exc.consumed  # type: ignore[attr-defined]
-            entry[1] = consumed
-            self.stats["events_ingested"] += consumed - offset
-            self._m_events.inc(consumed - offset)
             conn.refused_high = max(conn.refused_high, seq)
             return True, protocol.error(
                 "backpressure", str(exc), retriable=True, seq=seq,
-                consumed=consumed,
             )
         except RuntimeError:
             conn.refused_high = max(conn.refused_high, seq)
             return True, protocol.error(
-                "draining", "service stopped mid-batch; replay on the "
-                "next server", retriable=True, seq=seq,
+                "draining", "the service refused the batch (stopped or "
+                "failing); replay it", retriable=True, seq=seq,
             )
         entry[0] = seq
         entry[1] = 0
@@ -647,78 +634,32 @@ class RushMonServer:
                 acks.extend(self._commit_locked())
         return True, None
 
-    def _blocking(self) -> bool:
-        """Does a full journal make producers wait (and time out)?  Then
-        events are fed one at a time, so a refusal knows how many wire
-        events went in."""
-        collector = self.service.collector
-        return (collector.journal_capacity is not None
-                and collector.overflow == "block")
-
-    def _ingest_locked(self, events: list[tuple], offset: int) -> int:
-        """Feed decoded events ``[offset:]`` to the service, in order;
+    def _ingest_locked(self, events: list[tuple]) -> int:
+        """Feed decoded events to the service in one call;
         returns how many wire events that was (an ``("e", n)`` entry —
-        ``n`` operations the decode left out — counts ``n``).
-
-        With an unbounded journal (or a non-raising overflow policy)
-        runs of consecutive operations, and runs of consecutive begins
-        or commits, each go through one batched ingest call; under
-        ``overflow="block"`` events are fed one at a time so a
-        backpressure timeout reports exactly how many were consumed.
-        """
-        service = self.service
-        if len(events) <= offset:
-            return 0
-        if not self._blocking():
-            ops: list = []
-            elided = 0
-            lifecycle = {"b": service.begin_buus, "c": service.commit_buus}
-            # The open lifecycle run: its kind, BUU ids and times.
-            kind = ""
-            buus: list = []
-            times: list = []
-            count = len(events) - offset
-            for event in events[offset:] if offset else events:
-                tag = event[0]
-                if tag == "op":
-                    ops.append(event[1])
-                elif tag == "e":
-                    elided += event[1]
-                    count += event[1] - 1
-                else:
-                    if ops or elided:
-                        service.on_operations(ops, elided)
-                        ops, elided = [], 0
-                    if buus and tag != kind:
-                        lifecycle[kind](buus, times)
-                        buus, times = [], []
-                    kind = tag
-                    buus.append(event[1])
-                    times.append(event[2])
-                    continue
-                if buus:
-                    lifecycle[kind](buus, times)
-                    buus, times = [], []
-            if ops or elided:
-                service.on_operations(ops, elided)
-            if buus:
-                lifecycle[kind](buus, times)
-            return count
-        consumed = 0
-        try:
-            for index in range(offset, len(events)):
-                event = events[index]
-                if event[0] == "op":
-                    service.on_operation(event[1])
-                elif event[0] == "b":
-                    service.begin_buu(event[1], event[2])
-                else:
-                    service.commit_buu(event[1], event[2])
-                consumed += 1
-        except JournalBackpressure as exc:
-            exc.consumed = offset + consumed  # type: ignore[attr-defined]
-            raise
-        return consumed
+        ``n`` operations the decode left out — counts ``n``).  Each run
+        of consecutive operations becomes one ops record, each begin or
+        commit one lifecycle record."""
+        records: list[tuple] = []
+        ops: list = []
+        elided = 0
+        count = len(events)
+        for event in events:
+            tag = event[0]
+            if tag == "op":
+                ops.append(event[1])
+            elif tag == "e":
+                elided += event[1]
+                count += event[1] - 1
+            else:
+                if ops or elided:
+                    records.append((EV_OPS, ops, elided))
+                    ops, elided = [], 0
+                records.append((_LIFECYCLE[tag], event[1], event[2]))
+        if ops or elided:
+            records.append((EV_OPS, ops, elided))
+        self.service.on_records(records)
+        return count
 
     # -- durability / acknowledgement -----------------------------------------
 
@@ -795,8 +736,8 @@ class RushMonServer:
 
         Eviction is safe only once a session's high-water is durable
         (always true without a checkpoint path, where acks imply
-        nothing survives a crash anyway), it holds no partial-ingest
-        offset, and no live connection or pending ack references it —
+        nothing survives a crash anyway) and no live connection or
+        pending ack references it —
         otherwise a long-lived server grows one entry (and a bigger
         checkpoint) per client run, forever.
         """
@@ -812,11 +753,9 @@ class RushMonServer:
                     continue
                 if now - self._session_seen.get(sid, now) < self.session_ttl:
                     continue
-                entry = self._sessions[sid]
-                if entry[1]:
-                    continue  # mid-backpressure partial ingest: keep
+                high = self._sessions[sid][0]
                 if self.checkpoint_path is not None \
-                        and entry[0] > self._durable_high.get(sid, 0):
+                        and high > self._durable_high.get(sid, 0):
                     continue  # not yet checkpointed: keep until durable
                 del self._sessions[sid]
                 self._durable_high.pop(sid, None)

@@ -12,10 +12,13 @@ Injection points wired into the pipeline
 ----------------------------------------
 
 ``collector.handle``
-    Entry of every producer offer of the service's
+    Entry of every producer call of the service's
     :class:`~repro.core.concurrent.journaled.JournaledCollector`
-    (``on_operation(s)``, ``begin_buu(s)``, ``commit_buu(s)``), *before*
-    the journal lock — a fault here hits the producer thread.
+    (``on_operation(s)``, ``begin_buu``, ``commit_buu``, and
+    ``on_records`` — one per network frame), *before* the journal lock
+    — a fault here hits the producer thread, and the call journals
+    nothing (the server answers ``draining``; the resend is the whole
+    frame).
 ``journal.drain``
     Entry of
     :meth:`~repro.core.concurrent.journaled.JournaledCollector.drain`,

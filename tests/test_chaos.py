@@ -288,7 +288,7 @@ def test_degrade_steps_down_one_shift_per_light_drain():
     by step: a drain that comes up light (under half the capacity)
     lowers the shift by exactly one — never more — while a heavy drain
     only reopens the escalation epoch and holds the shift."""
-    from repro.core.concurrent.journaled import JournaledCollector
+    from repro.core.concurrent.journaled import EV_OPS, JournaledCollector
 
     collector = JournaledCollector(
         sampling_rate=1, mob=False, journal_capacity=8, overflow="degrade",
@@ -298,7 +298,7 @@ def test_degrade_steps_down_one_shift_per_light_drain():
 
     def feed(count):
         for _ in range(count):
-            collector.offer_op(next(ops))
+            collector.offer([(EV_OPS, [next(ops)], 0)])
 
     # Escalate to shift=3: each overfill raises the shift once per
     # epoch, and the (heavy) drain between overfills holds it.

@@ -195,7 +195,7 @@ def test_corrupt_or_foreign_checkpoints_are_rejected(tmp_path):
 
 
 _CROSS_PROCESS_SCRIPT = r"""
-import json, sys
+import sys
 from repro.core.concurrent import RushMonService
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor
@@ -211,42 +211,57 @@ def stream(count, num_keys, seed, buus=30):
             rng.randrange(buus), f"k{rng.randrange(num_keys)}", i)))
     return events
 
-def feed(svc, events):
-    for kind, payload in events:
+def feed(svc, events, start=0):
+    for at, (kind, payload) in enumerate(events, start):
         if kind == "op":
             o, buu, key, seq = payload
             svc.on_operation(Operation(OpType(o), buu, key, seq))
         else:
             svc.begin_buu(*payload)
+        if at % 50 == 49:
+            svc.close_window()
 
 mode, path = sys.argv[1], sys.argv[2]
-config = RushMonConfig(sampling_rate=1, mob=False, seed=3, num_shards=4)
 events = stream(400, 20, seed=17)
-if mode == "save":
-    svc = RushMonService(config, record_trace=True)
-    feed(svc, events[:220])
-    svc.checkpoint(path)
-else:  # restore
-    svc = RushMonService.restore(path)
-    feed(svc, events[220:])
+configs = {
+    "plain": RushMonConfig(sampling_rate=1, mob=False, seed=3),
+    # An overflowing journal raises the degrade shift: which items the
+    # filter keeps must not change with the process.
+    "degrade": RushMonConfig(sampling_rate=1, mob=False, seed=3,
+                             journal_capacity=16, overflow="degrade"),
+}
+for name, config in configs.items():
+    trace = name == "plain"
+    target = f"{path}.{name}"
+    if mode == "save":
+        svc = RushMonService(config, record_trace=trace)
+        feed(svc, events[:220])
+        assert (svc.collector.degrade_shift > 0) == (name == "degrade")
+        svc.checkpoint(target)
+        continue
+    svc = RushMonService.restore(target)
+    feed(svc, events[220:], 220)
     svc.close_window()
-    replayed = OfflineAnomalyMonitor()
-    svc.serialized_trace().replay([replayed])
-    assert replayed.exact_counts() == svc.counts(), "differential broken"
-    baseline = RushMonService(config, record_trace=True)
+    if trace:
+        replayed = OfflineAnomalyMonitor()
+        svc.serialized_trace().replay([replayed])
+        assert replayed.exact_counts() == svc.counts(), "differential broken"
+    baseline = RushMonService(config, record_trace=trace)
     feed(baseline, events)
     baseline.close_window()
-    assert svc.counts() == baseline.counts(), "diverged from uninterrupted"
+    assert svc.counts() == baseline.counts(), f"{name}: diverged"
+    assert svc.collector.stats == baseline.collector.stats, name
+    assert svc.collector.degrade_shift == baseline.collector.degrade_shift
 print("OK")
 """
 
 
 def test_restore_in_a_different_process(tmp_path):
     """Checkpoints must survive Python's per-process hash randomization:
-    shard bucketing and the degrade filter use a process-stable digest,
-    not builtin hash().  Save under one PYTHONHASHSEED, restore under
-    another, and require both the sr=1 differential and equality with an
-    uninterrupted run."""
+    the degrade filter uses a process-stable digest, not builtin hash().
+    Save under one PYTHONHASHSEED, restore under another, and require
+    the sr=1 differential and, with a degrade shift in force at the cut,
+    equality with an uninterrupted run."""
     path = str(tmp_path / "cross.ckpt")
     for mode, seed in (("save", "1"), ("restore", "99")):
         env = dict(os.environ, PYTHONHASHSEED=seed,

@@ -3,8 +3,8 @@ never close a cycle.
 
 Pinned here, for every front end of the admission gate
 (:class:`~repro.core.collector.SampledLifecycle`) — the serial monitor,
-the threaded service fed per event, in batches and in lifecycle *runs*,
-and a server fed over a JSON and a packed connection (``INGEST``; the
+the threaded service fed per event, in batches and a frame's records in
+one call, and a server fed over a JSON and a packed connection (``INGEST``; the
 cluster's share is in ``tests/test_cluster.py``):
 
 - an exact oracle for *sampled* runs: without MOB the raw counts at
@@ -22,7 +22,6 @@ cluster's share is in ``tests/test_cluster.py``):
 """
 
 import dataclasses
-import itertools
 import sys
 import threading
 
@@ -61,6 +60,7 @@ from tests.test_sampled_journal import (
     _config,
     _events,
     _feed_batched,
+    _frame_records,
     _serial,
 )
 
@@ -95,14 +95,9 @@ def _delivered_counts_and_server_teardown(monkeypatch):
         _WireMonitor.live.pop().close()
 
 
-def _feed_runs(service, events):
-    """Runs of consecutive begins, commits and operations each go in as
-    one call (what the server does with a decoded frame)."""
-    feed = {"begin": lambda run: service.begin_buus(*zip(*run)),
-            "commit": lambda run: service.commit_buus(*zip(*run)),
-            "op": service.on_operations}
-    for kind, run in itertools.groupby(events, key=lambda event: event[0]):
-        feed[kind]([payload for _, payload in run])
+def _feed_records(service, events):
+    """All of ``events`` in one ``on_records`` call."""
+    service.on_records(_frame_records(events))
 
 
 class _WireMonitor:
@@ -153,7 +148,7 @@ INGEST = {
     "service-batched-4": (RushMonService, _feed_batched, 4),
     "service-per-op-1": (RushMonService, _feed_per_op, 1),
     "service-per-op-4": (RushMonService, _feed_per_op, 4),
-    "service-runs": (RushMonService, _feed_runs, DEFAULT_BATCH_SIZE),
+    "service-records": (RushMonService, _feed_records, DEFAULT_BATCH_SIZE),
     "wire": (_WireMonitor, _WireMonitor.feed, DEFAULT_BATCH_SIZE),
 }
 JOURNALED_INGEST = [name for name, (flavour, _, _) in INGEST.items()
@@ -339,11 +334,11 @@ def test_an_id_that_begins_again_is_alive_before_its_first_chosen_operation(
 
 
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
-def test_a_rebegun_id_in_a_lifecycle_run_is_delivered(sr):
-    """``begin_buus`` used to discard the gate's "deliver it now": the
-    second begin of id 1 — alone in its run, as in every batched
-    ``serve --no-trace`` frame — was neither parked, journaled nor
-    counted, its operations met a committed vertex
+def test_a_rebegun_id_fed_in_one_call_is_delivered(sr):
+    """A lifecycle-run ingest used to discard the gate's "deliver it
+    now": the second begin of id 1 — fed in the same call as the rest of
+    its frame, as in every ``serve --no-trace`` frame — was neither
+    parked, journaled nor counted, its operations met a committed vertex
     (``LifecycleOrderError``, a degraded window) and the lost update on
     ``hot2`` went uncounted."""
     hot = _a_key(sr)
@@ -367,7 +362,7 @@ def test_a_rebegun_id_in_a_lifecycle_run_is_delivered(sr):
         assert assert_lifecycle_reconciles(monitor, 6) == (0, 0)
 
     service = RushMonService(_config(sr))
-    _feed_runs(service, events)
+    _feed_records(service, events)
     settled(service)
     for codec in (0, 1):
         wire = _WireMonitor(_config(sr))

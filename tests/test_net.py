@@ -41,7 +41,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.collector import ItemSampler
-from repro.core.concurrent import JournalBackpressure, RushMonService
+from repro.core.concurrent import RushMonService
+from repro.core.concurrent.journaled import EV_OPS
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor
 from repro.core.types import Operation, OpType
@@ -1029,56 +1030,93 @@ def test_prefilter_is_none_whenever_eliding_would_be_unsound():
     assert collector(faults=FaultInjector()).prefilter() is not None
     # A caller may only claim to have elided where the predicate exists.
     with pytest.raises(ValueError, match="prefilter"):
-        collector(record_trace=True).offer_ops([], elided=3)
+        collector(record_trace=True).offer([(EV_OPS, [], 3)])
 
 
-def test_backpressure_offsets_stay_in_unfiltered_units():
-    """Under ``overflow="block"`` nothing is dropped at decode, so the
-    ``consumed`` offset of a refusal counts wire events — and the resend
-    resumes at it, decoding without the predicate again."""
-    def bounded():
-        return RushMonService(RushMonConfig(
-            sampling_rate=20, seed=3, journal_capacity=4,
-            overflow="block", block_timeout=0.02, detect_interval=60.0))
+def test_a_refused_frame_ingests_nothing_and_its_resend_is_whole(
+        monkeypatch):
+    """Under ``overflow="block"`` a frame the journal has no room for is
+    refused whole: the refusal carries no offset, nothing of the frame
+    went in, and the resend is the whole frame.  Decoding keeps the
+    sample's predicate under ``"block"`` too, so the journal holds one
+    ops record of the chosen operations and a count for the rest."""
+    predicates = []
 
-    service = bounded()
-    chosen = service.collector.sampler.chosen
-    hot = [key for key in range(2000) if chosen(key)][:8]
-    cold = _unchosen_keys(service, 50)
-    ops = [Operation(OpType.WRITE, 1, key, i)
-           for i, key in enumerate(cold + hot)]
-    records = protocol.encode_events(ops)
-    # The same events, one offer_op() at a time, on an identical collector.
-    probe = bounded().collector
-    expected = 0
-    with pytest.raises(JournalBackpressure):
-        for op in ops:
-            probe.offer_op(op)
-            expected += 1
-    assert len(cold) < expected < len(ops)
+    def decode_events(records, chosen=None):
+        predicates.append(chosen)
+        return decode(records, chosen)
 
+    decode = protocol.decode_events
+    monkeypatch.setattr(protocol, "decode_events", decode_events)
     for codec in (protocol.CODEC_JSON, protocol.CODEC_COLUMNAR):
-        service = bounded()
+        service = RushMonService(RushMonConfig(
+            sampling_rate=20, seed=3, journal_capacity=12,
+            overflow="block", block_timeout=0.02, detect_interval=60.0))
+        chosen = service.collector.sampler.chosen
+        hot = [key for key in range(2000) if chosen(key)][:8]
+        cold = _unchosen_keys(service, 50)
+        first = [Operation(OpType.WRITE, 1, key, i)
+                 for i, key in enumerate(hot[:5])]
+        ops = [Operation(OpType.WRITE, 2, key, 10 + i)
+               for i, key in enumerate(cold + hot)]
         with RushMonServer(service) as server:
             client = _CodecClient(server.port, "bp", codec)
-            refusal = client.batch(records)
-            assert (refusal["code"], refusal["consumed"]) == \
-                ("backpressure", expected)
-            assert server.stats["events_ingested"] == expected
+            assert client.batch(protocol.encode_events(first))["type"] \
+                == "ack"
+            refusal = client.batch(protocol.encode_events(ops))
+            assert refusal["code"] == "backpressure"
+            assert "consumed" not in refusal
+            assert server.stats["events_ingested"] == len(first)
+            assert service.collector.journal_depth == len(first)
+            assert service.collector.ops_seen == len(first)
             service.close_window()           # make room, then resend
             client.seq -= 1
-            while True:
-                reply = client.batch(records)
-                if reply["type"] == "ack":
-                    break
-                assert reply["code"] == "backpressure"
-                assert reply["consumed"] > expected
-                service.close_window()
-                client.seq -= 1
+            assert client.batch(protocol.encode_events(ops))["type"] \
+                == "ack"
+            assert service.collector.snapshot_state()["journal"] == [
+                [len(first), "ops", [["w", 2, key, 10 + len(cold) + i]
+                                     for i, key in enumerate(hot)],
+                 len(cold)]]
             client.close()
-            assert server.stats["events_ingested"] == len(ops)
-        assert service.collector.ops_seen == len(ops)
-        assert service.processed_events == len(ops)
+            assert server.stats["events_ingested"] == len(first) + len(ops)
+        assert service.collector.ops_seen == len(first) + len(ops)
+        assert service.processed_events == len(first) + len(ops)
+    assert predicates and None not in predicates
+
+
+@pytest.mark.parametrize("codec", (protocol.CODEC_JSON,
+                                   protocol.CODEC_COLUMNAR))
+def test_a_resume_offset_in_an_older_checkpoint_is_honoured_once(
+        tmp_path, codec):
+    """A server that fed a frame in parts checkpointed a refused batch's
+    ingested prefix as the session entry ``[high, offset]``.  Restored,
+    the resend of batch ``high + 1`` ingests only ``events[offset:]``;
+    after it the offset is gone."""
+    path = str(tmp_path / "older.ckpt")
+    service = _sampled_service(20, detect_interval=60.0)
+    service.extra_state = {"net": {
+        "sessions": {"old": [1, 3]},
+        "stats": {"batches_accepted": 1, "batches_received": 2,
+                  "dedup_hits": 0, "events_ingested": 13}}}
+    service.checkpoint(path)
+    restored = RushMonService.restore(path)
+    ops = [Operation(OpType.WRITE, 1, key, i) for i, key in enumerate(
+        list(range(4)) + _unchosen_keys(restored, 6))]
+    records = protocol.encode_events(ops)
+    with RushMonServer(restored) as server:
+        client = _CodecClient(server.port, "old", codec)
+        client.seq = 1
+        assert client.batch(records) == protocol.ack("old", 2)
+        assert server.stats["events_ingested"] == 13 + len(ops) - 3
+        assert restored.collector.ops_seen == len(ops) - 3
+        client.seq = 1                       # a replay dedups
+        assert client.batch(records) == protocol.ack("old", 2)
+        assert client.batch(records) == protocol.ack("old", 3)
+        client.close()
+        assert server.stats["events_ingested"] == 13 + 2 * len(ops) - 3
+        assert server.stats["dedup_hits"] == 1
+    assert restored.collector.ops_seen == 2 * len(ops) - 3
+    assert restored.processed_events == 2 * len(ops) - 3
 
 
 # -- durability plumbing -------------------------------------------------------

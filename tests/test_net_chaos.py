@@ -15,7 +15,9 @@ protocol (mid-batch, between checkpoint groups, during an ack flush).
 The in-process tests exercise the targeted fault points (``net.ack``,
 ``net.recv``, ``net.accept``) where the interesting assertion is exact
 counter reconciliation — e.g. with only ack frames being dropped, every
-client retransmit must show up as exactly one server dedup hit.
+client retransmit must show up as exactly one server dedup hit — and
+``collector.handle`` at every producer call of a fixed stream, where a
+refused frame must have ingested nothing of itself.
 
 All tests here are `-m chaos` (they ride in tier-1 too, but CI also
 runs them in a dedicated ``net-chaos`` job with a hard timeout).
@@ -32,12 +34,16 @@ import time
 
 import pytest
 
+from repro.checkers import exact_cycle_counts
 from repro.core.concurrent import RushMonService
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor
 from repro.core.types import Operation, OpType
-from repro.net import RushMonClient, RushMonServer
+from repro.net import RushMonClient, RushMonServer, protocol
 from repro.testing import Fault, FaultInjector
+
+from tests.test_net import _CodecClient, _wire_records
+from tests.test_sampled_journal import _events as _buu_stream
 
 pytestmark = pytest.mark.chaos
 
@@ -380,3 +386,49 @@ def test_accept_disconnects_are_retried_until_connected():
         assert faults.fired_by_point["net.accept"] == 2
     assert service.counts() == _offline_exact(ops)
     _assert_sr1_differential(service)
+
+
+# -- a frame is ingested whole or refused whole ----------------------------------
+
+#: One fixed wire stream of begins, operations and commits, in frames.
+_STREAM = _buu_stream(420)
+_FRAMES = [_wire_records(_STREAM[start:start + 60])
+           for start in range(0, len(_STREAM), 60)]
+
+
+@pytest.mark.parametrize("codec", (protocol.CODEC_JSON,
+                                   protocol.CODEC_COLUMNAR))
+@pytest.mark.parametrize("sr, trace", ((1, True), (20, False)),
+                         ids=("sr1-trace", "sr20"))
+def test_a_fault_at_any_producer_call_refuses_its_frame_whole(
+        codec, sr, trace):
+    """A ``collector.handle`` exception at each producer-call ordinal —
+    one call per frame — refuses that frame with nothing of it ingested,
+    so its resend counts every event exactly once: ``events_ingested``,
+    ``processed_events`` and ``ops_seen`` equal the wire stream's, and
+    at sr=1 the counts are the exact checker's."""
+    ops = [payload for kind, payload in _STREAM if kind == "op"]
+    for ordinal in range(len(_FRAMES)):
+        faults = FaultInjector().inject(Fault(
+            "collector.handle", kind="exception", after=ordinal, times=1))
+        service = RushMonService(
+            RushMonConfig(sampling_rate=sr, mob=False, seed=3,
+                          detect_interval=60.0),
+            record_trace=trace, faults=faults)
+        with RushMonServer(service) as server:
+            client = _CodecClient(server.port, "faulty", codec)
+            for frame in _FRAMES:
+                reply = client.batch(frame)
+                if reply["type"] == "error":
+                    assert (reply["code"], reply["retriable"]) == \
+                        ("draining", True)
+                    client.seq -= 1
+                    reply = client.batch(frame)
+                assert reply == protocol.ack("faulty", client.seq)
+            client.close()
+        assert faults.fired_by_point["collector.handle"] == 1
+        assert server.stats["events_ingested"] == \
+            service.processed_events == len(_STREAM), ordinal
+        assert service.collector.ops_seen == len(ops), ordinal
+        if sr == 1:
+            assert service.counts() == exact_cycle_counts(ops), ordinal

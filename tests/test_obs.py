@@ -390,9 +390,9 @@ class TestServiceMetricsReconcile:
         for metrics in (None, MetricsRegistry()):
             collector = journaled.JournaledCollector(
                 sampling_rate=1, mob=False, metrics=metrics)
-            collector.offer_lifecycle("begin", 1, 0)
-            collector.offer_op(Operation(OpType.WRITE, 1, "x", 1))
-            collector.offer_ops([Operation(OpType.READ, 1, "y", 2)])
-            collector.offer_lifecycle_run("commit", [1], [3])
+            collector.offer([("begin", 1, 0)])
+            collector.offer([("ops", [Operation(OpType.WRITE, 1, "x", 1)], 0)])
+            collector.offer([("ops", [Operation(OpType.READ, 1, "y", 2)], 0),
+                             ("commit", 1, 3)])
             assert collector.ops_seen == 2
             assert collector.lock_wait_seconds == 0.0

@@ -13,13 +13,17 @@ differential runs at ``sr=1``, where nothing is ever elided):
   detection pass, not by a bounded journal, not by checkpoint/restore.
 """
 
+import itertools
 import os
+import threading
+import time
 
 import pytest
 
 from repro.core.concurrent import JournalBackpressure, RushMonService
 from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
-                                             EV_OPS, JournaledCollector)
+                                             EV_OPS, EV_SHIFT,
+                                             JournaledCollector)
 from repro.core.config import RushMonConfig
 from repro.core.monitor import RushMon
 from repro.core.types import Operation, OpType
@@ -94,6 +98,20 @@ def _feed_batched(monitor, events):
         _lifecycle(monitor, kind, payload)
     if run:
         monitor.on_operations(run)
+
+
+def _frame_records(events):
+    """``events`` as the records of one producer call
+    (:meth:`RushMonService.on_records`), each run of consecutive
+    operations one ops record — what the network server makes of a
+    decoded frame."""
+    records = []
+    for kind, run in itertools.groupby(events, key=lambda event: event[0]):
+        if kind == "op":
+            records.append((EV_OPS, [payload for _, payload in run], 0))
+        else:
+            records.extend((kind, *payload) for _, payload in run)
+    return records
 
 
 def _config(sr, **kwargs):
@@ -223,9 +241,9 @@ def test_journal_holds_sampled_ops_and_counts(sr):
     ops = [payload for kind, payload in _events(3000) if kind == "op"]
     collector = _journaling(sr)
     for start in range(0, 2000, 100):
-        collector.offer_ops(ops[start:start + 100])
+        collector.offer([(EV_OPS, ops[start:start + 100], 0)])
     for op in ops[2000:]:
-        collector.offer_op(op)
+        collector.offer([(EV_OPS, [op], 0)])
     records = collector.drain()
     chosen = collector.sampler.chosen
     assert _journaled_ops(records) == [op for op in ops if chosen(op.key)]
@@ -249,9 +267,9 @@ def test_full_journal_and_sr1_never_elide():
         collector = JournaledCollector(sampling_rate=sr, mob=False, seed=3,
                                        journal_sampled_only=sampled_only)
         assert collector.prefilter() is None
-        collector.offer_ops(ops[:400])
+        collector.offer([(EV_OPS, ops[:400], 0)])
         for op in ops[400:]:
-            collector.offer_op(op)
+            collector.offer([(EV_OPS, [op], 0)])
         records = collector.drain()
         assert _journaled_ops(records) == ops
         assert sum(record[3] for record in records) == 0
@@ -259,10 +277,10 @@ def test_full_journal_and_sr1_never_elide():
 
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
 def test_prefiltered_batch_with_elided_count_journals_the_same(sr):
-    """Handing ``offer_ops`` the chosen operations plus how many were
-    left out (what the server does after decoding with ``prefilter()``)
-    journals exactly the records ``offer_ops`` journals when it filters
-    itself — including batches with nothing chosen and with nothing
+    """Offering the chosen operations plus how many were left out (what
+    the server does after decoding with ``prefilter()``) journals
+    exactly the records an offer of them all journals when the collector
+    filters itself — including batches with nothing chosen and with nothing
     elided."""
     ops = [payload for kind, payload in _events(3000) if kind == "op"]
     whole, prefiltered = _journaling(sr, batch_size=32), \
@@ -275,29 +293,29 @@ def test_prefiltered_batch_with_elided_count_journals_the_same(sr):
         size = sizes[start % len(sizes)]
         batch = ops[start:start + size]
         kept = [op for op in batch if chosen(op.key)]
-        whole.offer_ops(batch)
-        prefiltered.offer_ops(kept, elided=len(batch) - len(kept))
+        whole.offer([(EV_OPS, batch, 0)])
+        prefiltered.offer([(EV_OPS, kept, len(batch) - len(kept))])
         start += size
     assert whole.ops_seen == prefiltered.ops_seen == len(ops)
     records = whole.drain()
     assert records == prefiltered.drain()
     assert {len(record[2]) > 32 for record in records} == {False}
     with pytest.raises(ValueError, match="prefilter"):
-        _journaling(1).offer_ops(ops[:3], elided=2)
+        _journaling(1).offer([(EV_OPS, ops[:3], 2)])
 
 
 @pytest.mark.parametrize("bounded", (False, True),
                          ids=("unbounded", "bounded"))
 @pytest.mark.parametrize("seed", range(6))
-def test_lifecycle_run_appends_what_per_event_calls_append(seed, bounded):
-    """Random begin/op/commit interleavings: journaling each run of
-    consecutive begins (or commits) with one ``offer_lifecycle_run``
-    drains to the same records as one ``offer_lifecycle`` per event."""
+def test_one_call_appends_what_per_event_calls_append(seed, bounded):
+    """Random begin/op/commit interleavings: journaling the events of a
+    frame with one ``offer`` drains to the same records as one ``offer``
+    per event."""
     import random
 
     rng = random.Random(seed)
     kwargs = {"journal_capacity": 10 ** 6} if bounded else {}
-    per_event, runs = _journaling(1, **kwargs), _journaling(1, **kwargs)
+    per_event, frames = _journaling(1, **kwargs), _journaling(1, **kwargs)
     script = []
     for seq in range(400):
         roll = rng.random()
@@ -308,27 +326,14 @@ def test_lifecycle_run_appends_what_per_event_calls_append(seed, bounded):
         else:
             script.append(("op", Operation(OpType.WRITE, rng.randrange(50),
                                            rng.randrange(24), seq)))
-    for kind, payload in script:
-        if kind == "op":
-            per_event.offer_ops([payload])
-        else:
-            per_event.offer_lifecycle(kind, *payload)
-    index = 0
-    while index < len(script):
-        kind = script[index][0]
-        end = index
-        while end < len(script) and script[end][0] == kind:
-            end += 1
-        payloads = [payload for _, payload in script[index:end]]
-        if kind == "op":
-            for payload in payloads:
-                runs.offer_ops([payload])
-        else:
-            runs.offer_lifecycle_run(kind, [p[0] for p in payloads],
-                                     [p[1] for p in payloads])
-        index = end
-    runs.offer_lifecycle_run(EV_BEGIN, [], [])  # an empty run is nothing
-    drained = runs.drain()
+    records = [(EV_OPS, [payload], 0) if kind == "op" else (kind, *payload)
+               for kind, payload in script]
+    for record in records:
+        per_event.offer([record])
+    for start in range(0, len(records), 97):
+        frames.offer(records[start:start + 97])
+    frames.offer([])  # an empty call is nothing
+    drained = frames.drain()
     assert drained == per_event.drain()
     assert sum(1 for _, kind, _, _ in drained
                if kind in (EV_BEGIN, EV_COMMIT)) == \
@@ -353,10 +358,11 @@ def test_concurrent_producers_lose_no_append_and_no_ticket():
         start.wait(timeout=30)
         for i in range(thread, len(ops), 6):
             if i % 5:
-                collector.offer_op(ops[i])
+                collector.offer([(EV_OPS, [ops[i]], 0)])
+                collector.offer([(EV_COMMIT, ops[i].buu, i)])
             else:
-                collector.offer_ops(ops[i:i + 1])
-            collector.offer_lifecycle(EV_COMMIT, ops[i].buu, i)
+                collector.offer([(EV_OPS, ops[i:i + 1], 0),
+                                 (EV_COMMIT, ops[i].buu, i)])
 
     def drain():
         start.wait(timeout=30)
@@ -582,7 +588,151 @@ def test_degrade_never_derives_an_edge_from_stale_item_state():
     assert edges == service.collector.stats.ww > 0
 
 
+# -- the producer call is the unit of admission ------------------------------------
+
+
+def test_a_blocked_call_that_times_out_journals_nothing():
+    """A call the journal has room for only part of waits for room for
+    all of it; when ``block_timeout`` passes first it raises with none
+    of its operations journaled."""
+    ops = [payload for kind, payload in _events(1000) if kind == "op"]
+    service = RushMonService(
+        _config(1, journal_capacity=300, block_timeout=0.02))
+    service.on_operations(ops[:10])
+    with pytest.raises(JournalBackpressure):
+        service.on_operations(ops[10:610])
+    assert service.collector.journal_depth == 10
+    assert service.collector.ops_seen == 10
+    assert service.collector.block_timeouts == 1
+    # Into an empty journal a call is admitted whole, however large.
+    service.close_window()
+    service.on_operations(ops[10:610])
+    assert service.collector.journal_depth == 600
+
+
+def test_shed_drops_a_whole_call_and_still_counts_its_elided_ops():
+    """Under ``"shed"`` a call without room goes whole — its begin, its
+    operations and its commit — and its elided operations still count as
+    seen."""
+    ops = [payload for kind, payload in _events(3000) if kind == "op"]
+    service = RushMonService(
+        _config(20, journal_capacity=64, overflow="shed"))
+    collector = service.collector
+    chosen = collector.sampler.chosen
+    service.on_operations(ops[:200])
+    depth = collector.journal_depth
+    call = ops[200:2200]
+    kept = [op for op in call if chosen(op.key)]
+    assert 0 < depth < 64 < depth + len(kept)
+    service.on_records([(EV_BEGIN, 10 ** 6, 0), (EV_OPS, call, 0),
+                        (EV_COMMIT, 10 ** 6, 1)])
+    assert collector.shed_events == len(kept) + 2
+    assert collector.shed_sampled_events == len(kept)
+    assert collector.journal_depth == depth
+    assert collector.ops_seen == 200 + len(call) - len(kept)
+    assert collector.lifecycle_offered == 0
+
+
+@pytest.mark.parametrize("sr", (1, 20))
+def test_a_refused_call_offered_again_counts_as_if_never_refused(sr):
+    """Frames into a ``"block"`` journal smaller than most of them: each
+    refused frame is offered again after a drain, whole, and the totals
+    are those of the serial monitor — nothing of a refused frame was
+    ingested the first time."""
+    events = _events(3000)
+    serial = _serial(sr, events)
+    service = RushMonService(
+        _config(sr, journal_capacity=48, block_timeout=0.005))
+    refusals = 0
+    for start in range(0, len(events), 40):
+        records = _frame_records(events[start:start + 40])
+        try:
+            service.on_records(records)
+        except JournalBackpressure:
+            refusals += 1
+            service.close_window()
+            service.on_records(records)
+    service.close_window()
+    assert refusals > 5
+    _assert_matches_serial(service, serial, events)
+
+
+def test_a_window_is_scaled_by_the_shift_its_records_ran_under():
+    """A producer that overflows a ``"degrade"`` journal while the pass
+    is still walking what it drained raises the shift of the journal's
+    tail, not of the records being detected: the window — and the
+    cumulative estimate — is scaled by the pass's shift."""
+    faults = FaultInjector().inject(
+        Fault("detect.process", kind="delay", delay=0.3, times=1))
+    service = RushMonService(
+        _config(1, journal_capacity=8, overflow="degrade"), faults=faults)
+    lost_update = [("begin", (1, 0)), ("begin", (2, 0))] + [
+        ("op", Operation(kind, buu, 0, seq)) for seq, (kind, buu) in
+        enumerate([(OpType.READ, 1), (OpType.READ, 2), (OpType.WRITE, 1),
+                   (OpType.WRITE, 2)], start=1)] + [
+        ("commit", (1, 5)), ("commit", (2, 6))]
+    service.on_records(_frame_records(lost_update))
+    detecting = threading.Thread(target=service.close_window)
+    detecting.start()
+    while service.collector.journal_depth:
+        time.sleep(0.001)  # drained; the pass is held in its delay
+    for start in range(0, 10, 5):
+        service.on_operations([Operation(OpType.WRITE, 3, key, 10 + key)
+                               for key in range(start + 1, start + 6)])
+    detecting.join()
+    assert service.collector.degrade_shift == 1
+    (report,) = service.reports
+    assert report.raw.two_cycles == 1
+    assert report.estimated_2 == 1.0
+    assert service.cumulative_estimates()[0] == 1.0
+    assert service.collector.sampling_probability == 0.5
+
+
 # -- durability -----------------------------------------------------------------------
+
+
+def test_restore_while_a_degrade_shift_is_in_force(tmp_path):
+    """Cut while the journal's tail runs under a higher degrade shift
+    than the pass — the marker still journaled, and the escalation of
+    this drain epoch spent — the restored service goes on exactly as the
+    uninterrupted one: counts, edge stats, shifts and estimates."""
+    events = _events(3000)
+    config = _config(1, journal_capacity=16, overflow="degrade")
+    path = str(tmp_path / "degraded.wal")
+
+    def feed(service, start, stop):
+        for at in range(start, stop, 50):
+            _feed_per_op(service, events[at:min(at + 50, stop)])
+            if at + 50 <= stop:
+                service.close_window()
+
+    cut = 1240
+    live = RushMonService(config)
+    feed(live, 0, cut)
+    collector = live.collector
+    journal = collector.snapshot_state()["journal"]
+    assert collector.degrade_shift > 0
+    assert any(record[1] == EV_SHIFT for record in journal)
+    assert collector._pass_shift != collector.degrade_shift
+    live.checkpoint(path)
+    restored = RushMonService.restore(path)
+    for service in (live, restored):
+        feed(service, cut, len(events))
+        service.close_window()
+    for service in (live, restored):
+        assert service.collector.journal_depth == 0
+    assert restored.counts() == live.counts()
+    assert restored.collector.stats == live.collector.stats
+    assert restored.collector.ops_seen == live.collector.ops_seen
+    assert (restored.collector.degrade_shift, restored.collector._pass_shift,
+            restored.collector.degrade_shifts_total) == \
+        (live.collector.degrade_shift, live.collector._pass_shift,
+         live.collector.degrade_shifts_total)
+    assert [(r.estimated_2, r.estimated_3, r.edges)
+            for r in restored.reports] == \
+        [(r.estimated_2, r.estimated_3, r.edges) for r in live.reports]
+    assert restored.cumulative_estimates() == live.cumulative_estimates()
+
 
 
 @pytest.mark.parametrize("feed", (_feed_per_op, _feed_batched),
