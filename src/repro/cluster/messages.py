@@ -51,8 +51,9 @@ next ``route`` frame's ``elided`` integer (absent when zero, so no
 frame, so replay and the session's duplicate suppression apply to it
 exactly as they do to the records beside it.
 
-Tickets totally order the cluster-wide event stream; each worker merges
-its local events with its peers' edge groups back into that order (see
+Tickets totally order the cluster-wide event stream; each worker turns
+its route events and its peers' edge groups into records of the service
+journal's vocabulary and walks them into its detector in that order (see
 :mod:`repro.cluster.worker`), which is what makes the cluster bit-exact
 against the serial monitor.
 """
@@ -60,19 +61,12 @@ against the serial monitor.
 from __future__ import annotations
 
 from repro.core.frontier import encode_frontier
-from repro.core.types import AnomalyReport, CycleCounts, Operation, OpType
-from repro.net.protocol import (  # noqa: F401  (re-exported for workers)
-    CODEC_JSON,
-    FrameReader,
-    ProtocolError,
-    bye,
-    encode_frame,
-)
+from repro.core.types import AnomalyReport, CycleCounts, Operation
+from repro.net.protocol import ProtocolError, bye  # noqa: F401  (re-exported)
 
 __all__ = [
     "bye",
     "cluster_ack",
-    "decode_route_events",
     "detach",
     "edges",
     "err",
@@ -182,34 +176,6 @@ def wire_begin(buu, time: int, ticket: int) -> list:
 def wire_commit(buu, time: int, ticket: int) -> list:
     """A BUU-commit event record carrying its global ticket."""
     return ["c", buu, time, ticket]
-
-
-#: Wire tag -> enum member (dict lookup beats the enum value-call in
-#: the per-record decode loop).
-_OP_TYPES = {member.value: member for member in OpType}
-
-
-def decode_route_events(records: list) -> list[tuple]:
-    """Decode route event records into ``("op", ticket, Operation)`` /
-    ``("b"|"c", ticket, buu, time)`` tuples, validating as it goes."""
-    out: list[tuple] = []
-    op_types = _OP_TYPES
-    for record in records:
-        try:
-            kind = record[0]
-            op_type = op_types.get(kind)
-            if op_type is not None:
-                out.append(("op", record[4], Operation(
-                    op_type, record[1], record[2], record[3])))
-            elif kind in ("b", "c"):
-                out.append((kind, record[3], record[1], record[2]))
-            else:
-                raise ProtocolError(f"unknown event kind {kind!r}")
-        except ProtocolError:
-            raise
-        except Exception as exc:
-            raise ProtocolError(f"malformed event record {record!r}") from exc
-    return out
 
 
 # -- barriers ------------------------------------------------------------------

@@ -8,8 +8,8 @@ ordered event stream to one collector and one detector.  The cluster
 reproduces that execution *redundantly*: every worker's detector sees
 **every** edge of the cluster-wide stream, in the global ticket order
 the router assigned — its own edges through the counting path
-(:meth:`CycleDetector.add_edge` via the window tracker) and its peers'
-edges through :meth:`CycleDetector.add_edge_uncounted` — plus every
+(:meth:`CycleDetector.add_edge_batch` via the window tracker) and its
+peers' edges through :meth:`CycleDetector.add_edge_uncounted` — plus every
 lifecycle event (broadcast by the router).  Hence each worker's live
 graph evolves exactly like the serial monitor's.
 
@@ -42,24 +42,28 @@ unbiased — but bit-for-bit differentials pin ``mob=False``.)
 The merge
 ---------
 
-Three ingredients keep the redundant executions in lockstep:
+A worker feeds its detector as the service's detection pass does: one
+:class:`~repro.core.concurrent.journaled.RecordWalk` over ticket-ordered
+records.  Three ingredients keep the redundant executions in lockstep:
 
-- **Tickets.**  The router stamps every event (operation or lifecycle)
-  with a globally unique, monotone ticket.  Within one worker the
-  streams are disjoint: its control stream carries its own operations
-  and all lifecycle events, and each peer stream carries edge groups
-  for that peer's operations only.
+- **Records.**  The router stamps every event with a globally unique,
+  monotone ticket.  A ``route`` frame becomes the worker's records: its
+  begins and commits, and ``(ticket, EV_EDGES, 0, edges)`` for each
+  operation that derived edges (collected in one fused batch, each edge
+  carrying its operation's ticket and real ``seq``), which it also
+  broadcasts.  A peer's groups become ``(ticket, EV_EDGES, 1, edges)``:
+  the third slot is the ownership column (0 counts, 1 does not).
 - **Watermarks.**  Every ``route`` batch carries the router's ticket
   high-water mark; after processing a batch the worker broadcasts its
   freshly derived edge groups — and that watermark — to all peers (an
   empty broadcast is a pure watermark advance, so idle shards never
   stall busy ones).
-- **The N-stream merge.**  Each stream's queue is complete up to its
-  watermark, so an event with ticket ``t`` is applied only once *every*
-  stream's watermark is ``>= t`` — i.e. once no earlier event can still
-  arrive.  Applying always picks the minimum pending ticket (a k-way
-  heap merge up to the minimum watermark), so application order *is*
-  ticket order.
+- **One sort, one walk.**  Each stream's queue is complete up to its
+  watermark, so a record with ticket ``t`` is walked only once *every*
+  stream's watermark is ``>= t``.  The records up to the minimum
+  watermark, sorted by ticket, are walked in one go: a cycle whose
+  edges come from two workers is counted by the owner of its closing
+  edge only if every earlier edge is already in its graph.
 
 A ``flush`` barrier closes the loop: the worker broadcasts its final
 watermark, waits until the merge has drained every ticket up to the
@@ -80,8 +84,9 @@ respawn-and-replay on (see :mod:`repro.cluster.monitor`):
   applied; groups from beyond the barrier may still sit pending, and
   a restore's ``resume=high`` redial re-delivers them) and ships
   collector + detector + window state in a CRC-guarded
-  :func:`repro.storage.wal.encode_shard_snapshot` document.  Elided
-  counts are applied when their frame is handled, so a snapshot holds
+  :func:`repro.storage.wal.encode_shard_snapshot` document.  Operation
+  counts (a frame's operations and its ``elided`` count) are applied
+  when their frame is handled, so a snapshot holds
   exactly those of the frames it covers (``route_high``); the replayed
   suffix brings the rest, and a covered frame delivered again is
   dropped by the session-sequence check before its count is read.
@@ -129,17 +134,20 @@ import queue
 import socket
 import threading
 import time
+from bisect import bisect_right
 from collections import deque
-from heapq import heapify, heappop, heapreplace
+from operator import itemgetter
 
 from repro.cluster import messages as msg
 from repro.core.collector import DataCentricCollector
+from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
+                                             RecordWalk)
 from repro.core.config import RushMonConfig
-from repro.core.detector import CycleDetector, LifecycleOrderError
+from repro.core.detector import CycleDetector
 from repro.core.frontier import decode_frontier
 from repro.core.monitor import WindowTracker
 from repro.core.pruning import make_pruner
-from repro.core.types import Operation
+from repro.core.types import Operation, OpType
 from repro.net.protocol import FrameReader, ProtocolError, encode_frame
 from repro.storage import wal
 from repro.testing.faults import FaultInjector
@@ -147,6 +155,12 @@ from repro.testing.faults import FaultInjector
 __all__ = ["ClusterWorker", "no_delay", "recv_message"]
 
 _RECV = 1 << 16
+
+_TICKET = itemgetter(0)
+
+#: Wire tag -> record kind: an operation's type, or a lifecycle kind.
+_KINDS = {**{member.value: member for member in OpType},
+          "b": EV_BEGIN, "c": EV_COMMIT}
 
 
 def no_delay(sock: socket.socket) -> socket.socket:
@@ -175,8 +189,29 @@ def recv_message(sock: socket.socket, reader: FrameReader) -> dict:
             return message
 
 
+def _decode_route(events: list) -> tuple[list[Operation], list[tuple]]:
+    """A route frame's operations — each carrying its wire record
+    ``[kind, buu, key, seq, ticket]`` in its ``seq`` slot — and its
+    lifecycle records, validated whole before anything is collected."""
+    ops: list[Operation] = []
+    lifecycle: list[tuple] = []
+    try:
+        for record in events:
+            kind = _KINDS[record[0]]
+            if kind is EV_BEGIN or kind is EV_COMMIT:
+                _, buu, when, ticket = record
+                lifecycle.append((ticket, kind, buu, when))
+            else:
+                _, buu, key, _, _ = record
+                ops.append(Operation(kind, buu, key, record))
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ProtocolError("malformed event record in route batch") \
+            from exc
+    return ops, lifecycle
+
+
 class _PeerStream:
-    """Pending edge groups and the ticket watermark of one peer.
+    """Pending edge records and the ticket watermark of one peer.
 
     ``seen`` is the highest group ticket ever *enqueued* from this peer
     — the dedup horizon that makes replayed broadcasts idempotent.
@@ -187,7 +222,7 @@ class _PeerStream:
     __slots__ = ("pending", "mark", "seen", "detached")
 
     def __init__(self) -> None:
-        self.pending: deque = deque()
+        self.pending: list = []
         self.mark = 0
         self.seen = 0
         self.detached = False
@@ -218,7 +253,7 @@ class ClusterWorker:
         self.num_workers = num_workers
         self._faults = faults
         self._merge = threading.Condition()
-        self._local: deque = deque()
+        self._local: list = []
         self._local_mark = 0
         self._peers = {j: _PeerStream() for j in range(num_workers)
                        if j != index}
@@ -286,6 +321,8 @@ class ClusterWorker:
             count_three=config.count_three_cycles,
         )
         self.window = WindowTracker(self.detector)
+        self._walk = RecordWalk(self.collector, self.window,
+                                config.batch_size)
         #: The first BUU one of whose operations arrived after its
         #: commit; every barrier reply carries it from then on (the
         #: router raises it).
@@ -297,85 +334,35 @@ class ClusterWorker:
     # -- the N-stream merge (callers hold self._merge) -----------------------
 
     def _advance_locked(self) -> None:
-        """Apply every event that can no longer be preceded.
+        """Walk every record that can no longer be preceded.
 
         Key invariant: each stream's queue is *complete up to its
-        watermark* — edge groups travel in the same message as the mark
-        that covers them, and a route batch's events all precede its
-        ``high``.  So the safe frontier is simply ``g = min(mark over
-        all streams)``: every pending event with ticket ``<= g`` is
-        already queued somewhere, and a ticket-ordered k-way merge of
-        the queues up to ``g`` *is* the serial order.  The merge runs
-        on a heap of stream heads (one C-level heap op per event)
-        instead of rescanning every stream per event; a lone busy
-        stream drains as a straight run.  Detached shards (circuit
+        watermark* — edge records travel in the same message as the
+        mark that covers them, and a route batch's records all precede
+        its ``high``.  So the safe frontier is simply ``g = min(mark
+        over all streams)``, and the records up to ``g``, sorted by
+        ticket, *are* the serial order.  Detached shards (circuit
         breaker tripped) no longer gate ``g``; whatever they delivered
         before dying still merges in ticket order.
         """
-        local = self._local
-        peers = self._peers
         g = self._local_mark
-        for stream in peers.values():
+        for stream in self._peers.values():
             if not stream.detached and stream.mark < g:
                 g = stream.mark
-        heap = []
-        if local and local[0][0] <= g:
-            heap.append((local[0][0], -1, local))
-        idx = 0
-        for stream in peers.values():
-            pending = stream.pending
-            if pending and pending[0][0] <= g:
-                idx += 1
-                heap.append((pending[0][0], idx, pending))
-        if not heap:
-            return
-        apply_local = self._apply_local
-        uncounted = self.detector.add_edge_uncounted
-        heapify(heap)
-        replace = heapreplace
-        pop = heappop
-        while heap:
-            if len(heap) == 1:
-                # Run fast path: no other stream can interleave below g.
-                _, i, queue = heap[0]
-                if i < 0:
-                    while queue and queue[0][0] <= g:
-                        apply_local(queue.popleft())
-                else:
-                    while queue and queue[0][0] <= g:
-                        for edge in queue.popleft()[1]:
-                            uncounted(edge)
-                return
-            _, i, queue = heap[0]
-            event = queue.popleft()
-            if i < 0:
-                apply_local(event)
-            else:
-                for edge in event[1]:
-                    uncounted(edge)
-            if queue and queue[0][0] <= g:
-                replace(heap, (queue[0][0], i, queue))
-            else:
-                pop(heap)
-
-    def _apply_local(self, event: tuple) -> None:
-        kind = event[1]
-        if kind == "o":
-            self.window.observe_operation()
-            observe = self.window.observe_edge
-            for edge in event[3]:
-                try:
-                    observe(edge)
-                except LifecycleOrderError as exc:
-                    # The edge is left out, here and by every peer.  Keep
-                    # merging — the peers gate on this worker's marks —
-                    # and let the next barrier tell the caller.
-                    if self._lifecycle_error is None:
-                        self._lifecycle_error = exc.buu
-        elif kind == "b":
-            self.detector.begin_buu(event[2], event[3])
-        else:
-            self.detector.commit_buu(event[2], event[3])
+        ready: list = []
+        for pending in (self._local,
+                        *(stream.pending for stream in self._peers.values())):
+            cut = bisect_right(pending, g, key=_TICKET)
+            ready += pending[:cut]
+            del pending[:cut]
+        ready.sort(key=_TICKET)
+        walk = self._walk
+        walk.walk(ready)
+        if walk.late is not None and self._lifecycle_error is None:
+            # The edge is left out, here and by every peer.  Keep
+            # merging — the peers gate on this worker's marks — and let
+            # the next barrier tell the caller.
+            self._lifecycle_error = walk.late.buu
 
     def _drained_locked(self, high: int) -> bool:
         """True once every ticket ``<= high`` has been applied.
@@ -449,17 +436,20 @@ class ClusterWorker:
                 f"route sequence gap: got {seq}, expected "
                 f"{self._route_high + 1}"
             )
-        groups, local_batch = self._collect_route_events(message["events"])
+        ops, records = _decode_route(message["events"])
         high = message["high"]
         elided = message.get("elided", 0)
         if not isinstance(elided, int) or elided < 0:
             raise ProtocolError(f"malformed elided count {elided!r}")
+        groups = self._collect(ops)
+        records += [(ticket, EV_EDGES, 0, edges) for ticket, edges in groups]
+        records.sort(key=_TICKET)
         with self._merge:
             # Operations the router's sampler kept off the wire: the
             # collector would have counted and dropped them.
             self.collector.ops_seen += elided
-            self.window.observe_operations(elided)
-            self._local.extend(local_batch)
+            self.window.observe_operations(len(ops) + elided)
+            self._local += records
             if high > self._local_mark:
                 self._local_mark = high
             self._advance_locked()
@@ -468,69 +458,24 @@ class ClusterWorker:
         self._broadcast(groups, high)
         self._send_control(encode_frame(msg.cluster_ack(seq)))
 
-    def _collect_route_events(self, records: list) -> tuple[list, list]:
-        """Decode one route batch, run its operations through the
-        collector, and return ``(groups, local_batch)``.
-
-        Operations go through :meth:`DataCentricCollector.handle_batch`
-        (documented bit-identical to per-op handling, same RNG draw
-        order) and the flat edge list is regrouped per ticket by
-        ``(key, seq)``: the collector stamps every derived edge with
-        the source operation's key (as ``label``) and ``seq``, so the
-        regroup is exact *provided* no two operations in the batch
-        share ``(key, seq)``.  That is checked up front — before
-        ``handle_batch`` mutates collector state — and a batch with a
-        duplicate falls back to per-op handling.
-        """
-        op_types = msg._OP_TYPES
-        ops: list[Operation] = []
-        slots: list[int] = []
-        local_batch: list = []
-        try:
-            for record in records:
-                kind = record[0]
-                op_type = op_types.get(kind)
-                if op_type is not None:
-                    op = Operation(op_type, record[1], record[2], record[3])
-                    ops.append(op)
-                    slots.append(len(local_batch))
-                    local_batch.append([record[4], "o", op, ()])
-                elif kind == "b" or kind == "c":
-                    local_batch.append((record[3], kind, record[1],
-                                        record[2]))
-                else:
-                    raise ProtocolError(f"unknown event kind {kind!r}")
-        except ProtocolError:
-            raise
-        except Exception as exc:
-            raise ProtocolError(
-                "malformed event record in route batch") from exc
-        groups: list = []
-        if not ops:
-            return groups, local_batch
-        if len({(op.key, op.seq) for op in ops}) != len(ops):
-            handle = self.collector.handle
-            for i, op in zip(slots, ops):
-                derived = handle(op)
-                if derived:
-                    local_batch[i][3] = derived
-                    groups.append((local_batch[i][0], derived))
-            return groups, local_batch
+    def _collect(self, ops: list[Operation]) -> list:
+        """Collect a frame's operations in one fused ``handle_batch``;
+        their edges as ``(ticket, [edges])``, one group per operation
+        that derived any.  An edge's ``seq`` slot holds its operation's
+        wire record (:func:`_decode_route`), which consecutive edges of
+        one operation share; the record's ``seq`` goes back in."""
         edges = self.collector.handle_batch(ops)
-        by_op: dict = {}
-        for edge in edges:
-            k = (edge.label, edge.seq)
-            group = by_op.get(k)
-            if group is None:
-                by_op[k] = [edge]
-            else:
+        wires = edges.seq
+        edges.seq = [wire[3] for wire in wires]
+        groups: list = []
+        last = group = None
+        for wire, edge in zip(wires, edges):
+            if wire is last:
                 group.append(edge)
-        for i, op in zip(slots, ops):
-            derived = by_op.get((op.key, op.seq))
-            if derived is not None:
-                local_batch[i][3] = derived
-                groups.append((local_batch[i][0], derived))
-        return groups, local_batch
+            else:
+                last, group = wire, [edge]
+                groups.append((wire[4], group))
+        return groups
 
     def _broadcast(self, groups: list, mark: int) -> None:
         """Journal one edge-frontier broadcast, then fan it out.
@@ -650,10 +595,11 @@ class ClusterWorker:
                                 # or below the dedup horizon is a replay
                                 # duplicate.
                                 seen = stream.seen
-                                fresh = [grp for grp in groups
-                                         if grp[0] > seen]
+                                fresh = [(ticket, EV_EDGES, 1, edges)
+                                         for ticket, edges in groups
+                                         if ticket > seen]
                                 if fresh:
-                                    stream.pending.extend(fresh)
+                                    stream.pending += fresh
                                     stream.seen = fresh[-1][0]
                             if message["mark"] > stream.mark:
                                 stream.mark = message["mark"]

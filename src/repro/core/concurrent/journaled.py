@@ -6,7 +6,7 @@ commit, or a network frame — is offered whole
 (:meth:`JournaledCollector.offer`): its operations become journal
 records ``(ticket, EV_OPS, ops, elided)`` (a batch longer than
 ``batch_size`` journaled operations becomes several), and a begin or
-commit becomes ``(ticket, EV_BEGIN | EV_COMMIT, buu, time)``.  The
+commit becomes ``(ticket, EV_BEGIN | EV_COMMIT, buu, ticket)``.  The
 tickets are drawn and the records appended under one short lock, so
 journal order *is* ticket order, a drain is always a complete prefix of
 it, and a call is journaled whole or not at all.  A batch record
@@ -14,12 +14,12 @@ reserves one ticket per operation (at least one), so the operations of
 the recorded trace keep distinct, increasing stamps.
 
 The consumer — the service's detection pass, one thread at a time —
-drains the journal and walks it in ticket order: lifecycle records go
-to the admission gate (:class:`~repro.core.collector.SampledLifecycle`),
-and each batch goes to :meth:`JournaledCollector.collect`, which is the
-serial :class:`~repro.core.monitor.RushMon`'s path — the gate's
-``admit``, then one fused :meth:`CollectorShard.handle_batch` over the
-chosen operations.  Per-key bookkeeping order is ticket order, so the
+drains the journal and walks it in ticket order (:class:`RecordWalk`):
+lifecycle records go to the admission gate, and each batch goes to
+:meth:`JournaledCollector.collect`, which is the serial
+:class:`~repro.core.monitor.RushMon`'s path — the gate's ``admit``, then
+one fused :meth:`CollectorShard.handle_batch` over the chosen
+operations.  Per-key bookkeeping order is ticket order, so the
 edges a service derives are those of a serial run over its serialized
 trace, and one :class:`~repro.core.collector.CollectorShard` seeded like
 the serial collector's makes even MOB's reservoir draws identical.  No
@@ -93,19 +93,22 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.collector import (CollectorShard, ItemSampler,
                                   SampledLifecycle, _splitmix64)
+from repro.core.detector import LifecycleOrderError
+from repro.core.monitor import WindowTracker
 from repro.core.types import (BuuId, Edge, EdgeColumns, EdgeStats, EdgeType,
                               Key, Operation, OpType)
 from repro.obs.metrics import MetricsRegistry
 
-#: Record kinds.  ``EV_OPS``: ``(ticket, EV_OPS, ops, elided)``, a
-#: producer batch still to collect.
+#: Record kinds.  ``(ticket, EV_OPS, ops, elided)``: a producer batch
+#: still to collect; ``(ticket, EV_BEGIN | EV_COMMIT, buu, time)``.
 EV_OPS = "ops"
 EV_BEGIN = "begin"
 EV_COMMIT = "commit"
 #: ``(ticket, EV_SHIFT, shift, 0)``: the degrade shift from here on.
 EV_SHIFT = "shift"
-#: ``(ticket, EV_EDGES, 0, edges)``: edges the pass collected from
-#: records it consumed, then failed to feed the detector (re-queued).
+#: ``(ticket, EV_EDGES, owner, edges)``: collected edges, counted here
+#: (owner 0: a failed pass's re-queued run, a cluster worker's own) or
+#: inserted uncounted (1: a cluster peer's).
 EV_EDGES = "edges"
 #: Kinds only a checkpoint written before collection moved into the pass
 #: holds: an operation collected at ingest, ``(ticket, EV_OP, op,
@@ -359,7 +362,8 @@ class JournaledCollector:
         ``(EV_OPS, ops, elided)`` — operations (the chosen ones, when
         :meth:`prefilter` allows leaving the rest out) and how many the
         caller already left out with its predicate — and ``(EV_BEGIN |
-        EV_COMMIT, buu, time)``.  The call is weighed once and meets the
+        EV_COMMIT, buu, time)``, journaled with its ticket as ``time``.
+        The call is weighed once and meets the
         overflow policy once (module docstring); an admitted call is
         ticketed and appended under that same hold of the journal lock,
         a batch of more than ``batch_size`` journaled operations as
@@ -396,11 +400,12 @@ class JournaledCollector:
                 self._ops_seen += loose
             ticket = self._next_ticket
             for kind, payload, extra in built:
-                self._records.append((ticket, kind, payload, extra))
                 if kind == EV_OPS:
+                    self._records.append((ticket, kind, payload, extra))
                     ticket += len(payload)
                     self._ops_seen += len(payload) + extra
                 else:
+                    self._records.append((ticket, kind, payload, ticket))
                     ticket += 1
                     self.lifecycle_offered += 1
             self._next_ticket = ticket
@@ -664,6 +669,9 @@ class JournaledCollector:
             lifecycle = state["lifecycle"]
             journal = state
         self.lifecycle.load_state(lifecycle, named)
+        # Older journals held the producer's time: stamp the ticket.
+        records = [(t, kind, payload, t if kind in (EV_BEGIN, EV_COMMIT)
+                    else extra) for t, kind, payload, extra in records]
         with self._lock:
             self._records = records
             self._pending = sum(map(_weight, records))
@@ -734,3 +742,137 @@ class JournaledCollector:
     @property
     def discard_ratio(self) -> float:
         return self.shard.discard_ratio
+
+
+def _gather(parts: list) -> EdgeColumns:
+    """Several records' edges as new columns, never merged into a part."""
+    edges = EdgeColumns()
+    for part in parts:
+        edges.extend(part)
+    return edges
+
+
+class RecordWalk:
+    """The one consumer of ticket-ordered records: the service's
+    detection pass walks its drained journal with it, and every cluster
+    worker its merged streams (:mod:`repro.cluster.worker`).
+
+    A begin or commit goes to the admission gate (``collector.lifecycle``)
+    and, unless it parks or drops it, to the detector, stamped with the
+    record's time.  A batch's operations go through ``collector.collect``
+    and, with its ``elided`` count, join the window's operations.  The
+    edges of consecutive records form a *run*, fed to one
+    :meth:`CycleDetector.add_edge_batch` through the window once it
+    spans ``batch_size`` collected operations, and before anything else
+    reaches the detector: a begin or commit (or one the gate promotes),
+    or an uncounted edge.  An ``EV_EDGES`` record's ``owner`` 0 joins
+    the run and 1 is inserted uncounted, so each cycle is counted once,
+    by the owner of its closing edge.
+
+    ``consumed`` counts the records taken (a batch once collected, a
+    begin or commit once the detector took it) and ``events`` the events
+    they stand for, also when :meth:`walk` raises; :meth:`unfed` then
+    hands back the run not yet fed.  ``clock`` is the last ticket taken
+    and ``late`` the first
+    :class:`~repro.core.detector.LifecycleOrderError`, after which the
+    walk goes on: the detector applied every edge but the late ones.
+    """
+
+    def __init__(self, collector, window: WindowTracker,
+                 batch_size: int) -> None:
+        self.collector = collector
+        self.window = window
+        self.batch_size = batch_size
+        self.run: list = []
+        self.run_ops = 0
+        self.clock = 0
+        self.consumed = 0
+        self.events = 0
+        self.late: LifecycleOrderError | None = None
+
+    def walk(self, records: Iterable[tuple]) -> None:
+        """Feed ``records`` (ascending tickets), then flush the run."""
+        collector = self.collector
+        gate = collector.lifecycle
+        window = self.window
+        detector = window.detector
+        uncounted = detector.add_edge_uncounted
+        run = self.run
+        flush = self.flush
+        size = self.batch_size
+        for ticket, kind, payload, extra in records:
+            if kind == EV_OPS:
+                n = len(payload)
+                if n:
+                    edges = collector.collect(payload, self._begin)
+                    if edges:
+                        run.append(edges)
+                    self.run_ops += n
+                window.observe_operations(n + extra)
+                self.events += n + extra
+                self.clock = ticket + max(n - 1, 0)
+            elif kind == EV_BEGIN:
+                if not gate.begin(payload, extra):
+                    flush()
+                    detector.begin_buu(payload, extra)
+                self.events += 1
+                self.clock = ticket
+            elif kind == EV_COMMIT:
+                if not gate.commit(payload):
+                    flush()
+                    detector.commit_buu(payload, extra)
+                self.events += 1
+                self.clock = ticket
+            elif kind == EV_EDGES:
+                if payload:
+                    flush()
+                    for edge in extra:
+                        uncounted(edge)
+                else:
+                    run.append(extra)
+            elif kind == EV_SHIFT:
+                collector.apply_shift(payload)
+            elif kind == EV_OP:
+                # Collected at ingest: a record restored from a
+                # checkpoint of the sharded journal.
+                if extra:
+                    run.append(extra)
+                self.run_ops += 1
+                window.observe_operations(1)
+                self.events += 1
+                self.clock = ticket
+            else:
+                # EV_ELIDED, from such a checkpoint too: elided
+                # operations, then begin/commit events.
+                window.observe_operations(payload)
+                self.events += payload + (extra or 0)
+                self.clock = ticket
+            self.consumed += 1
+            if self.run_ops >= size:
+                flush()
+        flush()
+
+    def _begin(self, buu: BuuId, start: int) -> None:
+        self.flush()
+        self.window.detector.begin_buu(buu, start)
+
+    def flush(self) -> None:
+        """Feed the run to the detector, window-attributed."""
+        self.run_ops = 0
+        run = self.run
+        if not run:
+            return
+        try:
+            self.window.observe_edges(run[0] if len(run) == 1
+                                      else _gather(run))
+        except LifecycleOrderError as late:
+            if self.late is None:
+                self.late = late
+        run.clear()
+
+    def unfed(self) -> EdgeColumns | None:
+        """Take the run a failed walk did not feed, as new columns."""
+        edges = _gather(self.run) if self.run else None
+        self.run.clear()
+        self.run_ops = 0
+        return edges

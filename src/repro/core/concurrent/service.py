@@ -74,14 +74,13 @@ from typing import Iterable, Sequence
 
 from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
                                              EV_OP, EV_OPS, EV_SHIFT,
-                                             JournaledCollector)
+                                             JournaledCollector, RecordWalk)
 from repro.core.config import DEFAULT_BATCH_SIZE, RushMonConfig
 from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
 from repro.core.monitor import WindowTracker
 from repro.core.pruning import make_pruner
-from repro.core.types import (AnomalyReport, BuuId, CycleCounts, EdgeColumns,
-                              Key, Operation)
+from repro.core.types import AnomalyReport, BuuId, CycleCounts, Key, Operation
 from repro.obs.instrument import instrument_detector
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import wal
@@ -192,6 +191,8 @@ class RushMonService:
             count_three=self.config.count_three_cycles,
         )
         self._window = WindowTracker(self.detector)
+        self._walk = RecordWalk(self.collector, self._window,
+                                self.config.batch_size)
         self.reports: list[AnomalyReport] = []
         self._latest: AnomalyReport | None = None
         self._pass_lock = threading.Lock()
@@ -204,9 +205,6 @@ class RushMonService:
         self.detect_failures = 0
         self.detect_restarts = 0
         self._consecutive_failures = 0
-        #: The open window's first LifecycleOrderError (``_detect_pass``).
-        self._late: LifecycleOrderError | None = None
-        self._clock = 0  # last processed ticket (the service's logical now)
         self.processed_events = 0
         self.passes = 0
         self.checkpoints_written = 0
@@ -464,7 +462,7 @@ class RushMonService:
         else:
             marker = AnomalyReport(
                 window_start=self._window.window_start,
-                window_end=self._clock,
+                window_end=self._walk.clock,
                 estimated_2=0.0,
                 estimated_3=0.0,
                 health="degraded",
@@ -539,48 +537,23 @@ class RushMonService:
         else:
             raise fault.exc_factory()
 
-    def _observe(self, edges: EdgeColumns) -> None:
-        """Feed a run's edges to the detector, window-attributed.  A
-        :class:`~repro.core.detector.LifecycleOrderError` is not a
-        failed pass: the detector applied every edge but the late ones,
-        so the run is consumed and the error kept for the pass's end."""
-        try:
-            self._window.observe_edges(edges)
-        except LifecycleOrderError as late:
-            if self._late is None:
-                self._late = late
-
     def _detect_pass(self) -> AnomalyReport | None:
-        """Drain the journal, collect and detect in ticket order, close a
-        window.  Serialized by ``_pass_lock`` so an explicit
-        ``close_window()`` cannot interleave with the background thread.
-
-        The records are walked exactly as the serial monitor is called:
-        a begin or commit goes to the admission gate (and, unless it
-        parks or drops it, to the detector, stamped with its ticket); a
-        batch's operations go through :meth:`JournaledCollector.collect`
-        — the degrade filter, the gate's ``admit``, one fused
-        bookkeeping loop.  The edges of consecutive batches form a
-        *run*, fed to :meth:`CycleDetector.add_edge_batch` once it spans
-        :attr:`batch_size` journaled operations, and before anything
-        reaches the detector's lifecycle (a begin or commit, or a begin
-        the gate promotes) — the runs a journal of one record per
-        operation always fed.  A batch's ``elided`` count and its
-        operations join the window's operations and
-        :attr:`processed_events`, so both keep meaning every operation
-        offered, and once the journal is drained
+        """Drain the journal, walk it into the detector
+        (:class:`~repro.core.concurrent.journaled.RecordWalk`: collection
+        and detection in ticket order, begins and commits stamped with
+        their tickets), close a window.  Serialized by ``_pass_lock`` so
+        an explicit ``close_window()`` cannot interleave with the
+        background thread.  Once the journal is drained,
         :attr:`processed_events` equals the events acknowledged.
 
-        Crash safety: a record counts as consumed once it is collected
-        (or, for a begin/commit, once the detector took it).  If the
-        pass raises, the run's edges not yet fed are re-queued as one
-        ``EV_EDGES`` record, followed by every record not consumed
-        (ticket order preserved), before the exception propagates to
-        the supervisor — so a failed pass loses no acknowledged record
-        and never collects one twice, and feeding the run's edges again
-        is idempotent (the live graph deduplicates edges).  With a fault
-        injector armed, runs are one record long and ``detect.process``
-        fires ahead of every record — before it is consumed.
+        Crash safety: if the pass raises, the walk's edges not yet fed
+        are re-queued as one ``EV_EDGES`` record, followed by every
+        record it did not consume (ticket order preserved), before the
+        exception propagates to the supervisor — so a failed pass loses
+        no acknowledged record and never collects one twice, and feeding
+        the edges again is idempotent (the live graph deduplicates
+        edges).  With a fault injector armed, the walk takes one record
+        at a time and ``detect.process`` fires ahead of every record.
 
         An operation journaled after its BUU's commit (a misordered
         producer) costs that operation's edges and nothing else: the
@@ -597,112 +570,32 @@ class RushMonService:
                 self._fire_fault("detect.pass")
             collector = self.collector
             records = collector.drain()
-            consumed = 0
-            # Events the consumed records stand for beyond one each.
-            extra = 0
-            markers = 0
-            detector = self.detector
-            # The run: edges of consumed records not yet fed to the
-            # detector, and the journaled operations they came from.
-            run: list[EdgeColumns] = []
-            run_ops = 0
-
-            def gather() -> EdgeColumns:
-                # Records are consumed, so their edges are ours to merge.
-                edges = run[0]
-                for more in run[1:]:
-                    edges.extend(more)
-                del run[1:]
-                return edges
-
-            def flush() -> None:
-                nonlocal run_ops
-                run_ops = 0
-                if run:
-                    self._observe(gather())
-                    run.clear()
-
-            def deliver(buu: BuuId, start: int) -> None:
-                flush()
-                detector.begin_buu(buu, start)
-
+            walk = self._walk
+            walk.consumed = walk.events = 0
             try:
-                size = 1 if armed else self.batch_size
-                window = self._window
-                gate = collector.lifecycle
-                trace = self._trace
-                for ticket, kind, payload, count in records:
-                    if armed:
+                if armed:
+                    for at in range(len(records)):
                         self._fire_fault("detect.process")
-                    if kind == EV_OPS:
-                        n = len(payload)
-                        if n:
-                            edges = collector.collect(payload, deliver)
-                            if edges:
-                                run.append(edges)
-                            run_ops += n
-                            if trace is not None:
-                                trace.ops.extend(
-                                    op._replace(seq=ticket + i)
-                                    for i, op in enumerate(payload))
-                        window.observe_operations(n + count)
-                        extra += n + count - 1
-                        self._clock = ticket + max(n - 1, 0)
-                    elif kind == EV_BEGIN:
-                        if not gate.begin(payload, ticket):
-                            flush()
-                            detector.begin_buu(payload, ticket)
-                        if trace is not None:
-                            trace.begins.append((payload, ticket))
-                        self._clock = ticket
-                    elif kind == EV_COMMIT:
-                        if not gate.commit(payload):
-                            flush()
-                            detector.commit_buu(payload, ticket)
-                        if trace is not None:
-                            trace.commits.append((payload, ticket))
-                        self._clock = ticket
-                    elif kind == EV_SHIFT:
-                        collector.apply_shift(payload)
-                        extra -= 1
-                        markers += 1
-                    elif kind == EV_EDGES:
-                        run.append(count)
-                        extra -= 1
-                    elif kind == EV_OP:
-                        # Collected at ingest: a record restored from a
-                        # checkpoint of the sharded journal.
-                        if count:
-                            run.append(count)
-                        run_ops += 1
-                        window.observe_operations(1)
-                        if trace is not None:
-                            trace.ops.append(payload._replace(seq=ticket))
-                        self._clock = ticket
-                    else:
-                        # EV_ELIDED, from such a checkpoint too: elided
-                        # operations, then begin/commit events.
-                        window.observe_operations(payload)
-                        extra += payload + (count or 0) - 1
-                        self._clock = ticket
-                    consumed += 1
-                    if run_ops >= size:
-                        flush()
-                flush()
+                        walk.walk(records[at:at + 1])
+                else:
+                    walk.walk(records)
             except BaseException:
-                unfed = [(self._clock, EV_EDGES, 0, gather())] if run else []
-                collector.requeue(unfed + records[consumed:])
-                self.processed_events += consumed + extra
-                self.passes += 1
+                unfed = walk.unfed()
+                collector.requeue(
+                    ([(walk.clock, EV_EDGES, 0, unfed)] if unfed else [])
+                    + records[walk.consumed:])
                 raise
-            self.passes += 1
-            if len(records) == markers:
+            finally:
+                self.processed_events += walk.events
+                self.passes += 1
+                if self._trace is not None:
+                    self._extend_trace(records[:walk.consumed])
+            if all(record[1] == EV_SHIFT for record in records):
                 self._m_pass_seconds.observe(time.perf_counter() - started)
                 return None
-            self.processed_events += len(records) + extra
-            late, self._late = self._late, None
+            late, walk.late = walk.late, None
             report = self._window.close(
-                self._clock, collector.pass_probability,
+                walk.clock, collector.pass_probability,
                 health=self.health if late is None else "degraded",
             )
             self.reports.append(report)
@@ -714,6 +607,21 @@ class RushMonService:
             if late is not None:
                 raise late
             return report
+
+    def _extend_trace(self, records: list[tuple]) -> None:
+        """Append consumed records to the serialized trace, each event
+        stamped with its ticket."""
+        trace = self._trace
+        for ticket, kind, payload, _ in records:
+            if kind == EV_OPS:
+                trace.ops.extend(op._replace(seq=ticket + i)
+                                 for i, op in enumerate(payload))
+            elif kind == EV_BEGIN:
+                trace.begins.append((payload, ticket))
+            elif kind == EV_COMMIT:
+                trace.commits.append((payload, ticket))
+            elif kind == EV_OP:
+                trace.ops.append(payload._replace(seq=ticket))
 
     def close_window(self, now: int | None = None) -> AnomalyReport | None:
         """Synchronously run one detection pass, closing the current
@@ -779,7 +687,7 @@ class RushMonService:
                 "detector": wal.encode_detector_state(self.detector),
                 "window": wal.encode_window_state(self._window),
                 "reports": [wal.encode_report(r) for r in self.reports],
-                "clock": self._clock,
+                "clock": self._walk.clock,
                 "processed_events": self.processed_events,
                 "passes": self.passes,
                 "trace": (
@@ -847,7 +755,7 @@ class RushMonService:
         wal.decode_window_state(service._window, payload["window"])
         service.reports = [wal.decode_report(r) for r in payload["reports"]]
         service._latest = service.reports[-1] if service.reports else None
-        service._clock = payload["clock"]
+        service._walk.clock = payload["clock"]
         service.processed_events = payload["processed_events"]
         service.passes = payload["passes"]
         service._last_checkpoint_pass = service.passes

@@ -41,10 +41,8 @@ from repro.core.types import Edge, EdgeType, Key
 __all__ = [
     "FRONTIER_VERSION",
     "FrontierVersionError",
-    "decode_edge",
     "decode_frontier",
     "decode_groups",
-    "encode_edge",
     "encode_frontier",
     "encode_groups",
     "key_partition",
@@ -93,17 +91,6 @@ def key_partition(key: Key, num_partitions: int,
 
 
 # -- edge records --------------------------------------------------------------
-
-
-def encode_edge(edge: Edge) -> list:
-    """One edge as a compact positional record."""
-    return [edge.src, edge.dst, edge.kind.value, edge.label, edge.seq]
-
-
-def decode_edge(record: list) -> Edge:
-    """Inverse of :func:`encode_edge`."""
-    return Edge(record[0], record[1], EdgeType(record[2]), record[3],
-                record[4])
 
 
 #: Wire value -> enum member (and back): dict lookups instead of the

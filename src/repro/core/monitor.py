@@ -64,9 +64,6 @@ class WindowTracker:
         self.window_start = start
         self._pattern_snapshot = detector.patterns.copy()
 
-    def observe_operation(self) -> None:
-        self.ops += 1
-
     def observe_operations(self, count: int) -> None:
         self.ops += count
 
@@ -211,7 +208,7 @@ class RushMon:
     def on_operation(self, op: Operation) -> None:
         """Observe one read/write in its storage visibility order."""
         self._now = max(self._now, op.seq)
-        self._window.observe_operation()
+        self._window.observe_operations(1)
         for edge in self.collector.handle(op):
             self._window.observe_edge(edge)
 

@@ -16,11 +16,17 @@ job.
 
 from __future__ import annotations
 
+import contextlib
+import random
+import socket
+
 import pytest
 
 from repro.checkers import exact_cycle_counts
 from repro.cluster import ClusterMonitor
-from repro.core.collector import ItemSampler
+from repro.core.collector import DataCentricCollector, ItemSampler
+from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
+                                             RecordWalk)
 from repro.core.concurrent.sharded import ShardedCollector
 from repro.core.config import RushMonConfig
 from repro.core.frontier import (
@@ -31,7 +37,7 @@ from repro.core.frontier import (
     key_partition,
 )
 from repro.core.monitor import RushMon
-from repro.core.types import Edge, EdgeType, Operation, OpType
+from repro.core.types import CycleCounts, Edge, EdgeType, Operation, OpType
 from repro.net.protocol import FrameReader
 
 from tests.histgen import (
@@ -82,120 +88,263 @@ def test_frontier_version_mismatch_refused():
         decode_frontier(payload)
 
 
-def test_route_wire_roundtrip_and_validation():
-    """``decode_route_events`` is the reference decoder for the route
-    wire records (the worker fuses its own copy of this loop into the
-    batch-collect path)."""
-    from repro.cluster import messages as msg
-
-    op = Operation(OpType.READ, 3, "k", 7)
-    records = [msg.wire_op(op, 10), msg.wire_begin(4, 11, 11),
-               msg.wire_commit(4, 12, 12)]
-    assert msg.decode_route_events(records) == [
-        ("op", 10, op), ("b", 11, 4, 11), ("c", 12, 4, 12)]
-    with pytest.raises(msg.ProtocolError):
-        msg.decode_route_events([["?", 1, 2, 3]])
-    with pytest.raises(msg.ProtocolError):
-        msg.decode_route_events([["r", 1]])
-
-
-def _collect_per_op(worker, records):
-    """The per-op reference for ``_collect_route_events``: one
-    ``collector.handle`` call per wire record, in order."""
-    from repro.cluster import messages as msg
-
-    groups, batch = [], []
-    for event in msg.decode_route_events(records):
-        if event[0] == "op":
-            _, ticket, op = event
-            derived = worker.collector.handle(op)
-            batch.append((ticket, "o", op, derived))
-            if derived:
-                groups.append((ticket, derived))
-        else:
-            kind, ticket, buu, when = event
-            batch.append((ticket, kind, buu, when))
-    return groups, batch
-
-
-def _norm_batch(batch):
-    return [(e[0], e[1], e[2], list(e[3])) if e[1] == "o"
-            else (e[0], e[1], e[2], e[3]) for e in batch]
-
-
-def test_worker_batch_collection_matches_per_op():
-    """The worker's batch-collect fast path (handle_batch + regroup by
-    ``(key, seq)``) must yield exactly the per-op groups — including a
-    frame that repeats a ``(key, seq)`` pair, which must take the
-    per-op fallback rather than merging two operations' edges."""
-    from repro.cluster import messages as msg
+@contextlib.contextmanager
+def _driven_worker(sampling_rate=1, mob=False, num_workers=2):
+    """A worker driven by direct handler calls; the router's end of its
+    control link reads nothing until the worker sends.  With a peer, the
+    peer's watermark stays 0, so nothing leaves the merge queue."""
     from repro.cluster.worker import ClusterWorker
 
-    def build():
-        return ClusterWorker(0, 2, RushMonConfig(
-            sampling_rate=1, mob=False, seed=1, num_workers=2))
+    worker = ClusterWorker(0, num_workers, RushMonConfig(
+        sampling_rate=sampling_rate, mob=mob, seed=1,
+        num_workers=num_workers))
+    worker._control, router = socket.socketpair()
+    router.setblocking(False)
+    try:
+        yield worker, router
+    finally:
+        worker._control.close()
+        router.close()
 
-    records, ticket, seq = [], 0, 0
-    for buu in range(6):
+
+def _acks(router) -> list:
+    try:
+        return [ack["seq"] for ack in FrameReader().feed(router.recv(1 << 16))]
+    except BlockingIOError:
+        return []
+
+
+def _broadcast_groups(worker) -> list:
+    """The edge groups of every broadcast the worker journaled."""
+    from repro.core.frontier import decode_frontier
+
+    return [group for _, frame in worker._bcast_journal
+            for message in FrameReader().feed(frame)
+            for group in decode_frontier(message["frontier"])[0]]
+
+
+def _nothing_taken(worker) -> bool:
+    """No operation collected or counted, nothing queued or broadcast."""
+    return (worker.collector.ops_seen == worker.collector.touches
+            == worker.collector.shard.num_items == worker.window.ops == 0
+            and not worker._local and not worker._bcast_journal
+            and worker._route_high == 0)
+
+
+def test_route_wire_roundtrip_and_validation():
+    """The route wire records (``wire_op`` / ``wire_begin`` /
+    ``wire_commit``) land in the worker's merge queue as records —
+    lifecycle records with their router time, an operation's edges
+    under its ticket with its real ``seq`` — and in its broadcast.  A
+    frame with one malformed record is refused whole: nothing
+    collected, counted, queued, broadcast or acked."""
+    from repro.cluster import messages as msg
+
+    valid = [msg.wire_begin(3, 0, 10), msg.wire_begin(4, 1, 11),
+             msg.wire_op(Operation(OpType.WRITE, 3, "k", 7), 12),
+             msg.wire_op(Operation(OpType.WRITE, 4, "k", 8), 13),
+             msg.wire_commit(3, 9, 14)]
+    with _driven_worker() as (worker, router):
+        for bad in (["?", 1, 2, 3], ["r", 1], ["w", 3, "k", 7],
+                    ["b", 4, 11], ["c", 4, 11, 12, 13], 17, [[], 1, 2, 3]):
+            with pytest.raises(msg.ProtocolError, match="malformed"):
+                worker._handle_route(msg.route(1, 15, valid + [bad]))
+            assert _nothing_taken(worker)
+            assert _acks(router) == []
+        worker._handle_route(msg.route(1, 15, valid))
+        edge = Edge(3, 4, EdgeType.WW, "k", 8)
+        assert worker._local == [
+            (10, EV_BEGIN, 3, 0), (11, EV_BEGIN, 4, 1),
+            (13, EV_EDGES, 0, [edge]), (14, EV_COMMIT, 3, 9)]
+        assert _broadcast_groups(worker) == [(13, [edge])]
+        assert worker.collector.ops_seen == worker.window.ops == 2
+        assert _acks(router) == [1]
+
+
+def _ingest_history(sampling_rate: int) -> list:
+    """Route records whose operations share ``(key, seq)`` pairs across
+    BUUs (three operations per ``seq`` on four sampled keys and, at
+    ``sr > 1``, ``sr - 1`` unsampled ones), with lifecycle records
+    between them, under increasing tickets."""
+    from repro.cluster import messages as msg
+
+    sampler = ItemSampler(sampling_rate, seed=1)
+    chosen = [key for key in map("k{}".format, range(100))
+              if sampler.chosen(key)]
+    keys = chosen[:4] + [key for key in map("k{}".format, range(100))
+                         if not sampler.chosen(key)][:sampling_rate - 1]
+    rng = random.Random(sampling_rate)
+    records, ticket = [], 0
+    alive: list = []
+    for i in range(240):
         ticket += 1
-        records.append(msg.wire_begin(buu, seq, ticket))
-        for i in range(8):
-            seq += 1
-            ticket += 1
-            op = Operation(OpType.READ if i % 2 else OpType.WRITE,
-                           buu, f"k{(buu + i) % 5}", seq)
+        if len(alive) < 4 or rng.random() < 0.08:
+            alive.append(ticket)
+            records.append(msg.wire_begin(ticket, i, ticket))
+        elif rng.random() < 0.08:
+            records.append(msg.wire_commit(alive.pop(0), i, ticket))
+        else:
+            op = Operation(rng.choice((OpType.READ, OpType.WRITE)),
+                           rng.choice(alive), rng.choice(keys), i // 3)
             records.append(msg.wire_op(op, ticket))
-        seq += 1
-        ticket += 1
-        records.append(msg.wire_commit(buu, seq, ticket))
+    return records
 
-    groups_fast, batch_fast = build()._collect_route_events(records)
-    groups_ref, batch_ref = _collect_per_op(build(), records)
-    assert groups_fast == groups_ref
-    assert _norm_batch(batch_fast) == _norm_batch(batch_ref)
 
-    # Two operations sharing (key, seq) in one frame: the regroup would
-    # be ambiguous, so the frame must fall back to per-op collection.
-    dup_records = [
-        msg.wire_begin(0, 0, 1),
-        msg.wire_begin(1, 0, 2),
-        msg.wire_op(Operation(OpType.WRITE, 0, "k", 5), 3),
-        msg.wire_op(Operation(OpType.READ, 1, "k", 5), 4),
-    ]
-    groups_fast, batch_fast = build()._collect_route_events(dup_records)
-    groups_ref, batch_ref = _collect_per_op(build(), dup_records)
-    assert groups_fast == groups_ref
-    assert _norm_batch(batch_fast) == _norm_batch(batch_ref)
+@pytest.mark.parametrize("mob", (False, True), ids=("full", "mob"))
+@pytest.mark.parametrize("sampling_rate", (1, 3), ids=("sr1", "sr3"))
+def test_worker_route_ingest_matches_per_op_collection(sampling_rate, mob):
+    """Route ingest — one fused ``handle_batch`` per frame, each edge
+    stamped by construction with its operation's ticket — queues and
+    broadcasts exactly what per-op ``collector.handle`` derives: the
+    same edge groups under the same tickets with the operations' real
+    ``seq``, in frames whose operations share ``(key, seq)``.  Walked,
+    the queue gives the window the per-op totals."""
+    from repro.cluster import messages as msg
+    from repro.core.detector import CycleDetector
+    from repro.core.monitor import WindowTracker
+
+    chosen = ItemSampler(sampling_rate, seed=1).chosen
+    records = _ingest_history(sampling_rate)
+    with _driven_worker(sampling_rate, mob) as (worker, _):
+        reference = DataCentricCollector(sampling_rate=sampling_rate,
+                                         mob=mob, seed=1)
+        window = WindowTracker(CycleDetector(prune_interval=1 << 30))
+        queue, groups = [], []
+        for record in records:
+            kind, ticket = record[0], record[-1]
+            if kind in ("b", "c"):
+                queue.append((ticket, EV_BEGIN if kind == "b"
+                              else EV_COMMIT, record[1], record[2]))
+                if kind == "b":
+                    window.detector.begin_buu(record[1], record[2])
+                else:
+                    window.detector.commit_buu(record[1], record[2])
+                continue
+            derived = reference.handle(Operation(
+                OpType(kind), record[1], record[2], record[3]))
+            window.observe_operations(1)
+            for edge in derived:
+                window.observe_edge(edge)
+            if derived:
+                queue.append((ticket, EV_EDGES, 0, derived))
+                groups.append((ticket, derived))
+        shared = [(r[2], r[3]) for r in records
+                  if r[0] not in ("b", "c") and chosen(r[2])]
+        assert len(set(shared)) < len(shared)
+        assert groups and any(len(edges) > 1 for _, edges in groups)
+        cuts = (0, 70, 71, 160, len(records))
+        for seq, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
+            worker._handle_route(msg.route(seq, records[hi - 1][-1],
+                                           records[lo:hi]))
+        assert [(t, k, p, list(x) if k == EV_EDGES else x)
+                for t, k, p, x in worker._local] == queue
+        assert _broadcast_groups(worker) == groups
+        assert worker.collector.ops_seen == reference.ops_seen
+        assert worker.collector.stats == reference.stats
+        with worker._merge:
+            worker._peers[1].mark = records[-1][-1]
+            worker._advance_locked()
+        assert not worker._local
+        assert (worker.window.ops, worker.window.edges, worker.window.raw) \
+            == (window.ops, window.edges, window.raw)
 
 
 def test_worker_counts_elided_ops_once_per_route_sequence():
     """A route frame's ``elided`` count lands in the collector's and the
     window's operation totals exactly once: a duplicate delivery of the
     same session sequence (journal replay overlap) is re-acked, never
-    re-applied; a malformed count is a protocol error."""
-    import socket
-
+    re-applied; a malformed count is a protocol error, raised before
+    the frame's operations are collected."""
     from repro.cluster import messages as msg
-    from repro.cluster.worker import ClusterWorker
 
-    worker = ClusterWorker(0, 1, RushMonConfig(
-        sampling_rate=20, mob=False, seed=1, num_workers=1))
-    worker._control, router_end = socket.socketpair()
-    try:
+    with _driven_worker(sampling_rate=20, num_workers=1) as (worker, router):
         frame = msg.route(1, 9, [msg.wire_begin(3, 0, 1)], elided=8)
         worker._handle_route(frame)
         worker._handle_route(frame)
         worker._handle_route(msg.route(2, 12, [], elided=3))
         assert worker.collector.ops_seen == worker.window.ops == 11
-        acks = list(FrameReader().feed(router_end.recv(1 << 16)))
+        router.setblocking(True)
+        acks = list(FrameReader().feed(router.recv(1 << 16)))
         assert [ack["seq"] for ack in acks] == [1, 1, 2]
         with pytest.raises(msg.ProtocolError, match="elided"):
             worker._handle_route(
                 {"type": "route", "seq": 3, "high": 12, "events": [],
                  "elided": -1})
-    finally:
-        worker._control.close()
-        router_end.close()
+    with _driven_worker(num_workers=1) as (worker, router):
+        with pytest.raises(msg.ProtocolError, match="elided"):
+            worker._handle_route(msg.route(1, 2, [
+                msg.wire_begin(3, 0, 1),
+                msg.wire_op(Operation(OpType.WRITE, 3, "k", 1), 2)],
+                elided=-3))
+        assert _nothing_taken(worker)
+        assert _acks(router) == []
+
+
+def _walked(records):
+    """A fresh engine — collector, detector, window — fed ``records``
+    by one :class:`RecordWalk`."""
+    from repro.core.detector import CycleDetector
+    from repro.core.monitor import WindowTracker
+
+    window = WindowTracker(CycleDetector())
+    RecordWalk(DataCentricCollector(), window, 256).walk(records)
+    return window.detector
+
+
+def test_the_walk_counts_each_cycle_once_across_owners():
+    """Two engines walk the same ticket-ordered records with
+    complementary ownership columns: each counts the cycles whose
+    closing edge it owns, and the graph of each sees every edge in
+    ticket order — so their counts sum to exactly the one 2-cycle and
+    the one 3-cycle, whose edges come from both owners.  Feeding each
+    engine its own edges first and its peer's after loses both."""
+    edges = [Edge(1, 2, EdgeType.WR, "x", 6), Edge(3, 4, EdgeType.WR, "y", 7),
+             Edge(4, 5, EdgeType.WR, "z", 8), Edge(2, 1, EdgeType.RW, "x", 9),
+             Edge(5, 3, EdgeType.RW, "w", 10)]
+    owners = (0, 1, 0, 1, 1)
+    begins = [(buu, EV_BEGIN, buu, 0) for buu in range(1, 6)]
+    commits = [(10 + buu, EV_COMMIT, buu, 10 + buu) for buu in range(1, 6)]
+
+    def engines(order):
+        return [_walked(begins + order(
+            [(edge.seq, EV_EDGES, owner ^ side, [edge])
+             for edge, owner in zip(edges, owners)]) + commits)
+            for side in (0, 1)]
+
+    in_order = engines(list)
+    assert in_order[0].graph.out == in_order[1].graph.out
+    assert [sum(engine.counts.two_cycles for engine in in_order),
+            sum(engine.counts.three_cycles for engine in in_order)] == [1, 1]
+    own_first = engines(lambda records: sorted(
+        records, key=lambda record: record[2]))
+    assert [engine.counts for engine in own_first] == [CycleCounts()] * 2
+
+
+def test_a_failed_walk_hands_back_its_unfed_run_as_new_columns():
+    """A run spanning two records meets a detector that raises: the walk
+    consumed both, and hands their edges back as new columns — the
+    first record's list, which a worker also broadcasts, is untouched."""
+    from repro.core.detector import CycleDetector
+    from repro.core.monitor import WindowTracker
+    from repro.core.types import EdgeColumns
+
+    first = [Edge(1, 2, EdgeType.WR, "x", 1)]
+    second = [Edge(2, 3, EdgeType.WR, "y", 2)]
+    detector = CycleDetector()
+
+    def broken(edges):
+        raise MemoryError("injected")
+
+    detector.add_edge_batch = broken
+    walk = RecordWalk(DataCentricCollector(), WindowTracker(detector), 256)
+    with pytest.raises(MemoryError):
+        walk.walk([(1, EV_EDGES, 0, first), (2, EV_EDGES, 0, second)])
+    assert walk.consumed == 2
+    unfed = walk.unfed()
+    assert isinstance(unfed, EdgeColumns)
+    assert list(unfed) == first + second
+    assert first == [Edge(1, 2, EdgeType.WR, "x", 1)]
+    assert walk.unfed() is None
 
 
 def test_a_peer_link_applies_the_frames_that_arrived_with_its_hello():
