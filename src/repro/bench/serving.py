@@ -54,7 +54,7 @@ RESULTS_FILE = "BENCH_serving.json"
 
 #: p99 scheduled-send->ack latency a rung must stay under to count as
 #: sustained.  Generous because the reference host is single-core: the
-#: server's loop threads, the detection thread, and the emitter all share
+#: server's loop thread, the detection thread, and the emitter all share
 #: one CPU, so scheduling jitter alone costs tens of milliseconds.
 LATENCY_SLO = 0.75
 
@@ -288,7 +288,7 @@ def run_serving(out_path: str | Path = RESULTS_FILE, *, quick: bool = False,
                          "scheduled at t0 + k*batch/rate; latency measured "
                          "from the scheduled instant; typed refusals shed "
                          "with a gap-free empty resend",
-            "server": "event loop (loop_threads=2), sr=20 service, "
+            "server": "one event-loop thread, sr=20 service, "
                       "detect_interval=3600, ack_interval=20ms, "
                       "no trace recording",
             "sustained": f"ack fraction >= {ACK_FLOOR} and p99 <= "

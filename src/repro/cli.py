@@ -645,7 +645,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.net import RushMonServer
 
     # One config object carries the monitor/service fields AND the
-    # serving fields (--loop-threads, --max-connections, ...), so the
+    # serving fields (--max-connections, --idle-timeout, ...), so the
     # restore path still honors the serving flags.
     with _usage_errors(args):
         cfg = RushMonConfig.from_cli_args(args)
@@ -666,7 +666,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
-            loop_threads=cfg.loop_threads,
             max_connections=cfg.max_connections,
             idle_timeout=cfg.idle_timeout,
             drain_timeout=cfg.drain_timeout,
@@ -970,9 +969,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-restarts", type=int,
                      default=_DEFAULTS.max_restarts)
     srv.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
+    # Removed; still parsed so that main() can say so.
     srv.add_argument("--loop-threads", type=int, default=None,
-                     help=f"event-loop threads multiplexing connections "
-                          f"(default {_DEFAULTS.loop_threads}, at least 1)")
+                     help=argparse.SUPPRESS)
     srv.add_argument("--max-connections", type=int, default=None,
                      help="admission cap on concurrent connections; over "
                           "it, new clients get a typed 'overloaded' error "
@@ -1088,6 +1087,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "columnar", False):
         parser.error("--columnar was removed: the default ingest path "
                      "measured faster end to end (DESIGN.md §13.1)")
+    if getattr(args, "loop_threads", None) is not None:
+        parser.error("--loop-threads was removed: the server runs one "
+                     "event-loop thread (DESIGN.md §13.1)")
     return args.func(args)
 
 

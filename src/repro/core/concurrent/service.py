@@ -730,14 +730,10 @@ class RushMonService:
                 cfg_dict[knob] = saved[knob]
         cfg_dict.setdefault("batch_size", DEFAULT_BATCH_SIZE)
         # Options retired since the checkpoint was written: the columnar
-        # switch and the cluster's fixed snapshot cadence are gone, and
-        # loop_threads=0 selected the thread-per-connection transport,
-        # which is gone too (the pool default serves the restored
-        # service instead).
-        cfg_dict.pop("columnar", None)
-        cfg_dict.pop("snapshot_interval", None)
-        if cfg_dict.get("loop_threads") == 0:
-            del cfg_dict["loop_threads"]
+        # switch, the cluster's fixed snapshot cadence and the server's
+        # event-loop pool size (the server runs one loop thread).
+        for retired in ("columnar", "snapshot_interval", "loop_threads"):
+            cfg_dict.pop(retired, None)
         # Checkpointing is re-armed by restore()'s own arguments, not by
         # whatever schedule the snapshotted service had.
         cfg_dict["checkpoint_path"] = checkpoint_path

@@ -87,9 +87,6 @@ class RushMonConfig:
         journal reaches half of it.  A respawn whose snapshot falls
         outside the retained window cannot be replayed bit-exactly and
         degrades instead.
-    loop_threads:
-        Serving: event-loop threads multiplexing connections in
-        :class:`~repro.net.server.RushMonServer`.
     max_connections:
         Serving: admission-control cap on concurrent connections;
         ``None`` = unlimited.
@@ -125,7 +122,6 @@ class RushMonConfig:
     max_worker_restarts: int = 3
     replay_journal_capacity: int = 4096
     # -- serving (repro.net.server.RushMonServer) ----------------------
-    loop_threads: int = 2
     max_connections: int | None = None
     idle_timeout: float | None = 30.0
     drain_timeout: float = 5.0
@@ -177,7 +173,6 @@ class RushMonConfig:
             replay_journal_capacity=pick(
                 "replay_journal_capacity", defaults.replay_journal_capacity
             ),
-            loop_threads=pick("loop_threads", defaults.loop_threads),
             max_connections=getattr(args, "max_connections", None),
             idle_timeout=idle_timeout,
             drain_timeout=pick("drain_timeout", defaults.drain_timeout),
@@ -308,14 +303,6 @@ class RushMonConfig:
                 f"{self.replay_journal_capacity!r}"
             )
         # -- serving fields ----------------------------------------------
-        if not isinstance(self.loop_threads, int) or isinstance(
-            self.loop_threads, bool
-        ) or self.loop_threads < 1:
-            raise ValueError(
-                f"loop_threads must be an integer >= 1 event-loop threads "
-                f"(0 selected the thread-per-connection transport, which "
-                f"was removed), got {self.loop_threads!r}"
-            )
         if self.max_connections is not None and (
             not isinstance(self.max_connections, int)
             or isinstance(self.max_connections, bool)

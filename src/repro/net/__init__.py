@@ -4,8 +4,8 @@ The in-process :class:`~repro.core.concurrent.RushMonService` dies with
 its host.  This package detaches the monitor from the monitored system:
 
 - :class:`RushMonServer` — a TCP server wrapping a ``RushMonService``.
-  A small pool of event-loop threads (:mod:`repro.net.eventloop`)
-  multiplexes the connections and feeds the service one call per
+  One event-loop thread (:mod:`repro.net.eventloop`) multiplexes
+  the connections and feeds the service one call per
   frame, with admission control, per-client fairness and slow-client
   defenses;
   batches are deduplicated per client session and acknowledged only

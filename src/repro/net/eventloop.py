@@ -1,15 +1,17 @@
 """The ``selectors``-based event-loop transport of the RushMon server.
 
-Every connection is multiplexed onto a small fixed pool of
-:class:`EventLoop` threads: non-blocking sockets, per-connection bounded
-read/write buffers, and incremental frame reassembly via
-:class:`~repro.net.protocol.FrameReader`.  (A thread per connection
-caps capacity at the OS thread count and leaves overload behaviour
-implicit: a blocking ``sendall`` under a slow peer, one stack per idle
-connection.)  The *delivery contract* — sessions, sequencing, dedup,
-durable acks — lives in ``RushMonServer._handle``, which the loops call
-straight into; the sr=1 differential in ``tests/test_serving.py`` pins
-the whole path against the offline monitor.
+Every connection is multiplexed onto one :class:`EventLoop` thread:
+non-blocking sockets, per-connection bounded read/write buffers, and
+incremental frame reassembly via :class:`~repro.net.protocol.FrameReader`.
+(A thread per connection caps capacity at the OS thread count and
+leaves overload behaviour implicit: a blocking ``sendall`` under a slow
+peer, one stack per idle connection.  A pool of loop threads buys no
+parallelism under the GIL, only lock handoffs and wake-ups.)  The loop
+also owns the listener and runs the server's group-commit tick.  The
+*delivery contract* — sessions, sequencing, dedup, durable acks — lives
+in ``RushMonServer._handle``, which the loop calls straight into; the
+sr=1 differential in ``tests/test_serving.py`` pins the whole path
+against the offline monitor.
 
 What the transport provides:
 
@@ -66,7 +68,7 @@ from repro.net.protocol import FrameReader, ProtocolError, encode_frame
 
 _log = logging.getLogger(__name__)
 
-__all__ = ["EventLoop", "EventLoopConnection", "EventLoopGroup"]
+__all__ = ["EventLoop", "EventLoopConnection"]
 
 #: Selector data tags for the two non-connection registrations.
 _WAKE = object()
@@ -93,7 +95,7 @@ class EventLoopConnection:
     The ``RushMonServer`` handling core only touches ``send``,
     ``close``, ``session``, ``codec``, ``alive`` and ``refused_high``.
     :meth:`send` never blocks: frames are appended to a bounded write
-    buffer that the owning loop flushes when the socket accepts them.
+    buffer that the loop flushes when the socket accepts them.
     """
 
     __slots__ = (
@@ -133,8 +135,9 @@ class EventLoopConnection:
         self.registered = False
 
     def send(self, message: dict, *, corrupt: bool = False) -> None:
-        """Queue one frame for the owning loop to flush (thread-safe;
-        the committer's acks and loop-side replies share the buffer).
+        """Queue one frame for the loop to flush (thread-safe:
+        :meth:`~repro.net.server.RushMonServer.drain` queues its final
+        acks and byes from its caller's thread).
         Never blocks and never raises — write failures surface as a
         disconnect at flush time, which the client handles by
         reconnecting and replaying."""
@@ -151,33 +154,42 @@ class EventLoopConnection:
 
 
 class EventLoop(threading.Thread):
-    """One loop thread: a selector multiplexing its share of the
-    connections, plus a wake pipe and a cross-thread op queue (selector
-    registration happens only on the owning thread)."""
+    """The server's one transport thread: a selector multiplexing the
+    listener and every connection, plus a wake pipe and a cross-thread
+    op queue (selector registration happens only on the loop thread).
 
-    def __init__(self, server, group: "EventLoopGroup", index: int) -> None:
-        super().__init__(name=f"rushmon-net-loop-{index}", daemon=True)
+    Between selects it dispatches, sweeps deadlines and runs the
+    server's group-commit tick; an idle select sleeps until the nearer
+    of the sweep and the tick.  Admission control lives here too: over
+    ``max_connections`` the tipping connection gets a typed
+    ``overloaded`` refusal (with a ``retry_after`` hint) and accepts
+    pause until a slot frees.
+    """
+
+    def __init__(self, server, listener: socket.socket) -> None:
+        super().__init__(name="rushmon-net-loop", daemon=True)
         self._server = server
-        self._group = group
         self._selector = selectors.DefaultSelector()
         rsock, wsock = socket.socketpair()
         rsock.setblocking(False)
         wsock.setblocking(False)
         self._rsock, self._wsock = rsock, wsock
         self._selector.register(rsock, selectors.EVENT_READ, _WAKE)
+        self._listener = listener
+        self._selector.register(listener, selectors.EVENT_READ, _ACCEPT)
+        self._accepts_paused = False
         self._conns: set[EventLoopConnection] = set()
         #: Round-robin dispatch queue: connections with pending
         #: messages, one message served per turn.
         self._ready: collections.deque = collections.deque()
         self._ops: collections.deque = collections.deque()
         self._pending_total = 0
-        self._listener: socket.socket | None = None
         self._stop_requested = False
         self._stop_deadline = 0.0
         self._next_sweep = 0.0
-        #: Connections this loop closed at shutdown with unflushed
-        #: writes — summed into ``drain_forced_total`` by the group.
-        self.forced_closes = 0
+        self._next_tick = 0.0
+        #: Connections closed at shutdown with unflushed writes.
+        self._forced_closes = 0
 
     # -- cross-thread entry points --------------------------------------------
 
@@ -193,46 +205,6 @@ class EventLoop(threading.Thread):
         if self._stop_requested and not self.is_alive():
             # The loop is gone; run inline so sockets still get closed.
             self._run_ops()
-
-    def add_acceptor(self, listener: socket.socket) -> None:
-        """Register the (non-blocking) listener on this loop."""
-        self._listener = listener
-
-        def _register() -> None:
-            try:
-                self._selector.register(
-                    listener, selectors.EVENT_READ, _ACCEPT)
-            except (KeyError, ValueError, OSError):
-                pass
-
-        self._post(_register)
-
-    def remove_acceptor(self) -> None:
-        """Deregister the listener (accept-pause); loop thread only."""
-        listener = self._listener
-        if listener is None:
-            return
-        try:
-            self._selector.unregister(listener)
-        except (KeyError, ValueError, OSError):
-            pass
-
-    def adopt(self, conn: EventLoopConnection) -> None:
-        """Take ownership of a freshly accepted connection."""
-
-        def _register() -> None:
-            if not conn.alive:
-                return
-            try:
-                self._selector.register(
-                    conn.sock, selectors.EVENT_READ, conn)
-            except (KeyError, ValueError, OSError):
-                conn.alive = False
-                return
-            conn.registered = True
-            self._conns.add(conn)
-
-        self._post(_register)
 
     def enqueue_write(self, conn: EventLoopConnection, frame: bytes) -> None:
         if not conn.alive:
@@ -261,10 +233,30 @@ class EventLoop(threading.Thread):
         else:
             self._post(lambda: self._destroy(conn))
 
-    def request_stop(self, deadline: float) -> None:
+    def stop(self, deadline: float) -> int:
+        """Stop the loop (flush-only, then close); returns how many
+        connections were force-closed — unflushed writes, or every
+        connection when the loop fails to exit by ``deadline`` (e.g.
+        frozen by a ``net.select`` stall fault)."""
         self._stop_deadline = deadline
         self._stop_requested = True
         self._wake()
+        self.join(max(0.05, deadline - time.monotonic()))
+        if not self.is_alive():
+            return self._forced_closes
+        # The loop thread is stuck; reclaim its connections from here.
+        # Each one is a forced close.
+        server = self._server
+        stuck = list(self._conns)
+        for conn in stuck:
+            conn.alive = False
+            try:
+                conn.sock.close()
+            except OSError:
+                pass
+            with server._conn_lock:
+                server._connections.discard(conn)
+        return len(stuck)
 
     # -- the loop --------------------------------------------------------------
 
@@ -280,9 +272,13 @@ class EventLoop(threading.Thread):
                 fault = None
             if fault is not None and fault.kind == "slow-read":
                 slow = True
-            timeout = 0.0 if (self._pending_total or self._ops) else 0.05
+            if self._pending_total or self._ops:
+                timeout = 0.0
+            else:
+                timeout = min(self._next_sweep, self._next_tick) \
+                    - time.monotonic()
             try:
-                events = self._selector.select(timeout)
+                events = self._selector.select(max(timeout, 0.0))
             except OSError:
                 events = []
             for key, mask in events:
@@ -294,7 +290,7 @@ class EventLoop(threading.Thread):
                     except OSError:
                         pass
                 elif tag is _ACCEPT:
-                    self._group._on_accept()
+                    self._on_accept()
                 else:
                     if mask & selectors.EVENT_WRITE:
                         self._flush(tag)
@@ -303,7 +299,12 @@ class EventLoop(threading.Thread):
                         self._on_readable(tag, slow)
             self._run_ops()
             self._dispatch()
-            self._sweep()
+            now = time.monotonic()
+            if now >= self._next_sweep:
+                self._next_sweep = now + _SWEEP_INTERVAL
+                self._sweep(now)
+            if now >= self._next_tick:
+                self._next_tick = server._commit_tick()
         self._shutdown()
 
     def _run_ops(self) -> None:
@@ -317,6 +318,102 @@ class EventLoop(threading.Thread):
                 fn()
             except Exception:
                 _log.exception("event-loop op failed")
+
+    # -- accept / admission ----------------------------------------------------
+
+    def _on_accept(self) -> None:
+        """Drain the accept queue."""
+        server = self._server
+        while True:
+            try:
+                sock, _addr = self._listener.accept()
+            except (BlockingIOError, socket.timeout):
+                return
+            except OSError:
+                return  # listener closed by drain()
+            try:
+                fault = server._fire("net.accept")
+            except Exception:
+                sock.close()
+                continue
+            if fault is not None:  # disconnect
+                sock.close()
+                continue
+            maxc = server.max_connections
+            with server._conn_lock:
+                current = len(server._connections)
+            if maxc is not None and current >= maxc:
+                # Refuse THIS connection with the typed error first,
+                # then pause accepts — the tipping client learns why
+                # instead of hanging in the backlog.
+                self._refuse(sock)
+                self._pause_accepts()
+                return
+            # Acks are small frames written behind the client's bulk
+            # data; with Nagle on, a pipelined client's acks lock one
+            # send interval behind.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setblocking(False)
+            conn = EventLoopConnection(sock, self)
+            try:
+                self._selector.register(sock, selectors.EVENT_READ, conn)
+            except (KeyError, ValueError, OSError):
+                sock.close()
+                continue
+            conn.registered = True
+            self._conns.add(conn)
+            with server._conn_lock:
+                server._connections.add(conn)
+            server.connections_total += 1
+
+    def _refuse(self, sock: socket.socket) -> None:
+        server = self._server
+        server.admission_refusals_total += 1
+        server.errors_sent["overloaded"] = \
+            server.errors_sent.get("overloaded", 0) + 1
+        server._m_errors.inc()
+        message = protocol.error(
+            "overloaded",
+            "connection refused: server is at max_connections",
+            retriable=True, retry_after=server.overload_retry_after,
+        )
+        # Best effort, never blocking: the refusal frame is tiny and
+        # fits the fresh socket's send buffer; a peer that cannot even
+        # take that just sees the close.
+        try:
+            sock.setblocking(False)
+            sock.send(encode_frame(message, protocol.CODEC_JSON))
+        except OSError:
+            pass
+        try:
+            sock.close()
+        except OSError:
+            pass
+
+    def _pause_accepts(self) -> None:
+        if self._accepts_paused:
+            return
+        self._accepts_paused = True
+        try:
+            self._selector.unregister(self._listener)
+        except (KeyError, ValueError, OSError):
+            pass
+
+    def _maybe_resume_accepts(self) -> None:
+        server = self._server
+        if not self._accepts_paused or server._draining:
+            return
+        maxc = server.max_connections
+        if maxc is not None:
+            with server._conn_lock:
+                if len(server._connections) >= maxc:
+                    return
+        self._accepts_paused = False
+        try:
+            self._selector.register(
+                self._listener, selectors.EVENT_READ, _ACCEPT)
+        except (KeyError, ValueError, OSError):
+            pass
 
     # -- read / dispatch / write ----------------------------------------------
 
@@ -493,14 +590,10 @@ class EventLoop(threading.Thread):
             server = self._server
             with server._conn_lock:
                 server._connections.discard(conn)
-            self._group._maybe_resume_accepts()
+            self._maybe_resume_accepts()
 
-    def _sweep(self) -> None:
+    def _sweep(self, now: float) -> None:
         """Deadline pass: closing flushes, partial frames, idle peers."""
-        now = time.monotonic()
-        if now < self._next_sweep:
-            return
-        self._next_sweep = now + _SWEEP_INTERVAL
         server = self._server
         for conn in list(self._conns):
             if not conn.alive:
@@ -512,14 +605,12 @@ class EventLoop(threading.Thread):
                 continue
             if conn.partial_since and now - conn.partial_since \
                     >= server.partial_frame_timeout:
-                with server._count_lock:
-                    server.partial_frame_disconnects_total += 1
+                server.partial_frame_disconnects_total += 1
                 self._destroy(conn)
                 continue
             if server.idle_timeout is not None \
                     and now - conn.last_activity >= server.idle_timeout:
-                with server._count_lock:
-                    server.idle_disconnects_total += 1
+                server.idle_disconnects_total += 1
                 self._destroy(conn)
 
     def _shutdown(self) -> None:
@@ -544,7 +635,7 @@ class EventLoop(threading.Thread):
             with conn.wlock:
                 unflushed = bool(conn.wbuf)
             if unflushed:
-                self.forced_closes += 1
+                self._forced_closes += 1
             self._destroy(conn)
         self._run_ops()
         try:
@@ -556,147 +647,3 @@ class EventLoop(threading.Thread):
                 sock.close()
             except OSError:
                 pass
-
-
-class EventLoopGroup:
-    """The fixed pool of loop threads plus the shared accept path.
-
-    Loop 0 owns the listener; fresh connections are assigned to loops
-    round-robin.  Admission control lives here: over ``max_connections``
-    the tipping connection gets a typed ``overloaded`` refusal (with a
-    ``retry_after`` hint) and accepts pause until a slot frees.
-    """
-
-    def __init__(self, server, num_loops: int) -> None:
-        self._server = server
-        self._loops = [EventLoop(server, self, i) for i in range(num_loops)]
-        self._next = 0
-        self._listener: socket.socket | None = None
-        self._accepts_paused = False
-        self._accept_lock = threading.Lock()
-
-    def start(self, listener: socket.socket) -> None:
-        self._listener = listener
-        for loop in self._loops:
-            loop.start()
-        self._loops[0].add_acceptor(listener)
-
-    def _on_accept(self) -> None:
-        """Drain the accept queue (runs on loop 0)."""
-        server = self._server
-        listener = self._listener
-        if listener is None:
-            return
-        while True:
-            try:
-                sock, _addr = listener.accept()
-            except (BlockingIOError, socket.timeout):
-                return
-            except OSError:
-                return  # listener closed by drain()
-            try:
-                fault = server._fire("net.accept")
-            except Exception:
-                sock.close()
-                continue
-            if fault is not None:  # disconnect
-                sock.close()
-                continue
-            maxc = server.max_connections
-            with server._conn_lock:
-                current = len(server._connections)
-            if maxc is not None and current >= maxc:
-                # Refuse THIS connection with the typed error first,
-                # then pause accepts — the tipping client learns why
-                # instead of hanging in the backlog.
-                self._refuse(sock)
-                self._pause_accepts()
-                return
-            # Acks are small frames written behind the client's bulk
-            # data; with Nagle on, a pipelined client's acks lock one
-            # send interval behind.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.setblocking(False)
-            target = self._loops[self._next % len(self._loops)]
-            self._next += 1
-            conn = EventLoopConnection(sock, target)
-            with server._conn_lock:
-                server._connections.add(conn)
-            server.connections_total += 1
-            target.adopt(conn)
-
-    def _refuse(self, sock: socket.socket) -> None:
-        server = self._server
-        with server._count_lock:
-            server.admission_refusals_total += 1
-            server.errors_sent["overloaded"] = \
-                server.errors_sent.get("overloaded", 0) + 1
-        server._m_errors.inc()
-        message = protocol.error(
-            "overloaded",
-            "connection refused: server is at max_connections",
-            retriable=True, retry_after=server.overload_retry_after,
-        )
-        # Best effort, never blocking: the refusal frame is tiny and
-        # fits the fresh socket's send buffer; a peer that cannot even
-        # take that just sees the close.
-        try:
-            sock.setblocking(False)
-            sock.send(encode_frame(message, protocol.CODEC_JSON))
-        except OSError:
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-    def _pause_accepts(self) -> None:
-        with self._accept_lock:
-            if self._accepts_paused:
-                return
-            self._accepts_paused = True
-        self._loops[0].remove_acceptor()
-
-    def _maybe_resume_accepts(self) -> None:
-        server = self._server
-        if not self._accepts_paused or server._draining:
-            return
-        maxc = server.max_connections
-        if maxc is not None:
-            with server._conn_lock:
-                if len(server._connections) >= maxc:
-                    return
-        with self._accept_lock:
-            if not self._accepts_paused:
-                return
-            self._accepts_paused = False
-        listener = self._listener
-        if listener is not None:
-            self._loops[0].add_acceptor(listener)
-
-    def stop(self, deadline: float) -> int:
-        """Stop every loop (flush-only, then close); returns how many
-        connections were force-closed — unflushed writes, or owned by
-        a loop that failed to exit by ``deadline`` (e.g. frozen by a
-        ``net.select`` stall fault)."""
-        for loop in self._loops:
-            loop.request_stop(deadline)
-        server = self._server
-        forced = 0
-        for loop in self._loops:
-            loop.join(max(0.05, deadline - time.monotonic()))
-            if loop.is_alive():
-                # The loop thread is stuck; reclaim its connections
-                # from here.  Each one is a forced close.
-                for conn in list(loop._conns):
-                    conn.alive = False
-                    try:
-                        conn.sock.close()
-                    except OSError:
-                        pass
-                    with server._conn_lock:
-                        server._connections.discard(conn)
-                    forced += 1
-            else:
-                forced += loop.forced_closes
-        return forced

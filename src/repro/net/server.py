@@ -3,11 +3,11 @@
 :class:`RushMonServer` listens on TCP and feeds decoded batches into a
 wrapped :class:`~repro.core.concurrent.RushMonService`, one service
 call per frame (its journal takes the call whole or refuses it whole).
-Connections are multiplexed over a small pool of event-loop threads
+Connections are multiplexed onto one event-loop thread
 (:mod:`repro.net.eventloop` — admission control, per-client fairness,
-slow-client defenses), which call into the handling core here.  The
-**delivery contract** — at-least-once from the wire, effectively-once
-into the monitor:
+slow-client defenses), which calls into the handling core here and
+runs its group-commit tick.  The **delivery contract** — at-least-once
+from the wire, effectively-once into the monitor:
 
 Sessions and sequence numbers
     Each client holds a session id and numbers its batches 1, 2, 3, …
@@ -79,7 +79,7 @@ from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_OPS,
                                              JournalBackpressure)
 from repro.core.concurrent.service import RushMonService
 from repro.net import protocol
-from repro.net.eventloop import EventLoopConnection, EventLoopGroup
+from repro.net.eventloop import EventLoop, EventLoopConnection
 from repro.net.protocol import ProtocolError
 from repro.obs.instrument import instrument_net_server
 
@@ -118,8 +118,9 @@ class RushMonServer:
         this many ingested batches.
     ack_interval:
         Upper bound, in seconds, on how long an ingested batch may wait
-        for its group's checkpoint — a background committer flushes
-        stragglers so a quiet stream still gets acknowledged promptly.
+        for its group's checkpoint — the event loop's group-commit tick
+        flushes stragglers so a quiet stream still gets acknowledged
+        promptly.
     drain_timeout:
         Hard bound, in seconds, on the *total* time :meth:`drain` may
         spend waiting (threads, ack flush, write-buffer flush).  Work
@@ -134,9 +135,6 @@ class RushMonServer:
         entry per client run without bound.  A client resuming an
         evicted session starts a fresh sequence space, so the TTL must
         comfortably exceed the longest expected client outage.
-    loop_threads:
-        Size of the event-loop pool multiplexing connections
-        (:mod:`repro.net.eventloop`), at least 1.
     max_connections:
         Admission-control cap on concurrent connections.  The
         connection that tips over the cap receives a
@@ -175,7 +173,6 @@ class RushMonServer:
         ack_interval: float = 0.05,
         drain_timeout: float = 5.0,
         session_ttl: float | None = 3600.0,
-        loop_threads: int = 2,
         max_connections: int | None = None,
         idle_timeout: float | None = 30.0,
         partial_frame_timeout: float = 5.0,
@@ -191,10 +188,6 @@ class RushMonServer:
         if session_ttl is not None and session_ttl <= 0:
             raise ValueError("session_ttl must be > 0 seconds (or None "
                              "to disable idle-session eviction)")
-        if loop_threads < 1:
-            raise ValueError("loop_threads must be >= 1 event-loop threads "
-                             "(0 selected the thread-per-connection "
-                             "transport, which was removed)")
         if max_connections is not None and max_connections < 1:
             raise ValueError("max_connections must be >= 1 connections "
                              "(or None for unlimited)")
@@ -224,7 +217,6 @@ class RushMonServer:
         self.ack_interval = ack_interval
         self.drain_timeout = drain_timeout
         self.session_ttl = session_ttl
-        self.loop_threads = loop_threads
         self.max_connections = max_connections
         self.idle_timeout = idle_timeout
         self.partial_frame_timeout = partial_frame_timeout
@@ -266,14 +258,13 @@ class RushMonServer:
         self._batches_since_commit = 0
         # Transport state.
         self._listener: socket.socket | None = None
-        self._commit_thread: threading.Thread | None = None
         self._connections: set = set()
         self._conn_lock = threading.Lock()
-        #: Guards the overload/disconnect counters below, which are
-        #: bumped from multiple loop threads.
+        #: Guards ``write_overflow_disconnects_total``: drain()'s thread
+        #: bumps it too when its final acks and byes overflow a buffer.
+        #: The loop thread alone bumps the other counters below.
         self._count_lock = threading.Lock()
-        self._loops: EventLoopGroup | None = None
-        self._stop_event = threading.Event()
+        self._loop: EventLoop | None = None
         self._draining = False
         self._stopped = False
         self.connections_total = 0
@@ -315,7 +306,7 @@ class RushMonServer:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "RushMonServer":
-        """Bind, listen, and start the service + loop/commit threads."""
+        """Bind, listen, and start the service and the loop thread."""
         if self._stopped:
             raise RuntimeError("RushMonServer is stopped; construct a new "
                                "one (restore the checkpoint to resume)")
@@ -328,12 +319,8 @@ class RushMonServer:
         self._listener = listener
         self.service.start()
         listener.setblocking(False)
-        self._loops = EventLoopGroup(self, self.loop_threads)
-        self._loops.start(listener)
-        self._commit_thread = threading.Thread(
-            target=self._commit_loop, name="rushmon-net-commit", daemon=True,
-        )
-        self._commit_thread.start()
+        self._loop = EventLoop(self, listener)
+        self._loop.start()
         return self
 
     @property
@@ -377,14 +364,9 @@ class RushMonServer:
             return
         deadline = time.monotonic() + self.drain_timeout
         self._draining = True
-        self._stop_event.set()
         listener, self._listener = self._listener, None
         if listener is not None:
             listener.close()
-        thread = self._commit_thread
-        if thread is not None and thread.is_alive() \
-                and thread is not threading.current_thread():
-            thread.join(max(0.05, deadline - time.monotonic()))
         # Acknowledge everything already ingested, then retire the
         # service: readers that race a last batch in get a typed
         # "draining" error and their client replays on the next server.
@@ -399,11 +381,11 @@ class RushMonServer:
                 conn.send(protocol.bye())
             except OSError:
                 pass
-        if self._loops is not None:
-            # The loops flush buffered acks/byes until empty or the
-            # deadline, then close everything; unflushed (or
+        if self._loop is not None:
+            # The loop flushes buffered acks/byes until empty or the
+            # deadline, then closes everything; unflushed (or
             # stuck-loop) connections come back as the forced count.
-            self.drain_forced_total += self._loops.stop(deadline)
+            self.drain_forced_total += self._loop.stop(deadline)
         late = time.monotonic() > deadline
         for conn in connections:
             if conn.alive:
@@ -716,20 +698,28 @@ class RushMonServer:
         self._m_acks.inc()
         self._m_ack_latency.observe(time.monotonic() - received)
 
-    def _commit_loop(self) -> None:
-        """Bound ack latency: flush pending acks at least every
-        ``ack_interval`` even when the stream goes quiet mid-group.
-        Doubles as the session-table janitor (idle-session eviction)."""
-        while not self._stop_event.wait(self.ack_interval):
-            pending: list[_Ack] = []
-            with self._ingest_lock:
-                if self._pending_acks:
-                    oldest = self._pending_acks[0][3]
-                    if time.monotonic() - oldest >= self.ack_interval:
-                        pending = self._commit_locked()
-            for ack in pending:
-                self._send_ack(*ack)
-            self._evict_idle_sessions()
+    def _commit_tick(self) -> float:
+        """The loop's group-commit tick; returns when the next is due.
+
+        Bounds ack latency: acks that have waited ``ack_interval`` are
+        flushed even when the stream goes quiet mid-group, and the next
+        tick is due when the oldest still-pending ack will have waited
+        that long.  Doubles as the session-table janitor (idle-session
+        eviction)."""
+        now = time.monotonic()
+        due = now + self.ack_interval
+        pending: list[_Ack] = []
+        with self._ingest_lock:
+            if self._pending_acks:
+                oldest_due = self._pending_acks[0][3] + self.ack_interval
+                if oldest_due <= now:
+                    pending = self._commit_locked()
+                else:
+                    due = oldest_due
+        for ack in pending:
+            self._send_ack(*ack)
+        self._evict_idle_sessions()
+        return due
 
     def _evict_idle_sessions(self) -> None:
         """Expire session-table entries idle past ``session_ttl``.

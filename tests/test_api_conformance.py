@@ -154,7 +154,7 @@ def test_config_surface():
         "batch_size", "checkpoint_path", "checkpoint_interval",
         "num_workers", "cluster_batch", "max_worker_restarts",
         "replay_journal_capacity",
-        "loop_threads", "max_connections", "idle_timeout", "drain_timeout",
+        "max_connections", "idle_timeout", "drain_timeout",
     }
     assert list(inspect.signature(RushMonService.__init__).parameters) == [
         "self", "config", "items", "record_trace", "faults", "metrics"]

@@ -51,7 +51,6 @@ _BAD_FLAG_VALUES = [
     (["quickstart", "--sampling-rate", "0"], "sampling_rate"),
     (["serve", "--port", "0", "--checkpoint-every", "0"], "checkpoint_every"),
     (["monitor", "--batch-size", "0"], "batch_size"),
-    (["serve", "--port", "0", "--loop-threads", "-1"], "loop_threads"),
     (["serve", "--port", "0", "--max-connections", "0"], "max_connections"),
     (["serve", "--port", "0", "--idle-timeout", "-2"], "idle_timeout"),
     (["serve", "--port", "0", "--drain-timeout", "0"], "drain_timeout"),

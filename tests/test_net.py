@@ -1164,6 +1164,39 @@ def test_durable_acks_only_after_checkpoint(tmp_path):
         raw.close()
 
 
+def _net_threads():
+    return {thread for thread in threading.enumerate()
+            if thread.name.startswith("rushmon-net-")}
+
+
+def test_quiet_stream_is_acked_by_the_loop_commit_tick(tmp_path):
+    """A lone batch short of its commit group (``checkpoint_every=4``)
+    is acknowledged by the event loop's group-commit tick once it has
+    waited ``ack_interval``, and only after a checkpoint covering it is
+    on disk.  The server's transport is one thread, and drain() leaves
+    none behind."""
+    before = _net_threads()
+    path = str(tmp_path / "quiet.ckpt")
+    server = RushMonServer(_service(), checkpoint_path=path,
+                           checkpoint_every=4, ack_interval=0.01).start()
+    try:
+        assert len(_net_threads() - before) == 1
+        raw = _RawClient(server.port)
+        raw.send(protocol.hello("sess-q", 0))
+        assert raw.recv()["type"] == "welcome"
+        sent = time.monotonic()
+        raw.send(protocol.batch(
+            "sess-q", 1, protocol.encode_events(_ops(5, 4, seed=7))))
+        assert raw.recv(timeout=0.5) == protocol.ack("sess-q", 1)
+        assert time.monotonic() - sent < 0.5
+        on_disk = RushMonService.restore(path)
+        assert on_disk.extra_state["net"]["sessions"]["sess-q"][0] == 1
+        raw.close()
+    finally:
+        server.drain()
+    assert not _net_threads() - before
+
+
 # -- observability -------------------------------------------------------------
 
 

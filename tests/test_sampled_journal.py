@@ -761,8 +761,8 @@ def test_full_journal_checkpoint_still_restores(tmp_path):
     """A checkpoint from before this journal format — every operation a
     pending ``op`` record, unsampled ones included — restores into a
     sampled-only service and is consumed like any other journal.  Its
-    config also stores options retired since (``columnar``, and a
-    ``loop_threads`` that could be 0): restore drops them, whatever
+    config also stores options retired since (``columnar``, and the
+    event-loop pool size ``loop_threads``): restore drops them, whatever
     value they held."""
     events = _events(1000)
     serial = _serial(20, events)
@@ -770,12 +770,14 @@ def test_full_journal_checkpoint_still_restores(tmp_path):
                  if kind == "op" and payload.seq == 500)
     payload = wal.load_checkpoint(PARENT_CHECKPOINT)
     assert payload["config"]["columnar"] is False
-    payload["config"].update(columnar=True, loop_threads=0)
-    retired_values = str(tmp_path / "retired.wal")
-    wal.save_checkpoint(retired_values, payload)
-    for path in (PARENT_CHECKPOINT, retired_values):
+    retired_paths = []
+    for loop_threads in (0, 2, 5):
+        payload["config"].update(columnar=True, loop_threads=loop_threads)
+        retired_paths.append(str(tmp_path / f"retired-{loop_threads}.wal"))
+        wal.save_checkpoint(retired_paths[-1], payload)
+    for path in (PARENT_CHECKPOINT, *retired_paths):
         restored = RushMonService.restore(path)
-        assert restored.config.loop_threads == RushMonConfig().loop_threads
+        assert not hasattr(restored.config, "loop_threads")
         pending = restored.collector.journal_depth
         assert pending == split  # one record per event: nothing was elided
         _feed_per_op(restored, events[split:])

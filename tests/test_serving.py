@@ -13,7 +13,7 @@ transport itself provides:
 - the drain deadline staying bounded under a frozen loop (``stall``
   fault at ``net.select``), with force-closes counted;
 - serve CLI / config validation for the serving knobs, and the retired
-  selectors (``loop_threads=0``, ``--columnar``) failing by name;
+  options (``loop_threads``, ``--columnar``) failing by name;
 - the event-loop vs offline sr=1 differential.
 
 Heavy legs (1000-connection smoke, 10:1 fairness under saturation, the
@@ -275,32 +275,34 @@ def test_drain_deadline_bounded_when_loop_frozen():
 
 
 def test_retired_selectors_fail_naming_the_removal():
-    """``loop_threads=0`` used to select the thread-per-connection
-    transport and ``--columnar`` the numpy ingest path; both are gone,
-    and asking for them says so instead of silently doing something
-    else."""
-    with pytest.raises(ValueError, match="removed"):
-        RushMonConfig(loop_threads=0)
+    """``loop_threads`` sized the event-loop pool (the server now runs
+    one loop thread) and ``--columnar`` selected the numpy ingest path;
+    both are gone, and asking for them says so instead of silently
+    doing something else."""
+    with pytest.raises(TypeError, match="loop_threads"):
+        RushMonConfig(loop_threads=2)
     service = _service()
     try:
-        with pytest.raises(ValueError, match="removed"):
-            RushMonServer(service, loop_threads=0)
+        with pytest.raises(TypeError, match="loop_threads"):
+            RushMonServer(service, loop_threads=1)
     finally:
         service.stop()
-    for args in (["serve", "--port", "0", "--loop-threads", "0"],
-                 ["quickstart", "--columnar"]):
+    for args, flag in (
+            (["serve", "--port", "0", "--loop-threads", "0"],
+             "--loop-threads"),
+            (["serve", "--port", "0", "--loop-threads", "2"],
+             "--loop-threads"),
+            (["quickstart", "--columnar"], "--columnar")):
         proc = subprocess.run(
             [sys.executable, "-m", "repro", *args],
             capture_output=True, text=True, env={"PYTHONPATH": "src"},
         )
         assert proc.returncode != 0
-        assert args[-1] in proc.stderr and "removed" in proc.stderr, \
-            (args, proc.stderr)
+        assert f"{flag} was removed" in proc.stderr, (args, proc.stderr)
 
 
 def test_config_serving_validation_names_the_field():
     for kwargs, field in [
-        ({"loop_threads": -1}, "loop_threads"),
         ({"max_connections": 0}, "max_connections"),
         ({"idle_timeout": -1.0}, "idle_timeout"),
         ({"drain_timeout": 0.0}, "drain_timeout"),
@@ -315,16 +317,15 @@ def test_from_cli_args_idle_timeout_zero_disables():
     cfg = RushMonConfig.from_cli_args(argparse.Namespace())
     assert cfg.idle_timeout == RushMonConfig().idle_timeout
     cfg = RushMonConfig.from_cli_args(argparse.Namespace(
-        idle_timeout=12.5, loop_threads=3, max_connections=77,
-        drain_timeout=2.5))
-    assert (cfg.idle_timeout, cfg.loop_threads, cfg.max_connections,
-            cfg.drain_timeout) == (12.5, 3, 77, 2.5)
+        idle_timeout=12.5, max_connections=77, drain_timeout=2.5))
+    assert (cfg.idle_timeout, cfg.max_connections,
+            cfg.drain_timeout) == (12.5, 77, 2.5)
 
 
 def test_server_rejects_bad_serving_kwargs():
     service = _service()
     try:
-        for kwargs in [{"loop_threads": -1}, {"max_connections": 0},
+        for kwargs in [{"max_connections": 0},
                        {"idle_timeout": 0}, {"partial_frame_timeout": 0},
                        {"inflight_cap": 0}, {"write_high_watermark": 1},
                        {"overload_retry_after": 0}]:
