@@ -1,9 +1,10 @@
 """Ablation: how often to run the pruning pass.
 
 The periodic prune pass trades its own cost against detection cost: a
-tiny interval spends all its time in SCC passes; a huge interval lets
-the live graph grow and 3-cycle detection slow down.  The sweet spot is
-broad, which is why the paper can leave it as "periodically".
+tiny interval spends all its time in breadth-first passes over the live
+graph; a huge interval lets the live graph grow and 3-cycle detection
+slow down.  The sweet spot is broad, which is why the paper can leave it
+as "periodically".
 """
 
 import time
@@ -12,7 +13,7 @@ from repro.bench.harness import scale
 from repro.bench.reporting import emit, format_table
 from repro.core.collector import BaselineCollector
 from repro.core.detector import CycleDetector
-from repro.core.pruning import CombinedPruning
+from repro.core.pruning import make_pruner
 
 INTERVALS = (100, 500, 2000, 10**9)  # effectively-never last
 
@@ -23,7 +24,7 @@ def _replay(run, prune_interval):
         + [(t, 1, buu) for buu, t in run.commits]
     )
     edges = BaselineCollector().handle_all(run.ops)
-    detector = CycleDetector(pruner=CombinedPruning(),
+    detector = CycleDetector(pruner=make_pruner("both"),
                              prune_interval=prune_interval)
     start = time.perf_counter()
     event_idx = 0

@@ -120,7 +120,7 @@ from typing import Iterable
 from repro.cluster import messages as msg
 from repro.cluster.process import WorkerProcess
 from repro.cluster.worker import no_delay, recv_message
-from repro.core.collector import ItemSampler, SampledLifecycle
+from repro.core.collector import KEY_CACHE_MAX, ItemSampler, SampledLifecycle
 from repro.core.config import RushMonConfig
 from repro.core.detector import LifecycleOrderError
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
@@ -146,11 +146,6 @@ _RECV = 1 << 16
 #: Enum member -> wire tag, avoiding the (slow) enum ``.value``
 #: descriptor in the per-operation routing loop.
 _OP_WIRE = {member: member.value for member in OpType}
-
-#: Routing is hottest on repeated keys; cache key -> owner up to this
-#: many distinct keys (beyond it, compute without caching — placement
-#: stays correct, only the lookup speed degrades).
-_OWNER_CACHE_MAX = 1 << 20
 
 #: Barrier-latency buckets (seconds): sub-millisecond to the timeout.
 _BARRIER_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0,
@@ -795,7 +790,7 @@ class ClusterMonitor:
                 owner = owners.get(key)
                 if owner is None:
                     owner = self._place(key)
-                    if len(owners) < _OWNER_CACHE_MAX:
+                    if len(owners) < KEY_CACHE_MAX:
                         owners[key] = owner
                 if owner >= 0:
                     if parked and op.buu in parked:

@@ -31,7 +31,6 @@ from repro.core.patterns import (
     classify_two_cycle,
 )
 from repro.core.pruning import (
-    CombinedPruning,
     DistancePruning,
     EctPruning,
     NoPruning,
@@ -80,7 +79,6 @@ __all__ = [
     "estimate_two_cycles",
     "OfflineAnomalyMonitor",
     "RushMon",
-    "CombinedPruning",
     "DistancePruning",
     "EctPruning",
     "NoPruning",

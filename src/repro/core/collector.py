@@ -178,6 +178,14 @@ class EdgeSamplingCollector(BaselineCollector):
             self.stats.rw -= 1
 
 
+_MASK64 = (1 << 64) - 1
+
+#: Distinct keys the sampler's decision memo and the cluster router's
+#: owner cache store at most; past it an answer is computed, not stored,
+#: so a monitor over an unbounded key space stops growing.
+KEY_CACHE_MAX = 1 << 20
+
+
 def _splitmix64(x: int) -> int:
     """SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
 
@@ -188,44 +196,42 @@ def _splitmix64(x: int) -> int:
     the sample into an exactly-half split and biases the estimator low),
     so every hash is passed through this non-linear finalizer.
     """
-    mask = (1 << 64) - 1
-    x &= mask
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & mask
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
+    x &= _MASK64
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
     return x ^ (x >> 31)
 
 
 class _DecisionMemo(dict):
     """``key -> chosen?`` memo that computes a missing decision on first
     lookup, so a hit through ``memo[key]`` / ``memo.__getitem__`` is one
-    C-level dict probe with no Python frame.
+    C-level dict probe with no Python frame.  It stores at most
+    :data:`KEY_CACHE_MAX` decisions.
 
     It carries the decision's inputs rather than calling back into its
     :class:`ItemSampler`: the sampler owns the memo, so a reference back
     would make a cycle, and every dropped sampler — holding a decision
     per key it ever saw — would wait for a full cyclic collection."""
 
-    __slots__ = ("sampling_rate", "salt", "chosen")
-
-    def __init__(self, sampling_rate: int, salt: int,
-                 chosen: set[Key] | None) -> None:
-        self.sampling_rate = sampling_rate
-        self.salt = salt
-        self.chosen = chosen
+    __slots__ = ("sampling_rate", "salt_mix", "chosen")
+    sampling_rate: int
+    salt_mix: int
+    chosen: set[Key] | None
 
     def __missing__(self, key: Key) -> bool:
-        decision = self[key] = self._decide(key)
-        return decision
-
-    def _decide(self, key: Key) -> bool:
-        """The decision itself; every caller reaches it through the memo."""
         if self.sampling_rate == 1:
-            return True
-        if self.chosen is not None:
-            return key in self.chosen
-        digest = zlib.crc32(repr(key).encode())
-        mixed = _splitmix64(digest ^ (self.salt * 0x9E3779B97F4A7C15))
-        return mixed % self.sampling_rate == 0
+            decision = True
+        elif self.chosen is not None:
+            decision = key in self.chosen
+        else:
+            # _splitmix64, inlined over the premixed salt.
+            x = zlib.crc32(repr(key).encode()) ^ self.salt_mix
+            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+            decision = (x ^ (x >> 31)) % self.sampling_rate == 0
+        if len(self) < KEY_CACHE_MAX:
+            self[key] = decision
+        return decision
 
 
 class ItemSampler:
@@ -257,7 +263,8 @@ class ItemSampler:
         # materialized set), so caching never changes one; the memo is
         # emptied, and handed the new inputs, whenever any of them
         # changes (_forget).
-        self._memo = _DecisionMemo(sampling_rate, seed, None)
+        self._memo = _DecisionMemo()
+        self._forget()
         self.lookup: Callable[[Key], bool] = self._memo.__getitem__
 
     @property
@@ -292,11 +299,13 @@ class ItemSampler:
         return self._memo[key]
 
     def _forget(self) -> None:
-        """Empty the memo and hand it the decision's current inputs."""
+        """Empty the memo and hand it the decision's current inputs, the
+        salt mixed once: ``(digest ^ s) & mask == digest ^ (s & mask)``
+        for a 32-bit ``digest``."""
         memo = self._memo
         memo.clear()
         memo.sampling_rate = self.sampling_rate
-        memo.salt = self._salt
+        memo.salt_mix = self._salt * 0x9E3779B97F4A7C15 & _MASK64
         memo.chosen = self._chosen
 
     # -- checkpoint support ----------------------------------------------------

@@ -40,7 +40,8 @@ class RushMonConfig:
         the paper's deployed configuration.
     pruning:
         Detector vertex-pruning strategy: ``"none"``, ``"ect"``,
-        ``"distance"`` or ``"both"`` (paper default).
+        ``"distance"`` or ``"both"`` (paper default, the distance pass:
+        see :mod:`repro.core.pruning`; ECT's share reads 0 under it).
     prune_interval:
         Edges between periodic pruning passes.
     resample_interval:

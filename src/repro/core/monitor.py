@@ -187,15 +187,26 @@ class RushMon:
 
     # -- BUU lifecycle -------------------------------------------------------
 
+    # A gate that is not engaged parks nothing, so it is asked only when
+    # engaged: a begin or commit then reaches the detector in two calls.
+
     def begin_buu(self, buu: BuuId, start_time: int | None = None) -> None:
-        when = self._time(start_time)
-        if not self._gate.begin(buu, when):
-            self.detector.begin_buu(buu, when)
+        if start_time is None:
+            start_time = self._now
+        elif start_time > self._now:
+            self._now = start_time
+        gate = self._gate
+        if not (gate.engaged and gate.begin(buu, start_time)):
+            self.detector.begin_buu(buu, start_time)
 
     def commit_buu(self, buu: BuuId, commit_time: int | None = None) -> None:
-        when = self._time(commit_time)
-        if not self._gate.commit(buu):
-            self.detector.commit_buu(buu, when)
+        if commit_time is None:
+            commit_time = self._now
+        elif commit_time > self._now:
+            self._now = commit_time
+        gate = self._gate
+        if not (gate.engaged and gate.commit(buu)):
+            self.detector.commit_buu(buu, commit_time)
 
     def _time(self, explicit: int | None) -> int:
         if explicit is not None:

@@ -1,6 +1,6 @@
 """Vertex pruning for the cycle detector (Section 5.3).
 
-Two strategies plus their combination:
+Two strategies:
 
 - :class:`EctPruning` — *effective commit time* pruning.  For a committed
   vertex ``v``, ``ect(v)`` is the latest commit time over every vertex
@@ -14,7 +14,11 @@ Two strategies plus their combination:
   k-1 hops *from* some alive vertex (the cycle's closing edge lands on an
   alive vertex).  A multi-source BFS from the alive set to depth k-1
   identifies the keepers; every other committed vertex is removed.
-- :class:`CombinedPruning` — ECT then distance, the paper's "Both".
+
+The paper's "Both" (``make_pruner("both")``) is the distance pass alone:
+alive vertices are ECT seeds, so what ECT removes is committed and
+unreachable from every alive vertex — removed by distance too, and on no
+path its search walks.  ECT-then-distance leaves the same graph.
 
 All pruners refuse to act when no vertex is alive (there is no defined
 ``t_active``) — behind a sampling monitor that is "nobody alive that
@@ -135,33 +139,14 @@ class DistancePruning(Pruner):
         return len(doomed)
 
 
-class CombinedPruning(Pruner):
-    """ECT pruning followed by distance pruning (the paper's "Both")."""
-
-    def __init__(self, max_cycle_length: int = 3) -> None:
-        super().__init__()
-        self.ect = EctPruning()
-        self.distance = DistancePruning(max_cycle_length)
-
-    def prune(self, graph: LiveGraph, now: int) -> int:
-        removed = self.ect.prune(graph, now) + self.distance.prune(graph, now)
-        self.removed_total += removed
-        return removed
-
-    def removed_by_strategy(self) -> dict[str, int]:
-        return {
-            "ect": self.ect.removed_total,
-            "distance": self.distance.removed_total,
-        }
-
-
 def make_pruner(name: str, max_cycle_length: int = 3) -> Pruner:
-    """Factory used by :class:`~repro.core.config.RushMonConfig`."""
+    """Factory used by :class:`~repro.core.config.RushMonConfig`;
+    ``"both"`` is the distance pass (see the module docstring)."""
     table = {
         "none": NoPruning,
         "ect": EctPruning,
         "distance": lambda: DistancePruning(max_cycle_length),
-        "both": lambda: CombinedPruning(max_cycle_length),
+        "both": lambda: DistancePruning(max_cycle_length),
     }
     if name not in table:
         raise ValueError(f"unknown pruning strategy {name!r}; options: {sorted(table)}")

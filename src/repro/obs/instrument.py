@@ -26,7 +26,8 @@ __all__ = [
     "instrument_serial_monitor",
 ]
 
-#: Strategies the pruned-vertex breakdown is exported for.
+#: Strategies the pruned-vertex breakdown is exported for; ``"both"`` is
+#: the distance pass, so its ``ect`` gauge reads 0.
 _PRUNE_STRATEGIES = ("ect", "distance")
 
 

@@ -385,14 +385,10 @@ def decode_detector_state(detector, state: dict) -> None:
     detector.prune_passes = state["prune_passes"]
     # .get(): documents written before the detector refused edges.
     detector.edges_refused = state.get("edges_refused", 0)
-    pruner = detector.pruner
-    if pruner is not None:
-        pruner.removed_total = state["pruner_removed_total"]
-        by_strategy = state["pruner_removed_by_strategy"]
-        for name in ("ect", "distance"):
-            sub = getattr(pruner, name, None)
-            if sub is not None and name in by_strategy:
-                sub.removed_total = by_strategy[name]
+    # Only the total is restored: a pruner has no sub-pruners to take a
+    # split (an older "both" listed ECT's and distance's shares).
+    if detector.pruner is not None:
+        detector.pruner.removed_total = state["pruner_removed_total"]
 
 
 def encode_window_state(window) -> dict:

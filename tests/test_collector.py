@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import collector as collector_module
 from repro.core.collector import (
     BaselineCollector,
     DataCentricCollector,
@@ -255,6 +256,57 @@ class TestItemSampler:
         assert agree() == [other.chosen(k) for k in keys]
         sampler.load_state(ItemSampler(1).to_state())
         assert all(agree())
+
+
+#: Keys of three types, the decisions below are bit ``i`` for ``_KEYS[i]``.
+_KEYS = [*range(40), *(f"k{i}" for i in range(40)),
+         *(("t", i) for i in range(40))]
+
+#: ``(salt, sampling_rate) -> bitmask`` of the chosen keys among
+#: ``_KEYS``, recorded before the salt was premixed once per memo.
+_GOLDEN_DECISIONS = {
+    (0, 2): 0x10a38370f2a9c4abac0dcbb2a7d0d6,
+    (0, 20): 0x1000008000000040000,
+    (7, 2): 0x2148e4187aa9d95d3c5dc7656ee72c,
+    (7, 20): 0x200000000001101004000040000100,
+    (-3, 2): 0x39dc117c58c6462f09e590b54cd480,
+    (-3, 20): 0x4000900000000000000,
+}
+
+
+def _decisions(sampler):
+    return sum(1 << i for i, key in enumerate(_KEYS) if sampler.chosen(key))
+
+
+class TestDecisionMemo:
+    @pytest.mark.parametrize("salt, sampling_rate", sorted(_GOLDEN_DECISIONS))
+    def test_decisions_match_the_golden_vector(self, salt, sampling_rate):
+        sampler = ItemSampler(sampling_rate, seed=salt)
+        assert _decisions(sampler) == _GOLDEN_DECISIONS[salt, sampling_rate]
+        # hits answer what the misses did
+        assert _decisions(sampler) == _GOLDEN_DECISIONS[salt, sampling_rate]
+
+    def test_reseed_and_restore_rearm_the_salt(self):
+        sampler = ItemSampler(2, seed=0)
+        sampler.reseed(7)
+        assert _decisions(sampler) == _GOLDEN_DECISIONS[7, 2]
+        sampler.load_state(ItemSampler(20, seed=-3).to_state())
+        assert _decisions(sampler) == _GOLDEN_DECISIONS[-3, 20]
+
+    def test_a_capped_memo_decides_identically_and_stops_growing(
+            self, monkeypatch):
+        unbounded = ItemSampler(2, seed=7)
+        expected = [unbounded.lookup(key) for key in _KEYS]
+        monkeypatch.setattr(collector_module, "KEY_CACHE_MAX", 16)
+        capped = ItemSampler(2, seed=7)
+        for _ in range(2):
+            assert [capped.lookup(key) for key in _KEYS] == expected
+            assert [capped.chosen(key) for key in _KEYS] == expected
+            assert len(capped._memo) == 16
+        capped.reseed(7)
+        assert [capped.lookup(key) for key in reversed(_KEYS)] == \
+            expected[::-1]
+        assert len(capped._memo) == 16
 
 
 class TestDataCentricCollector:

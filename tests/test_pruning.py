@@ -6,6 +6,7 @@ simulated schedules by running pruned and unpruned detectors on the same
 edge stream and comparing total counts.
 """
 
+import copy
 import random
 
 import pytest
@@ -16,10 +17,10 @@ from repro.checkers import exact_cycle_counts
 from repro.core.collector import BaselineCollector
 from repro.core.detector import CycleDetector, LiveGraph
 from repro.core.pruning import (
-    CombinedPruning,
     DistancePruning,
     EctPruning,
     NoPruning,
+    Pruner,
     make_pruner,
 )
 from repro.core.types import Edge, EdgeType, Operation, OpType
@@ -90,6 +91,67 @@ def _windowed_workload(seed, num_buus, keys, steps, window):
 PRUNER_NAMES = ["ect", "distance", "both"]
 
 
+class EctThenDistance(Pruner):
+    """The paper's "Both" as it once ran here: ECT, then distance on what
+    ECT left.  ``make_pruner("both")`` runs the distance pass alone; this
+    is the reference it must match."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ect = EctPruning()
+        self.distance = DistancePruning()
+
+    def prune(self, graph, now):
+        removed = self.ect.prune(graph, now) + self.distance.prune(graph, now)
+        self.removed_total += removed
+        return removed
+
+
+def _check_pass(graph, now):
+    """On copies of ``graph``: every vertex ECT removes, distance removes
+    too, and ECT-then-distance leaves the same present set and rows as
+    ``make_pruner("both")``, removing as many vertices."""
+    before = set(graph.present)
+    ect, distance, both, composed = (copy.deepcopy(graph) for _ in range(4))
+    EctPruning().prune(ect, now)
+    DistancePruning().prune(distance, now)
+    assert before - ect.present <= before - distance.present
+    assert (make_pruner("both").prune(both, now)
+            == EctThenDistance().prune(composed, now))
+    assert both.present == composed.present
+    assert (both.out, both.inc) == (composed.out, composed.inc)
+    assert both.edge_count == composed.edge_count
+
+
+class CheckedBoth(Pruner):
+    """``make_pruner("both")`` with :func:`_check_pass` ahead of every
+    pass."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.inner = make_pruner("both")
+
+    def prune(self, graph, now):
+        _check_pass(graph, now)
+        removed = self.inner.prune(graph, now)
+        self.removed_total += removed
+        return removed
+
+
+def _assert_both_is_ect_then_distance(run):
+    """``run(pruner)`` returns a detector fed through ``pruner``: the
+    checked "both" and the reference composition count the same cycles
+    over the same passes and remove as many vertices.  Returns both
+    detectors, "both" first."""
+    both = run(CheckedBoth())
+    composed = run(EctThenDistance())
+    assert both.counts == composed.counts
+    assert both.prune_passes == composed.prune_passes
+    assert both.pruner.removed_total == composed.pruner.removed_total
+    assert both.graph.present == composed.graph.present
+    return both, composed
+
+
 @st.composite
 def reused_id_scripts(draw, max_keys=3):
     """A history whose BUU ids are worker slots: each id runs several
@@ -104,6 +166,26 @@ def reused_id_scripts(draw, max_keys=3):
         cuts.update(draw(st.sets(st.sampled_from(seqs[:-1]), max_size=3))
                     if len(seqs) > 1 else ())
     return ops, cuts
+
+
+def _run_reused_ids(det, ops, cuts):
+    """Feed a :func:`reused_id_scripts` history into ``det``: an id
+    commits and begins again at each of its cuts."""
+    collector = BaselineCollector()
+    last = {op.buu: op.seq for op in ops}
+    begun = set()
+    for op in ops:
+        if op.buu not in begun:
+            begun.add(op.buu)
+            det.begin_buu(op.buu, op.seq)
+        for edge in collector.handle(op):
+            det.add_edge(edge)
+        if op.seq in cuts:
+            det.commit_buu(op.buu, op.seq)
+            det.begin_buu(op.buu, op.seq)
+        elif op.seq == last[op.buu]:
+            det.commit_buu(op.buu, op.seq)
+    return det
 
 
 class TestPruningSafety:
@@ -126,7 +208,8 @@ class TestPruningSafety:
         bounds = lifecycle_bounds(ops)
         unpruned = _simulated_run(CycleDetector(pruner=NoPruning()), ops, bounds)
         pruned = _simulated_run(
-            CycleDetector(pruner=CombinedPruning(), prune_interval=5), ops, bounds
+            CycleDetector(pruner=make_pruner("both"), prune_interval=5), ops,
+            bounds
         )
         assert (pruned.counts.ss, pruned.counts.dd) == (
             unpruned.counts.ss,
@@ -147,22 +230,9 @@ class TestPruningSafety:
         exact checker's over the history (ids as vertices)."""
         ops, cuts = script
         exact = exact_cycle_counts(ops)
-        last = {op.buu: op.seq for op in ops}
         for name in ["none"] + PRUNER_NAMES:
-            det = CycleDetector(make_pruner(name), prune_interval)
-            collector = BaselineCollector()
-            begun = set()
-            for op in ops:
-                if op.buu not in begun:
-                    begun.add(op.buu)
-                    det.begin_buu(op.buu, op.seq)
-                for edge in collector.handle(op):
-                    det.add_edge(edge)
-                if op.seq in cuts:
-                    det.commit_buu(op.buu, op.seq)
-                    det.begin_buu(op.buu, op.seq)
-                elif op.seq == last[op.buu]:
-                    det.commit_buu(op.buu, op.seq)
+            det = _run_reused_ids(
+                CycleDetector(make_pruner(name), prune_interval), ops, cuts)
             assert det.counts == exact, name
 
     # Four ids and short scripts: the space in which 500 cheap examples
@@ -222,6 +292,59 @@ class TestPruningSafety:
         )
         assert pruned.num_vertices < unpruned.num_vertices
         assert pruned.num_edges < unpruned.num_edges
+
+
+class TestBothIsTheDistancePass:
+    """``"both"`` runs only its distance pass: ECT can never remove a
+    vertex distance keeps, and what it removes lies on no path from an
+    alive vertex, so ECT first changes nothing distance then does."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_workloads(self, seed):
+        ops = _random_workload(seed)
+        bounds = lifecycle_bounds(ops)
+        both, _ = _assert_both_is_ect_then_distance(
+            lambda pruner: _simulated_run(
+                CycleDetector(pruner, prune_interval=10), ops, bounds))
+        assert both.prune_passes > 0
+
+    def test_bounded_concurrency_prunes_and_agrees(self):
+        ops = _windowed_workload(seed=1, num_buus=200, keys=8, steps=4,
+                                 window=8)
+        bounds = lifecycle_bounds(ops)
+        _, composed = _assert_both_is_ect_then_distance(
+            lambda pruner: _simulated_run(
+                CycleDetector(pruner, prune_interval=20), ops, bounds))
+        # ECT's share is not empty here, so the subset is exercised.
+        assert composed.pruner.ect.removed_total > 0
+
+    @given(script=reused_id_scripts(),
+           prune_interval=st.sampled_from((1, 3)))
+    def test_reused_buu_ids(self, script, prune_interval):
+        ops, cuts = script
+        _assert_both_is_ect_then_distance(
+            lambda pruner: _run_reused_ids(
+                CycleDetector(pruner, prune_interval), ops, cuts))
+
+    @given(st.lists(st.tuples(st.sampled_from("bce"), st.integers(0, 3),
+                              st.integers(0, 3)), max_size=16))
+    @settings(max_examples=500, deadline=None)
+    def test_lifecycle_edge_scripts(self, script):
+        """Begins, commits and edges in any order, a pass after each."""
+        graphs = {"both": LiveGraph(), "composed": LiveGraph()}
+        pruners = {"both": CheckedBoth(), "composed": EctThenDistance()}
+        for t, (kind, u, v) in enumerate(script):
+            for name, graph in graphs.items():
+                if kind == "b":
+                    graph.begin(u, t)
+                elif kind == "c":
+                    graph.commit(u, t)
+                else:
+                    graph.add_edge(u, v, "k")
+                pruners[name].prune(graph, now=t)
+            assert graphs["both"].out == graphs["composed"].out
+        assert (pruners["both"].removed_total
+                == pruners["composed"].removed_total)
 
 
 class TestEctPruning:
@@ -328,7 +451,7 @@ class TestMakePruner:
         assert isinstance(make_pruner("none"), NoPruning)
         assert isinstance(make_pruner("ect"), EctPruning)
         assert isinstance(make_pruner("distance"), DistancePruning)
-        assert isinstance(make_pruner("both"), CombinedPruning)
+        assert isinstance(make_pruner("both"), DistancePruning)
 
     def test_unknown(self):
         with pytest.raises(ValueError):
