@@ -35,7 +35,6 @@ from typing import Iterable, Mapping, Sequence
 from repro.checkers.taxonomy import (
     CYCLE_CLASSES,
     GClass,
-    READ_CLASSES,
     classify_cycle,
 )
 from repro.core.types import (
@@ -134,16 +133,6 @@ class CheckReport:
     #: True when the graph is cyclic but every cycle is longer than
     #: ``max_cycle_length`` — counts are then a lower bound.
     cycles_beyond_bound: bool = False
-
-    @property
-    def cycle_anomalies(self) -> int:
-        """Total classified cycle instances (all lengths <= the bound)."""
-        return sum(self.counts.get(c, 0) for c in CYCLE_CLASSES)
-
-    @property
-    def read_anomalies(self) -> int:
-        """Total G1a + G1b read occurrences."""
-        return sum(self.counts.get(c, 0) for c in READ_CLASSES)
 
     @property
     def anomaly_free(self) -> bool:

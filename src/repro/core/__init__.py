@@ -1,6 +1,5 @@
 """RushMon core: collectors, estimator, detector, pruning, monitor."""
 
-from repro._lazy import lazy_exports
 from repro.core.api import AnomalyMonitor, MonitorListener
 from repro.core.collector import (
     BaselineCollector,
@@ -30,6 +29,7 @@ from repro.core.patterns import (
     PatternCounts,
     classify_two_cycle,
 )
+from repro.core.prediction import rank_correlation
 from repro.core.pruning import (
     DistancePruning,
     EctPruning,
@@ -40,7 +40,6 @@ from repro.core.pruning import (
 from repro.core.types import (
     AnomalyReport,
     BuuId,
-    BuuInfo,
     CycleCounts,
     Edge,
     EdgeStats,
@@ -69,7 +68,6 @@ __all__ = [
     "AnomalyPattern",
     "PatternCounts",
     "classify_two_cycle",
-    "ConvergencePredictor",
     "rank_correlation",
     "CycleDetector",
     "LiveGraph",
@@ -86,7 +84,6 @@ __all__ = [
     "make_pruner",
     "AnomalyReport",
     "BuuId",
-    "BuuInfo",
     "CycleCounts",
     "Edge",
     "EdgeStats",
@@ -96,12 +93,3 @@ __all__ = [
     "OpType",
 ]
 
-
-# repro.core.prediction is the one core module that hard-requires numpy
-# (lstsq); loading it lazily keeps a base install (no ``repro[fast]``
-# extra) importable end to end, and numpy out of every process that
-# predicts nothing.
-__getattr__ = lazy_exports(globals(), {
-    "ConvergencePredictor": "repro.core.prediction",
-    "rank_correlation": "repro.core.prediction",
-})

@@ -15,8 +15,8 @@ bit-exact differential, until that leg is dropped and this file with it
   (op-type code, interned key id, txn id, seq, read-value id) sharing a
   :class:`~repro.core.types.KeyInterner`, built from ``Operation``
   sequences (:meth:`OpBatch.from_ops`), raw columns
-  (:meth:`OpBatch.from_columns`) or wire event records
-  (:meth:`OpBatch.from_events`, :meth:`OpBatch.from_wire`).
+  (:meth:`OpBatch.from_columns`) or a decoded wire frame
+  (:meth:`OpBatch.from_wire`).
 - :class:`EdgeBatch` — derived dependency edges as parallel arrays
   (src, dst, kind code, label id, seq) plus the original op row each
   edge was attributed to, so the flattened edge stream is *exactly* the
@@ -53,7 +53,7 @@ would pay ~0.1 s and ~12 MB for it).
 from __future__ import annotations
 
 from importlib.util import find_spec
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.types import Edge, EdgeType, KeyInterner, Operation, OpType
 
@@ -155,26 +155,6 @@ class OpBatch:
         kid = [intern(o.key) for o in ops]
         buu = [o.buu for o in ops]
         seq = [o.seq for o in ops]
-        return cls.from_columns(op, kid, buu, seq, interner)
-
-    @classmethod
-    def from_events(cls, events: Iterable[Sequence],
-                    interner: KeyInterner | None = None) -> "OpBatch":
-        """Build from wire op records ``["r"|"w", buu, key, seq]`` (the
-        :func:`repro.net.protocol.wire_op` shape).  Lifecycle records are
-        not operations and must be split out by the caller."""
-        if interner is None:
-            interner = KeyInterner()
-        intern = interner.intern
-        op = []
-        kid = []
-        buu = []
-        seq = []
-        for rec in events:
-            op.append(OP_READ if rec[0] == "r" else OP_WRITE)
-            buu.append(rec[1])
-            kid.append(intern(rec[2]))
-            seq.append(rec[3])
         return cls.from_columns(op, kid, buu, seq, interner)
 
     @classmethod

@@ -1,69 +1,13 @@
-"""Performance prediction from anomaly rates (Fig 1's right-hand box).
+"""Spearman rank correlation between anomaly rates and performance.
 
-The paper's workflow diagram feeds the monitor's runtime reports into a
-performance predictor.  This module provides the simplest credible one:
-a log-log linear model mapping anomaly rates (2- and 3-cycle rates, plus
-an intercept) to a performance metric such as BUUs-to-convergence,
-fitted by least squares.  Fig 3 shows the relationship is strong enough
-for this to be useful.
+The paper's workflow diagram (Fig 1) feeds the monitor's runtime reports
+into a performance predictor; Fig 3 and Fig 11 measure how strongly
+anomaly rates and convergence co-vary with :func:`rank_correlation`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
-
-
-@dataclass
-class ConvergencePredictor:
-    """Log-log least-squares predictor: performance ~ anomaly rates.
-
-    Fit on (rate_2, rate_3, outcome) triples; predict on new rates.
-    Outcomes must be positive (they are counts or rates); a small
-    epsilon guards the logarithms of zero rates.
-    """
-
-    epsilon: float = 1e-9
-    coefficients: np.ndarray | None = field(default=None, repr=False)
-
-    def _design(self, rates2, rates3) -> np.ndarray:
-        rates2 = np.asarray(rates2, dtype=float)
-        rates3 = np.asarray(rates3, dtype=float)
-        return np.column_stack([
-            np.ones_like(rates2),
-            np.log(rates2 + self.epsilon),
-            np.log(rates3 + self.epsilon),
-        ])
-
-    def fit(self, rates2, rates3, outcomes) -> "ConvergencePredictor":
-        outcomes = np.asarray(outcomes, dtype=float)
-        if np.any(outcomes <= 0):
-            raise ValueError("outcomes must be positive")
-        design = self._design(rates2, rates3)
-        target = np.log(outcomes)
-        self.coefficients, *_ = np.linalg.lstsq(design, target, rcond=None)
-        return self
-
-    def predict(self, rates2, rates3) -> np.ndarray:
-        if self.coefficients is None:
-            raise RuntimeError("predictor is not fitted")
-        design = self._design(rates2, rates3)
-        return np.exp(design @ self.coefficients)
-
-    def r_squared(self, rates2, rates3, outcomes) -> float:
-        """Coefficient of determination in log space."""
-        if self.coefficients is None:
-            raise RuntimeError("predictor is not fitted")
-        target = np.log(np.asarray(outcomes, dtype=float))
-        predicted = np.log(self.predict(rates2, rates3))
-        ss_res = float(np.sum((target - predicted) ** 2))
-        mean = float(np.mean(target))
-        ss_tot = float(np.sum((target - mean) ** 2))
-        if ss_tot == 0:
-            return 1.0 if ss_res == 0 else 0.0
-        return 1.0 - ss_res / ss_tot
 
 
 def rank_correlation(xs, ys) -> float:

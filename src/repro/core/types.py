@@ -101,9 +101,6 @@ class Edge(NamedTuple):
     label: Key
     seq: int = 0
 
-    def endpoints(self) -> tuple[BuuId, BuuId]:
-        return (self.src, self.dst)
-
 
 class EdgeColumns:
     """A batch of edges as five parallel lists, one per :class:`Edge`
@@ -160,28 +157,6 @@ class EdgeColumns:
         if not isinstance(other, (EdgeColumns, list)):
             return NotImplemented
         return list(self.rows()) == list(other)
-
-
-@dataclass(slots=True)
-class BuuInfo:
-    """Lifetime bookkeeping for one BUU, used by vertex pruning (§5.3).
-
-    ``start`` is the BUU's start time; ``commit`` is when it finished and
-    its effects became visible.  ``commit`` is ``None`` while the BUU is
-    alive (the paper treats alive commit times as infinity).
-    """
-
-    buu: BuuId
-    start: int
-    commit: int | None = None
-
-    @property
-    def alive(self) -> bool:
-        return self.commit is None
-
-    def commit_time(self) -> float:
-        """Commit time with the paper's infinity-while-alive convention."""
-        return float("inf") if self.commit is None else float(self.commit)
 
 
 @dataclass(slots=True)
@@ -341,31 +316,3 @@ class KeyInterner:
         self._keys = list(keys)
         self._ids = {k: i for i, k in enumerate(self._keys)}
 
-
-class BuuInterner(KeyInterner):
-    """A :class:`KeyInterner` for BUU identifiers.
-
-    Workloads usually already use dense int BUU ids; this exists for
-    sources (recorded traces, external logs) whose transaction ids are
-    strings or sparse ints and must be densified before the batched path.
-    """
-
-    __slots__ = ()
-
-
-def intern_operations(ops: Iterable[Operation], keys: KeyInterner,
-                      buus: BuuInterner | None = None) -> list[Operation]:
-    """Rewrite an operation stream onto interned int keys.
-
-    Applies :meth:`KeyInterner.intern` to every ``op.key`` (and, when a
-    ``buus`` interner is given, every ``op.buu``).  Call this once at the
-    workload boundary; everything downstream then runs on dense ints.
-    """
-    key_intern = keys.intern
-    if buus is None:
-        return [op._replace(key=key_intern(op.key)) for op in ops]
-    buu_intern = buus.intern
-    return [
-        op._replace(key=key_intern(op.key), buu=buu_intern(op.buu))
-        for op in ops
-    ]

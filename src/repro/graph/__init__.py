@@ -1,6 +1,6 @@
 """Dependency-graph substrate: structure, exact cycle counting, generators."""
 
-from repro.graph.dependency import DependencyGraph, edge_list, graph_from_edges
+from repro.graph.dependency import DependencyGraph
 from repro.graph.cycles import (
     count_cycles_johnson,
     count_labelled_short_cycles,
@@ -16,8 +16,6 @@ from repro.graph.random_graphs import (
 
 __all__ = [
     "DependencyGraph",
-    "edge_list",
-    "graph_from_edges",
     "count_cycles_johnson",
     "count_labelled_short_cycles",
     "count_simple_cycles_by_length",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Iterator
 
-from repro.core.types import BuuId, Edge, EdgeType, Key
+from repro.core.types import BuuId, Edge, Key
 
 
 class DependencyGraph:
@@ -30,7 +30,6 @@ class DependencyGraph:
         # (u, v) -> set of labels for parallel edges u -> v
         self._labels: dict[tuple[BuuId, BuuId], set[Key]] = defaultdict(set)
         self._out: dict[BuuId, set[BuuId]] = defaultdict(set)
-        self._in: dict[BuuId, set[BuuId]] = defaultdict(set)
         self._vertices: set[BuuId] = set()
         self._edge_count = 0
 
@@ -49,7 +48,6 @@ class DependencyGraph:
             return False
         labels.add(label)
         self._out[src].add(dst)
-        self._in[dst].add(src)
         self._vertices.add(src)
         self._vertices.add(dst)
         self._edge_count += 1
@@ -75,9 +73,6 @@ class DependencyGraph:
     def successors(self, v: BuuId) -> set[BuuId]:
         return self._out.get(v, set())
 
-    def predecessors(self, v: BuuId) -> set[BuuId]:
-        return self._in.get(v, set())
-
     def labels(self, src: BuuId, dst: BuuId) -> set[Key]:
         """Labels of the parallel edges src -> dst (empty set if none)."""
         return self._labels.get((src, dst), set())
@@ -90,18 +85,6 @@ class DependencyGraph:
             for label in labels:
                 yield (src, dst, label)
 
-    def remove_vertex(self, v: BuuId) -> None:
-        """Remove a vertex and all incident edges (used by pruning tests)."""
-        for succ in list(self._out.get(v, ())):
-            self._edge_count -= len(self._labels.pop((v, succ), ()))
-            self._in[succ].discard(v)
-        for pred in list(self._in.get(v, ())):
-            self._edge_count -= len(self._labels.pop((pred, v), ()))
-            self._out[pred].discard(v)
-        self._out.pop(v, None)
-        self._in.pop(v, None)
-        self._vertices.discard(v)
-
     def copy(self) -> "DependencyGraph":
         clone = DependencyGraph()
         for src, dst, label in self.edges():
@@ -110,16 +93,3 @@ class DependencyGraph:
             clone.add_vertex(v)
         return clone
 
-
-def graph_from_edges(edges: Iterable[Edge]) -> DependencyGraph:
-    """Build a :class:`DependencyGraph` from a collector's edge stream."""
-    graph = DependencyGraph()
-    graph.add_edges(edges)
-    return graph
-
-
-def edge_list(
-    pairs: Iterable[tuple[BuuId, BuuId, Key]], kind: EdgeType = EdgeType.WR
-) -> list[Edge]:
-    """Convenience constructor for tests: (src, dst, label) triples."""
-    return [Edge(src, dst, kind, label) for src, dst, label in pairs]

@@ -1,13 +1,7 @@
-"""Graph-analytics substrate: async WCC, coloring, PageRank, matching."""
+"""Graph-analytics substrate: async WCC and coloring (the §2.2 BUU
+examples the paper's Fig 10 runs)."""
 
 from repro.graphalgo.coloring import AsyncColoring, ColoringResult, color_key
-from repro.graphalgo.matching import AsyncMatching, MatchingResult, match_key
-from repro.graphalgo.pagerank import (
-    AsyncPageRank,
-    PageRankResult,
-    rank_key,
-    reference_pagerank,
-)
 from repro.graphalgo.wcc import (
     AsyncWcc,
     WccResult,
@@ -19,13 +13,6 @@ __all__ = [
     "AsyncColoring",
     "ColoringResult",
     "color_key",
-    "AsyncMatching",
-    "MatchingResult",
-    "match_key",
-    "AsyncPageRank",
-    "PageRankResult",
-    "rank_key",
-    "reference_pagerank",
     "AsyncWcc",
     "WccResult",
     "ground_truth_components",

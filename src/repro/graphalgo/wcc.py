@@ -11,7 +11,7 @@ with anomaly counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import RushMonConfig
 from repro.core.monitor import RushMon

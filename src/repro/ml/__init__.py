@@ -16,7 +16,6 @@ from repro.ml.optimizers import (
     asgdm_buu,
     make_optimizer,
     rmsprop_buu,
-    sequential_sgd,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "asgdm_buu",
     "make_optimizer",
     "rmsprop_buu",
-    "sequential_sgd",
 ]

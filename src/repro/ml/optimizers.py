@@ -118,23 +118,6 @@ def make_optimizer(name: str) -> OptimizerFn:
     return OPTIMIZERS[name]
 
 
-def sequential_sgd(dataset: ClickDataset, lr: float, epochs: int,
-                   seed: int = 0) -> dict[str, float]:
-    """Reference sequential SGD — the isolated gold standard."""
-    import random
-
-    rng = random.Random(seed)
-    weights: dict[str, float] = {}
-    for _ in range(epochs):
-        order = list(dataset.samples)
-        rng.shuffle(order)
-        for sample in order:
-            grad = sample_gradient(weights, sample, dataset)
-            for k, g in grad.items():
-                weights[k] = (weights.get(k) or 0.0) - lr * g
-    return weights
-
-
 __all__ = [
     "OPTIMIZERS",
     "OptimizerFn",
@@ -142,6 +125,5 @@ __all__ = [
     "asgdm_buu",
     "make_optimizer",
     "rmsprop_buu",
-    "sequential_sgd",
     "sigmoid",
 ]

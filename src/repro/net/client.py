@@ -274,10 +274,6 @@ class RushMonClient:
         with self._lock:
             return len(self._pending)
 
-    @property
-    def connected(self) -> bool:
-        return self._sock is not None
-
     def counters(self) -> dict[str, int]:
         """A snapshot of the delivery counters, for logs and tests."""
         with self._lock:

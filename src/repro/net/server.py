@@ -330,10 +330,6 @@ class RushMonServer:
         return self._listener.getsockname()[1]
 
     @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
-
-    @property
     def connections_current(self) -> int:
         with self._conn_lock:
             return len(self._connections)

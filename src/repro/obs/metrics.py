@@ -101,15 +101,6 @@ class Gauge:
             raise RuntimeError(f"gauge {self.name} is callback-backed")
         self._value = float(value)
 
-    def set_max(self, value: float) -> None:
-        """Raise the gauge to ``value`` if larger (high-water marks).
-
-        Not atomic across threads; callers that race should keep their
-        own per-shard high-water and export the max via a callback.
-        """
-        if value > self._value:
-            self.set(value)
-
     @property
     def value(self) -> float:
         if self._fn is not None:

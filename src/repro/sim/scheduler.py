@@ -117,10 +117,6 @@ class _WorkerState:
     def idle(self) -> bool:
         return self.buu is None
 
-    @property
-    def outstanding(self) -> int:
-        """This worker's writes issued but not yet visible."""
-        return self.writes_issued - self.writes_applied
 
 
 class Simulator:

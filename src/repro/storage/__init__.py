@@ -1,9 +1,4 @@
-"""Shared-storage substrate: the write-ahead log."""
+"""Shared-storage substrate: the monitor checkpoint format
+(:mod:`repro.storage.wal`)."""
 
-from repro.storage.wal import LogParser, LogRecord, WriteAheadLog
-
-__all__ = [
-    "LogParser",
-    "LogRecord",
-    "WriteAheadLog",
-]
+__all__: list[str] = []

@@ -1,30 +1,16 @@
-"""Write-ahead log, log-parser collector deployment (§4.1), and
-monitor checkpoints.
+"""Monitor checkpoints: the durable format the concurrent service uses
+for crash recovery (:func:`save_checkpoint` / :func:`load_checkpoint`
+plus the detector/window/report codecs).
 
-The paper lists three ways to deploy the collector: "middle-ware, a
-plug-in of the storage layer, or a log parser, which extracts read/write
-information from the storage log".  The other modules implement the
-plug-in style (listeners on the storage/simulator); this module
-implements the log-parser style:
-
-- :class:`WriteAheadLog` — an append-only binary-ish record log the
-  storage writes every operation to (here: length-prefixed JSON lines,
-  with an explicit LSN per record);
-- :class:`LogParser` — tails a log and feeds the reconstructed
-  operations to any monitor, possibly long after the fact and from a
-  different process.
-
-A log-parsed monitor sees exactly the stream a plug-in monitor sees, so
-the two deployments produce identical anomaly counts — tested.
-
-This module also owns the durable **checkpoint** format the concurrent
-service uses for crash recovery (:func:`save_checkpoint` /
-:func:`load_checkpoint` plus the detector/window/report codecs).  A
-checkpoint is a single JSON document with an explicit format tag,
+A checkpoint is a single JSON document with an explicit format tag,
 version and CRC, written atomically (temp file + ``os.replace``) so a
 crash mid-write leaves the previous checkpoint intact, and a truncated
 or corrupted file is *detected* (:class:`CheckpointError`) rather than
 restored into a silently wrong monitor.
+
+The paper's log-parser collector deployment (§4.1) is not here: it is
+``RushMonService``, whose ticketed journal is the log it parses
+(:mod:`repro.core.concurrent.journaled`).
 """
 
 from __future__ import annotations
@@ -34,7 +20,6 @@ import os
 import zlib
 from collections import Counter
 from pathlib import Path
-from typing import IO, Iterable, Iterator
 
 from repro.core.patterns import AnomalyPattern, PatternCounts
 from repro.core.types import (
@@ -45,115 +30,6 @@ from repro.core.types import (
     Operation,
     OpType,
 )
-
-
-class WriteAheadLog:
-    """Append-only operation log with monotone LSNs.
-
-    Records: ``{"lsn": 17, "kind": "r"|"w"|"b"|"c", "buu": 3,
-    "key": "x", "seq": 12}`` — ``b``/``c`` are BUU begin/commit marks so
-    a parser can also reconstruct lifecycle for the pruners.
-    """
-
-    def __init__(self, handle: IO[str]) -> None:
-        self._handle = handle
-        self.lsn = 0
-
-    # -- simulator/storage listener protocol ---------------------------------
-
-    def on_operation(self, op: Operation) -> None:
-        self._append({"kind": op.op.value, "buu": op.buu, "key": op.key,
-                      "seq": op.seq})
-
-    def begin_buu(self, buu: int, time: int) -> None:
-        self._append({"kind": "b", "buu": buu, "seq": time})
-
-    def commit_buu(self, buu: int, time: int) -> None:
-        self._append({"kind": "c", "buu": buu, "seq": time})
-
-    def _append(self, record: dict) -> None:
-        self.lsn += 1
-        record["lsn"] = self.lsn
-        self._handle.write(json.dumps(record) + "\n")
-
-    def flush(self) -> None:
-        self._handle.flush()
-
-
-class LogRecord:
-    """One parsed log record."""
-
-    __slots__ = ("lsn", "kind", "buu", "key", "seq")
-
-    def __init__(self, lsn: int, kind: str, buu: int, key, seq: int) -> None:
-        self.lsn = lsn
-        self.kind = kind
-        self.buu = buu
-        self.key = key
-        self.seq = seq
-
-    def to_operation(self) -> Operation:
-        assert self.kind in ("r", "w")
-        return Operation(OpType(self.kind), self.buu, self.key, self.seq)
-
-
-class LogParser:
-    """Reads a WAL and drives monitors with the reconstructed stream.
-
-    ``feed`` can be called repeatedly as the log grows (tailing); the
-    parser remembers the last LSN it consumed and rejects gaps, so a
-    truncated or reordered log is detected rather than silently
-    miscounted.
-    """
-
-    def __init__(self, listeners: Iterable) -> None:
-        self.listeners = list(listeners)
-        self.last_lsn = 0
-        self.records_consumed = 0
-
-    def parse(self, lines: Iterable[str]) -> Iterator[LogRecord]:
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            record = LogRecord(raw["lsn"], raw["kind"], raw["buu"],
-                               raw.get("key"), raw["seq"])
-            if record.kind not in ("r", "w", "b", "c"):
-                raise ValueError(f"unknown record kind {record.kind!r}")
-            if record.lsn != self.last_lsn + 1:
-                raise ValueError(
-                    f"log gap: expected lsn {self.last_lsn + 1}, "
-                    f"got {record.lsn}"
-                )
-            self.last_lsn = record.lsn
-            yield record
-
-    def feed(self, lines: Iterable[str]) -> int:
-        """Consume log lines, forwarding to the listeners; returns the
-        number of records processed."""
-        count = 0
-        for record in self.parse(lines):
-            count += 1
-            for listener in self.listeners:
-                if record.kind in ("r", "w"):
-                    handler = getattr(listener, "on_operation", None)
-                    if handler is not None:
-                        handler(record.to_operation())
-                elif record.kind == "b":
-                    handler = getattr(listener, "begin_buu", None)
-                    if handler is not None:
-                        handler(record.buu, record.seq)
-                elif record.kind == "c":
-                    handler = getattr(listener, "commit_buu", None)
-                    if handler is not None:
-                        handler(record.buu, record.seq)
-        self.records_consumed += count
-        return count
-
-    def feed_file(self, path: str | Path) -> int:
-        with open(path) as handle:
-            return self.feed(handle)
 
 
 # ---------------------------------------------------------------------------

@@ -253,11 +253,6 @@ class FaultInjector:
                     return entry.fault
         return None
 
-    @property
-    def fired_total(self) -> int:
-        with self._lock:
-            return sum(self.fired_by_point.values())
-
     def reset(self) -> None:
         """Disarm everything and zero the firing counters."""
         with self._lock:

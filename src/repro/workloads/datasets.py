@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 from dataclasses import dataclass, field
 
 from repro.graph.random_graphs import UndirectedGraph, preferential_attachment_graph
@@ -32,15 +33,16 @@ def scaled_real_graph_standin(
 
     ``scale`` multiplies the vertex count (default keeps graphs around a
     couple of thousand vertices); the average degree matches the real
-    dataset, which is what drives conflict skew in the workload.
+    dataset, which is what drives conflict skew in the workload.  The
+    default ``rng`` is seeded from a CRC of ``name``, so a stand-in is
+    the same graph in every process, whatever ``PYTHONHASHSEED`` is.
     """
     if name not in REAL_GRAPH_SPECS:
         raise ValueError(f"unknown dataset {name!r}; options: {sorted(REAL_GRAPH_SPECS)}")
     spec = REAL_GRAPH_SPECS[name]
     num_vertices = max(100, int(spec["vertices"] * scale))
-    return preferential_attachment_graph(
-        num_vertices, spec["degree"], rng=rng or random.Random(hash(name) & 0xFFFF)
-    )
+    rng = rng or random.Random(zlib.crc32(name.encode()))
+    return preferential_attachment_graph(num_vertices, spec["degree"], rng=rng)
 
 
 @dataclass

@@ -10,7 +10,7 @@ workers C is a simulator parameter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.graph.random_graphs import UndirectedGraph, preferential_attachment_graph

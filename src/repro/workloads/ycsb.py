@@ -13,7 +13,6 @@ small precomputation.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator

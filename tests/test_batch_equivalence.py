@@ -36,7 +36,6 @@ from repro.core.detector import CycleDetector, LifecycleOrderError, LiveGraph
 from repro.core.monitor import RushMon, WindowTracker
 from repro.core.pruning import make_pruner
 from repro.core.types import (
-    BuuInterner,
     CycleCounts,
     Edge,
     EdgeColumns,
@@ -44,7 +43,6 @@ from repro.core.types import (
     KeyInterner,
     Operation,
     OpType,
-    intern_operations,
 )
 from repro.storage.wal import decode_detector_state, encode_detector_state
 
@@ -586,36 +584,6 @@ def test_key_interner_dense_ids_and_roundtrip():
     clone.load_state(interner.to_state())
     assert clone.intern("e") == 4
     assert clone.key_of(3) == "d"
-
-
-def test_intern_operations_maps_keys_and_buus():
-    ops = [Operation(OpType.READ, buu="t1", key="x", seq=1),
-           Operation(OpType.WRITE, buu="t2", key="y", seq=2),
-           Operation(OpType.WRITE, buu="t1", key="x", seq=3)]
-    keys = KeyInterner()
-    buus = BuuInterner()
-    interned = intern_operations(ops, keys, buus)
-    assert [op.key for op in interned] == [0, 1, 0]
-    assert [op.buu for op in interned] == [0, 1, 0]
-    assert [op.op for op in interned] == [op.op for op in ops]
-    assert [op.seq for op in interned] == [1, 2, 3]
-    assert keys.key_of(1) == "y" and buus.key_of(1) == "t2"
-
-
-def test_interned_stream_equivalent_to_string_stream():
-    """Interning relabels keys/BUUs bijectively, so cycle counts are
-    unchanged (only labels differ)."""
-    history = random_history(7)
-    keys, buus = KeyInterner(), BuuInterner()
-    interned = intern_operations(history, keys, buus)
-
-    counts = []
-    for stream in (history, interned):
-        col = BaselineCollector()
-        det = CycleDetector()
-        det.add_edge_batch(col.handle_batch(stream))
-        counts.append(det.counts)
-    assert counts[0] == counts[1]
 
 
 # -- active time ---------------------------------------------------------------

@@ -165,14 +165,6 @@ def test_opbatch_roundtrip_is_identity(history):
     assert OpBatch.from_ops(history).to_ops() == history
 
 
-def test_opbatch_from_events_matches_from_ops():
-    history = random_history(9)
-    records = protocol.encode_events(history)
-    a = OpBatch.from_ops(history)
-    b = OpBatch.from_events(records)
-    assert a.to_ops() == b.to_ops() == history
-
-
 def test_opbatch_from_wire_splits_ops_and_lifecycle():
     """A packed codec-2 frame with interleaved lifecycle rows splits
     into an op batch (global kids through the shared interner) plus

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.types import Edge, EdgeType
-from repro.graph.dependency import DependencyGraph, edge_list, graph_from_edges
+from repro.graph.dependency import DependencyGraph
 
 
 class TestDependencyGraph:
@@ -14,7 +14,6 @@ class TestDependencyGraph:
         assert not graph.has_edge(2, 1)
         assert graph.labels(1, 2) == {"x"}
         assert graph.successors(1) == {2}
-        assert graph.predecessors(2) == {1}
 
     def test_rejects_self_loops(self):
         graph = DependencyGraph()
@@ -41,25 +40,6 @@ class TestDependencyGraph:
         assert graph.num_vertices() == 1
         assert graph.num_edges() == 0
 
-    def test_remove_vertex(self):
-        graph = DependencyGraph()
-        graph.add(1, 2, "x")
-        graph.add(2, 3, "y")
-        graph.add(3, 1, "z")
-        graph.remove_vertex(2)
-        assert graph.num_edges() == 1
-        assert not graph.has_edge(1, 2)
-        assert not graph.has_edge(2, 3)
-        assert graph.has_edge(3, 1)
-        assert 2 not in graph.vertices
-
-    def test_remove_vertex_counts_parallel_labels(self):
-        graph = DependencyGraph()
-        graph.add(1, 2, "x")
-        graph.add(1, 2, "y")
-        graph.remove_vertex(2)
-        assert graph.num_edges() == 0
-
     def test_copy_is_deep(self):
         graph = DependencyGraph()
         graph.add(1, 2, "x")
@@ -75,17 +55,3 @@ class TestDependencyGraph:
         assert graph.add_edge(Edge(1, 2, EdgeType.RW, "x", 5))
         assert graph.labels(1, 2) == {"x"}
 
-
-class TestHelpers:
-    def test_edge_list(self):
-        edges = edge_list([(1, 2, "x"), (2, 3, "y")], kind=EdgeType.WW)
-        assert all(e.kind is EdgeType.WW for e in edges)
-        assert [(e.src, e.dst, e.label) for e in edges] == [
-            (1, 2, "x"), (2, 3, "y")
-        ]
-
-    def test_graph_from_edges(self):
-        graph = graph_from_edges(edge_list([(1, 2, "x"), (2, 1, "x")]))
-        assert graph.has_edge(1, 2)
-        assert graph.has_edge(2, 1)
-        assert graph.num_edges() == 2

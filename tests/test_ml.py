@@ -8,7 +8,6 @@ import pytest
 
 from repro.ml.async_sgd import AsyncTrainer
 from repro.ml.logistic import (
-    dataset_loss,
     initial_loss,
     optimum_loss,
     sample_gradient,
@@ -20,7 +19,6 @@ from repro.ml.optimizers import (
     asgdm_buu,
     make_optimizer,
     rmsprop_buu,
-    sequential_sgd,
 )
 from repro.sim import SimConfig
 from repro.workloads.datasets import ClickSample, synthetic_click_dataset
@@ -69,17 +67,6 @@ class TestLogistic:
         sample = ClickSample(features=[0, 1], label=1)
         grad = sample_gradient({}, sample, dataset)
         assert all(g < 0 for g in grad.values())
-
-
-class TestSequentialSgd:
-    def test_converges_near_optimum(self, dataset):
-        weights = sequential_sgd(dataset, lr=0.1, epochs=10)
-        assert dataset_loss(weights, dataset) <= optimum_loss(dataset) + 0.05
-
-    def test_deterministic(self, dataset):
-        w1 = sequential_sgd(dataset, lr=0.1, epochs=2, seed=5)
-        w2 = sequential_sgd(dataset, lr=0.1, epochs=2, seed=5)
-        assert w1 == w2
 
 
 class TestOptimizerBuus:

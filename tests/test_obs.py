@@ -61,13 +61,12 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_and_set_max(self):
+    def test_set(self):
         g = Gauge("depth")
         g.set(3)
-        g.set_max(2)
         assert g.value == 3.0
-        g.set_max(7)
-        assert g.value == 7.0
+        g.set(2)
+        assert g.value == 2.0
 
     def test_callback_gauge_reads_live_and_rejects_set(self):
         box = {"v": 1.0}

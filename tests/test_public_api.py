@@ -1,10 +1,12 @@
 """The blessed ``repro`` package surface.
 
 ``repro/__init__.py`` re-exports the public names in ``__all__``; this
-file pins two properties of that surface:
+file pins three properties of that surface:
 
-- every advertised name actually resolves (no stale re-export after a
-  module moves), and
+- every advertised name actually resolves — every name in the
+  ``__all__`` of every ``repro.*`` package, and every name of a lazy
+  re-export map (:mod:`repro._lazy`) — so a deletion or a move cannot
+  leave a dangling re-export,
 - the protocol verbs — every public method of ``MonitorListener`` and
   ``AnomalyMonitor`` — appear in DESIGN.md's API documentation, so the
   design doc cannot silently drift from the code, and
@@ -13,6 +15,8 @@ file pins two properties of that surface:
   removed method cannot leave them behind.
 """
 
+import ast
+import importlib
 import re
 import runpy
 from pathlib import Path
@@ -25,6 +29,24 @@ from repro.core.api import AnomalyMonitor, MonitorListener
 ROOT = Path(__file__).resolve().parent.parent
 DESIGN = ROOT / "DESIGN.md"
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+SRC = ROOT / "src"
+PACKAGES = sorted(".".join(path.parent.relative_to(SRC).parts)
+                  for path in (SRC / "repro").rglob("__init__.py"))
+
+
+def _lazy_map(package: str) -> dict[str, str]:
+    """The name -> module map a package hands ``lazy_exports`` (empty
+    when it re-exports eagerly)."""
+    init = SRC.joinpath(*package.split("."), "__init__.py")
+    for node in ast.walk(ast.parse(init.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "lazy_exports"):
+            return ast.literal_eval(node.args[1])
+    return {}
+
+
+LAZY_NAMES = [(package, name, module) for package in PACKAGES
+              for name, module in sorted(_lazy_map(package).items())]
 
 
 def _protocol_members(proto) -> list[str]:
@@ -35,12 +57,27 @@ def _protocol_members(proto) -> list[str]:
     return members
 
 
-def test_every_all_member_resolves():
-    assert repro.__all__, "repro must advertise a public surface"
-    for name in repro.__all__:
-        assert hasattr(repro, name), (
-            f"repro.__all__ advertises {name!r} but the attribute is "
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_all_member_resolves(package):
+    module = importlib.import_module(package)
+    assert hasattr(module, "__all__"), f"{package} has no __all__"
+    for name in module.__all__:
+        assert hasattr(module, name), (
+            f"{package}.__all__ advertises {name!r} but the attribute is "
             f"missing — stale re-export?")
+
+
+def test_the_top_level_surface_is_not_empty():
+    assert repro.__all__, "repro must advertise a public surface"
+
+
+@pytest.mark.parametrize("package,name,module", LAZY_NAMES,
+                         ids=[f"{p}.{n}" for p, n, _ in LAZY_NAMES])
+def test_every_lazy_name_resolves(package, name, module):
+    assert hasattr(importlib.import_module(module), name), (
+        f"{package} lazily re-exports {name!r} from {module}, which does "
+        f"not define it")
+    assert hasattr(importlib.import_module(package), name)
 
 
 def test_all_has_no_duplicates_and_is_sorted():

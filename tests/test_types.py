@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.types import (
     AnomalyReport,
-    BuuInfo,
     CycleCounts,
     Edge,
     EdgeStats,
@@ -34,23 +33,9 @@ class TestOperation:
 
 
 class TestEdge:
-    def test_endpoints(self):
-        edge = Edge(1, 2, EdgeType.RW, "x", 5)
-        assert edge.endpoints() == (1, 2)
-
     def test_frozen_and_hashable(self):
         edge = Edge(1, 2, EdgeType.WW, "x")
         assert edge in {edge}
-
-
-class TestBuuInfo:
-    def test_alive_until_commit(self):
-        info = BuuInfo(buu=1, start=3)
-        assert info.alive
-        assert info.commit_time() == float("inf")
-        info.commit = 9
-        assert not info.alive
-        assert info.commit_time() == 9.0
 
 
 class TestCycleCounts:

@@ -1,6 +1,10 @@
 """Tests for workloads: synthetic graph workload, datasets, bookstore."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,28 @@ class TestDatasets:
             spec = REAL_GRAPH_SPECS[name]
             assert graph.num_vertices == max(100, int(spec["vertices"] * 2e-5))
             assert graph.average_degree() == pytest.approx(spec["degree"], rel=0.4)
+
+    def test_standins_do_not_depend_on_the_hash_seed(self):
+        """Fig 17's stand-ins are the same graphs in every interpreter:
+        their seed must not come from the salted ``hash(str)``."""
+        script = (
+            "import hashlib\n"
+            "from repro.workloads.datasets import REAL_GRAPH_SPECS, "
+            "scaled_real_graph_standin\n"
+            "for name in REAL_GRAPH_SPECS:\n"
+            "    graph = scaled_real_graph_standin(name)\n"
+            "    print(name, hashlib.sha256(repr(graph.adj).encode())"
+            ".hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=60).stdout)
+        assert len(outputs[0].splitlines()) == len(REAL_GRAPH_SPECS)
+        assert outputs[0] == outputs[1]
 
     def test_unknown_standin(self):
         with pytest.raises(ValueError):
