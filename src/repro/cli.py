@@ -61,9 +61,6 @@ def _add_monitor_args(parser: argparse.ArgumentParser,
                         help="disable memory-optimized bookkeeping")
     parser.add_argument("--pruning", default=_DEFAULTS.pruning,
                         choices=RushMonConfig.PRUNING_CHOICES)
-    # Removed; still parsed so that main() can say so.
-    parser.add_argument("--columnar", action="store_true",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -969,9 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-restarts", type=int,
                      default=_DEFAULTS.max_restarts)
     srv.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
-    # Removed; still parsed so that main() can say so.
-    srv.add_argument("--loop-threads", type=int, default=None,
-                     help=argparse.SUPPRESS)
     srv.add_argument("--max-connections", type=int, default=None,
                      help="admission cap on concurrent connections; over "
                           "it, new clients get a typed 'overloaded' error "
@@ -1084,12 +1078,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "columnar", False):
-        parser.error("--columnar was removed: the default ingest path "
-                     "measured faster end to end (DESIGN.md §13.1)")
-    if getattr(args, "loop_threads", None) is not None:
-        parser.error("--loop-threads was removed: the server runs one "
-                     "event-loop thread (DESIGN.md §13.1)")
     return args.func(args)
 
 

@@ -84,7 +84,6 @@ it keeps.
 
 from __future__ import annotations
 
-import heapq
 import random
 import threading
 import time
@@ -110,12 +109,6 @@ EV_SHIFT = "shift"
 #: (owner 0: a failed pass's re-queued run, a cluster worker's own) or
 #: inserted uncounted (1: a cluster peer's).
 EV_EDGES = "edges"
-#: Kinds only a checkpoint written before collection moved into the pass
-#: holds: an operation collected at ingest, ``(ticket, EV_OP, op,
-#: edges)``, and a run-length count ``(ticket, EV_ELIDED, operations,
-#: lifecycle events)``.
-EV_OP = "op"
-EV_ELIDED = "elided"
 
 #: Valid journal-overflow policies.
 OVERFLOW_POLICIES = ("block", "shed", "degrade")
@@ -144,7 +137,7 @@ def _weight(record: tuple) -> int:
     kind = record[1]
     if kind == EV_OPS:
         return len(record[2])
-    return 0 if kind in (EV_ELIDED, EV_SHIFT, EV_EDGES) else 1
+    return 0 if kind in (EV_SHIFT, EV_EDGES) else 1
 
 
 def _encode_edges(edges: Iterable[Edge]) -> list:
@@ -163,26 +156,18 @@ def _encode(record: tuple) -> list:
     if kind == EV_OPS:
         return [ticket, kind, [[op.op.value, op.buu, op.key, op.seq]
                                for op in payload], extra]
-    if kind == EV_OP:
-        return [ticket, kind, [payload.op.value, payload.buu, payload.key,
-                               payload.seq], _encode_edges(extra)]
     if kind == EV_EDGES:
         return [ticket, kind, payload, _encode_edges(extra)]
     return [ticket, kind, payload, extra]
 
 
 def _decode(record: list) -> tuple:
-    """Inverse of :func:`_encode` (an EV_OP record's edges come back as
-    :class:`~repro.core.types.EdgeColumns`)."""
+    """Inverse of :func:`_encode` (an EV_EDGES record's edges come back
+    as :class:`~repro.core.types.EdgeColumns`)."""
     ticket, kind, payload, extra = record
     if kind == EV_OPS:
         return (ticket, kind, [Operation(OpType(o[0]), o[1], o[2], o[3])
                                for o in payload], extra)
-    if kind == EV_OP:
-        return (ticket, kind,
-                Operation(OpType(payload[0]), payload[1], payload[2],
-                          payload[3]),
-                _decode_edges(extra))
     if kind == EV_EDGES:
         return (ticket, kind, payload, _decode_edges(extra))
     return (ticket, kind, payload, extra)
@@ -621,72 +606,25 @@ class JournaledCollector:
     def restore_state(self, state: dict, known: Iterable[BuuId] = ()) -> None:
         """Load a :meth:`snapshot_state` payload into this fresh
         collector; ``known`` names the BUUs the restored detector holds
-        (:class:`~repro.core.collector.SampledLifecycle`).  A snapshot of
-        the sharded journal collection used to run in — per-shard states,
-        one record per operation collected at ingest — loads too: the
-        shards' item tables are disjoint, so they merge into one (MOB's
-        coins continue from shard 0's generator)."""
+        (:class:`~repro.core.collector.SampledLifecycle`)."""
         self.sampler.load_state(state["sampler"])
-        named = set(known)
-        if "shards" in state:
-            shards = state["shards"]
-            version, internal, gauss = shards[0]["state"]["rng"]
-            for payload in shards:
-                part = CollectorShard()
-                part.load_state(payload["state"])
-                self.shard.merge(part)
-            self.shard.mob = part.mob
-            self.shard.mob_slots = part.mob_slots
-            self.shard._rng.setstate((version, tuple(internal), gauss))
-            records = list(heapq.merge(*(
-                [_decode(record) for record in payload["journal"]]
-                for payload in shards)))
-            # Their lifecycle records passed the gate at ingest.
-            named.update(record[2] for record in records
-                         if record[1] in (EV_BEGIN, EV_COMMIT))
-            # .get(): documents written before begins were parked.
-            lifecycle = state.get("lifecycle",
-                                  {"parked": (), "elided": 0, "drained": 0})
-            undrained = lifecycle["elided"] - lifecycle["drained"]
-            if undrained:
-                records.append((state["next_ticket"], EV_ELIDED, 0,
-                                undrained))
-            journal = {
-                "next_ticket": state["next_ticket"] + 1,
-                "elided": 0,
-                "ops_seen": sum(p["ops_seen"] for p in shards),
-                "lifecycle_offered": 0,
-                "journal_highwater": max(p["journal_highwater"]
-                                         for p in shards),
-                "shed": sum(p["shed"] for p in shards),
-                "shed_sampled": sum(p["shed_sampled"] for p in shards),
-                # Its records were filtered at ingest.
-                "pass_shift": state["degrade_shift"],
-            }
-        else:
-            self.shard.load_state(state["shard"])
-            records = [_decode(record) for record in state["journal"]]
-            lifecycle = state["lifecycle"]
-            journal = state
-        self.lifecycle.load_state(lifecycle, named)
-        # Older journals held the producer's time: stamp the ticket.
-        records = [(t, kind, payload, t if kind in (EV_BEGIN, EV_COMMIT)
-                    else extra) for t, kind, payload, extra in records]
+        self.shard.load_state(state["shard"])
+        self.lifecycle.load_state(state["lifecycle"], known)
+        records = [_decode(record) for record in state["journal"]]
         with self._lock:
             self._records = records
             self._pending = sum(map(_weight, records))
-            self._next_ticket = journal["next_ticket"]
-            self._elided = journal["elided"]
-            self._ops_seen = journal["ops_seen"]
-            self.lifecycle_offered = journal["lifecycle_offered"]
-            self.journal_highwater = journal["journal_highwater"]
-            self.shed_events = journal["shed"]
-            self.shed_sampled_events = journal["shed_sampled"]
+            self._next_ticket = state["next_ticket"]
+            self._elided = state["elided"]
+            self._ops_seen = state["ops_seen"]
+            self.lifecycle_offered = state["lifecycle_offered"]
+            self.journal_highwater = state["journal_highwater"]
+            self.shed_events = state["shed"]
+            self.shed_sampled_events = state["shed_sampled"]
             self._degrade_shift = state["degrade_shift"]
-            self._pass_shift = journal["pass_shift"]
+            self._pass_shift = state["pass_shift"]
             self.degrade_shifts_total = state["degrade_shifts_total"]
-            # .get(): checkpoints written before it was kept.
-            self._shifted_this_epoch = state.get("shifted_this_epoch", False)
+            self._shifted_this_epoch = state["shifted_this_epoch"]
 
     # -- aggregate views ------------------------------------------------------------
 
@@ -832,21 +770,6 @@ class RecordWalk:
                     run.append(extra)
             elif kind == EV_SHIFT:
                 collector.apply_shift(payload)
-            elif kind == EV_OP:
-                # Collected at ingest: a record restored from a
-                # checkpoint of the sharded journal.
-                if extra:
-                    run.append(extra)
-                self.run_ops += 1
-                window.observe_operations(1)
-                self.events += 1
-                self.clock = ticket
-            else:
-                # EV_ELIDED, from such a checkpoint too: elided
-                # operations, then begin/commit events.
-                window.observe_operations(payload)
-                self.events += payload + (extra or 0)
-                self.clock = ticket
             self.consumed += 1
             if self.run_ops >= size:
                 flush()

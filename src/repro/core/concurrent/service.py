@@ -73,9 +73,9 @@ from dataclasses import asdict, replace
 from typing import Iterable, Sequence
 
 from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
-                                             EV_OP, EV_OPS, EV_SHIFT,
+                                             EV_OPS, EV_SHIFT,
                                              JournaledCollector, RecordWalk)
-from repro.core.config import DEFAULT_BATCH_SIZE, RushMonConfig
+from repro.core.config import RushMonConfig
 from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
 from repro.core.monitor import WindowTracker
@@ -84,20 +84,6 @@ from repro.core.types import AnomalyReport, BuuId, CycleCounts, Key, Operation
 from repro.obs.instrument import instrument_detector
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import wal
-
-#: Service tunables a checkpoint's ``"service"`` dict may carry;
-#: :meth:`RushMonService.restore` folds them into the config.
-_SERVICE_KNOBS = (
-    "num_shards",
-    "detect_interval",
-    "journal_capacity",
-    "overflow",
-    "block_timeout",
-    "max_restarts",
-    "restart_backoff",
-    "max_backoff",
-    "batch_size",
-)
 
 _log = logging.getLogger(__name__)
 
@@ -216,7 +202,6 @@ class RushMonService:
         #: carried inside checkpoints so it shares their atomicity —
         #: either the whole cut (service + extra) persists, or none.
         self.extra_state: dict = {}
-        self._record_trace = record_trace
         if record_trace:
             from repro.sim.traces import Trace
 
@@ -620,8 +605,6 @@ class RushMonService:
                 trace.begins.append((payload, ticket))
             elif kind == EV_COMMIT:
                 trace.commits.append((payload, ticket))
-            elif kind == EV_OP:
-                trace.ops.append(payload._replace(seq=ticket))
 
     def close_window(self, now: int | None = None) -> AnomalyReport | None:
         """Synchronously run one detection pass, closing the current
@@ -671,18 +654,7 @@ class RushMonService:
         with self._pass_lock:
             payload = {
                 "config": asdict(self.config),
-                "service": {
-                    "num_shards": self.config.num_shards,
-                    "detect_interval": self.detect_interval,
-                    "journal_capacity": self.collector.journal_capacity,
-                    "overflow": self.collector.overflow,
-                    "block_timeout": self.collector.block_timeout,
-                    "max_restarts": self.max_restarts,
-                    "restart_backoff": self.restart_backoff,
-                    "max_backoff": self.max_backoff,
-                    "record_trace": self._record_trace,
-                    "batch_size": self.batch_size,
-                },
+                "record_trace": self._trace is not None,
                 "collector": self.collector.snapshot_state(),
                 "detector": wal.encode_detector_state(self.detector),
                 "window": wal.encode_window_state(self._window),
@@ -718,29 +690,16 @@ class RushMonService:
         run over the same event stream.  The returned service is *not*
         started — call :meth:`start` (or drive it inline)."""
         payload = wal.load_checkpoint(path)
-        saved = payload["service"]
-        # Older checkpoints carried the service tunables in a separate
-        # "service" dict; since they moved into RushMonConfig, fold them
-        # back into the config (the separate dict always wins — it is
-        # what the snapshotted service actually ran with).  .get():
-        # pre-batching checkpoints lack batch_size.
-        cfg_dict = dict(payload["config"])
-        for knob in _SERVICE_KNOBS:
-            if knob in saved:
-                cfg_dict[knob] = saved[knob]
-        cfg_dict.setdefault("batch_size", DEFAULT_BATCH_SIZE)
-        # Options retired since the checkpoint was written: the columnar
-        # switch, the cluster's fixed snapshot cadence and the server's
-        # event-loop pool size (the server runs one loop thread).
-        for retired in ("columnar", "snapshot_interval", "loop_threads"):
-            cfg_dict.pop(retired, None)
         # Checkpointing is re-armed by restore()'s own arguments, not by
         # whatever schedule the snapshotted service had.
-        cfg_dict["checkpoint_path"] = checkpoint_path
-        cfg_dict["checkpoint_interval"] = checkpoint_interval
+        config = RushMonConfig(**{
+            **payload["config"],
+            "checkpoint_path": checkpoint_path,
+            "checkpoint_interval": checkpoint_interval,
+        })
         service = cls(
-            RushMonConfig(**cfg_dict),
-            record_trace=saved["record_trace"],
+            config,
+            record_trace=payload["record_trace"],
             faults=faults,
             metrics=metrics,
         )
@@ -755,10 +714,9 @@ class RushMonService:
         service.processed_events = payload["processed_events"]
         service.passes = payload["passes"]
         service._last_checkpoint_pass = service.passes
-        if service._trace is not None and payload["trace"] is not None:
+        if service._trace is not None:
             wal.decode_trace(service._trace, payload["trace"])
-        # .get(): pre-net checkpoints lack the key.
-        service.extra_state = payload.get("extra", {})
+        service.extra_state = payload["extra"]
         return service
 
     # -- consumer-side views ---------------------------------------------------

@@ -41,9 +41,11 @@ import threading
 from typing import Iterable, Sequence
 
 from repro.core.collector import CollectorShard, ItemSampler
-from repro.core.concurrent.journaled import EV_OP
 from repro.core.frontier import key_partition
 from repro.core.types import Edge, EdgeStats, Key, Operation
+
+#: The journal's one record kind: ``(ticket, EV_OP, op, edges)``.
+EV_OP = "op"
 
 
 class ShardJournal:

@@ -97,8 +97,9 @@ class RushMonClient:
         the batch's events, advance the sequence, count the loss).
     on_backpressure:
         Reaction to a ``backpressure`` server error: ``"block"``
-        (pause, then resend the same sequence — the server resumes from
-        its recorded partial offset) or ``"shed"`` (as above).
+        (pause, then resend the same sequence — a refused batch
+        ingested nothing, so the resend is the whole batch) or
+        ``"shed"`` (as above).
     codec:
         ``protocol.CODEC_JSON`` (default) or ``protocol.CODEC_COLUMNAR``
         (packed column batches: 21 bytes per event, one ``struct``

@@ -229,14 +229,8 @@ class RushMonServer:
         # the crux of the no-loss/no-double-count guarantee.
         self._ingest_lock = threading.Lock()
         restored = service.extra_state.get(_EXTRA_KEY, {})
-        #: session id -> [high_seq, resume_offset].  The offset is
-        #: nonzero only in a session table restored from a checkpoint of
-        #: a server that ingested frames in parts: the resend of batch
-        #: high+1 is ingested from there, once.
-        self._sessions: dict[str, list[int]] = {
-            sid: list(entry) for sid, entry in
-            restored.get("sessions", {}).items()
-        }
+        #: session id -> highest batch sequence ingested.
+        self._sessions: dict[str, int] = dict(restored.get("sessions", {}))
         #: lifetime wire stats — survive restore so chaos accounting can
         #: reconcile across server incarnations.
         self.stats: dict[str, int] = {
@@ -246,9 +240,7 @@ class RushMonServer:
         self.stats.update(restored.get("stats", {}))
         #: per-session high-water covered by the last checkpoint: a
         #: replayed batch at or below it can be re-acked immediately.
-        self._durable_high: dict[str, int] = {
-            sid: entry[0] for sid, entry in self._sessions.items()
-        }
+        self._durable_high: dict[str, int] = dict(self._sessions)
         #: session id -> last activity (hello or batch), for TTL
         #: eviction; restored sessions start their idle clock now.
         self._session_seen: dict[str, float] = {
@@ -342,8 +334,7 @@ class RushMonServer:
     def session_high(self, session: str) -> int:
         """The in-memory high-water sequence for ``session`` (0 if new)."""
         with self._ingest_lock:
-            entry = self._sessions.get(session)
-            return entry[0] if entry else 0
+            return self._sessions.get(session, 0)
 
     def drain(self) -> None:
         """Graceful shutdown: stop accepting, flush acknowledgements,
@@ -447,11 +438,10 @@ class RushMonServer:
                 return False
             conn.session = session
             with self._ingest_lock:
-                entry = self._sessions.setdefault(session, [0, 0])
+                high = self._sessions.setdefault(session, 0)
                 self._session_seen[session] = time.monotonic()
-                if message.get("resume", 0) or entry[0]:
+                if message.get("resume", 0) or high:
                     self.reconnect_hellos_total += 1
-                high = entry[0]
             try:
                 conn.send(protocol.welcome(session, high,
                                            self.service.health))
@@ -541,8 +531,7 @@ class RushMonServer:
         """
         self.stats["batches_received"] += 1
         self._session_seen[session] = time.monotonic()
-        entry = self._sessions.setdefault(session, [0, 0])
-        high, offset = entry
+        high = self._sessions.setdefault(session, 0)
         if seq <= high:
             # Replay of an already-ingested batch: count it, never
             # re-ingest.  If a checkpoint already covers it the ack
@@ -574,19 +563,18 @@ class RushMonServer:
                 retriable=False, seq=seq,
             )
         # Operations on items outside the monitor's sample are dropped
-        # while decoding, when the collector says that is sound.  A
-        # restored resume offset indexes the *unfiltered* event list.
-        chosen = None if offset else self.service.collector.prefilter()
+        # while decoding, when the collector says that is sound.
         try:
-            events = protocol.decode_events(message.get("events", []),
-                                            chosen)
+            events = protocol.decode_events(
+                message.get("events", []),
+                self.service.collector.prefilter())
         except ProtocolError as exc:
             return False, protocol.error(
                 "bad-frame", f"malformed batch events: {exc}",
                 retriable=False, seq=seq,
             )
         try:
-            ingested = self._ingest_locked(events[offset:])
+            ingested = self._ingest_locked(events)
         except JournalBackpressure as exc:
             conn.refused_high = max(conn.refused_high, seq)
             return True, protocol.error(
@@ -598,8 +586,7 @@ class RushMonServer:
                 "draining", "the service refused the batch (stopped or "
                 "failing); replay it", retriable=True, seq=seq,
             )
-        entry[0] = seq
-        entry[1] = 0
+        self._sessions[session] = seq
         self.stats["batches_accepted"] += 1
         self.stats["events_ingested"] += ingested
         self._m_events.inc(ingested)
@@ -645,14 +632,11 @@ class RushMonServer:
         """Checkpoint the service with the session table embedded;
         caller holds the ingest lock, so the cut is batch-consistent."""
         self.service.extra_state = {_EXTRA_KEY: {
-            "sessions": {sid: list(entry)
-                         for sid, entry in self._sessions.items()},
+            "sessions": dict(self._sessions),
             "stats": dict(self.stats),
         }}
         self.service.checkpoint(self.checkpoint_path)
-        self._durable_high = {
-            sid: entry[0] for sid, entry in self._sessions.items()
-        }
+        self._durable_high = dict(self._sessions)
 
     def _commit_locked(
         self, force: bool = False,
@@ -739,7 +723,7 @@ class RushMonServer:
                     continue
                 if now - self._session_seen.get(sid, now) < self.session_ttl:
                     continue
-                high = self._sessions[sid][0]
+                high = self._sessions[sid]
                 if self.checkpoint_path is not None \
                         and high > self._durable_high.get(sid, 0):
                     continue  # not yet checkpointed: keep until durable

@@ -38,8 +38,9 @@ from repro.core.types import (
 
 #: Format tag stamped into every checkpoint file.
 CHECKPOINT_FORMAT = "rushmon-checkpoint"
-#: Bump on any incompatible payload change.
-CHECKPOINT_VERSION = 1
+#: Bump on any payload change: a file of any other version is refused,
+#: never read through a shim (``tests/test_checkpoint.py`` pins the shape).
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -216,7 +217,6 @@ def encode_detector_state(detector) -> dict:
         "present": sorted(graph.present),
         "starts": [[buu, t] for buu, t in graph.starts.items()],
         "commits": [[buu, t] for buu, t in graph.commits.items()],
-        "alive": sorted(graph.alive),
         "edge_count": graph.edge_count,
         "counts": _encode_counts(detector.counts),
         "patterns": _encode_patterns(detector.patterns),
@@ -224,9 +224,6 @@ def encode_detector_state(detector) -> dict:
         "prune_passes": detector.prune_passes,
         "edges_refused": detector.edges_refused,
         "pruner_removed_total": 0 if pruner is None else pruner.removed_total,
-        "pruner_removed_by_strategy": (
-            {} if pruner is None else pruner.removed_by_strategy()
-        ),
     }
 
 
@@ -247,22 +244,13 @@ def decode_detector_state(detector, state: dict) -> None:
             f"detector state lists {graph.edge_count} distinct edges but "
             f"records edge_count={state['edge_count']}"
         )
-    # Documents written before commit() dropped a BUU's start carry one
-    # entry per BUU ever begun, and those written before begin() dropped
-    # a stale commit time list one for an alive BUU that began again:
-    # only the alive starts and the other BUUs' commits are state.
-    alive = set(state["alive"])
-    graph.starts = {buu: t for buu, t in state["starts"] if buu in alive}
-    graph.commits = {buu: t for buu, t in state["commits"]
-                     if buu not in alive}
+    graph.starts = dict(state["starts"])
+    graph.commits = dict(state["commits"])
     detector.counts = _decode_counts(state["counts"])
     detector.patterns = _decode_patterns(state["patterns"])
     detector._edges_since_prune = state["edges_since_prune"]
     detector.prune_passes = state["prune_passes"]
-    # .get(): documents written before the detector refused edges.
-    detector.edges_refused = state.get("edges_refused", 0)
-    # Only the total is restored: a pruner has no sub-pruners to take a
-    # split (an older "both" listed ECT's and distance's shares).
+    detector.edges_refused = state["edges_refused"]
     if detector.pruner is not None:
         detector.pruner.removed_total = state["pruner_removed_total"]
 
@@ -316,7 +304,7 @@ def decode_report(state: dict) -> AnomalyReport:
         operations=state["operations"],
         patterns=state["patterns"],
         health=state["health"],
-        degraded_shards=tuple(state.get("degraded_shards", ())),
+        degraded_shards=tuple(state["degraded_shards"]),
     )
 
 

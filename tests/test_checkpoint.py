@@ -12,14 +12,19 @@ import os
 import random
 import subprocess
 import sys
+import time
+from dataclasses import fields
 
 import pytest
 
 from repro.core.concurrent import RushMonService
+from repro.core.concurrent import journaled
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor
 from repro.core.types import Operation, OpType
-from repro.storage.wal import CheckpointError, load_checkpoint, save_checkpoint
+from repro.storage.wal import (CHECKPOINT_VERSION, CheckpointError,
+                               load_checkpoint, save_checkpoint)
+from repro.testing import Fault, FaultInjector
 
 
 def _stream(count, num_keys, seed, buus=40):
@@ -281,3 +286,70 @@ def test_save_checkpoint_is_atomic(tmp_path):
     save_checkpoint(path, {"generation": 2})
     assert load_checkpoint(path) == {"generation": 2}
     assert list(tmp_path.iterdir()) == [path]
+
+
+#: The checkpoint format ``CHECKPOINT_VERSION`` names.  No reader exists
+#: for any other shape, so a change to these keys without a version bump
+#: would surface only when a restart restores an older build's file.
+FORMAT_PIN = {
+    "version": 2,
+    "payload": {"config", "record_trace", "collector", "detector", "window",
+                "reports", "clock", "processed_events", "passes", "trace",
+                "extra"},
+    "collector": {"next_ticket", "elided", "ops_seen", "lifecycle_offered",
+                  "journal_highwater", "shed", "shed_sampled",
+                  "degrade_shift", "pass_shift", "degrade_shifts_total",
+                  "shifted_this_epoch", "sampler", "shard", "lifecycle",
+                  "journal"},
+    "detector": {"labels", "present", "starts", "commits", "edge_count",
+                 "counts", "patterns", "edges_since_prune", "prune_passes",
+                 "edges_refused", "pruner_removed_total"},
+    "window": {"raw", "edges", "ops", "window_start", "pattern_snapshot"},
+    "record_kinds": {"ops", "begin", "commit", "shift", "edges"},
+}
+
+
+def test_the_checkpoint_format_is_pinned_to_its_version(tmp_path):
+    bump = ("the checkpoint format changed: bump CHECKPOINT_VERSION in "
+            "repro/storage/wal.py and update FORMAT_PIN here")
+    config = RushMonConfig(sampling_rate=1, mob=False, seed=3)
+    svc = RushMonService(config, record_trace=True)
+    _feed(svc, _stream(120, 8, seed=5))
+    svc.close_window()
+    _feed(svc, _stream(40, 8, seed=6, buus=4))
+    path = svc.checkpoint(str(tmp_path / "pin.ckpt"))
+    payload = load_checkpoint(path)
+    assert CHECKPOINT_VERSION == FORMAT_PIN["version"], bump
+    assert set(payload) == FORMAT_PIN["payload"], bump
+    assert set(payload["config"]) == {f.name for f in fields(RushMonConfig)}
+    for part in ("collector", "detector", "window"):
+        assert set(payload[part]) == FORMAT_PIN[part], (part, bump)
+    assert {record[1] for record in payload["collector"]["journal"]} <= \
+        FORMAT_PIN["record_kinds"], bump
+    kinds = {value for name, value in vars(journaled).items()
+             if name.startswith("EV_")}
+    assert kinds == FORMAT_PIN["record_kinds"], bump
+
+
+def test_a_tripped_breaker_leaves_no_shed_policy_in_its_checkpoint(tmp_path):
+    """The breaker switches a degraded service's collector to shed on
+    overflow; that is the dead detector's state, not the configuration.
+    The checkpoint ``stop()`` writes restores a healthy service that
+    blocks as configured."""
+    path = str(tmp_path / "tripped.ckpt")
+    faults = FaultInjector().inject(
+        Fault("detect.pass", kind="exception", times=None))
+    config = RushMonConfig(sampling_rate=1, mob=False, seed=3,
+                           detect_interval=0.002, max_restarts=0,
+                           journal_capacity=64, checkpoint_path=path)
+    svc = RushMonService(config, faults=faults).start()
+    _feed(svc, _stream(30, 8, seed=2, buus=4))
+    deadline = time.monotonic() + 10.0
+    while not svc.degraded and time.monotonic() < deadline:
+        time.sleep(0.002)
+    assert svc.degraded and svc.collector.overflow == "shed"
+    svc.stop()
+    restored = RushMonService.restore(path)
+    assert restored.health == "ok"
+    assert restored.config.overflow == restored.collector.overflow == "block"
+    assert restored.collector.journal_depth == svc.collector.journal_depth

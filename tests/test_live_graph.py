@@ -8,14 +8,12 @@ invariants after every kind of mutation (edge inserts, arbitrary
 batch of one, every ingestion path counting what the dict-only layout
 counted (a brute-force recount over that layout), each triangle shape,
 the intern table's bound, the lifetime tables staying as small as the
-alive set, checkpoints keeping the dict-only layout's bytes, and a
-checkpoint written before this layout restoring into it and evolving
-exactly like an uninterrupted run.
+alive set, and checkpoints keeping the dict-only layout's bytes and
+restoring into this layout, then evolving like an uninterrupted run.
 """
 
 import hashlib
 import json
-import os
 from collections import Counter
 
 import pytest
@@ -40,18 +38,6 @@ from tests.test_checkpoint import _feed
 from tests.test_sampled_journal import _assert_matches_serial, _config, _events
 
 KINDS = (EdgeType.WR, EdgeType.RW, EdgeType.WW)  # the intern tables' order
-
-#: Written by the commit before the adjacency carried the label dicts
-#: (tuple-keyed ``labels`` table, ``starts`` never trimmed):
-#: ``_events(3000, num_keys=16)`` up to the operation with ``seq ==
-#: 1800``, fed per op into ``RushMonService(_config(1,
-#: prune_interval=200))``, with one ``close_window()`` 300 events before
-#: the cut so that the detector holds a dense graph (35 vertices, alive
-#: and committed; 267 edges over 223 pairs, 42 of them with parallel
-#: labels; 8 prune passes) and the journal 300 pending records.
-PARENT_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
-                                 "checkpoint_detector_sr1.wal")
-
 
 def assert_graph_invariants(graph: LiveGraph,
                             present_at_commit=None) -> None:
@@ -411,8 +397,8 @@ def test_detector_state_lists_starts_of_alive_buus_only():
         if buu % 5:
             det.commit_buu(buu, buu + 1)
     state = encode_detector_state(det)
-    assert sorted(buu for buu, _ in state["starts"]) == state["alive"] == \
-        list(range(0, 50, 5))
+    assert sorted(buu for buu, _ in state["starts"]) == list(range(0, 50, 5))
+    assert "alive" not in state  # the keys of "starts"
 
 
 # -- the durable form ---------------------------------------------------------
@@ -457,16 +443,18 @@ def test_checkpoints_keep_the_dict_only_bytes_and_restore_then_continue():
     assert {type(labels) for row in det.graph.out.values()
             for labels in row.values()} == {tuple, dict}
     state = encode_detector_state(det)
-    # The digest was taken while "both" ran ECT then distance, so its
-    # split also named ECT's share, 0 on this stream; "both" is the
-    # distance pass now, and every other byte is unchanged.
-    split = state["pruner_removed_by_strategy"]
-    assert split == {"distance": state["pruner_removed_total"]}
-    state["pruner_removed_by_strategy"] = {**split, "ect": 0}
-    body = json.dumps(state, sort_keys=True)
+    # The digest was taken by checkpoint format 1, which also stored
+    # "alive" (the keys of "starts") and the pruner's split by strategy
+    # (with ECT's share, 0 on this stream, while "both" ran ECT then
+    # distance); every other byte is unchanged.
+    total = state["pruner_removed_total"]
+    assert det.pruner.removed_by_strategy() == {"distance": total}
+    written = {**state, "alive": sorted(buu for buu, _ in state["starts"]),
+               "pruner_removed_by_strategy": {"distance": total, "ect": 0}}
+    body = json.dumps(written, sort_keys=True)
     assert hashlib.sha256(body.encode()).hexdigest() == DICT_ONLY_STATE_SHA256
     restored = CycleDetector(make_pruner("both"), prune_interval=40)
-    decode_detector_state(restored, json.loads(body))
+    decode_detector_state(restored, json.loads(json.dumps(state)))
     assert_graph_invariants(restored.graph)
     _replay([det, restored], collector, events[600:])
     # the dict-only layout's counts for the uninterrupted stream
@@ -513,30 +501,31 @@ def test_detector_state_with_a_wrong_edge_count_is_refused():
         decode_detector_state(CycleDetector(make_pruner("both")), state)
 
 
-def test_parent_checkpoint_restores_and_evolves_like_an_uninterrupted_run():
+def test_a_restored_service_evolves_like_an_uninterrupted_run(tmp_path):
+    """A dense graph (alive and committed vertices, parallel labels,
+    prune passes) and 300 pending journal events, checkpointed: the
+    restored service and the one that wrote it, fed the rest, end with
+    the same graph, prune passes and counts, and those of the serial
+    monitor."""
     events = _events(3000, num_keys=16)
     split = next(i for i, (kind, payload) in enumerate(events)
                  if kind == "op" and payload.seq == 1800)
     config = _config(1, prune_interval=200)
-
-    restored = RushMonService.restore(PARENT_CHECKPOINT)
-    graph = restored.detector.graph
-    assert_graph_invariants(graph)
-    assert (graph.num_vertices(), graph.num_edges()) == (35, 267)
-    assert sum(1 for _, _, labels in graph.edges() if len(labels) > 1) == 42
-    assert graph.alive & graph.present and graph.present - graph.alive
-    assert graph.starts.keys() == graph.alive  # the document lists 163
-    assert restored.detector.prune_passes == 8
-    assert restored.collector.journal_depth == 300
-
     whole = RushMonService(config)
     _feed(whole, events[:split - 300])
     whole.close_window()
     _feed(whole, events[split - 300:split])
+    restored = RushMonService.restore(whole.checkpoint(
+        str(tmp_path / "dense.wal")))
+    graph = restored.detector.graph
+    assert_graph_invariants(graph)
+    assert any(len(labels) > 1 for _, _, labels in graph.edges())
+    assert graph.alive & graph.present and graph.present - graph.alive
+    assert restored.detector.prune_passes
+    assert restored.collector.journal_depth == 300
     for service in (whole, restored):
         _feed(service, events[split:])
         service.close_window()
-
     serial = RushMon(config)
     _feed(serial, events)
     serial.close_window()
@@ -545,9 +534,5 @@ def test_parent_checkpoint_restores_and_evolves_like_an_uninterrupted_run():
     assert sorted(a.graph.edges()) == sorted(b.graph.edges())
     assert a.graph.present == b.graph.present
     assert a.prune_passes == b.prune_passes
-    # The document's total includes the two vertices the parent build
-    # resurrected before the cut (its ECT half removed them again); this
-    # build refuses the edges that did it, so the totals differ by
-    # exactly those.
-    assert a.pruner.removed_total == b.pruner.removed_total + 2
+    assert a.pruner.removed_total == b.pruner.removed_total
     assert a.patterns.counts == b.patterns.counts

@@ -1084,41 +1084,6 @@ def test_a_refused_frame_ingests_nothing_and_its_resend_is_whole(
     assert predicates and None not in predicates
 
 
-@pytest.mark.parametrize("codec", (protocol.CODEC_JSON,
-                                   protocol.CODEC_COLUMNAR))
-def test_a_resume_offset_in_an_older_checkpoint_is_honoured_once(
-        tmp_path, codec):
-    """A server that fed a frame in parts checkpointed a refused batch's
-    ingested prefix as the session entry ``[high, offset]``.  Restored,
-    the resend of batch ``high + 1`` ingests only ``events[offset:]``;
-    after it the offset is gone."""
-    path = str(tmp_path / "older.ckpt")
-    service = _sampled_service(20, detect_interval=60.0)
-    service.extra_state = {"net": {
-        "sessions": {"old": [1, 3]},
-        "stats": {"batches_accepted": 1, "batches_received": 2,
-                  "dedup_hits": 0, "events_ingested": 13}}}
-    service.checkpoint(path)
-    restored = RushMonService.restore(path)
-    ops = [Operation(OpType.WRITE, 1, key, i) for i, key in enumerate(
-        list(range(4)) + _unchosen_keys(restored, 6))]
-    records = protocol.encode_events(ops)
-    with RushMonServer(restored) as server:
-        client = _CodecClient(server.port, "old", codec)
-        client.seq = 1
-        assert client.batch(records) == protocol.ack("old", 2)
-        assert server.stats["events_ingested"] == 13 + len(ops) - 3
-        assert restored.collector.ops_seen == len(ops) - 3
-        client.seq = 1                       # a replay dedups
-        assert client.batch(records) == protocol.ack("old", 2)
-        assert client.batch(records) == protocol.ack("old", 3)
-        client.close()
-        assert server.stats["events_ingested"] == 13 + 2 * len(ops) - 3
-        assert server.stats["dedup_hits"] == 1
-    assert restored.collector.ops_seen == 2 * len(ops) - 3
-    assert restored.processed_events == 2 * len(ops) - 3
-
-
 # -- durability plumbing -------------------------------------------------------
 
 
@@ -1136,7 +1101,7 @@ def test_session_table_rides_in_the_checkpoint(tmp_path):
     restored = RushMonService.restore(path)
     net = restored.extra_state["net"]
     accepted = net["stats"]["batches_accepted"]
-    assert net["sessions"]["durable-sess"] == [accepted, 0]
+    assert net["sessions"]["durable-sess"] == accepted
     assert accepted >= 8  # 128 events, batches of at most 16
     assert net["stats"]["events_ingested"] == 128
     assert restored.counts() == service.counts()
@@ -1160,7 +1125,7 @@ def test_durable_acks_only_after_checkpoint(tmp_path):
                 protocol.encode_events(_ops(5, 4, seed=seq))))
             assert raw.recv() == protocol.ack("sess-e", seq)
             on_disk = RushMonService.restore(path)
-            assert on_disk.extra_state["net"]["sessions"]["sess-e"][0] == seq
+            assert on_disk.extra_state["net"]["sessions"]["sess-e"] == seq
         raw.close()
 
 
@@ -1190,7 +1155,7 @@ def test_quiet_stream_is_acked_by_the_loop_commit_tick(tmp_path):
         assert raw.recv(timeout=0.5) == protocol.ack("sess-q", 1)
         assert time.monotonic() - sent < 0.5
         on_disk = RushMonService.restore(path)
-        assert on_disk.extra_state["net"]["sessions"]["sess-q"][0] == 1
+        assert on_disk.extra_state["net"]["sessions"]["sess-q"] == 1
         raw.close()
     finally:
         server.drain()

@@ -15,6 +15,8 @@ differential runs at ``sr=1``, where nothing is ever elided):
 
 import itertools
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -34,14 +36,15 @@ from tests.test_checkpoint import _feed as _feed_per_op
 
 SAMPLING_RATES = (4, 20)
 
-#: Written by the commit before sampling moved ahead of the journal:
-#: ``_events(1000)`` up to the operation with ``seq == 500``, fed per op
-#: into ``RushMonService(RushMonConfig(sampling_rate=20, mob=False,
-#: seed=3, num_shards=4))`` and checkpointed before any drain, so its
-#: pending journal holds one ``op`` record per operation, collected at
-#: ingest by four key-hash shards.
-PARENT_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
-                                 "checkpoint_full_journal_sr20.wal")
+#: A checkpoint of format version 1, written by the commit before
+#: sampling moved ahead of the journal: ``_events(1000)`` up to the
+#: operation with ``seq == 500``, fed per op into
+#: ``RushMonService(RushMonConfig(sampling_rate=20, mob=False, seed=3,
+#: num_shards=4))`` and checkpointed before any drain (its pending
+#: journal holds one ``op`` record per operation, collected at ingest by
+#: four key-hash shards).  This build refuses it.
+VERSION_1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
+                                    "checkpoint_full_journal_sr20.wal")
 
 
 def _events(num_ops, num_keys=48, active=12, ops_per_buu=10, seed=1,
@@ -757,29 +760,28 @@ def test_checkpoint_between_ingest_and_drain(tmp_path, feed):
     _assert_matches_serial(restored, serial, events)
 
 
-def test_full_journal_checkpoint_still_restores(tmp_path):
-    """A checkpoint from before this journal format — every operation a
-    pending ``op`` record, unsampled ones included — restores into a
-    sampled-only service and is consumed like any other journal.  Its
-    config also stores options retired since (``columnar``, and the
-    event-loop pool size ``loop_threads``): restore drops them, whatever
-    value they held."""
-    events = _events(1000)
-    serial = _serial(20, events)
-    split = next(i for i, (kind, payload) in enumerate(events)
-                 if kind == "op" and payload.seq == 500)
-    payload = wal.load_checkpoint(PARENT_CHECKPOINT)
-    assert payload["config"]["columnar"] is False
-    retired_paths = []
-    for loop_threads in (0, 2, 5):
-        payload["config"].update(columnar=True, loop_threads=loop_threads)
-        retired_paths.append(str(tmp_path / f"retired-{loop_threads}.wal"))
-        wal.save_checkpoint(retired_paths[-1], payload)
-    for path in (PARENT_CHECKPOINT, *retired_paths):
-        restored = RushMonService.restore(path)
-        assert not hasattr(restored.config, "loop_threads")
-        pending = restored.collector.journal_depth
-        assert pending == split  # one record per event: nothing was elided
-        _feed_per_op(restored, events[split:])
-        restored.close_window()
-        _assert_matches_serial(restored, serial, events)
+def test_a_version_1_checkpoint_is_refused_and_left_untouched(tmp_path):
+    """Format 1 has no reader: ``load_checkpoint``,
+    ``RushMonService.restore`` and ``serve --checkpoint`` refuse the file
+    by its version, naming both, and leave it as it was."""
+    for load in (wal.load_checkpoint, RushMonService.restore):
+        with pytest.raises(wal.CheckpointError) as refused:
+            load(VERSION_1_CHECKPOINT)
+        assert "has version 1" in str(refused.value)
+        assert "reads version 2" in str(refused.value)
+    copy = tmp_path / "v1.wal"
+    with open(VERSION_1_CHECKPOINT, "rb") as handle:
+        original = handle.read()
+    copy.write_bytes(original)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--checkpoint", str(copy)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1, proc.stderr
+    assert "has version 1" in errors[0] and "reads version 2" in errors[0]
+    assert "Traceback" not in proc.stderr
+    assert "listening" not in proc.stdout
+    assert copy.read_bytes() == original
