@@ -336,11 +336,12 @@ class SampledLifecycle:
 
     An edge only ever points at the BUU issuing the operation, so a BUU
     with no operation on a chosen item has no edge in either direction
-    and the detector need never hear of it.  ``RushMon``, the service's
-    detection pass and the cluster router offer their begins and commits
-    to the gate (:meth:`begin`, :meth:`commit`) and their operations to
-    :meth:`admit`; they differ only in the *sink* a delivered event goes
-    to (a detector, or per-worker buffers).  The contract:
+    and the detector need never hear of it.  The record walk (behind
+    ``RushMon`` and the service's detection pass) and the cluster router
+    offer their begins and commits to the gate (:meth:`begin`,
+    :meth:`commit`) and their operations to :meth:`admit`; they differ
+    only in the *sink* a delivered event goes to (a detector, or
+    per-worker buffers).  The contract:
 
     - **known.**  Only the begin of an id the sink never heard of is
       parked.  ``known`` holds every id whose begin or commit was
@@ -404,10 +405,9 @@ class SampledLifecycle:
             self.parked[buu] = start
         return True
 
-    def commit(self, buu: BuuId, time: int = 0) -> bool:
+    def commit(self, buu: BuuId) -> bool:
         """``True`` when ``buu`` is still parked: its begin and this
-        commit are both dropped.  ``False``: deliver the commit
-        (``time`` only gives both gates one signature)."""
+        commit are both dropped.  ``False``: deliver the commit."""
         if self.parked.pop(buu, None) is not None:
             self.elided += 2
             return True
@@ -803,13 +803,11 @@ class DataCentricCollector(Collector):
         If set, re-sample the chosen items every this many operations
         (§5.1, "reducing systematic variance").  Item states reset on each
         switch; the empty ``lastWrite`` acts as the warm-up phase.
-    begin_buu:
-        The sink of :attr:`lifecycle`, the admission gate
-        (:class:`SampledLifecycle`): where a promoted begin goes (the
-        detector's ``begin_buu``).  With it, and ``sampling_rate > 1``,
-        the gate parks the begins its owner offers and hands each over
-        ahead of its BUU's first operation on a chosen item; without it
-        nothing is ever parked.
+    engaged:
+        Whether :attr:`lifecycle`, the admission gate
+        (:class:`SampledLifecycle`), may park the begins its owner offers
+        (the serial :class:`~repro.core.monitor.RushMon`'s may; a cluster
+        worker's, behind its router's gate, may not).
     """
 
     def __init__(
@@ -820,7 +818,7 @@ class DataCentricCollector(Collector):
         seed: int = 0,
         resample_interval: int | None = None,
         mob_slots: int = 2,
-        begin_buu: Callable[[BuuId, int], None] | None = None,
+        engaged: bool = False,
     ) -> None:
         # The bookkeeping state lives in a single CollectorShard (the
         # counters the Collector base would set are properties here), so
@@ -833,8 +831,7 @@ class DataCentricCollector(Collector):
             self.sampler.materialize(items)
         self._resample_interval = resample_interval
         self._resample_epoch = 0
-        self.lifecycle = SampledLifecycle(self.sampler, begin_buu is not None)
-        self._begin_buu = begin_buu
+        self.lifecycle = SampledLifecycle(self.sampler, engaged)
         # Per-key-id DCS decision cache for the columnar kernel (see
         # :func:`repro.core.columnar.sample_mask`).
         self._mask_cache: dict = {}
@@ -880,20 +877,40 @@ class DataCentricCollector(Collector):
         self.ops_seen += 1
         edges: list[Edge] = []
         if self.sampler.chosen(op.key):
-            if self.lifecycle.parked:
-                self.lifecycle.promote((op,), self._begin_buu)  # type: ignore
             edges = self.shard.handle(op)
         if self._resample_interval and self.ops_seen % self._resample_interval == 0:
             self._switch_sample()
         return edges
 
+    def collect(self, ops: list[Operation],
+                begin: Callable[[BuuId, int], object]) -> EdgeColumns:
+        """One batch record's edges: the gate keeps the operations on
+        chosen items, handing ``begin`` each parked begin they promote,
+        and one fused :meth:`CollectorShard.handle_batch` derives them.
+        Under ``resample_interval`` they go one at a time through
+        :meth:`handle`, so the sample switches where per-op handling
+        switches it."""
+        if self._resample_interval:
+            edges = EdgeColumns()
+            gate, chosen = self.lifecycle, self.sampler.chosen
+            for op in ops:
+                if gate.parked and chosen(op[2]):
+                    gate.promote((op,), begin)
+                edges.extend(self.handle(op))
+            return edges
+        self.ops_seen += len(ops)
+        if self.sampler.sampling_rate != 1:
+            ops = self.lifecycle.admit(ops, begin)
+        return self.shard.handle_batch(ops)
+
     def handle_batch(self, ops: Iterable[Operation]) -> EdgeColumns | list[Edge]:
         """Batched ingest (the DCS fast path): an iterable of operations
         in, their edges out as one :class:`~repro.core.types.EdgeColumns`.
 
-        Admission (:meth:`SampledLifecycle.admit`) is one C-level probe
-        of the sampler's decision memo per operation, and the chosen
-        subsequence feeds the shard's fused loop in one call.
+        The sample is one C-level probe of the sampler's decision memo
+        per operation, and the chosen subsequence feeds the shard's
+        fused loop in one call.  The gate is not asked: an owner whose
+        gate parks collects through :meth:`collect`.
         Bit-identical to per-op :meth:`handle`; when periodic
         re-sampling is configured the batch falls back to the per-op
         path, and returns its ``list[Edge]``, so sample switches trigger
@@ -917,7 +934,8 @@ class DataCentricCollector(Collector):
             return self.handle_all(ops)
         self.ops_seen += len(ops)
         if self.sampler.sampling_rate != 1:
-            ops = self.lifecycle.admit(ops, self._begin_buu)  # type: ignore
+            lookup = self.sampler.lookup
+            ops = [op for op in ops if lookup(op[2])]
         return self.shard.handle_batch(ops)
 
     def _handle_columnar(self, batch: OpBatch) -> EdgeBatch:

@@ -14,17 +14,18 @@ reserves one ticket per operation (at least one), so the operations of
 the recorded trace keep distinct, increasing stamps.
 
 The consumer — the service's detection pass, one thread at a time —
-drains the journal and walks it in ticket order (:class:`RecordWalk`):
-lifecycle records go to the admission gate, and each batch goes to
-:meth:`JournaledCollector.collect`, which is the serial
-:class:`~repro.core.monitor.RushMon`'s path — the gate's ``admit``, then
-one fused :meth:`CollectorShard.handle_batch` over the chosen
-operations.  Per-key bookkeeping order is ticket order, so the
-edges a service derives are those of a serial run over its serialized
-trace, and one :class:`~repro.core.collector.CollectorShard` seeded like
-the serial collector's makes even MOB's reservoir draws identical.  No
-item state is shared with a producer, so nothing but the journal is
-locked.
+drains the journal and walks it in ticket order (:class:`RecordWalk`,
+the loop the serial :class:`~repro.core.monitor.RushMon` walks its own
+record buffer with): lifecycle records go to the admission gate, and
+each batch goes to :meth:`JournaledCollector.collect` — the gate's
+``admit``, then one fused :meth:`CollectorShard.handle_batch` over the
+chosen operations, as in the serial monitor's
+:meth:`~repro.core.collector.DataCentricCollector.collect`.  Per-key
+bookkeeping order is ticket order, so the edges a service derives are
+those of a serial run over its serialized trace, and one
+:class:`~repro.core.collector.CollectorShard` seeded like the serial
+collector's makes even MOB's reservoir draws identical.  No item state
+is shared with a producer, so nothing but the journal is locked.
 
 Sampling before the journal
 ---------------------------
@@ -88,15 +89,17 @@ import random
 import threading
 import time
 import zlib
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.core.collector import (CollectorShard, ItemSampler,
                                   SampledLifecycle, _splitmix64)
 from repro.core.detector import LifecycleOrderError
-from repro.core.monitor import WindowTracker
 from repro.core.types import (BuuId, Edge, EdgeColumns, EdgeStats, EdgeType,
                               Key, Operation, OpType)
 from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:  # repro.core.monitor walks its buffer with RecordWalk
+    from repro.core.monitor import WindowTracker
 
 #: Record kinds.  ``(ticket, EV_OPS, ops, elided)``: a producer batch
 #: still to collect; ``(ticket, EV_BEGIN | EV_COMMIT, buu, time)``.
@@ -691,9 +694,10 @@ def _gather(parts: list) -> EdgeColumns:
 
 
 class RecordWalk:
-    """The one consumer of ticket-ordered records: the service's
-    detection pass walks its drained journal with it, and every cluster
-    worker its merged streams (:mod:`repro.cluster.worker`).
+    """The one consumer of ticket-ordered records.  Three callers walk
+    with it: the serial :class:`~repro.core.monitor.RushMon` its record
+    buffer, the service's detection pass its drained journal, and every
+    cluster worker its merged streams (:mod:`repro.cluster.worker`).
 
     A begin or commit goes to the admission gate (``collector.lifecycle``)
     and, unless it parks or drops it, to the detector, stamped with the
@@ -701,11 +705,12 @@ class RecordWalk:
     and, with its ``elided`` count, join the window's operations.  The
     edges of consecutive records form a *run*, fed to one
     :meth:`CycleDetector.add_edge_batch` through the window once it
-    spans ``batch_size`` collected operations, and before anything else
-    reaches the detector: a begin or commit (or one the gate promotes),
-    or an uncounted edge.  An ``EV_EDGES`` record's ``owner`` 0 joins
-    the run and 1 is inserted uncounted, so each cycle is counted once,
-    by the owner of its closing edge.
+    spans ``batch_size`` collected operations, at every begin or commit
+    record (delivered, parked or dropped alike), and before anything
+    else reaches the detector: a begin the gate promotes, or an
+    uncounted edge.  An ``EV_EDGES`` record's ``owner`` 0 joins the run
+    and 1 is inserted uncounted, so each cycle is counted once, by the
+    owner of its closing edge.
 
     ``consumed`` counts the records taken (a batch once collected, a
     begin or commit once the detector took it) and ``events`` the events
@@ -732,62 +737,82 @@ class RecordWalk:
         """Feed ``records`` (ascending tickets), then flush the run."""
         collector = self.collector
         gate = collector.lifecycle
+        # A gate that is not engaged parks nothing, so it is not asked.
+        engaged = gate.engaged
         window = self.window
         detector = window.detector
         uncounted = detector.add_edge_uncounted
         run = self.run
         flush = self.flush
         size = self.batch_size
-        for ticket, kind, payload, extra in records:
-            if kind == EV_OPS:
-                n = len(payload)
-                if n:
-                    edges = collector.collect(payload, self._begin)
-                    if edges:
-                        run.append(edges)
-                    self.run_ops += n
-                window.observe_operations(n + extra)
-                self.events += n + extra
-                self.clock = ticket + max(n - 1, 0)
-            elif kind == EV_BEGIN:
-                if not gate.begin(payload, extra):
-                    flush()
-                    detector.begin_buu(payload, extra)
-                self.events += 1
-                self.clock = ticket
-            elif kind == EV_COMMIT:
-                if not gate.commit(payload):
-                    flush()
-                    detector.commit_buu(payload, extra)
-                self.events += 1
-                self.clock = ticket
-            elif kind == EV_EDGES:
-                if payload:
-                    flush()
-                    for edge in extra:
-                        uncounted(edge)
-                else:
-                    run.append(extra)
-            elif kind == EV_SHIFT:
-                collector.apply_shift(payload)
-            self.consumed += 1
-            if self.run_ops >= size:
-                flush()
-        flush()
+        consumed, events, clock = self.consumed, self.events, self.clock
+        try:
+            for ticket, kind, payload, extra in records:
+                if kind == EV_BEGIN:
+                    if run:
+                        flush()
+                    if not (engaged and gate.begin(payload, extra)):
+                        detector.begin_buu(payload, extra)
+                    events += 1
+                    clock = ticket
+                elif kind == EV_COMMIT:
+                    if run:
+                        flush()
+                    if not (engaged and gate.commit(payload)):
+                        detector.commit_buu(payload, extra)
+                    events += 1
+                    clock = ticket
+                elif kind == EV_OPS:
+                    n = len(payload)
+                    if n:
+                        edges = collector.collect(payload, self._begin)
+                        if edges:
+                            run.append(edges)
+                        self.run_ops += n
+                        clock = ticket + n - 1
+                    else:
+                        clock = ticket
+                    window.observe_operations(n + extra)
+                    events += n + extra
+                    if self.run_ops >= size:
+                        # Taken before the run is fed: a feed that fails
+                        # hands back the edges, not the batch.
+                        consumed += 1
+                        flush()
+                        continue
+                elif kind == EV_EDGES:
+                    if payload:
+                        if run:
+                            flush()
+                        for edge in extra:
+                            uncounted(edge)
+                    else:
+                        run.append(extra)
+                elif kind == EV_SHIFT:
+                    collector.apply_shift(payload)
+                consumed += 1
+            flush()
+        finally:
+            self.consumed, self.events, self.clock = consumed, events, clock
 
     def _begin(self, buu: BuuId, start: int) -> None:
-        self.flush()
+        if self.run:
+            self.flush()
         self.window.detector.begin_buu(buu, start)
 
     def flush(self) -> None:
-        """Feed the run to the detector, window-attributed."""
+        """Feed the run to the detector, window-attributed: a run of one
+        columnar part as it is, anything else gathered into new
+        columns."""
         self.run_ops = 0
         run = self.run
         if not run:
             return
+        edges = run[0]
+        if len(run) > 1 or not isinstance(edges, EdgeColumns):
+            edges = _gather(run)
         try:
-            self.window.observe_edges(run[0] if len(run) == 1
-                                      else _gather(run))
+            self.window.observe_edges(edges)
         except LifecycleOrderError as late:
             if self.late is None:
                 self.late = late

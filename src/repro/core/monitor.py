@@ -1,7 +1,9 @@
 """The RushMon monitor facade and the offline baseline monitor.
 
-:class:`RushMon` wires a :class:`~repro.core.collector.DataCentricCollector`
-to a :class:`~repro.core.detector.CycleDetector` (with pruning) and exposes
+:class:`RushMon` buffers the stream it is fed as records and walks them
+(:class:`~repro.core.concurrent.journaled.RecordWalk`) through a
+:class:`~repro.core.collector.DataCentricCollector` into a
+:class:`~repro.core.detector.CycleDetector` (with pruning), and exposes
 windowed, estimator-corrected anomaly reports — the real-time monitor of
 Section 5.
 
@@ -20,9 +22,11 @@ branch on monitor flavour.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.collector import BaselineCollector, DataCentricCollector
+from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_OPS,
+                                             RecordWalk)
 from repro.core.config import RushMonConfig
 from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
@@ -31,7 +35,6 @@ from repro.core.types import (
     AnomalyReport,
     BuuId,
     CycleCounts,
-    Edge,
     EdgeColumns,
     EdgeStats,
     EdgeType,
@@ -41,7 +44,12 @@ from repro.core.types import (
 from repro.obs.instrument import instrument_serial_monitor
 from repro.obs.metrics import MetricsRegistry
 
-_EDGE_KIND = itemgetter(2)
+_SEQ = itemgetter(3)
+
+
+def _keep_all(key: Key) -> bool:
+    """The buffer's sample probe when every operation must be recorded."""
+    return True
 
 
 class WindowTracker:
@@ -67,18 +75,11 @@ class WindowTracker:
     def observe_operations(self, count: int) -> None:
         self.ops += count
 
-    def observe_edge(self, edge) -> None:
-        """Feed one collected edge to the detector, window-attributed."""
-        self.edges.record(edge.kind)
-        self.raw.add(self.detector.add_edge(edge))
-
-    def observe_edges(self, edges: EdgeColumns | Sequence[Edge]) -> None:
-        """Batched :meth:`observe_edge` (same counts, one detector call)
-        over an :class:`~repro.core.types.EdgeColumns` (a collector
-        batch) or a sequence of :class:`~repro.core.types.Edge` (the
-        per-op fallback a ``resample_interval`` collector takes).
-        The kinds are tallied with ``list.count``, an identity scan that
-        never calls the Python-level ``Enum.__hash__``.  A
+    def observe_edges(self, edges: EdgeColumns) -> None:
+        """Feed a run of collected edges to the detector in one batch,
+        window-attributed.  The kinds are tallied with ``list.count``, an
+        identity scan that never calls the Python-level
+        ``Enum.__hash__``.  A
         :class:`~repro.core.detector.LifecycleOrderError` passes through
         with the batch consumed and its cycles attributed; any other
         error from the detector leaves the window as it was, so the
@@ -90,8 +91,7 @@ class WindowTracker:
             counts = self.detector.add_edge_batch(edges)
         except LifecycleOrderError as error:
             late, counts = error, error.counts
-        kinds = (edges.kind if isinstance(edges, EdgeColumns)
-                 else list(map(_EDGE_KIND, edges)))
+        kinds = edges.kind
         stats = self.edges
         stats.wr += kinds.count(EdgeType.WR)
         stats.ww += kinds.count(EdgeType.WW)
@@ -150,6 +150,24 @@ class RushMon:
     >>> report = mon.close_window()
     >>> report.estimated_2  # the classic lost update: one 2-cycle
     1.0
+
+    The monitor is a record buffer and the
+    :class:`~repro.core.concurrent.journaled.RecordWalk` behind the
+    service's detection pass and every cluster worker.  A begin or
+    commit only appends ``(0, EV_BEGIN | EV_COMMIT, buu, time)`` (list
+    order is walk order, so the ticket slot holds 0).  An operation
+    joins the open ``EV_OPS`` record if one probe of the sample keeps
+    it, else bumps that record's ``elided`` count; under
+    ``resample_interval`` every operation joins.  A batch is appended
+    as one record and walked at once.  The buffer is also walked at
+    ``batch_size`` records or open operations and before every read of
+    state (:meth:`close_window`, :meth:`estimates`,
+    :meth:`cumulative_estimates`, :attr:`detector`, :attr:`collector`);
+    metrics gauges read the state of the last walk.  The ingest or close
+    call whose walk meets an operation fed after its BUU's commit
+    raises that :class:`~repro.core.detector.LifecycleOrderError` once
+    the walk is done; a read never raises, so the error waits for the
+    next call that walks.
     """
 
     def __init__(
@@ -158,25 +176,30 @@ class RushMon:
         items: Iterable[Key] | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self.config = config or RushMonConfig()
-        self.detector = CycleDetector(
-            pruner=make_pruner(self.config.pruning),
-            prune_interval=self.config.prune_interval,
-            count_three=self.config.count_three_cycles,
+        self.config = config = config or RushMonConfig()
+        self._detector = CycleDetector(
+            pruner=make_pruner(config.pruning),
+            prune_interval=config.prune_interval,
+            count_three=config.count_three_cycles,
         )
-        # Lifecycle follows the sample: the collector's gate parks each
-        # begin and hands it to the detector ahead of the BUU's first
-        # operation on a chosen item (nothing is parked at sampling_rate=1).
-        self.collector = DataCentricCollector(
-            sampling_rate=self.config.sampling_rate,
-            mob=self.config.mob,
+        self._collector = DataCentricCollector(
+            sampling_rate=config.sampling_rate,
+            mob=config.mob,
             items=items,
-            seed=self.config.seed,
-            resample_interval=self.config.resample_interval,
-            begin_buu=self.detector.begin_buu,
+            seed=config.seed,
+            resample_interval=config.resample_interval,
+            engaged=True,
         )
-        self._gate = self.collector.lifecycle
-        self._window = WindowTracker(self.detector)
+        self._window = WindowTracker(self._detector)
+        self._walker = RecordWalk(self._collector, self._window,
+                                  config.batch_size)
+        self._size = config.batch_size
+        self._records: list[tuple] = []
+        self._ops: list[Operation] = []
+        self._elided = 0
+        lookup = self._collector.sampler.lookup
+        self._keep = (lookup if config.sampling_rate > 1
+                      and not config.resample_interval else _keep_all)
         self._now = 0
         self.reports: list[AnomalyReport] = []
         # Observability is callback-only on the serial path (zero
@@ -185,72 +208,106 @@ class RushMon:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         instrument_serial_monitor(self.metrics, self)
 
-    # -- BUU lifecycle -------------------------------------------------------
+    # -- ingestion: append, walk a batch ---------------------------------------
 
-    # A gate that is not engaged parks nothing, so it is asked only when
-    # engaged: a begin or commit then reaches the detector in two calls.
+    # A shared helper would add a call to every lifecycle event.  Only a
+    # commit checks the buffer's bound: every BUU that begins commits.
 
     def begin_buu(self, buu: BuuId, start_time: int | None = None) -> None:
         if start_time is None:
             start_time = self._now
         elif start_time > self._now:
             self._now = start_time
-        gate = self._gate
-        if not (gate.engaged and gate.begin(buu, start_time)):
-            self.detector.begin_buu(buu, start_time)
+        if self._ops:
+            self._seal()
+        self._records.append((0, EV_BEGIN, buu, start_time))
 
     def commit_buu(self, buu: BuuId, commit_time: int | None = None) -> None:
         if commit_time is None:
             commit_time = self._now
         elif commit_time > self._now:
             self._now = commit_time
-        gate = self._gate
-        if not (gate.engaged and gate.commit(buu)):
-            self.detector.commit_buu(buu, commit_time)
-
-    def _time(self, explicit: int | None) -> int:
-        if explicit is not None:
-            self._now = max(self._now, explicit)
-            return explicit
-        return self._now
-
-    # -- operation ingestion ---------------------------------------------------
+        if self._ops:
+            self._seal()
+        records = self._records
+        records.append((0, EV_COMMIT, buu, commit_time))
+        if len(records) >= self._size:
+            self._walk_and_raise()
 
     def on_operation(self, op: Operation) -> None:
         """Observe one read/write in its storage visibility order."""
-        self._now = max(self._now, op.seq)
-        self._window.observe_operations(1)
-        for edge in self.collector.handle(op):
-            self._window.observe_edge(edge)
+        if op[3] > self._now:
+            self._now = op[3]
+        if self._keep(op[2]):
+            ops = self._ops
+            ops.append(op)
+            if len(ops) >= self._size:
+                self._walk_and_raise()
+        else:
+            self._elided += 1
 
     def on_operations(self, ops: Iterable[Operation]) -> None:
-        """Batched :meth:`on_operation`: one fused collector pass, one
-        detector batch.  Identical counts to per-op ingestion (collector
-        state never depends on detector state, per-key edge order is
-        preserved, and windows only close on explicit
-        :meth:`close_window` calls)."""
+        """Batched :meth:`on_operation`: one record, walked at once — one
+        fused collector pass, one detector batch, the same counts."""
         if not isinstance(ops, (list, tuple)):
             ops = list(ops)
         if not ops:
             return
-        edges = self.collector.handle_batch(ops)
-        now = self._now
-        for op in ops:
-            if op.seq > now:
-                now = op.seq
-        self._now = now
-        self._window.observe_operations(len(ops))
-        self._window.observe_edges(edges)
+        last = max(map(_SEQ, ops))
+        if last > self._now:
+            self._now = last
+        if self._ops:
+            self._seal()
+        self._records.append((0, EV_OPS, ops, 0))
+        self._walk_and_raise()
+
+    def _seal(self) -> None:
+        # Elided operations never reach the collector: count them here.
+        self._records.append((0, EV_OPS, self._ops, self._elided))
+        self._collector.ops_seen += self._elided
+        self._ops = []
+        self._elided = 0
+
+    def _walk(self) -> None:
+        """Walk the buffer; a record the walk raises on goes with it."""
+        if self._ops or self._elided:
+            self._seal()
+        elif not self._records:
+            return
+        walker = self._walker
+        try:
+            walker.walk(self._records)
+        finally:
+            del self._records[:walker.consumed + 1]
+            walker.consumed = 0
+
+    def _walk_and_raise(self) -> None:
+        self._walk()
+        late, self._walker.late = self._walker.late, None
+        if late is not None:
+            raise late
+
+    @property
+    def detector(self) -> CycleDetector:
+        self._walk()
+        return self._detector
+
+    @property
+    def collector(self) -> DataCentricCollector:
+        self._walk()
+        return self._collector
 
     # -- reporting ---------------------------------------------------------------
 
     @property
     def sampling_probability(self) -> float:
-        return self.collector.sampling_probability
+        return self._collector.sampling_probability
 
     def estimates(self, raw: CycleCounts | None = None) -> tuple[float, float]:
         """Unbiased (E2, E3) for ``raw`` (default: the current window)."""
-        raw = raw if raw is not None else self._window.raw
+        if raw is None:
+            self._walk()
+            raw = self._window.raw
         p = self.sampling_probability
         return estimate_two_cycles(raw, p), estimate_three_cycles(raw, p)
 
@@ -258,7 +315,10 @@ class RushMon:
         """Close the current monitoring window and return its anomaly
         report.  The canonical :class:`~repro.core.api.AnomalyMonitor`
         verb; the next window starts where this one ended."""
-        end = self._time(now)
+        self._walk_and_raise()
+        if now is not None and now > self._now:
+            self._now = now
+        end = self._now if now is None else now
         rep = self._window.close(end, self.sampling_probability)
         self.reports.append(rep)
         return rep

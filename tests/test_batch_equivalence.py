@@ -33,7 +33,7 @@ from repro.core.collector import (
 from repro.core.concurrent import RushMonService, ShardedCollector
 from repro.core.config import RushMonConfig
 from repro.core.detector import CycleDetector, LifecycleOrderError, LiveGraph
-from repro.core.monitor import RushMon, WindowTracker
+from repro.core.monitor import RushMon
 from repro.core.pruning import make_pruner
 from repro.core.types import (
     CycleCounts,
@@ -245,21 +245,6 @@ def test_add_edge_batch_columns_raise_the_same_lifecycle_order_error():
                        list(det.graph.edges())))
     assert raised[0] == raised[1]
     assert raised[0][0] == 3 and raised[0][1] == CycleCounts(dd=1)
-
-
-def test_observe_edges_tallies_columns_like_an_edge_list():
-    """The serial path hands the window columns, the service's journal
-    path a list of ``Edge``: the same wr/ww/rw tallies and raw counts."""
-    for seed in range(6):
-        history = random_history(seed)
-        columns = DataCentricCollector(sampling_rate=1, mob=False).handle_batch(
-            history)
-        windows = [WindowTracker(CycleDetector()) for _ in range(2)]
-        windows[0].observe_edges(columns)
-        windows[1].observe_edges(list(columns))
-        assert windows[0].edges == windows[1].edges
-        assert windows[0].edges.total == len(columns)
-        assert windows[0].raw == windows[1].raw
 
 
 def test_rushmon_hands_the_detector_columns():

@@ -202,6 +202,7 @@ def test_worker_route_ingest_matches_per_op_collection(sampling_rate, mob):
     from repro.cluster import messages as msg
     from repro.core.detector import CycleDetector
     from repro.core.monitor import WindowTracker
+    from repro.core.types import EdgeColumns
 
     chosen = ItemSampler(sampling_rate, seed=1).chosen
     records = _ingest_history(sampling_rate)
@@ -223,8 +224,9 @@ def test_worker_route_ingest_matches_per_op_collection(sampling_rate, mob):
             derived = reference.handle(Operation(
                 OpType(kind), record[1], record[2], record[3]))
             window.observe_operations(1)
-            for edge in derived:
-                window.observe_edge(edge)
+            columns = EdgeColumns()
+            columns.extend(derived)
+            window.observe_edges(columns)
             if derived:
                 queue.append((ticket, EV_EDGES, 0, derived))
                 groups.append((ticket, derived))

@@ -645,7 +645,7 @@ def test_refused_edges_reconcile_and_never_enter_the_graph():
 
 def test_refused_edges_still_count_as_collected():
     history = random_history(3, num_buus=120, num_keys=6)
-    monitor = RushMon(_config(1, prune_interval=20))
+    monitor = RushMon(_config(1, prune_interval=5))
     last = {op.buu: i for i, op in enumerate(history)}
     begun = set()
     for i, op in enumerate(history):
@@ -674,15 +674,22 @@ def _late_operation_stream():
 
 
 def test_an_operation_after_its_commit_raises_from_the_serial_monitor():
+    """Per-op ingest only buffers: the walk finds the late operation.  A
+    read walks and never raises; the next call that walks (here the
+    close) raises, once, and the window it would have closed stays
+    open."""
     monitor = RushMon(_config(1))
-    with pytest.raises(LifecycleOrderError, match="BUU 1 "):
-        _feed_per_op(monitor, _late_operation_stream())
-    # What preceded the late edge is accounted for, and beginning again
-    # makes the BUU's operations welcome again.
+    _feed_per_op(monitor, _late_operation_stream())
+    # What preceded the late edge is accounted for.
     assert monitor.detector.num_edges == 0
+    with pytest.raises(LifecycleOrderError, match="BUU 1 "):
+        monitor.close_window()
+    assert not monitor.reports
+    # Beginning again makes the BUU's operations welcome again.
     monitor.begin_buu(1, 5)
     monitor.on_operation(Operation(OpType.READ, 1, "x", 6))
     assert monitor.detector.num_edges == 1
+    assert monitor.close_window().operations == 4
 
 
 def _late_run_stream():
