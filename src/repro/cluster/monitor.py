@@ -318,7 +318,7 @@ class ClusterMonitor:
                  "are counted in worker_restarts_total only)",
             buckets=_RESPAWN_BUCKETS,
         )
-        instrument_cluster_monitor(self.metrics, self)
+        self.metrics.defer(instrument_cluster_monitor, self)
 
     # -- lifecycle -------------------------------------------------------------
 

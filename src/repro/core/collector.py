@@ -26,6 +26,8 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.types import (
@@ -41,6 +43,11 @@ from repro.core.types import (
 
 if TYPE_CHECKING:  # the kernel module is loaded by whoever builds an OpBatch
     from repro.core.columnar import EdgeBatch, OpBatch
+
+#: An operation's item.  The sample filters here and in the journal
+#: ``compress`` the operations by the sampler's memo probed through it:
+#: one C-level pass, no Python frame per operation.
+_KEY = itemgetter(2)
 
 
 @dataclass(slots=True)
@@ -415,12 +422,13 @@ class SampledLifecycle:
             self.known.add(buu)
         return False
 
-    def admit(self, ops: Iterable[Operation],
+    def admit(self, ops: Sequence[Operation],
               deliver: Callable[[BuuId, int], object]) -> list[Operation]:
         """The operations of ``ops`` on chosen items, after handing
-        ``deliver`` the parked begin of every BUU issuing one."""
-        lookup = self.lookup
-        kept = [op for op in ops if lookup(op[2])]
+        ``deliver`` the parked begin of every BUU issuing one.  ``ops``
+        is a list or tuple: it is read twice, so a one-shot iterator is
+        not accepted."""
+        kept = list(compress(ops, map(self.lookup, map(_KEY, ops))))
         if kept and self.parked:
             self.promote(kept, deliver)
         return kept
@@ -934,8 +942,8 @@ class DataCentricCollector(Collector):
             return self.handle_all(ops)
         self.ops_seen += len(ops)
         if self.sampler.sampling_rate != 1:
-            lookup = self.sampler.lookup
-            ops = [op for op in ops if lookup(op[2])]
+            ops = list(compress(ops, map(self.sampler.lookup,
+                                         map(_KEY, ops))))
         return self.shard.handle_batch(ops)
 
     def _handle_columnar(self, batch: OpBatch) -> EdgeBatch:

@@ -89,9 +89,10 @@ import random
 import threading
 import time
 import zlib
+from itertools import compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.core.collector import (CollectorShard, ItemSampler,
+from repro.core.collector import (_KEY, CollectorShard, ItemSampler,
                                   SampledLifecycle, _splitmix64)
 from repro.core.detector import LifecycleOrderError
 from repro.core.types import (BuuId, Edge, EdgeColumns, EdgeStats, EdgeType,
@@ -252,11 +253,12 @@ class JournaledCollector:
         self.lifecycle_offered = 0
         self.lock_wait_seconds = 0.0
         if metrics is not None:
-            self._register_metrics(metrics)
+            metrics.defer(self._register_metrics)
 
     def _register_metrics(self, metrics: MetricsRegistry) -> None:
         """Callback gauges only, reading what the journal and the shard
-        count anyway: exporting costs a producer nothing."""
+        count anyway: exporting costs a producer nothing.  Queued on the
+        registry, so it runs on the registry's first read."""
         gauges: dict[str, tuple[Callable[[], float], str]] = {
             "ops_total": (
                 lambda: self._ops_seen,
@@ -408,7 +410,8 @@ class JournaledCollector:
         """The call's records as journaled — operations thinned by
         :meth:`prefilter` and the degrade filter at ``shift``, split
         past ``batch_size`` — with their journal weight and the elided
-        operations no record carries."""
+        operations no record carries.  A record's operations are a list
+        or tuple, never a one-shot iterator: they are read twice."""
         chosen = self.prefilter()
         mask = (1 << shift) - 1
         size = self.batch_size
@@ -421,7 +424,7 @@ class JournaledCollector:
                 continue
             _, ops, elided = record
             if chosen is not None:
-                kept = [op for op in ops if chosen(op[2])]
+                kept = list(compress(ops, map(chosen, map(_KEY, ops))))
             elif elided:
                 raise ValueError(
                     "an ops record with elided operations needs "
@@ -458,7 +461,7 @@ class JournaledCollector:
             for kind, payload, extra in built:
                 if kind == EV_OPS:
                     self.shed_sampled_events += sum(
-                        1 for op in payload if chosen(op[2]))
+                        map(chosen, map(_KEY, payload)))
                     loose += extra
             self._elided += loose
             self._ops_seen += loose

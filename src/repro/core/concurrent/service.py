@@ -157,6 +157,22 @@ class RushMonService:
         self.restart_backoff = self.config.restart_backoff
         self.max_backoff = self.config.max_backoff
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # The instruments the pass writes are created first: creating one
+        # is a read of the registry, which would run the gauge
+        # registrations queued below.
+        self._m_pass_seconds = self.metrics.histogram(
+            "rushmon_service_pass_seconds",
+            help="wall-clock duration of detection passes",
+        )
+        self._m_close_lag = self.metrics.gauge(
+            "rushmon_service_window_close_lag_seconds",
+            help="duration of the last pass that closed a window "
+                 "(journal drain + detector feed + window close)",
+        )
+        self._m_drain = self.metrics.gauge(
+            "rushmon_service_drain_seconds",
+            help="duration of the final drain pass run by stop()",
+        )
         self._faults = faults
         self.collector = JournaledCollector(
             sampling_rate=self.config.sampling_rate,
@@ -208,24 +224,12 @@ class RushMonService:
             self._trace = Trace()
         else:
             self._trace = None
-        self._register_metrics()
+        self.metrics.defer(self._register_metrics)
+        self.metrics.defer(instrument_detector, self.detector)
 
-    def _register_metrics(self) -> None:
-        """Export the service's own health/progress signals."""
-        registry = self.metrics
-        self._m_pass_seconds = registry.histogram(
-            "rushmon_service_pass_seconds",
-            help="wall-clock duration of detection passes",
-        )
-        self._m_close_lag = registry.gauge(
-            "rushmon_service_window_close_lag_seconds",
-            help="duration of the last pass that closed a window "
-                 "(journal drain + detector feed + window close)",
-        )
-        self._m_drain = registry.gauge(
-            "rushmon_service_drain_seconds",
-            help="duration of the final drain pass run by stop()",
-        )
+    def _register_metrics(self, registry: MetricsRegistry) -> None:
+        """Export the service's own health/progress signals (queued on
+        the registry, so it runs on the registry's first read)."""
         registry.gauge_fn(
             "rushmon_service_events_processed_total",
             lambda: float(self.processed_events),
@@ -282,7 +286,6 @@ class RushMonService:
             lambda: float(self.checkpoints_written),
             help="state checkpoints written",
         )
-        instrument_detector(registry, self.detector)
 
     def _report_age(self) -> float:
         published = self._latest_published_at

@@ -202,11 +202,12 @@ class RushMon:
                       and not config.resample_interval else _keep_all)
         self._now = 0
         self.reports: list[AnomalyReport] = []
-        # Observability is callback-only on the serial path (zero
-        # hot-path cost): every reading is pulled from existing counters
-        # at snapshot time.
+        # Observability is callback-only on the serial path, and its
+        # gauges are registered on the registry's first read: every
+        # reading is pulled from the parts' counters at snapshot time.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        instrument_serial_monitor(self.metrics, self)
+        self.metrics.defer(instrument_serial_monitor, self._collector,
+                           self._detector, self.reports)
 
     # -- ingestion: append, walk a batch ---------------------------------------
 

@@ -293,7 +293,7 @@ class RushMonServer:
             "rushmon_net_ack_latency_seconds",
             help="batch receipt to acknowledgement send",
         )
-        instrument_net_server(registry, self)
+        registry.defer(instrument_net_server, self)
 
     # -- lifecycle -------------------------------------------------------------
 

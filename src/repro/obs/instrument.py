@@ -1,10 +1,14 @@
 """Wiring helpers: register RushMon component readings on a registry.
 
-Everything here is a zero-hot-path-cost callback gauge: the component's
-existing counters and structural properties are read lazily when a
-snapshot or scrape happens.  Components are duck-typed (this module must
-not import ``repro.core`` — core imports ``repro.obs``, and the metrics
-layer stays dependency-free).
+Everything here is a callback gauge at zero cost until first read: the
+front ends queue these helpers with :meth:`MetricsRegistry.defer
+<repro.obs.metrics.MetricsRegistry.defer>`, binding the parts they read,
+so the gauges are only registered when a snapshot or scrape first reads
+the registry, and from then on read the component's existing counters
+and structural properties lazily.  Called directly, a helper registers
+at once.  Components are duck-typed (this module must not import
+``repro.core`` — core imports ``repro.obs``, and the metrics layer stays
+dependency-free).
 
 Real counters and histograms (shard lock wait, detection-pass latency)
 live inline where the measured code runs, in
@@ -76,20 +80,21 @@ def instrument_detector(registry: MetricsRegistry, detector: Any) -> None:
         )
 
 
-def instrument_serial_monitor(registry: MetricsRegistry, monitor: Any) -> None:
-    """Export the serial :class:`~repro.core.monitor.RushMon` facade:
-    collector throughput/hit-rate plus the detector readings.
+def instrument_serial_monitor(registry: MetricsRegistry, collector: Any,
+                              detector: Any, reports: list) -> None:
+    """Export the serial :class:`~repro.core.monitor.RushMon` facade's
+    parts: collector throughput/hit-rate, windows closed, and the
+    detector readings.
 
     Everything is callback-backed, so attaching a registry adds *zero*
     work to the serial hot path — the paper's overhead story is the
     collector's, and the serial monitor keeps it untouched.
     """
-    # The callbacks close over the parts, never over ``monitor``: the
+    # The callbacks close over the parts, never over the monitor: the
     # monitor owns the registry, and a callback holding the monitor would
     # make every dropped monitor (and its live graph) wait for a full
-    # cyclic collection.  ``reports`` is appended to, never rebound.
-    collector = monitor.collector
-    reports = monitor.reports
+    # cyclic collection — and a scrape would walk its record buffer from
+    # the scraping thread.  ``reports`` is appended to, never rebound.
 
     def hit_rate() -> float:
         seen = collector.ops_seen
@@ -120,7 +125,7 @@ def instrument_serial_monitor(registry: MetricsRegistry, monitor: Any) -> None:
         lambda: float(len(reports)),
         help="monitoring windows closed so far",
     )
-    instrument_detector(registry, monitor.detector)
+    instrument_detector(registry, detector)
 
 
 def instrument_net_server(registry: MetricsRegistry, server: Any) -> None:

@@ -19,7 +19,10 @@ The :class:`MetricsRegistry` names and owns instruments, renders a
 Prometheus text exposition (:meth:`~MetricsRegistry.render_prometheus`)
 and a JSON-friendly :meth:`~MetricsRegistry.snapshot`.  Instruments are
 get-or-create by name, so independent components can share a registry
-without coordination.
+without coordination.  Callback gauges are registered through
+:meth:`~MetricsRegistry.defer`: a component queues the step that
+registers them, and the registry runs it on its first read, so a
+registry nobody reads costs its owner nothing but the queueing.
 
 Consistency note: snapshots taken while producer threads are running are
 *per-instrument* consistent but not globally atomic (cells are summed
@@ -32,7 +35,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -163,17 +166,52 @@ class MetricsRegistry:
     Instruments are get-or-create: asking twice for the same name returns
     the same object (and raises if the kinds conflict), so loosely
     coupled components can share one registry safely.
+
+    Registration may be deferred (:meth:`defer`): the queued steps run on
+    the registry's first read — :meth:`snapshot`, either render,
+    :meth:`names`, :meth:`get` or any get-or-create — in the order they
+    were queued, under the registry's lock, before the read itself.  So
+    every read sees what eager registration in the same order would have
+    built: the same names, kinds and help text, and the last callback
+    registered under a name wins.  Instruments that hot code writes are
+    created eagerly, before their owner queues anything, or creating
+    them would be the first read.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._lock = threading.Lock()
+        # Re-entrant: a deferred step registers through the public
+        # get-or-create calls while the read that runs it holds the lock.
+        self._lock = threading.RLock()
+        self._deferred: list[tuple[Callable[..., None], tuple]] = []
 
     # -- registration --------------------------------------------------------
+
+    def defer(self, step: Callable[..., None], *parts: Any) -> None:
+        """Queue ``step(self, *parts)`` to run on the first read.
+
+        ``parts`` are bound now: a step reads what its owner held when it
+        queued, never an attribute looked up later.  A step that raises
+        is dropped and its error reaches the read that ran it; the steps
+        queued after it stay queued."""
+        with self._lock:
+            self._deferred.append((step, parts))
+
+    def _run_deferred(self) -> None:
+        """Run the queued steps in queue order.  Caller holds the lock."""
+        while self._deferred:
+            steps, self._deferred = self._deferred, []
+            for i, (step, parts) in enumerate(steps):
+                try:
+                    step(self, *parts)
+                except BaseException:
+                    self._deferred[:0] = steps[i + 1:]
+                    raise
 
     def _get_or_create(self, name: str, factory: Callable[[str], object]):
         name = _sanitize(name)
         with self._lock:
+            self._run_deferred()
             existing = self._metrics.get(name)
             if existing is None:
                 existing = factory(name)  # type: ignore[assignment]
@@ -211,10 +249,14 @@ class MetricsRegistry:
         return metric
 
     def get(self, name: str) -> Counter | Gauge | Histogram | None:
-        return self._metrics.get(_sanitize(name))
+        name = _sanitize(name)
+        with self._lock:
+            self._run_deferred()
+            return self._metrics.get(name)
 
     def names(self) -> list[str]:
         with self._lock:
+            self._run_deferred()
             return sorted(self._metrics)
 
     # -- exposition ----------------------------------------------------------
@@ -227,6 +269,7 @@ class MetricsRegistry:
         structural readings get refreshed.
         """
         with self._lock:
+            self._run_deferred()
             metrics = list(self._metrics.values())
         return {metric.name: metric.value for metric in metrics}
 
@@ -236,6 +279,7 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
         with self._lock:
+            self._run_deferred()
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         lines: list[str] = []
         for metric in metrics:

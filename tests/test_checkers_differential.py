@@ -159,7 +159,10 @@ def _rw_dropping_counts(history):
 def test_injected_rw_drop_caught_with_minimal_witness():
     """Acceptance: a monitor that silently drops one edge type *is*
     caught by the differential harness, and the witness shrinks to a
-    minimal history (a lost update needs only three operations)."""
+    minimal history (a lost update needs only three operations).
+
+    The search is derandomized: an unseeded one shrank to a 9-operation
+    witness about once in 65 runs, so the bound below held by luck."""
 
     def diverges(history):
         return _rw_dropping_counts(history) != exact_cycle_counts(history)
@@ -168,12 +171,16 @@ def test_injected_rw_drop_caught_with_minimal_witness():
         interleavings(max_buus=4, max_steps=3, max_keys=2),
         diverges,
         settings=settings(max_examples=300, deadline=None, database=None,
+                          derandomize=True,
                           suppress_health_check=list(HealthCheck)),
     )
     assert diverges(witness)
     # Shrunk to a handful of operations — small enough to read in a
     # failure message and replay by hand.
     assert len(witness) <= 8, witness
+    # 1-minimal: every operation is needed to show the divergence.
+    for i in range(len(witness)):
+        assert not diverges(witness[:i] + witness[i + 1:]), (i, witness)
     # The honest monitor passes the same history.
     exact = exact_cycle_counts(witness)
     assert monitor_counts(witness).detector.counts == exact

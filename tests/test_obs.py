@@ -7,17 +7,25 @@ reconciliation of the metrics snapshot against the monitor's own
 counters after a multi-threaded run.
 """
 
+import gc
 import json
+import random
+import sys
 import threading
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.concurrent import RushMonService
+from repro.core.concurrent.journaled import RecordWalk
 from repro.core.config import RushMonConfig
 from repro.core.monitor import RushMon
 from repro.core.types import Operation, OpType
+from repro.net.server import RushMonServer
 from repro.obs import (
     Counter,
     Gauge,
@@ -148,6 +156,28 @@ class TestRegistry:
         assert "lat_seconds_count 1" in text
         assert text.endswith("\n")
 
+    def test_deferred_steps_run_once_in_queue_order_on_the_first_read(self):
+        reg = MetricsRegistry()
+        ran = []
+        reg.defer(lambda r, tag: ran.append(tag), "a")
+        reg.defer(lambda r: r.gauge_fn("g", lambda: 1.0, help="first"))
+        reg.defer(lambda r, tag: ran.append(tag), "b")
+        assert ran == []
+        assert reg.names() == ["g"]
+        assert ran == ["a", "b"]
+        reg.snapshot()
+        assert ran == ["a", "b"]
+
+    def test_a_step_that_raises_reaches_its_read_and_the_rest_stay_queued(
+            self):
+        reg = MetricsRegistry()
+        reg.counter("x")
+        reg.defer(lambda r: r.gauge_fn("x", lambda: 1.0))  # a kind clash
+        reg.defer(lambda r: r.gauge_fn("y", lambda: 2.0))
+        with pytest.raises(TypeError):
+            reg.snapshot()
+        assert reg.snapshot() == {"x": 0, "y": 2.0}
+
 
 # -- exporter -----------------------------------------------------------------
 
@@ -260,10 +290,29 @@ class TestSerialMonitorMetrics:
             mon.detector.counts.two_cycles + mon.detector.counts.three_cycles
 
     def test_shared_registry_is_reusable(self):
-        reg = MetricsRegistry()
-        mon = RushMon(RushMonConfig(sampling_rate=1, mob=False), metrics=reg)
-        assert mon.metrics is reg
-        assert "rushmon_collector_ops_total" in reg.names()
+        """Two monitors on one registry, an eager ``gauge_fn`` between
+        them: get-or-create and last-callback-wins keep the order of the
+        calls, as they did when monitors registered eagerly."""
+        config = RushMonConfig(sampling_rate=1, mob=False)
+        views = []
+        for reg in (MetricsRegistry(), EagerRegistry()):
+            first = RushMon(config, metrics=reg)
+            assert first.metrics is reg
+            reg.gauge_fn("rushmon_collector_ops_total", lambda: -1.0,
+                         help="eager")
+            second = RushMon(config, metrics=reg)
+            first.on_operations([Operation(OpType.WRITE, 1, "x", 1)])
+            second.on_operations([Operation(OpType.WRITE, 1, "x", 1),
+                                  Operation(OpType.READ, 2, "x", 2)])
+            ops = reg.get("rushmon_collector_ops_total")
+            # The first monitor created the gauge, so its help stays;
+            # the second one's callback came last.
+            assert ops.help == "operations the collector has observed"
+            assert ops.value == 2
+            reg.gauge_fn("rushmon_collector_ops_total", lambda: -1.0)
+            views.append(_registry_view(reg))
+            assert views[-1][3]["rushmon_collector_ops_total"] == -1.0
+        assert views[0] == views[1]
 
 
 @pytest.mark.cluster
@@ -395,3 +444,338 @@ class TestServiceMetricsReconcile:
                              ("commit", 1, 3)])
             assert collector.ops_seen == 2
             assert collector.lock_wait_seconds == 0.0
+
+
+# -- deferred registration ------------------------------------------------------
+
+
+class EagerRegistry(MetricsRegistry):
+    """The reference: every step runs the moment it is queued, as
+    registration did before it was deferred."""
+
+    def defer(self, step, *parts):
+        step(self, *parts)
+
+
+_SERIAL_NAMES = frozenset({
+    "rushmon_collector_edges_total", "rushmon_collector_ops_total",
+    "rushmon_collector_sampled_hit_rate",
+    "rushmon_collector_sampled_ops_total", "rushmon_detector_cycles_total",
+    "rushmon_detector_edges_refused_total", "rushmon_detector_live_edges",
+    "rushmon_detector_live_vertices", "rushmon_detector_prune_passes_total",
+    "rushmon_detector_pruned_distance_total",
+    "rushmon_detector_pruned_ect_total", "rushmon_monitor_reports_total",
+})
+_SERVICE_NAMES = frozenset({
+    "rushmon_collector_backpressure_timeouts_total",
+    "rushmon_collector_backpressure_wait_seconds_total",
+    "rushmon_collector_degrade_shifts_total",
+    "rushmon_collector_edges_total",
+    "rushmon_collector_effective_sampling_rate",
+    "rushmon_collector_journal_depth",
+    "rushmon_collector_journal_depth_highwater",
+    "rushmon_collector_journal_fill_ratio",
+    "rushmon_collector_journal_shed_sampled_total",
+    "rushmon_collector_journal_shed_total",
+    "rushmon_collector_lifecycle_elided_total",
+    "rushmon_collector_lifecycle_events_total",
+    "rushmon_collector_lifecycle_parked",
+    "rushmon_collector_lock_wait_seconds_total",
+    "rushmon_collector_ops_total", "rushmon_collector_sampled_hit_rate",
+    "rushmon_collector_sampled_ops_total", "rushmon_detector_cycles_total",
+    "rushmon_detector_edges_refused_total", "rushmon_detector_live_edges",
+    "rushmon_detector_live_vertices", "rushmon_detector_prune_passes_total",
+    "rushmon_detector_pruned_distance_total",
+    "rushmon_detector_pruned_ect_total", "rushmon_service_checkpoints_total",
+    "rushmon_service_consecutive_detect_failures",
+    "rushmon_service_degraded", "rushmon_service_detect_failures_total",
+    "rushmon_service_detect_restarts_total",
+    "rushmon_service_detection_thread_alive",
+    "rushmon_service_drain_seconds", "rushmon_service_events_processed_total",
+    "rushmon_service_pass_seconds", "rushmon_service_passes_total",
+    "rushmon_service_report_age_seconds", "rushmon_service_reports_total",
+    "rushmon_service_window_close_lag_seconds",
+})
+_SERVER_NAMES = _SERVICE_NAMES | {
+    "rushmon_net_ack_latency_seconds", "rushmon_net_acks_total",
+    "rushmon_net_admission_refusals_total",
+    "rushmon_net_batches_accepted_total", "rushmon_net_batches_total",
+    "rushmon_net_connections_current", "rushmon_net_connections_total",
+    "rushmon_net_dedup_hits_total", "rushmon_net_drain_forced_total",
+    "rushmon_net_errors_total", "rushmon_net_events_ingested_total",
+    "rushmon_net_frames_total", "rushmon_net_idle_disconnects_total",
+    "rushmon_net_partial_frame_disconnects_total",
+    "rushmon_net_reconnect_hellos_total", "rushmon_net_sessions_current",
+    "rushmon_net_sessions_evicted_total",
+    "rushmon_net_write_overflow_disconnects_total",
+}
+
+
+def _stream(pairs=60, keys=5, seed=7):
+    """BUUs begun two at a time whose operations interleave, so the
+    detector sees cycles, and half of them fed per operation."""
+    rng = random.Random(seed)
+    seq = 0
+    for a in range(0, 2 * pairs, 2):
+        yield "begin", a, seq
+        yield "begin", a + 1, seq
+        ops = []
+        for _ in range(8):
+            seq += 1
+            ops.append(Operation(rng.choice((OpType.READ, OpType.WRITE)),
+                                 a + rng.randrange(2), rng.randrange(keys),
+                                 seq))
+        yield ("ops" if a % 4 else "op"), ops, seq
+        yield "commit", a, seq
+        yield "commit", a + 1, seq
+
+
+def _feed(target):
+    for kind, payload, seq in _stream():
+        if kind == "begin":
+            target.begin_buu(payload, seq)
+        elif kind == "commit":
+            target.commit_buu(payload, seq)
+        elif kind == "ops":
+            target.on_operations(payload)
+        else:
+            for op in payload:
+                target.on_operation(op)
+    return target.close_window()
+
+
+_CONFIG = RushMonConfig(sampling_rate=2, seed=5, prune_interval=8)
+
+
+def _serial(registry):
+    mon = RushMon(_CONFIG, metrics=registry)
+    _feed(mon)
+    return mon
+
+
+def _service(registry):
+    service = RushMonService(_CONFIG, metrics=registry)
+    _feed(service)
+    return service
+
+
+def _server(registry):
+    service = RushMonService(_CONFIG, metrics=registry)
+    server = RushMonServer(service)
+    _feed(service)
+    return server
+
+
+_FRONT_ENDS = {"serial": (_serial, _SERIAL_NAMES),
+               "service": (_service, _SERVICE_NAMES),
+               "server": (_server, _SERVER_NAMES)}
+
+
+def _timed(name):
+    # Wall-clock readings differ between any two runs.
+    return "_seconds" in name
+
+
+def _untimed(snapshot):
+    return {k: v for k, v in snapshot.items() if not _timed(k)}
+
+
+def _untimed_text(text):
+    return [line for line in text.splitlines()
+            if line.startswith("#") or not _timed(line)]
+
+
+#: Every way to read a registry, each tried as the first read.
+_FIRST_READS = {
+    "names": lambda reg: reg.names(),
+    "get": lambda reg: reg.get("rushmon_collector_ops_total").value,
+    "gauge_fn": lambda reg: reg.gauge_fn("extra", lambda: 7.0).value,
+    "snapshot": lambda reg: _untimed(reg.snapshot()),
+    "render_json": lambda reg: _untimed(json.loads(reg.render_json())),
+    "render_prometheus": lambda reg: _untimed_text(reg.render_prometheus()),
+}
+
+
+def _registry_view(reg):
+    names = reg.names()
+    return (names,
+            {name: reg.get(name).kind for name in names},
+            {name: reg.get(name).help for name in names},
+            _untimed(reg.snapshot()),
+            _untimed_text(reg.render_prometheus()))
+
+
+class TestDeferredRegistration:
+    @pytest.mark.parametrize("read", sorted(_FIRST_READS))
+    @pytest.mark.parametrize("front_end", sorted(_FRONT_ENDS))
+    def test_every_read_sees_what_eager_registration_built(self, front_end,
+                                                          read):
+        build, pinned = _FRONT_ENDS[front_end]
+        views = []
+        for reg in (MetricsRegistry(), EagerRegistry()):
+            owner = build(reg)
+            first = _FIRST_READS[read](reg)
+            views.append((first, _registry_view(reg)))
+            del owner
+        assert views[0] == views[1]
+        names = set(views[0][1][0]) - {"extra"}
+        assert names == pinned
+        snapshot = views[0][1][3]
+        assert snapshot["rushmon_collector_ops_total"] == 480
+        assert snapshot["rushmon_detector_cycles_total"] > 0
+
+    @pytest.mark.parametrize("front_end", sorted(_FRONT_ENDS))
+    def test_a_registry_never_read_runs_none_of_its_steps(self, front_end,
+                                                          monkeypatch):
+        calls = []
+        gauge_fn = MetricsRegistry.gauge_fn
+
+        def counted(self, name, *args, **kwargs):
+            calls.append(name)
+            return gauge_fn(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "gauge_fn", counted)
+        reg = MetricsRegistry()
+        owner = _FRONT_ENDS[front_end][0](reg)
+        if front_end == "server":
+            # Creating the server's frame and ack counters on its
+            # service's registry is a read: the service's steps ran
+            # then.  The server's own step waits for a real read.
+            assert calls and not [n for n in calls if "_net_" in n]
+            del calls[:]
+        assert calls == []
+        reg.snapshot()
+        callbacks = sorted(name for name in reg.names()
+                           if getattr(reg.get(name), "_fn", None))
+        assert sorted(calls) == [name for name in callbacks
+                                 if front_end != "server" or "_net_" in name]
+        del owner
+
+    def test_a_scrape_from_another_thread_never_walks_the_buffer(
+            self, monkeypatch):
+        walkers = set()
+        walk = RecordWalk.walk
+
+        def traced(self, records):
+            walkers.add(threading.get_ident())
+            return walk(self, records)
+
+        monkeypatch.setattr(RecordWalk, "walk", traced)
+        mon = RushMon(RushMonConfig(sampling_rate=1, mob=False,
+                                    batch_size=32))
+        started, done = threading.Event(), threading.Event()
+        seen = []
+
+        def scrape():
+            while not done.is_set():
+                seen.append(mon.metrics.snapshot()
+                            ["rushmon_collector_ops_total"])
+                started.set()
+
+        def feed(buus):
+            for buu in buus:
+                mon.begin_buu(buu)
+                for i in range(4):
+                    mon.on_operation(Operation(
+                        OpType.WRITE if i % 2 else OpType.READ, buu,
+                        f"k{(buu + i) % 13}", 4 * buu + i + 1))
+                mon.commit_buu(buu)
+
+        # The first scrape, which registers the gauges, meets a buffer
+        # holding records.
+        feed(range(8))
+        assert mon._records and not walkers
+        scraper = threading.Thread(target=scrape)
+        scraper.start()
+        assert started.wait(10)
+        try:
+            feed(range(8, 2000))
+        finally:
+            done.set()
+            scraper.join(10)
+        assert not scraper.is_alive()
+        assert walkers == {threading.get_ident()}
+        assert len(seen) > 1 and seen == sorted(seen)
+        mon.close_window()
+        assert mon.metrics.snapshot()["rushmon_collector_ops_total"] == 8000
+
+    def test_a_dropped_monitor_never_read_is_freed_by_reference_counting(
+            self):
+        gc.collect()
+        gc.disable()
+        try:
+            mon = RushMon(RushMonConfig())
+            _feed(mon)
+            parts = [weakref.ref(part) for part in (
+                mon, mon.metrics, mon.detector, mon.collector)]
+            del mon
+            assert [part() for part in parts] == [None] * len(parts)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_steps_queued_and_read_from_many_threads_run_once_each(self):
+        reg = MetricsRegistry()
+        ran = []
+        readers, writers, steps = 4, 4, 200
+        go = threading.Barrier(readers + writers)
+
+        def step(registry, tag):
+            ran.append(tag)
+            registry.gauge_fn(f"g{tag[0]}", lambda: float(tag[1]))
+
+        def write(w):
+            go.wait()
+            for i in range(steps):
+                reg.defer(step, (w, i))
+
+        def read():
+            go.wait()
+            for _ in range(steps):
+                reg.snapshot()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = ([threading.Thread(target=write, args=(w,))
+                        for w in range(writers)]
+                       + [threading.Thread(target=read)
+                          for _ in range(readers)])
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        snapshot = reg.snapshot()
+        assert sorted(ran) == [(w, i) for w in range(writers)
+                               for i in range(steps)]
+        # Each writer's steps ran in the order it queued them.
+        assert snapshot == {f"g{w}": steps - 1.0 for w in range(writers)}
+
+    @given(st.lists(st.tuples(st.sampled_from(("defer", "eager", "gauge",
+                                                "read")),
+                              st.integers(0, 3), st.integers(0, 2)),
+                    max_size=30))
+    def test_deferred_and_eager_registrations_interleave_as_eager_ones(
+            self, calls):
+        """Drawn interleavings of queued and immediate registrations on
+        one registry, read at drawn points, equal immediate ones only."""
+        views = []
+        for reg in (MetricsRegistry(), EagerRegistry()):
+            reads = []
+            for index, (kind, name, value) in enumerate(calls):
+                name, fn = f"g{name}", lambda v=value: float(v)
+                text = f"{kind} {index}"
+                if kind == "defer":
+                    reg.defer(lambda r, n, f, h: r.gauge_fn(n, f, help=h),
+                              name, fn, text)
+                elif kind == "eager":
+                    reg.gauge_fn(name, fn, help=text)
+                elif kind == "gauge":
+                    reg.gauge(name, help=text)
+                else:
+                    reads.append(reg.snapshot())
+            views.append((reads, _registry_view(reg)))
+        assert views[0] == views[1]
