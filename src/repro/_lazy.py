@@ -5,12 +5,17 @@ module that defines one is imported by the first access to it — so
 ``import repro`` (paid by every cluster worker, every ``serve`` child
 and every application that embeds a listener) loads what that process
 uses, not ``multiprocessing`` and the cluster for a process that never
-builds a ``ClusterMonitor`` (DESIGN.md §13.2).
+builds a ``ClusterMonitor`` (DESIGN.md §13.2).  :func:`logger` does the
+same for ``logging``, which only a failure uses.
 """
 
 from __future__ import annotations
 
 from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import logging
 
 
 def lazy_exports(namespace: dict, exports: dict[str, str]):
@@ -28,3 +33,12 @@ def lazy_exports(namespace: dict, exports: dict[str, str]):
         return value
 
     return __getattr__
+
+
+def logger(name: str) -> logging.Logger:
+    """``logging.getLogger(name)``, with ``logging`` imported by the first
+    call.  A module logs only when something fails, and ``logging`` costs
+    every ``serve`` start ~5 ms that a healthy run never uses."""
+    import logging
+
+    return logging.getLogger(name)

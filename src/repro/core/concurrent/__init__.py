@@ -20,8 +20,21 @@ This package makes the monitor safe under real threads:
   journal stays full past the block timeout (``overflow="block"``).
 """
 
-from repro.core.concurrent.journaled import JournalBackpressure
-from repro.core.concurrent.service import RushMonService
-from repro.core.concurrent.sharded import ShardedCollector
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.concurrent.journaled import JournalBackpressure
+    from repro.core.concurrent.service import RushMonService
+    from repro.core.concurrent.sharded import ShardedCollector
+
+# A service process loads no sharded collector (nor, through it, the
+# frontier's key partition); see DESIGN.md §13.2.
+__getattr__ = lazy_exports(globals(), {
+    "JournalBackpressure": "repro.core.concurrent.journaled",
+    "RushMonService": "repro.core.concurrent.service",
+    "ShardedCollector": "repro.core.concurrent.sharded",
+})
 
 __all__ = ["JournalBackpressure", "RushMonService", "ShardedCollector"]

@@ -66,12 +66,12 @@ usage the API-conformance tests exercise).
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from dataclasses import asdict, replace
 from typing import Iterable, Sequence
 
+from repro._lazy import logger
 from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
                                              EV_OPS, EV_SHIFT,
                                              JournaledCollector, RecordWalk)
@@ -84,8 +84,6 @@ from repro.core.types import AnomalyReport, BuuId, CycleCounts, Key, Operation
 from repro.obs.instrument import instrument_detector
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import wal
-
-_log = logging.getLogger(__name__)
 
 
 class RushMonService:
@@ -357,8 +355,8 @@ class RushMonService:
             except BaseException as exc:
                 self.last_error = exc
                 self.detect_failures += 1
-                _log.error("final drain pass failed on stop()",
-                           exc_info=exc)
+                logger(__name__).error(
+                    "final drain pass failed on stop()", exc_info=exc)
                 if not isinstance(exc, LifecycleOrderError):
                     raise
                 late = exc  # that pass ran to its end: checkpoint first
@@ -416,7 +414,7 @@ class RushMonService:
         self._consecutive_failures += 1
         streak = self._consecutive_failures
         if streak > self.max_restarts:
-            _log.error(
+            logger(__name__).error(
                 "detection pass failed %d times consecutively "
                 "(max_restarts=%d); circuit breaker tripped — service "
                 "is DEGRADED", streak, self.max_restarts, exc_info=exc,
@@ -426,7 +424,7 @@ class RushMonService:
         backoff = min(
             self.restart_backoff * (2 ** (streak - 1)), self.max_backoff
         )
-        _log.warning(
+        logger(__name__).warning(
             "detection pass failed (streak %d/%d), restarting detection "
             "thread in %.3fs: %r", streak, self.max_restarts, backoff, exc,
             exc_info=exc,

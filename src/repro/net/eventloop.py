@@ -57,16 +57,14 @@ server) per acknowledgement.
 from __future__ import annotations
 
 import collections
-import logging
 import selectors
 import socket
 import threading
 import time
 
+from repro._lazy import logger
 from repro.net import protocol
 from repro.net.protocol import FrameReader, ProtocolError, encode_frame
-
-_log = logging.getLogger(__name__)
 
 __all__ = ["EventLoop", "EventLoopConnection"]
 
@@ -317,7 +315,7 @@ class EventLoop(threading.Thread):
             try:
                 fn()
             except Exception:
-                _log.exception("event-loop op failed")
+                logger(__name__).exception("event-loop op failed")
 
     # -- accept / admission ----------------------------------------------------
 
@@ -498,7 +496,8 @@ class EventLoop(threading.Thread):
             try:
                 keep = server._handle(conn, message)
             except Exception:
-                _log.exception("handler failed; dropping connection")
+                logger(__name__).exception(
+                    "handler failed; dropping connection")
                 keep = False
             if not keep:
                 conn.queued = False

@@ -70,7 +70,6 @@ the transport deterministically.
 
 from __future__ import annotations
 
-import logging
 import socket
 import threading
 import time
@@ -82,8 +81,6 @@ from repro.net import protocol
 from repro.net.eventloop import EventLoop, EventLoopConnection
 from repro.net.protocol import ProtocolError
 from repro.obs.instrument import instrument_net_server
-
-_log = logging.getLogger(__name__)
 
 #: extra_state key the server's durable state lives under.
 _EXTRA_KEY = "net"

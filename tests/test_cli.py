@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -44,6 +45,110 @@ class TestParser:
             main([verb])
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+#: One command line per verb (with its required arguments), as a user
+#: would type it.
+_ONE_PER_VERB = [
+    ["quickstart", "--threads", "2", "--windows", "3"],
+    ["sweep", "--knob", "latency", "--values", "0,5"],
+    ["bookstore", "--purchases", "10", "--no-mob"],
+    ["record", "--out", "run.jsonl", "--buus", "5"],
+    ["analyze", "run.jsonl", "--sampling-rate", "5"],
+    ["bench-threads", "--threads", "1,2"],
+    ["monitor", "--live", "--export-port", "0", "--workers", "2"],
+    ["serve", "--port", "0", "--export-port", "0", "--no-trace"],
+    ["emit", "--port", "1234", "--net-batch", "8"],
+    ["bench-overhead", "--quick"],
+    ["bench-serving", "--quick", "--check"],
+    ["check", "run.jsonl", "--json"],
+]
+
+
+class TestOneVerbParser:
+    """``main`` builds only the invoked verb's subparser; what a verb
+    receives must not depend on that."""
+
+    def test_every_verb_has_a_command_line_here(self):
+        assert sorted(argv[0] for argv in _ONE_PER_VERB) == \
+            sorted(cli._VERBS)
+
+    @pytest.mark.parametrize("argv", _ONE_PER_VERB,
+                             ids=[argv[0] for argv in _ONE_PER_VERB])
+    def test_main_hands_the_verb_the_full_parsers_namespace(
+            self, argv, monkeypatch):
+        reached = []
+        for name in cli._VERBS:
+            command = "cmd_" + name.replace("-", "_")
+            monkeypatch.setattr(
+                cli, command,
+                lambda args, command=command: reached.append(
+                    (command, args)) or 0)
+        assert main(list(argv)) == 0
+        expected = build_parser().parse_args(argv)
+        [(command, args)] = reached
+        assert command == "cmd_" + argv[0].replace("-", "_")
+        assert args.func is expected.func
+        # The bound ``usage_error`` belongs to a different parser object
+        # of the same verb; everything else is equal.
+        assert args.usage_error.__self__.prog == \
+            expected.usage_error.__self__.prog == f"repro {argv[0]}"
+        got, want = vars(args), vars(expected)
+        got.pop("usage_error")
+        want.pop("usage_error")
+        assert got == want
+
+    def test_main_builds_the_invoked_verb_only(self, monkeypatch):
+        built = []
+        for name, (summary, add_flags) in cli._VERBS.items():
+            monkeypatch.setitem(cli._VERBS, name, (
+                summary, lambda parser, add_flags=add_flags, name=name: (
+                    built.append(name), add_flags(parser))))
+        monkeypatch.setattr(cli, "cmd_serve", lambda args: 0)
+        assert main(["serve", "--port", "0"]) == 0
+        assert built == ["serve"]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert built == ["serve", *cli._VERBS]
+
+    def test_a_verbs_help_prints_its_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro serve [-h]")
+        assert "--export-port EXPORT_PORT" in out
+
+    def test_the_top_level_help_lists_every_verb(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro [-h]")
+        for name, (summary, _) in cli._VERBS.items():
+            assert name in out and summary[:20] in out
+
+    @pytest.mark.parametrize("argv", [["no-such-verb"], []],
+                             ids=["unknown", "none"])
+    def test_an_unknown_or_missing_verb_lists_every_verb(self, argv,
+                                                         capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "{" + ",".join(cli._VERBS) + "}" in err  # the usage line
+        if argv:
+            assert "invalid choice: 'no-such-verb'" in err
+            assert all(repr(name) in err for name in cli._VERBS)
+
+    def test_a_bad_flag_reads_as_it_does_with_every_verb_built(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--bogus"])
+        full = capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--bogus"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == full
 
 
 _BAD_FLAG_VALUES = [

@@ -9,9 +9,13 @@ counters after a multi-threaded run.
 
 import gc
 import json
+import os
 import random
+import socket
+import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 import weakref
@@ -34,6 +38,7 @@ from repro.obs import (
     MetricsRegistry,
 )
 from repro.sim.buu import read_modify_write
+from repro.obs import exporter as exporter_module
 from repro.sim.scheduler import ThreadedWorkloadDriver
 
 
@@ -247,6 +252,199 @@ class TestExporter:
                 clash.start()
         finally:
             first.stop()
+
+    @staticmethod
+    def _exchange(exporter, request: bytes) -> bytes:
+        """Send ``request`` as raw bytes; everything the server answers
+        before it closes (a refused request may end in a reset, after
+        the reply)."""
+        with socket.create_connection(("127.0.0.1", exporter.port),
+                                      timeout=10) as conn:
+            conn.sendall(request)
+            chunks = []
+            try:
+                while chunk := conn.recv(65536):
+                    chunks.append(chunk)
+            except ConnectionResetError:
+                pass
+        return b"".join(chunks)
+
+    def test_query_string_is_ignored(self):
+        reg = MetricsRegistry()
+        reg.counter("demo_total").inc(2)
+        with MetricsExporter(reg) as exporter:
+            with urllib.request.urlopen(
+                    f"{exporter.url}/metrics?debug=1&x") as resp:
+                assert resp.read().decode() == reg.render_prometheus()
+            with urllib.request.urlopen(f"{exporter.url}/json?pretty") as resp:
+                assert json.loads(resp.read()) == {"demo_total": 2}
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"POST /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 405),
+        (b"HEAD /metrics HTTP/1.0\r\n\r\n", 405),
+        (b"\x00\xff garbage\r\n\r\n", 400),
+        (b"GET /metrics\r\n\r\n", 400),
+        (b"GET /metrics SPDY/3\r\n\r\n", 400),
+    ], ids=["post", "head", "garbage", "no-version", "not-http"])
+    def test_other_methods_and_bad_request_lines_are_refused(
+            self, request_bytes, status):
+        """An error status, ``Connection: close`` — and the next scrape
+        is served as usual."""
+        with MetricsExporter(MetricsRegistry()) as exporter:
+            reply = self._exchange(exporter, request_bytes)
+            assert reply.startswith(f"HTTP/1.0 {status} ".encode()), reply
+            assert b"\r\nConnection: close\r\n" in reply
+            with urllib.request.urlopen(f"{exporter.url}/metrics") as resp:
+                assert resp.status == 200
+
+    def test_a_post_from_urllib_is_405(self):
+        with MetricsExporter(MetricsRegistry()) as exporter:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(urllib.request.Request(
+                    f"{exporter.url}/metrics", data=b"x=1", method="POST"))
+            assert excinfo.value.code == 405
+            assert excinfo.value.headers["Allow"] == "GET"
+
+    def test_an_oversized_request_is_refused(self):
+        limit = exporter_module.MAX_REQUEST_BYTES
+        with MetricsExporter(MetricsRegistry()) as exporter:
+            long_line = b"GET /" + b"a" * (2 * limit) + b" HTTP/1.1\r\n\r\n"
+            assert self._exchange(exporter, long_line).startswith(
+                b"HTTP/1.0 414 ")
+            long_headers = (b"GET /metrics HTTP/1.1\r\n"
+                            + b"X-Pad: a\r\n" * (limit // 8) + b"\r\n")
+            assert self._exchange(exporter, long_headers).startswith(
+                b"HTTP/1.0 431 ")
+            with urllib.request.urlopen(f"{exporter.url}/metrics") as resp:
+                assert resp.status == 200
+
+    def test_a_silent_client_delays_no_scrape_and_is_dropped(
+            self, monkeypatch):
+        """One thread per connection: a client that connects and sends
+        nothing holds its own thread until the handler timeout closes
+        it; a scrape meanwhile is answered at once."""
+        monkeypatch.setattr(exporter_module._Handler, "timeout", 2.0)
+        with MetricsExporter(MetricsRegistry()) as exporter:
+            with socket.create_connection(("127.0.0.1", exporter.port),
+                                          timeout=10) as silent:
+                opened = time.monotonic()
+                with urllib.request.urlopen(f"{exporter.url}/metrics",
+                                            timeout=10) as resp:
+                    assert resp.status == 200
+                scraped = time.monotonic() - opened
+                assert silent.recv(1) == b""  # closed by the server
+                dropped = time.monotonic() - opened
+        assert scraped < 2.0 <= dropped < 10.0
+
+    def test_stop_frees_the_port_and_leaves_no_exporter_thread(self):
+        """Even with a request half sent: stop() ends that connection
+        too, rather than waiting out its timeout."""
+        def exporter_threads():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("rushmon-metrics-exporter")]
+
+        exporter = MetricsExporter(MetricsRegistry()).start()
+        port = exporter.port
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as stalled:
+            stalled.sendall(b"GET /metr")
+            deadline = time.monotonic() + 10
+            while len(exporter_threads()) < 2:  # the accept loop + this one
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            started = time.monotonic()
+            exporter.stop()
+            assert time.monotonic() - started < 5.0
+            assert exporter_threads() == []
+            assert stalled.recv(1) == b""
+        again = MetricsExporter(MetricsRegistry(), port=port).start()
+        try:
+            assert again.port == port
+        finally:
+            again.stop()
+
+    def test_a_registry_that_fails_to_render_is_a_500(self, capsys):
+        """A queued registration step that raises reaches the scrape that
+        ran it (and the server's stderr); the step is dropped, so the
+        next scrape is served."""
+        def broken(registry):
+            raise ValueError("broken step")
+
+        reg = MetricsRegistry()
+        reg.counter("demo_total").inc()
+        reg.defer(broken)
+        with MetricsExporter(reg) as exporter:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(f"{exporter.url}/metrics")
+            assert excinfo.value.code == 500
+            with urllib.request.urlopen(f"{exporter.url}/metrics") as resp:
+                assert "demo_total 1" in resp.read().decode()
+        assert "ValueError: broken step" in capsys.readouterr().err
+
+    def test_a_prometheus_style_request_gets_the_text_exposition(self):
+        reg = MetricsRegistry()
+        reg.counter("demo_total").inc(3)
+        reg.gauge("demo_depth").set(1.5)
+        with MetricsExporter(reg) as exporter:
+            reply = self._exchange(exporter, (
+                f"GET /metrics HTTP/1.1\r\n"
+                f"Host: 127.0.0.1:{exporter.port}\r\n"
+                f"User-Agent: Prometheus/2.45.0\r\n"
+                f"Accept: application/openmetrics-text;version=1.0.0,"
+                f"text/plain;version=0.0.4;q=0.5,*/*;q=0.1\r\n"
+                f"Accept-Encoding: gzip\r\n"
+                f"X-Prometheus-Scrape-Timeout-Seconds: 10\r\n\r\n").encode())
+        head, body = reply.split(b"\r\n\r\n", 1)
+        lines = head.decode().split("\r\n")
+        assert lines[0] == "HTTP/1.0 200 OK"
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert headers == {
+            "Content-Type": "text/plain; version=0.0.4; charset=utf-8",
+            "Content-Length": str(len(body)),
+            "Connection": "close",
+        }
+        assert body.decode() == reg.render_prometheus()
+        assert "demo_total 3" in body.decode()
+
+    def test_serve_with_a_taken_export_port_never_accepts_on_its_ingest_port(
+            self):
+        """The exporter binds before the ingest socket: ``serve`` ends as
+        a usage error (exit 2) and its ingest port accepts nothing while
+        the process lives."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            ingest = probe.getsockname()[1]
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve",
+                 "--port", str(ingest),
+                 "--export-port", str(taken.getsockname()[1])],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True)
+            accepted = False
+            try:
+                while proc.poll() is None:
+                    try:
+                        socket.create_connection(("127.0.0.1", ingest),
+                                                 timeout=0.05).close()
+                        accepted = True
+                    except OSError:
+                        time.sleep(0.005)
+                out, err = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert proc.returncode == 2 and not accepted
+        assert "listening" not in out
+        assert ("repro serve: error: metrics exporter could not bind "
+                "127.0.0.1:") in err
 
 
 # -- monitor instrumentation --------------------------------------------------

@@ -63,10 +63,6 @@ ALLOWLIST = {
         "test support: tests/test_net.py builds wire op records with it",
     "repro.net.server:RushMonServer.session_high":
         "probe: tests/test_net.py reads a session's acknowledged mark",
-    "repro.obs.exporter:_Handler.do_GET":
-        "framework callback: http.server dispatches GET requests to it",
-    "repro.obs.exporter:_Handler.log_message":
-        "framework callback: http.server logs each request through it",
     "repro.obs.instrument:instrument_net_client":
         "entry point: DESIGN §10's client-side metrics, for an "
         "application that hosts a RushMonClient",
