@@ -30,7 +30,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.checkers.taxonomy import (
     CYCLE_CLASSES,
@@ -44,10 +45,18 @@ from repro.core.types import (
     EdgeType,
     Key,
     Operation,
+    OpType,
 )
 
+#: The checker's graph: ``hop[u][v]`` maps each item label of the
+#: ``u -> v`` dependency to its kind.  ``hop``'s keys are the vertices
+#: and ``hop[v]``'s keys are ``v``'s successors.
+_Hops = dict[BuuId, dict[BuuId, dict[Key, EdgeType]]]
 
-@dataclass(frozen=True)
+_SEQ = attrgetter("seq")
+
+
+@dataclass(frozen=True, slots=True)
 class CheckerEdge:
     """One labelled dependency edge as the checker derived it."""
 
@@ -60,7 +69,7 @@ class CheckerEdge:
         return f"{self.src} -{self.kind.value}[{self.label}]-> {self.dst}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleWitness:
     """A concrete dependency cycle: the labelled edges walking around it."""
 
@@ -77,7 +86,7 @@ class CycleWitness:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadWitness:
     """One G1a/G1b occurrence: a read that observed a bad write."""
 
@@ -94,18 +103,21 @@ class ReadWitness:
                 f"observed {what} write by {self.writer} @{self.write_seq}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Observation:
-    """Internal: one read event and the write version it observed."""
+    """Internal: one read event and the write version it observed.
+    ``overwritten`` is true when the writer wrote the item again later,
+    i.e. the read saw an intermediate version (G1b)."""
 
     key: Key
     writer: BuuId
     reader: BuuId
     write_seq: int
     read_seq: int
+    overwritten: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     """Everything the exact checker learned about one history.
 
@@ -146,7 +158,26 @@ class CheckReport:
 def derive_dependency_edges(
     ops: Sequence[Operation],
 ) -> tuple[list[CheckerEdge], EdgeStats, list[_Observation]]:
-    """Derive every wr/ww/rw conflict edge of a history, per item.
+    """Every wr/ww/rw conflict edge of a history, as lists.
+
+    Returns the derived edges (duplicates included, as collectors emit
+    them), aggregate per-kind stats, and the read observations the
+    G1a/G1b analysis needs.  The checker itself streams the same edges
+    (:func:`_scan`) without materialising them.
+    """
+    observations: list[_Observation] = []
+    edges = [CheckerEdge(*edge) for edge in _scan(ops, observations)]
+    stats = EdgeStats()
+    for edge in edges:
+        stats.record(edge.kind)
+    return edges, stats, observations
+
+
+def _scan(
+    ops: Iterable[Operation],
+    observations: list[_Observation] | None = None,
+) -> Iterator[tuple[BuuId, BuuId, EdgeType, Key]]:
+    """Yield every conflict edge as ``(src, dst, kind, label)``, per item.
 
     Implements the Section 2.1 rules by scanning each data item's
     operations in visibility (``seq``) order: a read depends on the item's
@@ -154,129 +185,110 @@ def derive_dependency_edges(
     anti-depends on all its readers (``rw``); a write directly
     overwriting a write with no intervening reads is a write dependency
     (``ww``).  Matches the collectors' Algorithm 1 semantics while
-    sharing none of their code.
-
-    Returns the derived edges (duplicates included, as collectors emit
-    them), aggregate per-kind stats, and the read observations the
-    G1a/G1b analysis needs.
+    sharing none of their code.  With ``observations``, also records
+    each read of a write, with its G1b verdict settled against the
+    writer's last write to the same item.
     """
-    edges: list[CheckerEdge] = []
-    stats = EdgeStats()
-    observations: list[_Observation] = []
     by_key: dict[Key, list[Operation]] = {}
     for op in ops:
         by_key.setdefault(op.key, []).append(op)
-    for key, key_ops in by_key.items():
-        rows = [(o.is_read(), o.buu, o.seq)
-                for o in sorted(key_ops, key=lambda o: o.seq)]
-        _scan_item(key, rows, edges, stats, observations)
-    return edges, stats, observations
+    read, wr, ww, rw = OpType.READ, EdgeType.WR, EdgeType.WW, EdgeType.RW
+    for key in list(by_key):
+        key_ops = by_key.pop(key)  # freed once its item is scanned
+        key_ops.sort(key=_SEQ)
+        if observations is not None:
+            final = {op.buu: op.seq for op in key_ops if op.op is not read}
+        last_writer: BuuId | None = None
+        last_write_seq = 0
+        readers: dict[BuuId, None] = {}  # insertion-ordered set
+        for op_type, buu, _, seq in key_ops:
+            if op_type is read:
+                if last_writer is not None:
+                    if last_writer != buu:
+                        yield last_writer, buu, wr, key
+                    if observations is not None:
+                        observations.append(_Observation(
+                            key, last_writer, buu, last_write_seq, seq,
+                            final[last_writer] > last_write_seq,
+                        ))
+                readers[buu] = None
+            else:
+                if readers:
+                    for reader in readers:
+                        if reader != buu:
+                            yield reader, buu, rw, key
+                    readers.clear()
+                elif last_writer is not None and last_writer != buu:
+                    yield last_writer, buu, ww, key
+                last_writer = buu
+                last_write_seq = seq
 
 
-def _scan_item(
-    key: Key,
-    rows: Iterable[tuple[bool, BuuId, int]],
-    edges: list[CheckerEdge],
-    stats: EdgeStats,
-    observations: list["_Observation"],
-) -> None:
-    """The Section 2.1 per-item rules over one key's ``(is_read, buu,
-    seq)`` rows in visibility order."""
-    last_writer: BuuId | None = None
-    last_write_seq = 0
-    readers: dict[BuuId, None] = {}  # insertion-ordered set
-    for is_read, buu, seq in rows:
-        if is_read:
-            if last_writer is not None:
-                if last_writer != buu:
-                    stats.record(EdgeType.WR)
-                    edges.append(
-                        CheckerEdge(last_writer, buu, EdgeType.WR, key)
-                    )
-                observations.append(_Observation(
-                    key, last_writer, buu, last_write_seq, seq
-                ))
-            readers[buu] = None
-        else:
-            if readers:
-                for reader in readers:
-                    if reader != buu:
-                        stats.record(EdgeType.RW)
-                        edges.append(
-                            CheckerEdge(reader, buu, EdgeType.RW, key)
-                        )
-            elif last_writer is not None and last_writer != buu:
-                stats.record(EdgeType.WW)
-                edges.append(
-                    CheckerEdge(last_writer, buu, EdgeType.WW, key)
-                )
-            readers.clear()
-            last_writer = buu
-            last_write_seq = seq
+def _adjacency(
+    edges: Iterable[tuple[BuuId, BuuId, EdgeType, Key]],
+    stats: EdgeStats | None = None,
+) -> tuple[_Hops, int]:
+    """Fold streamed edges into the checker's own labelled multigraph (no
+    shared graph code), and count its distinct labelled edges.
 
-
-class _CheckerGraph:
-    """The checker's own labelled multigraph (no shared graph code).
-
-    ``labels[(u, v)]`` maps each parallel edge's item label to its kind;
-    a duplicate (src, dst, label) keeps the first kind seen, mirroring
+    A duplicate (src, dst, label) keeps the first kind seen, mirroring
     the live detector's dedup rule so classifications line up.
+    ``stats``, when given, counts every edge, duplicates included.
     """
-
-    def __init__(self, edges: Iterable[CheckerEdge]) -> None:
-        self.labels: dict[tuple[BuuId, BuuId], dict[Key, EdgeType]] = {}
-        self.out: dict[BuuId, set[BuuId]] = {}
-        self.vertices: set[BuuId] = set()
-        self.distinct_edges = 0
-        for edge in edges:
-            self.vertices.add(edge.src)
-            self.vertices.add(edge.dst)
-            pair = (edge.src, edge.dst)
-            labels = self.labels.setdefault(pair, {})
-            if edge.label in labels:
-                continue
-            labels[edge.label] = edge.kind
-            self.out.setdefault(edge.src, set()).add(edge.dst)
-            self.distinct_edges += 1
-
-    def successors(self, v: BuuId) -> set[BuuId]:
-        return self.out.get(v, set())
-
-    def hop(self, u: BuuId, v: BuuId) -> dict[Key, EdgeType]:
-        return self.labels.get((u, v), {})
+    hop: _Hops = {}
+    distinct = 0
+    for src, dst, kind, label in edges:
+        if stats is not None:
+            stats.record(kind)
+        out = hop.get(src)
+        if out is None:
+            out = hop[src] = {}
+        labels = out.get(dst)
+        if labels is None:
+            out[dst] = {label: kind}
+            if dst not in hop:
+                hop[dst] = {}
+        elif label in labels:
+            continue
+        else:
+            labels[label] = kind
+        distinct += 1
+    return hop, distinct
 
 
-def _count_short_cycles(graph: _CheckerGraph) -> CycleCounts:
+def _count_short_cycles(hop: _Hops) -> CycleCounts:
     """Exact 2-/3-cycle counts by label class, the brute-force way.
 
     Every cycle is a choice of one labelled edge per hop; this iterates
     those choices literally (no inclusion-exclusion shortcuts), counting
     ss/dd for 2-cycles and sss/ssd/ddd for 3-cycles.  Each vertex cycle
-    is visited once by rooting at its smallest vertex.
+    is visited once by rooting at its smallest vertex.  The scan yields
+    no self-edges, so a successor is never its own vertex.
     """
     counts = CycleCounts()
-    for u in graph.vertices:
-        for v in graph.successors(u):
+    for u, out_u in hop.items():
+        for v, uv in out_u.items():
             if v <= u:
                 continue
+            out_v = hop[v]
             # 2-cycles u <-> v, rooted at u < v.
-            back = graph.hop(v, u)
+            back = out_v.get(u)
             if back:
-                for la in graph.hop(u, v):
+                for la in uv:
                     for lb in back:
                         if la == lb:
                             counts.ss += 1
                         else:
                             counts.dd += 1
             # 3-cycles u -> v -> w -> u, rooted at the smallest vertex u.
-            for w in graph.successors(v):
-                if w <= u or w == v:
+            for w, vw in out_v.items():
+                if w <= u:
                     continue
-                closing = graph.hop(w, u)
+                closing = hop[w].get(u)
                 if not closing:
                     continue
-                for la in graph.hop(u, v):
-                    for lb in graph.hop(v, w):
+                for la in uv:
+                    for lb in vw:
                         for lc in closing:
                             distinct = len({la, lb, lc})
                             if distinct == 1:
@@ -288,22 +300,21 @@ def _count_short_cycles(graph: _CheckerGraph) -> CycleCounts:
     return counts
 
 
-def _serial_order(graph: _CheckerGraph,
+def _serial_order(hop: _Hops,
                   all_buus: Iterable[BuuId]) -> tuple[BuuId, ...] | None:
-    """A witness equivalent serial order (None when the graph is cyclic)."""
-    in_degree: dict[BuuId, int] = {v: 0 for v in all_buus}
-    for v in graph.vertices:
-        in_degree.setdefault(v, 0)
-    for (_, dst), labels in graph.labels.items():
-        if labels:
-            in_degree[dst] += 1
+    """A witness equivalent serial order (None when the graph is cyclic).
+    Every vertex of ``hop`` is one of ``all_buus``."""
+    in_degree = dict.fromkeys(all_buus, 0)
+    for out in hop.values():
+        for v in out:
+            in_degree[v] += 1
     ready = [v for v, deg in in_degree.items() if deg == 0]
     heapq.heapify(ready)
     order: list[BuuId] = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for succ in graph.successors(v):
+        for succ in hop.get(v, ()):
             in_degree[succ] -= 1
             if in_degree[succ] == 0:
                 heapq.heappush(ready, succ)
@@ -313,18 +324,18 @@ def _serial_order(graph: _CheckerGraph,
 
 
 def _enumerate_vertex_cycles(
-    graph: _CheckerGraph, max_length: int
+    hop: _Hops, max_length: int
 ) -> Iterable[tuple[BuuId, ...]]:
     """Yield each vertex-simple directed cycle of length <= max_length
     once (from its smallest vertex), shortest lengths first."""
     by_length: dict[int, list[tuple[BuuId, ...]]] = {
         n: [] for n in range(2, max_length + 1)
     }
-    for root in sorted(graph.vertices):
+    for root in sorted(hop):
         stack: list[tuple[BuuId, tuple[BuuId, ...]]] = [(root, (root,))]
         while stack:
             current, path = stack.pop()
-            for nxt in graph.successors(current):
+            for nxt in hop[current]:
                 if nxt == root:
                     if len(path) >= 2:
                         by_length[len(path)].append(path)
@@ -338,7 +349,7 @@ def _enumerate_vertex_cycles(
 
 
 def _classify_cycles(
-    graph: _CheckerGraph,
+    hop: _Hops,
     max_length: int,
     max_witnesses: int,
     counts: dict[GClass, int],
@@ -350,14 +361,13 @@ def _classify_cycles(
     label choice; each instance is classified independently (a triangle
     can be G1c through its wr labels and G2 through an rw one).
     """
-    for path in _enumerate_vertex_cycles(graph, max_length):
-        hops = []
+    for path in _enumerate_vertex_cycles(hop, max_length):
         closed = path + (path[0],)
-        for a, b in zip(closed, closed[1:]):
-            hops.append([
-                CheckerEdge(a, b, kind, label)
-                for label, kind in graph.hop(a, b).items()
-            ])
+        hops = [
+            [CheckerEdge(a, b, kind, label)
+             for label, kind in hop[a][b].items()]
+            for a, b in zip(closed, closed[1:])
+        ]
         for combo in itertools.product(*hops):
             gclass = classify_cycle([edge.kind for edge in combo])
             counts[gclass] = counts.get(gclass, 0) + 1
@@ -410,27 +420,23 @@ def check_operations(
     else:
         aborted_set = set()
 
-    edges, stats, observations = derive_dependency_edges(ops)
-    graph = _CheckerGraph(edges)
-    cycles = _count_short_cycles(graph)
-    order = _serial_order(graph, touched)
+    stats = EdgeStats()
+    observations: list[_Observation] = []
+    hop, distinct_edges = _adjacency(_scan(ops, observations), stats)
+    cycles = _count_short_cycles(hop)
+    order = _serial_order(hop, touched)
 
     counts: dict[GClass, int] = {}
     witnesses: dict[GClass, list] = {}
-    _classify_cycles(graph, max_cycle_length, max_witnesses, counts,
-                     witnesses)
+    _classify_cycles(hop, max_cycle_length, max_witnesses, counts, witnesses)
 
     # G1a / G1b: read-shaped phenomena, straight from the observations.
-    final_write: dict[tuple[Key, BuuId], int] = {}
-    for edge_key, seq in _final_writes(ops).items():
-        final_write[edge_key] = seq
     for obs in observations:
         if obs.writer == obs.reader:
             continue
         if obs.writer in aborted_set:
             gclass = GClass.G1A
-        elif final_write.get((obs.key, obs.writer), obs.write_seq) \
-                > obs.write_seq:
+        elif obs.overwritten:
             gclass = GClass.G1B
         else:
             continue
@@ -446,7 +452,7 @@ def check_operations(
         buus=len(touched),
         aborted=tuple(sorted(aborted_set)),
         edges=stats,
-        distinct_edges=graph.distinct_edges,
+        distinct_edges=distinct_edges,
         cycles=cycles,
         counts=counts,
         witnesses={g: tuple(w) for g, w in witnesses.items()},
@@ -455,17 +461,6 @@ def check_operations(
         serial_order=order or (),
         cycles_beyond_bound=(order is None and classified == 0),
     )
-
-
-def _final_writes(ops: Sequence[Operation]) -> dict[tuple[Key, BuuId], int]:
-    """The seq of each BUU's last write per item (for G1b)."""
-    final: dict[tuple[Key, BuuId], int] = {}
-    for op in ops:
-        if op.is_write():
-            key = (op.key, op.buu)
-            if op.seq > final.get(key, -1):
-                final[key] = op.seq
-    return final
 
 
 def check_trace(trace, *, max_cycle_length: int = 4,
@@ -489,5 +484,4 @@ def check_trace(trace, *, max_cycle_length: int = 4,
 def exact_cycle_counts(ops: Sequence[Operation]) -> CycleCounts:
     """Just the exact 2-/3-cycle label-class counts of a history — the
     cheap entry point for differential tests against the monitor."""
-    edges, _, _ = derive_dependency_edges(ops)
-    return _count_short_cycles(_CheckerGraph(edges))
+    return _count_short_cycles(_adjacency(_scan(ops))[0])

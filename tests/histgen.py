@@ -6,7 +6,9 @@ visibility order — the exact input a collector consumes.  The builders
 run BUU programs serially or randomly interleaved; ``random_history``
 varies BUU count, key-space size, key skew and read/write mix by seed
 for the differential, estimator-unbiasedness and concurrency-stress
-tests; histories are delivered with full BUU lifecycle events (``begin``
+tests; ``streamed_history`` holds a fixed number of BUUs open at once,
+so it scales to the 10**6-op histories the checker's memory tests use;
+histories are delivered with full BUU lifecycle events (``begin``
 before a BUU's first operation, ``commit`` after its last) so detector
 pruning runs under the same assumptions the simulator guarantees.
 ``count_consecutive_write_pairs`` is the combinatorial helper behind
@@ -16,6 +18,7 @@ Theorem B.1.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -150,6 +153,41 @@ def random_history(
             (prog.write if rng.random() < write_frac else prog.read)(key)
         programs.append(prog)
     return interleaved_history(programs, rng)
+
+
+def streamed_history(
+    seed: int,
+    num_ops: int,
+    num_keys: int = 1_000,
+    active: int = 32,
+    ops_per_buu: int = 6,
+    write_frac: float = 0.5,
+    skew: float = 3.0,
+) -> list[Operation]:
+    """A long history with bounded concurrency: ``active`` BUUs run at
+    once, each issues ``ops_per_buu`` operations on :func:`skewed_key`
+    keys, and a fresh BUU takes a slot its predecessor freed.
+
+    Unlike :func:`random_history`, whose BUUs all overlap, this scales
+    linearly to millions of operations with a steady conflict density,
+    so a per-op cost measured on it does not drift with its length.
+    Key names are interned: at 10**6 operations the history holds one
+    string per key, not one per operation.
+    """
+    rng = random.Random(seed)
+    slots = [[buu, ops_per_buu] for buu in range(active)]
+    next_buu = active
+    ops: list[Operation] = []
+    for seq in range(1, num_ops + 1):
+        slot = slots[rng.randrange(active)]
+        kind = OpType.WRITE if rng.random() < write_frac else OpType.READ
+        key = sys.intern(skewed_key(rng, num_keys, skew))
+        ops.append(Operation(kind, slot[0], key, seq))
+        slot[1] -= 1
+        if not slot[1]:
+            slot[:] = next_buu, ops_per_buu
+            next_buu += 1
+    return ops
 
 
 def feed_with_lifecycle(listeners: Iterable, history: Sequence[Operation]) -> None:

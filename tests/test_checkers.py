@@ -9,6 +9,7 @@ the assertion.
 
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,39 @@ from repro.checkers import (
     exact_cycle_counts,
 )
 from repro.cli import main
+from repro.core.config import RushMonConfig
+from repro.core.monitor import OfflineAnomalyMonitor, RushMon
 from repro.core.types import EdgeType, Operation, OpType
 from repro.sim.traces import Trace
 
+from tests.histgen import feed_with_lifecycle, streamed_history
+from tests.strategies import interleavings
+
 GOLDEN = Path(__file__).parent / "golden"
+
+#: Bound on ``exact_cycle_counts``' tracemalloc peak, in bytes per op, on
+#: :func:`dense_history`.  Measured on CPython 3.11 (x86_64): 656 B/op
+#: when the checker materialised an edge list, pair-keyed label dicts and
+#: successor sets; 284 B/op with edges streamed into one nested
+#: adjacency.  The bound sits between the two.
+ORACLE_BYTES_PER_OP = 450
+
+
+def dense_history(num_ops=60_000):
+    """A fixed dense history: 32 BUUs open at once on 1 000 skewed keys,
+    about one distinct dependency edge per operation."""
+    return streamed_history(1, num_ops)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 R, W = OpType.READ, OpType.WRITE
 
@@ -264,8 +294,39 @@ class TestCheckOperations:
         with pytest.raises(ValueError):
             check_operations([], max_witnesses=-1)
 
-    def test_exact_counts_equal_full_report_counts(self):
-        from tests.histgen import random_history
+    @given(hist=interleavings(max_buus=8, max_steps=6))
+    def test_exact_counts_equal_full_report_counts(self, hist):
+        """The cheap entry point counts what the full report counts, and
+        the report's edge stats and distinct edges equal what the
+        offline monitor's collector and graph, which share no code with
+        the checker, derive at sr=1."""
+        report = check_operations(hist)
+        assert exact_cycle_counts(hist) == report.cycles
+        offline = OfflineAnomalyMonitor()
+        offline.on_operations(hist)
+        assert report.edges == offline.collector.stats
+        assert report.distinct_edges == offline.graph.num_edges()
 
-        hist = random_history(3)
-        assert exact_cycle_counts(hist) == check_operations(hist).cycles
+
+class TestOracleMemory:
+    def test_exact_counts_peak_bytes_per_op(self):
+        """The oracle's memory per op on a dense history stays under
+        :data:`ORACLE_BYTES_PER_OP`: the size of history it can check
+        in a given memory is a property of the checker, not of luck."""
+        hist = dense_history()
+        counts, peak = traced_peak(exact_cycle_counts, hist)
+        assert counts.two_cycles > 0 and counts.three_cycles > 0
+        assert peak / len(hist) < ORACLE_BYTES_PER_OP
+
+
+@pytest.mark.oracle
+def test_checker_at_a_million_ops():
+    """10**6 dense operations: the sr=1 monitor's counts equal the
+    checker's bit for bit, and the checker's memory per op holds the
+    tier-1 bound at 16x the tier-1 history's length."""
+    hist = dense_history(1_000_000)
+    monitor = RushMon(RushMonConfig(sampling_rate=1, mob=False))
+    feed_with_lifecycle([monitor], hist)
+    exact, peak = traced_peak(exact_cycle_counts, hist)
+    assert monitor.detector.counts == exact
+    assert peak / len(hist) < ORACLE_BYTES_PER_OP

@@ -47,6 +47,9 @@ ALLOWLIST = {
     "repro.core.api:AnomalyMonitor":
         "entry point: the monitor protocol in repro.__all__; "
         "tests/test_public_api.py checks every flavour conforms",
+    "repro.checkers.checker:derive_dependency_edges":
+        "entry point: in repro.checkers.__all__, the checker's edges as "
+        "lists; the checker itself streams the same scan",
     "repro.checkers.checker:CheckReport.detected_classes":
         "probe: tests/test_checkers.py reads which classes the golden "
         "corpus covers",
@@ -56,6 +59,9 @@ ALLOWLIST = {
     "repro.core.detector:LiveGraph.edge_labels":
         "probe: tests/test_detector.py and tests/test_live_graph.py read "
         "the parallel labels of one edge",
+    "repro.core.types:Operation.is_write":
+        "entry point: Operation is in repro.__all__ and this is the pair "
+        "of its is_read; tests/histgen.py counts write pairs with it",
     "repro.graph.cycles:count_cycles_johnson":
         "reference: tests/test_graph_cycles.py checks the bounded-length "
         "counter against Johnson's enumeration",
