@@ -327,10 +327,7 @@ def _enumerate_vertex_cycles(
     hop: _Hops, max_length: int
 ) -> Iterable[tuple[BuuId, ...]]:
     """Yield each vertex-simple directed cycle of length <= max_length
-    once (from its smallest vertex), shortest lengths first."""
-    by_length: dict[int, list[tuple[BuuId, ...]]] = {
-        n: [] for n in range(2, max_length + 1)
-    }
+    once (from its smallest vertex), in depth-first discovery order."""
     for root in sorted(hop):
         stack: list[tuple[BuuId, tuple[BuuId, ...]]] = [(root, (root,))]
         while stack:
@@ -338,14 +335,12 @@ def _enumerate_vertex_cycles(
             for nxt in hop[current]:
                 if nxt == root:
                     if len(path) >= 2:
-                        by_length[len(path)].append(path)
+                        yield path
                     continue
                 if nxt < root or nxt in path:
                     continue
                 if len(path) < max_length:
                     stack.append((nxt, path + (nxt,)))
-    for length in range(2, max_length + 1):
-        yield from by_length[length]
 
 
 def _classify_cycles(
@@ -360,7 +355,15 @@ def _classify_cycles(
     A vertex cycle with parallel labelled edges yields one instance per
     label choice; each instance is classified independently (a triangle
     can be G1c through its wr labels and G2 through an rw one).
+
+    Instances are classified as the search finds them, and only the
+    first ``max_witnesses`` of each (class, length) are kept, so memory
+    grows with the witnesses, not the cycles.  ``counts``, ``witnesses``
+    and their key order then read as if every instance had been visited
+    shortest-first, in discovery order within a length.
     """
+    # (class, length) -> [count, witnesses], in order of first discovery
+    found: dict[tuple[GClass, int], list] = {}
     for path in _enumerate_vertex_cycles(hop, max_length):
         closed = path + (path[0],)
         hops = [
@@ -370,10 +373,16 @@ def _classify_cycles(
         ]
         for combo in itertools.product(*hops):
             gclass = classify_cycle([edge.kind for edge in combo])
-            counts[gclass] = counts.get(gclass, 0) + 1
-            bucket = witnesses.setdefault(gclass, [])
-            if len(bucket) < max_witnesses:
-                bucket.append(CycleWitness(gclass, tuple(combo)))
+            slot = found.setdefault((gclass, len(path)), [0, []])
+            slot[0] += 1
+            if len(slot[1]) < max_witnesses:
+                slot[1].append(CycleWitness(gclass, tuple(combo)))
+    # A stable sort by length keeps discovery order within a length.
+    for (gclass, _), (n, kept) in sorted(found.items(),
+                                         key=lambda item: item[0][1]):
+        counts[gclass] = counts.get(gclass, 0) + n
+        bucket = witnesses.setdefault(gclass, [])
+        bucket.extend(kept[:max_witnesses - len(bucket)])
 
 
 def check_operations(

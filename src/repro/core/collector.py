@@ -28,7 +28,7 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.types import (
     BuuId,
@@ -40,9 +40,6 @@ from repro.core.types import (
     Operation,
     OpType,
 )
-
-if TYPE_CHECKING:  # the kernel module is loaded by whoever builds an OpBatch
-    from repro.core.columnar import EdgeBatch, OpBatch
 
 #: An operation's item.  The sample filters here and in the journal
 #: ``compress`` the operations by the sampler's memo probed through it:
@@ -840,9 +837,6 @@ class DataCentricCollector(Collector):
         self._resample_interval = resample_interval
         self._resample_epoch = 0
         self.lifecycle = SampledLifecycle(self.sampler, engaged)
-        # Per-key-id DCS decision cache for the columnar kernel (see
-        # :func:`repro.core.columnar.sample_mask`).
-        self._mask_cache: dict = {}
 
     @property
     def mob(self) -> bool:
@@ -923,20 +917,8 @@ class DataCentricCollector(Collector):
         re-sampling is configured the batch falls back to the per-op
         path, and returns its ``list[Edge]``, so sample switches trigger
         at exactly the same operation indexes.
-
-        A columnar :class:`~repro.core.columnar.OpBatch` takes the
-        vectorized kernel (:func:`~repro.core.columnar.collect_columnar`)
-        and returns an :class:`~repro.core.columnar.EdgeBatch`; without
-        numpy (or under periodic re-sampling) it degrades to the per-op
-        path via ``to_ops()`` — same results, list-of-``Edge`` output.
-        No monitor feeds one: the branch exists for the performance
-        ledger's ``columnar_leg`` and goes when that leg does.
         """
         if not isinstance(ops, (list, tuple)):
-            from repro.core import columnar
-
-            if isinstance(ops, columnar.OpBatch):
-                return self._handle_columnar(ops)
             ops = list(ops)
         if self._resample_interval:
             return self.handle_all(ops)
@@ -945,19 +927,6 @@ class DataCentricCollector(Collector):
             ops = list(compress(ops, map(self.sampler.lookup,
                                          map(_KEY, ops))))
         return self.shard.handle_batch(ops)
-
-    def _handle_columnar(self, batch: OpBatch) -> EdgeBatch:
-        """The vectorized DCS path: one boolean sample mask per batch,
-        then the grouped edge-derivation kernel on the shard's state.
-        Bit-identical to per-op handling (the columnar differential
-        suite compares edges, counters and RNG end state)."""
-        from repro.core import columnar
-
-        if not columnar.HAVE_NUMPY or self._resample_interval:
-            return self.handle_batch(batch.to_ops())  # type: ignore
-        self.ops_seen += len(batch)
-        mask = columnar.sample_mask(batch, self.sampler, self._mask_cache)
-        return columnar.collect_columnar(self.shard, batch, mask)
 
     def _switch_sample(self) -> None:
         self._resample_epoch += 1

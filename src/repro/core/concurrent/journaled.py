@@ -97,6 +97,7 @@ from repro.core.collector import (_KEY, CollectorShard, ItemSampler,
 from repro.core.detector import LifecycleOrderError
 from repro.core.types import (BuuId, Edge, EdgeColumns, EdgeStats, EdgeType,
                               Key, Operation, OpType)
+from repro.obs.instrument import instrument_collector
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # repro.core.monitor walks its buffer with RecordWalk
@@ -259,16 +260,8 @@ class JournaledCollector:
         """Callback gauges only, reading what the journal and the shard
         count anyway: exporting costs a producer nothing.  Queued on the
         registry, so it runs on the registry's first read."""
+        instrument_collector(metrics, self)
         gauges: dict[str, tuple[Callable[[], float], str]] = {
-            "ops_total": (
-                lambda: self._ops_seen,
-                "operations offered and not shed"),
-            "sampled_ops_total": (
-                lambda: self.shard.touches,
-                "operations the detection pass bookkept (sampled-item hits)"),
-            "edges_total": (
-                lambda: self.shard.stats.total,
-                "dependency edges the detection pass collected"),
             "lifecycle_events_total": (
                 lambda: self.lifecycle_offered,
                 "BUU begin/commit events offered and not shed"),
@@ -316,17 +309,10 @@ class JournaledCollector:
                 lambda: self.degrade_shifts_total,
                 "times the degrade policy changed the effective sampling "
                 "rate (up or down)"),
-            "sampled_hit_rate": (
-                self._hit_rate,
-                "fraction of operations offered that were bookkept"),
         }
         for name, (read, text) in gauges.items():
             metrics.gauge_fn(f"rushmon_collector_{name}",
                              lambda read=read: float(read()), help=text)
-
-    def _hit_rate(self) -> float:
-        seen = self._ops_seen
-        return self.touches / seen if seen else 0.0
 
     def _fill_ratio(self) -> float:
         if self.journal_capacity is None:

@@ -80,21 +80,10 @@ def instrument_detector(registry: MetricsRegistry, detector: Any) -> None:
         )
 
 
-def instrument_serial_monitor(registry: MetricsRegistry, collector: Any,
-                              detector: Any, reports: list) -> None:
-    """Export the serial :class:`~repro.core.monitor.RushMon` facade's
-    parts: collector throughput/hit-rate, windows closed, and the
-    detector readings.
-
-    Everything is callback-backed, so attaching a registry adds *zero*
-    work to the serial hot path — the paper's overhead story is the
-    collector's, and the serial monitor keeps it untouched.
-    """
-    # The callbacks close over the parts, never over the monitor: the
-    # monitor owns the registry, and a callback holding the monitor would
-    # make every dropped monitor (and its live graph) wait for a full
-    # cyclic collection — and a scrape would walk its record buffer from
-    # the scraping thread.  ``reports`` is appended to, never rebound.
+def instrument_collector(registry: MetricsRegistry, collector: Any) -> None:
+    """Export a collector's throughput, hit rate and edge count: the
+    serial monitor's collector and the service's journaled one alike
+    (anything with ``ops_seen``, ``touches`` and ``stats``)."""
 
     def hit_rate() -> float:
         seen = collector.ops_seen
@@ -120,6 +109,25 @@ def instrument_serial_monitor(registry: MetricsRegistry, collector: Any,
         lambda: float(collector.stats.total),
         help="dependency edges emitted by the collector",
     )
+
+
+def instrument_serial_monitor(registry: MetricsRegistry, collector: Any,
+                              detector: Any, reports: list) -> None:
+    """Export the serial :class:`~repro.core.monitor.RushMon` facade's
+    parts: collector throughput/hit-rate, windows closed, and the
+    detector readings.
+
+    Everything is callback-backed, so attaching a registry adds *zero*
+    work to the serial hot path — the paper's overhead story is the
+    collector's, and the serial monitor keeps it untouched.
+    """
+    # The callbacks close over the parts, never over the monitor: the
+    # monitor owns the registry, and a callback holding the monitor would
+    # make every dropped monitor (and its live graph) wait for a full
+    # cyclic collection — and a scrape would walk its record buffer from
+    # the scraping thread.  ``reports`` is appended to, never rebound.
+
+    instrument_collector(registry, collector)
     registry.gauge_fn(
         "rushmon_monitor_reports_total",
         lambda: float(len(reports)),

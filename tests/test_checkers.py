@@ -288,6 +288,24 @@ class TestCheckOperations:
         assert report.counts[GClass.G_SI] == 6
         assert len(report.witnesses[GClass.G_SI]) == 2
 
+    def test_witnesses_are_shortest_first_whatever_the_discovery_order(self):
+        """The search finds the G1c triangle (from BUU 1) first and the
+        G0 triangle (from BUU 4) before the G0 2-cycle (from BUU 5); the
+        report still lists classes and witnesses shortest-first."""
+        ops = [(W, 1, "a"), (R, 2, "a"), (W, 2, "b"), (R, 3, "b"),
+               (W, 3, "c"), (R, 1, "c"),
+               (W, 4, "d"), (W, 5, "d"), (W, 5, "e"), (W, 6, "e"),
+               (W, 6, "f"), (W, 4, "f"), (W, 6, "g"), (W, 5, "g")]
+        report = check_operations(history(*ops), max_witnesses=2)
+        assert report.counts == {GClass.G0: 2, GClass.G1C: 1}
+        assert list(report.counts) == list(report.witnesses) == \
+            [GClass.G0, GClass.G1C]
+        assert [[e.src for e in w.edges] for w in
+                report.witnesses[GClass.G0]] == [[5, 6], [4, 5, 6]]
+        (only,) = check_operations(history(*ops),
+                                   max_witnesses=1).witnesses[GClass.G0]
+        assert len(only.edges) == 2
+
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             check_operations([], max_cycle_length=1)

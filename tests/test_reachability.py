@@ -53,9 +53,6 @@ ALLOWLIST = {
     "repro.checkers.checker:CheckReport.detected_classes":
         "probe: tests/test_checkers.py reads which classes the golden "
         "corpus covers",
-    "repro.core.columnar:EdgeBatch.to_edges":
-        "probe: tests/test_columnar.py compares the kernel's edges with "
-        "the per-op collector's",
     "repro.core.detector:LiveGraph.edge_labels":
         "probe: tests/test_detector.py and tests/test_live_graph.py read "
         "the parallel labels of one edge",
