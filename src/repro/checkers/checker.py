@@ -50,7 +50,9 @@ from repro.core.types import (
 
 #: The checker's graph: ``hop[u][v]`` maps each item label of the
 #: ``u -> v`` dependency to its kind.  ``hop``'s keys are the vertices
-#: and ``hop[v]``'s keys are ``v``'s successors.
+#: and ``hop[v]``'s keys are ``v``'s successors.  One-label pairs share
+#: their label dict (:func:`_adjacency`), so nothing mutates a label
+#: dict after :func:`_adjacency` returns.
 _Hops = dict[BuuId, dict[BuuId, dict[Key, EdgeType]]]
 
 _SEQ = attrgetter("seq")
@@ -234,9 +236,14 @@ def _adjacency(
     A duplicate (src, dst, label) keeps the first kind seen, mirroring
     the live detector's dedup rule so classifications line up.
     ``stats``, when given, counts every edge, duplicates included.
+    One-label pairs share one ``{label: kind}`` dict per ``(label,
+    kind)``, picked by kind identity (``Enum.__hash__`` runs a Python
+    frame); a pair that gains a second label is promoted to a fresh one.
     """
     hop: _Hops = {}
     distinct = 0
+    wr, rw = EdgeType.WR, EdgeType.RW
+    shared: tuple[dict[Key, dict[Key, EdgeType]], ...] = ({}, {}, {})
     for src, dst, kind, label in edges:
         if stats is not None:
             stats.record(kind)
@@ -245,11 +252,17 @@ def _adjacency(
             out = hop[src] = {}
         labels = out.get(dst)
         if labels is None:
-            out[dst] = {label: kind}
+            table = shared[0 if kind is wr else 1 if kind is rw else 2]
+            entry = table.get(label)
+            if entry is None:
+                entry = table[label] = {label: kind}
+            out[dst] = entry
             if dst not in hop:
                 hop[dst] = {}
         elif label in labels:
             continue
+        elif len(labels) == 1:
+            out[dst] = {**labels, label: kind}
         else:
             labels[label] = kind
         distinct += 1
@@ -332,6 +345,11 @@ def _enumerate_vertex_cycles(
         stack: list[tuple[BuuId, tuple[BuuId, ...]]] = [(root, (root,))]
         while stack:
             current, path = stack.pop()
+            if len(path) >= max_length:
+                # The last hop can only close the cycle.
+                if len(path) >= 2 and root in hop[current]:
+                    yield path
+                continue
             for nxt in hop[current]:
                 if nxt == root:
                     if len(path) >= 2:
@@ -339,8 +357,7 @@ def _enumerate_vertex_cycles(
                     continue
                 if nxt < root or nxt in path:
                     continue
-                if len(path) < max_length:
-                    stack.append((nxt, path + (nxt,)))
+                stack.append((nxt, path + (nxt,)))
 
 
 def _classify_cycles(

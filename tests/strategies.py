@@ -87,3 +87,33 @@ def op_streams(draw, max_ops: int = 250, max_buus: int = 15,
         min_size=0, max_size=max_ops))
     return [Operation(kind, buu, key, seq)
             for seq, (kind, buu, key) in enumerate(triples, start=1)]
+
+
+@st.composite
+def linear_extensions(draw, **program_kwargs
+                      ) -> tuple[list[Operation], list[Operation]]:
+    """A history and a drawn arrival order of its operations that keeps
+    each BUU's program order and each key's ``seq`` order: a linear
+    extension of (per-BUU order ∪ per-key order).
+
+    Operations keep their ``seq``.  Each step emits one of the
+    operations whose BUU and key predecessors are out, listed in
+    history order; the drawn index shrinks toward 0, i.e. toward the
+    history itself.
+    """
+    ops = draw(interleavings(**program_kwargs))
+    last: dict[tuple[str, object], int] = {}
+    preds = []
+    for i, op in enumerate(ops):
+        preds.append([last[slot] for slot in (("buu", op.buu), ("key", op.key))
+                      if slot in last])
+        last["buu", op.buu] = last["key", op.key] = i
+    out: list[Operation] = []
+    done = [False] * len(ops)
+    while len(out) < len(ops):
+        ready = [i for i, pre in enumerate(preds)
+                 if not done[i] and all(done[p] for p in pre)]
+        pick = ready[draw(st.integers(0, len(ready) - 1))]
+        done[pick] = True
+        out.append(ops[pick])
+    return ops, out

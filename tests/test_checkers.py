@@ -13,7 +13,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.checkers import (
     CYCLE_CLASSES,
@@ -24,6 +24,7 @@ from repro.checkers import (
     derive_dependency_edges,
     exact_cycle_counts,
 )
+from repro.checkers.checker import _adjacency, _enumerate_vertex_cycles, _scan
 from repro.cli import main
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor, RushMon
@@ -38,9 +39,15 @@ GOLDEN = Path(__file__).parent / "golden"
 #: Bound on ``exact_cycle_counts``' tracemalloc peak, in bytes per op, on
 #: :func:`dense_history`.  Measured on CPython 3.11 (x86_64): 656 B/op
 #: when the checker materialised an edge list, pair-keyed label dicts and
-#: successor sets; 284 B/op with edges streamed into one nested
-#: adjacency.  The bound sits between the two.
-ORACLE_BYTES_PER_OP = 450
+#: successor sets; 285 B/op with edges streamed into one nested
+#: adjacency; 77 B/op with one-label pairs sharing one label dict per
+#: ``(label, kind)``.  The bound sits between the last two.
+ORACLE_BYTES_PER_OP = 130
+
+#: The same bound for ``check_operations`` (observations, the report and
+#: its witnesses ride on the adjacency) on ``dense_history(20_000)``:
+#: 331 B/op before the label dicts were shared, 152 after.
+CHECK_BYTES_PER_OP = 200
 
 
 def dense_history(num_ops=60_000):
@@ -326,6 +333,78 @@ class TestCheckOperations:
         assert report.distinct_edges == offline.graph.num_edges()
 
 
+def reference_fold(edges):
+    """:func:`_adjacency`'s graph built with a fresh label dict per pair
+    (first kind wins), as ``(vertex, [(successor, [(label, kind)])])``
+    lists, so that order counts too; and its distinct labelled edges."""
+    hop = {}
+    distinct = 0
+    for src, dst, kind, label in edges:
+        labels = hop.setdefault(src, {}).setdefault(dst, {})
+        hop.setdefault(dst, {})
+        if label not in labels:
+            labels[label] = kind
+            distinct += 1
+    return plain(hop), distinct
+
+
+def plain(hop):
+    return [(u, [(v, list(labels.items())) for v, labels in out.items()])
+            for u, out in hop.items()]
+
+
+def reference_vertex_cycles(hop, max_length):
+    """The reference cycle search: a full-length path's last vertex
+    walks all its successors, where the checker looks the root up."""
+    for root in sorted(hop):
+        stack = [(root, (root,))]
+        while stack:
+            current, path = stack.pop()
+            for nxt in hop[current]:
+                if nxt == root:
+                    if len(path) >= 2:
+                        yield path
+                    continue
+                if nxt < root or nxt in path:
+                    continue
+                if len(path) < max_length:
+                    stack.append((nxt, path + (nxt,)))
+
+
+#: Pairs (1, 2) and (3, 4) both hold wr on ``k0`` only, and (1, 2) then
+#: gains rw on ``k1``: a label added in place to a shared dict would
+#: reach (3, 4) too.
+_SHARED_THEN_PROMOTED = history((W, 1, "k0"), (R, 2, "k0"), (W, 3, "k0"),
+                                (R, 4, "k0"), (R, 1, "k1"), (W, 2, "k1"))
+
+
+class TestAdjacency:
+    @example(hist=_SHARED_THEN_PROMOTED)
+    @given(hist=interleavings(max_buus=6, max_steps=6, max_keys=3))
+    def test_shared_label_dicts_read_as_fresh_ones(self, hist):
+        """One-label pairs share one dict per (label, kind): the graph
+        reads as the fold with a fresh dict per pair, first kind wins
+        and label order included, and a dict two pairs reach holds one
+        label."""
+        hop, distinct = _adjacency(_scan(hist))
+        assert (plain(hop), distinct) == reference_fold(_scan(hist))
+        reached: dict[int, list] = {}
+        for out in hop.values():
+            for labels in out.values():
+                reached.setdefault(id(labels), []).append(labels)
+        assert all(len(dicts[0]) == 1 for dicts in reached.values()
+                   if len(dicts) > 1)
+
+    @given(hist=interleavings(max_buus=8, max_steps=6),
+           max_length=st.sampled_from((2, 3, 4, 5)))
+    def test_cycle_search_finds_the_reference_paths(self, hist, max_length):
+        """Looking the root up at the last hop yields the paths the
+        successor walk yields, in the same order."""
+        hop, _ = _adjacency(_scan(hist))
+        assert list(_enumerate_vertex_cycles(hop, max_length)) == \
+            list(reference_vertex_cycles(hop, max_length))
+
+
 class TestOracleMemory:
     def test_exact_counts_peak_bytes_per_op(self):
         """The oracle's memory per op on a dense history stays under
@@ -335,6 +414,15 @@ class TestOracleMemory:
         counts, peak = traced_peak(exact_cycle_counts, hist)
         assert counts.two_cycles > 0 and counts.three_cycles > 0
         assert peak / len(hist) < ORACLE_BYTES_PER_OP
+
+    def test_check_operations_peak_bytes_per_op(self):
+        """The full report's memory per op on the same history stays
+        under :data:`CHECK_BYTES_PER_OP` (a third of its length: the
+        cycle search is the slow part)."""
+        hist = dense_history(20_000)
+        report, peak = traced_peak(check_operations, hist)
+        assert not report.serializable
+        assert peak / len(hist) < CHECK_BYTES_PER_OP
 
 
 @pytest.mark.oracle
