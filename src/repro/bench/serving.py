@@ -68,14 +68,13 @@ LADDER = (500, 1000, 2000, 4000, 8000, 16000, 32000)
 @contextmanager
 def _server(*, seed: int = 0, **server_kwargs):
     """A bench server: sampled ingest (sr=20, the deployed
-    configuration), detector passes parked out of the way, no trace
-    recording — the measured cost is the serving path."""
+    configuration), detector passes parked out of the way — the
+    measured cost is the serving path."""
     from repro.net.server import RushMonServer
 
     service = RushMonService(
         RushMonConfig(sampling_rate=20, mob=True, seed=seed,
                       detect_interval=3600.0),
-        record_trace=False,
     )
     server_kwargs.setdefault("ack_interval", 0.02)
     server = RushMonServer(service, faults=None, **server_kwargs)
@@ -289,8 +288,7 @@ def run_serving(out_path: str | Path = RESULTS_FILE, *, quick: bool = False,
                          "from the scheduled instant; typed refusals shed "
                          "with a gap-free empty resend",
             "server": "one event-loop thread, sr=20 service, "
-                      "detect_interval=3600, ack_interval=20ms, "
-                      "no trace recording",
+                      "detect_interval=3600, ack_interval=20ms",
             "sustained": f"ack fraction >= {ACK_FLOOR} and p99 <= "
                          f"{LATENCY_SLO * 1e3:.0f}ms",
             "overload": "2x the max sustainable rate must complete inside "

@@ -402,8 +402,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         return _run_cluster_monitor(args)
 
     with _usage_errors(args):
-        service = RushMonService(RushMonConfig.from_cli_args(args),
-                                 record_trace=args.oracle)
+        service = RushMonService(RushMonConfig.from_cli_args(args))
     exporter = None
     if args.export_port is not None:
         exporter = _start_exporter(args, service.metrics)
@@ -428,8 +427,18 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     try:
         # Workload construction is interruptible too (it dominates
         # startup for large --buus), so it lives inside the handler.
-        driver = ThreadedWorkloadDriver([service], num_threads=args.threads,
-                                        seed=args.seed, yield_every=5)
+        # The driver notifies its listeners of an operation under that
+        # key's lock, so a recorder listed after the service sees each
+        # key's operations in journal order (and none the service
+        # refused).
+        trace = None
+        if args.oracle:
+            from repro.sim.traces import Trace
+
+            trace = Trace()
+        driver = ThreadedWorkloadDriver(
+            [service] if trace is None else [service, trace],
+            num_threads=args.threads, seed=args.seed, yield_every=5)
         workload = list(
             _counter_buus(args.buus, args.keys, args.touch, args.seed)
         )
@@ -492,7 +501,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
               f"{report.estimated_3:.1f} three-cycles")
     oracle_rc = 0
     if args.oracle:
-        oracle_rc = _run_monitor_oracle(args, service)
+        oracle_rc = _run_monitor_oracle(args, service, trace)
     if interrupted:
         return 0
     if exporter is not None and args.hold:
@@ -589,9 +598,10 @@ def _run_cluster_monitor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_monitor_oracle(args: argparse.Namespace, service) -> int:
-    """``monitor --oracle``: replay the recorded trace through the exact
-    checker and report divergence from the live monitor.
+def _run_monitor_oracle(args: argparse.Namespace, service, trace) -> int:
+    """``monitor --oracle``: run the trace recorded beside the service
+    through the exact checker and report divergence from the live
+    monitor.
 
     At ``sr=1 --no-mob`` the monitor is supposed to be *exact*, so any
     mismatch in the 2-/3-cycle counts is a bug and the exit code says so
@@ -600,7 +610,7 @@ def _run_monitor_oracle(args: argparse.Namespace, service) -> int:
     """
     from repro.checkers import check_trace
 
-    oracle = check_trace(service.serialized_trace())
+    oracle = check_trace(trace)
     classes = ", ".join(f"{g.value}={n}" for g, n in sorted(
         oracle.counts.items(), key=lambda kv: kv[0].value)) or "none"
     print(f"\noracle: exact {oracle.cycles.two_cycles} two-cycles, "
@@ -653,10 +663,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"reports={len(service.reports)})", flush=True)
         else:
             # from_cli_args picks up --checkpoint as the config's
-            # checkpoint_path; with no checkpoint_interval the service
-            # never checkpoints on its own — the server owns the
-            # group-commit checkpoint schedule (--checkpoint-every).
-            service = RushMonService(cfg, record_trace=not args.no_trace)
+            # checkpoint_path; the server owns the group-commit
+            # checkpoint schedule (--checkpoint-every).
+            service = RushMonService(cfg)
         server = RushMonServer(
             service,
             host=args.host,
@@ -911,9 +920,9 @@ def _monitor_flags(mon: argparse.ArgumentParser) -> None:
                      help="write a stop-time checkpoint here on graceful "
                           "shutdown (Ctrl-C / SIGTERM included)")
     mon.add_argument("--oracle", action="store_true",
-                     help="record the ingested trace and replay it through "
-                          "the exact checker after the run; at sr=1 "
-                          "--no-mob any count divergence exits 1")
+                     help="record the driven trace beside the service and "
+                          "run it through the exact checker after the run; "
+                          "at sr=1 --no-mob any count divergence exits 1")
     mon.add_argument("--workers", type=int, default=0,
                      help="drive a multi-process ClusterMonitor with this "
                           "many worker processes instead of the in-process "
@@ -964,12 +973,10 @@ def _serve_flags(srv: argparse.ArgumentParser) -> None:
     srv.add_argument("--drain-timeout", type=float, default=None,
                      help=f"hard bound on total graceful-drain seconds "
                           f"(default {_DEFAULTS.drain_timeout:g})")
+    # The service records no trace any more; the flag is still accepted
+    # (and ignored) because the benchmark harness's serve child passes it.
     srv.add_argument("--no-trace", action="store_true",
-                     help="skip trace recording (saves memory linear in "
-                          "the events served and, at --sampling-rate > 1, "
-                          "lets the server drop ops on unsampled items while "
-                          "it decodes a frame; disables the offline "
-                          "differential over the checkpoint)")
+                     help=argparse.SUPPRESS)
     srv.set_defaults(func=cmd_serve)
 
 

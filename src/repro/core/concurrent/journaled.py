@@ -10,8 +10,8 @@ commit becomes ``(ticket, EV_BEGIN | EV_COMMIT, buu, ticket)``.  The
 tickets are drawn and the records appended under one short lock, so
 journal order *is* ticket order, a drain is always a complete prefix of
 it, and a call is journaled whole or not at all.  A batch record
-reserves one ticket per operation (at least one), so the operations of
-the recorded trace keep distinct, increasing stamps.
+reserves one ticket per operation (at least one), so the journaled
+operations keep distinct, increasing stamps.
 
 The consumer — the service's detection pass, one thread at a time —
 drains the journal and walks it in ticket order (:class:`RecordWalk`,
@@ -22,7 +22,7 @@ each batch goes to :meth:`JournaledCollector.collect` — the gate's
 chosen operations, as in the serial monitor's
 :meth:`~repro.core.collector.DataCentricCollector.collect`.  Per-key
 bookkeeping order is ticket order, so the edges a service derives are
-those of a serial run over its serialized trace, and one
+those of a serial run over its journal, and one
 :class:`~repro.core.collector.CollectorShard` seeded like the serial
 collector's makes even MOB's reservoir draws identical.  No item state
 is shared with a producer, so nothing but the journal is locked.
@@ -30,8 +30,7 @@ is shared with a producer, so nothing but the journal is locked.
 Sampling before the journal
 ---------------------------
 
-An operation on an unsampled item derives no edge.  With
-``journal_sampled_only`` (the service without a recorded trace) and
+An operation on an unsampled item derives no edge.  At
 ``sampling_rate > 1`` a producer therefore keeps only the operations on
 chosen items, and the rest ride along as the record's ``elided`` count;
 a call that keeps none adds its count to one run-length total that the
@@ -39,9 +38,9 @@ next drain hands over as an ``(ticket, EV_OPS, [], count)`` record.  The
 decision is a lock-free probe of the sampler's memo.  A caller that can
 tell earlier still — the network server, while decoding a frame — asks
 :meth:`JournaledCollector.prefilter` for the same predicate and passes
-``elided`` itself, under every overflow policy.  A recorded trace
-needs every operation (its replay re-samples), so then nothing is left
-out.
+``elided`` itself, under every overflow policy.  At ``sampling_rate ==
+1`` every item is chosen, and only the degrade filter (below) leaves
+operations out.
 
 Bounded journal and backpressure
 --------------------------------
@@ -73,14 +72,13 @@ Each change of the degrade shift is journaled as a marker record
 pass filters every batch at the shift in force where it was journaled
 and, when the shift rises, forgets the state of the items it now
 excludes (a later re-inclusion warms up instead of deriving edges from a
-stale ``lastWrite``).  Producers that may leave operations out (as
-above) apply the same filter before the journal, so an excluded
-operation is elided like an unsampled one: each shift halves the inflow,
-and excluded operations are never a reason to escalate again.  A
-producer never filters at a shift above the one in force where its
-record lands — if the shift fell while it filtered, it filters again
-under the lock — so the pass always sees every operation on the items
-it keeps.
+stale ``lastWrite``).  Producers apply the same filter before the
+journal, so an excluded operation is elided like an unsampled one: each
+shift halves the inflow, and excluded operations are never a reason to
+escalate again.  A producer never filters at a shift above the one in
+force where its record lands — if the shift fell while it filtered, it
+filters again under the lock — so the pass always sees every operation
+on the items it keeps.
 """
 
 from __future__ import annotations
@@ -185,11 +183,11 @@ class JournaledCollector:
 
     Parameters mirror :class:`~repro.core.collector.DataCentricCollector`
     (``sampling_rate``, ``mob``, ``mob_slots``, ``items``, ``seed``) plus
-    the journal's: ``journal_sampled_only``, ``journal_capacity``,
-    ``overflow``, ``block_timeout`` and ``batch_size`` (most journaled
-    operations per record).  ``faults`` arms the ``collector.handle``
-    (each producer call) and ``journal.drain`` injection points;
-    ``metrics`` gets the collector's readings as callback gauges.
+    the journal's: ``journal_capacity``, ``overflow``, ``block_timeout``
+    and ``batch_size`` (most journaled operations per record).
+    ``faults`` arms the ``collector.handle`` (each producer call) and
+    ``journal.drain`` injection points; ``metrics`` gets the collector's
+    readings as callback gauges.
     """
 
     def __init__(
@@ -199,7 +197,6 @@ class JournaledCollector:
         items: Iterable[Key] | None = None,
         seed: int = 0,
         mob_slots: int = 2,
-        journal_sampled_only: bool = False,
         journal_capacity: int | None = None,
         overflow: str = "block",
         block_timeout: float = 5.0,
@@ -224,7 +221,6 @@ class JournaledCollector:
                                     random.Random(seed ^ 0x5EED))
         #: The admission gate; the consumer is its only caller.
         self.lifecycle = SampledLifecycle(self.sampler)
-        self._sampled_only = journal_sampled_only
         self.journal_capacity = journal_capacity
         self.overflow = overflow
         self.block_timeout = block_timeout
@@ -325,9 +321,9 @@ class JournaledCollector:
         """The predicate ``key -> chosen?`` a caller may apply to
         operations *before* it builds or hands over anything for them —
         offering the chosen ones and the number it left out as a batch
-        record's ``elided`` — or ``None`` when every operation must be
-        journaled (a recorded trace, or ``sampling_rate == 1``)."""
-        if self._sampled_only and self.sampler.sampling_rate > 1:
+        record's ``elided`` — or ``None`` at ``sampling_rate == 1``,
+        where every item is chosen."""
+        if self.sampler.sampling_rate > 1:
             return self.sampler.lookup
         return None
 
@@ -344,9 +340,8 @@ class JournaledCollector:
         ticketed and appended under that same hold of the journal lock,
         a batch of more than ``batch_size`` journaled operations as
         several records.  Under a degrade shift, operations the
-        secondary filter excludes are elided too (when operations may be
-        left out at all).  The records hold copies: the caller may reuse
-        its lists."""
+        secondary filter excludes are elided too.  The records hold
+        copies: the caller may reuse its lists."""
         if self._faults is not None:
             self._fire("collector.handle")
         # A call of begins and commits alone is journaled as given.
@@ -354,8 +349,7 @@ class JournaledCollector:
         shift = 0
         for record in records:
             if record[0] == EV_OPS:
-                if self._sampled_only:
-                    shift = self._degrade_shift
+                shift = self._degrade_shift
                 built, weight, loose = self._build(records, shift)
                 break
         lock = self._lock
@@ -414,8 +408,8 @@ class JournaledCollector:
             elif elided:
                 raise ValueError(
                     "an ops record with elided operations needs "
-                    "prefilter() to allow eliding; this collector "
-                    "journals every operation")
+                    "prefilter() to allow eliding: at sampling_rate 1 "
+                    "every item is chosen")
             else:
                 kept = list(ops)
             if shift:

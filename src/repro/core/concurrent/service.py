@@ -17,13 +17,17 @@ report).  This is the paper's log-parser deployment (§4.1), with the
 journal as the log.
 
 Because the pass consumes the journal in ticket order, the detection
-path is literally a serial RushMon run over the serialized trace; the
-only concurrency-sensitive code is the journal append, and per-key
-bookkeeping order is ticket order by construction.  That is the
-invariant the differential, stress and chaos tests pin: at ``sr=1`` the
-service must report exactly what
+path is literally a serial RushMon run over the journal; the only
+concurrency-sensitive code is the journal append, and per-key
+bookkeeping order is ticket order by construction.  The dependency
+graph depends only on each key's operation order and each BUU's program
+order, so a recorder that sees a key's operations in the order they
+were journaled (a producer that holds a per-key lock across the call,
+as :class:`~repro.sim.scheduler.ThreadedWorkloadDriver` does) sees the
+same graph.  That is the invariant the differential, stress and chaos
+tests pin: at ``sr=1`` the service must report exactly what
 :class:`~repro.core.monitor.OfflineAnomalyMonitor` computes from the
-recorded serialized trace — for every event the journal acknowledged.
+events the journal acknowledged.
 
 Fault tolerance
 ---------------
@@ -53,7 +57,8 @@ Crash recovery: :meth:`checkpoint` persists the collector bookkeeping,
 pending journal records, detector graph/counts and open-window state through
 :mod:`repro.storage.wal` (atomic write, CRC); :meth:`restore` rebuilds a
 service from the file and resumes exactly where the snapshot was cut.
-``checkpoint_interval`` automates this every N detection passes.
+With ``checkpoint_path`` set, :meth:`stop` writes one after its final
+drain.
 
 Lifecycle: ``stop()`` is **terminal and idempotent** — it joins the
 detection thread, runs one final drain pass (so every event acknowledged
@@ -99,24 +104,14 @@ class RushMonService:
         ``journal_capacity``/``overflow``/``block_timeout``
         backpressure knobs, the ``max_restarts``/``restart_backoff``/
         ``max_backoff`` supervision schedule, ``batch_size`` and
-        ``checkpoint_path``/``checkpoint_interval`` — see the config's
-        docstring for each).  ``resample_interval`` is **unsupported**
-        (a sample switch would have to reach the producers' pre-journal
-        filter and the pass at one ticket); passing one raises
-        ``ValueError`` rather than silently dropping the setting.  Use
-        the serial :class:`~repro.core.monitor.RushMon` for periodic
-        re-sampling.
+        ``checkpoint_path`` — see the config's docstring for each).
+        ``resample_interval`` is **unsupported** (a sample switch would
+        have to reach the producers' pre-journal filter and the pass at
+        one ticket); passing one raises ``ValueError`` rather than
+        silently dropping the setting.  Use the serial
+        :class:`~repro.core.monitor.RushMon` for periodic re-sampling.
     items:
         Optional known item universe for an exact up-front sample.
-    record_trace:
-        Keep the serialized (ticket-ordered) trace of everything
-        processed, for offline replay/auditing.  Costs memory linear in
-        the event count; meant for tests and debugging.  It is also what
-        decides the journal's contents: a recorded trace must hold every
-        operation (the replay re-samples it), so the producers journal
-        them all; without one, operations on unsampled items are left
-        out before the journal and reach the detection pass as counts
-        (see :mod:`repro.core.concurrent.journaled`).
     faults:
         Optional :class:`~repro.testing.faults.FaultInjector`; arms the
         ``detect.pass`` / ``detect.process`` points here and the
@@ -136,7 +131,6 @@ class RushMonService:
         config: RushMonConfig | None = None,
         *,
         items: Iterable[Key] | None = None,
-        record_trace: bool = False,
         faults=None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -177,7 +171,6 @@ class RushMonService:
             mob=self.config.mob,
             items=items,
             seed=self.config.seed,
-            journal_sampled_only=not record_trace,
             journal_capacity=self.config.journal_capacity,
             overflow=self.config.overflow,
             block_timeout=self.config.block_timeout,
@@ -209,19 +202,11 @@ class RushMonService:
         self.passes = 0
         self.checkpoints_written = 0
         self._checkpoint_path = self.config.checkpoint_path
-        self._checkpoint_interval = self.config.checkpoint_interval
-        self._last_checkpoint_pass = 0
         self._latest_published_at: float | None = None
         #: Opaque embedder state (e.g. ``repro.net`` session tables)
         #: carried inside checkpoints so it shares their atomicity —
         #: either the whole cut (service + extra) persists, or none.
         self.extra_state: dict = {}
-        if record_trace:
-            from repro.sim.traces import Trace
-
-            self._trace = Trace()
-        else:
-            self._trace = None
         self.metrics.defer(self._register_metrics)
         self.metrics.defer(instrument_detector, self.detector)
 
@@ -402,7 +387,6 @@ class RushMonService:
                 self._detect_pass()
                 # A pass that ran to completion ends the failure streak.
                 self._consecutive_failures = 0
-                self._maybe_checkpoint()
         except BaseException as exc:
             self._handle_thread_failure(exc)
 
@@ -574,8 +558,6 @@ class RushMonService:
             finally:
                 self.processed_events += walk.events
                 self.passes += 1
-                if self._trace is not None:
-                    self._extend_trace(records[:walk.consumed])
             if all(record[1] == EV_SHIFT for record in records):
                 self._m_pass_seconds.observe(time.perf_counter() - started)
                 return None
@@ -593,19 +575,6 @@ class RushMonService:
             if late is not None:
                 raise late
             return report
-
-    def _extend_trace(self, records: list[tuple]) -> None:
-        """Append consumed records to the serialized trace, each event
-        stamped with its ticket."""
-        trace = self._trace
-        for ticket, kind, payload, _ in records:
-            if kind == EV_OPS:
-                trace.ops.extend(op._replace(seq=ticket + i)
-                                 for i, op in enumerate(payload))
-            elif kind == EV_BEGIN:
-                trace.begins.append((payload, ticket))
-            elif kind == EV_COMMIT:
-                trace.commits.append((payload, ticket))
 
     def close_window(self, now: int | None = None) -> AnomalyReport | None:
         """Synchronously run one detection pass, closing the current
@@ -628,18 +597,12 @@ class RushMonService:
 
     # -- checkpoint / restore ----------------------------------------------------
 
-    def _maybe_checkpoint(self) -> None:
-        if self._checkpoint_interval is None:
-            return
-        if self.passes - self._last_checkpoint_pass >= self._checkpoint_interval:
-            self.checkpoint(self._checkpoint_path)
-
     def checkpoint(self, path: str | None = None) -> str:
         """Write a crash-consistent snapshot of the whole service —
         collector bookkeeping, pending journal events, detector graph
-        and counts, open-window state, published reports (and the
-        recorded trace, if any) — to ``path`` (default: the configured
-        ``checkpoint_path``) via :func:`repro.storage.wal.save_checkpoint`.
+        and counts, open-window state and published reports — to
+        ``path`` (default: the configured ``checkpoint_path``) via
+        :func:`repro.storage.wal.save_checkpoint`.
 
         Taken under the pass lock, with the journal cut under the journal
         lock, so the cut is a consistent prefix of the ticket order: every
@@ -655,7 +618,6 @@ class RushMonService:
         with self._pass_lock:
             payload = {
                 "config": asdict(self.config),
-                "record_trace": self._trace is not None,
                 "collector": self.collector.snapshot_state(),
                 "detector": wal.encode_detector_state(self.detector),
                 "window": wal.encode_window_state(self._window),
@@ -663,13 +625,8 @@ class RushMonService:
                 "clock": self._walk.clock,
                 "processed_events": self.processed_events,
                 "passes": self.passes,
-                "trace": (
-                    None if self._trace is None
-                    else wal.encode_trace(self._trace)
-                ),
                 "extra": self.extra_state,
             }
-            self._last_checkpoint_pass = self.passes
         wal.save_checkpoint(target, payload)
         self.checkpoints_written += 1
         return target
@@ -682,7 +639,6 @@ class RushMonService:
         metrics: MetricsRegistry | None = None,
         faults=None,
         checkpoint_path: str | None = None,
-        checkpoint_interval: int | None = None,
     ) -> "RushMonService":
         """Rebuild a service from a :meth:`checkpoint` file and resume
         where the snapshot was cut: restored pending journal events are
@@ -691,19 +647,11 @@ class RushMonService:
         run over the same event stream.  The returned service is *not*
         started — call :meth:`start` (or drive it inline)."""
         payload = wal.load_checkpoint(path)
-        # Checkpointing is re-armed by restore()'s own arguments, not by
-        # whatever schedule the snapshotted service had.
-        config = RushMonConfig(**{
-            **payload["config"],
-            "checkpoint_path": checkpoint_path,
-            "checkpoint_interval": checkpoint_interval,
-        })
-        service = cls(
-            config,
-            record_trace=payload["record_trace"],
-            faults=faults,
-            metrics=metrics,
-        )
+        # Checkpointing is re-armed by restore()'s own argument, not by
+        # whatever path the snapshotted service had.
+        config = RushMonConfig(**{**payload["config"],
+                                  "checkpoint_path": checkpoint_path})
+        service = cls(config, faults=faults, metrics=metrics)
         wal.decode_detector_state(service.detector, payload["detector"])
         graph = service.detector.graph
         service.collector.restore_state(
@@ -714,9 +662,6 @@ class RushMonService:
         service._walk.clock = payload["clock"]
         service.processed_events = payload["processed_events"]
         service.passes = payload["passes"]
-        service._last_checkpoint_pass = service.passes
-        if service._trace is not None:
-            wal.decode_trace(service._trace, payload["trace"])
         service.extra_state = payload["extra"]
         return service
 
@@ -739,18 +684,3 @@ class RushMonService:
         raw = self.counts()
         p = self.collector.pass_probability
         return estimate_two_cycles(raw, p), estimate_three_cycles(raw, p)
-
-    def serialized_trace(self):
-        """The recorded ticket-ordered trace (``record_trace=True`` only).
-
-        Call after :meth:`stop` or :meth:`close_window`; events still in
-        the journal are not yet part of the trace.  Replaying it
-        through :class:`~repro.core.monitor.OfflineAnomalyMonitor`
-        reproduces the service's counts exactly at ``sr=1`` (the
-        differential tests' invariant).
-        """
-        if self._trace is None:
-            raise RuntimeError(
-                "trace recording is off; construct with record_trace=True"
-            )
-        return self._trace

@@ -4,7 +4,7 @@
 monitor flavour: the serial :class:`~repro.core.monitor.RushMon` reads
 the sampling/detector fields, the concurrent
 :class:`~repro.core.concurrent.RushMonService` additionally reads the
-service fields (``detect_interval`` … ``checkpoint_interval``), and the
+service fields (``detect_interval`` … ``checkpoint_path``), and the
 multi-process :class:`~repro.cluster.ClusterMonitor` reads the cluster
 fields (``num_workers``, ``cluster_batch``).  Fields a flavour does not
 use are simply ignored, so one config object can describe a whole
@@ -68,8 +68,10 @@ class RushMonConfig:
     batch_size:
         Service: most journaled operations per journal record, and so
         per collector call and detector batch of a detection pass.
-    checkpoint_path / checkpoint_interval:
-        Service: periodic crash-consistent checkpointing.
+    checkpoint_path:
+        Service: where ``stop()`` writes a crash-consistent checkpoint
+        after its final drain (a server's group commit writes there
+        too).
     num_workers:
         Cluster: worker *processes*, each owning a key partition of
         the collector+detector (see :mod:`repro.cluster`).
@@ -116,7 +118,6 @@ class RushMonConfig:
     max_backoff: float = 2.0
     batch_size: int = DEFAULT_BATCH_SIZE
     checkpoint_path: str | None = None
-    checkpoint_interval: int | None = None
     # -- cluster (repro.cluster.ClusterMonitor) ------------------------
     num_workers: int = 4
     cluster_batch: int = DEFAULT_CLUSTER_BATCH
@@ -265,13 +266,6 @@ class RushMonConfig:
             raise ValueError("max_restarts must be >= 0")
         if self.restart_backoff <= 0 or self.max_backoff <= 0:
             raise ValueError("restart_backoff and max_backoff must be > 0")
-        if self.checkpoint_interval is not None:
-            if self.checkpoint_interval < 1:
-                raise ValueError("checkpoint_interval must be >= 1 passes")
-            if self.checkpoint_path is None:
-                raise ValueError(
-                    "checkpoint_interval needs a checkpoint_path to write to"
-                )
         # -- cluster fields ----------------------------------------------
         if not isinstance(self.num_workers, int) or isinstance(
             self.num_workers, bool

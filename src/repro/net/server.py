@@ -32,12 +32,12 @@ Durable acknowledgements
     crashes, effectively-once across reconnects).
 
 Sampling at decode
-    When the service's collector allows it
-    (:meth:`~repro.core.concurrent.journaled.JournaledCollector.prefilter`:
-    no recorded trace, ``sampling_rate > 1``), under every overflow
-    policy, a frame's operations on items outside the sample are dropped
-    *while it is decoded* — no ``Operation`` is built for them — and
-    reach the service as a count (an ops record's ``elided``).
+    At ``sampling_rate > 1``
+    (:meth:`~repro.core.concurrent.journaled.JournaledCollector.prefilter`),
+    under every overflow policy, a frame's operations on items outside
+    the sample are dropped *while it is decoded* — no ``Operation`` is
+    built for them — and reach the service as a count (an ops record's
+    ``elided``).
     ``events_ingested`` and every total downstream keep counting wire
     events, dropped ones included.
 
@@ -98,10 +98,8 @@ class RushMonServer:
     Parameters
     ----------
     service:
-        The service to feed.  Must not run its own periodic
-        checkpointing (``checkpoint_interval``) — the server owns the
-        checkpoint cadence so that acknowledgements and durability stay
-        in lockstep.
+        The service to feed.  The server owns the checkpoint cadence, so
+        that acknowledgements and durability stay in lockstep.
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
@@ -199,13 +197,6 @@ class RushMonServer:
             raise ValueError("write_high_watermark must be >= 4096 bytes")
         if overload_retry_after <= 0:
             raise ValueError("overload_retry_after must be > 0 seconds")
-        if service._checkpoint_interval is not None:
-            raise ValueError(
-                "the service must not checkpoint on its own "
-                "(checkpoint_interval) under a RushMonServer: the server "
-                "owns the checkpoint cadence so acknowledgements imply "
-                "durability; pass checkpoint_path to the server instead"
-            )
         self.service = service
         self.host = host
         self._requested_port = port
@@ -560,7 +551,7 @@ class RushMonServer:
                 retriable=False, seq=seq,
             )
         # Operations on items outside the monitor's sample are dropped
-        # while decoding, when the collector says that is sound.
+        # while decoding (at sampling_rate > 1).
         try:
             events = protocol.decode_events(
                 message.get("events", []),

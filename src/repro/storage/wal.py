@@ -27,8 +27,6 @@ from repro.core.types import (
     CycleCounts,
     EdgeStats,
     EdgeType,
-    Operation,
-    OpType,
 )
 
 
@@ -40,7 +38,7 @@ from repro.core.types import (
 CHECKPOINT_FORMAT = "rushmon-checkpoint"
 #: Bump on any payload change: a file of any other version is refused,
 #: never read through a shim (``tests/test_checkpoint.py`` pins the shape).
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -306,22 +304,3 @@ def decode_report(state: dict) -> AnomalyReport:
         health=state["health"],
         degraded_shards=tuple(state["degraded_shards"]),
     )
-
-
-def encode_trace(trace) -> dict:
-    """Snapshot a :class:`~repro.sim.traces.Trace` (ops + lifecycle)."""
-    return {
-        "ops": [[op.op.value, op.buu, op.key, op.seq] for op in trace.ops],
-        "begins": [list(pair) for pair in trace.begins],
-        "commits": [list(pair) for pair in trace.commits],
-    }
-
-
-def decode_trace(trace, state: dict) -> None:
-    """Load an encode_trace() dict back into a Trace recorder."""
-    trace.ops = [
-        Operation(OpType(kind), buu, key, seq)
-        for kind, buu, key, seq in state["ops"]
-    ]
-    trace.begins = [tuple(pair) for pair in state["begins"]]
-    trace.commits = [tuple(pair) for pair in state["commits"]]

@@ -12,7 +12,9 @@ histories are delivered with full BUU lifecycle events (``begin``
 before a BUU's first operation, ``commit`` after its last) so detector
 pruning runs under the same assumptions the simulator guarantees.
 ``count_consecutive_write_pairs`` is the combinatorial helper behind
-Theorem B.1.
+Theorem B.1.  :class:`JournalTap` records what a concurrent service's
+detection passes drained, for producers whose only common order is the
+journal's.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.core.concurrent.journaled import EV_BEGIN, EV_COMMIT, EV_OPS
 from repro.core.types import BuuId, Key, Operation, OpType
+from repro.sim.traces import Trace
 
 
 @dataclass
@@ -241,3 +245,44 @@ def assert_lifecycle_reconciles(monitor, offered, delivered=None, shed=0):
                      else getattr(monitor.detector, "lifecycle_calls", 0))
     assert offered == delivered + gate.elided + gate.num_parked + shed
     return gate.elided, gate.num_parked
+
+
+class JournalTap:
+    """What a :class:`~repro.core.concurrent.RushMonService`'s detection
+    passes drained from its journal, as a trace.
+
+    Wraps ``service.collector.drain`` and keeps every drained operation,
+    begin and commit record keyed by its ticket, so a record a failed
+    pass re-queued counts once.  Producers that race without a per-key
+    lock have no order but the journal's, so this is their oracle's
+    input; a producer that holds one (``ThreadedWorkloadDriver``) or
+    feeds one stream records on its own side instead.
+    """
+
+    def __init__(self, service) -> None:
+        self.records: dict[int, tuple] = {}
+        kinds = (EV_OPS, EV_BEGIN, EV_COMMIT)
+        drain = service.collector.drain
+
+        def tapped() -> list[tuple]:
+            records = drain()
+            for record in records:
+                if record[1] in kinds:
+                    self.records.setdefault(record[0], record)
+            return records
+
+        service.collector.drain = tapped
+
+    def trace(self) -> Trace:
+        """The drained events as a trace, each stamped with its ticket (a
+        batch's operations with consecutive ones)."""
+        trace = Trace()
+        for ticket, kind, payload, _ in self.records.values():
+            if kind == EV_OPS:
+                trace.ops.extend(op._replace(seq=ticket + i)
+                                 for i, op in enumerate(payload))
+            elif kind == EV_BEGIN:
+                trace.begins.append((payload, ticket))
+            else:
+                trace.commits.append((payload, ticket))
+        return trace

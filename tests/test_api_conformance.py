@@ -151,13 +151,13 @@ def test_config_surface():
         "resample_interval", "count_three_cycles", "seed",
         "num_shards", "detect_interval", "journal_capacity", "overflow",
         "block_timeout", "max_restarts", "restart_backoff", "max_backoff",
-        "batch_size", "checkpoint_path", "checkpoint_interval",
+        "batch_size", "checkpoint_path",
         "num_workers", "cluster_batch", "max_worker_restarts",
         "replay_journal_capacity",
         "max_connections", "idle_timeout", "drain_timeout",
     }
     assert list(inspect.signature(RushMonService.__init__).parameters) == [
-        "self", "config", "items", "record_trace", "faults", "metrics"]
+        "self", "config", "items", "faults", "metrics"]
 
 
 def test_config_is_the_single_construction_path():

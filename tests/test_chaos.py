@@ -29,8 +29,10 @@ from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor
 from repro.core.types import Operation, OpType
 from repro.sim.scheduler import ThreadedWorkloadDriver
+from repro.sim.traces import Trace
 from repro.testing import Fault, FaultInjector, InjectedFault
 
+from tests.histgen import JournalTap
 from tests.test_concurrent_stress import _workload
 
 pytestmark = pytest.mark.chaos
@@ -52,20 +54,30 @@ def _ops(count, num_keys, seed):
 
 def _service(faults=None, **kwargs):
     kwargs.setdefault("detect_interval", 0.003)
-    record_trace = kwargs.pop("record_trace", True)
     return RushMonService(
         RushMonConfig(sampling_rate=1, mob=False, seed=42, **kwargs),
         faults=faults,
-        record_trace=record_trace,
     )
 
 
-def _assert_sr1_differential(service):
-    """The chaos invariant: replaying the serialized trace of everything
-    the service acknowledged through the offline baseline reproduces the
-    service's counts exactly — faults may slow or shed, never corrupt."""
+def _driven(service, **kwargs):
+    """A real-thread driver into ``service`` with a trace recorded beside
+    it: the driver notifies its listeners of an operation under that
+    key's lock, so the trace holds each key's operations in journal
+    order.  Returns ``(driver, trace)``."""
+    trace = Trace()
+    driver = ThreadedWorkloadDriver([service, trace], join_timeout=60.0,
+                                    **kwargs)
+    return driver, trace
+
+
+def _assert_sr1_differential(service, acked):
+    """The chaos invariant: the offline baseline over every operation the
+    service acknowledged (``acked``, recorded on the producer side, each
+    key's in journal order) reproduces the service's counts exactly —
+    faults may slow or shed, never corrupt."""
     replayed = OfflineAnomalyMonitor()
-    service.serialized_trace().replay([replayed])
+    replayed.on_operations(acked)
     assert replayed.exact_counts() == service.counts()
 
 
@@ -80,8 +92,8 @@ def test_supervised_restart_preserves_differential(caplog):
         faults, max_restarts=10, restart_backoff=0.001, max_backoff=0.01
     )
     workload = _workload(120, 32, 3, seed=5)
-    driver = ThreadedWorkloadDriver([service], num_threads=4, seed=5,
-                                    yield_every=7, join_timeout=60.0)
+    driver, trace = _driven(service, num_threads=4, seed=5,
+                            yield_every=7)
     with caplog.at_level(logging.WARNING,
                          logger="repro.core.concurrent.service"):
         with service:
@@ -108,7 +120,7 @@ def test_supervised_restart_preserves_differential(caplog):
     assert service.processed_events == (
         driver.ops_emitted + 2 * driver.buus_completed
     )
-    _assert_sr1_differential(service)
+    _assert_sr1_differential(service, trace.ops)
     assert service.counts().two_cycles > 0  # the run was not vacuous
 
 
@@ -120,6 +132,7 @@ def test_mid_pass_crash_requeues_unconsumed_suffix():
         Fault("detect.process", kind="exception", after=25, times=1)
     )
     service = _service(faults)
+    tap = JournalTap(service)
     ops = _ops(200, 16, seed=9)
     for op in ops:
         service.on_operation(op)
@@ -129,10 +142,8 @@ def test_mid_pass_crash_requeues_unconsumed_suffix():
     # The journal still holds the rest; a clean pass finishes the job.
     service.close_window()
     assert service.processed_events == len(ops)
-    trace = service.serialized_trace()
-    assert len(trace.ops) == len(ops)
-    assert [o.seq for o in trace.ops] == sorted(o.seq for o in trace.ops)
-    _assert_sr1_differential(service)
+    assert [op for _, _, (op,), _ in tap.records.values()] == ops
+    _assert_sr1_differential(service, ops)
 
 
 def test_partial_drain_requeues_tail_in_ticket_order():
@@ -142,16 +153,17 @@ def test_partial_drain_requeues_tail_in_ticket_order():
         Fault("journal.drain", kind="partial_drain", fraction=0.3, times=2)
     )
     service = _service(faults)
+    tap = JournalTap(service)
     ops = _ops(300, 24, seed=11)
     for op in ops:
         service.on_operation(op)
     for _ in range(4):  # enough passes to drain through both faults
         service.close_window()
     assert service.processed_events == len(ops)
-    trace = service.serialized_trace()
-    tickets = [o.seq for o in trace.ops]
-    assert tickets == sorted(tickets) and len(set(tickets)) == len(tickets)
-    _assert_sr1_differential(service)
+    # The drains, in order, handed over every ticket once and in order.
+    tickets = list(tap.records)
+    assert tickets == sorted(tickets) and len(tickets) == len(ops)
+    _assert_sr1_differential(service, ops)
 
 
 def test_drain_delay_fault_loses_nothing():
@@ -162,14 +174,14 @@ def test_drain_delay_fault_loses_nothing():
     )
     service = _service(faults)
     workload = _workload(100, 24, 3, seed=21)
-    driver = ThreadedWorkloadDriver([service], num_threads=4, seed=21,
-                                    yield_every=5, join_timeout=60.0)
+    driver, trace = _driven(service, num_threads=4, seed=21,
+                            yield_every=5)
     with service:
         driver.run(workload)
     assert service.processed_events == (
         driver.ops_emitted + 2 * driver.buus_completed
     )
-    _assert_sr1_differential(service)
+    _assert_sr1_differential(service, trace.ops)
 
 
 def test_shed_overflow_is_counted_never_silent():
@@ -178,8 +190,12 @@ def test_shed_overflow_is_counted_never_silent():
     holds over exactly the acknowledged prefix."""
     service = _service(journal_capacity=8, overflow="shed")
     ops = _ops(500, 16, seed=33)
+    acked = []
     for op in ops:  # no detection running: the tiny journal must overflow
+        shed = service.collector.shed_events
         service.on_operation(op)
+        if service.collector.shed_events == shed:
+            acked.append(op)
     shed = service.collector.shed_events
     assert shed > 0
     # Conservation: every submitted op was either acknowledged or shed.
@@ -187,8 +203,9 @@ def test_shed_overflow_is_counted_never_silent():
     snap = service.metrics.snapshot()
     assert snap["rushmon_collector_journal_shed_total"] == float(shed)
     service.close_window()
-    assert service.processed_events == service.collector.ops_seen
-    _assert_sr1_differential(service)
+    assert service.processed_events == service.collector.ops_seen \
+        == len(acked)
+    _assert_sr1_differential(service, acked)
 
 
 def test_block_overflow_raises_backpressure_to_producer():
@@ -197,17 +214,20 @@ def test_block_overflow_raises_backpressure_to_producer():
     service = _service(
         journal_capacity=4, overflow="block", block_timeout=0.05
     )
+    acked = []
     with pytest.raises(JournalBackpressure, match="journal"):
         for op in _ops(50, 8, seed=1):
             service.on_operation(op)
+            acked.append(op)
     assert service.metrics.snapshot()[
         "rushmon_collector_backpressure_timeouts_total"
     ] >= 1.0
     # Draining relieves the pressure; ingestion works again.
     service.close_window()
-    service.on_operation(Operation(OpType.WRITE, 999, "fresh", 1))
+    acked.append(Operation(OpType.WRITE, 999, "fresh", 1))
+    service.on_operation(acked[-1])
     service.close_window()
-    _assert_sr1_differential(service)
+    _assert_sr1_differential(service, acked)
 
 
 def test_degrade_overflow_raises_sampling_rate_and_records_it():
@@ -217,7 +237,6 @@ def test_degrade_overflow_raises_sampling_rate_and_records_it():
     service = RushMonService(
         RushMonConfig(sampling_rate=1, mob=False, seed=7,
                       journal_capacity=16, overflow="degrade"),
-        record_trace=True,
     )
     for op in _ops(400, 64, seed=13):
         service.on_operation(op)
@@ -294,11 +313,19 @@ def test_degrade_steps_down_one_shift_per_light_drain():
         sampling_rate=1, mob=False, journal_capacity=8, overflow="degrade",
         seed=5,
     )
-    ops = iter(_ops(400, 64, seed=17))
+    ops = iter(_ops(4000, 64, seed=17))
 
     def feed(count):
+        """Journal ``count`` operations.  The producer leaves out those
+        the degrade filter excludes: they take no room."""
         for _ in range(count):
-            collector.offer([(EV_OPS, [next(ops)], 0)])
+            depth = collector.journal_depth
+            while collector.journal_depth == depth:
+                collector.offer([(EV_OPS, [next(ops)], 0)])
+
+    def journaled(drained):
+        return sum(len(record[2]) for record in drained
+                   if record[1] == EV_OPS)
 
     # Escalate to shift=3: each overfill raises the shift once per
     # epoch, and the (heavy) drain between overfills holds it.
@@ -308,7 +335,7 @@ def test_degrade_steps_down_one_shift_per_light_drain():
         feed(3)  # same epoch: a burst escalates one step, not three
         assert collector.degrade_shift == expected
         drained = collector.drain()
-        assert len(drained) >= collector.journal_capacity // 2  # heavy
+        assert journaled(drained) >= collector.journal_capacity // 2  # heavy
         assert collector.degrade_shift == expected  # held, not lowered
     assert collector.degrade_shifts_total == 3
     assert collector.sampling_probability == pytest.approx(0.5 ** 3)
@@ -318,7 +345,7 @@ def test_degrade_steps_down_one_shift_per_light_drain():
     for expected in (2, 1, 0):
         feed(2)
         drained = collector.drain()
-        assert len(drained) < collector.journal_capacity // 2  # light
+        assert journaled(drained) < collector.journal_capacity // 2  # light
         assert collector.degrade_shift == expected
         assert collector.sampling_probability == pytest.approx(
             0.5 ** expected

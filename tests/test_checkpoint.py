@@ -62,7 +62,7 @@ def _run_split(config, events, split, ckpt_path, close_before_checkpoint):
     """First half into service A, checkpoint, 'kill' A, restore into B,
     feed the rest, final close.  Returns B."""
     first, second = events[:split], events[split:]
-    svc = RushMonService(config, record_trace=True)
+    svc = RushMonService(config)
     _feed(svc, first)
     if close_before_checkpoint:
         svc.close_window()
@@ -86,7 +86,7 @@ def test_restore_matches_uninterrupted_run_sr1(tmp_path,
                           ckpt_path=tmp_path / "svc.ckpt",
                           close_before_checkpoint=close_before_checkpoint)
 
-    baseline = RushMonService(config, record_trace=True)
+    baseline = RushMonService(config)
     _feed(baseline, events)
     baseline.close_window()
 
@@ -98,9 +98,9 @@ def test_restore_matches_uninterrupted_run_sr1(tmp_path,
     assert sum(r.operations for r in restored.reports) == total_ops
     assert sum(r.raw.two_cycles for r in restored.reports) == \
         restored.counts().two_cycles
-    # And the restored trace (pre-kill + post-restore) replays exactly.
+    # And the stream fed across the kill counts exactly.
     replayed = OfflineAnomalyMonitor()
-    restored.serialized_trace().replay([replayed])
+    _feed(replayed, events)
     assert replayed.exact_counts() == restored.counts()
 
 
@@ -114,7 +114,7 @@ def test_restore_matches_uninterrupted_run_sampled_mob(tmp_path):
                           ckpt_path=tmp_path / "svc.ckpt",
                           close_before_checkpoint=True)
 
-    baseline = RushMonService(config, record_trace=True)
+    baseline = RushMonService(config)
     _feed(baseline, events)
     baseline.close_window()
 
@@ -129,7 +129,7 @@ def test_restore_matches_uninterrupted_run_sampled_mob(tmp_path):
 
 def test_restore_preserves_reports_and_latest(tmp_path):
     config = RushMonConfig(sampling_rate=1, mob=False, seed=5, num_shards=2)
-    svc = RushMonService(config, record_trace=True)
+    svc = RushMonService(config)
     _feed(svc, _stream(200, 12, seed=7))
     svc.close_window()
     path = svc.checkpoint(str(tmp_path / "svc.ckpt"))
@@ -140,22 +140,17 @@ def test_restore_preserves_reports_and_latest(tmp_path):
     assert not restored.stopped  # restored services are usable
 
 
-def test_periodic_checkpointing_and_stop_checkpoint(tmp_path):
-    """checkpoint_interval writes from the background thread; stop()
-    writes a final snapshot that restores to the stopped service's
-    exact final state."""
+def test_stop_writes_a_checkpoint_of_its_final_state(tmp_path):
+    """With a ``checkpoint_path``, stop() writes a final snapshot that
+    restores to the stopped service's exact final state."""
     path = tmp_path / "auto.ckpt"
     config = RushMonConfig(sampling_rate=1, mob=False, seed=9,
                            num_shards=2, detect_interval=0.003,
-                           checkpoint_path=str(path), checkpoint_interval=1)
-    svc = RushMonService(config, record_trace=True)
+                           checkpoint_path=str(path))
+    svc = RushMonService(config)
     with svc:
         _feed(svc, _stream(300, 16, seed=23))
-        import time
-        deadline = time.monotonic() + 10.0
-        while svc.checkpoints_written == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-    assert svc.checkpoints_written >= 2  # at least one periodic + stop()
+    assert svc.checkpoints_written == 1
     restored = RushMonService.restore(str(path))
     assert restored.counts() == svc.counts()
     assert restored.processed_events == svc.processed_events
@@ -236,10 +231,9 @@ configs = {
                              journal_capacity=16, overflow="degrade"),
 }
 for name, config in configs.items():
-    trace = name == "plain"
     target = f"{path}.{name}"
     if mode == "save":
-        svc = RushMonService(config, record_trace=trace)
+        svc = RushMonService(config)
         feed(svc, events[:220])
         assert (svc.collector.degrade_shift > 0) == (name == "degrade")
         svc.checkpoint(target)
@@ -247,11 +241,11 @@ for name, config in configs.items():
     svc = RushMonService.restore(target)
     feed(svc, events[220:], 220)
     svc.close_window()
-    if trace:
+    if name == "plain":
         replayed = OfflineAnomalyMonitor()
-        svc.serialized_trace().replay([replayed])
+        feed(replayed, events)
         assert replayed.exact_counts() == svc.counts(), "differential broken"
-    baseline = RushMonService(config, record_trace=trace)
+    baseline = RushMonService(config)
     feed(baseline, events)
     baseline.close_window()
     assert svc.counts() == baseline.counts(), f"{name}: diverged"
@@ -292,10 +286,9 @@ def test_save_checkpoint_is_atomic(tmp_path):
 #: for any other shape, so a change to these keys without a version bump
 #: would surface only when a restart restores an older build's file.
 FORMAT_PIN = {
-    "version": 2,
-    "payload": {"config", "record_trace", "collector", "detector", "window",
-                "reports", "clock", "processed_events", "passes", "trace",
-                "extra"},
+    "version": 3,
+    "payload": {"config", "collector", "detector", "window", "reports",
+                "clock", "processed_events", "passes", "extra"},
     "collector": {"next_ticket", "elided", "ops_seen", "lifecycle_offered",
                   "journal_highwater", "shed", "shed_sampled",
                   "degrade_shift", "pass_shift", "degrade_shifts_total",
@@ -313,7 +306,7 @@ def test_the_checkpoint_format_is_pinned_to_its_version(tmp_path):
     bump = ("the checkpoint format changed: bump CHECKPOINT_VERSION in "
             "repro/storage/wal.py and update FORMAT_PIN here")
     config = RushMonConfig(sampling_rate=1, mob=False, seed=3)
-    svc = RushMonService(config, record_trace=True)
+    svc = RushMonService(config)
     _feed(svc, _stream(120, 8, seed=5))
     svc.close_window()
     _feed(svc, _stream(40, 8, seed=6, buus=4))

@@ -57,7 +57,7 @@ _ONE_PER_VERB = [
     ["analyze", "run.jsonl", "--sampling-rate", "5"],
     ["bench-threads", "--threads", "1,2"],
     ["monitor", "--live", "--export-port", "0", "--workers", "2"],
-    ["serve", "--port", "0", "--export-port", "0", "--no-trace"],
+    ["serve", "--port", "0", "--export-port", "0"],
     ["emit", "--port", "1234", "--net-batch", "8"],
     ["bench-overhead", "--quick"],
     ["bench-serving", "--quick", "--check"],
@@ -97,6 +97,21 @@ class TestOneVerbParser:
         got.pop("usage_error")
         want.pop("usage_error")
         assert got == want
+
+    def test_serve_accepts_no_trace_and_ignores_it(self, capsys):
+        """The service records no trace, so ``--no-trace`` selects
+        nothing; the benchmark's serve child still passes it, so it
+        parses to the same configuration and ``--help`` hides it."""
+        from repro.core.config import RushMonConfig
+
+        argv = ["serve", "--port", "0", "--sampling-rate", "20"]
+        plain = build_parser().parse_args(argv)
+        flagged = build_parser().parse_args(argv + ["--no-trace"])
+        assert RushMonConfig.from_cli_args(flagged) == \
+            RushMonConfig.from_cli_args(plain)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        assert "--no-trace" not in capsys.readouterr().out
 
     def test_main_builds_the_invoked_verb_only(self, monkeypatch):
         built = []
@@ -343,6 +358,20 @@ class TestMonitorOracle:
         out = capsys.readouterr().out
         assert "oracle: exact" in out
         assert "match the exact checker bit-exactly" in out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_monitor_oracle_sr1_matches_on_hot_keys(self, capsys, seed):
+        """Eight threads on six keys race for every key; the trace
+        recorded beside the service still holds each key's operations
+        in journal order, so the anomalies match bit-exactly."""
+        assert main(["monitor", "--seed", str(seed), "--oracle",
+                     "--sampling-rate", "1", "--no-mob", "--buus", "300",
+                     "--keys", "6", "--threads", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "match the exact checker bit-exactly" in out
+        exact = next(line for line in out.splitlines()
+                     if line.startswith("oracle: exact"))
+        assert int(exact.split()[2]) > 0  # two-cycles: not vacuous
 
     def test_monitor_oracle_sampled_reports_error(self, capsys):
         """At sr>1 the oracle reports relative error instead of failing."""

@@ -1,14 +1,17 @@
 """Concurrency stress tests for the sharded collector + service.
 
 The heavyweight test pushes 8 real threads x ~5k operations each through
-:class:`~repro.core.concurrent.RushMonService` with the interleaving
-recorder on, then checks the whole contract at once: no exceptions, no
+:class:`~repro.core.concurrent.RushMonService` with a trace recorded
+beside it, then checks the whole contract at once: no exceptions, no
 deadlock (join timeout), clean shutdown, every submitted event
 processed, and — the differential invariant — replaying the recorded
-serialized trace through the offline baseline reproduces the service's
-counts bit-exactly.  The interleaving itself is nondeterministic; the
-invariant must hold for *any* interleaving, and the recorder makes each
-run auditable after the fact.
+trace through the offline baseline reproduces the service's counts
+bit-exactly.  The driver notifies every listener of an operation under
+that key's lock, so the recorder sees each key's operations in journal
+order, and the dependency graph depends on nothing else.  The
+interleaving itself is nondeterministic; the invariant must hold for
+*any* interleaving, and the recorder makes each run auditable after the
+fact.
 
 Marked ``stress`` so CI can rerun the module back-to-back (3 consecutive
 passes are required by the acceptance criteria).
@@ -26,8 +29,9 @@ from repro.core.monitor import OfflineAnomalyMonitor, RushMon
 from repro.core.types import Operation, OpType
 from repro.sim.buu import read_modify_write
 from repro.sim.scheduler import ThreadedWorkloadDriver
+from repro.sim.traces import Trace
 
-from tests.histgen import skewed_key
+from tests.histgen import JournalTap, skewed_key
 from tests.test_sampled_journal import _events, _feed_batched, _feed_per_op
 
 pytestmark = pytest.mark.stress
@@ -51,19 +55,19 @@ def _run_stress(num_threads, ops_per_thread, num_keys, seed):
     service = RushMonService(
         RushMonConfig(sampling_rate=1, mob=False, pruning="both", seed=seed,
                       detect_interval=0.005),
-        record_trace=True,
     )
+    trace = Trace()
     driver = ThreadedWorkloadDriver(
-        [service], num_threads=num_threads, seed=seed,
+        [service, trace], num_threads=num_threads, seed=seed,
         yield_every=17, join_timeout=60.0,
     )
     with service:
         driver.run(workload)
     assert not service.running, "detection thread failed to stop"
-    return service, driver
+    return service, driver, trace
 
 
-def _assert_differential(service, driver):
+def _assert_differential(service, driver, trace):
     # Every submitted event reached the detector: ops + one begin and one
     # commit per BUU.
     expected_events = driver.ops_emitted + 2 * driver.buus_completed
@@ -71,8 +75,9 @@ def _assert_differential(service, driver):
     assert service.collector.ops_seen == driver.ops_emitted
 
     counts = service.counts()
+    assert len(trace.ops) == driver.ops_emitted
     replayed = OfflineAnomalyMonitor()
-    service.serialized_trace().replay([replayed])
+    trace.replay([replayed])
     assert replayed.exact_counts() == counts
 
     # Window reports partition the cumulative counts exactly.
@@ -98,9 +103,9 @@ def _assert_differential(service, driver):
 def test_stress_8_threads_5k_ops():
     """8 threads x ~5k ops with a hot key space: heavy journal contention,
     many real anomalies, exact differential match."""
-    service, driver = _run_stress(num_threads=8, ops_per_thread=5000,
-                                  num_keys=512, seed=101)
-    _assert_differential(service, driver)
+    service, driver, trace = _run_stress(num_threads=8, ops_per_thread=5000,
+                                         num_keys=512, seed=101)
+    _assert_differential(service, driver, trace)
     # With 8 unsynchronized writers on a skewed key space the run must
     # actually produce anomalies — otherwise the stress is vacuous.
     assert service.counts().two_cycles > 0
@@ -115,13 +120,48 @@ def test_stress_small_shard_count():
     service = RushMonService(
         RushMonConfig(sampling_rate=1, mob=False, seed=7, num_shards=1,
                       detect_interval=0.005),
-        record_trace=True,
     )
-    driver = ThreadedWorkloadDriver([service], num_threads=4, seed=7,
+    trace = Trace()
+    driver = ThreadedWorkloadDriver([service, trace], num_threads=4, seed=7,
                                     yield_every=5, join_timeout=60.0)
     with service:
         driver.run(workload)
-    _assert_differential(service, driver)
+    _assert_differential(service, driver, trace)
+
+
+@pytest.mark.parametrize("num_threads", (2, 4, 8))
+def test_a_trace_listener_sees_each_key_in_journal_order(num_threads):
+    """The premise of every differential here and of ``monitor
+    --oracle``: a ``Trace`` listed after the service is notified of an
+    operation under the same key lock as the service's journal, so per
+    key the two hold the same operations in the same order — on 16 hot
+    keys, where every key is raced for."""
+    workload = _workload(120 * num_threads, 16, 4, seed=31 + num_threads)
+    service = RushMonService(
+        RushMonConfig(sampling_rate=1, mob=False, seed=31,
+                      detect_interval=0.003),
+    )
+    tap = JournalTap(service)
+    trace = Trace()
+    driver = ThreadedWorkloadDriver([service, trace], num_threads=num_threads,
+                                    seed=31, yield_every=3,
+                                    join_timeout=60.0)
+    with service:
+        driver.run(workload)
+
+    def per_key(ops):
+        order = {}
+        for op in ops:
+            order.setdefault(op.key, []).append((op.buu, op.op))
+        return order
+
+    journaled = sorted(tap.trace().ops, key=lambda op: op.seq)
+    assert len(journaled) == len(trace.ops) == driver.ops_emitted
+    assert per_key(journaled) == per_key(trace.ops)
+    # Not vacuous: some key was written by BUUs of different threads in
+    # turn, so its order was decided by the race.
+    assert any(len({buu for buu, _ in ops}) > 1
+               for ops in per_key(trace.ops).values())
 
 
 def test_stress_sampled_and_mob():
@@ -143,20 +183,19 @@ def test_stress_sampled_and_mob():
     assert e2 >= 0.0 and e3 >= 0.0
 
 
-@pytest.mark.parametrize("record_trace", (True, False),
-                         ids=("full-journal", "sampled-journal"))
 @pytest.mark.parametrize("sr", (4, 20))
-def test_stress_sampled_service_two_producers(sr, record_trace):
+def test_stress_sampled_service_two_producers(sr):
     """The sampled service differential under real interleaving: two
     producers alternate batched and per-op ingest beside the detection
-    thread.  With a recorded trace (full journal) the counts must equal
-    a serial replay of that trace; without one (sampled journal, elided
-    counts carried by records and by the run-length total, appended
-    concurrently) no interleaving may lose or double-apply an elided
-    count."""
+    thread.  No interleaving may lose or double-apply an elided count
+    (carried by records and by the run-length total, appended
+    concurrently), and the counts equal a serial replay of the journal
+    the passes drained — the producers share no key lock, so the
+    journal's ticket order is the only order their events have."""
     config = RushMonConfig(sampling_rate=sr, mob=False, seed=3,
                            detect_interval=0.002)
-    service = RushMonService(config, record_trace=record_trace)
+    service = RushMonService(config)
+    tap = JournalTap(service)
     num_threads = 2
     streams = [_events(3000, seed=tid + 1, first_buu=tid * 1_000_000)
                for tid in range(num_threads)]
@@ -203,12 +242,11 @@ def test_stress_sampled_service_two_producers(sr, record_trace):
     assert snap["rushmon_collector_ops_total"] == num_ops
     assert snap["rushmon_collector_sampled_ops_total"] == \
         service.collector.touches
-    if record_trace:
-        replayed = RushMon(config)
-        service.serialized_trace().replay([replayed])
-        assert replayed.detector.counts == counts
-        assert replayed.collector.stats == service.collector.stats
-        assert counts.two_cycles > 0  # the run was not vacuous
+    replayed = RushMon(config)
+    tap.trace().replay([replayed])
+    assert replayed.detector.counts == counts
+    assert replayed.collector.stats == service.collector.stats
+    assert counts.two_cycles > 0  # the run was not vacuous
 
 
 def test_raw_sharded_collector_hammer():

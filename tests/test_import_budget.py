@@ -90,8 +90,7 @@ def test_serve_start_path_imports_no_accelerator_cluster_or_http_stack():
     """The real thing: ``serve`` up to its ``listening`` line and through
     a graceful drain, then what the process had loaded by then."""
     proc = subprocess.Popen(
-        [sys.executable, "-c", _MAIN_THEN_MODULES, "serve", "--port", "0",
-         "--no-trace"],
+        [sys.executable, "-c", _MAIN_THEN_MODULES, "serve", "--port", "0"],
         env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         line = proc.stdout.readline()
@@ -193,7 +192,7 @@ def test_serve_with_an_exporter_loads_no_http_stack_logging_or_unused_core(
     service runs."""
     proc = subprocess.Popen(
         [sys.executable, "-c", _MAIN_DUMPING_MODULES, str(tmp_path), "serve",
-         "--no-trace", "--port", "0", "--export-port", "0"],
+         "--port", "0", "--export-port", "0"],
         env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         exported = re.fullmatch(

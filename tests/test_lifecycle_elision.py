@@ -337,7 +337,7 @@ def test_an_id_that_begins_again_is_alive_before_its_first_chosen_operation(
 def test_a_rebegun_id_fed_in_one_call_is_delivered(sr):
     """A lifecycle-run ingest used to discard the gate's "deliver it
     now": the second begin of id 1 — fed in the same call as the rest of
-    its frame, as in every ``serve --no-trace`` frame — was neither
+    its frame, as in every ``serve`` frame — was neither
     parked, journaled nor counted, its operations met a committed vertex
     (``LifecycleOrderError``, a degraded window) and the lost update on
     ``hot2`` went uncounted."""

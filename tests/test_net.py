@@ -40,6 +40,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cli import _counter_buus, _sim_config, build_parser
 from repro.core.collector import ItemSampler
 from repro.core.concurrent import RushMonService
 from repro.core.concurrent.journaled import EV_OPS
@@ -53,8 +54,11 @@ from repro.net import (
     RushMonServer,
 )
 from repro.net import protocol
+from repro.sim import Simulator
+from repro.sim.traces import Trace
 from repro.testing import Fault, FaultInjector
 
+from tests.histgen import JournalTap
 from tests.test_sampled_journal import _events as _buu_stream
 
 
@@ -73,17 +77,17 @@ def _ops(count, num_keys, seed):
 
 def _service(faults=None, **kwargs):
     kwargs.setdefault("detect_interval", 0.003)
-    record_trace = kwargs.pop("record_trace", True)
     return RushMonService(
         RushMonConfig(sampling_rate=1, mob=False, seed=42, **kwargs),
         faults=faults,
-        record_trace=record_trace,
     )
 
 
-def _assert_sr1_differential(service):
+def _assert_sr1_differential(service, ops):
+    """At sr=1 the service counts exactly what the offline baseline does
+    over the operations it ingested, recorded on the producer side."""
     replayed = OfflineAnomalyMonitor()
-    service.serialized_trace().replay([replayed])
+    replayed.on_operations(ops)
     assert replayed.exact_counts() == service.counts()
 
 
@@ -520,11 +524,7 @@ def test_server_client_round_trip_matches_offline():
     assert counters["events_enqueued"] == 600
     assert counters["acked_batches"] == counters["batches_sent"]
     assert service.processed_events == 600
-    _assert_sr1_differential(service)
-    offline = OfflineAnomalyMonitor()
-    for op in ops:
-        offline.on_operation(op)
-    assert service.counts() == offline.exact_counts()
+    _assert_sr1_differential(service, ops)
 
 
 def test_lifecycle_events_travel_too():
@@ -532,6 +532,7 @@ def test_lifecycle_events_travel_too():
     (the pruners need them)."""
     service = _service()
     rng = random.Random(5)
+    ops = []
     with RushMonServer(service) as server:
         with RushMonClient("127.0.0.1", server.port, batch_size=8,
                            flush_interval=0.005) as client:
@@ -540,14 +541,15 @@ def test_lifecycle_events_travel_too():
                 client.begin_buu(buu, seq)
                 for _ in range(4):
                     seq += 1
-                    client.on_operation(Operation(
+                    ops.append(Operation(
                         OpType.READ if rng.random() < 0.5 else OpType.WRITE,
                         buu, f"k{rng.randrange(6)}", seq))
+                    client.on_operation(ops[-1])
                 seq += 1
                 client.commit_buu(buu, seq)
             assert client.flush(10.0)
     assert service.processed_events == 30 * 6
-    _assert_sr1_differential(service)
+    _assert_sr1_differential(service, ops)
 
 
 def test_columnar_client_round_trip_matches_offline():
@@ -565,11 +567,7 @@ def test_columnar_client_round_trip_matches_offline():
                 client.on_operation(op)
             assert client.flush(10.0)
     assert service.processed_events == 600
-    _assert_sr1_differential(service)
-    offline = OfflineAnomalyMonitor()
-    for op in ops:
-        offline.on_operation(op)
-    assert service.counts() == offline.exact_counts()
+    _assert_sr1_differential(service, ops)
 
 
 class _RawClient:
@@ -599,7 +597,8 @@ def test_replayed_batch_dedups_not_double_counts():
         raw = _RawClient(server.port)
         raw.send(protocol.hello("sess-a", 0))
         assert raw.recv()["type"] == "welcome"
-        events = protocol.encode_events(_ops(10, 4, seed=2))
+        ops = _ops(10, 4, seed=2)
+        events = protocol.encode_events(ops)
         raw.send(protocol.batch("sess-a", 1, events))
         assert raw.recv() == protocol.ack("sess-a", 1)
         # At-least-once in action: the "ack was lost", so resend.
@@ -610,7 +609,7 @@ def test_replayed_batch_dedups_not_double_counts():
         assert server.stats["batches_accepted"] == 1
         assert server.stats["events_ingested"] == 10
     assert service.processed_events == 10  # once, not twice
-    _assert_sr1_differential(service)
+    _assert_sr1_differential(service, ops)
 
 
 def test_sequence_gap_is_a_protocol_violation():
@@ -737,7 +736,7 @@ def test_backpressure_error_with_client_block_policy_loses_nothing():
     assert service.processed_events == 300
     if counters["backpressure_errors"]:
         assert counters["retransmits"] >= 1
-    _assert_sr1_differential(service)
+    _assert_sr1_differential(service, ops)
 
 
 def test_backpressure_error_with_client_shed_policy_counts_loss():
@@ -750,6 +749,8 @@ def test_backpressure_error_with_client_shed_policy_counts_loss():
     service = _service(faults=faults, journal_capacity=32,
                        overflow="block", block_timeout=0.01,
                        detect_interval=0.001)
+    # Which batches the client shed is known only to the journal.
+    tap = JournalTap(service)
     with RushMonServer(service) as server:
         with RushMonClient("127.0.0.1", server.port, batch_size=32,
                            flush_interval=0.002, ack_timeout=3.0,
@@ -763,7 +764,8 @@ def test_backpressure_error_with_client_shed_policy_counts_loss():
     assert counters["shed_batches"] == 0 or counters["shed_events"] > 0
     assert service.processed_events == ingested
     # Shed or not, what *was* ingested is still exactly right.
-    _assert_sr1_differential(service)
+    assert len(tap.trace().ops) == ingested
+    _assert_sr1_differential(service, tap.trace().ops)
 
 
 def test_degraded_health_propagates_as_typed_error():
@@ -858,9 +860,6 @@ def test_client_parameter_validation():
 def test_server_parameter_validation():
     with pytest.raises(ValueError, match="checkpoint_every"):
         RushMonServer(_service(), checkpoint_every=0)
-    with pytest.raises(ValueError, match="checkpoint cadence"):
-        RushMonServer(_service(checkpoint_path="/tmp/x.json",
-                               checkpoint_interval=1))
 
 
 # -- sampling at decode: the server ------------------------------------------------
@@ -900,10 +899,9 @@ def _frames(records, size=130):
             for start in range(0, len(records), size)]
 
 
-def _sampled_service(sr, record_trace=False, **kwargs):
+def _sampled_service(sr, **kwargs):
     kwargs.setdefault("detect_interval", 0.002)
-    return RushMonService(RushMonConfig(sampling_rate=sr, seed=3, **kwargs),
-                          record_trace=record_trace)
+    return RushMonService(RushMonConfig(sampling_rate=sr, seed=3, **kwargs))
 
 
 def _totals(service):
@@ -918,19 +916,17 @@ def _totals(service):
     }
 
 
-@pytest.mark.parametrize("record_trace", (False, True),
-                         ids=("no-trace", "trace"))
 @pytest.mark.parametrize("sr", (1, 20))
-def test_wire_ingest_matches_in_process_ingest(sr, record_trace):
+def test_wire_ingest_matches_in_process_ingest(sr):
     """One stream through a bare service and through a server on a JSON
     and on a packed connection: whether or not operations are dropped at
-    decode (they are at sr=20 without a trace), every count that means
-    "events offered" and every cycle count is the same."""
+    decode (they are at sr=20), every count that means "events offered"
+    and every cycle count is the same."""
     events = _buu_stream(6000, active=10, seed=11)
     records = _wire_records(events)
     num_ops = sum(1 for kind, _ in events if kind == "op")
 
-    reference = _sampled_service(sr, record_trace)
+    reference = _sampled_service(sr)
     for frame in _frames(records):
         for event in protocol.decode_events(frame):
             if event[0] == "op":
@@ -946,9 +942,9 @@ def test_wire_ingest_matches_in_process_ingest(sr, record_trace):
     assert expected["counts"].two_cycles > 0
 
     for codec in (protocol.CODEC_JSON, protocol.CODEC_COLUMNAR):
-        service = _sampled_service(sr, record_trace)
+        service = _sampled_service(sr)
         eliding = service.collector.prefilter() is not None
-        assert eliding == (sr > 1 and not record_trace)
+        assert eliding == (sr > 1)
         with RushMonServer(service) as server:
             client = _CodecClient(server.port, "diff", codec)
             for frame in _frames(records):
@@ -1010,15 +1006,13 @@ def test_a_malformed_unchosen_record_refuses_the_whole_frame(case):
     assert sum(r.operations for r in service.reports) == len(good) - 1
 
 
-def test_prefilter_is_none_whenever_eliding_would_be_unsound():
-    def collector(sr=20, record_trace=False, faults=None, **kwargs):
+def test_prefilter_is_none_only_at_sr1():
+    def collector(sr=20, faults=None, **kwargs):
         return RushMonService(RushMonConfig(sampling_rate=sr, **kwargs),
-                              record_trace=record_trace,
                               faults=faults).collector
 
     plain = collector()
     assert plain.prefilter() is plain.sampler.lookup
-    assert collector(record_trace=True).prefilter() is None
     assert collector(sr=1).prefilter() is None
     # Producers leave unsampled operations out before the journal under
     # every overflow policy and with an armed injector alike (what the
@@ -1030,7 +1024,7 @@ def test_prefilter_is_none_whenever_eliding_would_be_unsound():
     assert collector(faults=FaultInjector()).prefilter() is not None
     # A caller may only claim to have elided where the predicate exists.
     with pytest.raises(ValueError, match="prefilter"):
-        collector(record_trace=True).offer([(EV_OPS, [], 3)])
+        collector(sr=1).offer([(EV_OPS, [], 3)])
 
 
 def test_a_refused_frame_ingests_nothing_and_its_resend_is_whole(
@@ -1092,9 +1086,10 @@ def test_session_table_rides_in_the_checkpoint(tmp_path):
     service = _service()
     server = RushMonServer(service, checkpoint_path=path,
                            checkpoint_every=2).start()
+    ops = _ops(128, 8, seed=51)
     with RushMonClient("127.0.0.1", server.port, session="durable-sess",
                        batch_size=16, flush_interval=0.002) as client:
-        for op in _ops(128, 8, seed=51):
+        for op in ops:
             client.on_operation(op)
         assert client.flush(10.0)
     server.drain()
@@ -1105,7 +1100,7 @@ def test_session_table_rides_in_the_checkpoint(tmp_path):
     assert accepted >= 8  # 128 events, batches of at most 16
     assert net["stats"]["events_ingested"] == 128
     assert restored.counts() == service.counts()
-    _assert_sr1_differential(restored)
+    _assert_sr1_differential(restored, ops)
 
 
 def test_durable_acks_only_after_checkpoint(tmp_path):
@@ -1269,7 +1264,14 @@ def test_serve_emit_cli_round_trip(tmp_path):
     assert "final checkpoint written" in out
     restored = RushMonService.restore(ckpt)
     assert restored.processed_events == 60 * 6  # 2-key RMW: 4 ops + b/c
-    _assert_sr1_differential(restored)
+    # The emitted workload is seeded: run it again, here, into a trace.
+    args = build_parser("emit").parse_args(
+        ["emit", "--port", str(port), "--buus", "60", "--seed", "9"])
+    emitted = Trace()
+    Simulator(_sim_config(args), listeners=[emitted]).run(
+        _counter_buus(args.buus, args.keys, args.touch, args.seed))
+    assert len(emitted.ops) == 60 * 4
+    _assert_sr1_differential(restored, emitted.ops)
 
 
 def test_serve_binds_the_exporter_first_and_prints_the_parsed_lines():
@@ -1278,7 +1280,7 @@ def test_serve_binds_the_exporter_first_and_prints_the_parsed_lines():
     endpoint behind the first one answers."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--export-port", "0", "--no-trace"],
+         "--export-port", "0"],
         env=_repro_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
     try:

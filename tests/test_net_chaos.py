@@ -64,18 +64,10 @@ def _ops(count, num_keys, seed):
 def _service(faults=None, **kwargs):
     kwargs.setdefault("num_shards", 2)
     kwargs.setdefault("detect_interval", 0.003)
-    record_trace = kwargs.pop("record_trace", True)
     return RushMonService(
         RushMonConfig(sampling_rate=1, mob=False, seed=42, **kwargs),
         faults=faults,
-        record_trace=record_trace,
     )
-
-
-def _assert_sr1_differential(service):
-    replayed = OfflineAnomalyMonitor()
-    service.serialized_trace().replay([replayed])
-    assert replayed.exact_counts() == service.counts()
 
 
 def _assert_detected_live(service, expected, timeout=10.0):
@@ -186,7 +178,6 @@ def test_kill9_mid_stream_recovery_is_bit_identical(tmp_path, seed):
     # incarnations, despite the client replaying every unacked batch.
     assert restored.processed_events == len(ops)
     assert restored.counts() == _offline_exact(ops)
-    _assert_sr1_differential(restored)
     # The wire stats ride in the checkpoint, so they reconcile across
     # incarnations: every received batch was either accepted or deduped
     # (refusals would show as a gap here), and a dedup hit can only come
@@ -200,7 +191,7 @@ def test_kill9_mid_stream_recovery_is_bit_identical(tmp_path, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_kill9_recovery_reconciles_with_ops_dropped_at_decode(tmp_path, seed):
-    """The same kill/restart story at ``--sampling-rate 4 --no-trace``,
+    """The same kill/restart story at ``--sampling-rate 4``,
     where the server drops operations on unsampled items while it
     decodes a frame: every event offered is still counted exactly once
     across both incarnations, and the sampled counts equal a bare
@@ -211,7 +202,7 @@ def test_kill9_recovery_reconciles_with_ops_dropped_at_decode(tmp_path, seed):
     kill_at = rng.randrange(len(ops) // 4, 3 * len(ops) // 4)
     ckpt = str(tmp_path / "elide.ckpt")
     args = ["--checkpoint", ckpt, "--checkpoint-every", "2",
-            "--sampling-rate", "4", "--seed", "3", "--no-mob", "--no-trace",
+            "--sampling-rate", "4", "--seed", "3", "--no-mob",
             "--detect-interval", "0.005"]
     reference = RushMonService(RushMonConfig(sampling_rate=4, seed=3,
                                              mob=False))
@@ -294,7 +285,9 @@ def test_sigterm_drain_mid_stream_keeps_every_acked_event(tmp_path):
     restored = RushMonService.restore(ckpt)
     assert restored.processed_events == reported["events"]
     assert restored.processed_events <= len(ops)
-    _assert_sr1_differential(restored)
+    # One session's batches are ingested in order: what went in is a
+    # prefix of the stream.
+    assert restored.counts() == _offline_exact(ops[:reported["events"]])
 
 
 # -- targeted fault points (in-process) ----------------------------------------
@@ -328,7 +321,6 @@ def test_dropped_acks_reconcile_dedup_hits_with_retransmits_exactly():
         assert counters["reconnects"] == 3
         _assert_detected_live(service, len(ops))
     assert service.counts() == _offline_exact(ops)
-    _assert_sr1_differential(service)
 
 
 def test_corrupt_frames_are_caught_and_replayed():
@@ -360,7 +352,6 @@ def test_corrupt_frames_are_caught_and_replayed():
         _assert_detected_live(service, len(ops))
         assert counters["reconnects"] >= 1
     assert service.counts() == _offline_exact(ops)
-    _assert_sr1_differential(service)
 
 
 def test_accept_disconnects_are_retried_until_connected():
@@ -385,7 +376,6 @@ def test_accept_disconnects_are_retried_until_connected():
         # only counts connections that survive the accept fault).
         assert faults.fired_by_point["net.accept"] == 2
     assert service.counts() == _offline_exact(ops)
-    _assert_sr1_differential(service)
 
 
 # -- a frame is ingested whole or refused whole ----------------------------------
@@ -398,10 +388,8 @@ _FRAMES = [_wire_records(_STREAM[start:start + 60])
 
 @pytest.mark.parametrize("codec", (protocol.CODEC_JSON,
                                    protocol.CODEC_COLUMNAR))
-@pytest.mark.parametrize("sr, trace", ((1, True), (20, False)),
-                         ids=("sr1-trace", "sr20"))
-def test_a_fault_at_any_producer_call_refuses_its_frame_whole(
-        codec, sr, trace):
+@pytest.mark.parametrize("sr", (1, 20), ids=("sr1", "sr20"))
+def test_a_fault_at_any_producer_call_refuses_its_frame_whole(codec, sr):
     """A ``collector.handle`` exception at each producer-call ordinal —
     one call per frame — refuses that frame with nothing of it ingested,
     so its resend counts every event exactly once: ``events_ingested``,
@@ -414,7 +402,7 @@ def test_a_fault_at_any_producer_call_refuses_its_frame_whole(
         service = RushMonService(
             RushMonConfig(sampling_rate=sr, mob=False, seed=3,
                           detect_interval=60.0),
-            record_trace=trace, faults=faults)
+            faults=faults)
         with RushMonServer(service) as server:
             client = _CodecClient(server.port, "faulty", codec)
             for frame in _FRAMES:

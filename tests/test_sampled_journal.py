@@ -1,14 +1,13 @@
-"""Sampling before the journal: a service that records no trace journals
-sampled operations only and counts the rest in each batch record's
-``elided`` field (or one run-length total per drain).
+"""Sampling before the journal: the service journals sampled operations
+only and counts the rest in each batch record's ``elided`` field (or one
+run-length total per drain).
 
 The contract pinned here, at ``sr`` in {4, 20} (every other service
 differential runs at ``sr=1``, where nothing is ever elided):
 
 - counts, edge statistics and operation totals equal the serial
   :class:`~repro.core.monitor.RushMon`'s bit for bit, through every
-  ingest path, and a tracing (full-journal) and a non-tracing service
-  agree on all of them;
+  ingest path;
 - no operation is lost or double-counted by elision — not by a failed
   detection pass, not by a bounded journal, not by checkpoint/restore.
 """
@@ -36,15 +35,25 @@ from tests.test_checkpoint import _feed as _feed_per_op
 
 SAMPLING_RATES = (4, 20)
 
-#: A checkpoint of format version 1, written by the commit before
-#: sampling moved ahead of the journal: ``_events(1000)`` up to the
-#: operation with ``seq == 500``, fed per op into
-#: ``RushMonService(RushMonConfig(sampling_rate=20, mob=False, seed=3,
-#: num_shards=4))`` and checkpointed before any drain (its pending
-#: journal holds one ``op`` record per operation, collected at ingest by
-#: four key-hash shards).  This build refuses it.
-VERSION_1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
-                                    "checkpoint_full_journal_sr20.wal")
+#: Checkpoints of older formats, which this build refuses by version.
+#: Version 1, written by the commit before sampling moved ahead of the
+#: journal: ``_events(1000)`` up to the operation with ``seq == 500``,
+#: fed per op into ``RushMonService(RushMonConfig(sampling_rate=20,
+#: mob=False, seed=3, num_shards=4))`` and checkpointed before any drain
+#: (its pending journal holds one ``op`` record per operation, collected
+#: at ingest by four key-hash shards).  Version 2, written by the last
+#: build whose service could record its own trace:
+#: ``_events(400)`` up to the operation with ``seq == 200``, fed per op
+#: into ``RushMonService(RushMonConfig(sampling_rate=20, mob=False,
+#: seed=3), record_trace=True)``, one window closed, the next 40 events
+#: fed and the checkpoint cut with them pending (it carries the
+#: ``record_trace`` and ``trace`` keys and ``checkpoint_interval`` in its
+#: config).
+OLD_CHECKPOINTS = {
+    version: os.path.join(os.path.dirname(__file__), "data", name)
+    for version, name in ((1, "checkpoint_full_journal_sr20.wal"),
+                          (2, "checkpoint_v2_traced_sr20.wal"))
+}
 
 
 def _events(num_ops, num_keys=48, active=12, ops_per_buu=10, seed=1,
@@ -158,13 +167,11 @@ def _assert_matches_serial(service, serial, events):
 # -- the sampled service differential -----------------------------------------
 
 
-@pytest.mark.parametrize("record_trace", (False, True),
-                         ids=("sampled-journal", "full-journal"))
 @pytest.mark.parametrize("path", ("batched", "per-op", "bounded"))
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
-def test_sampled_service_matches_serial(sr, path, record_trace):
-    """Every ingest path, with and without a recorded trace, reproduces
-    the serial monitor's sampled counts and accounts for every event."""
+def test_sampled_service_matches_serial(sr, path):
+    """Every ingest path reproduces the serial monitor's sampled counts
+    and accounts for every event."""
     events = _events(6000)
     serial = _serial(sr, events)
     assert serial.detector.counts.two_cycles > 0  # not vacuous
@@ -172,7 +179,7 @@ def test_sampled_service_matches_serial(sr, path, record_trace):
     # record against it.
     config = _config(sr, journal_capacity=1 << 20) if path == "bounded" \
         else _config(sr)
-    service = RushMonService(config, record_trace=record_trace)
+    service = RushMonService(config)
     feed = _feed_per_op if path == "per-op" else _feed_batched
     _run_in_windows(service, feed, events)
     assert len(service.reports) == 4
@@ -228,8 +235,7 @@ def test_on_operations_longer_than_batch_size(sr):
 
 
 def _journaling(sr=4, **kwargs):
-    return JournaledCollector(sampling_rate=sr, mob=False, seed=3,
-                              journal_sampled_only=True, **kwargs)
+    return JournaledCollector(sampling_rate=sr, mob=False, seed=3, **kwargs)
 
 
 def _journaled_ops(records):
@@ -262,20 +268,18 @@ def test_journal_holds_sampled_ops_and_counts(sr):
     assert collector.drain() == []
 
 
-def test_full_journal_and_sr1_never_elide():
-    """Without ``journal_sampled_only`` every operation is journaled, and
-    at ``sr=1`` the sampled-only journal is the full journal."""
+def test_sr1_never_elides():
+    """At ``sr=1`` every item is chosen: there is no prefilter, and every
+    operation is journaled."""
     ops = [payload for kind, payload in _events(800) if kind == "op"]
-    for sr, sampled_only in ((20, False), (1, True)):
-        collector = JournaledCollector(sampling_rate=sr, mob=False, seed=3,
-                                       journal_sampled_only=sampled_only)
-        assert collector.prefilter() is None
-        collector.offer([(EV_OPS, ops[:400], 0)])
-        for op in ops[400:]:
-            collector.offer([(EV_OPS, [op], 0)])
-        records = collector.drain()
-        assert _journaled_ops(records) == ops
-        assert sum(record[3] for record in records) == 0
+    collector = _journaling(1)
+    assert collector.prefilter() is None
+    collector.offer([(EV_OPS, ops[:400], 0)])
+    for op in ops[400:]:
+        collector.offer([(EV_OPS, [op], 0)])
+    records = collector.drain()
+    assert _journaled_ops(records) == ops
+    assert sum(record[3] for record in records) == 0
 
 
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
@@ -760,17 +764,36 @@ def test_checkpoint_between_ingest_and_drain(tmp_path, feed):
     _assert_matches_serial(restored, serial, events)
 
 
-def test_a_version_1_checkpoint_is_refused_and_left_untouched(tmp_path):
-    """Format 1 has no reader: ``load_checkpoint``,
+@pytest.mark.parametrize("sr", (1, *SAMPLING_RATES))
+def test_a_checkpoint_carries_no_per_event_history(tmp_path, sr):
+    """A checkpoint holds state, not a copy of the input: four times the
+    events, in as many windows, add about two bytes per event (the
+    detector's per-BUU commit times), where a recorded trace adds two
+    dozen."""
+    sizes = []
+    for num_ops in (10_000, 40_000):
+        events = _events(num_ops, seed=5)
+        service = RushMonService(_config(sr))
+        _run_in_windows(service, _feed_batched, events)
+        path = service.checkpoint(str(tmp_path / f"{num_ops}.ckpt"))
+        sizes.append((len(events), os.path.getsize(path)))
+    (small_events, small), (large_events, large) = sizes
+    assert large - small < 8 * (large_events - small_events), sizes
+
+
+@pytest.mark.parametrize("version", sorted(OLD_CHECKPOINTS))
+def test_an_old_checkpoint_is_refused_and_left_untouched(tmp_path, version):
+    """Formats 1 and 2 have no reader: ``load_checkpoint``,
     ``RushMonService.restore`` and ``serve --checkpoint`` refuse the file
     by its version, naming both, and leave it as it was."""
+    old = OLD_CHECKPOINTS[version]
     for load in (wal.load_checkpoint, RushMonService.restore):
         with pytest.raises(wal.CheckpointError) as refused:
-            load(VERSION_1_CHECKPOINT)
-        assert "has version 1" in str(refused.value)
-        assert "reads version 2" in str(refused.value)
-    copy = tmp_path / "v1.wal"
-    with open(VERSION_1_CHECKPOINT, "rb") as handle:
+            load(old)
+        assert f"has version {version}" in str(refused.value)
+        assert "reads version 3" in str(refused.value)
+    copy = tmp_path / "old.wal"
+    with open(old, "rb") as handle:
         original = handle.read()
     copy.write_bytes(original)
     proc = subprocess.run(
@@ -781,7 +804,8 @@ def test_a_version_1_checkpoint_is_refused_and_left_untouched(tmp_path):
     assert proc.returncode == 2, proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1, proc.stderr
-    assert "has version 1" in errors[0] and "reads version 2" in errors[0]
+    assert f"has version {version}" in errors[0]
+    assert "reads version 3" in errors[0]
     assert "Traceback" not in proc.stderr
     assert "listening" not in proc.stdout
     assert copy.read_bytes() == original

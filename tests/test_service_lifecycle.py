@@ -124,9 +124,6 @@ def test_config_accepts_valid_edges():
     ({"block_timeout": 0}, "block_timeout"),
     ({"max_restarts": -1}, "max_restarts"),
     ({"restart_backoff": 0}, "restart_backoff"),
-    ({"checkpoint_interval": 0, "checkpoint_path": "x"},
-     "checkpoint_interval"),
-    ({"checkpoint_interval": 5}, "checkpoint_path"),
 ])
 def test_service_validation_rejects_bad_values(kwargs, match):
     with pytest.raises(ValueError, match=match):

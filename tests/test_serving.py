@@ -424,7 +424,6 @@ def test_fairness_light_client_not_starved_by_heavy():
     service = RushMonService(
         RushMonConfig(sampling_rate=20, mob=True, seed=0, num_shards=2,
                       detect_interval=3600.0),
-        record_trace=False,
     )
     with RushMonServer(service, ack_interval=0.02) as server:
         heavy = OpenLoopEmitter("127.0.0.1", server.port, records,
