@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import pytest
 
 from repro import cli
@@ -65,6 +67,11 @@ _ONE_PER_VERB = [
 ]
 
 
+def _family(verb):
+    """The module of ``repro.cli`` that defines ``verb``."""
+    return importlib.import_module(f"repro.cli.{cli._VERBS[verb][1]}")
+
+
 class TestOneVerbParser:
     """``main`` builds only the invoked verb's subparser; what a verb
     receives must not depend on that."""
@@ -81,7 +88,7 @@ class TestOneVerbParser:
         for name in cli._VERBS:
             command = "cmd_" + name.replace("-", "_")
             monkeypatch.setattr(
-                cli, command,
+                _family(name), command,
                 lambda args, command=command: reached.append(
                     (command, args)) or 0)
         assert main(list(argv)) == 0
@@ -115,11 +122,12 @@ class TestOneVerbParser:
 
     def test_main_builds_the_invoked_verb_only(self, monkeypatch):
         built = []
-        for name, (summary, add_flags) in cli._VERBS.items():
-            monkeypatch.setitem(cli._VERBS, name, (
-                summary, lambda parser, add_flags=add_flags, name=name: (
-                    built.append(name), add_flags(parser))))
-        monkeypatch.setattr(cli, "cmd_serve", lambda args: 0)
+        for name in cli._VERBS:
+            flags = _family(name).FLAGS
+            monkeypatch.setitem(
+                flags, name, lambda parser, add_flags=flags[name], name=name:
+                (built.append(name), add_flags(parser)))
+        monkeypatch.setattr(_family("serve"), "cmd_serve", lambda args: 0)
         assert main(["serve", "--port", "0"]) == 0
         assert built == ["serve"]
         with pytest.raises(SystemExit):

@@ -23,6 +23,7 @@ import urllib.request
 
 import pytest
 
+from repro.cli import _VERBS
 from repro.net import protocol
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -104,11 +105,16 @@ def test_serve_start_path_imports_no_accelerator_cluster_or_http_stack():
             proc.wait()
     assert proc.returncode == 0 and "drained." in out, err
     loaded = set(err.split())
-    assert {"repro.cli", "repro.net.server", "repro.core.detector"} <= loaded
+    assert {"repro.cli", "repro.cli.serve", "repro.net.server",
+            "repro.core.detector"} <= loaded
     assert _offenders(loaded, (
         "numpy", "multiprocessing", *HTTP_STACK, "repro.cluster", "repro.sim",
         "repro.bench", "repro.workloads", "repro.ml", "repro.checkers",
         "repro.net.client", "repro.core.columnar", "repro.obs.exporter",
+        # every other verb family (``emit`` alone would bring repro.sim
+        # and repro.net.client)
+        *{f"repro.cli.{family}" for _, family in _VERBS.values()
+          if family != "serve"},
     )) == []
 
 
