@@ -27,30 +27,38 @@ those of a serial run over its journal, and one
 collector's makes even MOB's reservoir draws identical.  No item state
 is shared with a producer, so nothing but the journal is locked.
 
-Sampling before the journal
+Where the sample is applied
 ---------------------------
 
-An operation on an unsampled item derives no edge.  At
-``sampling_rate > 1`` a producer therefore keeps only the operations on
-chosen items, and the rest ride along as the record's ``elided`` count;
-a call that keeps none adds its count to one run-length total that the
-next drain hands over as an ``(ticket, EV_OPS, [], count)`` record.  The
-decision is a lock-free probe of the sampler's memo.  A caller that can
-tell earlier still — the network server, while decoding a frame — asks
-:meth:`JournaledCollector.prefilter` for the same predicate and passes
-``elided`` itself, under every overflow policy.  At ``sampling_rate ==
-1`` every item is chosen, and only the degrade filter (below) leaves
-operations out.
+An operation on an unsampled item derives no edge, and the pass's
+``collect`` keeps only the operations on chosen items (the gate's
+``admit``, as in the serial monitor).  So an unbounded journal (the
+default) takes a producer's batch whole — copied, split past
+``batch_size`` — and the producer's thread asks the sampler nothing: the
+probe runs once, in the pass.  A caller that can tell earlier — the
+network server, while decoding a frame, or ``on_operation`` for a single
+operation — asks :meth:`JournaledCollector.prefilter` for the predicate,
+offers the chosen operations and passes the number it left out as the
+record's ``elided``; a call that keeps none adds its count to one
+run-length total that the next drain hands over as an ``(ticket, EV_OPS,
+[], count)`` record.
+
+A bounded journal counts sampled events (below), so there every producer
+call is thinned before the journal: the operations on unchosen items
+ride along as the record's ``elided`` count (a lock-free probe of the
+sampler's memo each).  At ``sampling_rate == 1`` every item is chosen,
+and only the degrade filter leaves operations out.
 
 Bounded journal and backpressure
 --------------------------------
 
 ``journal_capacity`` bounds the events waiting in the journal — journaled
-operations and lifecycle events; elided operations take no room.  The
-unit of admission is the producer call: a call arriving at a journal
-that holds events and has no room for all of it meets the ``overflow``
-policy once (under ``"block"`` and ``"shed"`` the journal therefore
-exceeds its capacity only by a call admitted into an empty journal):
+operations (the sampled ones) and lifecycle events; elided operations
+take no room.  The unit of admission is the producer call: a call
+arriving at a journal that holds events and has no room for all of it
+meets the ``overflow`` policy once (under ``"block"`` and ``"shed"`` the
+journal therefore exceeds its capacity only by a call admitted into an
+empty journal):
 
 ``"block"``
     The producer waits (released by the next drain) until the whole
@@ -59,7 +67,9 @@ exceeds its capacity only by a call admitted into an empty journal):
 ``"shed"``
     The call is dropped whole and counted in the shed counters; its
     elided operations are still counted, so only sampled operations
-    (and lifecycle events) are ever shed.
+    (and lifecycle events) are ever shed.  After
+    :meth:`~JournaledCollector.shed_all` (a degraded service's) every
+    call is shed, whatever the capacity.
 ``"degrade"``
     The call is journaled anyway and the effective sampling rate
     doubles (at most once per drain): an item is kept only if a
@@ -223,6 +233,7 @@ class JournaledCollector:
         self.lifecycle = SampledLifecycle(self.sampler)
         self.journal_capacity = journal_capacity
         self.overflow = overflow
+        self._shed_all = False
         self.block_timeout = block_timeout
         self.batch_size = batch_size
         self._faults = faults
@@ -276,10 +287,13 @@ class JournaledCollector:
             "journal_depth": (
                 lambda: self._pending,
                 "events waiting in the journal: journaled operations and "
-                "lifecycle events (elided operations take no room)"),
+                "lifecycle events (elided operations take no room); an "
+                "unbounded journal holds every operation a batch offers, "
+                "a bounded one only the sampled ones"),
             "journal_depth_highwater": (
                 lambda: self.journal_highwater,
-                "deepest the journal has grown between drains, in events"),
+                "deepest the journal has grown between drains, in events "
+                "(every operation a batch offers, when unbounded)"),
             "journal_fill_ratio": (
                 self._fill_ratio,
                 "journal depth / journal capacity (0 when unbounded)"),
@@ -335,13 +349,14 @@ class JournaledCollector:
         :meth:`prefilter` allows leaving the rest out) and how many the
         caller already left out with its predicate — and ``(EV_BEGIN |
         EV_COMMIT, buu, time)``, journaled with its ticket as ``time``.
-        The call is weighed once and meets the
-        overflow policy once (module docstring); an admitted call is
-        ticketed and appended under that same hold of the journal lock,
-        a batch of more than ``batch_size`` journaled operations as
-        several records.  Under a degrade shift, operations the
-        secondary filter excludes are elided too.  The records hold
-        copies: the caller may reuse its lists."""
+        An unbounded journal takes the operations as given; a bounded
+        one thins them first (:meth:`_build`).  The call is weighed
+        once and meets the overflow policy once (module docstring) —
+        every call is shed once :meth:`shed_all` ran; an admitted call
+        is ticketed and appended under that same hold of the journal
+        lock, a batch of more than ``batch_size`` journaled operations
+        as several records.  The records hold copies: the caller may
+        reuse its lists."""
         if self._faults is not None:
             self._fire("collector.handle")
         # A call of begins and commits alone is journaled as given.
@@ -361,8 +376,8 @@ class JournaledCollector:
                 built, weight, loose = self._build(records,
                                                    self._degrade_shift)
             capacity = self.journal_capacity
-            if (capacity is not None and self._pending
-                    and self._pending + weight > capacity
+            if ((self._shed_all or capacity is not None and self._pending
+                 and self._pending + weight > capacity)
                     and not self._make_room_locked(built, weight, loose)):
                 return
             if loose:
@@ -385,14 +400,24 @@ class JournaledCollector:
         finally:
             lock.release()
 
+    def shed_all(self) -> None:
+        """Shed every producer call whole from now on, whatever the
+        journal's room: a degraded service's pass is not coming back to
+        drain it.  Elided operations still count as seen."""
+        self.overflow = "shed"
+        self._shed_all = True
+
     def _build(self, records: Sequence[tuple],
                shift: int) -> tuple[list[tuple], int, int]:
-        """The call's records as journaled — operations thinned by
-        :meth:`prefilter` and the degrade filter at ``shift``, split
+        """The call's records as journaled — operations copied, split
         past ``batch_size`` — with their journal weight and the elided
-        operations no record carries.  A record's operations are a list
-        or tuple, never a one-shot iterator: they are read twice."""
+        operations no record carries.  A bounded journal first thins
+        them by :meth:`prefilter` and the degrade filter at ``shift``;
+        an unbounded one leaves that to the pass.  A record's
+        operations are a list or tuple, never a one-shot iterator: they
+        are read twice."""
         chosen = self.prefilter()
+        whole = self.journal_capacity is None
         mask = (1 << shift) - 1
         size = self.batch_size
         built: list[tuple] = []
@@ -403,15 +428,15 @@ class JournaledCollector:
                 weight += 1
                 continue
             _, ops, elided = record
-            if chosen is not None:
-                kept = list(compress(ops, map(chosen, map(_KEY, ops))))
-            elif elided:
+            if elided and chosen is None:
                 raise ValueError(
                     "an ops record with elided operations needs "
                     "prefilter() to allow eliding: at sampling_rate 1 "
                     "every item is chosen")
-            else:
+            if chosen is None or whole:
                 kept = list(ops)
+            else:
+                kept = list(compress(ops, map(chosen, map(_KEY, ops))))
             if shift:
                 kept = [op for op in kept if not _degrade_hash(op[2]) & mask]
             elided += len(ops) - len(kept)

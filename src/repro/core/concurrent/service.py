@@ -41,10 +41,11 @@ thread is spawned after an exponential backoff
 failures trip a circuit breaker: the service enters an explicit
 ``DEGRADED`` state — visible in :meth:`latest_report` (``health ==
 "degraded"``), in :meth:`health`, and as ``rushmon_service_degraded 1``
-on ``/metrics`` — and the collector switches its overflow policy to
-``shed`` so producers can never block on a detector that is not coming
-back.  A degraded service keeps accepting (and shedding) events and
-keeps serving its last reports; it never silently pretends to monitor.
+on ``/metrics`` — and the collector sheds every producer call whole
+from then on, bounded journal or not, so producers can never block on
+(or pile records up for) a detector that is not coming back.  A
+degraded service keeps accepting (and shedding) events and keeps
+serving its last reports; it never silently pretends to monitor.
 
 One error is a bad *record*, not a failed pass: an operation journaled
 after its BUU's commit (:class:`~repro.core.detector.LifecycleOrderError`)
@@ -261,8 +262,8 @@ class RushMonService:
             "rushmon_service_degraded",
             lambda: 1.0 if self._degraded else 0.0,
             help="1 once the detection circuit breaker has tripped "
-                 "(reports carry health='degraded'; collector sheds on "
-                 "overflow)",
+                 "(reports carry health='degraded'; the collector sheds "
+                 "every producer call)",
         )
         registry.gauge_fn(
             "rushmon_service_checkpoints_total",
@@ -422,10 +423,11 @@ class RushMonService:
     def _trip_breaker(self) -> None:
         """Enter the explicit DEGRADED state: mark health, make the
         degradation visible through ``latest_report()`` immediately, and
-        switch the collector to shed-on-overflow so producers can never
-        block forever on a detector that is not coming back."""
+        make the collector shed every producer call, so producers can
+        never block on, or fill memory for, a detector that is not coming
+        back."""
         self._degraded = True
-        self.collector.overflow = "shed"
+        self.collector.shed_all()
         latest = self._latest
         if latest is not None:
             marker = replace(latest, health="degraded")
@@ -458,15 +460,24 @@ class RushMonService:
 
     def on_operation(self, op: Operation) -> None:
         """Observe one read/write (thread-safe; it is journaled, and
-        collected and detected by the background pass)."""
+        collected and detected by the background pass).  As in
+        ``RushMon.on_operation``, an operation on an unsampled item is
+        probed here and only counted: it adds to the journal's
+        run-length ``elided`` total, never a record."""
         if self._stopped:
             self._refuse()
-        self.collector.offer(((EV_OPS, (op,), 0),))
+        chosen = self.collector.prefilter()
+        if chosen is None or chosen(op[2]):
+            self.collector.offer(((EV_OPS, (op,), 0),))
+        else:
+            self.collector.offer(((EV_OPS, (), 1),))
 
     def on_operations(self, ops: Iterable[Operation]) -> None:
         """Observe a sequence of operations: one journal record (several
-        past :attr:`batch_size` journaled operations), collected as one
-        batch by the pass."""
+        past :attr:`batch_size` journaled operations), sampled and
+        collected as one batch by the pass.  On an unbounded journal the
+        caller's thread only copies the batch; a bounded one leaves the
+        unsampled operations out first."""
         if self._stopped:
             self._refuse()
         if not isinstance(ops, (list, tuple)):
@@ -489,9 +500,11 @@ class RushMonService:
         EV_COMMIT, buu, time)`` records, in order, as
         :meth:`JournaledCollector.offer` takes them (``elided`` counts
         operations the caller already left out with
-        ``collector.prefilter()``'s predicate).  A call the overflow
-        policy refuses (``JournalBackpressure``) or a fault interrupts
-        has journaled nothing, so it may be offered again."""
+        ``collector.prefilter()``'s predicate, as the server does while
+        decoding; operations left in are sampled by the pass, or before
+        the journal when it is bounded).  A call the overflow policy
+        refuses (``JournalBackpressure``) or a fault interrupts has
+        journaled nothing, so it may be offered again."""
         if self._stopped:
             self._refuse()
         self.collector.offer(records)

@@ -183,17 +183,22 @@ def test_stress_sampled_and_mob():
     assert e2 >= 0.0 and e3 >= 0.0
 
 
+@pytest.mark.parametrize("capacity", (None, 1 << 20),
+                         ids=("unbounded", "bounded"))
 @pytest.mark.parametrize("sr", (4, 20))
-def test_stress_sampled_service_two_producers(sr):
+def test_stress_sampled_service_two_producers(sr, capacity):
     """The sampled service differential under real interleaving: two
     producers alternate batched and per-op ingest beside the detection
     thread.  No interleaving may lose or double-apply an elided count
     (carried by records and by the run-length total, appended
     concurrently), and the counts equal a serial replay of the journal
     the passes drained — the producers share no key lock, so the
-    journal's ticket order is the only order their events have."""
+    journal's ticket order is the only order their events have.  Both
+    producer rules run: an unbounded journal takes batches whole and
+    elides only unsampled single operations; a bounded one (too large
+    ever to block or shed) elides before the journal on every call."""
     config = RushMonConfig(sampling_rate=sr, mob=False, seed=3,
-                           detect_interval=0.002)
+                           detect_interval=0.002, journal_capacity=capacity)
     service = RushMonService(config)
     tap = JournalTap(service)
     num_threads = 2

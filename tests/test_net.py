@@ -1014,10 +1014,10 @@ def test_prefilter_is_none_only_at_sr1():
     plain = collector()
     assert plain.prefilter() is plain.sampler.lookup
     assert collector(sr=1).prefilter() is None
-    # Producers leave unsampled operations out before the journal under
-    # every overflow policy and with an armed injector alike (what the
-    # journal bounds and the degrade filter thins are journaled events),
-    # so a caller may too.
+    # A caller may leave unsampled operations out before the journal
+    # under every overflow policy and with an armed injector alike (what
+    # the journal bounds and the degrade filter thins are journaled
+    # events; a bounded journal's producers do so themselves).
     for overflow in ("block", "degrade", "shed"):
         bounded = collector(journal_capacity=64, overflow=overflow)
         assert bounded.prefilter() is bounded.sampler.lookup

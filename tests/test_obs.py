@@ -573,20 +573,27 @@ class TestServiceMetricsReconcile:
         assert snap["rushmon_service_detection_thread_alive"] == 0.0
         assert snap["rushmon_service_report_age_seconds"] >= 0.0
 
-    def test_elided_operations_are_counted(self):
-        """At sr=20 most operations never enter the journal, yet the
-        progress gauges keep meaning every event offered: the batch
-        records carry the count of what they left out, and once the pass
-        collected them the sampled operations are what was journaled."""
+    @pytest.mark.parametrize("capacity", (None, 1 << 20),
+                             ids=("unbounded", "bounded"))
+    def test_elided_operations_are_counted(self, capacity):
+        """At sr=20 the progress gauges keep meaning every event offered.
+        An unbounded journal holds each batch whole, so its depth counts
+        every operation; a bounded one journals only the sampled
+        operations and its batch records carry the count of what they
+        left out.  Once the pass collected them, the sampled operations
+        are what was bookkept either way."""
         service = RushMonService(
-            RushMonConfig(sampling_rate=20, mob=False, seed=3))
+            RushMonConfig(sampling_rate=20, mob=False, seed=3,
+                          journal_capacity=capacity))
         num_buus, ops_per_buu = 50, 40
+        chosen = service.collector.sampler.chosen
+        sampled = 0
         for buu in range(num_buus):
             service.begin_buu(buu, buu)
-            service.on_operations([
-                Operation(OpType.WRITE, buu, (7 * buu + i) % 97, i)
-                for i in range(ops_per_buu)
-            ])
+            ops = [Operation(OpType.WRITE, buu, (7 * buu + i) % 97, i)
+                   for i in range(ops_per_buu)]
+            sampled += sum(1 for op in ops if chosen(op.key))
+            service.on_operations(ops)
             service.commit_buu(buu, buu)
         num_ops = num_buus * ops_per_buu
         state = service.collector.snapshot_state()
@@ -595,13 +602,14 @@ class TestServiceMetricsReconcile:
         elided = sum(r[3] for r in batches) + state["elided"]
         snap = service.metrics.snapshot()
         assert snap["rushmon_collector_ops_total"] == num_ops
-        assert 0 < journaled < num_ops
+        assert 0 < sampled < num_ops
+        assert journaled == (num_ops if capacity is None else sampled)
         assert journaled + elided == num_ops
         assert snap["rushmon_collector_journal_depth"] == \
             journaled + 2 * num_buus
         service.close_window()
         snap = service.metrics.snapshot()
-        assert snap["rushmon_collector_sampled_ops_total"] == journaled
+        assert snap["rushmon_collector_sampled_ops_total"] == sampled
         assert snap["rushmon_collector_journal_depth"] == 0
         assert snap["rushmon_service_events_processed_total"] == \
             num_ops + 2 * num_buus

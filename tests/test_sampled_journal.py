@@ -1,6 +1,9 @@
-"""Sampling before the journal: the service journals sampled operations
-only and counts the rest in each batch record's ``elided`` field (or one
-run-length total per drain).
+"""Where the service samples: an unbounded journal takes a producer's
+batch whole and the detection pass samples it; a single unsampled
+``on_operation``, a prefiltered server frame and every call into a
+bounded journal leave unsampled operations out before the journal and
+count them in a batch record's ``elided`` field (or one run-length total
+per drain).
 
 The contract pinned here, at ``sr`` in {4, 20} (every other service
 differential runs at ``sr=1``, where nothing is ever elided):
@@ -186,41 +189,65 @@ def test_sampled_service_matches_serial(sr, path):
     _assert_matches_serial(service, serial, events)
 
 
+@pytest.mark.parametrize("feed", (_feed_per_op, _feed_batched),
+                         ids=("per-op", "batched"))
 @pytest.mark.parametrize("sr", (1,) + SAMPLING_RATES)
-def test_one_producer_with_mob_is_the_serial_monitor(sr):
+def test_one_producer_with_mob_is_the_serial_monitor(sr, feed):
     """Collection runs in the pass, in ticket order, on one shard seeded
-    like the serial collector's: fed one stream, the service draws MOB's
-    reservoir and discard coins exactly as ``RushMon`` does."""
+    like the serial collector's: fed one stream, batched or one operation
+    at a time, the service draws MOB's reservoir and discard coins exactly
+    as ``RushMon`` does."""
     events = _events(6000)
     serial = RushMon(RushMonConfig(sampling_rate=sr, seed=3))
     _feed_per_op(serial, events)
     serial.close_window()
     service = RushMonService(RushMonConfig(sampling_rate=sr, seed=3))
-    _run_in_windows(service, _feed_batched, events)
+    _run_in_windows(service, feed, events)
     assert serial.collector.discarded_reads > 0  # MOB dropped reads
     assert service.collector.discarded_reads == \
         serial.collector.discarded_reads
     _assert_matches_serial(service, serial, events)
 
 
+#: ``journal_capacity``: unbounded (the default, where a producer's batch
+#: is journaled whole) or a bound nothing here reaches (where producers
+#: leave unsampled operations out before the journal).
+CAPACITIES = pytest.mark.parametrize("capacity", (None, 1 << 20),
+                                     ids=("unbounded", "bounded"))
+
+
+@CAPACITIES
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
-def test_on_operations_longer_than_batch_size(sr):
-    """One call far longer than ``batch_size``: the input is filtered
-    once, the chosen operations are journaled in records of at most
-    ``batch_size``, and the elided count is recorded exactly once."""
+def test_on_operations_longer_than_batch_size(sr, capacity):
+    """One call far longer than ``batch_size`` is journaled in records of
+    at most ``batch_size`` operations.  An unbounded journal holds the
+    call whole, in order, with nothing elided; a bounded one filters the
+    input once, journals the chosen operations and records the elided
+    count exactly once.  Either way the pass counts every operation
+    once."""
     events = _events(6000)
     serial = _serial(sr, events)
     ops = [payload for kind, payload in events if kind == "op"]
-    service = RushMonService(_config(sr, batch_size=64))
+    service = RushMonService(_config(sr, batch_size=64,
+                                     journal_capacity=capacity))
     for kind, payload in events:
         if kind == "begin":
             service.begin_buu(*payload)
     service.on_operations(ops)
     batches = [record for record in service.collector.snapshot_state()[
         "journal"] if record[1] == EV_OPS]
-    assert len(batches) > 1
+    journaled = [op for record in batches for op in record[2]]
+    elided = [record[3] for record in batches]
     assert max(len(record[2]) for record in batches) == 64
-    assert [record[3] for record in batches].count(0) == len(batches) - 1
+    if capacity is None:
+        assert journaled == [[op.op.value, op.buu, op.key, op.seq]
+                             for op in ops]
+        assert len(batches) == -(-len(ops) // 64)
+        assert elided.count(0) == len(batches)
+    else:
+        assert len(batches) > 1
+        assert elided.count(0) == len(batches) - 1
+        assert len(journaled) + sum(elided) == len(ops)
     for kind, payload in events:
         if kind == "commit":
             service.commit_buu(*payload)
@@ -231,7 +258,56 @@ def test_on_operations_longer_than_batch_size(sr):
     assert service.processed_events == len(events)
 
 
-# -- journal level --------------------------------------------------------------
+def test_an_unbounded_batch_asks_the_sampler_nothing_before_the_pass():
+    """At ``sr=20`` an unbounded service's ``on_operations`` journals
+    the batch without one probe of the sampler; the pass samples it.  A
+    bounded service's producer still probes every operation."""
+    events = _events(3000)
+    serial = _serial(20, events)
+    probes = {}
+    services = {}
+    for capacity in (None, 1 << 20):
+        service = RushMonService(_config(20, journal_capacity=capacity))
+        sampler = service.collector.sampler
+        lookup = sampler.lookup
+        probes[capacity] = 0
+
+        def counting(key, lookup=lookup, capacity=capacity):
+            probes[capacity] += 1
+            return lookup(key)
+
+        sampler.lookup = counting
+        _feed_batched(service, events)
+        services[capacity] = service
+    assert probes[None] == 0
+    assert probes[1 << 20] == _num_ops(events)
+    for service in services.values():
+        service.close_window()
+        _assert_matches_serial(service, serial, events)
+
+
+def test_unsampled_single_operations_journal_nothing_but_a_count():
+    """``on_operation`` keeps the serial monitor's rule on any journal:
+    one probe, and an operation on an unsampled item only adds to the
+    run-length count — 1 000 of them leave no record but the one the
+    drain closes with."""
+    service = RushMonService(_config(20))
+    chosen = service.collector.sampler.chosen
+    unsampled = [Operation(OpType.WRITE, i, ("k", i), i)
+                 for i in range(5000) if not chosen(("k", i))][:1000]
+    assert len(unsampled) == 1000
+    for op in unsampled:
+        service.on_operation(op)
+    state = service.collector.snapshot_state()
+    assert state["journal"] == []
+    assert state["elided"] == 1000
+    assert service.collector.journal_depth == 0
+    records = service.collector.drain()
+    assert [record[1:] for record in records] == [(EV_OPS, [], 1000)]
+    assert service.collector.ops_seen == 1000
+
+
+# -- journal level# -- journal level --------------------------------------------------------------
 
 
 def _journaling(sr=4, **kwargs):
@@ -242,27 +318,37 @@ def _journaled_ops(records):
     return [op for _, kind, ops, _ in records if kind == EV_OPS for op in ops]
 
 
+@CAPACITIES
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
-def test_journal_holds_sampled_ops_and_counts(sr):
-    """No journaled operation is on an unchosen key, the records' counts
-    account for exactly the operations left out, and tickets rise with
-    one per journaled operation."""
+def test_journal_holds_sampled_ops_and_counts(sr, capacity):
+    """Tickets rise with one per journaled operation, and the records
+    account for every operation offered.  An unbounded journal holds
+    each call's operations whole; in a bounded one no journaled operation
+    is on an unchosen key and the records' counts are exactly the
+    operations left out."""
     ops = [payload for kind, payload in _events(3000) if kind == "op"]
-    collector = _journaling(sr)
+    collector = _journaling(sr, journal_capacity=capacity)
     for start in range(0, 2000, 100):
         collector.offer([(EV_OPS, ops[start:start + 100], 0)])
     for op in ops[2000:]:
         collector.offer([(EV_OPS, [op], 0)])
     records = collector.drain()
     chosen = collector.sampler.chosen
-    assert _journaled_ops(records) == [op for op in ops if chosen(op.key)]
+    assert collector.ops_seen == len(ops)
     assert len(_journaled_ops(records)) + sum(
         record[3] for record in records) == len(ops)
-    assert collector.ops_seen == len(ops)
-    # Each per-op record and each batch of the first 2000 holds at least
-    # one op; the per-op calls that kept none share one count at the end.
-    assert all(record[2] for record in records[:-1])
-    assert records[-1][2] == [] and records[-1][3] > 0
+    if capacity is None:
+        assert _journaled_ops(records) == ops
+        assert [len(record[2]) for record in records] == \
+            [100] * 20 + [1] * 1000
+    else:
+        assert _journaled_ops(records) == [op for op in ops
+                                           if chosen(op.key)]
+        # Each per-op record and each batch of the first 2000 holds at
+        # least one op; the per-op calls that kept none share one count
+        # at the end.
+        assert all(record[2] for record in records[:-1])
+        assert records[-1][2] == [] and records[-1][3] > 0
     tickets = [ticket for ticket, *_ in records]
     assert tickets == sorted(set(tickets))
     assert collector.drain() == []
@@ -282,33 +368,54 @@ def test_sr1_never_elides():
     assert sum(record[3] for record in records) == 0
 
 
+@CAPACITIES
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
-def test_prefiltered_batch_with_elided_count_journals_the_same(sr):
+def test_prefiltered_batch_with_elided_count_journals_the_same(sr, capacity):
     """Offering the chosen operations plus how many were left out (what
-    the server does after decoding with ``prefilter()``) journals
-    exactly the records an offer of them all journals when the collector
-    filters itself — including batches with nothing chosen and with nothing
-    elided."""
-    ops = [payload for kind, payload in _events(3000) if kind == "op"]
-    whole, prefiltered = _journaling(sr, batch_size=32), \
-        _journaling(sr, batch_size=32)
-    chosen = prefiltered.prefilter()
-    assert chosen is prefiltered.sampler.lookup
+    the server does after decoding with ``prefilter()``) walks to the
+    counts an offer of them all walks to — including batches with
+    nothing chosen and with nothing elided.  A bounded journal, which
+    filters every offer itself, even journals the same records."""
+    events = _events(3000)
+    ops = [payload for kind, payload in events if kind == "op"]
+    whole, prefiltered = (
+        RushMonService(_config(sr, batch_size=32, journal_capacity=capacity))
+        for _ in range(2))
+    chosen = prefiltered.collector.prefilter()
+    assert chosen is prefiltered.collector.sampler.lookup
+    for kind, payload in events:
+        if kind == "begin":
+            whole.begin_buu(*payload)
+            prefiltered.begin_buu(*payload)
     sizes = (1, 3, 40, 100, 7, 260)
     start = 0
     while start < len(ops):
         size = sizes[start % len(sizes)]
         batch = ops[start:start + size]
         kept = [op for op in batch if chosen(op.key)]
-        whole.offer([(EV_OPS, batch, 0)])
-        prefiltered.offer([(EV_OPS, kept, len(batch) - len(kept))])
+        whole.on_records([(EV_OPS, batch, 0)])
+        prefiltered.on_records([(EV_OPS, kept, len(batch) - len(kept))])
         start += size
-    assert whole.ops_seen == prefiltered.ops_seen == len(ops)
-    records = whole.drain()
-    assert records == prefiltered.drain()
-    assert {len(record[2]) > 32 for record in records} == {False}
+    for service in (whole, prefiltered):
+        assert service.collector.ops_seen == len(ops)
+        assert {len(record[2]) > 32 for record in service.collector
+                .snapshot_state()["journal"] if record[1] == EV_OPS} \
+            == {False}
+    if capacity is not None:
+        assert whole.collector.snapshot_state()["journal"] == \
+            prefiltered.collector.snapshot_state()["journal"]
+    for service in (whole, prefiltered):
+        service.close_window()
+    assert whole.collector.stats.total > 0
+    assert whole.collector.stats == prefiltered.collector.stats
+    assert whole.collector.touches == prefiltered.collector.touches
+    assert whole.counts() == prefiltered.counts()
+    assert whole.reports[0].operations == prefiltered.reports[0].operations \
+        == len(ops)
+    assert whole.processed_events == prefiltered.processed_events
     with pytest.raises(ValueError, match="prefilter"):
-        _journaling(1).offer([(EV_OPS, ops[:3], 2)])
+        _journaling(1, journal_capacity=capacity).offer(
+            [(EV_OPS, ops[:3], 2)])
 
 
 @pytest.mark.parametrize("bounded", (False, True),
@@ -347,16 +454,18 @@ def test_one_call_appends_what_per_event_calls_append(seed, bounded):
         sum(1 for kind, _ in script if kind != "op")
 
 
-def test_concurrent_producers_lose_no_append_and_no_ticket():
+@CAPACITIES
+def test_concurrent_producers_lose_no_append_and_no_ticket(capacity):
     """Six threads offer batches, single operations and lifecycle events
     while a seventh drains: every record arrives once, tickets rise
     strictly across drains, and the counters updated under the journal
-    lock are exact."""
+    lock are exact.  An unbounded journal holds every operation, a
+    bounded one the sampled ones."""
     import sys
     import threading
 
     ops = [payload for kind, payload in _events(3000) if kind == "op"]
-    collector = _journaling(4)
+    collector = _journaling(4, journal_capacity=capacity)
     start = threading.Barrier(7)
     stop = threading.Event()
     drained = []
@@ -394,7 +503,8 @@ def test_concurrent_producers_lose_no_append_and_no_ticket():
     tickets = [record[0] for record in drained]
     assert tickets == sorted(set(tickets))
     assert sorted(_journaled_ops(drained), key=lambda op: op.seq) == [
-        op for op in ops if collector.sampler.chosen(op.key)]
+        op for op in ops
+        if capacity is None or collector.sampler.chosen(op.key)]
     assert sum(record[3] for record in drained if record[1] == EV_OPS) \
         + len(_journaled_ops(drained)) == len(ops) == collector.ops_seen
     assert sum(record[1] == EV_COMMIT for record in drained) == len(ops) \
@@ -595,6 +705,41 @@ def test_degrade_never_derives_an_edge_from_stale_item_state():
     assert edges == service.collector.stats.ww > 0
 
 
+def test_a_degraded_unbounded_service_sheds_every_call():
+    """Once the breaker has tripped, no pass drains the journal again: an
+    unbounded journal stops growing, every producer call is shed whole,
+    and the elided operations of an ``on_operation`` still count as
+    seen."""
+    faults = FaultInjector().inject(
+        Fault("detect.pass", kind="exception", times=None))
+    service = RushMonService(
+        _config(20, detect_interval=0.002, max_restarts=0), faults=faults)
+    ops = [payload for kind, payload in _events(4000) if kind == "op"]
+    service.on_operations(ops[:100])
+    service.start()
+    deadline = time.monotonic() + 10.0
+    while not service.degraded and time.monotonic() < deadline:
+        time.sleep(0.002)
+    assert service.degraded
+    collector = service.collector
+    depth, seen = collector.journal_depth, collector.ops_seen
+    assert depth == 100 and seen == 100
+    for start in range(100, 2000, 100):
+        service.on_operations(ops[start:start + 100])
+    chosen = collector.sampler.chosen
+    unsampled = sum(1 for op in ops[2000:] if not chosen(op.key))
+    for op in ops[2000:]:
+        service.on_operation(op)
+    service.begin_buu(10 ** 6, 0)
+    assert collector.journal_depth == depth
+    assert collector.shed_events == len(ops) - 100 - unsampled + 1
+    assert collector.shed_sampled_events == sum(
+        1 for op in ops[100:] if chosen(op.key))
+    assert collector.ops_seen == seen + unsampled
+    assert collector.lifecycle_offered == 0
+    service.stop()
+
+
 # -- the producer call is the unit of admission ------------------------------------
 
 
@@ -762,6 +907,40 @@ def test_checkpoint_between_ingest_and_drain(tmp_path, feed):
     feed(restored, events[3500:])
     restored.close_window()
     _assert_matches_serial(restored, serial, events)
+
+
+def test_a_pending_prefiltered_journal_restores_like_a_whole_one(tmp_path):
+    """A checkpoint whose pending journal holds prefiltered records (as a
+    bounded journal, or a build that filtered every batch before the
+    journal, writes them), restored into an unbounded service, walks to
+    the counts of one whose pending journal holds the batches whole."""
+    events = _events(6000)
+    serial = _serial(20, events)
+    paths = {}
+    for capacity in (None, 1 << 20):
+        service = RushMonService(_config(20, journal_capacity=capacity))
+        _feed_batched(service, events[:2000])
+        service.close_window()
+        _feed_batched(service, events[2000:3500])
+        paths[capacity] = service.checkpoint(
+            str(tmp_path / f"{capacity}.wal"))
+    payload = wal.load_checkpoint(paths[1 << 20])
+    payload["config"]["journal_capacity"] = None
+    wal.save_checkpoint(paths[1 << 20], payload)
+    pending = {}
+    restored = []
+    for capacity, path in paths.items():
+        service = RushMonService.restore(path)
+        assert service.config.journal_capacity is None
+        state = service.collector.snapshot_state()
+        pending[capacity] = sum(len(record[2]) for record in state["journal"]
+                                if record[1] == EV_OPS)
+        _feed_batched(service, events[3500:])
+        service.close_window()
+        _assert_matches_serial(service, serial, events)
+        restored.append(service)
+    assert 0 < pending[1 << 20] < pending[None]
+    assert restored[0].counts() == restored[1].counts()
 
 
 @pytest.mark.parametrize("sr", (1, *SAMPLING_RATES))
