@@ -271,9 +271,9 @@ def _monitor_flags(mon: argparse.ArgumentParser) -> None:
                           "circuit breaker marks the service DEGRADED")
     mon.add_argument("--batch-size", type=int,
                      default=_DEFAULTS.batch_size,
-                     help="most journaled operations per journal record "
-                          "(one collector call and one detector feed "
-                          "each)")
+                     help="operations per detector feed: a detection "
+                          "pass feeds its edges once its records hold "
+                          "this many")
     mon.add_argument("--buus", type=int, default=2000)
     mon.add_argument("--keys", type=int, default=64)
     mon.add_argument("--touch", type=int, default=3)

@@ -3,15 +3,15 @@
 A producer of :class:`~repro.core.concurrent.service.RushMonService`
 does no bookkeeping.  A producer call — ``on_operations``, a begin or
 commit, or a network frame — is offered whole
-(:meth:`JournaledCollector.offer`): its operations become journal
-records ``(ticket, EV_OPS, ops, elided)`` (a batch longer than
-``batch_size`` journaled operations becomes several), and a begin or
-commit becomes ``(ticket, EV_BEGIN | EV_COMMIT, buu, ticket)``.  The
-tickets are drawn and the records appended under one short lock, so
-journal order *is* ticket order, a drain is always a complete prefix of
-it, and a call is journaled whole or not at all.  A batch record
-reserves one ticket per operation (at least one), so the journaled
-operations keep distinct, increasing stamps.
+(:meth:`JournaledCollector.offer`): each run of its operations becomes
+one journal record ``(ticket, EV_OPS, ops, elided)``, whatever its
+length, and a begin or commit becomes ``(ticket, EV_BEGIN | EV_COMMIT,
+buu, ticket)``.  The records are built, the tickets drawn and the
+records appended under one hold of the journal lock, so journal order
+*is* ticket order, a drain is always a complete prefix of it, and a call
+is journaled whole or not at all.  A batch record reserves one ticket
+per operation (at least one), so the journaled operations keep
+distinct, increasing stamps.
 
 The consumer — the service's detection pass, one thread at a time —
 drains the journal and walks it in ticket order (:class:`RecordWalk`,
@@ -33,15 +33,15 @@ Where the sample is applied
 An operation on an unsampled item derives no edge, and the pass's
 ``collect`` keeps only the operations on chosen items (the gate's
 ``admit``, as in the serial monitor).  So an unbounded journal (the
-default) takes a producer's batch whole — copied, split past
-``batch_size`` — and the producer's thread asks the sampler nothing: the
-probe runs once, in the pass.  A caller that can tell earlier — the
-network server, while decoding a frame, or ``on_operation`` for a single
-operation — asks :meth:`JournaledCollector.prefilter` for the predicate,
-offers the chosen operations and passes the number it left out as the
-record's ``elided``; a call that keeps none adds its count to one
-run-length total that the next drain hands over as an ``(ticket, EV_OPS,
-[], count)`` record.
+default) takes a producer's batch whole, as one copied record, and the
+producer's thread asks the sampler nothing: the probe runs once, in the
+pass.  A caller that can tell earlier — the network server, while
+decoding a frame, or ``on_operation`` for a single operation — asks
+:meth:`JournaledCollector.prefilter` for the predicate, offers the
+chosen operations and passes the number it left out as the record's
+``elided``; a call that keeps none adds its count to one run-length
+total that the next drain hands over as an ``(ticket, EV_OPS, [],
+count)`` record.
 
 A bounded journal counts sampled events (below), so there every producer
 call is thinned before the journal: the operations on unchosen items
@@ -83,12 +83,10 @@ pass filters every batch at the shift in force where it was journaled
 and, when the shift rises, forgets the state of the items it now
 excludes (a later re-inclusion warms up instead of deriving edges from a
 stale ``lastWrite``).  Producers apply the same filter before the
-journal, so an excluded operation is elided like an unsampled one: each
-shift halves the inflow, and excluded operations are never a reason to
-escalate again.  A producer never filters at a shift above the one in
-force where its record lands — if the shift fell while it filtered, it
-filters again under the lock — so the pass always sees every operation
-on the items it keeps.
+journal, at the shift in force under the lock that appends their call,
+so an excluded operation is elided like an unsampled one: each shift
+halves the inflow, and excluded operations are never a reason to
+escalate again.
 """
 
 from __future__ import annotations
@@ -192,12 +190,12 @@ class JournaledCollector:
     else on the consumer's.
 
     Parameters mirror :class:`~repro.core.collector.DataCentricCollector`
-    (``sampling_rate``, ``mob``, ``mob_slots``, ``items``, ``seed``) plus
-    the journal's: ``journal_capacity``, ``overflow``, ``block_timeout``
-    and ``batch_size`` (most journaled operations per record).
-    ``faults`` arms the ``collector.handle`` (each producer call) and
-    ``journal.drain`` injection points; ``metrics`` gets the collector's
-    readings as callback gauges.
+    (``sampling_rate``, ``mob``, ``items``, ``seed``; MOB keeps the
+    shard's default two slots) plus the journal's: ``journal_capacity``,
+    ``overflow`` and ``block_timeout``.  ``faults`` arms the
+    ``collector.handle`` (each producer call) and ``journal.drain``
+    injection points; ``metrics`` gets the collector's readings as
+    callback gauges.
     """
 
     def __init__(
@@ -206,11 +204,9 @@ class JournaledCollector:
         mob: bool = True,
         items: Iterable[Key] | None = None,
         seed: int = 0,
-        mob_slots: int = 2,
         journal_capacity: int | None = None,
         overflow: str = "block",
         block_timeout: float = 5.0,
-        batch_size: int = 256,
         faults: Any | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -227,15 +223,13 @@ class JournaledCollector:
             self.sampler.materialize(items)
         # Seeded like DataCentricCollector's shard: a service fed one
         # stream draws MOB's coins exactly as the serial monitor does.
-        self.shard = CollectorShard(mob, mob_slots,
-                                    random.Random(seed ^ 0x5EED))
+        self.shard = CollectorShard(mob, rng=random.Random(seed ^ 0x5EED))
         #: The admission gate; the consumer is its only caller.
         self.lifecycle = SampledLifecycle(self.sampler)
         self.journal_capacity = journal_capacity
         self.overflow = overflow
         self._shed_all = False
         self.block_timeout = block_timeout
-        self.batch_size = batch_size
         self._faults = faults
         # Everything below is guarded by _lock (producers and drains).
         self._lock = threading.Lock()
@@ -275,7 +269,8 @@ class JournaledCollector:
             "lock_wait_seconds_total": (
                 lambda: self.lock_wait_seconds,
                 "cumulative time producer threads waited for the journal "
-                "lock"),
+                "lock, held while another producer builds and appends its "
+                "call or a pass drains"),
             "lifecycle_elided_total": (
                 lambda: self.lifecycle.elided,
                 "begin/commit events the detector never heard of: their "
@@ -349,32 +344,26 @@ class JournaledCollector:
         :meth:`prefilter` allows leaving the rest out) and how many the
         caller already left out with its predicate — and ``(EV_BEGIN |
         EV_COMMIT, buu, time)``, journaled with its ticket as ``time``.
-        An unbounded journal takes the operations as given; a bounded
-        one thins them first (:meth:`_build`).  The call is weighed
-        once and meets the overflow policy once (module docstring) —
-        every call is shed once :meth:`shed_all` ran; an admitted call
-        is ticketed and appended under that same hold of the journal
-        lock, a batch of more than ``batch_size`` journaled operations
-        as several records.  The records hold copies: the caller may
-        reuse its lists."""
+        Everything happens in one hold of the journal lock: the call is
+        built (:meth:`_build`: an unbounded journal takes the operations
+        as given, a bounded one thins them at the degrade shift in
+        force), weighed, meets the overflow policy once (module
+        docstring) — every call is shed once :meth:`shed_all` ran — and,
+        if admitted, is ticketed and appended, each run of operations
+        as one record.  The records hold copies: the caller may reuse
+        its lists."""
         if self._faults is not None:
             self._fire("collector.handle")
-        # A call of begins and commits alone is journaled as given.
-        built, weight, loose = records, len(records), 0
-        shift = 0
-        for record in records:
-            if record[0] == EV_OPS:
-                shift = self._degrade_shift
-                built, weight, loose = self._build(records, shift)
-                break
         lock = self._lock
         if not lock.acquire(False):
             self._wait_for(lock)
         try:
-            if self._degrade_shift < shift:
-                # The shift fell while this call filtered.
-                built, weight, loose = self._build(records,
-                                                   self._degrade_shift)
+            # A call of begins and commits alone is journaled as given.
+            built, weight, loose = records, len(records), 0
+            for record in records:
+                if record[0] == EV_OPS:
+                    built, weight, loose = self._build(records)
+                    break
             capacity = self.journal_capacity
             if ((self._shed_all or capacity is not None and self._pending
                  and self._pending + weight > capacity)
@@ -407,19 +396,19 @@ class JournaledCollector:
         self.overflow = "shed"
         self._shed_all = True
 
-    def _build(self, records: Sequence[tuple],
-               shift: int) -> tuple[list[tuple], int, int]:
-        """The call's records as journaled — operations copied, split
-        past ``batch_size`` — with their journal weight and the elided
+    def _build(self,
+               records: Sequence[tuple]) -> tuple[list[tuple], int, int]:
+        """The call's records as journaled, each run of operations one
+        copied record, with their journal weight and the elided
         operations no record carries.  A bounded journal first thins
-        them by :meth:`prefilter` and the degrade filter at ``shift``;
-        an unbounded one leaves that to the pass.  A record's
-        operations are a list or tuple, never a one-shot iterator: they
-        are read twice."""
+        the copy by :meth:`prefilter` and the degrade filter at the
+        journal's shift; an unbounded one leaves that to the pass.  A
+        record's operations may be any iterable: they are read once,
+        into the copy.  Caller holds the lock."""
         chosen = self.prefilter()
         whole = self.journal_capacity is None
+        shift = self._degrade_shift
         mask = (1 << shift) - 1
-        size = self.batch_size
         built: list[tuple] = []
         weight = loose = 0
         for record in records:
@@ -433,9 +422,8 @@ class JournaledCollector:
                     "an ops record with elided operations needs "
                     "prefilter() to allow eliding: at sampling_rate 1 "
                     "every item is chosen")
-            if chosen is None or whole:
-                kept = list(ops)
-            else:
+            kept = ops = list(ops)
+            if chosen is not None and not whole:
                 kept = list(compress(ops, map(chosen, map(_KEY, ops))))
             if shift:
                 kept = [op for op in kept if not _degrade_hash(op[2]) & mask]
@@ -444,9 +432,7 @@ class JournaledCollector:
                 loose += elided
                 continue
             weight += len(kept)
-            for start in range(0, len(kept), size):
-                built.append((EV_OPS, kept[start:start + size], elided))
-                elided = 0
+            built.append((EV_OPS, kept, elided))
         return built, weight, loose
 
     def _wait_for(self, lock) -> None:
@@ -712,8 +698,9 @@ class RecordWalk:
     record's time.  A batch's operations go through ``collector.collect``
     and, with its ``elided`` count, join the window's operations.  The
     edges of consecutive records form a *run*, fed to one
-    :meth:`CycleDetector.add_edge_batch` through the window once it
-    spans ``batch_size`` collected operations, at every begin or commit
+    :meth:`CycleDetector.add_edge_batch` through the window once its
+    records hold ``batch_size`` operations (as journaled or buffered,
+    before ``collect`` thins them), at every begin or commit
     record (delivered, parked or dropped alike), and before anything
     else reaches the detector: a begin the gate promotes, or an
     uncounted edge.  An ``EV_EDGES`` record's ``owner`` 0 joins the run

@@ -104,8 +104,9 @@ class RushMonService:
         (``detect_interval``, the
         ``journal_capacity``/``overflow``/``block_timeout``
         backpressure knobs, the ``max_restarts``/``restart_backoff``/
-        ``max_backoff`` supervision schedule, ``batch_size`` and
-        ``checkpoint_path`` — see the config's docstring for each).
+        ``max_backoff`` supervision schedule, ``batch_size`` (operations
+        per detector feed of a pass) and ``checkpoint_path`` — see the
+        config's docstring for each).
         ``resample_interval`` is **unsupported** (a sample switch would
         have to reach the producers' pre-journal filter and the pass at
         one ticket); passing one raises ``ValueError`` rather than
@@ -175,7 +176,6 @@ class RushMonService:
             journal_capacity=self.config.journal_capacity,
             overflow=self.config.overflow,
             block_timeout=self.config.block_timeout,
-            batch_size=self.config.batch_size,
             faults=faults,
             metrics=self.metrics,
         )
@@ -473,15 +473,12 @@ class RushMonService:
             self.collector.offer(((EV_OPS, (), 1),))
 
     def on_operations(self, ops: Iterable[Operation]) -> None:
-        """Observe a sequence of operations: one journal record (several
-        past :attr:`batch_size` journaled operations), sampled and
-        collected as one batch by the pass.  On an unbounded journal the
-        caller's thread only copies the batch; a bounded one leaves the
-        unsampled operations out first."""
+        """Observe a sequence of operations: one journal record, whatever
+        its length, sampled and collected as one batch by the pass.  On
+        an unbounded journal the caller's thread only copies the batch;
+        a bounded one leaves the unsampled operations out first."""
         if self._stopped:
             self._refuse()
-        if not isinstance(ops, (list, tuple)):
-            ops = list(ops)
         self.collector.offer(((EV_OPS, ops, 0),))
 
     def begin_buu(self, buu: BuuId, start_time: int = 0) -> None:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
-#: Default journaled ops per journal record (service).  Big enough to
-#: amortize the journal lock and the collector/detector dispatch, small
-#: enough that a pass's incremental progress (crash-safe consumed-count
+#: Default operations per detector feed of a record walk, and the serial
+#: monitor's buffer bound.  Big enough to amortize the detector dispatch,
+#: small enough that a walk's progress (crash-safe consumed-count
 #: advancement) stays fine-grained.
 DEFAULT_BATCH_SIZE = 256
 
@@ -66,8 +66,8 @@ class RushMonConfig:
     max_restarts / restart_backoff / max_backoff:
         Service: detection-thread supervision schedule.
     batch_size:
-        Service: most journaled operations per journal record, and so
-        per collector call and detector batch of a detection pass.
+        Operations per detector feed of a record walk (the service's
+        pass, the serial monitor), and the serial monitor's buffer bound.
     checkpoint_path:
         Service: where ``stop()`` writes a crash-consistent checkpoint
         after its final drain (a server's group commit writes there
@@ -257,9 +257,9 @@ class RushMonConfig:
             self.batch_size, bool
         ) or self.batch_size < 1:
             raise ValueError(
-                f"batch_size must be an integer >= 1 (journaled ops per "
-                f"journal record, collected as one batch by the "
-                f"detection pass), got {self.batch_size!r}; the default "
+                f"batch_size must be an integer >= 1 (operations per "
+                f"detector feed of a record walk), got "
+                f"{self.batch_size!r}; the default "
                 f"{DEFAULT_BATCH_SIZE} suits most workloads"
             )
         if self.max_restarts < 0:

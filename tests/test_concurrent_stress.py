@@ -17,6 +17,7 @@ Marked ``stress`` so CI can rerun the module back-to-back (3 consecutive
 passes are required by the acceptance criteria).
 """
 
+import itertools
 import random
 import sys
 import threading
@@ -32,7 +33,8 @@ from repro.sim.scheduler import ThreadedWorkloadDriver
 from repro.sim.traces import Trace
 
 from tests.histgen import JournalTap, skewed_key
-from tests.test_sampled_journal import _events, _feed_batched, _feed_per_op
+from tests.test_sampled_journal import (_events, _feed_batched, _feed_calls,
+                                        _feed_per_op)
 
 pytestmark = pytest.mark.stress
 
@@ -188,12 +190,14 @@ def test_stress_sampled_and_mob():
 @pytest.mark.parametrize("sr", (4, 20))
 def test_stress_sampled_service_two_producers(sr, capacity):
     """The sampled service differential under real interleaving: two
-    producers alternate batched and per-op ingest beside the detection
-    thread.  No interleaving may lose or double-apply an elided count
-    (carried by records and by the run-length total, appended
-    concurrently), and the counts equal a serial replay of the journal
-    the passes drained — the producers share no key lock, so the
-    journal's ticket order is the only order their events have.  Both
+    producers alternate per-op ingest, batched ingest and whole calls of
+    several hundred operations (past ``batch_size``, each one record
+    built under the journal lock) beside the detection thread.  No
+    interleaving may lose or double-apply an elided count (carried by
+    records and by the run-length total, appended concurrently), and the
+    counts equal a serial replay of the journal the passes drained — the
+    producers share no key lock, so the journal's ticket order is the
+    only order their events have.  Both
     producer rules run: an unbounded journal takes batches whole and
     elides only unsampled single operations; a bounded one (too large
     ever to block or shed) elides before the journal on every call."""
@@ -206,11 +210,20 @@ def test_stress_sampled_service_two_producers(sr, capacity):
                for tid in range(num_threads)]
     errors = []
 
+    def whole(monitor, events):
+        _feed_calls(monitor, events, len(events))
+
     def producer(events):
+        # A slice of 600 events carries ~500 operations: one call.
+        slices = itertools.cycle(((_feed_per_op, 150),
+                                  (_feed_batched, 150), (whole, 600)))
         try:
-            for i, start in enumerate(range(0, len(events), 150)):
-                feed = _feed_batched if i % 2 else _feed_per_op
-                feed(service, events[start:start + 150])
+            start = 0
+            for feed, size in slices:
+                if start >= len(events):
+                    break
+                feed(service, events[start:start + size])
+                start += size
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
 

@@ -129,6 +129,30 @@ def _frame_records(events):
     return records
 
 
+def _feed_calls(monitor, events, size):
+    """``on_operations`` calls of ``size`` operations each, as an
+    application that logs a batch at a time makes them: a begin that
+    ``events`` places among a call's operations moves before the call, a
+    commit after it (a BUU still begins before its first operation and
+    commits after its last)."""
+    begins, ops, commits = [], [], []
+
+    def call():
+        for payload in begins:
+            monitor.begin_buu(*payload)
+        if ops:
+            monitor.on_operations(ops)
+        for payload in commits:
+            monitor.commit_buu(*payload)
+
+    for kind, payload in events:
+        if kind == "op" and len(ops) == size:
+            call()
+            begins, ops, commits = [], [], []
+        {"begin": begins, "op": ops, "commit": commits}[kind].append(payload)
+    call()
+
+
 def _config(sr, **kwargs):
     return RushMonConfig(sampling_rate=sr, mob=False, seed=3, **kwargs)
 
@@ -209,6 +233,37 @@ def test_one_producer_with_mob_is_the_serial_monitor(sr, feed):
     _assert_matches_serial(service, serial, events)
 
 
+def test_a_call_is_one_detector_batch(monkeypatch):
+    """At the deployed settings (sr=20, MOB, the default ``batch_size``),
+    each ``on_operations`` call of 1 024 operations is one journal record,
+    so the pass feeds the detector once per call, as the serial monitor
+    does, and counts what the serial monitor counts."""
+    from repro.core.detector import CycleDetector
+
+    feeds = []
+    add_edge_batch = CycleDetector.add_edge_batch
+
+    def counted(detector, edges):
+        feeds.append(detector)
+        return add_edge_batch(detector, edges)
+
+    monkeypatch.setattr(CycleDetector, "add_edge_batch", counted)
+    config = RushMonConfig(sampling_rate=20, seed=3)
+    assert config.mob and config.batch_size < 1024
+    events = _events(8 * 1024, num_keys=400)
+    serial, service = RushMon(config), RushMonService(config)
+    for monitor in (serial, service):
+        _feed_calls(monitor, events, 1024)
+        monitor.close_window()
+    assert feeds.count(serial.detector) == 8
+    assert feeds.count(service.detector) == 8
+    assert service.counts() == serial.detector.counts
+    assert service.collector.stats == serial.collector.stats
+    assert service.collector.discarded_reads == \
+        serial.collector.discarded_reads
+    assert service.collector.stats.total > 0  # not vacuous
+
+
 #: ``journal_capacity``: unbounded (the default, where a producer's batch
 #: is journaled whole) or a bound nothing here reaches (where producers
 #: leave unsampled operations out before the journal).
@@ -219,12 +274,11 @@ CAPACITIES = pytest.mark.parametrize("capacity", (None, 1 << 20),
 @CAPACITIES
 @pytest.mark.parametrize("sr", SAMPLING_RATES)
 def test_on_operations_longer_than_batch_size(sr, capacity):
-    """One call far longer than ``batch_size`` is journaled in records of
-    at most ``batch_size`` operations.  An unbounded journal holds the
-    call whole, in order, with nothing elided; a bounded one filters the
-    input once, journals the chosen operations and records the elided
-    count exactly once.  Either way the pass counts every operation
-    once."""
+    """One call far longer than ``batch_size`` is one journal record.  An
+    unbounded journal holds the call whole, in order, with nothing
+    elided; a bounded one filters the input once and journals the chosen
+    operations with the elided count.  Either way the pass counts every
+    operation once."""
     events = _events(6000)
     serial = _serial(sr, events)
     ops = [payload for kind, payload in events if kind == "op"]
@@ -233,21 +287,19 @@ def test_on_operations_longer_than_batch_size(sr, capacity):
     for kind, payload in events:
         if kind == "begin":
             service.begin_buu(*payload)
-    service.on_operations(ops)
-    batches = [record for record in service.collector.snapshot_state()[
-        "journal"] if record[1] == EV_OPS]
-    journaled = [op for record in batches for op in record[2]]
-    elided = [record[3] for record in batches]
-    assert max(len(record[2]) for record in batches) == 64
+    service.on_operations(iter(ops))  # read once, into the record
+    [(_, _, journaled, elided)] = [
+        record for record in service.collector.snapshot_state()["journal"]
+        if record[1] == EV_OPS]
+    chosen = service.collector.sampler.chosen
     if capacity is None:
         assert journaled == [[op.op.value, op.buu, op.key, op.seq]
                              for op in ops]
-        assert len(batches) == -(-len(ops) // 64)
-        assert elided.count(0) == len(batches)
+        assert elided == 0
     else:
-        assert len(batches) > 1
-        assert elided.count(0) == len(batches) - 1
-        assert len(journaled) + sum(elided) == len(ops)
+        assert journaled == [[op.op.value, op.buu, op.key, op.seq]
+                             for op in ops if chosen(op.key)]
+        assert len(journaled) + elided == len(ops)
     for kind, payload in events:
         if kind == "commit":
             service.commit_buu(*payload)
@@ -388,8 +440,9 @@ def test_prefiltered_batch_with_elided_count_journals_the_same(sr, capacity):
             whole.begin_buu(*payload)
             prefiltered.begin_buu(*payload)
     sizes = (1, 3, 40, 100, 7, 260)
-    start = 0
+    start = offers = 0
     while start < len(ops):
+        offers += 1
         size = sizes[start % len(sizes)]
         batch = ops[start:start + size]
         kept = [op for op in batch if chosen(op.key)]
@@ -398,9 +451,9 @@ def test_prefiltered_batch_with_elided_count_journals_the_same(sr, capacity):
         start += size
     for service in (whole, prefiltered):
         assert service.collector.ops_seen == len(ops)
-        assert {len(record[2]) > 32 for record in service.collector
-                .snapshot_state()["journal"] if record[1] == EV_OPS} \
-            == {False}
+        # At most one ops record per offer, whatever its length.
+        assert sum(record[1] == EV_OPS for record in service.collector
+                   .snapshot_state()["journal"]) <= offers
     if capacity is not None:
         assert whole.collector.snapshot_state()["journal"] == \
             prefiltered.collector.snapshot_state()["journal"]
@@ -909,38 +962,68 @@ def test_checkpoint_between_ingest_and_drain(tmp_path, feed):
     _assert_matches_serial(restored, serial, events)
 
 
+def _split_at(journal, size):
+    """A pending journal in the shape older builds wrote: every ops
+    record longer than ``size`` as several of at most ``size``
+    operations, one ticket per operation, the first carrying the
+    record's ``elided`` count."""
+    split = []
+    for ticket, kind, payload, extra in journal:
+        if kind != EV_OPS or len(payload) <= size:
+            split.append([ticket, kind, payload, extra])
+            continue
+        for start in range(0, len(payload), size):
+            split.append([ticket + start, kind,
+                          payload[start:start + size],
+                          extra if start == 0 else 0])
+    return split
+
+
 def test_a_pending_prefiltered_journal_restores_like_a_whole_one(tmp_path):
     """A checkpoint whose pending journal holds prefiltered records (as a
     bounded journal, or a build that filtered every batch before the
     journal, writes them), restored into an unbounded service, walks to
-    the counts of one whose pending journal holds the batches whole."""
+    the counts of one whose pending journal holds the batches whole — and
+    so does one whose long calls older builds split at ``batch_size``."""
     events = _events(6000)
     serial = _serial(20, events)
+    size = RushMonConfig().batch_size
     paths = {}
-    for capacity in (None, 1 << 20):
+    for name, capacity, feed in (
+            ("whole", None, _feed_batched),
+            ("prefiltered", 1 << 20, _feed_batched),
+            ("split", None, lambda service, events:
+             _feed_calls(service, events, 4 * size))):
         service = RushMonService(_config(20, journal_capacity=capacity))
         _feed_batched(service, events[:2000])
         service.close_window()
-        _feed_batched(service, events[2000:3500])
-        paths[capacity] = service.checkpoint(
-            str(tmp_path / f"{capacity}.wal"))
-    payload = wal.load_checkpoint(paths[1 << 20])
+        feed(service, events[2000:3500])
+        paths[name] = service.checkpoint(str(tmp_path / f"{name}.wal"))
+    payload = wal.load_checkpoint(paths["prefiltered"])
     payload["config"]["journal_capacity"] = None
-    wal.save_checkpoint(paths[1 << 20], payload)
-    pending = {}
-    restored = []
-    for capacity, path in paths.items():
+    wal.save_checkpoint(paths["prefiltered"], payload)
+    payload = wal.load_checkpoint(paths["split"])
+    journal = payload["collector"]["journal"]
+    assert max(len(record[2]) for record in journal
+               if record[1] == EV_OPS) > size
+    split = payload["collector"]["journal"] = _split_at(journal, size)
+    assert len(split) > len(journal)
+    wal.save_checkpoint(paths["split"], payload)
+    pending, counts = {}, {}
+    for name, path in paths.items():
         service = RushMonService.restore(path)
         assert service.config.journal_capacity is None
         state = service.collector.snapshot_state()
-        pending[capacity] = sum(len(record[2]) for record in state["journal"]
-                                if record[1] == EV_OPS)
+        if name == "split":
+            assert state["journal"] == split  # restored as is
+        pending[name] = sum(len(record[2]) for record in state["journal"]
+                            if record[1] == EV_OPS)
         _feed_batched(service, events[3500:])
         service.close_window()
         _assert_matches_serial(service, serial, events)
-        restored.append(service)
-    assert 0 < pending[1 << 20] < pending[None]
-    assert restored[0].counts() == restored[1].counts()
+        counts[name] = service.counts()
+    assert 0 < pending["prefiltered"] < pending["whole"] == pending["split"]
+    assert counts["whole"] == counts["prefiltered"] == counts["split"]
 
 
 @pytest.mark.parametrize("sr", (1, *SAMPLING_RATES))
