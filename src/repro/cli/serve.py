@@ -4,6 +4,7 @@ the service and the server, and no other verb family (DESIGN §13.2)."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import threading
 
@@ -37,9 +38,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"reports={len(service.reports)})", flush=True)
         else:
             # from_cli_args picks up --checkpoint as the config's
-            # checkpoint_path; the server owns the group-commit
-            # checkpoint schedule (--checkpoint-every).
-            service = RushMonService(cfg)
+            # checkpoint_path, but the server owns the checkpoint
+            # schedule (--checkpoint-every and the final one its drain
+            # writes): the service is built without one, as restore()
+            # builds it, so stop() writes none of its own.
+            service = RushMonService(
+                dataclasses.replace(cfg, checkpoint_path=None))
         server = RushMonServer(
             service, host=args.host, port=args.port,
             checkpoint_path=args.checkpoint,

@@ -471,13 +471,10 @@ class CollectorShard:
 
     One shard owns the Algorithm 1/2 per-item state (``lastWrite``,
     read set or MOB reservoir) for a disjoint subset of the key space,
-    plus every counter derived from it.  The serial
-    :class:`DataCentricCollector` drives exactly one shard, and so does
-    each cluster worker (through its own ``DataCentricCollector``); the
-    service's
-    :class:`~repro.core.concurrent.journaled.JournaledCollector` drives
-    one in its detection pass.  Every path runs this code, so they
-    cannot drift.
+    plus every counter derived from it.  A :class:`DataCentricCollector`
+    drives exactly one shard, and every path collects through one: the
+    serial monitor, the service's detection pass and each cluster
+    worker.  They run this code, so they cannot drift.
 
     All state combines associatively across disjoint key ranges —
     :class:`~repro.core.types.EdgeStats` and the scalar counters add,
@@ -785,6 +782,18 @@ class CollectorShard:
         self.total_reads = total_reads
 
 
+#: Salt for the degrade-mode secondary item filter (must differ from the
+#: sampler's salt so the two inclusions are independent).
+_DEGRADE_SALT = 0xD1E6_7A5E
+
+
+def _degrade_hash(key: Key) -> int:
+    """The degrade filter's per-item hash: ``key`` is kept at shift
+    ``s`` iff its low ``s`` bits are zero.  Process-stable, so filter
+    membership survives a restore."""
+    return _splitmix64(zlib.crc32(repr(key).encode()) ^ _DEGRADE_SALT)
+
+
 class DataCentricCollector(Collector):
     """Section 5's collector: data-centric sampling + optional MOB.
 
@@ -811,8 +820,17 @@ class DataCentricCollector(Collector):
     engaged:
         Whether :attr:`lifecycle`, the admission gate
         (:class:`SampledLifecycle`), may park the begins its owner offers
-        (the serial :class:`~repro.core.monitor.RushMon`'s may; a cluster
-        worker's, behind its router's gate, may not).
+        (the serial :class:`~repro.core.monitor.RushMon`'s and the
+        service's may; a cluster worker's, behind its router's gate, may
+        not).
+
+    :attr:`degrade_shift` is the service's degrade policy as its
+    detection pass meets it: 0 until the walk reaches an ``EV_SHIFT``
+    record (:meth:`apply_shift`), then ``s`` keeps an item only if the
+    low ``s`` bits of a second per-item hash are zero.  :meth:`collect`
+    thins each record at the shift in force before the gate admits it,
+    and :attr:`sampling_probability` is ``p / 2**s`` — the probability a
+    window the pass closes is scaled by.
     """
 
     def __init__(
@@ -837,6 +855,7 @@ class DataCentricCollector(Collector):
         self._resample_interval = resample_interval
         self._resample_epoch = 0
         self.lifecycle = SampledLifecycle(self.sampler, engaged)
+        self.degrade_shift = 0
 
     @property
     def mob(self) -> bool:
@@ -868,7 +887,7 @@ class DataCentricCollector(Collector):
 
     @property
     def sampling_probability(self) -> float:
-        return self.sampler.probability
+        return self.sampler.probability / (1 << self.degrade_shift)
 
     @property
     def discard_ratio(self) -> float:
@@ -886,12 +905,13 @@ class DataCentricCollector(Collector):
 
     def collect(self, ops: list[Operation],
                 begin: Callable[[BuuId, int], object]) -> EdgeColumns:
-        """One batch record's edges: the gate keeps the operations on
-        chosen items, handing ``begin`` each parked begin they promote,
-        and one fused :meth:`CollectorShard.handle_batch` derives them.
-        Under ``resample_interval`` they go one at a time through
-        :meth:`handle`, so the sample switches where per-op handling
-        switches it."""
+        """One batch record's edges: the degrade filter at
+        :attr:`degrade_shift` thins the operations, the gate keeps those
+        on chosen items, handing ``begin`` each parked begin they
+        promote, and one fused :meth:`CollectorShard.handle_batch`
+        derives them.  Under ``resample_interval`` they go one at a time
+        through :meth:`handle`, so the sample switches where per-op
+        handling switches it."""
         if self._resample_interval:
             edges = EdgeColumns()
             gate, chosen = self.lifecycle, self.sampler.chosen
@@ -901,9 +921,21 @@ class DataCentricCollector(Collector):
                 edges.extend(self.handle(op))
             return edges
         self.ops_seen += len(ops)
+        if self.degrade_shift:
+            mask = (1 << self.degrade_shift) - 1
+            ops = [op for op in ops if not _degrade_hash(op[2]) & mask]
         if self.sampler.sampling_rate != 1:
             ops = self.lifecycle.admit(ops, begin)
         return self.shard.handle_batch(ops)
+
+    def apply_shift(self, shift: int) -> None:
+        """An ``EV_SHIFT`` record reached the walk: the degrade filter
+        keeps an item with probability ``1 / 2**shift`` from here on.  A
+        rise forgets the state of every item it excludes."""
+        if shift > self.degrade_shift:
+            mask = (1 << shift) - 1
+            self.shard.drop_items(lambda key: _degrade_hash(key) & mask)
+        self.degrade_shift = shift
 
     def handle_batch(self, ops: Iterable[Operation]) -> EdgeColumns | list[Edge]:
         """Batched ingest (the DCS fast path): an iterable of operations

@@ -14,29 +14,26 @@ per operation (at least one), so the journaled operations keep
 distinct, increasing stamps.
 
 The consumer — the service's detection pass, one thread at a time —
-drains the journal and walks it in ticket order (:class:`RecordWalk`,
-the loop the serial :class:`~repro.core.monitor.RushMon` walks its own
-record buffer with): lifecycle records go to the admission gate, and
-each batch goes to :meth:`JournaledCollector.collect` — the gate's
-``admit``, then one fused :meth:`CollectorShard.handle_batch` over the
-chosen operations, as in the serial monitor's
-:meth:`~repro.core.collector.DataCentricCollector.collect`.  Per-key
-bookkeeping order is ticket order, so the edges a service derives are
-those of a serial run over its journal, and one
-:class:`~repro.core.collector.CollectorShard` seeded like the serial
-collector's makes even MOB's reservoir draws identical.  No item state
-is shared with a producer, so nothing but the journal is locked.
+drains the journal and walks it in ticket order with :class:`RecordWalk`
+over :attr:`JournaledCollector.engine`, a
+:class:`~repro.core.collector.DataCentricCollector` built as the serial
+:class:`~repro.core.monitor.RushMon` builds its own: the same walk over
+the same collector, fed the journal instead of a record buffer.
+Per-key bookkeeping order is ticket order, so the edges a service
+derives are those of a serial run over its journal, MOB's reservoir
+draws included.  No item state is shared with a producer, so nothing
+but the journal is locked.
 
 Where the sample is applied
 ---------------------------
 
-An operation on an unsampled item derives no edge, and the pass's
+An operation on an unsampled item derives no edge, and the engine's
 ``collect`` keeps only the operations on chosen items (the gate's
-``admit``, as in the serial monitor).  So an unbounded journal (the
-default) takes a producer's batch whole, as one copied record, and the
-producer's thread asks the sampler nothing: the probe runs once, in the
-pass.  A caller that can tell earlier — the network server, while
-decoding a frame, or ``on_operation`` for a single operation — asks
+``admit``).  So an unbounded journal (the default) takes a producer's
+batch whole, as one copied record, and the producer's thread asks the
+sampler nothing: the probe runs once, in the pass.  A caller that can
+tell earlier — the network server, while decoding a frame, or
+``on_operation`` for a single operation — asks
 :meth:`JournaledCollector.prefilter` for the predicate, offers the
 chosen operations and passes the number it left out as the record's
 ``elided``; a call that keeps none adds its count to one run-length
@@ -73,33 +70,34 @@ empty journal):
 ``"degrade"``
     The call is journaled anyway and the effective sampling rate
     doubles (at most once per drain): an item is kept only if a
-    secondary per-item hash also keeps it, and
-    :attr:`~JournaledCollector.sampling_probability` stays calibrated.
-    A drain that comes up under half the capacity steps it back down.
+    secondary per-item hash also keeps it.  A drain that comes up under
+    half the capacity steps it back down.
 
 Each change of the degrade shift is journaled as a marker record
-``(ticket, EV_SHIFT, shift, 0)`` at the position it takes effect, so the
-pass filters every batch at the shift in force where it was journaled
-and, when the shift rises, forgets the state of the items it now
-excludes (a later re-inclusion warms up instead of deriving edges from a
-stale ``lastWrite``).  Producers apply the same filter before the
-journal, at the shift in force under the lock that appends their call,
-so an excluded operation is elided like an unsampled one: each shift
-halves the inflow, and excluded operations are never a reason to
-escalate again.
+``(ticket, EV_SHIFT, shift, 0)`` at the position it takes effect.  The
+walk hands it to the engine
+(:meth:`~repro.core.collector.DataCentricCollector.apply_shift`), which
+filters every batch at the shift in force where it was journaled, scales
+the windows it closes by ``p / 2**shift`` and, when the shift rises,
+forgets the state of the items it now excludes (a later re-inclusion
+warms up instead of deriving edges from a stale ``lastWrite``).  So the
+shift has two readers: :attr:`JournaledCollector.degrade_shift` is the
+journal tail's, the engine's ``degrade_shift`` the pass's, and they
+differ while markers wait in the journal.  Producers apply the same
+filter before the journal, at the tail's shift under the lock that
+appends their call, so an excluded operation is elided like an unsampled
+one: each shift halves the inflow, and excluded operations are never a
+reason to escalate again.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
-import zlib
 from itertools import compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.core.collector import (_KEY, CollectorShard, ItemSampler,
-                                  SampledLifecycle, _splitmix64)
+from repro.core.collector import _KEY, DataCentricCollector, _degrade_hash
 from repro.core.detector import LifecycleOrderError
 from repro.core.types import (BuuId, Edge, EdgeColumns, EdgeStats, EdgeType,
                               Key, Operation, OpType)
@@ -124,18 +122,7 @@ EV_EDGES = "edges"
 #: Valid journal-overflow policies.
 OVERFLOW_POLICIES = ("block", "shed", "degrade")
 
-#: Salt for the degrade-mode secondary item filter (must differ from the
-#: sampler's salt so the two inclusions are independent).
-_DEGRADE_SALT = 0xD1E6_7A5E
-
 _EDGE_TYPES = {member.value: member for member in EdgeType}
-
-
-def _degrade_hash(key: Key) -> int:
-    """The degrade filter's per-item hash: ``key`` is kept at shift
-    ``s`` iff its low ``s`` bits are zero.  Process-stable, so filter
-    membership survives a restore."""
-    return _splitmix64(zlib.crc32(repr(key).encode()) ^ _DEGRADE_SALT)
 
 
 class JournalBackpressure(RuntimeError):
@@ -185,17 +172,19 @@ def _decode(record: list) -> tuple:
 
 
 class JournaledCollector:
-    """The collector of :class:`~repro.core.concurrent.RushMonService`
-    (module docstring): :meth:`offer` on any producer thread, everything
-    else on the consumer's.
+    """The journal of :class:`~repro.core.concurrent.RushMonService`
+    and the collector its detection pass walks it into (module
+    docstring): :meth:`offer` on any producer thread, everything else —
+    :meth:`drain`, :meth:`requeue` and :attr:`engine` — on the
+    consumer's.
 
-    Parameters mirror :class:`~repro.core.collector.DataCentricCollector`
-    (``sampling_rate``, ``mob``, ``items``, ``seed``; MOB keeps the
-    shard's default two slots) plus the journal's: ``journal_capacity``,
-    ``overflow`` and ``block_timeout``.  ``faults`` arms the
-    ``collector.handle`` (each producer call) and ``journal.drain``
-    injection points; ``metrics`` gets the collector's readings as
-    callback gauges.
+    ``sampling_rate``, ``mob``, ``items`` and ``seed`` build
+    :attr:`engine`, a :class:`~repro.core.collector.DataCentricCollector`
+    whose gate may park (MOB keeps the shard's default two slots);
+    ``journal_capacity``, ``overflow`` and ``block_timeout`` are the
+    journal's.  ``faults`` arms the ``collector.handle`` (each producer
+    call) and ``journal.drain`` injection points; ``metrics`` gets the
+    journal's and the engine's readings as callback gauges.
     """
 
     def __init__(
@@ -218,14 +207,13 @@ class JournaledCollector:
                 f"got {overflow!r}")
         if block_timeout <= 0:
             raise ValueError("block_timeout must be > 0")
-        self.sampler = ItemSampler(sampling_rate, seed)
-        if items is not None:
-            self.sampler.materialize(items)
-        # Seeded like DataCentricCollector's shard: a service fed one
-        # stream draws MOB's coins exactly as the serial monitor does.
-        self.shard = CollectorShard(mob, rng=random.Random(seed ^ 0x5EED))
-        #: The admission gate; the consumer is its only caller.
-        self.lifecycle = SampledLifecycle(self.sampler)
+        #: The detection pass's collector, built as the serial monitor
+        #: builds its own: a service fed one stream draws MOB's coins
+        #: exactly as ``RushMon`` does.  The consumer is its only caller.
+        self.engine = DataCentricCollector(sampling_rate, mob, items, seed,
+                                           engaged=True)
+        #: The engine's sampler; the producers' filters probe it too.
+        self.sampler = self.engine.sampler
         self.journal_capacity = journal_capacity
         self.overflow = overflow
         self._shed_all = False
@@ -246,10 +234,9 @@ class JournaledCollector:
         self.block_timeouts = 0
         # Degrade-policy state: the effective per-item keep fraction is
         # 1 / 2**shift on top of the base sample.  _degrade_shift is the
-        # shift at the journal's tail; _pass_shift, the consumer's, is
-        # the one in force where the pass has got to (EV_SHIFT records).
+        # shift at the journal's tail; the engine's is the one in force
+        # where the pass has got to (EV_SHIFT records).
         self._degrade_shift = 0
-        self._pass_shift = 0
         self.degrade_shifts_total = 0
         self._shifted_this_epoch = False
         self.lifecycle_offered = 0
@@ -258,7 +245,7 @@ class JournaledCollector:
             metrics.defer(self._register_metrics)
 
     def _register_metrics(self, metrics: MetricsRegistry) -> None:
-        """Callback gauges only, reading what the journal and the shard
+        """Callback gauges only, reading what the journal and the engine
         count anyway: exporting costs a producer nothing.  Queued on the
         registry, so it runs on the registry's first read."""
         instrument_collector(metrics, self)
@@ -272,11 +259,11 @@ class JournaledCollector:
                 "lock, held while another producer builds and appends its "
                 "call or a pass drains"),
             "lifecycle_elided_total": (
-                lambda: self.lifecycle.elided,
+                lambda: self.engine.lifecycle.elided,
                 "begin/commit events the detector never heard of: their "
                 "BUU committed without an operation on a sampled item"),
             "lifecycle_parked": (
-                lambda: self.lifecycle.num_parked,
+                lambda: self.engine.lifecycle.num_parked,
                 "BUUs whose begin is held back until their first operation "
                 "on a sampled item (or their commit)"),
             "journal_depth": (
@@ -536,29 +523,6 @@ class JournaledCollector:
             self._records[:0] = records
             self._pending += sum(map(_weight, records))
 
-    def collect(self, ops: list[Operation],
-                begin: Callable[[BuuId, int], object]) -> EdgeColumns:
-        """Bookkeep a batch record's operations: the degrade filter at
-        the shift in force thins them, the gate keeps those on chosen
-        items (handing ``begin`` each parked begin they promote), and one
-        fused :meth:`CollectorShard.handle_batch` derives their edges."""
-        shift = self._pass_shift
-        if shift:
-            mask = (1 << shift) - 1
-            ops = [op for op in ops if not _degrade_hash(op[2]) & mask]
-        if self.sampler.sampling_rate != 1:
-            ops = self.lifecycle.admit(ops, begin)
-        return self.shard.handle_batch(ops)
-
-    def apply_shift(self, shift: int) -> None:
-        """An ``EV_SHIFT`` record reached the pass: the degrade filter
-        keeps an item with probability ``1 / 2**shift`` from here on.  A
-        rise forgets the state of every item it excludes."""
-        if shift > self._pass_shift:
-            mask = (1 << shift) - 1
-            self.shard.drop_items(lambda key: _degrade_hash(key) & mask)
-        self._pass_shift = shift
-
     def _fire(self, point: str, defer: tuple = ()):
         """Fire an injection point; applies exception/delay kinds
         inline, returns the fault for kinds the call site handles."""
@@ -588,15 +552,16 @@ class JournaledCollector:
                 "shed": self.shed_events,
                 "shed_sampled": self.shed_sampled_events,
                 "degrade_shift": self._degrade_shift,
-                "pass_shift": self._pass_shift,
+                "pass_shift": self.engine.degrade_shift,
                 "degrade_shifts_total": self.degrade_shifts_total,
                 "shifted_this_epoch": self._shifted_this_epoch,
             }
+        engine = self.engine
         return {
             **journal_state,
-            "sampler": self.sampler.to_state(),
-            "shard": self.shard.to_state(),
-            "lifecycle": self.lifecycle.to_state(),
+            "sampler": engine.sampler.to_state(),
+            "shard": engine.shard.to_state(),
+            "lifecycle": engine.lifecycle.to_state(),
             "journal": journal,
         }
 
@@ -604,9 +569,11 @@ class JournaledCollector:
         """Load a :meth:`snapshot_state` payload into this fresh
         collector; ``known`` names the BUUs the restored detector holds
         (:class:`~repro.core.collector.SampledLifecycle`)."""
-        self.sampler.load_state(state["sampler"])
-        self.shard.load_state(state["shard"])
-        self.lifecycle.load_state(state["lifecycle"], known)
+        engine = self.engine
+        engine.sampler.load_state(state["sampler"])
+        engine.shard.load_state(state["shard"])
+        engine.lifecycle.load_state(state["lifecycle"], known)
+        engine.degrade_shift = state["pass_shift"]
         records = [_decode(record) for record in state["journal"]]
         with self._lock:
             self._records = records
@@ -619,7 +586,6 @@ class JournaledCollector:
             self.shed_events = state["shed"]
             self.shed_sampled_events = state["shed_sampled"]
             self._degrade_shift = state["degrade_shift"]
-            self._pass_shift = state["pass_shift"]
             self.degrade_shifts_total = state["degrade_shifts_total"]
             self._shifted_this_epoch = state["shifted_this_epoch"]
 
@@ -636,47 +602,18 @@ class JournaledCollector:
         return self._ops_seen
 
     @property
-    def sampling_rate(self) -> int:
-        return self.sampler.sampling_rate
-
-    @property
-    def sampling_probability(self) -> float:
-        """Effective per-item inclusion probability: the base sample
-        times the degrade-policy multiplier (1 until a shift happens)."""
-        return self.sampler.probability / (1 << self._degrade_shift)
-
-    @property
-    def pass_probability(self) -> float:
-        """The inclusion probability the detection pass collects under:
-        the base sample times the degrade multiplier in force where the
-        pass has got to — what a window it closes is scaled by (the
-        journal's tail may already run under a higher shift)."""
-        return self.sampler.probability / (1 << self._pass_shift)
-
-    @property
     def degrade_shift(self) -> int:
         """Current degrade level (kept fraction is 1/2**shift)."""
         return self._degrade_shift
 
+    # Read by instrument_collector beside ops_seen.
     @property
     def stats(self) -> EdgeStats:
-        return self.shard.stats
+        return self.engine.stats
 
     @property
     def touches(self) -> int:
-        return self.shard.touches
-
-    @property
-    def total_reads(self) -> int:
-        return self.shard.total_reads
-
-    @property
-    def discarded_reads(self) -> int:
-        return self.shard.discarded_reads
-
-    @property
-    def discard_ratio(self) -> float:
-        return self.shard.discard_ratio
+        return self.engine.touches
 
 
 def _gather(parts: list) -> EdgeColumns:
@@ -688,15 +625,19 @@ def _gather(parts: list) -> EdgeColumns:
 
 
 class RecordWalk:
-    """The one consumer of ticket-ordered records.  Three callers walk
-    with it: the serial :class:`~repro.core.monitor.RushMon` its record
-    buffer, the service's detection pass its drained journal, and every
-    cluster worker its merged streams (:mod:`repro.cluster.worker`).
+    """The one consumer of ticket-ordered records, walking them into a
+    :class:`~repro.core.collector.DataCentricCollector` and a window's
+    detector.  Three callers walk with it, each over its own collector:
+    the serial :class:`~repro.core.monitor.RushMon` its record buffer,
+    the service's detection pass its drained journal
+    (:attr:`JournaledCollector.engine`), and every cluster worker its
+    merged streams (:mod:`repro.cluster.worker`).
 
     A begin or commit goes to the admission gate (``collector.lifecycle``)
     and, unless it parks or drops it, to the detector, stamped with the
     record's time.  A batch's operations go through ``collector.collect``
-    and, with its ``elided`` count, join the window's operations.  The
+    and, with its ``elided`` count, join the window's operations; an
+    ``EV_SHIFT`` record goes to ``collector.apply_shift``.  The
     edges of consecutive records form a *run*, fed to one
     :meth:`CycleDetector.add_edge_batch` through the window once its
     records hold ``batch_size`` operations (as journaled or buffered,
@@ -716,8 +657,8 @@ class RecordWalk:
     walk goes on: the detector applied every edge but the late ones.
     """
 
-    def __init__(self, collector, window: WindowTracker,
-                 batch_size: int) -> None:
+    def __init__(self, collector: DataCentricCollector,
+                 window: WindowTracker, batch_size: int) -> None:
         self.collector = collector
         self.window = window
         self.batch_size = batch_size

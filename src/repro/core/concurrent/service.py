@@ -9,12 +9,13 @@ not at all (:class:`~repro.core.concurrent.journaled.JournaledCollector`).
 Collection and cycle detection run on a *background thread* that wakes
 every ``detect_interval`` seconds, drains the journal, walks it in
 ticket order — lifecycle records through the admission gate, each batch
-through the batched collector, its edges into the pruned
-:class:`~repro.core.detector.CycleDetector` — closes a monitoring window
-and publishes the resulting :class:`~repro.core.types.AnomalyReport` as
-an atomic snapshot (a single reference swap — readers never see a torn
-report).  This is the paper's log-parser deployment (§4.1), with the
-journal as the log.
+through the serial monitor's collector (the journal's ``engine``, a
+:class:`~repro.core.collector.DataCentricCollector`), its edges into the
+pruned :class:`~repro.core.detector.CycleDetector` — closes a monitoring
+window and publishes the resulting
+:class:`~repro.core.types.AnomalyReport` as an atomic snapshot (a single
+reference swap — readers never see a torn report).  This is the paper's
+log-parser deployment (§4.1), with the journal as the log.
 
 Because the pass consumes the journal in ticket order, the detection
 path is literally a serial RushMon run over the journal; the only
@@ -146,7 +147,6 @@ class RushMonService:
                 "resample_interval=None."
             )
         self.detect_interval = self.config.detect_interval
-        self.batch_size = self.config.batch_size
         self.max_restarts = self.config.max_restarts
         self.restart_backoff = self.config.restart_backoff
         self.max_backoff = self.config.max_backoff
@@ -185,7 +185,7 @@ class RushMonService:
             count_three=self.config.count_three_cycles,
         )
         self._window = WindowTracker(self.detector)
-        self._walk = RecordWalk(self.collector, self._window,
+        self._walk = RecordWalk(self.collector.engine, self._window,
                                 self.config.batch_size)
         self.reports: list[AnomalyReport] = []
         self._latest: AnomalyReport | None = None
@@ -573,7 +573,7 @@ class RushMonService:
                 return None
             late, walk.late = walk.late, None
             report = self._window.close(
-                walk.clock, collector.pass_probability,
+                walk.clock, collector.engine.sampling_probability,
                 health=self.health if late is None else "degraded",
             )
             self.reports.append(report)
@@ -692,5 +692,5 @@ class RushMonService:
     def cumulative_estimates(self) -> tuple[float, float]:
         """Unbiased (E2, E3) over everything processed so far."""
         raw = self.counts()
-        p = self.collector.pass_probability
+        p = self.collector.engine.sampling_probability
         return estimate_two_cycles(raw, p), estimate_three_cycles(raw, p)

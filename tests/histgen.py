@@ -238,7 +238,9 @@ def assert_lifecycle_reconciles(monitor, offered, delivered=None, shed=0):
     reached the sink: the router's broadcasts, else the calls its
     detector received (:func:`count_delivered_lifecycle`; every
     journaled record, once a window closed)."""
-    gate = getattr(monitor, "lifecycle", None) or monitor.collector.lifecycle
+    collector = getattr(monitor, "collector", None)
+    gate = (getattr(monitor, "lifecycle", None)
+            or getattr(collector, "engine", collector).lifecycle)
     if delivered is None:
         delivered = (monitor.lifecycle_broadcasts
                      if hasattr(monitor, "lifecycle_broadcasts")

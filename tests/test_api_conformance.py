@@ -168,7 +168,6 @@ def test_config_is_the_single_construction_path():
     service = RushMonService(config)
     assert service.collector.journal_capacity == 9
     assert service.detect_interval == 1.5
-    assert service.batch_size == 64
     assert service.max_restarts == 2
 
 

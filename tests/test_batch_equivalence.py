@@ -518,7 +518,7 @@ def test_service_checkpoint_round_trips_batch_size(tmp_path):
     path = tmp_path / "ckpt.json"
     service.checkpoint(str(path))
     restored = RushMonService.restore(str(path))
-    assert restored.batch_size == 7
+    assert restored.config.batch_size == 7
     assert restored.counts() == service.counts()
     # and the restored service keeps ingesting in batches
     more = [Operation(OpType.WRITE, buu=1, key="k1", seq=100 + i)

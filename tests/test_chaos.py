@@ -243,19 +243,20 @@ def test_degrade_overflow_raises_sampling_rate_and_records_it():
     collector = service.collector
     assert collector.degrade_shift >= 1
     assert collector.degrade_shifts_total >= 1
-    assert collector.sampling_probability == pytest.approx(
-        0.5 ** collector.degrade_shift
-    )
     snap = service.metrics.snapshot()
     assert snap["rushmon_collector_degrade_shifts_total"] >= 1.0
     assert snap["rushmon_collector_effective_sampling_rate"] == float(
         1 << collector.degrade_shift
     )
-    # Light drains step the shift back down.
+    # A pass walks the journal's shift markers: the probability its
+    # window is scaled by is the shift's.  Light drains step it down.
     for _ in range(collector.degrade_shift + 1):
         service.close_window()
+        assert collector.engine.sampling_probability == pytest.approx(
+            0.5 ** collector.degrade_shift
+        )
     assert collector.degrade_shift == 0
-    assert collector.sampling_probability == 1.0
+    assert collector.engine.sampling_probability == 1.0
 
 
 def test_circuit_breaker_degraded_state_is_visible_everywhere():
@@ -307,7 +308,8 @@ def test_degrade_steps_down_one_shift_per_light_drain():
     by step: a drain that comes up light (under half the capacity)
     lowers the shift by exactly one — never more — while a heavy drain
     only reopens the escalation epoch and holds the shift."""
-    from repro.core.concurrent.journaled import EV_OPS, JournaledCollector
+    from repro.core.concurrent.journaled import (EV_OPS, EV_SHIFT,
+                                                 JournaledCollector)
 
     collector = JournaledCollector(
         sampling_rate=1, mob=False, journal_capacity=8, overflow="degrade",
@@ -327,6 +329,12 @@ def test_degrade_steps_down_one_shift_per_light_drain():
         return sum(len(record[2]) for record in drained
                    if record[1] == EV_OPS)
 
+    def walk_shifts(drained):
+        """What a pass does with the drained shift markers."""
+        for record in drained:
+            if record[1] == EV_SHIFT:
+                collector.engine.apply_shift(record[2])
+
     # Escalate to shift=3: each overfill raises the shift once per
     # epoch, and the (heavy) drain between overfills holds it.
     for expected in (1, 2, 3):
@@ -335,19 +343,21 @@ def test_degrade_steps_down_one_shift_per_light_drain():
         feed(3)  # same epoch: a burst escalates one step, not three
         assert collector.degrade_shift == expected
         drained = collector.drain()
+        walk_shifts(drained)
         assert journaled(drained) >= collector.journal_capacity // 2  # heavy
         assert collector.degrade_shift == expected  # held, not lowered
     assert collector.degrade_shifts_total == 3
-    assert collector.sampling_probability == pytest.approx(0.5 ** 3)
+    assert collector.engine.sampling_probability == pytest.approx(0.5 ** 3)
 
     # Recover: each light drain steps down exactly once, and the
     # effective probability recalibrates at every step.
     for expected in (2, 1, 0):
         feed(2)
         drained = collector.drain()
+        walk_shifts(drained)
         assert journaled(drained) < collector.journal_capacity // 2  # light
         assert collector.degrade_shift == expected
-        assert collector.sampling_probability == pytest.approx(
+        assert collector.engine.sampling_probability == pytest.approx(
             0.5 ** expected
         )
     # Every transition (3 up, 3 down) was recorded.
@@ -356,7 +366,7 @@ def test_degrade_steps_down_one_shift_per_light_drain():
     # Stepping down below zero is impossible: further light drains are
     # no-ops on the shift and on the transition counter.
     feed(2)
-    collector.drain()
+    walk_shifts(collector.drain())
     assert collector.degrade_shift == 0
     assert collector.degrade_shifts_total == 6
-    assert collector.sampling_probability == 1.0
+    assert collector.engine.sampling_probability == 1.0

@@ -121,8 +121,8 @@ def test_restore_matches_uninterrupted_run_sampled_mob(tmp_path):
     assert restored.counts() == baseline.counts()
     assert restored.collector.stats == baseline.collector.stats
     assert restored.collector.touches == baseline.collector.touches
-    assert restored.collector.discarded_reads == \
-        baseline.collector.discarded_reads
+    assert restored.collector.engine.discarded_reads == \
+        baseline.collector.engine.discarded_reads
     assert restored.detector.patterns.as_dict() == \
         baseline.detector.patterns.as_dict()
 

@@ -390,6 +390,37 @@ class TestMonitorOracle:
         assert "rel. error" in out
 
 
+class TestServeCheckpoint:
+    def test_a_drained_serve_writes_its_final_checkpoint_once(
+            self, tmp_path, monkeypatch, capsys):
+        """The server owns the checkpoint schedule: ``serve --checkpoint``
+        interrupted at once writes one final checkpoint, whether it
+        started fresh or restored the file the first run left."""
+        import types
+
+        from repro.core.concurrent import RushMonService
+
+        class Interrupted:
+            def wait(self):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(_family("serve"), "threading",
+                            types.SimpleNamespace(Event=Interrupted))
+        writes = []
+        checkpoint = RushMonService.checkpoint
+        monkeypatch.setattr(
+            RushMonService, "checkpoint",
+            lambda service, path=None: writes.append(path)
+            or checkpoint(service, path))
+        path = str(tmp_path / "serve.wal")
+        argv = ["serve", "--port", "0", "--checkpoint", path]
+        assert main(argv) == 0
+        assert writes == [path]
+        assert main(argv) == 0
+        assert "restored state from" in capsys.readouterr().out
+        assert writes == [path, path]
+
+
 class TestMonitorGracefulShutdown:
     def test_sigterm_drains_and_writes_stop_time_checkpoint(self, tmp_path):
         """SIGTERM mid-run takes the Ctrl-C path: drain the final

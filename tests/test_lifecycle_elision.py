@@ -468,7 +468,8 @@ def test_parked_buus_survive_an_armed_injector_and_a_degrade_shift():
     collector = degrading.collector
     _feed_batched(degrading, events[:1500])
     degrading.close_window()
-    assert collector.degrade_shift > 0 and collector.lifecycle.num_parked
+    assert collector.degrade_shift > 0
+    assert collector.engine.lifecycle.num_parked
     _feed_batched(degrading, events[1500:])
     degrading.close_window()
     degrading.close_window()
@@ -476,7 +477,7 @@ def test_parked_buus_survive_an_armed_injector_and_a_degrade_shift():
     assert degrading.health == "ok"
     assert graph.present and graph.present <= graph.commits.keys()
     assert set(graph.commits) <= _chosen_buus(events, 4)
-    assert not collector.lifecycle.num_parked
+    assert not collector.engine.lifecycle.num_parked
     assert degrading.processed_events == len(events)
     snap = degrading.metrics.snapshot()
     assert snap["rushmon_collector_lifecycle_events_total"] == \
@@ -522,7 +523,8 @@ def test_a_restored_service_knows_the_ids_its_detector_holds(tmp_path,
         service.close_window()
     service.checkpoint(path)
     restored = RushMonService.restore(path)
-    assert restored.collector.lifecycle.known == ({1} if consumed else set())
+    assert restored.collector.engine.lifecycle.known == \
+        ({1} if consumed else set())
     _feed_per_op(restored, events[3:])
     restored.close_window()
     assert restored.counts() == restricted_exact(_ops(events), 20)
@@ -568,8 +570,8 @@ def test_two_producers_on_one_buu_promote_it_once():
     graph = service.detector.graph
     assert set(graph.starts) == set(buus) and graph.present <= set(buus)
     assert service.detector.lifecycle_calls == len(buus)
-    assert not service.collector.lifecycle.num_parked
-    assert service.collector.lifecycle.elided == 0
+    assert not service.collector.engine.lifecycle.num_parked
+    assert service.collector.engine.lifecycle.elided == 0
     assert service.processed_events == len(buus) + 4 * 150
 
 
@@ -583,12 +585,12 @@ def test_checkpoint_with_parked_buus_restores_like_an_uninterrupted_run(
         _feed_batched(service, events[:2000])
         service.close_window()
         _feed_batched(service, events[2000:3500])
-    parked = first.collector.lifecycle.num_parked
-    assert parked > 0 and first.collector.lifecycle.elided > 0
+    parked = first.collector.engine.lifecycle.num_parked
+    assert parked > 0 and first.collector.engine.lifecycle.elided > 0
     first.checkpoint(path)
     del first  # simulated kill: nothing after the checkpoint survives
     restored = RushMonService.restore(path)
-    assert restored.collector.lifecycle.num_parked == parked
+    assert restored.collector.engine.lifecycle.num_parked == parked
     for service in (whole, restored):
         _feed_batched(service, events[3500:])
         service.close_window()
@@ -599,8 +601,8 @@ def test_checkpoint_with_parked_buus_restores_like_an_uninterrupted_run(
                                                 b.commits)
     assert set(a.commits) | set(a.starts) == _chosen_buus(events, 20)
     assert restored.processed_events == whole.processed_events
-    assert restored.collector.lifecycle.elided == \
-        whole.collector.lifecycle.elided
+    assert restored.collector.engine.lifecycle.elided == \
+        whole.collector.engine.lifecycle.elided
     assert restored.detector.edges_refused == whole.detector.edges_refused
 
 

@@ -1001,7 +1001,7 @@ def test_a_malformed_unchosen_record_refuses_the_whole_frame(case):
     assert service.collector.ops_seen == len(good) - 1
     # BUU 1 touched no sampled item and its commit was refused with the
     # frame: the pass consumed its begin, and the gate still parks it.
-    assert service.collector.lifecycle.num_parked == 1
+    assert service.collector.engine.lifecycle.num_parked == 1
     assert service.processed_events == len(good)
     assert sum(r.operations for r in service.reports) == len(good) - 1
 

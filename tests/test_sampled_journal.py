@@ -30,7 +30,7 @@ from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
                                              JournaledCollector)
 from repro.core.config import RushMonConfig
 from repro.core.monitor import RushMon
-from repro.core.types import Operation, OpType
+from repro.core.types import CycleCounts, EdgeStats, Operation, OpType
 from repro.storage import wal
 from repro.testing import Fault, FaultInjector, InjectedFault
 
@@ -228,8 +228,11 @@ def test_one_producer_with_mob_is_the_serial_monitor(sr, feed):
     service = RushMonService(RushMonConfig(sampling_rate=sr, seed=3))
     _run_in_windows(service, feed, events)
     assert serial.collector.discarded_reads > 0  # MOB dropped reads
-    assert service.collector.discarded_reads == \
+    assert service.collector.engine.discarded_reads == \
         serial.collector.discarded_reads
+    for part in ("shard", "sampler"):  # item tables and MOB's RNG too
+        assert getattr(service.collector.engine, part).to_state() == \
+            getattr(serial.collector, part).to_state()
     _assert_matches_serial(service, serial, events)
 
 
@@ -259,7 +262,7 @@ def test_a_call_is_one_detector_batch(monkeypatch):
     assert feeds.count(service.detector) == 8
     assert service.counts() == serial.detector.counts
     assert service.collector.stats == serial.collector.stats
-    assert service.collector.discarded_reads == \
+    assert service.collector.engine.discarded_reads == \
         serial.collector.discarded_reads
     assert service.collector.stats.total > 0  # not vacuous
 
@@ -688,9 +691,9 @@ def test_degrade_relieves_the_journal():
     assert collector.degrade_shift == 1  # one step per drain epoch
     journaled = collector.journal_depth - before
     assert journaled < 0.75 * len(ops[17:])  # about half were elided
-    assert collector.sampling_probability == 0.5
     service.close_window()  # a heavy drain: the shift holds
     assert collector.degrade_shift == 1
+    assert collector.engine.sampling_probability == 0.5
     # The pass bookkept what was journaled, less the 17th op's item if
     # the filter excludes it.
     assert collector.touches <= 16 + journaled
@@ -890,10 +893,20 @@ def test_a_window_is_scaled_by_the_shift_its_records_ran_under():
     assert report.raw.two_cycles == 1
     assert report.estimated_2 == 1.0
     assert service.cumulative_estimates()[0] == 1.0
-    assert service.collector.sampling_probability == 0.5
+    # The pass ran at shift 0: the marker waits in the journal.
+    assert service.collector.engine.sampling_probability == 1.0
 
 
 # -- durability -----------------------------------------------------------------------
+
+
+def _feed_in_slices(service, events, start, stop):
+    """Feed ``events[start:stop]`` per op in slices of 50 events from
+    ``start``, closing a window after each full slice."""
+    for at in range(start, stop, 50):
+        _feed_per_op(service, events[at:min(at + 50, stop)])
+        if at + 50 <= stop:
+            service.close_window()
 
 
 def test_restore_while_a_degrade_shift_is_in_force(tmp_path):
@@ -904,40 +917,77 @@ def test_restore_while_a_degrade_shift_is_in_force(tmp_path):
     events = _events(3000)
     config = _config(1, journal_capacity=16, overflow="degrade")
     path = str(tmp_path / "degraded.wal")
-
-    def feed(service, start, stop):
-        for at in range(start, stop, 50):
-            _feed_per_op(service, events[at:min(at + 50, stop)])
-            if at + 50 <= stop:
-                service.close_window()
-
     cut = 1240
     live = RushMonService(config)
-    feed(live, 0, cut)
+    _feed_in_slices(live, events, 0, cut)
     collector = live.collector
     journal = collector.snapshot_state()["journal"]
     assert collector.degrade_shift > 0
     assert any(record[1] == EV_SHIFT for record in journal)
-    assert collector._pass_shift != collector.degrade_shift
+    assert collector.engine.degrade_shift != collector.degrade_shift
     live.checkpoint(path)
     restored = RushMonService.restore(path)
     for service in (live, restored):
-        feed(service, cut, len(events))
+        _feed_in_slices(service, events, cut, len(events))
         service.close_window()
     for service in (live, restored):
         assert service.collector.journal_depth == 0
     assert restored.counts() == live.counts()
     assert restored.collector.stats == live.collector.stats
     assert restored.collector.ops_seen == live.collector.ops_seen
-    assert (restored.collector.degrade_shift, restored.collector._pass_shift,
-            restored.collector.degrade_shifts_total) == \
-        (live.collector.degrade_shift, live.collector._pass_shift,
-         live.collector.degrade_shifts_total)
+    restored_c = restored.collector
+    assert (restored_c.degrade_shift, restored_c.engine.degrade_shift,
+            restored_c.degrade_shifts_total) == \
+        (collector.degrade_shift, collector.engine.degrade_shift,
+         collector.degrade_shifts_total)
     assert [(r.estimated_2, r.estimated_3, r.edges)
             for r in restored.reports] == \
         [(r.estimated_2, r.estimated_3, r.edges) for r in live.reports]
     assert restored.cumulative_estimates() == live.cumulative_estimates()
 
+
+#: A format-3 checkpoint cut under a degrade shift, written by a build
+#: whose service kept its own copy of the collector (the shard, the gate
+#: and the pass's shift on ``JournaledCollector``): ``_events(1000)``
+#: fed by :func:`_feed_in_slices` into ``RushMonService(_config(1,
+#: journal_capacity=16, overflow="degrade"))`` up to event 145, then
+#: checkpointed.  Its journal's tail runs at shift 3 and its pass at 2,
+#: with the ``EV_SHIFT`` marker pending and eight records behind it.
+DEGRADED_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
+                                   "checkpoint_v3_degrade_sr1.wal")
+
+
+def test_a_checkpoint_cut_under_a_degrade_shift_still_restores():
+    """The committed :data:`DEGRADED_CHECKPOINT`, restored and fed the
+    rest of its stream, ends where the build that wrote it ended without
+    the cut: the counts, edge stats and window estimates below are that
+    build's."""
+    state = wal.load_checkpoint(DEGRADED_CHECKPOINT)["collector"]
+    kinds = [record[1] for record in state["journal"]]
+    assert (state["degrade_shift"], state["pass_shift"]) == (3, 2)
+    assert len(kinds) - kinds.index(EV_SHIFT) == 9
+    events = _events(1000)
+    restored = RushMonService.restore(DEGRADED_CHECKPOINT)
+    assert restored.collector.engine.sampling_probability == 0.25
+    _feed_in_slices(restored, events, 145, len(events))
+    restored.close_window()
+    collector = restored.collector
+    assert restored.counts() == CycleCounts(ss=9, dd=5, sss=4, ssd=5, ddd=4)
+    assert collector.stats == EdgeStats(wr=44, ww=30, rw=45)
+    assert (collector.ops_seen, restored.processed_events) == (1000, 1206)
+    assert (collector.degrade_shift, collector.engine.degrade_shift,
+            collector.degrade_shifts_total) == (4, 4, 8)
+    # (estimated_2, estimated_3, wr, ww, rw) of every window.
+    assert [(r.estimated_2, r.estimated_3, r.edges.wr, r.edges.ww,
+             r.edges.rw) for r in restored.reports] == [
+        (6, 0, 3, 2, 3), (68, 100, 2, 5, 5), (80, 1176, 7, 3, 8),
+        (8, 512, 3, 2, 2), (0, 0, 3, 1, 4), (16, 0, 1, 4, 1),
+        (0, 0, 2, 0, 0), (0, 0, 5, 0, 2), (0, 0, 2, 0, 3), (0, 0, 0, 1, 0),
+        (0, 0, 1, 1, 0), (0, 0, 0, 2, 0), (0, 0, 0, 1, 0), (16, 0, 1, 1, 1),
+        (0, 0, 1, 1, 0), (0, 0, 3, 1, 6), (0, 0, 2, 0, 0), (0, 0, 2, 0, 2),
+        (0, 0, 2, 1, 1), (0, 1024, 1, 4, 4), (0, 0, 2, 0, 0),
+        (0, 0, 1, 0, 3), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0)]
+    assert restored.cumulative_estimates() == (1424.0, 17728.0)
 
 
 @pytest.mark.parametrize("feed", (_feed_per_op, _feed_batched),
