@@ -42,9 +42,12 @@ unbiased — but bit-for-bit differentials pin ``mob=False``.)
 The merge
 ---------
 
-A worker feeds its detector as the service's detection pass does: one
-:class:`~repro.core.concurrent.journaled.RecordWalk` over ticket-ordered
-records.  Three ingredients keep the redundant executions in lockstep:
+A worker's engine is the serial monitor's and the service's: one
+:class:`~repro.core.monitor.RecordWalk`, built from the config (its
+admission gate never parks: the router's gate already has), walking
+ticket-ordered records and closing the window at its collector's
+sampling probability.  Three ingredients keep the redundant executions
+in lockstep:
 
 - **Records.**  The router stamps every event with a globally unique,
   monotone ticket.  A ``route`` frame becomes the worker's records: its
@@ -139,14 +142,10 @@ from collections import deque
 from operator import itemgetter
 
 from repro.cluster import messages as msg
-from repro.core.collector import DataCentricCollector
-from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
-                                             RecordWalk)
+from repro.core.concurrent.journaled import EV_BEGIN, EV_COMMIT, EV_EDGES
 from repro.core.config import RushMonConfig
-from repro.core.detector import CycleDetector
 from repro.core.frontier import decode_frontier
-from repro.core.monitor import WindowTracker
-from repro.core.pruning import make_pruner
+from repro.core.monitor import RecordWalk
 from repro.core.types import Operation, OpType
 from repro.net.protocol import FrameReader, ProtocolError, encode_frame
 from repro.storage import wal
@@ -307,22 +306,13 @@ class ClusterWorker:
             self._merge.notify_all()
 
     def _build_engine(self, config: RushMonConfig) -> None:
-        """(Re)build collector/detector/window; merge state survives a
-        rebuild (tickets and watermarks stay monotone across resets)."""
+        """(Re)build the engine — a walk and its collector, detector and
+        window; merge state survives a rebuild (tickets and watermarks
+        stay monotone across resets)."""
         self.config = config
-        self.collector = DataCentricCollector(
-            sampling_rate=config.sampling_rate,
-            mob=config.mob,
-            seed=config.seed,
-        )
-        self.detector = CycleDetector(
-            pruner=make_pruner(config.pruning),
-            prune_interval=config.prune_interval,
-            count_three=config.count_three_cycles,
-        )
-        self.window = WindowTracker(self.detector)
-        self._walk = RecordWalk(self.collector, self.window,
-                                config.batch_size)
+        self._walk = walk = RecordWalk(config, engaged=False)
+        self.collector, self.detector, self.window = (
+            walk.collector, walk.detector, walk.window)
         #: The first BUU one of whose operations arrived after its
         #: commit; every barrier reply carries it from then on (the
         #: router raises it).
@@ -518,10 +508,7 @@ class ClusterWorker:
         self._drain_to(message["high"], "barrier")
         with self._merge:
             if message["window"]:
-                report = self.window.close(
-                    end=message.get("now", 0),
-                    probability=self.collector.sampling_probability,
-                )
+                report = self._walk.close(message.get("now", 0))
                 reply = msg.report_reply(report, self.detector.counts)
             else:
                 reply = msg.synced(self.detector.counts)

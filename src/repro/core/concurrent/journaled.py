@@ -1,4 +1,4 @@
-"""The service's collector: producers journal, the detection pass collects.
+"""The service's journal: producers journal, the detection pass collects.
 
 A producer of :class:`~repro.core.concurrent.service.RushMonService`
 does no bookkeeping.  A producer call — ``on_operations``, a begin or
@@ -14,15 +14,16 @@ per operation (at least one), so the journaled operations keep
 distinct, increasing stamps.
 
 The consumer — the service's detection pass, one thread at a time —
-drains the journal and walks it in ticket order with :class:`RecordWalk`
-over :attr:`JournaledCollector.engine`, a
-:class:`~repro.core.collector.DataCentricCollector` built as the serial
-:class:`~repro.core.monitor.RushMon` builds its own: the same walk over
-the same collector, fed the journal instead of a record buffer.
-Per-key bookkeeping order is ticket order, so the edges a service
-derives are those of a serial run over its journal, MOB's reservoir
-draws included.  No item state is shared with a producer, so nothing
-but the journal is locked.
+drains the journal and walks it in ticket order with the service's
+:class:`~repro.core.monitor.RecordWalk`, the engine the serial
+:class:`~repro.core.monitor.RushMon` holds too: the same walk over the
+same collector, fed the journal instead of a record buffer.  That
+walk's collector is :attr:`JournaledCollector.engine`, handed in by the
+service; this module keeps only the journal and the record vocabulary
+(``EV_*``).  Per-key bookkeeping order is ticket order, so the edges a
+service derives are those of a serial run over its journal, MOB's
+reservoir draws included.  No item state is shared with a producer, so
+nothing but the journal is locked.
 
 Where the sample is applied
 ---------------------------
@@ -95,17 +96,13 @@ from __future__ import annotations
 import threading
 import time
 from itertools import compress
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.collector import _KEY, DataCentricCollector, _degrade_hash
-from repro.core.detector import LifecycleOrderError
 from repro.core.types import (BuuId, Edge, EdgeColumns, EdgeStats, EdgeType,
                               Key, Operation, OpType)
 from repro.obs.instrument import instrument_collector
 from repro.obs.metrics import MetricsRegistry
-
-if TYPE_CHECKING:  # repro.core.monitor walks its buffer with RecordWalk
-    from repro.core.monitor import WindowTracker
 
 #: Record kinds.  ``(ticket, EV_OPS, ops, elided)``: a producer batch
 #: still to collect; ``(ticket, EV_BEGIN | EV_COMMIT, buu, time)``.
@@ -173,14 +170,14 @@ def _decode(record: list) -> tuple:
 
 class JournaledCollector:
     """The journal of :class:`~repro.core.concurrent.RushMonService`
-    and the collector its detection pass walks it into (module
-    docstring): :meth:`offer` on any producer thread, everything else —
-    :meth:`drain`, :meth:`requeue` and :attr:`engine` — on the
+    (module docstring): :meth:`offer` on any producer thread, everything
+    else — :meth:`drain`, :meth:`requeue` and :attr:`engine` — on the
     consumer's.
 
-    ``sampling_rate``, ``mob``, ``items`` and ``seed`` build
-    :attr:`engine`, a :class:`~repro.core.collector.DataCentricCollector`
-    whose gate may park (MOB keeps the shard's default two slots);
+    ``engine`` is the collector the detection pass walks the journal
+    into — the service's :class:`~repro.core.monitor.RecordWalk`'s
+    :class:`~repro.core.collector.DataCentricCollector`, whose gate may
+    park; its sampler is the one the producers' filters probe.
     ``journal_capacity``, ``overflow`` and ``block_timeout`` are the
     journal's.  ``faults`` arms the ``collector.handle`` (each producer
     call) and ``journal.drain`` injection points; ``metrics`` gets the
@@ -189,10 +186,7 @@ class JournaledCollector:
 
     def __init__(
         self,
-        sampling_rate: int = 1,
-        mob: bool = True,
-        items: Iterable[Key] | None = None,
-        seed: int = 0,
+        engine: DataCentricCollector,
         journal_capacity: int | None = None,
         overflow: str = "block",
         block_timeout: float = 5.0,
@@ -207,11 +201,10 @@ class JournaledCollector:
                 f"got {overflow!r}")
         if block_timeout <= 0:
             raise ValueError("block_timeout must be > 0")
-        #: The detection pass's collector, built as the serial monitor
-        #: builds its own: a service fed one stream draws MOB's coins
-        #: exactly as ``RushMon`` does.  The consumer is its only caller.
-        self.engine = DataCentricCollector(sampling_rate, mob, items, seed,
-                                           engaged=True)
+        #: The detection pass's collector: a service fed one stream draws
+        #: MOB's coins exactly as ``RushMon`` does.  The consumer is its
+        #: only caller.
+        self.engine = engine
         #: The engine's sampler; the producers' filters probe it too.
         self.sampler = self.engine.sampler
         self.journal_capacity = journal_capacity
@@ -615,148 +608,3 @@ class JournaledCollector:
     def touches(self) -> int:
         return self.engine.touches
 
-
-def _gather(parts: list) -> EdgeColumns:
-    """Several records' edges as new columns, never merged into a part."""
-    edges = EdgeColumns()
-    for part in parts:
-        edges.extend(part)
-    return edges
-
-
-class RecordWalk:
-    """The one consumer of ticket-ordered records, walking them into a
-    :class:`~repro.core.collector.DataCentricCollector` and a window's
-    detector.  Three callers walk with it, each over its own collector:
-    the serial :class:`~repro.core.monitor.RushMon` its record buffer,
-    the service's detection pass its drained journal
-    (:attr:`JournaledCollector.engine`), and every cluster worker its
-    merged streams (:mod:`repro.cluster.worker`).
-
-    A begin or commit goes to the admission gate (``collector.lifecycle``)
-    and, unless it parks or drops it, to the detector, stamped with the
-    record's time.  A batch's operations go through ``collector.collect``
-    and, with its ``elided`` count, join the window's operations; an
-    ``EV_SHIFT`` record goes to ``collector.apply_shift``.  The
-    edges of consecutive records form a *run*, fed to one
-    :meth:`CycleDetector.add_edge_batch` through the window once its
-    records hold ``batch_size`` operations (as journaled or buffered,
-    before ``collect`` thins them), at every begin or commit
-    record (delivered, parked or dropped alike), and before anything
-    else reaches the detector: a begin the gate promotes, or an
-    uncounted edge.  An ``EV_EDGES`` record's ``owner`` 0 joins the run
-    and 1 is inserted uncounted, so each cycle is counted once, by the
-    owner of its closing edge.
-
-    ``consumed`` counts the records taken (a batch once collected, a
-    begin or commit once the detector took it) and ``events`` the events
-    they stand for, also when :meth:`walk` raises; :meth:`unfed` then
-    hands back the run not yet fed.  ``clock`` is the last ticket taken
-    and ``late`` the first
-    :class:`~repro.core.detector.LifecycleOrderError`, after which the
-    walk goes on: the detector applied every edge but the late ones.
-    """
-
-    def __init__(self, collector: DataCentricCollector,
-                 window: WindowTracker, batch_size: int) -> None:
-        self.collector = collector
-        self.window = window
-        self.batch_size = batch_size
-        self.run: list = []
-        self.run_ops = 0
-        self.clock = 0
-        self.consumed = 0
-        self.events = 0
-        self.late: LifecycleOrderError | None = None
-
-    def walk(self, records: Iterable[tuple]) -> None:
-        """Feed ``records`` (ascending tickets), then flush the run."""
-        collector = self.collector
-        gate = collector.lifecycle
-        # A gate that is not engaged parks nothing, so it is not asked.
-        engaged = gate.engaged
-        window = self.window
-        detector = window.detector
-        uncounted = detector.add_edge_uncounted
-        run = self.run
-        flush = self.flush
-        size = self.batch_size
-        consumed, events, clock = self.consumed, self.events, self.clock
-        try:
-            for ticket, kind, payload, extra in records:
-                if kind == EV_BEGIN:
-                    if run:
-                        flush()
-                    if not (engaged and gate.begin(payload, extra)):
-                        detector.begin_buu(payload, extra)
-                    events += 1
-                    clock = ticket
-                elif kind == EV_COMMIT:
-                    if run:
-                        flush()
-                    if not (engaged and gate.commit(payload)):
-                        detector.commit_buu(payload, extra)
-                    events += 1
-                    clock = ticket
-                elif kind == EV_OPS:
-                    n = len(payload)
-                    if n:
-                        edges = collector.collect(payload, self._begin)
-                        if edges:
-                            run.append(edges)
-                        self.run_ops += n
-                        clock = ticket + n - 1
-                    else:
-                        clock = ticket
-                    window.observe_operations(n + extra)
-                    events += n + extra
-                    if self.run_ops >= size:
-                        # Taken before the run is fed: a feed that fails
-                        # hands back the edges, not the batch.
-                        consumed += 1
-                        flush()
-                        continue
-                elif kind == EV_EDGES:
-                    if payload:
-                        if run:
-                            flush()
-                        for edge in extra:
-                            uncounted(edge)
-                    else:
-                        run.append(extra)
-                elif kind == EV_SHIFT:
-                    collector.apply_shift(payload)
-                consumed += 1
-            flush()
-        finally:
-            self.consumed, self.events, self.clock = consumed, events, clock
-
-    def _begin(self, buu: BuuId, start: int) -> None:
-        if self.run:
-            self.flush()
-        self.window.detector.begin_buu(buu, start)
-
-    def flush(self) -> None:
-        """Feed the run to the detector, window-attributed: a run of one
-        columnar part as it is, anything else gathered into new
-        columns."""
-        self.run_ops = 0
-        run = self.run
-        if not run:
-            return
-        edges = run[0]
-        if len(run) > 1 or not isinstance(edges, EdgeColumns):
-            edges = _gather(run)
-        try:
-            self.window.observe_edges(edges)
-        except LifecycleOrderError as late:
-            if self.late is None:
-                self.late = late
-        run.clear()
-
-    def unfed(self) -> EdgeColumns | None:
-        """Take the run a failed walk did not feed, as new columns."""
-        edges = _gather(self.run) if self.run else None
-        self.run.clear()
-        self.run_ops = 0
-        return edges

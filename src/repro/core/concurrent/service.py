@@ -8,10 +8,10 @@ standard listener protocol (``on_operation(s)`` / ``begin_buu`` /
 not at all (:class:`~repro.core.concurrent.journaled.JournaledCollector`).
 Collection and cycle detection run on a *background thread* that wakes
 every ``detect_interval`` seconds, drains the journal, walks it in
-ticket order — lifecycle records through the admission gate, each batch
-through the serial monitor's collector (the journal's ``engine``, a
-:class:`~repro.core.collector.DataCentricCollector`), its edges into the
-pruned :class:`~repro.core.detector.CycleDetector` — closes a monitoring
+ticket order with the serial monitor's engine
+(:class:`~repro.core.monitor.RecordWalk`: lifecycle records through the
+admission gate, each batch through its collector — the journal's
+``engine`` — and its edges into the pruned detector), closes a monitoring
 window and publishes the resulting
 :class:`~repro.core.types.AnomalyReport` as an atomic snapshot (a single
 reference swap — readers never see a torn report).  This is the paper's
@@ -81,12 +81,10 @@ from typing import Iterable, Sequence
 from repro._lazy import logger
 from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
                                              EV_OPS, EV_SHIFT,
-                                             JournaledCollector, RecordWalk)
+                                             JournaledCollector)
 from repro.core.config import RushMonConfig
-from repro.core.detector import CycleDetector, LifecycleOrderError
-from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
-from repro.core.monitor import WindowTracker
-from repro.core.pruning import make_pruner
+from repro.core.detector import LifecycleOrderError
+from repro.core.monitor import RecordWalk
 from repro.core.types import AnomalyReport, BuuId, CycleCounts, Key, Operation
 from repro.obs.instrument import instrument_detector
 from repro.obs.metrics import MetricsRegistry
@@ -146,10 +144,6 @@ class RushMonService:
                 "at one ticket.  Use the serial RushMon monitor, or set "
                 "resample_interval=None."
             )
-        self.detect_interval = self.config.detect_interval
-        self.max_restarts = self.config.max_restarts
-        self.restart_backoff = self.config.restart_backoff
-        self.max_backoff = self.config.max_backoff
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # The instruments the pass writes are created first: creating one
         # is a read of the registry, which would run the gauge
@@ -168,25 +162,16 @@ class RushMonService:
             help="duration of the final drain pass run by stop()",
         )
         self._faults = faults
+        self._walk = walk = RecordWalk(self.config, items)
         self.collector = JournaledCollector(
-            sampling_rate=self.config.sampling_rate,
-            mob=self.config.mob,
-            items=items,
-            seed=self.config.seed,
+            walk.collector,
             journal_capacity=self.config.journal_capacity,
             overflow=self.config.overflow,
             block_timeout=self.config.block_timeout,
             faults=faults,
             metrics=self.metrics,
         )
-        self.detector = CycleDetector(
-            pruner=make_pruner(self.config.pruning),
-            prune_interval=self.config.prune_interval,
-            count_three=self.config.count_three_cycles,
-        )
-        self._window = WindowTracker(self.detector)
-        self._walk = RecordWalk(self.collector.engine, self._window,
-                                self.config.batch_size)
+        self.detector = walk.detector
         self.reports: list[AnomalyReport] = []
         self._latest: AnomalyReport | None = None
         self._pass_lock = threading.Lock()
@@ -384,7 +369,7 @@ class RushMonService:
         try:
             if initial_delay and self._stop_event.wait(initial_delay):
                 return
-            while not self._stop_event.wait(self.detect_interval):
+            while not self._stop_event.wait(self.config.detect_interval):
                 self._detect_pass()
                 # A pass that ran to completion ends the failure streak.
                 self._consecutive_failures = 0
@@ -398,20 +383,21 @@ class RushMonService:
         self.detect_failures += 1
         self._consecutive_failures += 1
         streak = self._consecutive_failures
-        if streak > self.max_restarts:
+        config = self.config
+        if streak > config.max_restarts:
             logger(__name__).error(
                 "detection pass failed %d times consecutively "
                 "(max_restarts=%d); circuit breaker tripped — service "
-                "is DEGRADED", streak, self.max_restarts, exc_info=exc,
+                "is DEGRADED", streak, config.max_restarts, exc_info=exc,
             )
             self._trip_breaker()
             return
         backoff = min(
-            self.restart_backoff * (2 ** (streak - 1)), self.max_backoff
+            config.restart_backoff * (2 ** (streak - 1)), config.max_backoff
         )
         logger(__name__).warning(
             "detection pass failed (streak %d/%d), restarting detection "
-            "thread in %.3fs: %r", streak, self.max_restarts, backoff, exc,
+            "thread in %.3fs: %r", streak, config.max_restarts, backoff, exc,
             exc_info=exc,
         )
         with self._lifecycle_lock:
@@ -433,7 +419,7 @@ class RushMonService:
             marker = replace(latest, health="degraded")
         else:
             marker = AnomalyReport(
-                window_start=self._window.window_start,
+                window_start=self._walk.window.window_start,
                 window_end=self._walk.clock,
                 estimated_2=0.0,
                 estimated_3=0.0,
@@ -519,9 +505,9 @@ class RushMonService:
 
     def _detect_pass(self) -> AnomalyReport | None:
         """Drain the journal, walk it into the detector
-        (:class:`~repro.core.concurrent.journaled.RecordWalk`: collection
-        and detection in ticket order, begins and commits stamped with
-        their tickets), close a window.  Serialized by ``_pass_lock`` so
+        (:class:`~repro.core.monitor.RecordWalk`: collection and detection
+        in ticket order, begins and commits stamped with their tickets),
+        close the walk's window.  Serialized by ``_pass_lock`` so
         an explicit ``close_window()`` cannot interleave with the
         background thread.  Once the journal is drained,
         :attr:`processed_events` equals the events acknowledged.
@@ -572,10 +558,8 @@ class RushMonService:
                 self._m_pass_seconds.observe(time.perf_counter() - started)
                 return None
             late, walk.late = walk.late, None
-            report = self._window.close(
-                walk.clock, collector.engine.sampling_probability,
-                health=self.health if late is None else "degraded",
-            )
+            report = walk.close(
+                walk.clock, self.health if late is None else "degraded")
             self.reports.append(report)
             self._latest = report  # atomic reference swap
             self._latest_published_at = time.monotonic()
@@ -630,7 +614,7 @@ class RushMonService:
                 "config": asdict(self.config),
                 "collector": self.collector.snapshot_state(),
                 "detector": wal.encode_detector_state(self.detector),
-                "window": wal.encode_window_state(self._window),
+                "window": wal.encode_window_state(self._walk.window),
                 "reports": [wal.encode_report(r) for r in self.reports],
                 "clock": self._walk.clock,
                 "processed_events": self.processed_events,
@@ -666,7 +650,7 @@ class RushMonService:
         graph = service.detector.graph
         service.collector.restore_state(
             payload["collector"], known=graph.starts.keys() | graph.commits)
-        wal.decode_window_state(service._window, payload["window"])
+        wal.decode_window_state(service._walk.window, payload["window"])
         service.reports = [wal.decode_report(r) for r in payload["reports"]]
         service._latest = service.reports[-1] if service.reports else None
         service._walk.clock = payload["clock"]
@@ -691,6 +675,4 @@ class RushMonService:
 
     def cumulative_estimates(self) -> tuple[float, float]:
         """Unbiased (E2, E3) over everything processed so far."""
-        raw = self.counts()
-        p = self.collector.engine.sampling_probability
-        return estimate_two_cycles(raw, p), estimate_three_cycles(raw, p)
+        return self._walk.estimates(self.counts())

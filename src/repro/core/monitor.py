@@ -1,10 +1,13 @@
-"""The RushMon monitor facade and the offline baseline monitor.
+"""The monitor engine, the RushMon facade and the offline baseline monitor.
 
-:class:`RushMon` buffers the stream it is fed as records and walks them
-(:class:`~repro.core.concurrent.journaled.RecordWalk`) through a
-:class:`~repro.core.collector.DataCentricCollector` into a
-:class:`~repro.core.detector.CycleDetector` (with pruning), and exposes
-windowed, estimator-corrected anomaly reports — the real-time monitor of
+:class:`RecordWalk` is the engine every real-time front end holds: built
+from one :class:`~repro.core.config.RushMonConfig`, it owns a
+:class:`~repro.core.collector.DataCentricCollector`, a pruned
+:class:`~repro.core.detector.CycleDetector` and a :class:`WindowTracker`,
+walks ticket-ordered records through them and closes windows at its
+collector's sampling probability.  :class:`RushMon` buffers the stream
+it is fed as records and walks them with one, exposing windowed,
+estimator-corrected anomaly reports — the real-time monitor of
 Section 5.
 
 :class:`OfflineAnomalyMonitor` is the Section 4 baseline: full Algorithm 1
@@ -25,8 +28,8 @@ from operator import itemgetter
 from typing import Iterable
 
 from repro.core.collector import BaselineCollector, DataCentricCollector
-from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_OPS,
-                                             RecordWalk)
+from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
+                                             EV_OPS, EV_SHIFT)
 from repro.core.config import RushMonConfig
 from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
@@ -133,6 +136,184 @@ class WindowTracker:
         return rep
 
 
+def _gather(parts: list) -> EdgeColumns:
+    """Several records' edges as new columns, never merged into a part."""
+    edges = EdgeColumns()
+    for part in parts:
+        edges.extend(part)
+    return edges
+
+
+class RecordWalk:
+    """The monitor engine: the one consumer of ticket-ordered records,
+    walking them into its :attr:`collector` and its :attr:`window`'s
+    :attr:`detector`, all three built from one
+    :class:`~repro.core.config.RushMonConfig` (``items`` seeds the
+    sample; ``engaged`` lets the admission gate park, as it may behind
+    :class:`RushMon` and the service's detection pass, and may not
+    behind a cluster router's gate).  Three front ends hold one: the
+    serial :class:`RushMon` walks its record buffer, the service's
+    detection pass its drained journal (whose
+    :class:`~repro.core.concurrent.journaled.JournaledCollector` shares
+    :attr:`collector` as its ``engine``), and every cluster worker its
+    merged streams (:mod:`repro.cluster.worker`).  :meth:`close` and
+    :meth:`estimates` scale by the collector's sampling probability, the
+    one place a front end reads it.
+
+    A begin or commit goes to the admission gate (``collector.lifecycle``)
+    and, unless it parks or drops it, to the detector, stamped with the
+    record's time.  A batch's operations go through ``collector.collect``
+    and, with its ``elided`` count, join the window's operations; an
+    ``EV_SHIFT`` record goes to ``collector.apply_shift``.  The
+    edges of consecutive records form a *run*, fed to one
+    :meth:`CycleDetector.add_edge_batch` through the window once its
+    records hold ``batch_size`` operations (as journaled or buffered,
+    before ``collect`` thins them), at every begin or commit
+    record (delivered, parked or dropped alike), and before anything
+    else reaches the detector: a begin the gate promotes, or an
+    uncounted edge.  An ``EV_EDGES`` record's ``owner`` 0 joins the run
+    and 1 is inserted uncounted, so each cycle is counted once, by the
+    owner of its closing edge.
+
+    ``consumed`` counts the records taken (a batch once collected, a
+    begin or commit once the detector took it) and ``events`` the events
+    they stand for, also when :meth:`walk` raises; :meth:`unfed` then
+    hands back the run not yet fed.  ``clock`` is the last ticket taken
+    and ``late`` the first
+    :class:`~repro.core.detector.LifecycleOrderError`, after which the
+    walk goes on: the detector applied every edge but the late ones.
+    """
+
+    def __init__(self, config: RushMonConfig,
+                 items: Iterable[Key] | None = None,
+                 engaged: bool = True) -> None:
+        self.collector = DataCentricCollector(
+            sampling_rate=config.sampling_rate,
+            mob=config.mob,
+            items=items,
+            seed=config.seed,
+            resample_interval=config.resample_interval,
+            engaged=engaged,
+        )
+        self.detector = CycleDetector(
+            pruner=make_pruner(config.pruning),
+            prune_interval=config.prune_interval,
+            count_three=config.count_three_cycles,
+        )
+        self.window = WindowTracker(self.detector)
+        self.batch_size = config.batch_size
+        self.run: list = []
+        self.run_ops = 0
+        self.clock = 0
+        self.consumed = 0
+        self.events = 0
+        self.late: LifecycleOrderError | None = None
+
+    def close(self, end: int, health: str = "ok") -> AnomalyReport:
+        """Close the window at ``end``, scaled by the collector's
+        sampling probability (:meth:`WindowTracker.close`)."""
+        return self.window.close(end, self.collector.sampling_probability,
+                                 health)
+
+    def estimates(self, raw: CycleCounts) -> tuple[float, float]:
+        """Unbiased (E2, E3) for ``raw`` at the collector's sampling
+        probability."""
+        p = self.collector.sampling_probability
+        return estimate_two_cycles(raw, p), estimate_three_cycles(raw, p)
+
+    def walk(self, records: Iterable[tuple]) -> None:
+        """Feed ``records`` (ascending tickets), then flush the run."""
+        collector = self.collector
+        gate = collector.lifecycle
+        # A gate that is not engaged parks nothing, so it is not asked.
+        engaged = gate.engaged
+        window = self.window
+        detector = window.detector
+        uncounted = detector.add_edge_uncounted
+        run = self.run
+        flush = self.flush
+        size = self.batch_size
+        consumed, events, clock = self.consumed, self.events, self.clock
+        try:
+            for ticket, kind, payload, extra in records:
+                if kind == EV_BEGIN:
+                    if run:
+                        flush()
+                    if not (engaged and gate.begin(payload, extra)):
+                        detector.begin_buu(payload, extra)
+                    events += 1
+                    clock = ticket
+                elif kind == EV_COMMIT:
+                    if run:
+                        flush()
+                    if not (engaged and gate.commit(payload)):
+                        detector.commit_buu(payload, extra)
+                    events += 1
+                    clock = ticket
+                elif kind == EV_OPS:
+                    n = len(payload)
+                    if n:
+                        edges = collector.collect(payload, self._begin)
+                        if edges:
+                            run.append(edges)
+                        self.run_ops += n
+                        clock = ticket + n - 1
+                    else:
+                        clock = ticket
+                    window.observe_operations(n + extra)
+                    events += n + extra
+                    if self.run_ops >= size:
+                        # Taken before the run is fed: a feed that fails
+                        # hands back the edges, not the batch.
+                        consumed += 1
+                        flush()
+                        continue
+                elif kind == EV_EDGES:
+                    if payload:
+                        if run:
+                            flush()
+                        for edge in extra:
+                            uncounted(edge)
+                    else:
+                        run.append(extra)
+                elif kind == EV_SHIFT:
+                    collector.apply_shift(payload)
+                consumed += 1
+            flush()
+        finally:
+            self.consumed, self.events, self.clock = consumed, events, clock
+
+    def _begin(self, buu: BuuId, start: int) -> None:
+        if self.run:
+            self.flush()
+        self.window.detector.begin_buu(buu, start)
+
+    def flush(self) -> None:
+        """Feed the run to the detector, window-attributed: a run of one
+        columnar part as it is, anything else gathered into new
+        columns."""
+        self.run_ops = 0
+        run = self.run
+        if not run:
+            return
+        edges = run[0]
+        if len(run) > 1 or not isinstance(edges, EdgeColumns):
+            edges = _gather(run)
+        try:
+            self.window.observe_edges(edges)
+        except LifecycleOrderError as late:
+            if self.late is None:
+                self.late = late
+        run.clear()
+
+    def unfed(self) -> EdgeColumns | None:
+        """Take the run a failed walk did not feed, as new columns."""
+        edges = _gather(self.run) if self.run else None
+        self.run.clear()
+        self.run_ops = 0
+        return edges
+
+
 class RushMon:
     """Real-time isolation anomalies monitor.
 
@@ -151,9 +332,9 @@ class RushMon:
     >>> report.estimated_2  # the classic lost update: one 2-cycle
     1.0
 
-    The monitor is a record buffer and the
-    :class:`~repro.core.concurrent.journaled.RecordWalk` behind the
-    service's detection pass and every cluster worker.  A begin or
+    The monitor is a record buffer and a :class:`RecordWalk`, the engine
+    behind the service's detection pass and every cluster worker, built
+    from its config.  A begin or
     commit only appends ``(0, EV_BEGIN | EV_COMMIT, buu, time)`` (list
     order is walk order, so the ticket slot holds 0).  An operation
     joins the open ``EV_OPS`` record if one probe of the sample keeps
@@ -177,27 +358,12 @@ class RushMon:
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.config = config = config or RushMonConfig()
-        self._detector = CycleDetector(
-            pruner=make_pruner(config.pruning),
-            prune_interval=config.prune_interval,
-            count_three=config.count_three_cycles,
-        )
-        self._collector = DataCentricCollector(
-            sampling_rate=config.sampling_rate,
-            mob=config.mob,
-            items=items,
-            seed=config.seed,
-            resample_interval=config.resample_interval,
-            engaged=True,
-        )
-        self._window = WindowTracker(self._detector)
-        self._walker = RecordWalk(self._collector, self._window,
-                                  config.batch_size)
+        self._walker = walker = RecordWalk(config, items)
         self._size = config.batch_size
         self._records: list[tuple] = []
         self._ops: list[Operation] = []
         self._elided = 0
-        lookup = self._collector.sampler.lookup
+        lookup = walker.collector.sampler.lookup
         self._keep = (lookup if config.sampling_rate > 1
                       and not config.resample_interval else _keep_all)
         self._now = 0
@@ -206,8 +372,8 @@ class RushMon:
         # gauges are registered on the registry's first read: every
         # reading is pulled from the parts' counters at snapshot time.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics.defer(instrument_serial_monitor, self._collector,
-                           self._detector, self.reports)
+        self.metrics.defer(instrument_serial_monitor, walker.collector,
+                           walker.detector, self.reports)
 
     # -- ingestion: append, walk a batch ---------------------------------------
 
@@ -265,7 +431,7 @@ class RushMon:
     def _seal(self) -> None:
         # Elided operations never reach the collector: count them here.
         self._records.append((0, EV_OPS, self._ops, self._elided))
-        self._collector.ops_seen += self._elided
+        self._walker.collector.ops_seen += self._elided
         self._ops = []
         self._elided = 0
 
@@ -291,26 +457,21 @@ class RushMon:
     @property
     def detector(self) -> CycleDetector:
         self._walk()
-        return self._detector
+        return self._walker.detector
 
     @property
     def collector(self) -> DataCentricCollector:
         self._walk()
-        return self._collector
+        return self._walker.collector
 
     # -- reporting ---------------------------------------------------------------
-
-    @property
-    def sampling_probability(self) -> float:
-        return self._collector.sampling_probability
 
     def estimates(self, raw: CycleCounts | None = None) -> tuple[float, float]:
         """Unbiased (E2, E3) for ``raw`` (default: the current window)."""
         if raw is None:
             self._walk()
-            raw = self._window.raw
-        p = self.sampling_probability
-        return estimate_two_cycles(raw, p), estimate_three_cycles(raw, p)
+            raw = self._walker.window.raw
+        return self._walker.estimates(raw)
 
     def close_window(self, now: int | None = None) -> AnomalyReport:
         """Close the current monitoring window and return its anomaly
@@ -320,7 +481,7 @@ class RushMon:
         if now is not None and now > self._now:
             self._now = now
         end = self._now if now is None else now
-        rep = self._window.close(end, self.sampling_probability)
+        rep = self._walker.close(end)
         self.reports.append(rep)
         return rep
 

@@ -167,8 +167,45 @@ def test_config_is_the_single_construction_path():
                            max_restarts=2)
     service = RushMonService(config)
     assert service.collector.journal_capacity == 9
-    assert service.detect_interval == 1.5
-    assert service.max_restarts == 2
+
+
+def test_the_engine_config_reaches_every_front_end():
+    """One non-default config builds the serial monitor, the service and
+    a cluster worker (in-process, no sockets): every walk carries its
+    pruner, prune interval, three-cycle switch and batch size, and the
+    two in-process monitors count no three-cycle of a history that holds
+    one, and exactly the checker's two-cycles."""
+    from repro.checkers import exact_cycle_counts
+    from repro.cluster.worker import ClusterWorker
+    from repro.core.pruning import EctPruning
+
+    cfg = RushMonConfig(sampling_rate=1, mob=False, count_three_cycles=False,
+                        pruning="ect", prune_interval=7, batch_size=5)
+    serial, service = RushMon(cfg), RushMonService(cfg)
+    worker = ClusterWorker(0, 1, cfg)
+    for walk in (serial._walker, service._walk, worker._walk):
+        assert isinstance(walk.detector.pruner, EctPruning)
+        assert (walk.detector.prune_interval, walk.detector.count_three,
+                walk.batch_size) == (7, False, 5)
+
+    R, W = OpType.READ, OpType.WRITE
+    # rw 1->2->3->1 over x, y, z (a 3-cycle); a lost update of 4 and 5 on a.
+    ops = [Operation(kind, buu, key, seq) for seq, (kind, buu, key) in
+           enumerate([(R, 1, "x"), (R, 2, "y"), (R, 3, "z"), (W, 2, "x"),
+                      (W, 3, "y"), (W, 1, "z"), (R, 4, "a"), (R, 5, "a"),
+                      (W, 4, "a"), (W, 5, "a")], 1)]
+    exact = exact_cycle_counts(ops)
+    assert exact.three_cycles and exact.two_cycles
+    for monitor in (serial, service):
+        for buu in range(1, 6):
+            monitor.begin_buu(buu, 0)
+        monitor.on_operations(ops)
+        for buu in range(1, 6):
+            monitor.commit_buu(buu, 20 + buu)
+        monitor.close_window()
+    for counts in (serial.detector.counts, service.counts()):
+        assert counts.three_cycles == 0
+        assert counts.two_cycles == exact.two_cycles
 
 
 def test_service_rejects_resample_interval():
@@ -233,4 +270,46 @@ def test_only_the_admission_gate_touches_its_parked_and_known_sets():
                 offences.append(f"{path.relative_to(root)}:{node.lineno} "
                                 f"{'writes' if written else 'reads'} "
                                 f".{node.attr}")
+    assert not offences, offences
+
+
+def test_only_the_engine_builds_the_monitor_parts():
+    """Structure guard: ``RecordWalk.__init__`` (``core/monitor.py``)
+    builds a monitor's collector, detector and window from its config,
+    and every front end holds a walk, so no other code under
+    ``src/repro`` calls ``WindowTracker``, ``DataCentricCollector``,
+    ``make_pruner`` or ``CycleDetector``.  The one exception is
+    ``repro.bench.harness``: its figure measurements replay a recorded
+    run through a detector (and its pruner) of their own."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    engine = ("core/monitor.py", "RecordWalk.__init__")
+    figures = {"CycleDetector", "make_pruner"}
+    parts = {"WindowTracker", "DataCentricCollector"} | figures
+    offences = []
+
+    def visit(node, where, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = (*scope, child.name)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if (name in parts and (where, ".".join(scope)) != engine
+                        and not (where == "bench/harness.py"
+                                 and name in figures)):
+                    offences.append(f"{where}:{child.lineno} "
+                                    f"{'.'.join(scope) or '<module>'} "
+                                    f"calls {name}(")
+            visit(child, where, inner)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.relative_to(root).as_posix(),
+              ())
     assert not offences, offences

@@ -308,12 +308,14 @@ def test_degrade_steps_down_one_shift_per_light_drain():
     by step: a drain that comes up light (under half the capacity)
     lowers the shift by exactly one — never more — while a heavy drain
     only reopens the escalation epoch and holds the shift."""
+    from repro.core.collector import DataCentricCollector
     from repro.core.concurrent.journaled import (EV_OPS, EV_SHIFT,
                                                  JournaledCollector)
 
     collector = JournaledCollector(
-        sampling_rate=1, mob=False, journal_capacity=8, overflow="degrade",
-        seed=5,
+        DataCentricCollector(sampling_rate=1, mob=False, seed=5,
+                             engaged=True),
+        journal_capacity=8, overflow="degrade",
     )
     ops = iter(_ops(4000, 64, seed=17))
 

@@ -25,8 +25,7 @@ import pytest
 from repro.checkers import exact_cycle_counts
 from repro.cluster import ClusterMonitor
 from repro.core.collector import DataCentricCollector, ItemSampler
-from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
-                                             RecordWalk)
+from repro.core.concurrent.journaled import EV_BEGIN, EV_COMMIT, EV_EDGES
 from repro.core.concurrent.sharded import ShardedCollector
 from repro.core.config import RushMonConfig
 from repro.core.frontier import (
@@ -284,13 +283,18 @@ def test_worker_counts_elided_ops_once_per_route_sequence():
 
 def _walked(records):
     """A fresh engine — collector, detector, window — fed ``records``
-    by one :class:`RecordWalk`."""
-    from repro.core.detector import CycleDetector
-    from repro.core.monitor import WindowTracker
+    by one :class:`~repro.core.monitor.RecordWalk`."""
+    walk = _engine()
+    walk.walk(records)
+    return walk.detector
 
-    window = WindowTracker(CycleDetector())
-    RecordWalk(DataCentricCollector(), window, 256).walk(records)
-    return window.detector
+
+def _engine():
+    """A cluster worker's engine at ``sr = 1``, without a socket."""
+    from repro.core.monitor import RecordWalk
+
+    return RecordWalk(RushMonConfig(sampling_rate=1, mob=False,
+                                    batch_size=256), engaged=False)
 
 
 def test_the_walk_counts_each_cycle_once_across_owners():
@@ -326,19 +330,16 @@ def test_a_failed_walk_hands_back_its_unfed_run_as_new_columns():
     """A run spanning two records meets a detector that raises: the walk
     consumed both, and hands their edges back as new columns — the
     first record's list, which a worker also broadcasts, is untouched."""
-    from repro.core.detector import CycleDetector
-    from repro.core.monitor import WindowTracker
     from repro.core.types import EdgeColumns
 
     first = [Edge(1, 2, EdgeType.WR, "x", 1)]
     second = [Edge(2, 3, EdgeType.WR, "y", 2)]
-    detector = CycleDetector()
+    walk = _engine()
 
     def broken(edges):
         raise MemoryError("injected")
 
-    detector.add_edge_batch = broken
-    walk = RecordWalk(DataCentricCollector(), WindowTracker(detector), 256)
+    walk.detector.add_edge_batch = broken
     with pytest.raises(MemoryError):
         walk.walk([(1, EV_EDGES, 0, first), (2, EV_EDGES, 0, second)])
     assert walk.consumed == 2

@@ -24,10 +24,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.collector import DataCentricCollector
 from repro.core.concurrent import RushMonService
-from repro.core.concurrent.journaled import RecordWalk
 from repro.core.config import RushMonConfig
-from repro.core.monitor import RushMon
+from repro.core.monitor import RecordWalk, RushMon
 from repro.core.types import Operation, OpType
 from repro.net.server import RushMonServer
 from repro.obs import (
@@ -643,7 +643,8 @@ class TestServiceMetricsReconcile:
             perf_counter=no_clock, monotonic=no_clock))
         for metrics in (None, MetricsRegistry()):
             collector = journaled.JournaledCollector(
-                sampling_rate=1, mob=False, metrics=metrics)
+                DataCentricCollector(sampling_rate=1, mob=False,
+                                     engaged=True), metrics=metrics)
             collector.offer([("begin", 1, 0)])
             collector.offer([("ops", [Operation(OpType.WRITE, 1, "x", 1)], 0)])
             collector.offer([("ops", [Operation(OpType.READ, 1, "y", 2)], 0),

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from repro.core.collector import DataCentricCollector
 from repro.core.concurrent import JournalBackpressure, RushMonService
 from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
                                              EV_OPS, EV_SHIFT,
@@ -366,7 +367,9 @@ def test_unsampled_single_operations_journal_nothing_but_a_count():
 
 
 def _journaling(sr=4, **kwargs):
-    return JournaledCollector(sampling_rate=sr, mob=False, seed=3, **kwargs)
+    return JournaledCollector(
+        DataCentricCollector(sampling_rate=sr, mob=False, seed=3,
+                             engaged=True), **kwargs)
 
 
 def _journaled_ops(records):

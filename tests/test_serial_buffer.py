@@ -3,7 +3,7 @@
 :class:`~repro.core.monitor.RushMon` appends a per-op call to a record
 buffer (an operation on an unsampled item only bumps the open record's
 ``elided`` count) and walks the buffer with
-:class:`~repro.core.concurrent.journaled.RecordWalk` before any read of
+:class:`~repro.core.monitor.RecordWalk` before any read of
 state; ``on_operations`` appends its batch as one record and walks at
 once.  So a per-op feed and a batched feed of one stream, read at the
 same points, must agree on everything a caller can see: each read's
