@@ -485,12 +485,16 @@ class CollectorShard:
     """
 
     def __init__(self, mob: bool = True, mob_slots: int = 2,
-                 rng: random.Random | None = None) -> None:
+                 seed: int = 0) -> None:
         if mob_slots < 1:
             raise ValueError("mob_slots must be >= 1")
         self.mob = mob
         self.mob_slots = mob_slots
-        self._rng = rng or random.Random(0)
+        # The reservoir RNG (_rng) is seeded at its first draw: a shard
+        # that never draws (no MOB, or no read past a full reservoir and
+        # no write on an unread item) never pays for a Mersenne Twister.
+        self._seed = seed
+        self._generator: random.Random | None = None
         self.stats = EdgeStats()
         self.touches = 0
         # ww-edge calibration (§5.2): ratio of reads MOB discarded.
@@ -592,6 +596,14 @@ class CollectorShard:
             for key, last_write, read_ids in state["full_items"]
         }
 
+    @property
+    def _rng(self) -> random.Random:
+        """The reservoir RNG, ``random.Random(seed)`` built at first use."""
+        rng = self._generator
+        if rng is None:
+            rng = self._generator = random.Random(self._seed)
+        return rng
+
     def merge(self, other: "CollectorShard") -> None:
         """Absorb another shard covering a *disjoint* key range."""
         self.stats.add(other.stats)
@@ -644,8 +656,11 @@ class CollectorShard:
 
     def _handle_mob_batch(self, ops, out: EdgeColumns) -> None:
         items = self._mob_items
-        rng_random = self._rng.random
-        rng_randrange = self._rng.randrange
+        # Bound at the batch's first draw if the RNG is not built yet.
+        rng = self._generator
+        rng_random = rng_randrange = None
+        if rng is not None:
+            rng_random, rng_randrange = rng.random, rng.randrange
         slots = self.mob_slots
         stats = self.stats
         add_src, add_dst = out.src.append, out.dst.append
@@ -672,8 +687,12 @@ class CollectorShard:
                 reads = state.reads
                 if len(reads) < slots:
                     reads.append(buu)
-                elif rng_random() < slots / count:
-                    reads[rng_randrange(slots)] = buu
+                else:
+                    if rng_random is None:
+                        rng = self._rng
+                        rng_random, rng_randrange = rng.random, rng.randrange
+                    if rng_random() < slots / count:
+                        reads[rng_randrange(slots)] = buu
                 if lw is not None and lw != buu:
                     stats.wr += 1
                     add_src(lw)
@@ -685,6 +704,9 @@ class CollectorShard:
                 count = state.count
                 if count == 0:
                     ratio = discarded_reads / total_reads if total_reads else 0.0
+                    if rng_random is None:
+                        rng = self._rng
+                        rng_random, rng_randrange = rng.random, rng.randrange
                     if rng_random() >= ratio:
                         if lw is not None and lw != buu:
                             stats.ww += 1
@@ -848,12 +870,13 @@ class DataCentricCollector(Collector):
         # the serial path and the N-shard concurrent path share one
         # implementation.
         self.ops_seen = 0
-        self.shard = CollectorShard(mob, mob_slots, random.Random(seed ^ 0x5EED))
+        self.shard = CollectorShard(mob, mob_slots, seed ^ 0x5EED)
         self.sampler = ItemSampler(sampling_rate, seed)
         if items is not None:
             self.sampler.materialize(items)
         self._resample_interval = resample_interval
         self._resample_epoch = 0
+        self._seed = seed
         self.lifecycle = SampledLifecycle(self.sampler, engaged)
         self.degrade_shift = 0
 
@@ -961,8 +984,13 @@ class DataCentricCollector(Collector):
         return self.shard.handle_batch(ops)
 
     def _switch_sample(self) -> None:
+        """Switch to epoch ``e``'s sample, salted by the configured seed
+        mixed through :func:`_splitmix64`, so two seeds keep sampling
+        different items after a switch.  Seed 0 mixes to 0: its salts
+        are ``e * 0x9E3779B1 + 1`` unchanged."""
         self._resample_epoch += 1
-        self.sampler.reseed(self._resample_epoch * 0x9E3779B1 + 1)
+        self.sampler.reseed(_splitmix64(self._seed)
+                            ^ (self._resample_epoch * 0x9E3779B1 + 1))
         self.shard.clear_items()
 
     # -- checkpoint support ----------------------------------------------------

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 import threading
 from typing import Iterable, Sequence
 
@@ -138,7 +137,7 @@ class ShardedCollector:
             self.sampler.materialize(items)
         self._shards = [
             _Shard(CollectorShard(mob, mob_slots,
-                                  random.Random(seed ^ 0x5EED ^ (i * 0x9E37))))
+                                  seed ^ 0x5EED ^ (i * 0x9E37)))
             for i in range(num_shards)
         ]
         self._ticket = itertools.count()

@@ -73,7 +73,9 @@ class WindowTracker:
         self.edges = EdgeStats()
         self.ops = 0
         self.window_start = start
-        self._pattern_snapshot = detector.patterns.copy()
+        # The detector's lifetime pattern tally at the window's start, a
+        # plain dict copied in C: ``close`` reports the difference.
+        self._pattern_snapshot = dict(detector.patterns.counts)
 
     def observe_operations(self, count: int) -> None:
         self.ops += count
@@ -111,11 +113,12 @@ class WindowTracker:
         publish a window that looks healthy."""
         est2 = estimate_two_cycles(self.raw, probability)
         est3 = estimate_three_cycles(self.raw, probability)
-        current_patterns = self.detector.patterns
+        current = self.detector.patterns.counts
+        before = self._pattern_snapshot.get
         window_patterns = {
-            pattern.value: count - self._pattern_snapshot.counts.get(pattern, 0)
-            for pattern, count in current_patterns.counts.items()
-            if count > self._pattern_snapshot.counts.get(pattern, 0)
+            pattern.value: count - before(pattern, 0)
+            for pattern, count in current.items()
+            if count > before(pattern, 0)
         }
         rep = AnomalyReport(
             window_start=self.window_start,
@@ -132,7 +135,7 @@ class WindowTracker:
         self.edges = EdgeStats()
         self.ops = 0
         self.window_start = end
-        self._pattern_snapshot = current_patterns.copy()
+        self._pattern_snapshot = dict(current)
         return rep
 
 

@@ -20,6 +20,7 @@ import os
 import zlib
 from collections import Counter
 from pathlib import Path
+from typing import Mapping
 
 from repro.core.patterns import AnomalyPattern, PatternCounts
 from repro.core.types import (
@@ -188,16 +189,14 @@ def _decode_edge_stats(record: list) -> EdgeStats:
     return EdgeStats(*record)
 
 
-def _encode_patterns(patterns: PatternCounts) -> list[list]:
+def _encode_patterns(counts: Mapping[AnomalyPattern, int]) -> list[list]:
     return [[p.value, n] for p, n in sorted(
-        patterns.counts.items(), key=lambda item: item[0].value
+        counts.items(), key=lambda item: item[0].value
     )]
 
 
-def _decode_patterns(record: list) -> PatternCounts:
-    return PatternCounts(
-        Counter({AnomalyPattern(value): n for value, n in record})
-    )
+def _decode_patterns(record: list) -> dict[AnomalyPattern, int]:
+    return {AnomalyPattern(value): n for value, n in record}
 
 
 def encode_detector_state(detector) -> dict:
@@ -217,7 +216,7 @@ def encode_detector_state(detector) -> dict:
         "commits": [[buu, t] for buu, t in graph.commits.items()],
         "edge_count": graph.edge_count,
         "counts": _encode_counts(detector.counts),
-        "patterns": _encode_patterns(detector.patterns),
+        "patterns": _encode_patterns(detector.patterns.counts),
         "edges_since_prune": detector._edges_since_prune,
         "prune_passes": detector.prune_passes,
         "edges_refused": detector.edges_refused,
@@ -245,7 +244,8 @@ def decode_detector_state(detector, state: dict) -> None:
     graph.starts = dict(state["starts"])
     graph.commits = dict(state["commits"])
     detector.counts = _decode_counts(state["counts"])
-    detector.patterns = _decode_patterns(state["patterns"])
+    detector.patterns = PatternCounts(
+        Counter(_decode_patterns(state["patterns"])))
     detector._edges_since_prune = state["edges_since_prune"]
     detector.prune_passes = state["prune_passes"]
     detector.edges_refused = state["edges_refused"]

@@ -208,6 +208,110 @@ def test_the_engine_config_reaches_every_front_end():
         assert counts.two_cycles == exact.two_cycles
 
 
+def _count_generators(monkeypatch):
+    """Record every ``random.Random`` built from here on: the list of
+    the arguments each construction was seeded with."""
+    import random
+
+    built = []
+    init = random.Random.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "__init__", counting)
+    return built
+
+
+def _lost_update_with_reads(a="a", b="b"):
+    """Lifecycle and operations of one lost update (1, 2 on ``a``) and
+    three readers of ``b`` before its write, so a two-slot MOB
+    reservoir fills and then draws."""
+    R, W = OpType.READ, OpType.WRITE
+    ops = [Operation(kind, buu, key, seq) for seq, (kind, buu, key) in
+           enumerate([(R, 1, a), (R, 2, a), (W, 1, a), (W, 2, a),
+                      (R, 3, b), (R, 4, b), (R, 5, b), (W, 3, b)], 1)]
+    return list(range(1, 6)), ops
+
+
+def _feed_and_close(monitor, *keys):
+    buus, ops = _lost_update_with_reads(*keys)
+    for buu in buus:
+        monitor.begin_buu(buu, 0)
+    monitor.on_operations(ops)
+    for buu in buus:
+        monitor.commit_buu(buu, 20 + buu)
+    return monitor.close_window()
+
+
+@pytest.mark.parametrize("sampling_rate", [1, 20])
+def test_a_monitor_without_mob_builds_no_random_generator(monkeypatch,
+                                                          sampling_rate):
+    """Only MOB's reservoir draws from the collector's generator, so a
+    ``mob=False`` monitor never seeds one: not when ``RushMon``,
+    ``RecordWalk`` or an inline ``RushMonService`` is built, not through
+    an empty ``close_window()``, and not through a walk of a history."""
+    from repro.core.concurrent.journaled import EV_BEGIN, EV_COMMIT, EV_OPS
+    from repro.core.monitor import RecordWalk
+
+    cfg = RushMonConfig(sampling_rate=sampling_rate, mob=False)
+    built = _count_generators(monkeypatch)
+    serial, service, walk = RushMon(cfg), RushMonService(cfg), RecordWalk(cfg)
+    serial.close_window()
+    service.close_window()
+    walk.close(0)
+    assert built == []
+
+    report = _feed_and_close(RushMon(cfg))
+    _feed_and_close(RushMonService(cfg))
+    buus, ops = _lost_update_with_reads()
+    walk.walk([(buu, EV_BEGIN, buu, 0) for buu in buus]
+              + [(10, EV_OPS, ops, 0)]
+              + [(20 + buu, EV_COMMIT, buu, 20 + buu) for buu in buus])
+    walk.close(30)
+    if sampling_rate == 1:
+        assert report.raw.two_cycles == walk.detector.counts.two_cycles == 1
+    assert built == []
+
+
+def test_a_mob_monitor_seeds_its_generator_at_its_first_draw(monkeypatch):
+    """A default (MOB) monitor builds exactly one generator, seeded from
+    the config's seed, and only when its reservoir first draws: reads
+    that fill the reservoir do not draw, a write on an item no one read
+    (the ww-thinning coin) or a read past a full reservoir does."""
+    R, W = OpType.READ, OpType.WRITE
+    cfg = RushMonConfig(sampling_rate=1, seed=7)
+    built = _count_generators(monkeypatch)
+    first, second = RushMon(cfg), RushMon(cfg)
+    assert built == []
+    for monitor in (first, second):
+        monitor.on_operations([Operation(R, 1, "x", 1),
+                               Operation(R, 2, "x", 2)])
+        monitor.close_window()
+    assert built == []
+    first.on_operations([Operation(W, 3, "y", 3)])
+    first.close_window()
+    assert built == [(7 ^ 0x5EED,)]
+    second.on_operations([Operation(R, 3, "x", 3)])
+    second.close_window()
+    assert len(built) == 2
+    for monitor in (first, second):
+        _feed_and_close(monitor)
+    assert len(built) == 2
+
+    # The default config samples at sr=20: the history is on chosen keys.
+    from repro.core.collector import ItemSampler
+
+    default = RushMonConfig()
+    chosen = ItemSampler(default.sampling_rate, default.seed).chosen
+    keys = [key for key in map(str, range(1000)) if chosen(key)][:2]
+    built.clear()
+    for monitor in (RushMon(default), RushMonService(default)):
+        assert _feed_and_close(monitor, *keys).raw.two_cycles == 1
+    assert len(built) == 2
+
+
 def test_service_rejects_resample_interval():
     """The service must refuse — not silently drop — the serial-only
     resample_interval knob (it cannot re-pick items across shards)."""

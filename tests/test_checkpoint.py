@@ -140,6 +140,74 @@ def test_restore_preserves_reports_and_latest(tmp_path):
     assert not restored.stopped  # restored services are usable
 
 
+def _lost_update_windows(windows):
+    """One lost update per window (BUUs ``4w``, ``4w + 1`` on ``x{w}``),
+    plus a write skew of ``4w + 2``, ``4w + 3`` over ``y{w}``/``z{w}``
+    in every odd window, as event lists, one per window."""
+    out, seq = [], 0
+    for w in range(windows):
+        a, b, c, d = range(4 * w, 4 * w + 4)
+        x, y, z = f"x{w}", f"y{w}", f"z{w}"
+        steps = [("r", a, x), ("r", b, x), ("w", a, x), ("w", b, x)]
+        if w % 2:
+            steps += [("r", c, y), ("r", d, z), ("w", c, z), ("w", d, y)]
+        buus = (a, b, c, d) if w % 2 else (a, b)
+        events = [("begin", (buu, seq)) for buu in buus]
+        for kind, buu, key in steps:
+            seq += 1
+            events.append(("op", Operation(
+                OpType.READ if kind == "r" else OpType.WRITE, buu, key, seq)))
+        for buu in buus:
+            seq += 1
+            events.append(("commit", (buu, seq)))
+        out.append(events)
+    return out
+
+
+def _summed_patterns(reports):
+    total = {}
+    for report in reports:
+        for pattern, count in report.patterns.items():
+            total[pattern] = total.get(pattern, 0) + count
+    return total
+
+
+def test_windows_partition_the_pattern_tally_across_a_restore(tmp_path):
+    """The open window's pattern baseline survives a checkpoint: cut in
+    the middle of a window, a restored service's published windows
+    report the same patterns as an uninterrupted run's, and together
+    they sum to its lifetime tally."""
+    config = RushMonConfig(sampling_rate=1, mob=False, seed=2)
+    windows = _lost_update_windows(5)
+
+    baseline = RushMonService(config)
+    for events in windows:
+        _feed(baseline, events)
+        baseline.close_window()
+    tally = baseline.detector.patterns.as_dict()
+    assert tally["lost_update"] == 5 and tally["write_skew"] == 2
+
+    cut = 3  # the checkpoint is cut inside window 2
+    svc = RushMonService(config)
+    for w, events in enumerate(windows):
+        if w != 2:
+            _feed(svc, events)
+            svc.close_window()
+            continue
+        _feed(svc, events[:cut])
+        svc.checkpoint(str(tmp_path / "mid.ckpt"))
+        del svc
+        svc = RushMonService.restore(str(tmp_path / "mid.ckpt"))
+        _feed(svc, events[cut:])
+        svc.close_window()
+
+    assert [r.patterns for r in svc.reports] == \
+        [r.patterns for r in baseline.reports]
+    assert all(r.patterns.get("lost_update") == 1 for r in svc.reports)
+    assert _summed_patterns(svc.reports) == tally
+    assert svc.detector.patterns.as_dict() == tally
+
+
 def test_stop_writes_a_checkpoint_of_its_final_state(tmp_path):
     """With a ``checkpoint_path``, stop() writes a final snapshot that
     restores to the stopped service's exact final state."""

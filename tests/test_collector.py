@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import collector as collector_module
 from repro.core.collector import (
     BaselineCollector,
+    CollectorShard,
     DataCentricCollector,
     EdgeSamplingCollector,
     ItemSampler,
@@ -430,6 +431,65 @@ class TestDataCentricCollector:
         kinds = [(e.src, e.dst, e.kind.value) for e in edges]
         assert (1, 2, "wr") in kinds
         assert all(dst != 4 for _, dst, _ in kinds)
+
+
+def test_resampling_salts_every_switch_with_the_seed():
+    """After a sample switch (§5.1) the sample still depends on the
+    configured seed: twenty seeds pick twenty different item sets, and
+    one seed picks the same set every time it runs."""
+    history = _random_history(seed=3, n=120, buus=10, keys=20)
+
+    def after_switches(seed):
+        dcs = DataCentricCollector(sampling_rate=4, mob=False, seed=seed,
+                                   resample_interval=50)
+        dcs.handle_all(history)
+        return frozenset(k for k in range(256) if dcs.sampler.chosen(k))
+
+    samples = [after_switches(seed) for seed in range(20)]
+    assert len(set(samples)) == len(samples)
+    assert after_switches(7) == samples[7]
+
+
+def _rng_words(rng):
+    version, internal, gauss_next = rng.getstate()
+    return [version, list(internal), gauss_next]
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "per-op"])
+def test_a_shard_seeded_at_its_first_draw_draws_the_eager_stream(batched):
+    """A MOB shard seeds its reservoir generator at its first draw, from
+    the seed it was given.  Against a shard whose generator was seeded
+    up front (its ``to_state()`` seeds it before any draw), it derives
+    the same edges, discard ratio and snapshot, generator words
+    included, over a history and across a ``load_state`` round trip;
+    and a shard that never drew snapshots the words of
+    ``random.Random(seed)``, as an eagerly seeded shard always did."""
+    seed = 9 ^ 0x5EED
+    history = _random_history(seed=9, n=800, buus=12, keys=8)
+    first, rest = history[:431], history[431:]
+
+    eager = CollectorShard(seed=seed)
+    assert eager.to_state()["rng"] == _rng_words(random.Random(seed))
+    assert CollectorShard(seed=seed).to_state() == eager.to_state()
+    lazy = CollectorShard(seed=seed)
+
+    def feed(shard, ops):
+        if batched:
+            return list(shard.handle_batch(ops).rows())
+        return [edge for op in ops for edge in shard.handle(op)]
+
+    assert feed(lazy, first) == feed(eager, first)
+    assert lazy.discarded_reads and lazy.discard_ratio == eager.discard_ratio
+    assert lazy.to_state() == eager.to_state()
+    assert lazy.to_state()["rng"] != _rng_words(random.Random(seed))
+
+    restored = CollectorShard(seed=0)
+    restored.load_state(lazy.to_state())
+    assert restored.to_state() == lazy.to_state()
+    tails = [feed(shard, rest) for shard in (lazy, eager, restored)]
+    assert tails[0] == tails[1] == tails[2]
+    assert lazy.discard_ratio == eager.discard_ratio == restored.discard_ratio
+    assert lazy.to_state() == eager.to_state() == restored.to_state()
 
 
 @given(st.integers(0, 10**6))
