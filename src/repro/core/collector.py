@@ -541,23 +541,19 @@ class CollectorShard:
         self._mob_items.clear()
         self._full_items.clear()
 
-    def drop_items(self, excluded: Callable[[Key], bool]) -> None:
-        """Forget the bookkeeping of every tracked item ``excluded``
-        names (degrade-mode exclusion): the next operation on such a key
-        warms up from scratch, exactly as a sample switch would, instead
-        of deriving edges from stale state."""
-        for table in (self._mob_items, self._full_items):
-            for key in [key for key in table if excluded(key)]:
-                del table[key]
-
     # -- checkpoint support ----------------------------------------------------
 
     def to_state(self) -> dict:
         """JSON-friendly snapshot of every counter, item table and the
         MOB reservoir RNG (so a restored shard's reservoir decisions —
-        and hence its sampled counts — continue deterministically).
-        Item keys and BUU ids must be JSON-serializable."""
-        version, internal, gauss_next = self._rng.getstate()
+        and hence its sampled counts — continue deterministically): the
+        seed, and the generator's state once it drew (``None`` before,
+        so a shard that never drew writes no generator words).  Item
+        keys and BUU ids must be JSON-serializable."""
+        rng = None
+        if self._generator is not None:
+            version, internal, gauss_next = self._generator.getstate()
+            rng = [version, list(internal), gauss_next]
         return {
             "mob": self.mob,
             "mob_slots": self.mob_slots,
@@ -565,7 +561,8 @@ class CollectorShard:
             "touches": self.touches,
             "total_reads": self.total_reads,
             "discarded_reads": self.discarded_reads,
-            "rng": [version, list(internal), gauss_next],
+            "seed": self._seed,
+            "rng": rng,
             "mob_items": [
                 [key, s.last_write, s.reads, s.count]
                 for key, s in self._mob_items.items()
@@ -585,8 +582,11 @@ class CollectorShard:
         self.touches = state["touches"]
         self.total_reads = state["total_reads"]
         self.discarded_reads = state["discarded_reads"]
-        version, internal, gauss_next = state["rng"]
-        self._rng.setstate((version, tuple(internal), gauss_next))
+        self._seed = state["seed"]
+        self._generator = None
+        if state["rng"] is not None:
+            version, internal, gauss_next = state["rng"]
+            self._rng.setstate((version, tuple(internal), gauss_next))
         self._mob_items = {
             key: _MobItemState(last_write, list(reads), count)
             for key, last_write, reads, count in state["mob_items"]
@@ -804,18 +804,6 @@ class CollectorShard:
         self.total_reads = total_reads
 
 
-#: Salt for the degrade-mode secondary item filter (must differ from the
-#: sampler's salt so the two inclusions are independent).
-_DEGRADE_SALT = 0xD1E6_7A5E
-
-
-def _degrade_hash(key: Key) -> int:
-    """The degrade filter's per-item hash: ``key`` is kept at shift
-    ``s`` iff its low ``s`` bits are zero.  Process-stable, so filter
-    membership survives a restore."""
-    return _splitmix64(zlib.crc32(repr(key).encode()) ^ _DEGRADE_SALT)
-
-
 class DataCentricCollector(Collector):
     """Section 5's collector: data-centric sampling + optional MOB.
 
@@ -845,14 +833,6 @@ class DataCentricCollector(Collector):
         (the serial :class:`~repro.core.monitor.RushMon`'s and the
         service's may; a cluster worker's, behind its router's gate, may
         not).
-
-    :attr:`degrade_shift` is the service's degrade policy as its
-    detection pass meets it: 0 until the walk reaches an ``EV_SHIFT``
-    record (:meth:`apply_shift`), then ``s`` keeps an item only if the
-    low ``s`` bits of a second per-item hash are zero.  :meth:`collect`
-    thins each record at the shift in force before the gate admits it,
-    and :attr:`sampling_probability` is ``p / 2**s`` — the probability a
-    window the pass closes is scaled by.
     """
 
     def __init__(
@@ -878,7 +858,6 @@ class DataCentricCollector(Collector):
         self._resample_epoch = 0
         self._seed = seed
         self.lifecycle = SampledLifecycle(self.sampler, engaged)
-        self.degrade_shift = 0
 
     @property
     def mob(self) -> bool:
@@ -910,7 +889,7 @@ class DataCentricCollector(Collector):
 
     @property
     def sampling_probability(self) -> float:
-        return self.sampler.probability / (1 << self.degrade_shift)
+        return self.sampler.probability
 
     @property
     def discard_ratio(self) -> float:
@@ -928,9 +907,8 @@ class DataCentricCollector(Collector):
 
     def collect(self, ops: list[Operation],
                 begin: Callable[[BuuId, int], object]) -> EdgeColumns:
-        """One batch record's edges: the degrade filter at
-        :attr:`degrade_shift` thins the operations, the gate keeps those
-        on chosen items, handing ``begin`` each parked begin they
+        """One batch record's edges: the gate keeps the operations on
+        chosen items, handing ``begin`` each parked begin they
         promote, and one fused :meth:`CollectorShard.handle_batch`
         derives them.  Under ``resample_interval`` they go one at a time
         through :meth:`handle`, so the sample switches where per-op
@@ -944,21 +922,9 @@ class DataCentricCollector(Collector):
                 edges.extend(self.handle(op))
             return edges
         self.ops_seen += len(ops)
-        if self.degrade_shift:
-            mask = (1 << self.degrade_shift) - 1
-            ops = [op for op in ops if not _degrade_hash(op[2]) & mask]
         if self.sampler.sampling_rate != 1:
             ops = self.lifecycle.admit(ops, begin)
         return self.shard.handle_batch(ops)
-
-    def apply_shift(self, shift: int) -> None:
-        """An ``EV_SHIFT`` record reached the walk: the degrade filter
-        keeps an item with probability ``1 / 2**shift`` from here on.  A
-        rise forgets the state of every item it excludes."""
-        if shift > self.degrade_shift:
-            mask = (1 << shift) - 1
-            self.shard.drop_items(lambda key: _degrade_hash(key) & mask)
-        self.degrade_shift = shift
 
     def handle_batch(self, ops: Iterable[Operation]) -> EdgeColumns | list[Edge]:
         """Batched ingest (the DCS fast path): an iterable of operations

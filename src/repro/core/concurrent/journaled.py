@@ -45,7 +45,8 @@ A bounded journal counts sampled events (below), so there every producer
 call is thinned before the journal: the operations on unchosen items
 ride along as the record's ``elided`` count (a lock-free probe of the
 sampler's memo each).  At ``sampling_rate == 1`` every item is chosen,
-and only the degrade filter leaves operations out.
+and nothing is left out.  The sample is the same for the whole stream:
+no overflow policy changes which items are chosen.
 
 Bounded journal and backpressure
 --------------------------------
@@ -54,9 +55,8 @@ Bounded journal and backpressure
 operations (the sampled ones) and lifecycle events; elided operations
 take no room.  The unit of admission is the producer call: a call
 arriving at a journal that holds events and has no room for all of it
-meets the ``overflow`` policy once (under ``"block"`` and ``"shed"`` the
-journal therefore exceeds its capacity only by a call admitted into an
-empty journal):
+meets the ``overflow`` policy once (so the journal exceeds its capacity
+only by a call admitted into an empty journal):
 
 ``"block"``
     The producer waits (released by the next drain) until the whole
@@ -68,27 +68,6 @@ empty journal):
     (and lifecycle events) are ever shed.  After
     :meth:`~JournaledCollector.shed_all` (a degraded service's) every
     call is shed, whatever the capacity.
-``"degrade"``
-    The call is journaled anyway and the effective sampling rate
-    doubles (at most once per drain): an item is kept only if a
-    secondary per-item hash also keeps it.  A drain that comes up under
-    half the capacity steps it back down.
-
-Each change of the degrade shift is journaled as a marker record
-``(ticket, EV_SHIFT, shift, 0)`` at the position it takes effect.  The
-walk hands it to the engine
-(:meth:`~repro.core.collector.DataCentricCollector.apply_shift`), which
-filters every batch at the shift in force where it was journaled, scales
-the windows it closes by ``p / 2**shift`` and, when the shift rises,
-forgets the state of the items it now excludes (a later re-inclusion
-warms up instead of deriving edges from a stale ``lastWrite``).  So the
-shift has two readers: :attr:`JournaledCollector.degrade_shift` is the
-journal tail's, the engine's ``degrade_shift`` the pass's, and they
-differ while markers wait in the journal.  Producers apply the same
-filter before the journal, at the tail's shift under the lock that
-appends their call, so an excluded operation is elided like an unsampled
-one: each shift halves the inflow, and excluded operations are never a
-reason to escalate again.
 """
 
 from __future__ import annotations
@@ -98,7 +77,8 @@ import time
 from itertools import compress
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.collector import _KEY, DataCentricCollector, _degrade_hash
+from repro.core.collector import _KEY, DataCentricCollector
+from repro.core.config import RushMonConfig
 from repro.core.types import (BuuId, Edge, EdgeColumns, EdgeStats, EdgeType,
                               Key, Operation, OpType)
 from repro.obs.instrument import instrument_collector
@@ -109,15 +89,10 @@ from repro.obs.metrics import MetricsRegistry
 EV_OPS = "ops"
 EV_BEGIN = "begin"
 EV_COMMIT = "commit"
-#: ``(ticket, EV_SHIFT, shift, 0)``: the degrade shift from here on.
-EV_SHIFT = "shift"
 #: ``(ticket, EV_EDGES, owner, edges)``: collected edges, counted here
 #: (owner 0: a failed pass's re-queued run, a cluster worker's own) or
 #: inserted uncounted (1: a cluster peer's).
 EV_EDGES = "edges"
-
-#: Valid journal-overflow policies.
-OVERFLOW_POLICIES = ("block", "shed", "degrade")
 
 _EDGE_TYPES = {member.value: member for member in EdgeType}
 
@@ -132,7 +107,7 @@ def _weight(record: tuple) -> int:
     kind = record[1]
     if kind == EV_OPS:
         return len(record[2])
-    return 0 if kind in (EV_SHIFT, EV_EDGES) else 1
+    return 0 if kind == EV_EDGES else 1
 
 
 def _encode_edges(edges: Iterable[Edge]) -> list:
@@ -195,9 +170,9 @@ class JournaledCollector:
     ) -> None:
         if journal_capacity is not None and journal_capacity < 1:
             raise ValueError("journal_capacity must be >= 1 or None")
-        if overflow not in OVERFLOW_POLICIES:
+        if overflow not in RushMonConfig.OVERFLOW_CHOICES:
             raise ValueError(
-                f"overflow must be one of {OVERFLOW_POLICIES}, "
+                f"overflow must be one of {RushMonConfig.OVERFLOW_CHOICES}, "
                 f"got {overflow!r}")
         if block_timeout <= 0:
             raise ValueError("block_timeout must be > 0")
@@ -225,13 +200,6 @@ class JournaledCollector:
         self.shed_sampled_events = 0
         self.blocked_seconds = 0.0
         self.block_timeouts = 0
-        # Degrade-policy state: the effective per-item keep fraction is
-        # 1 / 2**shift on top of the base sample.  _degrade_shift is the
-        # shift at the journal's tail; the engine's is the one in force
-        # where the pass has got to (EV_SHIFT records).
-        self._degrade_shift = 0
-        self.degrade_shifts_total = 0
-        self._shifted_this_epoch = False
         self.lifecycle_offered = 0
         self.lock_wait_seconds = 0.0
         if metrics is not None:
@@ -288,12 +256,9 @@ class JournaledCollector:
                 "producer waits that exceeded block_timeout and raised "
                 "JournalBackpressure"),
             "effective_sampling_rate": (
-                lambda: self.sampler.sampling_rate << self._degrade_shift,
-                "configured sr times the degrade-policy multiplier"),
-            "degrade_shifts_total": (
-                lambda: self.degrade_shifts_total,
-                "times the degrade policy changed the effective sampling "
-                "rate (up or down)"),
+                lambda: self.sampler.sampling_rate,
+                "the sampler's sampling_rate: one item sample for the "
+                "whole stream"),
         }
         for name, (read, text) in gauges.items():
             metrics.gauge_fn(f"rushmon_collector_{name}",
@@ -326,9 +291,9 @@ class JournaledCollector:
         EV_COMMIT, buu, time)``, journaled with its ticket as ``time``.
         Everything happens in one hold of the journal lock: the call is
         built (:meth:`_build`: an unbounded journal takes the operations
-        as given, a bounded one thins them at the degrade shift in
-        force), weighed, meets the overflow policy once (module
-        docstring) — every call is shed once :meth:`shed_all` ran — and,
+        as given, a bounded one thins them to the chosen items), weighed,
+        meets the overflow policy once (module docstring) — every call is
+        shed once :meth:`shed_all` ran — and,
         if admitted, is ticketed and appended, each run of operations
         as one record.  The records hold copies: the caller may reuse
         its lists."""
@@ -381,14 +346,11 @@ class JournaledCollector:
         """The call's records as journaled, each run of operations one
         copied record, with their journal weight and the elided
         operations no record carries.  A bounded journal first thins
-        the copy by :meth:`prefilter` and the degrade filter at the
-        journal's shift; an unbounded one leaves that to the pass.  A
-        record's operations may be any iterable: they are read once,
-        into the copy.  Caller holds the lock."""
+        the copy by :meth:`prefilter`; an unbounded one leaves that to
+        the pass.  A record's operations may be any iterable: they are
+        read once, into the copy.  Caller holds the lock."""
         chosen = self.prefilter()
         whole = self.journal_capacity is None
-        shift = self._degrade_shift
-        mask = (1 << shift) - 1
         built: list[tuple] = []
         weight = loose = 0
         for record in records:
@@ -405,8 +367,6 @@ class JournaledCollector:
             kept = ops = list(ops)
             if chosen is not None and not whole:
                 kept = list(compress(ops, map(chosen, map(_KEY, ops))))
-            if shift:
-                kept = [op for op in kept if not _degrade_hash(op[2]) & mask]
             elided += len(ops) - len(kept)
             if not kept:
                 loose += elided
@@ -437,12 +397,6 @@ class JournaledCollector:
             self._elided += loose
             self._ops_seen += loose
             return False
-        if self.overflow == "degrade":
-            if not self._shifted_this_epoch:
-                self._shifted_this_epoch = True
-                self._records.append(
-                    self._shift_locked(self._degrade_shift + 1))
-            return True
         # "block": wait (released by the next drain) until the whole
         # call fits or the journal is empty.
         started = time.monotonic()
@@ -458,22 +412,12 @@ class JournaledCollector:
                         f"journal stayed full ({capacity} events) for "
                         f"{self.block_timeout}s — the detection thread is "
                         f"not draining; raise journal_capacity, lower "
-                        f"detect_interval, or use the 'shed'/'degrade' "
-                        f"overflow policy")
+                        f"detect_interval, or use the 'shed' overflow "
+                        f"policy")
                 self._not_full.wait(remaining)
         finally:
             self.blocked_seconds += time.monotonic() - started
         return True
-
-    def _shift_locked(self, shift: int) -> tuple:
-        """Change the degrade shift at the journal's tail; returns the
-        ``EV_SHIFT`` record the caller puts where the change takes
-        effect.  Caller holds the lock."""
-        self._degrade_shift = shift
-        self.degrade_shifts_total += 1
-        ticket = self._next_ticket
-        self._next_ticket = ticket + 1
-        return (ticket, EV_SHIFT, shift, 0)
 
     # -- the consumer (one thread at a time) --------------------------------------
 
@@ -487,19 +431,12 @@ class JournaledCollector:
             fault = self._fire("journal.drain", defer=("partial_drain",))
         with self._lock:
             records, self._records = self._records, []
-            drained, self._pending = self._pending, 0
+            self._pending = 0
             if self._elided:
                 records.append((self._next_ticket, EV_OPS, [], self._elided))
                 self._next_ticket += 1
                 self._elided = 0
             self._not_full.notify_all()
-            # Degrade: reopen the once-per-drain escalation, and step
-            # back down once a drain comes up light — from the next
-            # record on, so the marker closes this drain.
-            self._shifted_this_epoch = False
-            if (self._degrade_shift and self.journal_capacity is not None
-                    and drained < self.journal_capacity // 2):
-                records.append(self._shift_locked(self._degrade_shift - 1))
         if fault is not None:
             keep = int(len(records) * fault.fraction)
             self.requeue(records[keep:])
@@ -544,10 +481,6 @@ class JournaledCollector:
                 "journal_highwater": self.journal_highwater,
                 "shed": self.shed_events,
                 "shed_sampled": self.shed_sampled_events,
-                "degrade_shift": self._degrade_shift,
-                "pass_shift": self.engine.degrade_shift,
-                "degrade_shifts_total": self.degrade_shifts_total,
-                "shifted_this_epoch": self._shifted_this_epoch,
             }
         engine = self.engine
         return {
@@ -566,7 +499,6 @@ class JournaledCollector:
         engine.sampler.load_state(state["sampler"])
         engine.shard.load_state(state["shard"])
         engine.lifecycle.load_state(state["lifecycle"], known)
-        engine.degrade_shift = state["pass_shift"]
         records = [_decode(record) for record in state["journal"]]
         with self._lock:
             self._records = records
@@ -578,9 +510,6 @@ class JournaledCollector:
             self.journal_highwater = state["journal_highwater"]
             self.shed_events = state["shed"]
             self.shed_sampled_events = state["shed_sampled"]
-            self._degrade_shift = state["degrade_shift"]
-            self.degrade_shifts_total = state["degrade_shifts_total"]
-            self._shifted_this_epoch = state["shifted_this_epoch"]
 
     # -- aggregate views ------------------------------------------------------------
 
@@ -593,11 +522,6 @@ class JournaledCollector:
     def ops_seen(self) -> int:
         """Operations offered and not shed (elided ones included)."""
         return self._ops_seen
-
-    @property
-    def degrade_shift(self) -> int:
-        """Current degrade level (kept fraction is 1/2**shift)."""
-        return self._degrade_shift
 
     # Read by instrument_collector beside ops_seen.
     @property

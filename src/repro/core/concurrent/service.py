@@ -80,8 +80,7 @@ from typing import Iterable, Sequence
 
 from repro._lazy import logger
 from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
-                                             EV_OPS, EV_SHIFT,
-                                             JournaledCollector)
+                                             EV_OPS, JournaledCollector)
 from repro.core.config import RushMonConfig
 from repro.core.detector import LifecycleOrderError
 from repro.core.monitor import RecordWalk
@@ -554,7 +553,7 @@ class RushMonService:
             finally:
                 self.processed_events += walk.events
                 self.passes += 1
-            if all(record[1] == EV_SHIFT for record in records):
+            if not records:
                 self._m_pass_seconds.observe(time.perf_counter() - started)
                 return None
             late, walk.late = walk.late, None

@@ -310,8 +310,10 @@ class ShardedCollector:
 
     def merged(self) -> CollectorShard:
         """A fresh :class:`CollectorShard` holding the associative merge
-        of every shard's state (counters add, item tables union)."""
-        combined = CollectorShard()
+        of every shard's state (counters add, item tables union), with
+        the shards' ``mob`` and ``mob_slots``."""
+        first = self._shards[0].state
+        combined = CollectorShard(first.mob, first.mob_slots)
         for shard in self._shards:
             combined.merge(shard.state)
         return combined

@@ -62,7 +62,11 @@ class RushMonConfig:
         Service: seconds between background detection passes.
     journal_capacity / overflow / block_timeout:
         Service: bounded-journal backpressure (see
-        :mod:`repro.core.concurrent.journaled`).
+        :mod:`repro.core.concurrent.journaled`).  ``overflow`` is
+        ``"block"`` (the producer waits up to ``block_timeout``) or
+        ``"shed"`` (the call is dropped whole and counted); neither
+        changes the item sample, so one sampling probability scales
+        the whole stream.
     max_restarts / restart_backoff / max_backoff:
         Service: detection-thread supervision schedule.
     batch_size:
@@ -130,8 +134,8 @@ class RushMonConfig:
 
     #: Valid ``pruning`` strategies (mirrors repro.core.pruning.make_pruner).
     PRUNING_CHOICES = ("none", "ect", "distance", "both")
-    #: Valid ``overflow`` policies (mirrors journaled.OVERFLOW_POLICIES).
-    OVERFLOW_CHOICES = ("block", "shed", "degrade")
+    #: Valid ``overflow`` policies (the journal validates against these).
+    OVERFLOW_CHOICES = ("block", "shed")
 
     @classmethod
     def from_cli_args(cls, args: argparse.Namespace) -> "RushMonConfig":

@@ -29,7 +29,7 @@ from typing import Iterable
 
 from repro.core.collector import BaselineCollector, DataCentricCollector
 from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
-                                             EV_OPS, EV_SHIFT)
+                                             EV_OPS)
 from repro.core.config import RushMonConfig
 from repro.core.detector import CycleDetector, LifecycleOrderError
 from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
@@ -166,8 +166,7 @@ class RecordWalk:
     A begin or commit goes to the admission gate (``collector.lifecycle``)
     and, unless it parks or drops it, to the detector, stamped with the
     record's time.  A batch's operations go through ``collector.collect``
-    and, with its ``elided`` count, join the window's operations; an
-    ``EV_SHIFT`` record goes to ``collector.apply_shift``.  The
+    and, with its ``elided`` count, join the window's operations.  The
     edges of consecutive records form a *run*, fed to one
     :meth:`CycleDetector.add_edge_batch` through the window once its
     records hold ``batch_size`` operations (as journaled or buffered,
@@ -279,8 +278,6 @@ class RecordWalk:
                             uncounted(edge)
                     else:
                         run.append(extra)
-                elif kind == EV_SHIFT:
-                    collector.apply_shift(payload)
                 consumed += 1
             flush()
         finally:

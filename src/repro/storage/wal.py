@@ -39,7 +39,7 @@ from repro.core.types import (
 CHECKPOINT_FORMAT = "rushmon-checkpoint"
 #: Bump on any payload change: a file of any other version is refused,
 #: never read through a shim (``tests/test_checkpoint.py`` pins the shape).
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -119,7 +119,7 @@ def load_checkpoint(path: str | Path) -> dict:
 #: Format tag stamped into every cluster shard snapshot.
 SHARD_SNAPSHOT_FORMAT = "rushmon-shard-snapshot"
 #: Bump on any incompatible shard-snapshot payload change.
-SHARD_SNAPSHOT_VERSION = 1
+SHARD_SNAPSHOT_VERSION = 2
 
 
 def encode_shard_snapshot(payload: dict) -> dict:

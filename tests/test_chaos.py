@@ -9,8 +9,8 @@ fault-tolerance contract of :class:`~repro.core.concurrent.RushMonService`:
 - no event the collector *acknowledged* is ever lost — after the dust
   settles, the ``sr=1`` differential against the offline baseline still
   holds bit-exactly;
-- overload policies fail loudly (``block``), honestly (``shed`` is
-  counted), or adaptively (``degrade`` is recorded), never silently;
+- overload policies fail loudly (``block``) or honestly (``shed`` is
+  counted), never silently;
 - a persistent failure trips the circuit breaker into an explicit
   DEGRADED state visible in ``latest_report()`` and on ``/metrics``.
 
@@ -230,35 +230,6 @@ def test_block_overflow_raises_backpressure_to_producer():
     _assert_sr1_differential(service, acked)
 
 
-def test_degrade_overflow_raises_sampling_rate_and_records_it():
-    """'degrade' trades accuracy for liveness: the effective sampling
-    rate rises (recorded, and reflected in sampling_probability so the
-    estimator stays calibrated) and recovers once drains come up light."""
-    service = RushMonService(
-        RushMonConfig(sampling_rate=1, mob=False, seed=7,
-                      journal_capacity=16, overflow="degrade"),
-    )
-    for op in _ops(400, 64, seed=13):
-        service.on_operation(op)
-    collector = service.collector
-    assert collector.degrade_shift >= 1
-    assert collector.degrade_shifts_total >= 1
-    snap = service.metrics.snapshot()
-    assert snap["rushmon_collector_degrade_shifts_total"] >= 1.0
-    assert snap["rushmon_collector_effective_sampling_rate"] == float(
-        1 << collector.degrade_shift
-    )
-    # A pass walks the journal's shift markers: the probability its
-    # window is scaled by is the shift's.  Light drains step it down.
-    for _ in range(collector.degrade_shift + 1):
-        service.close_window()
-        assert collector.engine.sampling_probability == pytest.approx(
-            0.5 ** collector.degrade_shift
-        )
-    assert collector.degrade_shift == 0
-    assert collector.engine.sampling_probability == 1.0
-
-
 def test_circuit_breaker_degraded_state_is_visible_everywhere():
     """A persistent detection fault exhausts max_restarts: the service
     goes DEGRADED — visible via latest_report() health, the Prometheus
@@ -302,73 +273,3 @@ def test_circuit_breaker_degraded_state_is_visible_everywhere():
     assert service.stop() is service.latest_report()
     assert service.latest_report().health == "degraded"
 
-
-def test_degrade_steps_down_one_shift_per_light_drain():
-    """The recovery side of the 'degrade' overflow policy, pinned step
-    by step: a drain that comes up light (under half the capacity)
-    lowers the shift by exactly one — never more — while a heavy drain
-    only reopens the escalation epoch and holds the shift."""
-    from repro.core.collector import DataCentricCollector
-    from repro.core.concurrent.journaled import (EV_OPS, EV_SHIFT,
-                                                 JournaledCollector)
-
-    collector = JournaledCollector(
-        DataCentricCollector(sampling_rate=1, mob=False, seed=5,
-                             engaged=True),
-        journal_capacity=8, overflow="degrade",
-    )
-    ops = iter(_ops(4000, 64, seed=17))
-
-    def feed(count):
-        """Journal ``count`` operations.  The producer leaves out those
-        the degrade filter excludes: they take no room."""
-        for _ in range(count):
-            depth = collector.journal_depth
-            while collector.journal_depth == depth:
-                collector.offer([(EV_OPS, [next(ops)], 0)])
-
-    def journaled(drained):
-        return sum(len(record[2]) for record in drained
-                   if record[1] == EV_OPS)
-
-    def walk_shifts(drained):
-        """What a pass does with the drained shift markers."""
-        for record in drained:
-            if record[1] == EV_SHIFT:
-                collector.engine.apply_shift(record[2])
-
-    # Escalate to shift=3: each overfill raises the shift once per
-    # epoch, and the (heavy) drain between overfills holds it.
-    for expected in (1, 2, 3):
-        feed(9)  # capacity is 8: the 9th op overflows
-        assert collector.degrade_shift == expected
-        feed(3)  # same epoch: a burst escalates one step, not three
-        assert collector.degrade_shift == expected
-        drained = collector.drain()
-        walk_shifts(drained)
-        assert journaled(drained) >= collector.journal_capacity // 2  # heavy
-        assert collector.degrade_shift == expected  # held, not lowered
-    assert collector.degrade_shifts_total == 3
-    assert collector.engine.sampling_probability == pytest.approx(0.5 ** 3)
-
-    # Recover: each light drain steps down exactly once, and the
-    # effective probability recalibrates at every step.
-    for expected in (2, 1, 0):
-        feed(2)
-        drained = collector.drain()
-        walk_shifts(drained)
-        assert journaled(drained) < collector.journal_capacity // 2  # light
-        assert collector.degrade_shift == expected
-        assert collector.engine.sampling_probability == pytest.approx(
-            0.5 ** expected
-        )
-    # Every transition (3 up, 3 down) was recorded.
-    assert collector.degrade_shifts_total == 6
-
-    # Stepping down below zero is impossible: further light drains are
-    # no-ops on the shift and on the transition counter.
-    feed(2)
-    walk_shifts(collector.drain())
-    assert collector.degrade_shift == 0
-    assert collector.degrade_shifts_total == 6
-    assert collector.engine.sampling_probability == 1.0

@@ -293,17 +293,17 @@ mode, path = sys.argv[1], sys.argv[2]
 events = stream(400, 20, seed=17)
 configs = {
     "plain": RushMonConfig(sampling_rate=1, mob=False, seed=3),
-    # An overflowing journal raises the degrade shift: which items the
-    # filter keeps must not change with the process.
-    "degrade": RushMonConfig(sampling_rate=1, mob=False, seed=3,
-                             journal_capacity=16, overflow="degrade"),
+    # Which items the sampler keeps must not change with the process, and
+    # MOB's reservoir generator goes on from the state it was cut in.
+    "sampled": RushMonConfig(sampling_rate=4, mob=True, seed=3),
 }
 for name, config in configs.items():
     target = f"{path}.{name}"
     if mode == "save":
         svc = RushMonService(config)
         feed(svc, events[:220])
-        assert (svc.collector.degrade_shift > 0) == (name == "degrade")
+        drew = svc.collector.engine.shard._generator is not None
+        assert drew == (name == "sampled"), name
         svc.checkpoint(target)
         continue
     svc = RushMonService.restore(target)
@@ -318,17 +318,21 @@ for name, config in configs.items():
     baseline.close_window()
     assert svc.counts() == baseline.counts(), f"{name}: diverged"
     assert svc.collector.stats == baseline.collector.stats, name
-    assert svc.collector.degrade_shift == baseline.collector.degrade_shift
+    shard, expected = svc.collector.engine.shard, baseline.collector.engine.shard
+    assert shard.to_state() == expected.to_state(), name
+    if name == "sampled":
+        assert 0 < svc.collector.touches < svc.collector.ops_seen
 print("OK")
 """
 
 
 def test_restore_in_a_different_process(tmp_path):
     """Checkpoints must survive Python's per-process hash randomization:
-    the degrade filter uses a process-stable digest, not builtin hash().
+    the item sampler uses a process-stable digest, not builtin hash().
     Save under one PYTHONHASHSEED, restore under another, and require
-    the sr=1 differential and, with a degrade shift in force at the cut,
-    equality with an uninterrupted run."""
+    the sr=1 differential and, for a sampled MOB config whose reservoir
+    generator drew before the cut, equality with an uninterrupted run:
+    counts, edge stats and the shard's state, generator included."""
     path = str(tmp_path / "cross.ckpt")
     for mode, seed in (("save", "1"), ("restore", "99")):
         env = dict(os.environ, PYTHONHASHSEED=seed,
@@ -354,19 +358,19 @@ def test_save_checkpoint_is_atomic(tmp_path):
 #: for any other shape, so a change to these keys without a version bump
 #: would surface only when a restart restores an older build's file.
 FORMAT_PIN = {
-    "version": 3,
+    "version": 4,
     "payload": {"config", "collector", "detector", "window", "reports",
                 "clock", "processed_events", "passes", "extra"},
     "collector": {"next_ticket", "elided", "ops_seen", "lifecycle_offered",
-                  "journal_highwater", "shed", "shed_sampled",
-                  "degrade_shift", "pass_shift", "degrade_shifts_total",
-                  "shifted_this_epoch", "sampler", "shard", "lifecycle",
-                  "journal"},
+                  "journal_highwater", "shed", "shed_sampled", "sampler",
+                  "shard", "lifecycle", "journal"},
+    "shard": {"mob", "mob_slots", "stats", "touches", "total_reads",
+              "discarded_reads", "seed", "rng", "mob_items", "full_items"},
     "detector": {"labels", "present", "starts", "commits", "edge_count",
                  "counts", "patterns", "edges_since_prune", "prune_passes",
                  "edges_refused", "pruner_removed_total"},
     "window": {"raw", "edges", "ops", "window_start", "pattern_snapshot"},
-    "record_kinds": {"ops", "begin", "commit", "shift", "edges"},
+    "record_kinds": {"ops", "begin", "commit", "edges"},
 }
 
 
@@ -385,6 +389,10 @@ def test_the_checkpoint_format_is_pinned_to_its_version(tmp_path):
     assert set(payload["config"]) == {f.name for f in fields(RushMonConfig)}
     for part in ("collector", "detector", "window"):
         assert set(payload[part]) == FORMAT_PIN[part], (part, bump)
+    shard = payload["collector"]["shard"]
+    assert set(shard) == FORMAT_PIN["shard"], bump
+    # A mob=False shard never draws: it writes its seed, no generator.
+    assert shard["rng"] is None
     assert {record[1] for record in payload["collector"]["journal"]} <= \
         FORMAT_PIN["record_kinds"], bump
     kinds = {value for name, value in vars(journaled).items()

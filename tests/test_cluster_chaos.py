@@ -464,3 +464,7 @@ def test_shard_snapshot_codec_roundtrip_and_crc():
         decode_shard_snapshot(tampered)
     with pytest.raises(CheckpointError):
         decode_shard_snapshot({"format": "something-else", "version": 1})
+    # Version 1 checkpointed every shard's reservoir generator words; a
+    # shard that never drew now writes "rng": null, so it is refused.
+    with pytest.raises(CheckpointError, match="has version 1"):
+        decode_shard_snapshot(dict(document, version=1))

@@ -459,28 +459,34 @@ def _rng_words(rng):
 def test_a_shard_seeded_at_its_first_draw_draws_the_eager_stream(batched):
     """A MOB shard seeds its reservoir generator at its first draw, from
     the seed it was given.  Against a shard whose generator was seeded
-    up front (its ``to_state()`` seeds it before any draw), it derives
-    the same edges, discard ratio and snapshot, generator words
-    included, over a history and across a ``load_state`` round trip;
-    and a shard that never drew snapshots the words of
-    ``random.Random(seed)``, as an eagerly seeded shard always did."""
+    up front (``_rng`` read before any draw), it derives the same edges,
+    discard ratio and snapshot, generator words included, over a history
+    and across a ``load_state`` round trip.  A shard that never drew
+    snapshots its seed and no generator words, and restored onto a shard
+    built with another seed it still derives the same edges."""
     seed = 9 ^ 0x5EED
     history = _random_history(seed=9, n=800, buus=12, keys=8)
     first, rest = history[:431], history[431:]
 
     eager = CollectorShard(seed=seed)
+    assert eager._rng.getstate() == random.Random(seed).getstate()
     assert eager.to_state()["rng"] == _rng_words(random.Random(seed))
-    assert CollectorShard(seed=seed).to_state() == eager.to_state()
     lazy = CollectorShard(seed=seed)
+    undrawn = lazy.to_state()
+    assert (undrawn["seed"], undrawn["rng"]) == (seed, None)
+    assert lazy._generator is None
+    reseeded = CollectorShard(seed=0)
+    reseeded.load_state(undrawn)
+    assert reseeded.to_state() == undrawn
 
     def feed(shard, ops):
         if batched:
             return list(shard.handle_batch(ops).rows())
         return [edge for op in ops for edge in shard.handle(op)]
 
-    assert feed(lazy, first) == feed(eager, first)
+    assert feed(lazy, first) == feed(eager, first) == feed(reseeded, first)
     assert lazy.discarded_reads and lazy.discard_ratio == eager.discard_ratio
-    assert lazy.to_state() == eager.to_state()
+    assert lazy.to_state() == eager.to_state() == reseeded.to_state()
     assert lazy.to_state()["rng"] != _rng_words(random.Random(seed))
 
     restored = CollectorShard(seed=0)

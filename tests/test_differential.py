@@ -87,6 +87,11 @@ def test_sharded_equals_serial_collector(seed):
     assert merged.total_reads == serial.total_reads
 
 
+def test_a_merged_shard_keeps_the_shards_bookkeeping_mode():
+    merged = ShardedCollector(mob=False, mob_slots=3, num_shards=2).merged()
+    assert (merged.mob, merged.mob_slots) == (False, 3)
+
+
 @pytest.mark.parametrize("sr", [2, 4])
 def test_sharded_equals_serial_collector_sampled(sr):
     """The equivalence holds under item sampling too (shared sampler,

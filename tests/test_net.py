@@ -1016,9 +1016,9 @@ def test_prefilter_is_none_only_at_sr1():
     assert collector(sr=1).prefilter() is None
     # A caller may leave unsampled operations out before the journal
     # under every overflow policy and with an armed injector alike (what
-    # the journal bounds and the degrade filter thins are journaled
-    # events; a bounded journal's producers do so themselves).
-    for overflow in ("block", "degrade", "shed"):
+    # the journal bounds are journaled events; a bounded journal's
+    # producers do so themselves).
+    for overflow in ("block", "shed"):
         bounded = collector(journal_capacity=64, overflow=overflow)
         assert bounded.prefilter() is bounded.sampler.lookup
     assert collector(faults=FaultInjector()).prefilter() is not None

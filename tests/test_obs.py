@@ -676,7 +676,6 @@ _SERIAL_NAMES = frozenset({
 _SERVICE_NAMES = frozenset({
     "rushmon_collector_backpressure_timeouts_total",
     "rushmon_collector_backpressure_wait_seconds_total",
-    "rushmon_collector_degrade_shifts_total",
     "rushmon_collector_edges_total",
     "rushmon_collector_effective_sampling_rate",
     "rushmon_collector_journal_depth",

@@ -27,11 +27,10 @@ import pytest
 from repro.core.collector import DataCentricCollector
 from repro.core.concurrent import JournalBackpressure, RushMonService
 from repro.core.concurrent.journaled import (EV_BEGIN, EV_COMMIT, EV_EDGES,
-                                             EV_OPS, EV_SHIFT,
-                                             JournaledCollector)
+                                             EV_OPS, JournaledCollector)
 from repro.core.config import RushMonConfig
 from repro.core.monitor import RushMon
-from repro.core.types import CycleCounts, EdgeStats, Operation, OpType
+from repro.core.types import Operation, OpType
 from repro.storage import wal
 from repro.testing import Fault, FaultInjector, InjectedFault
 
@@ -52,11 +51,19 @@ SAMPLING_RATES = (4, 20)
 #: seed=3), record_trace=True)``, one window closed, the next 40 events
 #: fed and the checkpoint cut with them pending (it carries the
 #: ``record_trace`` and ``trace`` keys and ``checkpoint_interval`` in its
-#: config).
+#: config).  Version 3, written by the last build with the ``"degrade"``
+#: overflow policy (whose service kept its own copy of the collector:
+#: the shard, the gate and the pass's shift on ``JournaledCollector``):
+#: ``_events(1000)`` fed per op in slices of 50 events, a window closed
+#: after each, into ``RushMonService(_config(1, journal_capacity=16,
+#: overflow="degrade"))`` up to event 145, then checkpointed (it carries
+#: the ``degrade_shift`` and ``pass_shift`` collector keys and a pending
+#: ``"shift"`` record).
 OLD_CHECKPOINTS = {
     version: os.path.join(os.path.dirname(__file__), "data", name)
     for version, name in ((1, "checkpoint_full_journal_sr20.wal"),
-                          (2, "checkpoint_v2_traced_sr20.wal"))
+                          (2, "checkpoint_v2_traced_sr20.wal"),
+                          (3, "checkpoint_v3_degrade_sr1.wal"))
 }
 
 
@@ -235,6 +242,40 @@ def test_one_producer_with_mob_is_the_serial_monitor(sr, feed):
         assert getattr(service.collector.engine, part).to_state() == \
             getattr(serial.collector, part).to_state()
     _assert_matches_serial(service, serial, events)
+
+
+#: The journal under each overflow policy a service can run: unbounded,
+#: ``"block"`` with room for every slice below, and ``"shed"`` with
+#: room for less than one.
+_JOURNALS = {
+    "unbounded": {},
+    "block": {"journal_capacity": 1 << 20, "overflow": "block"},
+    "shed": {"journal_capacity": 16, "overflow": "shed"},
+}
+
+
+@pytest.mark.parametrize("mob", (False, True), ids=("full", "mob"))
+@pytest.mark.parametrize("sr", (1, 4))
+@pytest.mark.parametrize("front", ("serial", *_JOURNALS))
+def test_the_windows_add_up_to_the_cumulative_estimate(front, sr, mob):
+    """One item sample and one ``p`` for the whole stream (Theorem 5.2):
+    the estimates of the windows a monitor publishes sum to its
+    ``cumulative_estimates()``, on the serial monitor and on an inline
+    service under every overflow policy."""
+    config = RushMonConfig(sampling_rate=sr, mob=mob, seed=3,
+                           **_JOURNALS.get(front, {}))
+    monitor = RushMon(config) if front == "serial" else RushMonService(config)
+    events = _events(3000)
+    for start in range(0, len(events), 60):
+        _feed_batched(monitor, events[start:start + 60])
+        monitor.close_window()
+    if front == "shed":
+        assert monitor.collector.shed_events > 0  # the policy ran
+    two, three = monitor.cumulative_estimates()
+    assert two > 0 and three > 0  # not vacuous
+    assert sum(r.estimated_2 for r in monitor.reports) == pytest.approx(two)
+    assert sum(r.estimated_3 for r in monitor.reports) == \
+        pytest.approx(three)
 
 
 def test_a_call_is_one_detector_batch(monkeypatch):
@@ -679,91 +720,6 @@ def test_block_never_blocks_unsampled_ops():
         "rushmon_collector_backpressure_timeouts_total"] == 1.0
 
 
-def test_degrade_relieves_the_journal():
-    """Operations the degrade filter excludes are elided like any other
-    unsampled one — and are never a reason to escalate further."""
-    ops = [payload for kind, payload in _events(4000) if kind == "op"]
-    service = RushMonService(
-        _config(1, journal_capacity=16, overflow="degrade"))
-    collector = service.collector
-    for op in ops[:17]:  # the 17th overflows: shift 0 -> 1
-        service.on_operation(op)
-    assert collector.degrade_shift == 1
-    before = collector.journal_depth
-    service.on_operations(ops[17:])
-    assert collector.degrade_shift == 1  # one step per drain epoch
-    journaled = collector.journal_depth - before
-    assert journaled < 0.75 * len(ops[17:])  # about half were elided
-    service.close_window()  # a heavy drain: the shift holds
-    assert collector.degrade_shift == 1
-    assert collector.engine.sampling_probability == 0.5
-    # The pass bookkept what was journaled, less the 17th op's item if
-    # the filter excludes it.
-    assert collector.touches <= 16 + journaled
-    assert sum(r.operations for r in service.reports) == len(ops)
-    assert collector.ops_seen == len(ops)
-
-
-@pytest.mark.parametrize("per_op", (False, True), ids=("batched", "per-op"))
-def test_degrade_shift_stays_bounded_while_a_producer_outpaces_the_pass(
-        per_op):
-    """A producer offering 25x the journal's capacity every epoch: each
-    shift halves what it journals, so the shift settles near
-    log2(25) instead of climbing once per drain."""
-    capacity, per_epoch, epochs = 16, 400, 30
-    service = RushMonService(
-        _config(1, journal_capacity=capacity, overflow="degrade"))
-    collector = service.collector
-    seq = 0
-    shifts = []
-    for epoch in range(epochs):
-        ops = [Operation(OpType.WRITE, seq + i, ("k", seq + i), seq + i)
-               for i in range(per_epoch)]
-        seq += per_epoch
-        if per_op:
-            for op in ops:
-                service.on_operation(op)
-        else:
-            for start in range(0, per_epoch, 20):
-                service.on_operations(ops[start:start + 20])
-        service.close_window()
-        shifts.append(collector.degrade_shift)
-    assert max(shifts) <= 7
-    assert min(shifts[epochs // 2:]) >= 3  # the pressure is real
-    assert sum(r.operations for r in service.reports) == epochs * per_epoch
-    assert collector.ops_seen == epochs * per_epoch
-
-
-def test_degrade_never_derives_an_edge_from_stale_item_state():
-    """Across shift changes — up on overflow, down on a light drain —
-    every item the pass bookkeeps has each of its operations since it
-    was last excluded: each ww edge joins two consecutive writers of its
-    key, never writers with an elided or forgotten write between."""
-    service = RushMonService(_config(
-        1, journal_capacity=16, overflow="degrade", pruning="none"))
-    writers: dict = {}
-    shifts = []
-    buu = 0
-    for burst in (40, 40, 2, 2, 40, 40, 2, 2, 2, 2):
-        for _ in range(burst):
-            keys = [("k", i) for i in range(buu % 8, 64, 8)]
-            for key in keys:
-                writers.setdefault(key, []).append(buu)
-            service.on_operations([Operation(OpType.WRITE, buu, key, buu)
-                                   for key in keys])
-            buu += 1
-        service.close_window()
-        shifts.append(service.collector.degrade_shift)
-    assert max(shifts) >= 2 and shifts[-1] < max(shifts)
-    edges = 0
-    for src, dst, labels in service.detector.graph.edges():
-        for key in labels:
-            order = writers[key]
-            assert order.index(dst) == order.index(src) + 1
-            edges += 1
-    assert edges == service.collector.stats.ww > 0
-
-
 def test_a_degraded_unbounded_service_sheds_every_call():
     """Once the breaker has tripped, no pass drains the journal again: an
     unbounded journal stops growing, every producer call is shed whole,
@@ -868,129 +824,7 @@ def test_a_refused_call_offered_again_counts_as_if_never_refused(sr):
     _assert_matches_serial(service, serial, events)
 
 
-def test_a_window_is_scaled_by_the_shift_its_records_ran_under():
-    """A producer that overflows a ``"degrade"`` journal while the pass
-    is still walking what it drained raises the shift of the journal's
-    tail, not of the records being detected: the window — and the
-    cumulative estimate — is scaled by the pass's shift."""
-    faults = FaultInjector().inject(
-        Fault("detect.process", kind="delay", delay=0.3, times=1))
-    service = RushMonService(
-        _config(1, journal_capacity=8, overflow="degrade"), faults=faults)
-    lost_update = [("begin", (1, 0)), ("begin", (2, 0))] + [
-        ("op", Operation(kind, buu, 0, seq)) for seq, (kind, buu) in
-        enumerate([(OpType.READ, 1), (OpType.READ, 2), (OpType.WRITE, 1),
-                   (OpType.WRITE, 2)], start=1)] + [
-        ("commit", (1, 5)), ("commit", (2, 6))]
-    service.on_records(_frame_records(lost_update))
-    detecting = threading.Thread(target=service.close_window)
-    detecting.start()
-    while service.collector.journal_depth:
-        time.sleep(0.001)  # drained; the pass is held in its delay
-    for start in range(0, 10, 5):
-        service.on_operations([Operation(OpType.WRITE, 3, key, 10 + key)
-                               for key in range(start + 1, start + 6)])
-    detecting.join()
-    assert service.collector.degrade_shift == 1
-    (report,) = service.reports
-    assert report.raw.two_cycles == 1
-    assert report.estimated_2 == 1.0
-    assert service.cumulative_estimates()[0] == 1.0
-    # The pass ran at shift 0: the marker waits in the journal.
-    assert service.collector.engine.sampling_probability == 1.0
-
-
 # -- durability -----------------------------------------------------------------------
-
-
-def _feed_in_slices(service, events, start, stop):
-    """Feed ``events[start:stop]`` per op in slices of 50 events from
-    ``start``, closing a window after each full slice."""
-    for at in range(start, stop, 50):
-        _feed_per_op(service, events[at:min(at + 50, stop)])
-        if at + 50 <= stop:
-            service.close_window()
-
-
-def test_restore_while_a_degrade_shift_is_in_force(tmp_path):
-    """Cut while the journal's tail runs under a higher degrade shift
-    than the pass — the marker still journaled, and the escalation of
-    this drain epoch spent — the restored service goes on exactly as the
-    uninterrupted one: counts, edge stats, shifts and estimates."""
-    events = _events(3000)
-    config = _config(1, journal_capacity=16, overflow="degrade")
-    path = str(tmp_path / "degraded.wal")
-    cut = 1240
-    live = RushMonService(config)
-    _feed_in_slices(live, events, 0, cut)
-    collector = live.collector
-    journal = collector.snapshot_state()["journal"]
-    assert collector.degrade_shift > 0
-    assert any(record[1] == EV_SHIFT for record in journal)
-    assert collector.engine.degrade_shift != collector.degrade_shift
-    live.checkpoint(path)
-    restored = RushMonService.restore(path)
-    for service in (live, restored):
-        _feed_in_slices(service, events, cut, len(events))
-        service.close_window()
-    for service in (live, restored):
-        assert service.collector.journal_depth == 0
-    assert restored.counts() == live.counts()
-    assert restored.collector.stats == live.collector.stats
-    assert restored.collector.ops_seen == live.collector.ops_seen
-    restored_c = restored.collector
-    assert (restored_c.degrade_shift, restored_c.engine.degrade_shift,
-            restored_c.degrade_shifts_total) == \
-        (collector.degrade_shift, collector.engine.degrade_shift,
-         collector.degrade_shifts_total)
-    assert [(r.estimated_2, r.estimated_3, r.edges)
-            for r in restored.reports] == \
-        [(r.estimated_2, r.estimated_3, r.edges) for r in live.reports]
-    assert restored.cumulative_estimates() == live.cumulative_estimates()
-
-
-#: A format-3 checkpoint cut under a degrade shift, written by a build
-#: whose service kept its own copy of the collector (the shard, the gate
-#: and the pass's shift on ``JournaledCollector``): ``_events(1000)``
-#: fed by :func:`_feed_in_slices` into ``RushMonService(_config(1,
-#: journal_capacity=16, overflow="degrade"))`` up to event 145, then
-#: checkpointed.  Its journal's tail runs at shift 3 and its pass at 2,
-#: with the ``EV_SHIFT`` marker pending and eight records behind it.
-DEGRADED_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
-                                   "checkpoint_v3_degrade_sr1.wal")
-
-
-def test_a_checkpoint_cut_under_a_degrade_shift_still_restores():
-    """The committed :data:`DEGRADED_CHECKPOINT`, restored and fed the
-    rest of its stream, ends where the build that wrote it ended without
-    the cut: the counts, edge stats and window estimates below are that
-    build's."""
-    state = wal.load_checkpoint(DEGRADED_CHECKPOINT)["collector"]
-    kinds = [record[1] for record in state["journal"]]
-    assert (state["degrade_shift"], state["pass_shift"]) == (3, 2)
-    assert len(kinds) - kinds.index(EV_SHIFT) == 9
-    events = _events(1000)
-    restored = RushMonService.restore(DEGRADED_CHECKPOINT)
-    assert restored.collector.engine.sampling_probability == 0.25
-    _feed_in_slices(restored, events, 145, len(events))
-    restored.close_window()
-    collector = restored.collector
-    assert restored.counts() == CycleCounts(ss=9, dd=5, sss=4, ssd=5, ddd=4)
-    assert collector.stats == EdgeStats(wr=44, ww=30, rw=45)
-    assert (collector.ops_seen, restored.processed_events) == (1000, 1206)
-    assert (collector.degrade_shift, collector.engine.degrade_shift,
-            collector.degrade_shifts_total) == (4, 4, 8)
-    # (estimated_2, estimated_3, wr, ww, rw) of every window.
-    assert [(r.estimated_2, r.estimated_3, r.edges.wr, r.edges.ww,
-             r.edges.rw) for r in restored.reports] == [
-        (6, 0, 3, 2, 3), (68, 100, 2, 5, 5), (80, 1176, 7, 3, 8),
-        (8, 512, 3, 2, 2), (0, 0, 3, 1, 4), (16, 0, 1, 4, 1),
-        (0, 0, 2, 0, 0), (0, 0, 5, 0, 2), (0, 0, 2, 0, 3), (0, 0, 0, 1, 0),
-        (0, 0, 1, 1, 0), (0, 0, 0, 2, 0), (0, 0, 0, 1, 0), (16, 0, 1, 1, 1),
-        (0, 0, 1, 1, 0), (0, 0, 3, 1, 6), (0, 0, 2, 0, 0), (0, 0, 2, 0, 2),
-        (0, 0, 2, 1, 1), (0, 1024, 1, 4, 4), (0, 0, 2, 0, 0),
-        (0, 0, 1, 0, 3), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0)]
-    assert restored.cumulative_estimates() == (1424.0, 17728.0)
 
 
 @pytest.mark.parametrize("feed", (_feed_per_op, _feed_batched),
@@ -1098,7 +932,7 @@ def test_a_checkpoint_carries_no_per_event_history(tmp_path, sr):
 
 @pytest.mark.parametrize("version", sorted(OLD_CHECKPOINTS))
 def test_an_old_checkpoint_is_refused_and_left_untouched(tmp_path, version):
-    """Formats 1 and 2 have no reader: ``load_checkpoint``,
+    """Formats 1 to 3 have no reader: ``load_checkpoint``,
     ``RushMonService.restore`` and ``serve --checkpoint`` refuse the file
     by its version, naming both, and leave it as it was."""
     old = OLD_CHECKPOINTS[version]
@@ -1106,7 +940,8 @@ def test_an_old_checkpoint_is_refused_and_left_untouched(tmp_path, version):
         with pytest.raises(wal.CheckpointError) as refused:
             load(old)
         assert f"has version {version}" in str(refused.value)
-        assert "reads version 3" in str(refused.value)
+        assert f"reads version {wal.CHECKPOINT_VERSION}" in str(
+            refused.value)
     copy = tmp_path / "old.wal"
     with open(old, "rb") as handle:
         original = handle.read()
@@ -1120,7 +955,7 @@ def test_an_old_checkpoint_is_refused_and_left_untouched(tmp_path, version):
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1, proc.stderr
     assert f"has version {version}" in errors[0]
-    assert "reads version 3" in errors[0]
+    assert f"reads version {wal.CHECKPOINT_VERSION}" in errors[0]
     assert "Traceback" not in proc.stderr
     assert "listening" not in proc.stdout
     assert copy.read_bytes() == original

@@ -103,6 +103,7 @@ def test_exporter_port_already_bound_is_actionable():
     ({"num_shards": 0}, "num_shards must be an integer >= 1"),
     ({"journal_capacity": 0}, "journal_capacity must be an integer >= 1"),
     ({"overflow": "nope"}, "overflow must be one of"),
+    ({"overflow": "degrade"}, r"one of \('block', 'shed'\), got 'degrade'"),
     ({"block_timeout": -1}, "block_timeout must be > 0"),
 ])
 def test_config_validation_rejects_bad_values(kwargs, match):
