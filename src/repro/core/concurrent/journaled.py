@@ -1,17 +1,21 @@
-"""The service's journal: producers journal, the detection pass collects.
+"""The service's journal: producers append, the detection pass tickets.
 
 A producer of :class:`~repro.core.concurrent.service.RushMonService`
 does no bookkeeping.  A producer call — ``on_operations``, a begin or
-commit, or a network frame — is offered whole
-(:meth:`JournaledCollector.offer`): each run of its operations becomes
-one journal record ``(ticket, EV_OPS, ops, elided)``, whatever its
-length, and a begin or commit becomes ``(ticket, EV_BEGIN | EV_COMMIT,
-buu, ticket)``.  The records are built, the tickets drawn and the
-records appended under one hold of the journal lock, so journal order
-*is* ticket order, a drain is always a complete prefix of it, and a call
-is journaled whole or not at all.  A batch record reserves one ticket
-per operation (at least one), so the journaled operations keep
-distinct, increasing stamps.
+commit, or a network frame — lands whole: each run of its operations as
+one copied record ``(EV_OPS, ops, elided)``, a begin or commit as
+``(EV_BEGIN | EV_COMMIT, buu, time)``.  On an unbounded journal (the
+default) a call is one GIL-atomic ``append`` or ``extend`` on the
+journal's tail and takes no lock: the dependency graph depends only on
+each key's operation order and each BUU's program order, so any landing
+order is a valid journal order.  One settle step, under the journal
+lock, takes what landed as a prefix of the tail (never by swapping the
+list, which a producer may have loaded), draws the tickets in landing
+order — one per operation, a begin or commit journaled with its ticket
+as ``time`` — and counts it; drains, snapshots and every view or gauge
+of those counts settle first.  So journal order is ticket order, a
+drain is always a complete prefix of it, and a call is journaled whole
+or not at all.
 
 The consumer — the service's detection pass, one thread at a time —
 drains the journal and walks it in ticket order with the service's
@@ -22,8 +26,7 @@ walk's collector is :attr:`JournaledCollector.engine`, handed in by the
 service; this module keeps only the journal and the record vocabulary
 (``EV_*``).  Per-key bookkeeping order is ticket order, so the edges a
 service derives are those of a serial run over its journal, MOB's
-reservoir draws included.  No item state is shared with a producer, so
-nothing but the journal is locked.
+reservoir draws included.  No item state is shared with a producer.
 
 Where the sample is applied
 ---------------------------
@@ -53,7 +56,8 @@ Bounded journal and backpressure
 
 ``journal_capacity`` bounds the events waiting in the journal — journaled
 operations (the sampled ones) and lifecycle events; elided operations
-take no room.  The unit of admission is the producer call: a call
+take no room.  Its producers take the journal lock (and settle first:
+one ticketing site).  The unit of admission is the producer call: a call
 arriving at a journal that holds events and has no room for all of it
 meets the ``overflow`` policy once (so the journal exceeds its capacity
 only by a call admitted into an empty journal):
@@ -67,7 +71,7 @@ only by a call admitted into an empty journal):
     elided operations are still counted, so only sampled operations
     (and lifecycle events) are ever shed.  After
     :meth:`~JournaledCollector.shed_all` (a degraded service's) every
-    call is shed, whatever the capacity.
+    call is shed, whatever the capacity (under the lock, if unbounded).
 """
 
 from __future__ import annotations
@@ -143,11 +147,20 @@ def _decode(record: list) -> tuple:
     return (ticket, kind, payload, extra)
 
 
+def _settled(count: str, doc: str) -> property:
+    """A view of one of the journal's counts, read after the settle."""
+    def read(self: "JournaledCollector") -> int:
+        with self._lock:
+            self._settle()
+            return getattr(self, count)
+    return property(read, doc=doc)
+
+
 class JournaledCollector:
     """The journal of :class:`~repro.core.concurrent.RushMonService`
-    (module docstring): :meth:`offer` on any producer thread, everything
-    else — :meth:`drain`, :meth:`requeue` and :attr:`engine` — on the
-    consumer's.
+    (module docstring): :attr:`append` and :meth:`offer` on any producer
+    thread, :meth:`drain`, :meth:`requeue` and :attr:`engine` on the
+    consumer's, the views on any.
 
     ``engine`` is the collector the detection pass walks the journal
     into — the service's :class:`~repro.core.monitor.RecordWalk`'s
@@ -187,7 +200,14 @@ class JournaledCollector:
         self._shed_all = False
         self.block_timeout = block_timeout
         self._faults = faults
-        # Everything below is guarded by _lock (producers and drains).
+        # Records as they landed, not yet ticketed (taken by _settle).
+        self._tail: list[tuple] = []
+        #: Journal one record a producer built (its ``ops`` kept, not
+        #: copied) as a call of its own: unlocked when unbounded.
+        self.append: Callable[[tuple], None] = (
+            self._tail.append if journal_capacity is None and faults is None
+            else self._offer_one)
+        # Everything below is guarded by _lock (settles, bounded offers).
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._records: list[tuple] = []
@@ -195,12 +215,12 @@ class JournaledCollector:
         self._pending = 0      # journaled events not yet drained
         self._elided = 0       # elided operations not yet drained
         self._ops_seen = 0
-        self.journal_highwater = 0
+        self._lifecycle_offered = 0
+        self._journal_highwater = 0
         self.shed_events = 0
         self.shed_sampled_events = 0
         self.blocked_seconds = 0.0
         self.block_timeouts = 0
-        self.lifecycle_offered = 0
         self.lock_wait_seconds = 0.0
         if metrics is not None:
             metrics.defer(self._register_metrics)
@@ -216,9 +236,9 @@ class JournaledCollector:
                 "BUU begin/commit events offered and not shed"),
             "lock_wait_seconds_total": (
                 lambda: self.lock_wait_seconds,
-                "cumulative time producer threads waited for the journal "
-                "lock, held while another producer builds and appends its "
-                "call or a pass drains"),
+                "cumulative time producer threads of a bounded journal "
+                "waited for the journal lock (an unbounded journal's "
+                "producers never take it)"),
             "lifecycle_elided_total": (
                 lambda: self.engine.lifecycle.elided,
                 "begin/commit events the detector never heard of: their "
@@ -228,7 +248,7 @@ class JournaledCollector:
                 "BUUs whose begin is held back until their first operation "
                 "on a sampled item (or their commit)"),
             "journal_depth": (
-                lambda: self._pending,
+                lambda: self.journal_depth,
                 "events waiting in the journal: journaled operations and "
                 "lifecycle events (elided operations take no room); an "
                 "unbounded journal holds every operation a batch offers, "
@@ -267,7 +287,7 @@ class JournaledCollector:
     def _fill_ratio(self) -> float:
         if self.journal_capacity is None:
             return 0.0
-        return self._pending / self.journal_capacity
+        return self.journal_depth / self.journal_capacity
 
     # -- producers (any thread) ----------------------------------------------
 
@@ -289,91 +309,100 @@ class JournaledCollector:
         :meth:`prefilter` allows leaving the rest out) and how many the
         caller already left out with its predicate — and ``(EV_BEGIN |
         EV_COMMIT, buu, time)``, journaled with its ticket as ``time``.
-        Everything happens in one hold of the journal lock: the call is
-        built (:meth:`_build`: an unbounded journal takes the operations
-        as given, a bounded one thins them to the chosen items), weighed,
-        meets the overflow policy once (module docstring) — every call is
-        shed once :meth:`shed_all` ran — and,
-        if admitted, is ticketed and appended, each run of operations
-        as one record.  The records hold copies: the caller may reuse
-        its lists."""
+        The call is built first (:meth:`_build`: copies, so the caller
+        may reuse its lists).  An unbounded journal then extends its tail
+        with it in one step, without the lock; a bounded one takes the
+        lock, settles, weighs the call and meets the overflow policy once
+        (module docstring) — every call is shed once :meth:`shed_all`
+        ran — and, if admitted, appends and settles it under that hold."""
         if self._faults is not None:
             self._fire("collector.handle")
+        if self.journal_capacity is None and not self._shed_all:
+            self._tail.extend(self._build(records))
+            return
         lock = self._lock
         if not lock.acquire(False):
             self._wait_for(lock)
         try:
-            # A call of begins and commits alone is journaled as given.
-            built, weight, loose = records, len(records), 0
-            for record in records:
-                if record[0] == EV_OPS:
-                    built, weight, loose = self._build(records)
-                    break
+            self._settle()
+            built = self._build(records)
+            weight = sum(len(r[1]) if r[0] == EV_OPS else 1 for r in built)
             capacity = self.journal_capacity
             if ((self._shed_all or capacity is not None and self._pending
                  and self._pending + weight > capacity)
-                    and not self._make_room_locked(built, weight, loose)):
+                    and not self._make_room_locked(built, weight)):
                 return
-            if loose:
-                self._elided += loose
-                self._ops_seen += loose
-            ticket = self._next_ticket
-            for kind, payload, extra in built:
-                if kind == EV_OPS:
-                    self._records.append((ticket, kind, payload, extra))
-                    ticket += len(payload)
-                    self._ops_seen += len(payload) + extra
-                else:
-                    self._records.append((ticket, kind, payload, ticket))
-                    ticket += 1
-                    self.lifecycle_offered += 1
-            self._next_ticket = ticket
-            self._pending += weight
-            if self._pending > self.journal_highwater:
-                self.journal_highwater = self._pending
+            self._tail.extend(built)
+            self._settle()
         finally:
             lock.release()
+
+    def _offer_one(self, record: tuple) -> None:
+        self.offer((record,))
 
     def shed_all(self) -> None:
         """Shed every producer call whole from now on, whatever the
         journal's room: a degraded service's pass is not coming back to
-        drain it.  Elided operations still count as seen."""
+        drain it.  Elided operations still count as seen.  A call that
+        already took the unlocked path may still land, unshed."""
         self.overflow = "shed"
         self._shed_all = True
+        self.append = self._offer_one
 
-    def _build(self,
-               records: Sequence[tuple]) -> tuple[list[tuple], int, int]:
-        """The call's records as journaled, each run of operations one
-        copied record, with their journal weight and the elided
-        operations no record carries.  A bounded journal first thins
-        the copy by :meth:`prefilter`; an unbounded one leaves that to
-        the pass.  A record's operations may be any iterable: they are
-        read once, into the copy.  Caller holds the lock."""
+    def _build(self, records: Sequence[tuple]) -> list[tuple]:
+        """The call's records as they land, each run of operations one
+        copied record.  A bounded journal first thins the copy by
+        :meth:`prefilter`, adding what it left out to the record's
+        ``elided``; an unbounded one leaves that to the pass.  A record's
+        operations may be any iterable: they are read once, into the
+        copy."""
         chosen = self.prefilter()
-        whole = self.journal_capacity is None
+        thin = None if self.journal_capacity is None else chosen
         built: list[tuple] = []
-        weight = loose = 0
         for record in records:
-            if record[0] != EV_OPS:
-                built.append(record)
-                weight += 1
-                continue
-            _, ops, elided = record
-            if elided and chosen is None:
-                raise ValueError(
-                    "an ops record with elided operations needs "
-                    "prefilter() to allow eliding: at sampling_rate 1 "
-                    "every item is chosen")
-            kept = ops = list(ops)
-            if chosen is not None and not whole:
-                kept = list(compress(ops, map(chosen, map(_KEY, ops))))
-            elided += len(ops) - len(kept)
-            if not kept:
-                loose += elided
-                continue
-            weight += len(kept)
-            built.append((EV_OPS, kept, elided))
-        return built, weight, loose
+            if record[0] == EV_OPS:
+                _, ops, elided = record
+                if elided and chosen is None:
+                    raise ValueError(
+                        "an ops record with elided operations needs "
+                        "prefilter() to allow eliding: at sampling_rate 1 "
+                        "every item is chosen")
+                ops = list(ops)
+                if thin is not None:
+                    kept = list(compress(ops, map(thin, map(_KEY, ops))))
+                    elided += len(ops) - len(kept)
+                    ops = kept
+                record = (EV_OPS, ops, elided)
+            built.append(record)
+        return built
+
+    def _settle(self) -> None:
+        """Ticket what landed since the last settle, in landing order,
+        and count it: the journal's one ticketing site.  Caller holds the
+        lock."""
+        landed = self._tail[:]
+        # Producers may append meanwhile: drop exactly the prefix taken.
+        del self._tail[:len(landed)]
+        records, ticket = self._records, self._next_ticket
+        journaled = elided = loose = lifecycle = 0
+        for kind, payload, extra in landed:
+            if kind != EV_OPS:
+                records.append((ticket, kind, payload, ticket))
+                ticket += 1
+                lifecycle += 1
+            elif payload:
+                records.append((ticket, kind, payload, extra))
+                ticket += len(payload)
+                journaled += len(payload)
+                elided += extra
+            else:
+                loose += extra
+        self._next_ticket = ticket
+        self._ops_seen += journaled + elided + loose
+        self._elided += loose
+        self._lifecycle_offered += lifecycle
+        self._pending += journaled + lifecycle
+        self._journal_highwater = max(self._journal_highwater, self._pending)
 
     def _wait_for(self, lock) -> None:
         """Take the contended journal lock, timing the wait (an
@@ -382,13 +411,13 @@ class JournaledCollector:
         lock.acquire()
         self.lock_wait_seconds += time.perf_counter() - waited
 
-    def _make_room_locked(self, built: Sequence[tuple], weight: int,
-                          loose: int) -> bool:
+    def _make_room_locked(self, built: Sequence[tuple], weight: int) -> bool:
         """Apply the overflow policy to a call the journal has no room
         for; ``True`` when it may be journaled.  Caller holds the lock."""
         if self.overflow == "shed":
             self.shed_events += weight
             chosen = self.sampler.chosen
+            loose = 0
             for kind, payload, extra in built:
                 if kind == EV_OPS:
                     self.shed_sampled_events += sum(
@@ -430,6 +459,7 @@ class JournaledCollector:
         if self._faults is not None:
             fault = self._fire("journal.drain", defer=("partial_drain",))
         with self._lock:
+            self._settle()
             records, self._records = self._records, []
             self._pending = 0
             if self._elided:
@@ -469,16 +499,17 @@ class JournaledCollector:
     def snapshot_state(self) -> dict:
         """A JSON-friendly snapshot: collection state and the records not
         yet drained.  The caller keeps the consumer out (the service holds
-        its pass lock); the journal is cut under its lock, so a record is
-        either in the snapshot or was appended after it."""
+        its pass lock); the journal is settled and cut under its lock, so
+        a record is either in the snapshot or landed after it."""
         with self._lock:
+            self._settle()
             journal = [_encode(record) for record in self._records]
             journal_state = {
                 "next_ticket": self._next_ticket,
                 "elided": self._elided,
                 "ops_seen": self._ops_seen,
-                "lifecycle_offered": self.lifecycle_offered,
-                "journal_highwater": self.journal_highwater,
+                "lifecycle_offered": self._lifecycle_offered,
+                "journal_highwater": self._journal_highwater,
                 "shed": self.shed_events,
                 "shed_sampled": self.shed_sampled_events,
             }
@@ -506,22 +537,24 @@ class JournaledCollector:
             self._next_ticket = state["next_ticket"]
             self._elided = state["elided"]
             self._ops_seen = state["ops_seen"]
-            self.lifecycle_offered = state["lifecycle_offered"]
-            self.journal_highwater = state["journal_highwater"]
+            self._lifecycle_offered = state["lifecycle_offered"]
+            self._journal_highwater = state["journal_highwater"]
             self.shed_events = state["shed"]
             self.shed_sampled_events = state["shed_sampled"]
 
-    # -- aggregate views ------------------------------------------------------------
+    # -- aggregate views (settled first) --------------------------------------
 
-    @property
-    def journal_depth(self) -> int:
-        """Events waiting in the journal (what the next pass drains)."""
-        return self._pending
-
-    @property
-    def ops_seen(self) -> int:
-        """Operations offered and not shed (elided ones included)."""
-        return self._ops_seen
+    journal_depth = _settled(
+        "_pending", "Events waiting in the journal (what the next pass "
+        "drains).")
+    ops_seen = _settled(
+        "_ops_seen", "Operations offered and not shed (elided ones "
+        "included).")
+    lifecycle_offered = _settled(
+        "_lifecycle_offered", "Begin and commit events offered and not shed.")
+    journal_highwater = _settled(
+        "_journal_highwater", "Deepest the journal has grown between "
+        "drains, in events.")
 
     # Read by instrument_collector beside ops_seen.
     @property

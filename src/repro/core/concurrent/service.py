@@ -4,29 +4,30 @@
 :class:`~repro.core.monitor.RushMon` facade.  Producer threads call the
 standard listener protocol (``on_operation(s)`` / ``begin_buu`` /
 ``commit_buu``, or ``on_records`` for a whole network frame) and only
-*journal*: a call becomes ticketed journal records, appended whole or
-not at all (:class:`~repro.core.concurrent.journaled.JournaledCollector`).
+*append*: a call lands in the journal whole or not at all, in one
+GIL-atomic list operation that takes no lock on an unbounded journal
+(:class:`~repro.core.concurrent.journaled.JournaledCollector`).
 Collection and cycle detection run on a *background thread* that wakes
-every ``detect_interval`` seconds, drains the journal, walks it in
-ticket order with the serial monitor's engine
-(:class:`~repro.core.monitor.RecordWalk`: lifecycle records through the
-admission gate, each batch through its collector — the journal's
-``engine`` — and its edges into the pruned detector), closes a monitoring
-window and publishes the resulting
+every ``detect_interval`` seconds, drains the journal (ticketing what
+landed, in the order it landed), walks it in ticket order with the
+serial monitor's engine (:class:`~repro.core.monitor.RecordWalk`:
+lifecycle records through the admission gate, each batch through its
+collector — the journal's ``engine`` — and its edges into the pruned
+detector), closes a monitoring window and publishes the resulting
 :class:`~repro.core.types.AnomalyReport` as an atomic snapshot (a single
 reference swap — readers never see a torn report).  This is the paper's
 log-parser deployment (§4.1), with the journal as the log.
 
 Because the pass consumes the journal in ticket order, the detection
 path is literally a serial RushMon run over the journal; the only
-concurrency-sensitive code is the journal append, and per-key
-bookkeeping order is ticket order by construction.  The dependency
-graph depends only on each key's operation order and each BUU's program
-order, so a recorder that sees a key's operations in the order they
-were journaled (a producer that holds a per-key lock across the call,
-as :class:`~repro.sim.scheduler.ThreadedWorkloadDriver` does) sees the
-same graph.  That is the invariant the differential, stress and chaos
-tests pin: at ``sr=1`` the service must report exactly what
+concurrency-sensitive code is the journal's append and settle, and
+per-key bookkeeping order is ticket order by construction.  The
+dependency graph depends only on each key's operation order and each
+BUU's program order, so a recorder that sees a key's operations in the
+order they were journaled (a producer that holds a per-key lock across
+the call, as :class:`~repro.sim.scheduler.ThreadedWorkloadDriver` does)
+sees the same graph.  That is the invariant the differential, stress
+and chaos tests pin: at ``sr=1`` the service must report exactly what
 :class:`~repro.core.monitor.OfflineAnomalyMonitor` computes from the
 events the journal acknowledged.
 
@@ -88,6 +89,9 @@ from repro.core.types import AnomalyReport, BuuId, CycleCounts, Key, Operation
 from repro.obs.instrument import instrument_detector
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import wal
+
+#: ``on_operation``'s record of an operation on an unsampled item.
+_ELIDED_ONE = (EV_OPS, (), 1)
 
 
 class RushMonService:
@@ -297,6 +301,10 @@ class RushMonService:
         degraded detector's state is not trustworthy enough to publish
         one more window).  Returns the last published report.  After
         this, ingestion and ``close_window()`` raise ``RuntimeError``.
+
+        A producer call that returned before ``stop()`` began is in the
+        final counts.  A call racing it is refused whole, or lands: in
+        the final counts, or after the final drain, left in the journal.
         """
         with self._lifecycle_lock:
             first = not self._stopped
@@ -447,15 +455,16 @@ class RushMonService:
         """Observe one read/write (thread-safe; it is journaled, and
         collected and detected by the background pass).  As in
         ``RushMon.on_operation``, an operation on an unsampled item is
-        probed here and only counted: it adds to the journal's
+        probed here and only counted: the pass adds it to the journal's
         run-length ``elided`` total, never a record."""
         if self._stopped:
             self._refuse()
-        chosen = self.collector.prefilter()
+        collector = self.collector
+        chosen = collector.prefilter()
         if chosen is None or chosen(op[2]):
-            self.collector.offer(((EV_OPS, (op,), 0),))
+            collector.append((EV_OPS, (op,), 0))
         else:
-            self.collector.offer(((EV_OPS, (), 1),))
+            collector.append(_ELIDED_ONE)
 
     def on_operations(self, ops: Iterable[Operation]) -> None:
         """Observe a sequence of operations: one journal record, whatever
@@ -464,17 +473,17 @@ class RushMonService:
         a bounded one leaves the unsampled operations out first."""
         if self._stopped:
             self._refuse()
-        self.collector.offer(((EV_OPS, ops, 0),))
+        self.collector.append((EV_OPS, list(ops), 0))
 
     def begin_buu(self, buu: BuuId, start_time: int = 0) -> None:
         if self._stopped:
             self._refuse()
-        self.collector.offer(((EV_BEGIN, buu, start_time),))
+        self.collector.append((EV_BEGIN, buu, start_time))
 
     def commit_buu(self, buu: BuuId, commit_time: int = 0) -> None:
         if self._stopped:
             self._refuse()
-        self.collector.offer(((EV_COMMIT, buu, commit_time),))
+        self.collector.append((EV_COMMIT, buu, commit_time))
 
     def on_records(self, records: Sequence[tuple]) -> None:
         """Observe the events of one call — a network frame — journaled

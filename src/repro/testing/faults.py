@@ -15,7 +15,7 @@ Injection points wired into the pipeline
     Entry of every producer call of the service's
     :class:`~repro.core.concurrent.journaled.JournaledCollector`
     (``on_operation(s)``, ``begin_buu``, ``commit_buu``, and
-    ``on_records`` — one per network frame), *before* the journal lock
+    ``on_records`` — one per network frame), *before* the call lands
     — a fault here hits the producer thread, and the call journals
     nothing (the server answers ``draining``; the resend is the whole
     frame).

@@ -21,20 +21,23 @@ import itertools
 import random
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.core.concurrent import RushMonService, ShardedCollector
+from repro.core.concurrent.journaled import EV_OPS
 from repro.core.config import RushMonConfig
 from repro.core.monitor import OfflineAnomalyMonitor, RushMon
 from repro.core.types import Operation, OpType
 from repro.sim.buu import read_modify_write
 from repro.sim.scheduler import ThreadedWorkloadDriver
 from repro.sim.traces import Trace
+from repro.storage import wal
 
 from tests.histgen import JournalTap, skewed_key
 from tests.test_sampled_journal import (_events, _feed_batched, _feed_calls,
-                                        _feed_per_op)
+                                        _feed_per_op, _frame_records)
 
 pytestmark = pytest.mark.stress
 
@@ -115,7 +118,7 @@ def test_stress_8_threads_5k_ops():
 
 def test_stress_small_shard_count():
     """``num_shards=1``, a field the service does not read: its one
-    journal lock orders every producer call whatever the config says.
+    journal orders every producer call whatever the config says.
     Four producers on 32 hot keys, yielding every 5 operations, must
     still match the serial replay exactly."""
     workload = _workload(400, 32, 3, seed=7)
@@ -191,8 +194,9 @@ def test_stress_sampled_and_mob():
 def test_stress_sampled_service_two_producers(sr, capacity):
     """The sampled service differential under real interleaving: two
     producers alternate per-op ingest, batched ingest and whole calls of
-    several hundred operations (past ``batch_size``, each one record
-    built under the journal lock) beside the detection thread.  No
+    several hundred operations (past ``batch_size``, each one record,
+    landing whole — unlocked on an unbounded journal, under the journal
+    lock on a bounded one) beside the detection thread.  No
     interleaving may lose or double-apply an elided count (carried by
     records and by the run-length total, appended concurrently), and the
     counts equal a serial replay of the journal the passes drained — the
@@ -265,6 +269,149 @@ def test_stress_sampled_service_two_producers(sr, capacity):
     assert replayed.detector.counts == counts
     assert replayed.collector.stats == service.collector.stats
     assert counts.two_cycles > 0  # the run was not vacuous
+
+
+class _Producer:
+    """One producer's stream, fed in turns of per-op, batched and
+    whole-frame calls through op lists it reuses, recording what it
+    expects its journal to hold: its events in program order, less the
+    single unsampled operations ``on_operation`` only counts."""
+
+    def __init__(self, service, events):
+        self.service = service
+        self.events = events
+        self.expected = []
+        self.error = None
+
+    def run(self):
+        service = self.service
+        chosen = service.collector.sampler.chosen
+        batch, frame = [], []
+
+        def flush():
+            if batch:
+                service.on_operations(batch)
+                self.expected.extend(("op", op) for op in batch)
+                batch.clear()
+
+        try:
+            for turn, start in enumerate(range(0, len(self.events), 40)):
+                events = self.events[start:start + 40]
+                time.sleep(0.001)  # paced, so passes and cuts fall mid-stream
+                if turn % 3 == 2:
+                    frame[:] = _frame_records(events)
+                    service.on_records(frame)
+                    self.expected.extend(events)
+                    continue
+                for kind, payload in events:
+                    if kind == "op" and turn % 3:
+                        batch.append(payload)
+                        continue
+                    flush()
+                    if kind == "begin":
+                        service.begin_buu(*payload)
+                    elif kind == "commit":
+                        service.commit_buu(*payload)
+                    else:
+                        service.on_operation(payload)
+                        if not chosen(payload.key):
+                            continue  # only counted, never a record
+                    self.expected.append((kind, payload))
+                flush()
+        except BaseException as exc:  # pragma: no cover - failure path
+            self.error = exc
+
+
+@pytest.mark.parametrize("sr", (1, 4))
+def test_stress_producers_land_in_program_order(tmp_path, sr):
+    """Three producers on an unbounded journal make per-op, batched and
+    whole-frame calls, reusing their op lists, while passes drain every
+    1–2 ms, checkpoints are cut mid-stream and a scraper reads the
+    journal depth in a loop (each of them settles what landed).  In the
+    drained journal, by ticket, each producer's events come out in its
+    program order, each exactly once, on disjoint ticket ranges; every
+    checkpoint holds each event offered before its cut, processed or
+    pending; and ``ops_seen``, ``processed_events`` and
+    ``lifecycle_offered`` reconcile with what the producers offered."""
+    service = RushMonService(
+        RushMonConfig(sampling_rate=sr, mob=False, seed=5,
+                      detect_interval=0.0015))
+    tap = JournalTap(service)
+    streams = [_events(6000, seed=tid + 1, first_buu=tid * 1_000_000)
+               for tid in range(3)]
+    producers = [_Producer(service, events) for events in streams]
+    threads = [threading.Thread(target=p.run, daemon=True) for p in producers]
+    cuts = []
+    done = threading.Event()
+
+    def cut():
+        while not done.wait(0.002):
+            path = str(tmp_path / f"cut{len(cuts) % 2}.wal")
+            service.checkpoint(path)
+            cuts.append(wal.load_checkpoint(path))
+
+    def scrape():
+        # Every reading settles: the tail is taken while producers append.
+        while not done.is_set():
+            service.collector.journal_depth
+
+    cutter = threading.Thread(target=cut, daemon=True)
+    scraper = threading.Thread(target=scrape, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with service:
+            cutter.start()
+            scraper.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive(), "producer deadlocked"
+            done.set()
+            cutter.join(60.0)
+            scraper.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [p.error for p in producers if p.error]
+    assert len(cuts) > 2
+
+    for state in cuts:
+        journal = state["collector"]
+        pending = sum(len(r[2]) + r[3] if r[1] == EV_OPS else 1
+                      for r in journal["journal"])
+        assert state["processed_events"] + pending == \
+            journal["ops_seen"] - journal["elided"] \
+            + journal["lifecycle_offered"]
+
+    landed = sorted(tap.records.items())
+    for (ticket, record), (after, _) in zip(landed, landed[1:]):
+        width = len(record[2]) if record[1] == EV_OPS else 1
+        assert after >= ticket + max(1, width)
+    for tid, producer in enumerate(producers):
+        mine = []
+        for _, (_, kind, payload, _) in landed:
+            if kind == EV_OPS:
+                mine.extend(("op", op) for op in payload
+                            if op.buu // 1_000_000 == tid)
+            elif payload // 1_000_000 == tid:
+                mine.append((kind, payload))
+        assert mine == [(kind, payload if kind == "op" else payload[0])
+                        for kind, payload in producer.expected]
+
+    num_ops = 3 * 6000
+    num_lifecycle = sum(map(len, streams)) - num_ops
+    collector = service.collector
+    assert collector.ops_seen == num_ops
+    assert collector.lifecycle_offered == num_lifecycle
+    assert service.processed_events == num_ops + num_lifecycle
+    assert sum(r.operations for r in service.reports) == num_ops
+    assert collector.journal_depth == 0
+    journaled = sum(len(r[2]) for r in tap.records.values()
+                    if r[1] == EV_OPS)
+    assert journaled == sum(1 for p in producers
+                            for kind, _ in p.expected if kind == "op")
+    assert (journaled < num_ops) == (sr > 1)
 
 
 def test_raw_sharded_collector_hammer():

@@ -626,12 +626,64 @@ class TestServiceMetricsReconcile:
             driver.run(_workload(100, 8, 3, seed=1))
         snap = service.metrics.snapshot()
         assert snap["rushmon_collector_journal_depth_highwater"] > 0
-        assert snap["rushmon_collector_lock_wait_seconds_total"] >= 0.0
+        # An unbounded journal's producers never wait for its lock.
+        assert snap["rushmon_collector_lock_wait_seconds_total"] == 0.0
+
+    @pytest.mark.parametrize("sr", (1, 20))
+    def test_gauges_and_views_read_appends_not_yet_settled(self, sr):
+        """Producers of an unbounded journal append untallied records;
+        the pass tallies them.  Each depth, operation, high-water and
+        lifecycle reading settles first: read alone right after fresh
+        offers, with no drain, snapshot or other reading in between, it
+        counts every call that returned."""
+        service = RushMonService(
+            RushMonConfig(sampling_rate=sr, mob=False, seed=3))
+        collector = service.collector
+        chosen = collector.sampler.chosen
+        totals = {"depth": 0, "ops": 0, "lifecycle": 0}
+
+        def offer(buu):
+            ops = [Operation(OpType.WRITE, buu, (7 * buu + i) % 97, i)
+                   for i in range(20)]
+            service.begin_buu(buu, 0)
+            service.on_operations(ops[:10])
+            for op in ops[10:]:
+                service.on_operation(op)
+            service.on_records([("ops", ops[:3], 0), ("commit", buu, 1)])
+            # Journaled: the batch whole, the chosen single operations,
+            # the frame's three operations, a begin and a commit.
+            totals["depth"] += 15 + sum(chosen(op.key) for op in ops[10:])
+            totals["ops"] += 23
+            totals["lifecycle"] += 2
+
+        def gauge(name):
+            # One callback, run alone: the registry reads no other.
+            return lambda: service.metrics.get(
+                f"rushmon_collector_{name}").value
+
+        readings = [
+            (gauge("journal_depth"), "depth"),
+            (gauge("journal_depth_highwater"), "depth"),
+            (gauge("ops_total"), "ops"),
+            (gauge("lifecycle_events_total"), "lifecycle"),
+            (lambda: collector.journal_depth, "depth"),
+            (lambda: collector.journal_highwater, "depth"),
+            (lambda: collector.ops_seen, "ops"),
+            (lambda: collector.lifecycle_offered, "lifecycle"),
+        ]
+        for buu, (read, total) in enumerate(readings):
+            offer(buu)
+            assert read() == totals[total]
+        assert gauge("lock_wait_seconds_total")() == 0.0
+        service.close_window()
+        assert collector.journal_depth == 0
+        assert service.processed_events == len(readings) * (23 + 2)
 
     def test_unmetered_collector_has_no_overhead_path(self, monkeypatch):
-        """An uncontended producer reads no clock, metered or not: the
-        collector's metrics are callback gauges, and only a wait for the
-        journal lock is timed."""
+        """A producer reads no clock, metered or not: the collector's
+        metrics are callback gauges, and an unbounded journal's producer
+        never takes the journal lock (``test_sampled_journal.py``), so it
+        has no wait to time."""
         from types import SimpleNamespace
 
         from repro.core.concurrent import journaled

@@ -758,6 +758,67 @@ def test_a_degraded_unbounded_service_sheds_every_call():
 # -- the producer call is the unit of admission ------------------------------------
 
 
+class _CountingLock:
+    """The journal lock, counting the acquires made on each thread."""
+
+    def __init__(self, lock) -> None:
+        self._lock = lock
+        self.by_thread: dict[str, int] = {}
+
+    def acquire(self, blocking=True, timeout=-1):
+        name = threading.current_thread().name
+        self.by_thread[name] = self.by_thread.get(name, 0) + 1
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
+@CAPACITIES
+def test_an_unbounded_journals_producers_never_take_the_lock(capacity):
+    """Three producers — per-op, batched and whole frames — beside the
+    detection thread: on an unbounded journal no producer thread ever
+    acquires the journal lock (each call is one list append or extend,
+    ticketed by the pass), while the pass still does.  A bounded
+    journal's producers take it to admit their calls."""
+    service = RushMonService(_config(4, detect_interval=0.001,
+                                     journal_capacity=capacity))
+    lock = service.collector._lock = _CountingLock(service.collector._lock)
+
+    def frames(monitor, events):
+        for start in range(0, len(events), 50):
+            monitor.on_records(_frame_records(events[start:start + 50]))
+
+    streams = [_events(1500, seed=tid + 1, first_buu=tid * 1_000_000)
+               for tid in range(3)]
+    producers = [
+        threading.Thread(target=feed, args=(service, events),
+                         name=f"producer-{tid}")
+        for tid, (feed, events) in enumerate(
+            zip((_feed_per_op, _feed_batched, frames), streams))]
+    with service:
+        for thread in producers:
+            thread.start()
+        for thread in producers:
+            thread.join(60.0)
+            assert not thread.is_alive()
+    acquires = [lock.by_thread.get(thread.name, 0) for thread in producers]
+    assert lock.by_thread.get("rushmon-detector", 0) > 0
+    if capacity is None:
+        assert acquires == [0, 0, 0]
+    else:
+        assert all(acquires)
+    assert service.processed_events == sum(map(len, streams))
+    assert service.collector.ops_seen == 3 * 1500
+
+
+
 def test_a_blocked_call_that_times_out_journals_nothing():
     """A call the journal has room for only part of waits for room for
     all of it; when ``block_timeout`` passes first it raises with none

@@ -7,6 +7,10 @@ errors instead of deadlocking, silently dropping events, or surfacing a
 bare OSError.
 """
 
+import itertools
+import threading
+import time
+
 import pytest
 
 from repro.core.concurrent import RushMonService
@@ -30,6 +34,45 @@ def test_double_stop_is_idempotent():
     first = svc.stop()
     assert svc.stopped
     assert svc.stop() is first  # no error, same latest report
+
+
+def test_a_call_that_returned_before_stop_is_in_the_final_counts():
+    """A producer keeps calling while ``stop()`` runs.  Every call that
+    returned before ``stop()`` began is in the final counts; a racing
+    call either landed — in the counts, or left in the journal after the
+    final drain — or was refused whole."""
+    svc = _service(detect_interval=0.002)
+    svc.start()
+    returned = []
+    refused = threading.Event()
+
+    def produce():
+        try:
+            for buu in itertools.count(1):
+                svc.begin_buu(buu, 0)
+                returned.append(buu)
+                svc.on_operation(Operation(OpType.WRITE, buu, buu % 7, buu))
+                returned.append(buu)
+                svc.on_operations([Operation(OpType.READ, buu, buu % 5, buu)])
+                returned.append(buu)
+                svc.commit_buu(buu, 0)
+                returned.append(buu)
+        except RuntimeError:
+            refused.set()
+
+    producer = threading.Thread(target=produce)
+    producer.start()
+    time.sleep(0.05)
+    before = len(returned)
+    svc.stop()
+    producer.join(10.0)
+    assert refused.is_set()
+    assert before > 0
+    assert before <= svc.processed_events
+    assert svc.processed_events + svc.collector.journal_depth == len(returned)
+    # Calls alternate begin, op, ops, commit: every landed op is seen.
+    assert svc.collector.ops_seen == sum(
+        1 for i in range(len(returned)) if i % 4 in (1, 2))
 
 
 def test_close_window_after_stop_raises_clear_error():
